@@ -5,8 +5,8 @@
 //
 //   - Local: in-process, sharding the request's in-memory data over
 //     simulated sites (the exact star network of the paper).
-//   - Cluster: a coordinator driving persistent dpc-site daemons over TCP;
-//     the data lives at the sites.
+//   - Cluster: a coordinator driving dpc-site daemons over TCP; the data
+//     lives at the sites.
 //   - Remote: a typed HTTP client for a dpc-server, with retry/backoff on
 //     503 backpressure and job polling.
 //
@@ -79,24 +79,12 @@ type Request struct {
 	Sites int     `json:"sites,omitempty" usage:"number of simulated sites (default 8)"`
 	Eps   float64 `json:"eps,omitempty" usage:"coordinator bicriteria slack (default 1)"`
 	Seed  int64   `json:"seed,omitempty" usage:"engine seed (site i derives seed + i*const)"`
-	// Workers bounds per-solve goroutines (0 = one per CPU); results are
-	// bit-identical for every value.
-	//
-	// Deprecated: set Engine (workers=N token / Options.Workers). Still
-	// honored when Engine leaves it unset.
-	Workers int `json:"workers,omitempty" usage:"solver goroutines per solve (0 = one per CPU)"`
 	// Engine bundles every solver-engine knob: algorithm choice plus the
 	// index, cache, worker and reference toggles. As a flag or JSON string
 	// it takes comma-separated tokens ("jv,index,pivots=32"); as JSON it
 	// also accepts the structured {"algo": ..., "index": ...} object.
-	Engine engine.Spec `json:"engine,omitempty" usage:"engine spec: algo and knobs, e.g. jv,index,workers=4 (tokens: auto|localsearch|jv, index, pivots=N, nocache, workers=N, reference)"`
-	// NoCache disables the memoized distance oracles (a measurement knob;
-	// results never change).
-	//
-	// Deprecated: set Engine ("nocache" token / Options.NoCache). Still
-	// honored (ORed with the spec).
-	NoCache     bool `json:"no_cache,omitempty" usage:"disable memoized distance caches (measurement knob)"`
-	LloydPolish bool `json:"lloyd_polish,omitempty" usage:"Lloyd-polish the final centers (means only)"`
+	Engine      engine.Spec `json:"engine,omitempty" usage:"engine spec: algo and knobs, e.g. jv,index,workers=4 (tokens: auto|localsearch|jv, index, pivots=N, nocache, workers=N, reference)"`
+	LloydPolish bool        `json:"lloyd_polish,omitempty" usage:"Lloyd-polish the final centers (means only)"`
 	// Transport selects the Local backend's wire: loopback (default) or
 	// tcp (real localhost sockets). Other backends ignore it.
 	Transport string `json:"transport,omitempty" usage:"local wire backend: loopback | tcp"`
@@ -146,9 +134,7 @@ func (r Request) spec() serve.JobSpec {
 		Sites:          r.Sites,
 		Eps:            r.Eps,
 		Seed:           r.Seed,
-		Workers:        r.Workers,
 		Engine:         r.Engine,
-		NoCache:        r.NoCache,
 		LloydPolish:    r.LloydPolish,
 		Client:         r.Client,
 		Priority:       r.Priority,
@@ -190,6 +176,10 @@ type Response struct {
 	Rounds    int   `json:"rounds,omitempty"`
 	UpBytes   int64 `json:"up_bytes,omitempty"`
 	DownBytes int64 `json:"down_bytes,omitempty"`
+	// Tree attributes the run's physical bytes to the link tiers of an
+	// aggregation tree (Local and Cluster under a tree topology; nil for
+	// star runs and server backends).
+	Tree *comm.TreeStats `json:"tree,omitempty"`
 	// Tau is u-centerg's chosen truncation threshold (a lower-bound
 	// witness; zero otherwise).
 	Tau float64 `json:"tau,omitempty"`

@@ -16,8 +16,8 @@ import (
 	"dpc/internal/uncertain"
 )
 
-// startSiteFleet replicates a `dpc-site -persist` fleet in-process: each
-// site runs ServeSite — the daemon's exact code path (multi-job hello
+// startSiteFleet replicates a `dpc-site` fleet in-process: each
+// site runs ServeSite — the daemon's exact code path (job-frame hello
 // check, long-lived cache, jobwire handler factory) — over its point
 // shard and uncertain node shard. The returned join waits for the serve
 // loops to end.
@@ -303,7 +303,7 @@ func TestCancellationAllBackends(t *testing.T) {
 // TestCancelledClusterReconnects pins the lazy-reconnect semantics: a
 // mid-protocol cancellation drops the desynchronized site connections, and
 // the next Do re-binds the original address, waits for the redialing
-// daemons (ServeSiteLoop — dpc-site -persist's loop), and answers with the
+// daemons (ServeSiteLoop — dpc-site's loop), and answers with the
 // same centers a never-cancelled run produces.
 func TestCancelledClusterReconnects(t *testing.T) {
 	in := cancelInstance()
@@ -315,7 +315,7 @@ func TestCancelledClusterReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A redialing fleet: each site dials again when its connection drops
-	// without a clean protocol close, exactly like dpc-site -persist.
+	// without a clean protocol close, exactly like dpc-site.
 	var wg sync.WaitGroup
 	siteErrs := make([]error, len(shards))
 	for i := range shards {

@@ -12,20 +12,21 @@ import (
 	"dpc/internal/uncertain"
 )
 
-// Cluster answers requests by driving persistent dpc-site daemons over
-// TCP: the coordinator side of the protocol runs in this process, the data
-// lives at the sites (their shards and distance caches stay warm across
-// requests — connection persistence, exactly dpc-server's remote
-// datasets). Point requests need nothing but the connected sites; the
-// uncertain objectives additionally need req.Ground (the paper's shared
-// ground metric) on the coordinator side.
+// Cluster answers requests by driving dpc-site daemons over TCP: the
+// coordinator side of the protocol runs in this process, the data lives at
+// the sites (their shards and distance caches stay warm across requests —
+// connection persistence, exactly dpc-server's remote datasets). A one-shot
+// run (dpc-cluster -listen) is Accept, one Do, Close. Point requests need
+// nothing but the connected sites; the uncertain objectives additionally
+// need req.Ground (the paper's shared ground metric) on the coordinator
+// side.
 //
 // One Cluster serves one request at a time (the transport round contract);
 // concurrent Do calls serialize. A request cancelled mid-protocol leaves
 // the site connections desynchronized, so the backend drops them — and the
 // next Do reconnects lazily: it re-binds the original address and waits for
-// the site daemons to redial (dpc-site -persist retries exactly for this),
-// so one cancelled request costs one reconnect, not the backend.
+// the site daemons to redial (dpc-site retries exactly for this), so one
+// cancelled request costs one reconnect, not the backend.
 //
 // With ListenClusterTree the connected daemons are the top tier of an
 // aggregation tree (dpc-site -aggregate) instead of the leaf sites; job
@@ -61,7 +62,7 @@ type ClusterListener struct {
 }
 
 // ListenCluster binds addr (e.g. "127.0.0.1:9009", or ":0" for an
-// ephemeral port) for `sites` dpc-site daemons running with -persist.
+// ephemeral port) for `sites` dpc-site daemons.
 func ListenCluster(addr string, sites int) (*ClusterListener, error) {
 	l, err := transport.Listen(addr, sites)
 	if err != nil {
@@ -171,6 +172,7 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*Response, error) {
 	}
 
 	var resp *Response
+	var rep Report
 	switch kind {
 	case jobwire.KindPoint:
 		cfg, err := spec.CoreConfig()
@@ -190,10 +192,8 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*Response, error) {
 			CostKind:      "coordinator",
 			OutlierBudget: res.OutlierBudget,
 			SiteBudgets:   res.SiteBudgets,
-			Rounds:        res.Report.Rounds,
-			UpBytes:       res.Report.UpBytes,
-			DownBytes:     res.Report.DownBytes,
 		}
+		rep = res.Report
 	case jobwire.KindUncertain:
 		if req.Ground == nil {
 			return nil, fmt.Errorf("client: cluster %s request needs Ground (the shared ground metric)", req.Objective)
@@ -213,10 +213,8 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*Response, error) {
 			Centers:       res.Centers,
 			OutlierBudget: res.OutlierBudget,
 			SiteBudgets:   res.SiteBudgets,
-			Rounds:        res.Report.Rounds,
-			UpBytes:       res.Report.UpBytes,
-			DownBytes:     res.Report.DownBytes,
 		}
+		rep = res.Report
 	case jobwire.KindCenterG:
 		if req.Ground == nil {
 			return nil, fmt.Errorf("client: cluster %s request needs Ground (the shared ground metric)", req.Objective)
@@ -236,11 +234,9 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*Response, error) {
 			Centers:       res.Centers,
 			OutlierBudget: res.OutlierBudget,
 			SiteBudgets:   res.SiteBudgets,
-			Rounds:        res.Report.Rounds,
-			UpBytes:       res.Report.UpBytes,
-			DownBytes:     res.Report.DownBytes,
 			Tau:           res.Tau,
 		}
+		rep = res.Report
 	default:
 		return nil, fmt.Errorf("client: unhandled objective kind %v", kind)
 	}
@@ -251,6 +247,7 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*Response, error) {
 	if cost, costKind, err := evalObjective(req, resp.Centers, resp.OutlierBudget); err == nil && costKind != "" {
 		resp.Cost, resp.CostKind = cost, costKind
 	}
+	resp.Rounds, resp.UpBytes, resp.DownBytes, resp.Tree = rep.Rounds, rep.UpBytes, rep.DownBytes, rep.Tree
 	resp.Backend = "cluster"
 	return resp, nil
 }
@@ -282,8 +279,8 @@ func (c *Cluster) fail(ctx context.Context, err error) error {
 }
 
 // reconnect re-establishes a broken backend: re-bind the original address
-// and wait for the expected daemons to redial (dpc-site -persist loops
-// back to dialing when its connection drops). Called with c.mu held; ctx
+// and wait for the expected daemons to redial (dpc-site loops back to
+// dialing when its connection drops). Called with c.mu held; ctx
 // bounds the wait.
 func (c *Cluster) reconnect(ctx context.Context) error {
 	l, err := transport.Listen(c.addr, c.direct)

@@ -42,10 +42,10 @@ func TestBindFlagsMatchesJSONNames(t *testing.T) {
 
 	// Spot-check the underscore mapping and that parsing lands in the
 	// struct (the property the generated CLI depends on).
-	if err := fs.Parse([]string{"-lloyd-polish", "-k", "7", "-objective", "u-means", "-no-cache"}); err != nil {
+	if err := fs.Parse([]string{"-lloyd-polish", "-k", "7", "-objective", "u-means", "-engine", "nocache"}); err != nil {
 		t.Fatal(err)
 	}
-	if !req.LloydPolish || req.K != 7 || req.Objective != "u-means" || !req.NoCache {
+	if !req.LloydPolish || req.K != 7 || req.Objective != "u-means" || !req.Engine.NoCache {
 		t.Fatalf("parsed request %+v", req)
 	}
 

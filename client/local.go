@@ -99,12 +99,10 @@ func (l *Local) Do(ctx context.Context, req Request) (*Response, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		eo := spec.EngineOptions()
 		sol := central.PartialMedian(req.Points, central.Config{
 			K: req.K, T: req.T, Levels: req.Levels, Eps: req.Eps,
 			Objective: cfg.Objective, Engine: cfg.Engine,
-			Opts:        kmedian.Options{Seed: req.Seed, Options: eo},
-			NoDistCache: eo.NoCache,
+			Opts: kmedian.Options{Seed: req.Seed, Options: cfg.Options},
 		})
 		return &Response{
 			Centers:       sol.Centers,
@@ -142,6 +140,7 @@ func (l *Local) finish(req Request, centers []metric.Point, budget float64, site
 		Rounds:        rep.Rounds,
 		UpBytes:       rep.UpBytes,
 		DownBytes:     rep.DownBytes,
+		Tree:          rep.Tree,
 		Tau:           tau,
 		Backend:       "local",
 	}, nil

@@ -21,7 +21,7 @@ type SiteData struct {
 	Nodes  []Node
 }
 
-// ServeSite is dpc-site -persist as a library call: it dials a cluster
+// ServeSite serves one connection's worth of jobs: it dials a cluster
 // coordinator (a ClusterListener, or dpc-server -sites-listen) at addr,
 // retrying until timeout (0 = one attempt), and serves jobs from d —
 // building one long-lived distance cache over the point shard so repeated
@@ -38,7 +38,7 @@ func ServeSite(addr string, d SiteData, timeout time.Duration) error {
 	}, nil)
 }
 
-// ServeSiteLoop is ServeSite with dpc-site -persist's redial behavior: a
+// ServeSiteLoop is dpc-site as a library call — ServeSite plus redial: a
 // connection that drops without the coordinator's clean protocol close —
 // the fate of a fleet whose request was cancelled mid-round — is dialed
 // again, so the site is back for the coordinator's lazy reconnect. It

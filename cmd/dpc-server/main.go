@@ -11,8 +11,8 @@
 //
 //	# fan distributed jobs out to live dpc-site daemons:
 //	dpc-server -listen :8080 -sites-listen 127.0.0.1:9009 -remote-sites 2 -remote-name shards
-//	dpc-site -connect 127.0.0.1:9009 -site 0 -in part0.csv -persist
-//	dpc-site -connect 127.0.0.1:9009 -site 1 -in part1.csv -persist
+//	dpc-site -connect 127.0.0.1:9009 -site 0 -in part0.csv
+//	dpc-site -connect 127.0.0.1:9009 -site 1 -in part1.csv
 //
 // API sketch (see the README's Serving section for full reference):
 //

@@ -1,7 +1,7 @@
 // Command dpc-site is the site daemon of a real distributed deployment:
 // it loads its local shard of the dataset from CSV, dials the coordinator
-// (dpc-coordinator, dpc-server, or a client.Cluster backend), and serves
-// the site rounds until the coordinator closes the protocol.
+// (dpc-cluster -listen, dpc-server -sites-listen, or any client.Cluster
+// backend), and serves jobs until the coordinator closes the protocol.
 //
 // The site never sees any other site's data; everything it sends crosses
 // the framed TCP wire protocol and is byte-accounted by the coordinator.
@@ -9,29 +9,28 @@
 // Usage:
 //
 //	dpc-site -connect 127.0.0.1:9009 -site 0 -in part0.csv
-//	dpc-site -connect 127.0.0.1:9009 -site 0 -in part0.csv -persist
-//	dpc-site -connect 127.0.0.1:9009 -site 0 -sites 4 -uncertain -in nodes.csv -persist
+//	dpc-site -connect 127.0.0.1:9009 -site 0 -sites 4 -uncertain -in nodes.csv
 //
-// With -persist the site serves a multi-job coordinator: the connection
-// stays up across jobs, each job frame ships its own run configuration and
-// protocol kind (point or uncertain — see internal/jobwire), and the site
-// keeps its dataset and memoized distance cache warm from one job to the
-// next — the whole point of running a long-lived daemon instead of a
-// per-run process.
+// The connection stays up across jobs: each job frame ships its own run
+// configuration and protocol kind (point or uncertain — see
+// internal/jobwire), and the site keeps its dataset and memoized distance
+// cache warm from one job to the next. A one-shot run (dpc-cluster -listen)
+// is the same conversation with a single job in it. A connection that
+// drops without the coordinator's close frame is redialed, so a
+// coordinator that cancelled a request finds its fleet again.
 //
 // With -uncertain the input CSV holds the full uncertain dataset in
 // dpc-cluster's node format (node_id,prob,coords...); the site derives the
 // shared ground set from it and serves its -site'th round-robin shard of
 // the nodes out of -sites total, so every daemon of the fleet can be
-// started from one file. Uncertain mode requires -persist (the single-run
-// dpc-coordinator handshake only carries point configurations).
+// started from one file.
 //
 // With -aggregate the daemon is an interior node of an aggregation tree
 // instead of a leaf: it holds no data, listens for -children child
 // connections (leaf sites dialing with their global ids, starting at
 // -child-base, or deeper aggregators with -inner), forwards the
-// coordinator's handshake blob down, and merges each round's child replies
-// into one batch for its parent (see internal/tree):
+// coordinator's welcome and job frames down, and merges each round's child
+// replies into one batch for its parent (see internal/tree):
 //
 //	dpc-site -aggregate -connect 127.0.0.1:9009 -site 0 \
 //	    -children-listen 127.0.0.1:9101 -children 4 -child-base 0
@@ -44,7 +43,6 @@ import (
 	"os"
 	"time"
 
-	"dpc/internal/core"
 	"dpc/internal/dataio"
 	"dpc/internal/jobwire"
 	"dpc/internal/transport"
@@ -57,8 +55,7 @@ func main() {
 		site      = flag.Int("site", 0, "this site's id (0-based, unique per site)")
 		inPath    = flag.String("in", "-", "input CSV ('-' = stdin): this site's points, or the full node set with -uncertain")
 		timeout   = flag.Duration("timeout", 30*time.Second, "how long to retry dialing the coordinator")
-		persist   = flag.Bool("persist", false, "serve many jobs over one connection (dpc-server / client.Cluster mode)")
-		uncFlag   = flag.Bool("uncertain", false, "input rows are uncertain nodes: node_id,prob,coords... (requires -persist)")
+		uncFlag   = flag.Bool("uncertain", false, "input rows are uncertain nodes: node_id,prob,coords...")
 		siteCount = flag.Int("sites", 0, "total site count, for sharding the -uncertain node set (required with -uncertain)")
 		aggregate = flag.Bool("aggregate", false, "serve as an aggregation-tree interior node instead of a leaf site (no data)")
 		childAddr = flag.String("children-listen", "127.0.0.1:0", "with -aggregate: address to accept child connections on")
@@ -85,9 +82,6 @@ func main() {
 		fatal(err)
 	}
 	if *uncFlag {
-		if !*persist {
-			fatal(fmt.Errorf("-uncertain requires -persist (job frames carry the protocol kind)"))
-		}
 		if *siteCount <= 0 {
 			fatal(fmt.Errorf("-uncertain requires -sites (the fleet size the node set shards over)"))
 		}
@@ -117,63 +111,35 @@ func main() {
 		}
 	}
 
-	if *persist {
-		// The redial loop is what lets a coordinator recover a fleet: a
-		// request cancelled mid-protocol drops the connections, the
-		// coordinator re-listens, and every daemon lands back here and
-		// dials again. Only a clean protocol close (the coordinator's
-		// close frame, err == nil) ends the daemon; a dial that exhausts
-		// -timeout means the coordinator is really gone.
-		for {
-			sc, err := transport.Dial(*connect, *site, *timeout)
-			if err != nil {
-				fatal(err)
-			}
-			err = servePersistent(sc, data, *verbose)
-			sc.Close()
-			if err == nil {
-				if *verbose {
-					fmt.Fprintf(os.Stderr, "dpc-site %d: coordinator closed, exiting\n", *site)
-				}
-				return
-			}
-			fmt.Fprintf(os.Stderr, "dpc-site %d: connection lost (%v), redialing %s\n", *site, err, *connect)
+	// The redial loop is what lets a coordinator recover a fleet: a request
+	// cancelled mid-protocol drops the connections, the coordinator
+	// re-listens, and every daemon lands back here and dials again. Only a
+	// clean protocol close (the coordinator's close frame, err == nil) ends
+	// the daemon; a dial that exhausts -timeout means the coordinator is
+	// really gone.
+	for {
+		sc, err := transport.Dial(*connect, *site, *timeout)
+		if err != nil {
+			fatal(err)
 		}
-	}
-
-	sc, err := transport.Dial(*connect, *site, *timeout)
-	if err != nil {
-		fatal(err)
-	}
-	defer sc.Close()
-
-	cfg, err := core.DecodeConfig(sc.Hello())
-	if err != nil {
-		fatal(fmt.Errorf("bad config from coordinator: %w", err))
-	}
-	handler, err := core.NewSiteHandler(cfg, *site, data.Pts)
-	if err != nil {
-		fatal(err)
-	}
-	if *verbose {
-		fmt.Fprintf(os.Stderr, "dpc-site %d: connected, serving %s/%s (k=%d, t=%d)\n",
-			*site, cfg.Objective, cfg.Variant, cfg.K, cfg.T)
-		handler = logRounds(*site, handler)
-	}
-	if err := sc.Serve(handler); err != nil {
-		fatal(err)
-	}
-	if *verbose {
-		fmt.Fprintf(os.Stderr, "dpc-site %d: protocol complete\n", *site)
+		err = serveJobs(sc, data, *verbose)
+		sc.Close()
+		if err == nil {
+			if *verbose {
+				fmt.Fprintf(os.Stderr, "dpc-site %d: coordinator closed, exiting\n", *site)
+			}
+			return
+		}
+		fmt.Fprintf(os.Stderr, "dpc-site %d: connection lost (%v), redialing %s\n", *site, err, *connect)
 	}
 }
 
 // runAggregate serves one interior tree node: listen for the children
 // first (so their dial retries have somewhere to land), join the parent,
-// forward the parent's handshake blob down verbatim — leaf sites decode
-// their run configuration from it exactly as they would from the
-// coordinator itself — and then run the merge role until the parent closes
-// the protocol. The children's site ids are the global range
+// forward the parent's welcome blob down verbatim — leaf sites check the
+// job-frame marker in it exactly as they would the coordinator's own — and
+// then run the merge role, job frames included, until the parent closes the
+// protocol. The children's site ids are the global range
 // [base, base+children), which keeps their seeds and pivot comparisons
 // fleet-wide correct.
 func runAggregate(connect string, site int, timeout time.Duration, listen string, children, base int, inner, verbose bool) error {
@@ -205,11 +171,11 @@ func runAggregate(connect string, site int, timeout time.Duration, listen string
 	return tree.Serve(sc, child, inner)
 }
 
-// servePersistent serves the multi-job loop (jobwire.ServeJobs: hello
+// serveJobs serves one connection's job loop (jobwire.ServeJobs: hello
 // marker check, one long-lived distance cache over the point shard, one
 // fresh protocol handler per job frame), optionally decorating each job's
 // handler with -v logging.
-func servePersistent(sc *transport.Site, data jobwire.SiteData, verbose bool) error {
+func serveJobs(sc *transport.Site, data jobwire.SiteData, verbose bool) error {
 	var wrap func(job int, blob []byte, h transport.Handler) transport.Handler
 	if verbose {
 		wrap = func(job int, blob []byte, h transport.Handler) transport.Handler {

@@ -36,22 +36,24 @@
 // Distributed runs move bytes over a pluggable transport: the default
 // loopback backend keeps the s sites in-process (the exact simulated star
 // network), Request.Transport = "tcp" runs the identical protocol over
-// real localhost sockets, and the cmd/dpc-coordinator + cmd/dpc-site
-// daemons (or a Cluster client over dpc-site -persist fleets) run it
-// across genuinely separate processes. Byte accounting counts payload
-// bytes only — frame headers are transport overhead — so every backend
-// reports identical communication.
+// real localhost sockets, and a Cluster client (the library behind
+// cmd/dpc-cluster -listen) over cmd/dpc-site daemons runs it across
+// genuinely separate processes: the coordinator ships each run's
+// configuration to the fleet in a job frame, so one connected fleet
+// serves any number of requests of any objective. Byte accounting counts
+// payload bytes only — frame headers are transport overhead — so every
+// backend reports identical communication.
 //
 // # Engine
 //
-// Local solves run on a multi-core engine with memoized distance oracles.
-// Request.Workers (Config.Workers on the legacy surface) bounds the
-// per-solve goroutines (0 = one per CPU) with a hard invariant: results
-// are bit-identical for Workers=1 and Workers=N on every objective,
-// variant and transport. NoCache disables the distance caches (a
-// measurement knob — the caches are exact and never change results), and
-// Config.Reference runs the seed sequential implementation that
-// cmd/dpc-bench benchmarks the engine against.
+// Local solves run on a multi-core engine with memoized distance oracles,
+// configured in one place: EngineOptions (Request.Engine, Config.Options,
+// the -engine flag). Workers bounds the per-solve goroutines (0 = one per
+// CPU) with a hard invariant: results are bit-identical for Workers=1 and
+// Workers=N on every objective, variant and transport. NoCache disables
+// the distance caches (a measurement knob — the caches are exact and never
+// change results), and Reference runs the seed sequential implementation
+// that cmd/dpc-bench benchmarks the engine against.
 //
 // # Legacy one-shot surface
 //
@@ -133,7 +135,7 @@ func NewBalancedClient(urls []string, opt BalancedOptions) (*client.Balanced, er
 	return client.NewBalanced(urls, opt)
 }
 
-// ListenCluster binds addr for `sites` dpc-site -persist daemons; Accept
+// ListenCluster binds addr for `sites` dpc-site daemons; Accept
 // on the returned listener yields the cluster backend once all have
 // joined.
 func ListenCluster(addr string, sites int) (*ClusterListener, error) {
@@ -403,7 +405,7 @@ type ServeConfig = serve.Config
 type Server = serve.Server
 
 // JobSpec is one clustering job: a (k, t, objective) query against a
-// registered dataset, with per-job engine knobs (Workers, Engine, Seed)
+// registered dataset, with per-job engine knobs (Engine, Seed)
 // mirroring Config's — zero values reproduce a one-shot Run bit for bit.
 type JobSpec = serve.JobSpec
 

@@ -2,12 +2,12 @@ package dpc_test
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -18,144 +18,190 @@ import (
 	"dpc/internal/dataio"
 )
 
-// TestDaemonsEndToEnd is the acceptance test of the transport subsystem at
-// the process level: it builds dpc-coordinator and dpc-site, runs one
-// coordinator plus s site processes over localhost TCP on a seeded
-// instance, and demands the same centers and the same payload-byte
-// accounting (frame headers excluded) as the in-process loopback run.
+// TestDaemonsEndToEnd is the acceptance test of the multi-process path at
+// the process level: it builds dpc-cluster and dpc-site, runs one
+// `dpc-cluster -listen` coordinator plus s site processes over localhost
+// TCP, and demands byte-identical centers and the same payload-byte
+// accounting (frame headers excluded) as the in-process `dpc-cluster` run
+// on the same shards — for a point objective and for an uncertain one.
 func TestDaemonsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns real processes")
 	}
 	tmp := t.TempDir()
-
-	// Build the two daemons from the module under test.
-	coordBin := filepath.Join(tmp, "dpc-coordinator")
+	clusterBin := filepath.Join(tmp, "dpc-cluster")
 	siteBin := filepath.Join(tmp, "dpc-site")
-	for bin, pkg := range map[string]string{coordBin: "./cmd/dpc-coordinator", siteBin: "./cmd/dpc-site"} {
+	for bin, pkg := range map[string]string{clusterBin: "./cmd/dpc-cluster", siteBin: "./cmd/dpc-site"} {
 		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
 		if err != nil {
 			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
 		}
 	}
 
-	// Seeded instance, split round-robin across 3 sites.
+	// Seeded instance: n points around k planted centers; the uncertain
+	// variant scatters a 3-point support around each.
 	const s, n, k, tt = 3, 180, 3, 12
 	rng := rand.New(rand.NewSource(41))
 	var all []dpc.Point
-	sites := make([][]dpc.Point, s)
+	var nodes bytes.Buffer
 	for j := 0; j < n; j++ {
 		c := j % k
 		p := dpc.Point{float64(12*c) + rng.NormFloat64(), float64(12*c) + rng.NormFloat64()}
 		all = append(all, p)
-		sites[j%s] = append(sites[j%s], p)
+		for q := 0; q < 3; q++ {
+			fmt.Fprintf(&nodes, "n%d,1,%g,%g\n", j, p[0]+0.3*rng.NormFloat64(), p[1]+0.3*rng.NormFloat64())
+		}
 	}
-	for i := 0; i < s; i++ {
-		f, err := os.Create(filepath.Join(tmp, fmt.Sprintf("part%d.csv", i)))
+	writePoints := func(name string, pts []dpc.Point) string {
+		path := filepath.Join(tmp, name)
+		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dataio.WritePointsCSV(f, sites[i]); err != nil {
+		if err := dataio.WritePointsCSV(f, pts); err != nil {
 			t.Fatal(err)
 		}
-		f.Close()
-	}
-
-	// Reference: the in-process loopback run with the daemons' defaults.
-	want, err := dpc.Run(sites, dpc.Config{K: k, T: tt, LocalOpts: dpc.SolverOptions{Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Coordinator on an ephemeral port; its first stderr line tells us
-	// where the sites should dial.
-	centersPath := filepath.Join(tmp, "centers.csv")
-	coord := exec.Command(coordBin,
-		"-listen", "127.0.0.1:0", "-sites", strconv.Itoa(s),
-		"-k", strconv.Itoa(k), "-t", strconv.Itoa(tt),
-		"-report", "-out", centersPath)
-	stderr, err := coord.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var lines []string
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		re := regexp.MustCompile(`listening on (\S+),`)
-		for sc.Scan() {
-			line := sc.Text()
-			mu.Lock()
-			lines = append(lines, line)
-			mu.Unlock()
-			if m := re.FindStringSubmatch(line); m != nil {
-				addrCh <- m[1]
-			}
-		}
-		close(addrCh)
-	}()
-	addr, ok := <-addrCh
-	if !ok {
-		coord.Wait()
-		t.Fatalf("coordinator never listened; stderr:\n%s", strings.Join(lines, "\n"))
-	}
-
-	var wg sync.WaitGroup
-	siteErrs := make([]error, s)
-	for i := 0; i < s; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cmd := exec.Command(siteBin,
-				"-connect", addr, "-site", strconv.Itoa(i),
-				"-in", filepath.Join(tmp, fmt.Sprintf("part%d.csv", i)))
-			if out, err := cmd.CombinedOutput(); err != nil {
-				siteErrs[i] = fmt.Errorf("site %d: %v\n%s", i, err, out)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := coord.Wait(); err != nil {
-		t.Fatalf("coordinator: %v\nstderr:\n%s", err, strings.Join(lines, "\n"))
-	}
-	for _, err := range siteErrs {
-		if err != nil {
+		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
+		return path
 	}
-
-	// Same centers...
-	f, err := os.Open(centersPath)
-	if err != nil {
+	allPath := writePoints("all.csv", all)
+	// The in-process run shards round-robin (point j to site j%s); the
+	// site processes must hold exactly those shards.
+	parts := make([]string, s)
+	for i, shard := range dataio.SplitRoundRobin(all, s) {
+		parts[i] = writePoints(fmt.Sprintf("part%d.csv", i), shard)
+	}
+	nodesPath := filepath.Join(tmp, "nodes.csv")
+	if err := os.WriteFile(nodesPath, nodes.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dataio.ReadPointsCSV(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Centers, got) {
-		t.Fatalf("centers differ:\nloopback: %v\ndaemons:  %v", want.Centers, got)
-	}
 
-	// ...and the same payload-byte accounting, parsed off the report.
-	mu.Lock()
-	report := strings.Join(lines, "\n")
-	mu.Unlock()
-	re := regexp.MustCompile(`rounds: (\d+)  up: (\d+) B  down: (\d+) B`)
-	m := re.FindStringSubmatch(report)
-	if m == nil {
-		t.Fatalf("no report in coordinator stderr:\n%s", report)
-	}
-	rounds, _ := strconv.Atoi(m[1])
-	up, _ := strconv.ParseInt(m[2], 10, 64)
-	down, _ := strconv.ParseInt(m[3], 10, 64)
-	if rounds != want.Report.Rounds || up != want.Report.UpBytes || down != want.Report.DownBytes {
-		t.Fatalf("daemon accounting %d rounds/%d up/%d down, loopback %d/%d/%d",
-			rounds, up, down, want.Report.Rounds, want.Report.UpBytes, want.Report.DownBytes)
+	for _, tc := range []struct {
+		name string
+		// run are the clustering flags both deployments share; coord is
+		// the coordinator-side data of the fleet run (none for points: the
+		// data lives at the sites); site are site i's data flags.
+		run   []string
+		local []string
+		coord []string
+		site  func(i int) []string
+	}{
+		{
+			name:  "median",
+			run:   []string{"-objective", "median"},
+			local: []string{"-in", allPath},
+			site:  func(i int) []string { return []string{"-in", parts[i]} },
+		},
+		{
+			// Every site is started from the one node file and serves its
+			// round-robin shard; the coordinator needs the shared ground set.
+			name:  "u-median",
+			run:   []string{"-uncertain", "-objective", "u-median"},
+			local: []string{"-in", nodesPath},
+			coord: []string{"-in", nodesPath},
+			site: func(i int) []string {
+				return []string{"-uncertain", "-sites", strconv.Itoa(s), "-in", nodesPath}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			common := append([]string{"-sites", strconv.Itoa(s), "-k", strconv.Itoa(k), "-t", strconv.Itoa(tt), "-report"}, tc.run...)
+
+			localOut := filepath.Join(tmp, tc.name+"-local.csv")
+			args := append(append([]string{"-out", localOut}, common...), tc.local...)
+			localLog, err := exec.Command(clusterBin, args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("in-process dpc-cluster: %v\n%s", err, localLog)
+			}
+
+			// Coordinator on an ephemeral port; its first stderr line tells
+			// us where the sites should dial.
+			fleetOut := filepath.Join(tmp, tc.name+"-fleet.csv")
+			args = append(append([]string{"-listen", "127.0.0.1:0", "-out", fleetOut}, common...), tc.coord...)
+			coord := exec.Command(clusterBin, args...)
+			stderr, err := coord.StderrPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := coord.Start(); err != nil {
+				t.Fatal(err)
+			}
+			var lines []string // the scanner goroutine's until scanned closes
+			addrCh := make(chan string, 1)
+			scanned := make(chan struct{})
+			go func() {
+				defer close(scanned)
+				sc := bufio.NewScanner(stderr)
+				re := regexp.MustCompile(`listening on (\S+) `)
+				for sc.Scan() {
+					line := sc.Text()
+					lines = append(lines, line)
+					if m := re.FindStringSubmatch(line); m != nil {
+						addrCh <- m[1]
+					}
+				}
+				close(addrCh)
+			}()
+			addr, ok := <-addrCh
+			if !ok {
+				coord.Wait()
+				t.Fatalf("coordinator never listened; stderr:\n%s", strings.Join(lines, "\n"))
+			}
+
+			var wg sync.WaitGroup
+			siteErrs := make([]error, s)
+			for i := 0; i < s; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					args := append([]string{"-connect", addr, "-site", strconv.Itoa(i)}, tc.site(i)...)
+					if out, err := exec.Command(siteBin, args...).CombinedOutput(); err != nil {
+						siteErrs[i] = fmt.Errorf("site %d: %v\n%s", i, err, out)
+					}
+				}(i)
+			}
+			// The coordinator's close frame is what ends the daemons: a
+			// site that outlived it (or died early) fails here.
+			wg.Wait()
+			<-scanned
+			fleetLog := strings.Join(lines, "\n")
+			if err := coord.Wait(); err != nil {
+				t.Fatalf("coordinator: %v\nstderr:\n%s", err, fleetLog)
+			}
+			for _, err := range siteErrs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Same centers, byte for byte...
+			want, err := os.ReadFile(localOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(fleetOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !bytes.Equal(want, got) {
+				t.Fatalf("centers differ:\nin-process:\n%s\nfleet:\n%s", want, got)
+			}
+
+			// ...and the same payload-byte accounting and site budgets.
+			for _, re := range []*regexp.Regexp{
+				regexp.MustCompile(`rounds: \d+  up: \d+ B  down: \d+ B`),
+				regexp.MustCompile(`site budgets t_i: .*`),
+			} {
+				l, f := re.FindString(string(localLog)), re.FindString(fleetLog)
+				if l == "" || l != f {
+					t.Fatalf("report differs: in-process %q, fleet %q\nfleet stderr:\n%s", l, f, fleetLog)
+				}
+			}
+			if !strings.Contains(fleetLog, "backend: cluster") {
+				t.Fatalf("fleet run did not use the cluster backend:\n%s", fleetLog)
+			}
+		})
 	}
 }

@@ -10,7 +10,7 @@
 //   - the Local backend (in-process simulated sites),
 //   - a Cluster backend (this process hosts the coordinator; two site
 //     "daemons" run as goroutines via client.ServeSite — in production
-//     they would be dpc-site -persist processes on other machines),
+//     they would be dpc-site processes on other machines),
 //   - a Remote backend (an embedded dpc-server reached over real HTTP).
 //
 // All three return byte-identical centers and identical measured

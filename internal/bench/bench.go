@@ -20,12 +20,12 @@ type Options struct {
 	// Workers bounds solver goroutines (0 = one per CPU). Any value
 	// produces identical tables; it only moves wall-clock.
 	Workers int
-	// NoDistCache disables the memoized distance oracles (identical
-	// tables, different wall-clock).
-	NoDistCache bool
+	// NoCache disables the memoized distance oracles (identical tables,
+	// different wall-clock).
+	NoCache bool
 	// Reference runs every solver through the seed sequential engine —
 	// the baseline half of cmd/dpc-bench's engine comparison. Implies
-	// Workers=1 and NoDistCache.
+	// Workers=1 and NoCache.
 	Reference bool
 	// Index layers the pivot-based metric index over the solver oracles
 	// (identical tables — pruning is exact; different wall-clock). Pivots

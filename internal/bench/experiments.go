@@ -34,7 +34,7 @@ func (o Options) coreCfg(cfg core.Config) core.Config {
 // eng is the harness knobs as the consolidated engine-option struct.
 func (o Options) eng() engine.Options {
 	return engine.Options{
-		Workers: o.Workers, NoCache: o.NoDistCache, Reference: o.Reference,
+		Workers: o.Workers, NoCache: o.NoCache, Reference: o.Reference,
 		Index: o.Index, Pivots: o.Pivots,
 	}
 }
@@ -50,14 +50,12 @@ func (o Options) solverOpts(opts kmedian.Options) kmedian.Options {
 // uncCfg applies the engine knobs to an uncertain run config.
 func (o Options) uncCfg(cfg uncertain.Config) uncertain.Config {
 	cfg.LocalOpts = o.solverOpts(cfg.LocalOpts)
-	cfg.NoDistCache = o.NoDistCache
 	return cfg
 }
 
 // cgCfg applies the engine knobs to an Algorithm 4 config.
 func (o Options) cgCfg(cfg uncertain.CenterGConfig) uncertain.CenterGConfig {
 	cfg.LocalOpts = o.solverOpts(cfg.LocalOpts)
-	cfg.NoDistCache = o.NoDistCache
 	return cfg
 }
 
@@ -71,7 +69,7 @@ func (o Options) kcOpt() kcenter.Opt {
 // Lemma 3.5).
 func centralMedianCost(in gen.Instance, k, t int, squared bool, seed int64, o Options) float64 {
 	var sp metric.Space = in.Points()
-	if !o.Reference && !o.NoDistCache {
+	if !o.Reference && !o.NoCache {
 		sp = metric.CacheSpace(sp)
 	}
 	sp = metric.IndexSpace(sp, o.Index && !o.Reference, o.Pivots)
@@ -336,7 +334,7 @@ func E7Subquadratic(o Options) Table {
 		var secs [3]float64
 		var costs [3]float64
 		for lvl := 0; lvl <= 2; lvl++ {
-			sol := central.PartialMedian(in.Pts, central.Config{K: k, T: tt, Levels: lvl, Opts: opts, NoDistCache: o.NoDistCache})
+			sol := central.PartialMedian(in.Pts, central.Config{K: k, T: tt, Levels: lvl, Opts: opts})
 			secs[lvl] = sol.Elapsed.Seconds()
 			costs[lvl] = sol.Cost
 		}

@@ -36,16 +36,12 @@ type Config struct {
 	// Objective is Median or Means (core.Center is not supported here).
 	Objective core.Objective
 	Engine    kmedian.Engine
-	Opts      kmedian.Options
+	Opts      kmedian.Options // its NoCache / Reference knobs turn the memoized oracles off
 	// MinChunk bottoms out the recursion: inputs smaller than this are
 	// solved directly. Default 64.
 	MinChunk int
 	// HullBase is the budget grid base. Default 2.
 	HullBase float64
-	// NoDistCache disables the memoized distance oracles (a measurement
-	// knob; the caches never change results). Opts.Reference also
-	// disables them.
-	NoDistCache bool
 }
 
 // engineOpts returns the per-solve options. Unlike the distributed package,
@@ -206,7 +202,7 @@ func solveLevel(pts []metric.Point, k, q, level int, cfg Config) (precluster, in
 	// against the original points.
 	opts := cfg.engineOpts()
 	opts.Seed += int64(level) * 31337
-	costs := weightedCosts(upts, cfg.Objective, cfg, opts)
+	costs := weightedCosts(upts, cfg.Objective, opts)
 	sol := kmedian.Solve(costs, uw, k, float64(q), cfg.Engine, opts)
 	centers := make([]metric.Point, len(sol.Centers))
 	for i, f := range sol.Centers {
@@ -218,7 +214,7 @@ func solveLevel(pts []metric.Point, k, q, level int, cfg Config) (precluster, in
 // directSolve is the level-0 engine.
 func directSolve(pts []metric.Point, k, q int, cfg Config) precluster {
 	opts := cfg.engineOpts()
-	costs := weightedCosts(pts, cfg.Objective, cfg, opts)
+	costs := weightedCosts(pts, cfg.Objective, opts)
 	sol := kmedian.Solve(costs, nil, k, float64(q), cfg.Engine, opts)
 	centers := make([]metric.Point, len(sol.Centers))
 	for i, f := range sol.Centers {
@@ -233,9 +229,9 @@ func directSolve(pts []metric.Point, k, q int, cfg Config) precluster {
 // pivot index layered on top when the engine asks for one — above the
 // memoization cap the index prunes recomputed distances, which is exactly
 // where it pays most.
-func weightedCosts(pts []metric.Point, obj core.Objective, cfg Config, opts kmedian.Options) metric.Costs {
+func weightedCosts(pts []metric.Point, obj core.Objective, opts kmedian.Options) metric.Costs {
 	var sp metric.Space = metric.NewPoints(pts)
-	if !opts.Reference && !cfg.NoDistCache {
+	if !opts.Reference && !opts.NoCache {
 		sp = metric.CacheSpace(sp)
 	}
 	sp = metric.IndexSpace(sp, opts.Index && !opts.Reference, opts.Pivots)

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -234,7 +235,7 @@ func sitePayloads(t *testing.T, s int, parallel bool, fn func(site, round int) P
 			return Encode(fn(i, round))
 		}
 	}
-	return NewOver(transport.NewLoopback(handlers, parallel))
+	return NewOverCtx(context.Background(), transport.NewLoopback(handlers, parallel))
 }
 
 func TestNetworkAccounting(t *testing.T) {
@@ -307,7 +308,7 @@ func TestNetworkAccountingBackendInvariant(t *testing.T) {
 		return handlers
 	}
 	run := func(tr transport.Transport) Report {
-		nw := NewOver(tr)
+		nw := NewOverCtx(context.Background(), tr)
 		if _, err := nw.SiteRound(); err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +348,7 @@ func TestNetworkParallelExecution(t *testing.T) {
 			return nil, nil
 		}
 	}
-	nw := NewOver(transport.NewLoopback(handlers, true))
+	nw := NewOverCtx(context.Background(), transport.NewLoopback(handlers, true))
 	if _, err := nw.SiteRound(); err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +370,7 @@ func TestNetworkSequentialMode(t *testing.T) {
 			return nil, nil
 		}
 	}
-	nw := NewOver(transport.NewLoopback(handlers, false))
+	nw := NewOverCtx(context.Background(), transport.NewLoopback(handlers, false))
 	if _, err := nw.SiteRound(); err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +385,7 @@ func TestSendPanicsOnBadSite(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	nw := NewOver(transport.NewLoopback(make([]transport.Handler, 2), false))
+	nw := NewOverCtx(context.Background(), transport.NewLoopback(make([]transport.Handler, 2), false))
 	nw.Send(5, nil)
 }
 

@@ -62,12 +62,6 @@ type Network struct {
 	coord    time.Duration
 }
 
-// NewOver wraps a connected transport in an accounting layer with no
-// cancellation (context.Background()).
-func NewOver(tr transport.Transport) *Network {
-	return NewOverCtx(context.Background(), tr)
-}
-
 // NewOverCtx wraps a connected transport in an accounting layer whose
 // rounds abort with ctx.Err() as soon as ctx is cancelled or its deadline
 // passes — the hook that makes every protocol driver in the repository
@@ -154,14 +148,22 @@ func (nw *Network) SiteRound() ([][]byte, error) {
 	return res.Payloads, nil
 }
 
-// Coordinator times a coordinator-side computation.
-func (nw *Network) Coordinator(fn func()) {
+// Coordinator times a coordinator-side computation and returns its error.
+// A nil error from fn becomes ctx.Err() when the run was cancelled
+// meanwhile: the solvers preempt on cancellation by returning their best
+// answer so far, and a final solve has no later round to notice, so this is
+// the one place a truncated answer is kept from passing as a result.
+func (nw *Network) Coordinator(fn func() error) error {
 	t0 := time.Now()
-	fn()
+	err := fn()
 	d := time.Since(t0)
 	nw.mu.Lock()
 	nw.coord += d
 	nw.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return nw.ctx.Err()
 }
 
 // TreeLevel is the physical traffic crossing one level of an aggregation

@@ -18,8 +18,7 @@ type centerSite struct {
 	cfg     Config
 	site    int
 	pts     []metric.Point
-	space   metric.Space // cached unless cfg.NoDistCache
-	kcOpt   kcenter.Opt
+	space   metric.Space // cached unless cfg.NoCache
 	trav    kcenter.Traversal
 	fn      geom.ConvexFn
 	budget  int
@@ -39,12 +38,12 @@ func newCenterSite(cfg Config, site int, pts []metric.Point, o metric.Oracle) *c
 		space = o
 	} else {
 		space = metric.NewPoints(pts)
-		if !cfg.NoDistCache {
+		if !cfg.NoCache {
 			space = metric.CacheSpace(space)
 		}
 		space = metric.IndexSpace(space, cfg.Index, cfg.Pivots)
 	}
-	return &centerSite{cfg: cfg, site: site, pts: pts, space: space, kcOpt: cfg.solverOpt()}
+	return &centerSite{cfg: cfg, site: site, pts: pts, space: space}
 }
 
 // start runs the Gonzalez traversal lazily on the first round, so the
@@ -57,7 +56,7 @@ func (st *centerSite) start() {
 		return
 	}
 	st.started = true
-	st.trav = kcenter.GonzalezOpt(st.space, st.cfg.K+st.cfg.T, 0, st.kcOpt)
+	st.trav = kcenter.GonzalezOpt(st.space, st.cfg.K+st.cfg.T, 0, st.cfg.Options)
 }
 
 // handle implements transport.Handler for Algorithm 2's site side.
@@ -119,7 +118,7 @@ func (st *centerSite) payload() comm.Payload {
 	if m > len(st.trav.Order) {
 		m = len(st.trav.Order)
 	}
-	_, counts, _ := st.trav.AssignPrefixOpt(st.space, m, nil, st.kcOpt)
+	_, counts, _ := st.trav.AssignPrefixOpt(st.space, m, nil, st.cfg.Options)
 	pts := make([]metric.Point, m)
 	for c := 0; c < m; c++ {
 		pts[c] = st.pts[st.trav.Order[c]]
@@ -136,7 +135,7 @@ func (st *centerSite) noShipPayload(k int) comm.Payload {
 		k = len(st.trav.Order)
 	}
 	n := len(st.pts)
-	assign, _, _ := st.trav.AssignPrefixOpt(st.space, k, nil, st.kcOpt)
+	assign, _, _ := st.trav.AssignPrefixOpt(st.space, k, nil, st.cfg.Options)
 	dist := make([]float64, n)
 	order := make([]int, n)
 	for j := 0; j < n; j++ {
@@ -199,15 +198,13 @@ func runCenter(nw *comm.Network, cfg Config) (Result, error) {
 	// Coordinator: weighted (k,t)-center with exactly t outliers on the
 	// union of precluster centers, via the greedy of [4].
 	var result Result
-	var decodeErr error
-	nw.Coordinator(func() {
+	if err := nw.Coordinator(func() error {
 		var pts []metric.Point
 		var wts []float64
 		for i, b := range roundTwo {
 			var msg comm.WeightedPointsMsg
 			if err := msg.UnmarshalBinary(b); err != nil {
-				decodeErr = fmt.Errorf("core: center precluster from site %d: %w", i, err)
-				return
+				return fmt.Errorf("core: center precluster from site %d: %w", i, err)
 			}
 			pts = append(pts, msg.Pts...)
 			wts = append(wts, msg.W...)
@@ -215,13 +212,13 @@ func runCenter(nw *comm.Network, cfg Config) (Result, error) {
 		// No distance cache here: PartialOpt's fast engine materializes
 		// its own distance columns once.
 		space := metric.NewPoints(pts)
-		sol := kcenter.PartialOpt(space, wts, cfg.K, float64(cfg.T), cfg.solverOpt())
+		sol := kcenter.PartialOpt(space, wts, cfg.K, float64(cfg.T), cfg.Options)
 		result.Centers = pointsAt(pts, sol.Centers)
 		result.CoordinatorClients = len(pts)
 		result.CoordinatorCost = sol.Radius
-	})
-	if decodeErr != nil {
-		return Result{}, decodeErr
+		return nil
+	}); err != nil {
+		return Result{}, err
 	}
 
 	result.Report = nw.Report()

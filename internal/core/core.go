@@ -22,7 +22,6 @@ import (
 
 	"dpc/internal/comm"
 	"dpc/internal/engine"
-	"dpc/internal/kcenter"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 	"dpc/internal/transport"
@@ -121,37 +120,13 @@ type Config struct {
 	// from LocalOpts.Seed + site index.
 	LocalOpts kmedian.Options
 
-	// Options is the unified engine-knob block (workers, cache, reference,
-	// pivot index) shared with kmedian.Options, kcenter.Opt, serve.JobSpec
-	// and client.Request. The embedded fields are authoritative after
-	// withDefaults; the flat Workers/NoDistCache/Reference fields below are
-	// deprecated aliases merged into it for callers predating the block.
+	// Options is the engine-knob block (workers, cache, reference, pivot
+	// index) shared with kmedian.Options, kcenter.Opt, serve.JobSpec and
+	// client.Request. Results are bit-identical for every setting;
+	// withDefaults normalizes it (Reference implies Workers=1, NoCache and
+	// no index) and pushes Workers/Reference into LocalOpts.
 	engine.Options
 
-	// Workers bounds the goroutines of every local solve (site-side JV,
-	// local search, farthest-point scans and the coordinator solve). 0 —
-	// the default — means one worker per CPU (runtime.NumCPU()). Results
-	// are bit-identical for every value: the engines only use
-	// order-independent parallel loops and fixed-tie-break reductions.
-	//
-	// Deprecated: set Options.Workers; this flat alias is merged into the
-	// embedded block by withDefaults and kept for compatibility.
-	Workers int
-	// NoDistCache disables the memoized distance oracles that back the
-	// site and coordinator solves. It never changes results (the caches
-	// store exactly the computed distances); it exists so benchmarks can
-	// measure the cache's contribution.
-	//
-	// Deprecated: set Options.NoCache; this flat alias is merged into the
-	// embedded block by withDefaults and kept for compatibility.
-	NoDistCache bool
-	// Reference runs the seed sequential engine everywhere (implies
-	// Workers=1 and NoDistCache): the regression baseline that
-	// cmd/dpc-bench and the parity tests compare the fast engine against.
-	//
-	// Deprecated: set Options.Reference; this flat alias is merged into
-	// the embedded block by withDefaults and kept for compatibility.
-	Reference bool
 	// Sequential disables parallel site execution (used by the
 	// centralized simulation of Section 3.1, where total work matters).
 	// Loopback transport only; TCP sites always run concurrently.
@@ -160,8 +135,8 @@ type Config struct {
 	// transport.KindLoopback keeps sites in-process (the exact simulated
 	// star network); transport.KindTCP drives the identical protocol over
 	// real localhost sockets, one in-process site server per site. For
-	// sites in genuinely separate processes, see RunOver, NewSiteHandler
-	// and the dpc-coordinator / dpc-site commands.
+	// sites in genuinely separate processes, see RunOverCtx, internal/jobwire
+	// and the dpc-cluster -listen / dpc-site commands.
 	Transport transport.Kind
 	// Topology selects the coordinator fan-in for Run: the zero value is
 	// the paper's star (every site talks straight to the coordinator);
@@ -191,25 +166,12 @@ func (c Config) withDefaults() Config {
 	if c.HullBase == 0 {
 		c.HullBase = 2
 	}
-	// Merge the deprecated flat aliases into the embedded engine block,
-	// normalize (Reference implies sequential, uncached, unindexed), then
-	// mirror back so both spellings read the same everywhere below.
-	c.Options = c.Options.Merge(c.Workers, c.NoDistCache, c.Reference).Normalize()
-	c.Workers = c.Options.Workers
-	c.NoDistCache = c.Options.NoCache
-	c.Reference = c.Options.Reference
+	c.Options = c.Options.Normalize()
 	if c.Workers != 0 {
 		c.LocalOpts.Workers = c.Workers
 	}
 	c.LocalOpts.Reference = c.LocalOpts.Reference || c.Reference
 	return c
-}
-
-// solverOpt translates the config's engine knobs for the kcenter solvers.
-// cfg must already have defaults applied, so the embedded block carries the
-// merged flat aliases.
-func (c Config) solverOpt() kcenter.Opt {
-	return c.Options
 }
 
 // Result is the outcome of a distributed run.
@@ -307,17 +269,13 @@ func RunCtx(ctx context.Context, sites [][]metric.Point, cfg Config) (Result, er
 	return RunOverCtx(ctx, tr, cfg)
 }
 
-// RunOver executes the coordinator side of the protocol over an
+// RunOverCtx executes the coordinator side of the protocol over an
 // already-connected transport; every site must be served elsewhere with a
 // handler built by NewSiteHandler from the identical Config (the
-// dpc-coordinator daemon ships the config in the transport handshake to
-// guarantee this). The transport is left open; the caller closes it.
-func RunOver(tr transport.Transport, cfg Config) (Result, error) {
-	return RunOverCtx(context.Background(), tr, cfg)
-}
-
-// RunOverCtx is RunOver under a context: cancellation aborts the round
-// loop promptly with ctx.Err().
+// coordinator ships the config in a job frame to guarantee this — see
+// internal/jobwire). Cancelling ctx aborts the round loop and the
+// coordinator solve promptly with ctx.Err(). The transport is left open;
+// the caller closes it.
 func RunOverCtx(ctx context.Context, tr transport.Transport, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	// The coordinator-side solve is preemptible too; remote site handlers
@@ -338,35 +296,20 @@ func RunOverCtx(ctx context.Context, tr transport.Transport, cfg Config) (Result
 
 // NewSiteHandler builds the site half of the protocol for site i holding
 // pts: a transport.Handler that consumes each round's downstream message
-// and produces the site's reply. It is the entry point for dpc-site.
+// and produces the site's reply.
 func NewSiteHandler(cfg Config, site int, pts []metric.Point) (transport.Handler, error) {
 	return NewSiteHandlerOracle(cfg, site, pts, nil)
 }
 
-// NewSiteHandlerCached is NewSiteHandler with an externally owned distance
-// cache over pts.
-//
-// Deprecated: DistCache satisfies metric.Oracle, so this is now a thin
-// wrapper over NewSiteHandlerOracle; call that to also share a pivot index
-// (or any other oracle) across jobs.
-//
-//dpc:vet-ok oracleguard deprecated pre-Oracle compat shim; new callers use NewSiteHandlerOracle
-func NewSiteHandlerCached(cfg Config, site int, pts []metric.Point, cache *metric.DistCache) (transport.Handler, error) {
-	if cache == nil {
-		return NewSiteHandlerOracle(cfg, site, pts, nil)
-	}
-	return NewSiteHandlerOracle(cfg, site, pts, cache)
-}
-
 // NewSiteHandlerOracle is NewSiteHandler with an externally owned distance
 // oracle over pts. A long-running site (the job server's in-process shards,
-// or dpc-site -persist) builds one oracle per shard — a DistCache, or a
+// or dpc-site) builds one oracle per shard — a DistCache, or a
 // pivot Index layered over one — and passes it to the handler of every job
 // that queries the same points, so memoized distances and index bounds stay
 // warm across jobs. Oracles are exact, so results are bit-identical to a
 // private-oracle run. o may be nil (a private oracle is built per the
 // engine policy in cfg); it must be built over exactly pts, and it is
-// ignored when cfg.NoDistCache or cfg.Reference asks for raw solves.
+// ignored when cfg.NoCache or cfg.Reference asks for raw solves.
 func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Oracle) (transport.Handler, error) {
 	cfg = cfg.withDefaults()
 	if err := validate(cfg); err != nil {
@@ -379,7 +322,7 @@ func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Ora
 		return nil, fmt.Errorf("core: negative site id %d", site)
 	}
 	if o != nil {
-		if cfg.NoDistCache {
+		if cfg.NoCache {
 			o = nil
 		} else if o.N() != len(pts) {
 			return nil, fmt.Errorf("core: site %d oracle over %d points, shard has %d", site, o.N(), len(pts))

@@ -206,15 +206,13 @@ func runMedianMeans(nw *comm.Network, cfg Config) (Result, error) {
 	// Coordinator: union of weighted centers (+ shipped outliers), then the
 	// Theorem 3.1 solve with budget (1+eps)t (Line 17).
 	var result Result
-	var decodeErr error
-	nw.Coordinator(func() {
+	if err := nw.Coordinator(func() error {
 		var pts []metric.Point
 		var wts []float64
 		for i, b := range roundTwo {
 			cp, cw, op, err := decodePrecluster(b, shipOutliers)
 			if err != nil {
-				decodeErr = fmt.Errorf("core: precluster from site %d: %w", i, err)
-				return
+				return fmt.Errorf("core: precluster from site %d: %w", i, err)
 			}
 			pts = append(pts, cp...)
 			wts = append(wts, cw...)
@@ -239,9 +237,9 @@ func runMedianMeans(nw *comm.Network, cfg Config) (Result, error) {
 			result.Centers = polished
 			result.CoordinatorCost = pcost
 		}
-	})
-	if decodeErr != nil {
-		return Result{}, decodeErr
+		return nil
+	}); err != nil {
+		return Result{}, err
 	}
 
 	result.Report = nw.Report()

@@ -3,10 +3,9 @@ package core
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
+	"dpc/internal/engine"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 	"dpc/internal/transport"
@@ -82,70 +81,6 @@ func TestTCPMatchesLoopback(t *testing.T) {
 	}
 }
 
-// TestRunOverSeparateHandshake mimics the dpc-coordinator / dpc-site
-// deployment inside one test process: the coordinator listens and ships
-// its config in the welcome frame; each site decodes that config, builds
-// its handler from it, and serves. Catches config-wire drift that the
-// in-process paths cannot.
-func TestRunOverSeparateHandshake(t *testing.T) {
-	sites := testSites(3, 90, 2, 3)
-	cfg := Config{K: 2, T: 6, Objective: Median, Variant: TwoRound, LocalOpts: kmedian.Options{Seed: 5}}
-
-	want, err := Run(sites, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	l, err := transport.Listen("127.0.0.1:0", len(sites))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	addr := l.Addr().String()
-	var wg sync.WaitGroup
-	for i := range sites {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sc, err := transport.Dial(addr, i, 5*time.Second)
-			if err != nil {
-				t.Errorf("site %d dial: %v", i, err)
-				return
-			}
-			defer sc.Close()
-			siteCfg, err := DecodeConfig(sc.Hello())
-			if err != nil {
-				t.Errorf("site %d config: %v", i, err)
-				return
-			}
-			h, err := NewSiteHandler(siteCfg, i, sites[i])
-			if err != nil {
-				t.Errorf("site %d handler: %v", i, err)
-				return
-			}
-			sc.Serve(h)
-		}(i)
-	}
-	tr, err := l.Accept(len(sites), EncodeConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunOver(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Close()
-	wg.Wait()
-
-	if !reflect.DeepEqual(want.Centers, got.Centers) {
-		t.Fatalf("centers differ:\nin-process: %v\nhandshake:  %v", want.Centers, got.Centers)
-	}
-	if want.Report.UpBytes != got.Report.UpBytes || want.Report.DownBytes != got.Report.DownBytes {
-		t.Fatalf("bytes differ: %d/%d vs %d/%d",
-			want.Report.UpBytes, want.Report.DownBytes, got.Report.UpBytes, got.Report.DownBytes)
-	}
-}
-
 // TestConfigWireRoundTrip: DecodeConfig inverts EncodeConfig for the
 // protocol-relevant fields, including negatives and defaults.
 func TestConfigWireRoundTrip(t *testing.T) {
@@ -157,7 +92,7 @@ func TestConfigWireRoundTrip(t *testing.T) {
 		LocalOpts: kmedian.Options{
 			Seed: -12345, MaxIters: 17, SampleFacilities: -1, Restarts: 2,
 		},
-		Workers: 3, NoDistCache: true,
+		Options: engine.Options{Workers: 3, NoCache: true},
 	}
 	out, err := DecodeConfig(EncodeConfig(in))
 	if err != nil {
@@ -177,11 +112,11 @@ func TestConfigWireRoundTrip(t *testing.T) {
 	}
 	// Reference mode must survive the handshake (a measurement run's
 	// baseline semantics depend on the sites honoring it).
-	ref, err := DecodeConfig(EncodeConfig(Config{K: 1, Reference: true}))
+	ref, err := DecodeConfig(EncodeConfig(Config{K: 1, Options: engine.Options{Reference: true}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ref.Reference || !ref.NoDistCache || ref.Workers != 1 || !ref.LocalOpts.Reference {
+	if !ref.Reference || !ref.NoCache || ref.Workers != 1 || !ref.LocalOpts.Reference {
 		t.Fatalf("reference knobs lost in handshake: %+v", ref)
 	}
 	if _, err := DecodeConfig([]byte{1, 2, 3}); err == nil {
@@ -189,13 +124,11 @@ func TestConfigWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConfigWireIndexKnobs: version 3 carries the pivot-index knobs to the
-// sites, and the decoder still accepts an index-less version-2 record (as an
-// older coordinator would ship during a rolling upgrade).
+// TestConfigWireIndexKnobs: the record carries the pivot-index knobs to the
+// sites, and anything that is not exactly one current-version record —
+// including the retired index-less version 2 — is rejected.
 func TestConfigWireIndexKnobs(t *testing.T) {
-	in := Config{K: 5, T: 10, Workers: 2}
-	in.Options.Index = true
-	in.Options.Pivots = 24
+	in := Config{K: 5, T: 10, Options: engine.Options{Workers: 2, Index: true, Pivots: 24}}
 	b := EncodeConfig(in)
 	if b[0] != configWireVersion || len(b) != configWireSize {
 		t.Fatalf("encoded version %d, %d bytes; want v%d, %d bytes", b[0], len(b), configWireVersion, configWireSize)
@@ -204,30 +137,17 @@ func TestConfigWireIndexKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Options.Index || out.Options.Pivots != 24 {
-		t.Fatalf("index knobs lost in handshake: %+v", out.Options)
+	if !out.Index || out.Pivots != 24 || out.Workers != 2 {
+		t.Fatalf("engine knobs lost on the wire: %+v", out.Options)
 	}
 
-	// A version-2 record is the same layout minus the index tail: truncate
-	// and restamp. It must decode cleanly with the index off.
-	v2 := append([]byte(nil), b[:configWireSizeV2]...)
-	v2[0] = configWireVersionV2
-	old, err := DecodeConfig(v2)
-	if err != nil {
-		t.Fatalf("version-2 record rejected: %v", err)
+	v2 := append([]byte(nil), b[:len(b)-9]...)
+	v2[0] = 2
+	if _, err := DecodeConfig(v2); err == nil {
+		t.Fatal("version-2 record accepted")
 	}
-	if old.Options.Index || old.Options.Pivots != 0 {
-		t.Fatalf("version-2 decode invented index knobs: %+v", old.Options)
-	}
-	if old.K != 5 || old.T != 10 || old.Workers != 2 {
-		t.Fatalf("version-2 decode lost shared fields: %+v", old)
-	}
-
-	// A v3-stamped record of v2 length (and vice versa) is malformed.
-	bad := append([]byte(nil), v2...)
-	bad[0] = configWireVersion
-	if _, err := DecodeConfig(bad); err == nil {
-		t.Fatal("short version-3 record accepted")
+	if _, err := DecodeConfig(b[:len(b)-9]); err == nil {
+		t.Fatal("short record accepted")
 	}
 	if _, err := DecodeConfig(append(b, 0)); err == nil {
 		t.Fatal("oversized record accepted")

@@ -8,33 +8,24 @@ import (
 	"dpc/internal/kmedian"
 )
 
-// Config handshake encoding. The dpc-coordinator daemon ships its
-// (defaults-applied) Config to every dpc-site in the transport welcome
-// frame, so all processes provably run the same protocol parameters — the
+// Config wire encoding: the payload of a jobwire.KindPoint job frame. The
+// coordinator ships its (defaults-applied) Config to every site before each
+// run, so all processes provably run the same protocol parameters — the
 // per-site solves are seeded from LocalOpts.Seed + site index, which makes
 // a TCP run reproduce the loopback run bit for bit. The format is a fixed
-// little-endian record; Sequential and Transport are coordinator-local and
-// not shipped.
+// little-endian record; Sequential, Transport and Topology are
+// coordinator-local and not shipped.
 //
-// Version 2 ships the engine knobs too (Workers, NoDistCache, Reference):
-// they never change results, but a Reference or NoDistCache measurement
-// run must reach the sites or its recorded baseline would silently be the
-// fast engine. Workers crosses the wire as configured; the 0 default still
-// means "one worker per CPU" resolved on each site's own host.
-//
-// Version 3 appends the pivot-index knobs (Index byte, Pivots uint64) so
-// indexed runs stay indexed on remote sites. The decoder still accepts
-// version-2 records (index knobs default off), letting a new coordinator
-// drive old sites' configs and vice versa during a rolling upgrade.
+// The engine knobs (Workers, NoCache, Reference, Index, Pivots) cross too:
+// they never change results, but a Reference or NoCache measurement run
+// must reach the sites or its recorded baseline would silently be the fast
+// engine. Workers crosses as configured; the 0 default still means "one
+// worker per CPU" resolved on each site's own host.
 
-const (
-	configWireVersion   = 3
-	configWireVersionV2 = 2
-)
+const configWireVersion = 3
 
-// configWireSizeV2 is the version-2 encoded size: version byte plus the
-// fixed fields up to and including Reference.
-const configWireSizeV2 = 1 + // version
+// configWireSize is the encoded size of a record.
+const configWireSize = 1 + // version
 	8 + 8 + // K, T
 	1 + 1 + // Objective, Variant
 	8 + // Eps
@@ -42,14 +33,11 @@ const configWireSizeV2 = 1 + // version
 	8 + 8 + 8 + // Rho, Delta, HullBase
 	1 + // Engine
 	8 + 8 + 8 + 8 + // LocalOpts: Seed, MaxIters, SampleFacilities, Restarts
-	8 + 1 + 1 // Workers, NoDistCache, Reference
-
-// configWireSize is the version-3 encoded size.
-const configWireSize = configWireSizeV2 +
+	8 + 1 + 1 + // Workers, NoCache, Reference
 	1 + 8 // Index, Pivots
 
 // EncodeConfig serializes the protocol-relevant configuration (with
-// defaults applied) for the coordinator -> site handshake.
+// defaults applied) for a coordinator -> site job frame.
 func EncodeConfig(cfg Config) []byte {
 	cfg = cfg.withDefaults()
 	b := make([]byte, 0, configWireSize)
@@ -68,28 +56,22 @@ func EncodeConfig(cfg Config) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(cfg.LocalOpts.SampleFacilities)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(cfg.LocalOpts.Restarts)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(cfg.Workers)))
-	b = append(b, boolByte(cfg.NoDistCache), boolByte(cfg.Reference))
+	b = append(b, boolByte(cfg.NoCache), boolByte(cfg.Reference))
 	b = append(b, boolByte(cfg.Index))
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(cfg.Pivots)))
 	return b
 }
 
-// DecodeConfig parses an EncodeConfig record (version 3, or the index-less
-// version 2 an older coordinator may still send).
+// DecodeConfig parses an EncodeConfig record.
 func DecodeConfig(b []byte) (Config, error) {
 	if len(b) < 1 {
 		return Config{}, fmt.Errorf("core: empty config record")
 	}
-	want := configWireSize
-	switch b[0] {
-	case configWireVersion:
-	case configWireVersionV2:
-		want = configWireSizeV2
-	default:
+	if b[0] != configWireVersion {
 		return Config{}, fmt.Errorf("core: unsupported config version %d", b[0])
 	}
-	if len(b) != want {
-		return Config{}, fmt.Errorf("core: config record is %d bytes, want %d for version %d", len(b), want, b[0])
+	if len(b) != configWireSize {
+		return Config{}, fmt.Errorf("core: config record is %d bytes, want %d", len(b), configWireSize)
 	}
 	var cfg Config
 	off := 1
@@ -119,12 +101,10 @@ func DecodeConfig(b []byte) (Config, error) {
 	cfg.LocalOpts.SampleFacilities = int(int64(u64()))
 	cfg.LocalOpts.Restarts = int(int64(u64()))
 	cfg.Workers = int(int64(u64()))
-	cfg.NoDistCache = u8() == 1
+	cfg.NoCache = u8() == 1
 	cfg.Reference = u8() == 1
-	if b[0] >= configWireVersion {
-		cfg.Options.Index = u8() == 1
-		cfg.Options.Pivots = int(int64(u64()))
-	}
+	cfg.Index = u8() == 1
+	cfg.Pivots = int(int64(u64()))
 	// Re-apply defaults so derived fields (LocalOpts.Workers/Reference,
 	// which are not shipped separately) are consistent on the site side;
 	// withDefaults is idempotent, so this exactly mirrors the encoder's

@@ -54,18 +54,6 @@ func (o Options) Normalize() Options {
 	return o
 }
 
-// Merge overlays o on top of legacy flat knobs: a zero field in o adopts the
-// legacy value. This is how deprecated flat Workers/NoCache fields on
-// Config/Request keep working next to the embedded struct.
-func (o Options) Merge(workers int, noCache, reference bool) Options {
-	if o.Workers == 0 {
-		o.Workers = workers
-	}
-	o.NoCache = o.NoCache || noCache
-	o.Reference = o.Reference || reference
-	return o
-}
-
 // Spec is Options plus wire/CLI ergonomics: it unmarshals from either the
 // legacy JSON string form ("jv" — just the algorithm) or the full object
 // form ({"algo":"jv","index":true,"pivots":16}), and it implements

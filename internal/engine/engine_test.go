@@ -22,19 +22,6 @@ func TestNormalizeReferenceImplies(t *testing.T) {
 	}
 }
 
-func TestMergeLegacyFlats(t *testing.T) {
-	// Zero embedded fields adopt the deprecated flat knobs...
-	m := Options{}.Merge(4, true, false)
-	if m.Workers != 4 || !m.NoCache || m.Reference {
-		t.Fatalf("Merge(4, nocache) = %+v", m)
-	}
-	// ...but explicit embedded values win, and booleans only ever turn on.
-	m = Options{Workers: 2, NoCache: true}.Merge(8, false, true)
-	if m.Workers != 2 || !m.NoCache || !m.Reference {
-		t.Fatalf("Merge kept wrong fields: %+v", m)
-	}
-}
-
 func TestSpecJSONStringForm(t *testing.T) {
 	// Legacy wire shape: a bare string is just the algorithm.
 	var s Spec
@@ -121,58 +108,6 @@ func TestSpecFlagErrors(t *testing.T) {
 	var s Spec
 	if err := json.Unmarshal([]byte(`{"workers":"four"}`), &s); err == nil {
 		t.Error("UnmarshalJSON accepted a mistyped object")
-	}
-}
-
-// A Spec carrying the knobs that collide with the deprecated flat
-// Workers/NoCache fields must survive both round trips — flag (String→Set)
-// and JSON (Marshal→Unmarshal) — and then merge against conflicting flat
-// values with the documented precedence. This is the path a journaled job
-// takes on replay, so drift here means replicas disagree.
-func TestSpecRoundTripThenMergeConflicts(t *testing.T) {
-	in := Spec{Options{Algo: "jv", Workers: 2, NoCache: false}}
-
-	var viaFlag Spec
-	if err := viaFlag.Set(in.String()); err != nil {
-		t.Fatal(err)
-	}
-	if viaFlag != in {
-		t.Fatalf("flag round trip: %+v, want %+v", viaFlag.Options, in.Options)
-	}
-
-	b, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaJSON Spec
-	if err := json.Unmarshal(b, &viaJSON); err != nil {
-		t.Fatal(err)
-	}
-	if viaJSON != in {
-		t.Fatalf("JSON round trip %s: %+v, want %+v", b, viaJSON.Options, in.Options)
-	}
-
-	// Negative case: conflicting flat values lose to structured non-zero
-	// fields, and both round-tripped copies merge identically.
-	want := Options{Algo: "jv", Workers: 2, NoCache: true}
-	for name, s := range map[string]Spec{"flag": viaFlag, "json": viaJSON} {
-		if got := s.Options.Merge(8, true, false).Normalize(); got != want {
-			t.Errorf("%s copy merged to %+v, want %+v", name, got, want)
-		}
-	}
-}
-
-// The string wire form carries only the algorithm, so flat knobs are the
-// sole source for the rest — merging must adopt them all.
-func TestSpecStringFormMergesFlats(t *testing.T) {
-	var s Spec
-	if err := json.Unmarshal([]byte(`"localsearch"`), &s); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Options.Merge(6, true, false).Normalize()
-	want := Options{Algo: "localsearch", Workers: 6, NoCache: true}
-	if got != want {
-		t.Fatalf("string-form merge = %+v, want %+v", got, want)
 	}
 }
 

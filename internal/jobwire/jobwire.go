@@ -1,23 +1,20 @@
-// Package jobwire defines the job frame a multi-job coordinator (the
-// dpc-server's remote datasets, or a client.Cluster backend) ships to its
-// persistent sites before each protocol run, and the site-side factory
-// that turns such a frame into the right transport.Handler.
+// Package jobwire defines the job frame a coordinator (dpc-cluster -listen,
+// dpc-server's remote datasets, or any client.Cluster backend) ships to its
+// site daemons before each protocol run, and the site-side factory that
+// turns such a frame into the right transport.Handler. It is the only
+// multi-process dialect in the repository: a one-shot run is a fleet that
+// is sent one job and then closed.
 //
-// PR 3 introduced job frames carrying a bare core.EncodeConfig record, which
-// could only express the point objectives. The envelope here adds a kind
-// byte so one connected site fleet serves every protocol in the repository:
+// A frame is a two-byte envelope — magic, kind — followed by the kind's
+// configuration, so one connected site fleet serves every protocol:
 //
-//   - KindPoint: Algorithm 1/2 over the site's point shard (the config
-//     payload stays the exact core.EncodeConfig record, so the byte-parity
-//     guarantees of the handshake encoding carry over).
+//   - KindPoint: Algorithm 1/2 over the site's point shard (the payload is
+//     the exact core.EncodeConfig record, so its byte-parity guarantees
+//     carry over).
 //   - KindUncertain: Algorithm 3 (uncertain median/means/center-pp) over
 //     the site's node shard; the config crosses as JSON (float64 values
 //     round-trip exactly through encoding/json).
 //   - KindCenterG: Algorithm 4 (uncertain center-g) over the node shard.
-//
-// A legacy frame (raw core.EncodeConfig, first byte = its version number)
-// is still decoded as KindPoint, so an old coordinator can drive a new
-// site.
 package jobwire
 
 import (
@@ -56,9 +53,7 @@ func (k Kind) String() string {
 	return fmt.Sprintf("jobwire.Kind(%d)", byte(k))
 }
 
-// magic is the first byte of an enveloped job frame. It is chosen to be
-// distinguishable from a raw core.EncodeConfig record, whose first byte is
-// the (small) config wire version.
+// magic is the first byte of a job frame.
 const magic = 0xDC
 
 // Job is one decoded job frame.
@@ -101,21 +96,13 @@ func Encode(j Job) ([]byte, error) {
 	return nil, fmt.Errorf("jobwire: unknown job kind %v", j.Kind)
 }
 
-// Decode parses a job frame. A frame without the envelope magic is treated
-// as a legacy raw core.EncodeConfig record (KindPoint).
+// Decode parses a job frame.
 func Decode(b []byte) (Job, error) {
-	if len(b) == 0 {
-		return Job{}, fmt.Errorf("jobwire: empty job frame")
+	if len(b) < 2 {
+		return Job{}, fmt.Errorf("jobwire: truncated job frame (%d bytes)", len(b))
 	}
 	if b[0] != magic {
-		cfg, err := core.DecodeConfig(b)
-		if err != nil {
-			return Job{}, fmt.Errorf("jobwire: legacy job frame: %w", err)
-		}
-		return Job{Kind: KindPoint, Core: cfg}, nil
-	}
-	if len(b) < 2 {
-		return Job{}, fmt.Errorf("jobwire: truncated job frame")
+		return Job{}, fmt.Errorf("jobwire: bad job frame magic 0x%02x", b[0])
 	}
 	body := b[2:]
 	switch Kind(b[1]) {
@@ -154,18 +141,17 @@ type SiteData struct {
 	Nodes []uncertain.Node
 }
 
-// ServeJobs runs the whole persistent-site loop over an established
-// connection: it verifies the coordinator's multi-job hello marker (a
-// site must never be silently paired with a single-run coordinator),
-// builds one long-lived distance cache over the point shard when none was
-// provided and the shard fits the memoization cap, and serves one handler
-// per job frame via Factory until the coordinator closes. wrap, when
-// non-nil, decorates each job's handler (dpc-site -v hangs its logging
-// off it). It is the single implementation behind dpc-site -persist and
-// client.ServeSite.
+// ServeJobs runs the whole site loop over an established connection: it
+// verifies the coordinator's job-frame hello marker (a site must never be
+// silently paired with something that speaks another protocol), builds one
+// long-lived distance cache over the point shard when none was provided
+// and the shard fits the memoization cap, and serves one handler per job
+// frame via Factory until the coordinator closes. wrap, when non-nil,
+// decorates each job's handler (dpc-site -v hangs its logging off it). It
+// is the single implementation behind dpc-site and client.ServeSite.
 func ServeJobs(sc *transport.Site, d SiteData, wrap func(job int, blob []byte, h transport.Handler) transport.Handler) error {
 	if string(sc.Hello()) != transport.JobsHello {
-		return fmt.Errorf("jobwire: coordinator is not multi-job (welcome %q, want %q)",
+		return fmt.Errorf("jobwire: coordinator does not speak job frames (welcome %q, want %q)",
 			sc.Hello(), transport.JobsHello)
 	}
 	if d.Cache == nil && len(d.Pts) > 0 && len(d.Pts) <= metric.MaxCachePoints {
@@ -185,8 +171,7 @@ func ServeJobs(sc *transport.Site, d SiteData, wrap func(job int, blob []byte, h
 // site holding d: each job frame is decoded and turned into the matching
 // protocol's site handler, closing over the site-held data so datasets and
 // caches stay warm across jobs. It is the single implementation behind
-// dpc-site -persist, the client.Cluster tests and the dpc-server remote
-// e2e tests.
+// dpc-site, the client.Cluster tests and the dpc-server remote e2e tests.
 func Factory(d SiteData) func(job int, blob []byte) (transport.Handler, error) {
 	// The site's pivot index is as long-lived as its distance cache: built
 	// lazily by the first indexed job, reused (same pivot count) by every

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dpc/internal/core"
+	"dpc/internal/engine"
 	"dpc/internal/kmedian"
 	"dpc/internal/uncertain"
 )
@@ -12,7 +13,7 @@ import (
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	cases := []Job{
 		{Kind: KindPoint, Core: core.Config{K: 5, T: 40, Objective: core.Center,
-			LocalOpts: kmedian.Options{Seed: 9}, Workers: 3}},
+			LocalOpts: kmedian.Options{Seed: 9}, Options: engine.Options{Workers: 3}}},
 		{Kind: KindUncertain, Obj: uncertain.CenterPP,
 			Unc: uncertain.Config{K: 2, T: 7, Eps: 0.5, LocalOpts: kmedian.Options{Seed: -4}}},
 		{Kind: KindCenterG, CenterG: uncertain.CenterGConfig{K: 3, T: 11, TauBase: 4, OneRound: true}},
@@ -52,21 +53,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyFrameDecodesAsPoint: a raw core.EncodeConfig blob (the PR 3
-// job-frame format) still decodes, as a point job.
-func TestLegacyFrameDecodesAsPoint(t *testing.T) {
-	cfg := core.Config{K: 4, T: 9, LocalOpts: kmedian.Options{Seed: 2}}
-	j, err := Decode(core.EncodeConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Kind != KindPoint || j.Core.K != 4 || j.Core.T != 9 {
-		t.Fatalf("legacy frame decoded to %+v", j)
-	}
-}
-
 func TestDecodeRejectsGarbage(t *testing.T) {
-	for _, b := range [][]byte{nil, {}, {magic}, {magic, 99, 1, 2}, {magic, byte(KindUncertain), '{'}, {7, 7, 7}} {
+	// A config record without the envelope is not a job frame.
+	bare := core.EncodeConfig(core.Config{K: 4, T: 9})
+	for _, b := range [][]byte{nil, {}, {magic}, {magic, 99, 1, 2}, {magic, byte(KindUncertain), '{'}, {7, 7, 7}, bare} {
 		if _, err := Decode(b); err == nil {
 			t.Fatalf("decoded garbage %v", b)
 		}

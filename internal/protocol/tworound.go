@@ -29,25 +29,22 @@ func TwoRoundGather(nw *comm.Network, rank int, prefix string) ([][]byte, []int,
 
 	var pivot alloc.Pivot
 	fns := make([]geom.ConvexFn, nw.Sites())
-	var decodeErr error
-	nw.Coordinator(func() {
+	if err := nw.Coordinator(func() error {
 		for i, b := range hullUp {
 			var msg comm.HullMsg
 			if err := msg.UnmarshalBinary(b); err != nil {
-				decodeErr = fmt.Errorf("%s: coordinator hull %d: %w", prefix, i, err)
-				return
+				return fmt.Errorf("%s: coordinator hull %d: %w", prefix, i, err)
 			}
 			fn, err := geom.NewConvexFn(msg.V)
 			if err != nil {
-				decodeErr = fmt.Errorf("%s: coordinator hull %d: %w", prefix, i, err)
-				return
+				return fmt.Errorf("%s: coordinator hull %d: %w", prefix, i, err)
 			}
 			fns[i] = fn
 		}
 		pivot, _ = alloc.Allocate(fns, rank)
-	})
-	if decodeErr != nil {
-		return nil, nil, decodeErr
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
 	if err := nw.Broadcast(comm.PivotMsg{
 		I0: pivot.I0, Q0: pivot.Q0, L0: pivot.L0,

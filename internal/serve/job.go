@@ -36,24 +36,14 @@ type JobSpec struct {
 	Sites int     `json:"sites,omitempty"`
 	Eps   float64 `json:"eps,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
-	// Workers bounds the solver goroutines of this job (0 = one per CPU);
-	// any value returns bit-identical results — the engine invariant.
-	//
-	// Deprecated: set Engine.Workers; this flat alias is merged into the
-	// engine object by EngineOptions and kept for old clients and journals.
-	Workers int `json:"workers,omitempty"`
-	// Engine is the unified engine knob object: algorithm, workers, caches,
-	// and the pivot metric index. It unmarshals from the legacy string form
-	// ("jv") as well as the object form ({"algo":"jv","index":true}), so
-	// pre-index clients and journal records replay unchanged.
-	Engine engine.Spec `json:"engine,omitempty"`
-	// NoCache disables shared and private distance caches for this job (a
-	// measurement knob; results never change).
-	//
-	// Deprecated: set Engine.NoCache; this flat alias is merged into the
-	// engine object by EngineOptions and kept for old clients and journals.
-	NoCache     bool `json:"no_cache,omitempty"`
-	LloydPolish bool `json:"lloyd_polish,omitempty"`
+	// Engine is the engine knob object: algorithm, workers, caches, and the
+	// pivot metric index — any setting returns bit-identical results. It
+	// unmarshals from the string form ("jv") as well as the object form
+	// ({"algo":"jv","index":true}). The retired top-level "workers" and
+	// "no_cache" keys of old request bodies and journal records are ignored
+	// on decode, which is safe for exactly that reason.
+	Engine      engine.Spec `json:"engine,omitempty"`
+	LloydPolish bool        `json:"lloyd_polish,omitempty"`
 	// Client names the submitting client for per-client admission quotas
 	// (empty falls back to the X-DPC-Client header, then to "anonymous").
 	// Identity only — results never depend on it.
@@ -225,11 +215,10 @@ func parseEngine(s string) (kmedian.Engine, error) {
 	return 0, fmt.Errorf("serve: unknown engine %q (want auto, localsearch or jv)", s)
 }
 
-// EngineOptions returns the job's merged engine knobs: the engine object
-// overlaid on the deprecated flat Workers/NoCache aliases, normalized
-// (Reference implies sequential, uncached, unindexed).
+// EngineOptions returns the job's engine knobs, normalized (Reference
+// implies sequential, uncached, unindexed).
 func (s JobSpec) EngineOptions() engine.Options {
-	return s.Engine.Options.Merge(s.Workers, s.NoCache, false).Normalize()
+	return s.Engine.Options.Normalize()
 }
 
 // CoreConfig translates a point-objective JobSpec into the distributed run
@@ -273,13 +262,11 @@ func (s JobSpec) UncertainConfig() (uncertain.Config, uncertain.Objective, error
 	if err != nil {
 		return uncertain.Config{}, 0, err
 	}
-	eo := s.EngineOptions()
 	return uncertain.Config{
 		K: s.K, T: s.T, Variant: vr, Eps: s.Eps,
-		Engine:      eng,
-		LocalOpts:   kmedian.Options{Seed: s.Seed, Options: eo},
-		NoDistCache: eo.NoCache,
-		Topology:    s.Topology,
+		Engine:    eng,
+		LocalOpts: kmedian.Options{Seed: s.Seed, Options: s.EngineOptions()},
+		Topology:  s.Topology,
 	}, obj, nil
 }
 
@@ -297,14 +284,12 @@ func (s JobSpec) CenterGConfig() (uncertain.CenterGConfig, error) {
 	if err != nil {
 		return uncertain.CenterGConfig{}, err
 	}
-	eo := s.EngineOptions()
 	return uncertain.CenterGConfig{
 		K: s.K, T: s.T, Eps: s.Eps,
-		OneRound:    vr == uncertain.OneRoundShipDists,
-		Engine:      eng,
-		LocalOpts:   kmedian.Options{Seed: s.Seed, Options: eo},
-		NoDistCache: eo.NoCache,
-		Topology:    s.Topology,
+		OneRound:  vr == uncertain.OneRoundShipDists,
+		Engine:    eng,
+		LocalOpts: kmedian.Options{Seed: s.Seed, Options: s.EngineOptions()},
+		Topology:  s.Topology,
 	}, nil
 }
 

@@ -7,13 +7,12 @@ import (
 	"dpc/internal/engine"
 )
 
-// The deprecated flat Workers/NoCache fields merge into the engine object
-// with a fixed precedence: a structured non-zero value wins over the flat
-// alias, and the cache-off booleans OR (either side can force the
-// measurement mode, neither can silently re-enable caches the other
-// disabled). These are the negative cases — a client sending BOTH forms
-// with conflicting values — that the merge path must resolve the same way
-// on every replica and every journal replay.
+// The engine object is the only source of a job's engine knobs. Request
+// bodies and journal records written before the flat top-level "workers" /
+// "no_cache" keys were retired still decode, and those keys are ignored —
+// safe because engine knobs never change results — the same way on every
+// replica and every journal replay. (The test names predate the retirement,
+// when the two spellings were merged.)
 func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
 	cases := []struct {
 		name string
@@ -26,14 +25,14 @@ func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
 			want: engine.Options{Workers: 2},
 		},
 		{
-			name: "flat workers fills a zero structured field",
+			name: "flat workers alone is ignored",
 			body: `{"dataset":"d","k":2,"t":1,"workers":8,"engine":{"algo":"jv"}}`,
-			want: engine.Options{Algo: "jv", Workers: 8},
+			want: engine.Options{Algo: "jv"},
 		},
 		{
-			name: "flat no_cache forces caches off despite structured false",
+			name: "flat no_cache alone is ignored",
 			body: `{"dataset":"d","k":2,"t":1,"no_cache":true,"engine":{"algo":"jv","no_cache":false}}`,
-			want: engine.Options{Algo: "jv", NoCache: true},
+			want: engine.Options{Algo: "jv"},
 		},
 		{
 			name: "structured no_cache holds without the flat alias",
@@ -43,7 +42,7 @@ func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
 		{
 			name: "legacy string engine plus flat knobs",
 			body: `{"dataset":"d","k":2,"t":1,"workers":3,"no_cache":true,"engine":"localsearch"}`,
-			want: engine.Options{Algo: "localsearch", Workers: 3, NoCache: true},
+			want: engine.Options{Algo: "localsearch"},
 		},
 		{
 			name: "reference normalization overrides a conflicting flat workers",
@@ -64,9 +63,9 @@ func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
 	}
 }
 
-// A merged spec must survive the wire round-trip: re-marshaling a JobSpec
-// whose engine object came from conflicting inputs and decoding it again
-// (the journal replay path) yields the same merged engine options.
+// A decoded spec must survive the wire round-trip: re-marshaling a JobSpec
+// that arrived with retired keys and decoding it again (the journal replay
+// path) yields the same engine options.
 func TestJobSpecMergeRoundTripStable(t *testing.T) {
 	var spec JobSpec
 	body := `{"dataset":"d","k":2,"t":1,"workers":8,"no_cache":true,"engine":{"workers":2}}`
@@ -84,6 +83,6 @@ func TestJobSpecMergeRoundTripStable(t *testing.T) {
 		t.Fatalf("re-unmarshal: %v", err)
 	}
 	if second := replayed.EngineOptions(); second != first {
-		t.Fatalf("merge drifted across the wire: %+v then %+v", first, second)
+		t.Fatalf("engine options drifted across the wire: %+v then %+v", first, second)
 	}
 }

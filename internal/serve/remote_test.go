@@ -15,7 +15,7 @@ import (
 	"dpc/internal/transport"
 )
 
-// startPersistentSites replicates `dpc-site -persist` in-process: each site
+// startPersistentSites replicates `dpc-site` in-process: each site
 // dials the server's site listener, verifies the multi-job marker, builds
 // one shared distance cache over its shard for the life of the connection,
 // and serves a fresh core handler per job frame.

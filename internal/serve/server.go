@@ -1443,9 +1443,8 @@ func (s *Server) handleJobCentersCSV(w http.ResponseWriter, r *http.Request) {
 // RegisterRemote accepts `sites` persistent dpc-site connections on a TCP
 // listener bound to addr and registers them as a remote dataset. It blocks
 // until every site has joined (dpc-site retries dialing, so start order
-// does not matter). The welcome blob is the persistent-mode marker; a
-// non-persistent dpc-site pointed here fails its config decode loudly
-// instead of hanging.
+// does not matter). The welcome blob is the job-frame protocol marker
+// (transport.JobsHello) every dpc-site checks for.
 func (s *Server) RegisterRemote(name, addr string, sites int) (*Dataset, string, error) {
 	l, err := transport.Listen(addr, sites)
 	if err != nil {

@@ -151,8 +151,8 @@ func TestServeJobsFactoryErrorReachesCoordinator(t *testing.T) {
 }
 
 func TestServeRejectsJobFrames(t *testing.T) {
-	// A single-run site (plain Serve) paired with a multi-job coordinator
-	// must fail loudly, not hang.
+	// A plain Serve loop (NewLocalTCP's in-process site) that is handed a
+	// job frame must fail loudly, not hang.
 	l, err := Listen("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatalf("listen: %v", err)

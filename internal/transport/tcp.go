@@ -15,13 +15,16 @@ import (
 //	-----------                       ----------------------------------
 //	Listen(addr, s)
 //	                                  Dial(addr, i)   -> hello{site: i}
-//	Accept(hello) -> welcome{hello}   Serve(handler)
+//	Accept(hello) -> welcome{hello}   ServeJobs(factory)
+//	StartJob(blob) -> job frame       handler = factory(job, blob)
 //	Broadcast/Send/Gather  <-data->   handler(round, in)
-//	Close          -> close frame     Serve returns nil
+//	Close          -> close frame     ServeJobs returns nil
 //
-// The welcome frame's payload is an arbitrary blob chosen by the
-// coordinator (cmd/dpc-coordinator ships the encoded run configuration in
-// it, so all processes provably run the same protocol parameters).
+// The welcome frame's payload is a blob chosen by the coordinator: the
+// JobsHello protocol marker, after which each run's configuration arrives
+// in a job frame (StartJob / ServeJobs), so all processes provably run the
+// same protocol parameters. Serve without job frames is the in-process
+// site loop of NewLocalTCP.
 
 // Listener accepts site connections for one coordinator run.
 type Listener struct {
@@ -331,7 +334,7 @@ func (c *Coordinator) Gather(ctx context.Context, round int) (RoundResult, error
 // StartJob begins a new protocol run over the same connected sites: every
 // site receives a job frame carrying blob (dpc-server ships the encoded
 // run configuration), after which rounds restart at 0 and the Coordinator
-// can be handed to a fresh protocol run (e.g. core.RunOver). Sites must be
+// can be handed to a fresh protocol run (e.g. core.RunOverCtx). Sites must be
 // serving with ServeJobs; the per-run round state is reset here so a
 // previous run's half-finished round cannot leak into the next job.
 //
@@ -379,7 +382,7 @@ func (c *Coordinator) Close() error {
 
 // Abort shuts the site sockets without the protocol close frame: the
 // sites observe a connection loss, not a clean end — what a persistent
-// daemon's redial loop (dpc-site -persist, client.ServeSiteLoop) treats as
+// daemon's redial loop (dpc-site, client.ServeSiteLoop) treats as
 // "the coordinator will be back". Used when the connections are
 // desynchronized mid-protocol (a cancelled request) and will be
 // re-established rather than ended.
@@ -485,8 +488,8 @@ func (s *Site) Serve(h Handler) error {
 	}
 }
 
-// ServeJobs runs the site's multi-job loop for a persistent connection
-// (dpc-site -persist serving a dpc-server): each job frame rebuilds the
+// ServeJobs runs the site's job loop for the life of a connection
+// (dpc-site under any coordinator): each job frame rebuilds the
 // handler via factory (the payload is the coordinator's job blob — the
 // encoded run configuration), then data frames are served by the current
 // handler until the next job frame or the final close. Site-held state the

@@ -7,7 +7,7 @@
 // accounting, one goroutine per site), while the TCP backend runs the same
 // protocol over real sockets with a length-prefixed framed wire format so
 // sites can live in separate processes (cmd/dpc-site) from the coordinator
-// (cmd/dpc-coordinator).
+// (cmd/dpc-cluster -listen, cmd/dpc-server, any client.Cluster).
 //
 // The round contract, shared by every backend:
 //
@@ -86,11 +86,10 @@ func ParseKind(s string) (Kind, error) {
 	return "", fmt.Errorf("transport: unknown backend %q (want loopback or tcp)", s)
 }
 
-// JobsHello is the welcome-blob marker of a multi-job (persistent)
-// coordinator such as dpc-server: it tells a dialing site that run
-// configurations arrive per job frame (ServeJobs), not in the handshake.
-// A site expecting a single-run handshake config will fail its decode on
-// this marker immediately instead of hanging on a misconfigured pairing.
+// JobsHello is the welcome blob of every coordinator in the repository: it
+// tells a dialing site that run configurations arrive per job frame
+// (ServeJobs). Sites and aggregators refuse any other welcome, so a
+// misconfigured pairing fails immediately instead of hanging.
 const JobsHello = "dpc-jobs/1"
 
 // NewLocal materializes a backend selection for in-process site handlers:

@@ -12,8 +12,8 @@ import (
 
 // jobStarter is the optional job-frame surface of a child transport
 // (transport.Coordinator, transport.Multi, Root). An aggregator forwards
-// job frames downward through it so persistent-site fleets work under a
-// tree exactly as under a star.
+// job frames downward through it so site fleets work under a tree exactly
+// as under a star.
 type jobStarter interface {
 	StartJob(blob []byte) error
 }
@@ -89,25 +89,24 @@ func (a *Aggregator) Close() error { return a.child.Close() }
 
 // Serve drives an aggregator daemon: sc is the connection to the parent
 // (coordinator or a higher aggregator), child the already-accepted
-// transport to this node's children. A single-run parent (config in the
-// handshake) is served with the plain round loop; a multi-job parent
-// (transport.JobsHello) has each job frame forwarded down before the
-// rounds, so persistent leaf fleets stay warm under the tree. The child
-// transport is closed when the parent ends the protocol. inner declares
-// whether the children are aggregators themselves (a tree deeper than two
-// levels).
+// transport to this node's children. Each job frame from the parent is
+// forwarded down before that job's rounds, so leaf fleets stay warm under
+// the tree exactly as under a star. The child transport is closed when the
+// parent ends the protocol. inner declares whether the children are
+// aggregators themselves (a tree deeper than two levels).
 func Serve(sc *transport.Site, child transport.Transport, inner bool) error {
 	defer child.Close()
-	if string(sc.Hello()) == transport.JobsHello {
-		return sc.ServeJobs(func(job int, blob []byte) (transport.Handler, error) {
-			a := NewAggregator(context.Background(), child, inner)
-			if err := a.StartJob(blob); err != nil {
-				return nil, fmt.Errorf("tree: forward job %d: %w", job, err)
-			}
-			return a.Handle, nil
-		})
+	if string(sc.Hello()) != transport.JobsHello {
+		return fmt.Errorf("tree: parent does not speak job frames (welcome %q, want %q)",
+			sc.Hello(), transport.JobsHello)
 	}
-	return sc.Serve(NewAggregator(context.Background(), child, inner).Handle)
+	return sc.ServeJobs(func(job int, blob []byte) (transport.Handler, error) {
+		a := NewAggregator(context.Background(), child, inner)
+		if err := a.StartJob(blob); err != nil {
+			return nil, fmt.Errorf("tree: forward job %d: %w", job, err)
+		}
+		return a.Handle, nil
+	})
 }
 
 // Root is the coordinator end of an aggregation tree. It implements

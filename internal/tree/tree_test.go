@@ -323,3 +323,31 @@ func TestHandlerErrorPropagates(t *testing.T) {
 		t.Fatal("gather succeeded past a failing leaf")
 	}
 }
+
+// An aggregator daemon serves job frames only: a parent whose welcome is
+// anything but the job-frame marker is refused, not served blindly.
+func TestServeRejectsOtherWelcome(t *testing.T) {
+	l, err := transport.Listen("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	served := make(chan error, 1)
+	go func() {
+		sc, err := transport.Dial(l.Addr().String(), 0, 5*time.Second)
+		if err != nil {
+			served <- nil // reported by Accept below
+			return
+		}
+		defer sc.Close()
+		served <- Serve(sc, transport.NewLoopback(echoHandlers(2), false), false)
+	}()
+	coord, err := l.Accept(1, []byte("not-the-jobs-marker"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if err := <-served; err == nil {
+		t.Fatal("Serve accepted a parent that does not speak job frames")
+	}
+}

@@ -65,13 +65,9 @@ type Config struct {
 	Rho        float64 // allocation rank multiplier (default 2)
 	HullBase   float64 // budget grid base (default 2)
 	Engine     kmedian.Engine
-	LocalOpts  kmedian.Options
-	Candidates CandidateSet // where 1-medians are searched
+	LocalOpts  kmedian.Options // its NoCache / Reference knobs turn the memoized oracles off
+	Candidates CandidateSet    // where 1-medians are searched
 	Sequential bool
-	// NoDistCache disables the memoized cost/distance oracles (a
-	// measurement knob; the caches never change results).
-	// LocalOpts.Reference also disables them.
-	NoDistCache bool
 	// Transport selects the wire backend: empty or transport.KindLoopback
 	// keeps sites in-process; transport.KindTCP runs the identical
 	// protocol over real localhost sockets.
@@ -152,7 +148,7 @@ func (st *uSite) start() {
 	st.started = true
 	st.col = Collapse(st.g, st.nodes, st.obj == Means, st.cfg.Candidates)
 	st.costs = st.col
-	cache := !st.opts.Reference && !st.cfg.NoDistCache
+	cache := !st.opts.Reference && !st.opts.NoCache
 	if cache {
 		st.costs = metric.CacheCosts(st.col)
 	}
@@ -414,18 +410,14 @@ func NewSiteHandler(g *Ground, nodes []Node, cfg Config, obj Objective, site int
 	return newUSite(g, nodes, cfg, obj, site).handle, nil
 }
 
-// RunOver executes the coordinator side of the uncertain protocol over an
-// already-connected transport (sites served elsewhere via NewSiteHandler
+// RunOverCtx executes the coordinator side of the uncertain protocol over
+// an already-connected transport (sites served elsewhere via NewSiteHandler
 // with the identical config, objective and ground set g — in the paper's
-// model the ground metric is shared knowledge).
-func RunOver(g *Ground, tr transport.Transport, cfg Config, obj Objective) (Result, error) {
-	return RunOverCtx(context.Background(), g, tr, cfg, obj)
-}
-
-// RunOverCtx is RunOver under a context: cancellation aborts the round
-// loop promptly with ctx.Err().
+// model the ground metric is shared knowledge). Cancelling ctx aborts the
+// round loop and the coordinator solve promptly with ctx.Err().
 func RunOverCtx(ctx context.Context, g *Ground, tr transport.Transport, cfg Config, obj Objective) (Result, error) {
 	cfg = cfg.withDefaults()
+	cfg.LocalOpts.Ctx = ctx
 	if tr.Sites() == 0 {
 		return Result{}, fmt.Errorf("uncertain: no sites")
 	}
@@ -452,15 +444,13 @@ func runMedianMeans(g *Ground, nw *comm.Network, cfg Config, obj Objective) (Res
 	}
 
 	var result Result
-	var decodeErr error
-	nw.Coordinator(func() {
+	if err := nw.Coordinator(func() error {
 		col := &Collapsed{Squared: squared}
 		var wts []float64
 		for i, b := range roundTwo {
 			y, ell, w, err := decodeCollapsed(b, cfg.Variant == OneRoundShipDists, g, squared, cfg.Candidates)
 			if err != nil {
-				decodeErr = fmt.Errorf("uncertain: payload from site %d: %w", i, err)
-				return
+				return fmt.Errorf("uncertain: payload from site %d: %w", i, err)
 			}
 			col.Y = append(col.Y, y...)
 			col.Ell = append(col.Ell, ell...)
@@ -469,15 +459,15 @@ func runMedianMeans(g *Ground, nw *comm.Network, cfg Config, obj Objective) (Res
 		copt := cfg.LocalOpts
 		copt.Seed += 555557
 		var costs metric.Costs = col
-		if !copt.Reference && !cfg.NoDistCache {
+		if !copt.Reference && !copt.NoCache {
 			costs = metric.CacheCosts(col)
 		}
 		sol := kmedian.Bicriteria(costs, wts, cfg.K, float64(cfg.T), cfg.Eps, kmedian.RelaxOutliers, cfg.Engine, copt)
 		result.Centers = clonePoints(col.Y, sol.Centers)
 		result.CoordinatorClients = col.Len()
-	})
-	if decodeErr != nil {
-		return Result{}, decodeErr
+		return nil
+	}); err != nil {
+		return Result{}, err
 	}
 
 	finish(&result, nw, budgets, cfg)
@@ -498,15 +488,13 @@ func runCenterPP(nw *comm.Network, cfg Config) (Result, error) {
 	}
 
 	var result Result
-	var decodeErr error
-	nw.Coordinator(func() {
+	if err := nw.Coordinator(func() error {
 		col := &Collapsed{}
 		var wts []float64
 		for i, b := range roundTwo {
 			var msg comm.CollapsedMsg
 			if err := msg.UnmarshalBinary(b); err != nil {
-				decodeErr = fmt.Errorf("uncertain: payload from site %d: %w", i, err)
-				return
+				return fmt.Errorf("uncertain: payload from site %d: %w", i, err)
 			}
 			col.Y = append(col.Y, msg.Y...)
 			col.Ell = append(col.Ell, msg.Ell...)
@@ -516,9 +504,9 @@ func runCenterPP(nw *comm.Network, cfg Config) (Result, error) {
 			kcenter.Opt{Workers: cfg.LocalOpts.Workers, Reference: cfg.LocalOpts.Reference})
 		result.Centers = clonePoints(col.Y, sol.Centers)
 		result.CoordinatorClients = col.Len()
-	})
-	if decodeErr != nil {
-		return Result{}, decodeErr
+		return nil
+	}); err != nil {
+		return Result{}, err
 	}
 
 	finish(&result, nw, budgets, cfg)

@@ -33,12 +33,8 @@ type CenterGConfig struct {
 	// Default 256.
 	MaxFacilities int
 	Engine        kmedian.Engine
-	LocalOpts     kmedian.Options
+	LocalOpts     kmedian.Options // its NoCache / Reference knobs turn the memoized oracles off
 	Sequential    bool
-	// NoDistCache disables the memoized rho_tau oracles (a measurement
-	// knob; the caches never change results). LocalOpts.Reference also
-	// disables them.
-	NoDistCache bool
 	// OneRound runs the Table 2 single-round variant: every site ships,
 	// for every tau in the grid, its full (2k, t, rho_6tau) preclustering
 	// (centers + outlier distributions + cost) — communication
@@ -161,7 +157,7 @@ func (st *cgSite) oracle(tauIdx int, tau6 float64) metric.Costs {
 		return c
 	}
 	var tc metric.Costs = &TruncCosts{G: st.g, Nodes: st.nodes, Fac: st.fac, Tau: tau6}
-	if !st.cfg.LocalOpts.Reference && !st.cfg.NoDistCache {
+	if !st.cfg.LocalOpts.Reference && !st.cfg.LocalOpts.NoCache {
 		tc = metric.CacheCosts(tc)
 	}
 	st.oracles[tauIdx] = tc
@@ -348,16 +344,12 @@ func RunCenterGCtx(ctx context.Context, g *Ground, sites [][]Node, cfg CenterGCo
 	return runCenterGOver(ctx, g, tr, cfg, grid)
 }
 
-// RunCenterGOver executes the coordinator side of Algorithm 4 over an
-// already-connected transport.
-func RunCenterGOver(g *Ground, tr transport.Transport, cfg CenterGConfig) (CenterGResult, error) {
-	return RunCenterGOverCtx(context.Background(), g, tr, cfg)
-}
-
-// RunCenterGOverCtx is RunCenterGOver under a context: cancellation aborts
-// the round loop promptly with ctx.Err().
+// RunCenterGOverCtx executes the coordinator side of Algorithm 4 over an
+// already-connected transport; cancelling ctx aborts the round loop and the
+// coordinator solves promptly with ctx.Err().
 func RunCenterGOverCtx(ctx context.Context, g *Ground, tr transport.Transport, cfg CenterGConfig) (CenterGResult, error) {
 	cfg = cfg.withDefaults()
+	cfg.LocalOpts.Ctx = ctx
 	grid, err := tauGrid(g, cfg.TauBase)
 	if err != nil {
 		return CenterGResult{}, err
@@ -365,7 +357,7 @@ func RunCenterGOverCtx(ctx context.Context, g *Ground, tr transport.Transport, c
 	return runCenterGOver(ctx, g, tr, cfg, grid)
 }
 
-// runCenterGOver is RunCenterGOver with the tau grid already computed
+// runCenterGOver is RunCenterGOverCtx with the tau grid already computed
 // (cfg must have defaults applied).
 func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg CenterGConfig, grid []float64) (CenterGResult, error) {
 	s := tr.Sites()
@@ -386,8 +378,7 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 		if err != nil {
 			return CenterGResult{}, err
 		}
-		var decodeErr error
-		nw.Coordinator(func() {
+		if err := nw.Coordinator(func() error {
 			sums := make([]float64, len(grid))
 			multis := make([][][]byte, s)
 			for i, b := range oneUp {
@@ -396,18 +387,15 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 					err = fmt.Errorf("uncertain: %d parts, want %d", len(parts), 1+2*len(grid))
 				}
 				if err != nil {
-					decodeErr = fmt.Errorf("uncertain: one-round center-g payload from site %d: %w", i, err)
-					return
+					return fmt.Errorf("uncertain: one-round center-g payload from site %d: %w", i, err)
 				}
 				multis[i] = parts
 				var cm comm.Float64sMsg
 				if err := cm.UnmarshalBinary(parts[0]); err != nil {
-					decodeErr = fmt.Errorf("uncertain: costs from site %d: %w", i, err)
-					return
+					return fmt.Errorf("uncertain: costs from site %d: %w", i, err)
 				}
 				if len(cm.Vals) != len(grid) {
-					decodeErr = fmt.Errorf("uncertain: site %d shipped %d costs, want %d", i, len(cm.Vals), len(grid))
-					return
+					return fmt.Errorf("uncertain: site %d shipped %d costs, want %d", i, len(cm.Vals), len(grid))
 				}
 				for ti, v := range cm.Vals {
 					sums[ti] += v
@@ -422,17 +410,15 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 			}
 			for i, parts := range multis {
 				if err := centerParts[i].UnmarshalBinary(parts[1+2*tauIdx]); err != nil {
-					decodeErr = fmt.Errorf("uncertain: centers from site %d: %w", i, err)
-					return
+					return fmt.Errorf("uncertain: centers from site %d: %w", i, err)
 				}
 				if err := outParts[i].UnmarshalBinary(parts[2+2*tauIdx]); err != nil {
-					decodeErr = fmt.Errorf("uncertain: outliers from site %d: %w", i, err)
-					return
+					return fmt.Errorf("uncertain: outliers from site %d: %w", i, err)
 				}
 			}
-		})
-		if decodeErr != nil {
-			return CenterGResult{}, decodeErr
+			return nil
+		}); err != nil {
+			return CenterGResult{}, err
 		}
 	} else {
 		hullUp, err := nw.SiteRound()
@@ -444,8 +430,7 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 		// (Step 6), then the pivot for tau-hat.
 		var pivot alloc.Pivot
 		var ts []int
-		var decodeErr error
-		nw.Coordinator(func() {
+		if err := nw.Coordinator(func() error {
 			all := make([][]geom.ConvexFn, len(grid)) // [tau][site]
 			for ti := range grid {
 				all[ti] = make([]geom.ConvexFn, s)
@@ -453,18 +438,15 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 			for i, b := range hullUp {
 				var msg comm.HullsMsg
 				if err := msg.UnmarshalBinary(b); err != nil {
-					decodeErr = fmt.Errorf("uncertain: hulls from site %d: %w", i, err)
-					return
+					return fmt.Errorf("uncertain: hulls from site %d: %w", i, err)
 				}
 				if len(msg.Hulls) != len(grid) {
-					decodeErr = fmt.Errorf("uncertain: site %d shipped %d hulls, want %d", i, len(msg.Hulls), len(grid))
-					return
+					return fmt.Errorf("uncertain: site %d shipped %d hulls, want %d", i, len(msg.Hulls), len(grid))
 				}
 				for ti := range grid {
 					fn, err := geom.NewConvexFn(msg.Hulls[ti])
 					if err != nil {
-						decodeErr = fmt.Errorf("uncertain: hull %d from site %d: %w", ti, i, err)
-						return
+						return fmt.Errorf("uncertain: hull %d from site %d: %w", ti, i, err)
 					}
 					all[ti][i] = fn
 				}
@@ -492,9 +474,9 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 			for i, fn := range all[tauIdx] {
 				ts[i] = alloc.FinalBudget(fn, i, pivot)
 			}
-		})
-		if decodeErr != nil {
-			return CenterGResult{}, decodeErr
+			return nil
+		}); err != nil {
+			return CenterGResult{}, err
 		}
 		if err := nw.Broadcast(comm.PivotMsg{
 			I0: pivot.I0, Q0: pivot.Q0, L0: pivot.L0,
@@ -527,7 +509,7 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 
 	// Coordinator: weighted truncated (k,t)-center over the union.
 	var result CenterGResult
-	nw.Coordinator(func() {
+	if err := nw.Coordinator(func() error {
 		cc := &coordTruncCosts{g: g, tau: 6 * grid[tauIdx]}
 		var wts []float64
 		for i := range centerParts {
@@ -550,7 +532,10 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 		for i, f := range sol.Centers {
 			result.Centers[i] = cc.facPts[f].Clone()
 		}
-	})
+		return nil
+	}); err != nil {
+		return CenterGResult{}, err
+	}
 
 	result.Tau = grid[tauIdx]
 	result.TauGrid = grid

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tree smoke: runs the same clustering job twice across genuinely separate
-# processes — once as the paper's star (8 dpc-site leaves dialing the
-# coordinator directly) and once as a depth-3 aggregation tree (8 leaves
-# -> 4 dpc-site -aggregate daemons -> 2 -aggregate -inner daemons -> the
-# coordinator with -topology tree,branch=2) — and asserts the tree run's
+# processes — once as the paper's star (8 dpc-site leaves dialing a
+# dpc-cluster -listen coordinator directly) and once as a depth-3
+# aggregation tree (8 leaves -> 4 dpc-site -aggregate daemons -> 2
+# -aggregate -inner daemons -> dpc-cluster -listen with -topology
+# tree,branch=2) — and asserts the tree run's
 # centers are byte-identical to the star's while the coordinator's
 # physical root inbox shrank. The per-level byte attribution must show all
 # three link tiers. CI runs this as the tree-smoke job; it also runs
@@ -24,7 +25,7 @@ BRANCH=2
 RUNFLAGS=(-sites $SITES -k 4 -t 40 -objective median -seed 5)
 
 echo "== build"
-go build -o "$workdir/bin/" ./cmd/dpc-coordinator ./cmd/dpc-site ./cmd/dpc-datagen
+go build -o "$workdir/bin/" ./cmd/dpc-cluster ./cmd/dpc-site ./cmd/dpc-datagen
 
 echo "== generate + shard the workload ($SITES round-robin parts)"
 "$workdir/bin/dpc-datagen" -n 800 -k 4 -dim 3 -seed 7 -out "$workdir/points.csv"
@@ -33,7 +34,7 @@ for i in $(seq 0 $((SITES - 1))); do
 done
 
 echo "== star run ($SITES leaves dial the coordinator directly)"
-"$workdir/bin/dpc-coordinator" -listen 127.0.0.1:19110 "${RUNFLAGS[@]}" \
+"$workdir/bin/dpc-cluster" -listen 127.0.0.1:19110 "${RUNFLAGS[@]}" \
   -out "$workdir/star.csv" -report 2> "$workdir/star.log" &
 coord=$!
 pids+=("$coord")
@@ -48,7 +49,7 @@ echo "   star done"
 echo "== tree run (leaves -> 4 aggregators -> 2 inner aggregators -> coordinator)"
 # The coordinator accepts the top aggregator tier; the tier plan is
 # tree.Tiers(8, 2) = [4, 2], the same one -topology derives.
-"$workdir/bin/dpc-coordinator" -listen 127.0.0.1:19120 "${RUNFLAGS[@]}" \
+"$workdir/bin/dpc-cluster" -listen 127.0.0.1:19120 "${RUNFLAGS[@]}" \
   -topology "tree,branch=$BRANCH" -out "$workdir/tree.csv" -report 2> "$workdir/tree.log" &
 coord=$!
 pids+=("$coord")

@@ -50,12 +50,12 @@ func TestWorkersParity(t *testing.T) {
 		for _, tr := range []dpc.TransportKind{dpc.TransportLoopback, dpc.TransportTCP} {
 			obj, tr := obj, tr
 			t.Run(fmt.Sprintf("%v-%v", obj, tr), func(t *testing.T) {
-				ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, Workers: 1})
+				ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, Options: dpc.EngineOptions{Workers: 1}})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range widths {
-					got, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, Workers: workers})
+					got, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, Options: dpc.EngineOptions{Workers: workers}})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -82,11 +82,11 @@ func TestWorkersParityVariants(t *testing.T) {
 	for _, v := range []dpc.Variant{dpc.TwoRoundNoOutliers, dpc.OneRound} {
 		v := v
 		t.Run(fmt.Sprint(v), func(t *testing.T) {
-			ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Variant: v, Workers: 1})
+			ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Variant: v, Options: dpc.EngineOptions{Workers: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Variant: v, Workers: 4})
+			got, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Variant: v, Options: dpc.EngineOptions{Workers: 4}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestEngineMatchesReferenceEndToEnd(t *testing.T) {
 		for _, tr := range []dpc.TransportKind{dpc.TransportLoopback, dpc.TransportTCP} {
 			obj, tr := obj, tr
 			t.Run(fmt.Sprintf("%v-%v", obj, tr), func(t *testing.T) {
-				ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, Reference: true})
+				ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, Options: dpc.EngineOptions{Reference: true}})
 				if err != nil {
 					t.Fatal(err)
 				}
