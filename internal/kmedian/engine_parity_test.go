@@ -1,6 +1,7 @@
 package kmedian
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -41,10 +42,26 @@ func sameSolution(t *testing.T, label string, ref, got Solution) {
 	}
 }
 
+// engineParity solves with the reference engine on the first oracle and
+// holds the fast engine to that solution on every oracle at 1, 3 and 8
+// workers.
+func engineParity(t *testing.T, label string, w []float64, k int, tt float64, oracles ...metric.Costs) {
+	t.Helper()
+	ref := LocalSearch(oracles[0], w, k, tt, Options{Seed: 9, Options: engine.Options{Reference: true}})
+	for _, workers := range []int{1, 3, 8} {
+		for i, c := range oracles {
+			got := LocalSearch(c, w, k, tt, Options{Seed: 9, Options: engine.Options{Workers: workers}})
+			sameSolution(t, fmt.Sprintf("%s oracle %d workers %d", label, i, workers), ref, got)
+		}
+	}
+}
+
 // TestEngineMatchesReference is the core engine contract: the fast local
 // search must return bit-identical solutions to the seed sequential
 // implementation, for every worker count, with and without the distance
-// cache, weighted and unweighted.
+// cache, weighted and unweighted — and on the repo benchmark's two shard
+// shapes and a duplicate-heavy instance, where the unit-weight merge
+// evaluator meets squared costs, cached lookups and ties everywhere.
 func TestEngineMatchesReference(t *testing.T) {
 	for _, n := range []int{40, 300, 900} {
 		for _, weighted := range []bool{false, true} {
@@ -58,24 +75,22 @@ func TestEngineMatchesReference(t *testing.T) {
 				}
 			}
 			base := metric.NewPoints(pts)
-			tt := float64(n / 15)
-			ref := LocalSearch(base, w, 6, tt, Options{Seed: 9, Options: engine.Options{Reference: true}})
-			for _, workers := range []int{1, 3, 8} {
-				for _, cached := range []bool{false, true} {
-					var c metric.Costs = base
-					if cached {
-						c = metric.NewDistCache(base)
-					}
-					got := LocalSearch(c, w, 6, tt, Options{Seed: 9, Options: engine.Options{Workers: workers}})
-					label := "localsearch"
-					if cached {
-						label += "+cache"
-					}
-					sameSolution(t, label, ref, got)
-				}
-			}
+			engineParity(t, fmt.Sprintf("n=%d weighted=%v", n, weighted), w, 6, float64(n/15), base, metric.NewDistCache(base))
 		}
 	}
+	// means-hidim's shard: above MaxCachePoints, so the raw oracle, squared.
+	hidim := metric.NewPoints(parityPoints(5, 2100, 16))
+	engineParity(t, "means 2100x16", nil, 10, 42, metric.Squared{C: metric.SelfCosts{S: hidim}})
+	// median-shards' shard on the memoized oracle.
+	shard := metric.NewPoints(parityPoints(6, 250, 2))
+	engineParity(t, "median 250x2 cached", nil, 5, 20, shard, metric.NewDistCache(shard))
+	// Every point three times: zero distances and ties in every merge.
+	var dup []metric.Point
+	for _, p := range parityPoints(7, 100, 2) {
+		dup = append(dup, p, p, p)
+	}
+	dups := metric.NewPoints(dup)
+	engineParity(t, "duplicates", nil, 6, 20, dups, metric.NewDistCache(dups))
 }
 
 // TestJVMatchesReference pins the primal-dual engine: the precomputed

@@ -35,7 +35,7 @@ type Solution struct {
 }
 
 // Outliers returns the indices of clients with any dropped weight, in
-// decreasing order of connection cost.
+// increasing client-index order.
 func (s Solution) Outliers() []int {
 	var out []int
 	for j, w := range s.DroppedWeight {
@@ -167,8 +167,10 @@ func EvalSum(c metric.Costs, w []float64, centers []int, t float64) float64 {
 type cd struct{ d, w float64 }
 
 // partialCostPairs drops the t largest units of weight greedily and sums
-// the rest — the tail of EvalSum, shared with the fast swap evaluator so
-// weighted instances follow the exact same sort and summation order.
+// the rest — the tail of EvalSum, shared with the fast engine's weighted
+// swap evaluation so weighted instances follow the exact same sort and
+// summation order (unit weights go through swapEval's merges, which add the
+// same value sequence without the sort).
 func partialCostPairs(ds []cd, t float64) float64 {
 	sort.Slice(ds, func(a, b int) bool { return ds[a].d > ds[b].d })
 	budget := t
@@ -184,30 +186,6 @@ func partialCostPairs(ds []cd, t float64) float64 {
 			budget = 0
 		}
 		cost += keep * x.d
-	}
-	return cost
-}
-
-// partialCostUnit is partialCostPairs for unit weights, on a plain distance
-// slice (sorted in place). With every weight equal the descending walk adds
-// the same value sequence whatever order ties land in, so a plain float
-// sort is bit-identical to the reference pair sort — and several times
-// faster, which is why the fast swap evaluator uses it for w == nil.
-func partialCostUnit(d []float64, t float64) float64 {
-	sort.Float64s(d)
-	budget := t
-	var cost float64
-	for i := len(d) - 1; i >= 0; i-- {
-		if budget >= 1 {
-			budget--
-			continue
-		}
-		keep := 1.0
-		if budget > 0 {
-			keep -= budget
-			budget = 0
-		}
-		cost += keep * d[i]
 	}
 	return cost
 }

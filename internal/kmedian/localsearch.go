@@ -1,9 +1,11 @@
 package kmedian
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dpc/internal/engine"
@@ -218,10 +220,14 @@ const topE = 12
 // This is the fast engine: candidate distance columns are computed once per
 // round (instead of once per swap), the d1/d2 nearest/second-nearest
 // bookkeeping turns each of the k swaps per candidate into a merge instead
-// of a fresh k-way scan, and the independent work runs on opt.Workers
-// goroutines. Every decision (swap chosen, stop condition, RNG stream) is
-// bit-identical to descendReference — TestEngineMatchesReference and the
-// cmd/dpc-bench harness enforce it.
+// of a fresh k-way scan, unit-weight slots are summed by swapEval's merges
+// instead of a sort per slot, and the independent work runs on opt.Workers
+// goroutines. Invariant: a slot's cost cell is either the exact EvalSum
+// float of the swapped center set or +Inf, and +Inf only when that exact
+// float is >= cur.Cost — a value the strict fold below can never accept. So
+// every decision (swap chosen, stop condition, RNG stream) is bit-identical
+// to descendReference — TestEngineMatchesReference and the cmd/dpc-bench
+// harness enforce it.
 func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options, rng *rand.Rand) Solution {
 	if opt.Reference {
 		return descendReference(c, w, centers, t, opt, rng)
@@ -243,25 +249,42 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 	}
 	cur := EvalP(c, w, centers, t, workers)
 	k := len(cur.Centers)
-	// One reusable distance column per top candidate and one newd buffer
-	// per (candidate, position) evaluation slot.
+	// One reusable distance column per top candidate.
 	cols := make([][]float64, topE)
-	for i := range cols {
-		cols[i] = make([]float64, nc)
+	for i, flat := 0, make([]float64, topE*nc); i < topE; i++ {
+		cols[i] = flat[i*nc : (i+1)*nc : (i+1)*nc]
 	}
-	bufs := make([][]float64, topE*k)
-	for i := range bufs {
-		bufs[i] = make([]float64, nc)
+	// Swap evaluation state: the merge evaluator for unit weights, one pair
+	// buffer per (candidate, position) slot for the weighted sort walk.
+	var ev *swapEval
+	var pairs [][]cd
+	if w == nil {
+		ev = newSwapEval(nc, k)
+	} else {
+		pairs = make([][]cd, topE*k)
+		for i, flat := 0, make([]cd, topE*k*nc); i < topE*k; i++ {
+			pairs[i] = flat[i*nc : (i+1)*nc : (i+1)*nc]
+		}
 	}
 	d1 := make([]float64, nc)  // distance to nearest current center
 	a1 := make([]int, nc)      // position of that center in cur.Centers
 	d2 := make([]float64, nc)  // distance to second-nearest current center
 	inW := make([]float64, nc) // inlier weight under the current solution
+	// Round scratch, reused across rounds.
+	type scored struct {
+		f   int
+		pot float64
+	}
+	pos := make(map[int]int, k) // facility -> position in centers
+	var pots []float64
+	var top []scored
+	costs := make([]float64, topE*k)
+	trial := make([]int, k)
 	for iter := 0; iter < opt.MaxIters; iter++ {
 		if opt.canceled() {
 			break // preempted mid-descent: stop burning rounds
 		}
-		pos := make(map[int]int, k) // facility -> position in centers
+		clear(pos)
 		for p, f := range cur.Centers {
 			pos[f] = p
 		}
@@ -287,7 +310,7 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 			inW[j] = weight(w, j) - cur.DroppedWeight[j]
 		})
 		cands := facilityCandidates(nf, pos, opt, rng)
-		pots := make([]float64, len(cands))
+		pots = append(pots[:0], make([]float64, len(cands))...)
 		par.For(workers, len(cands), func(ci int) {
 			f := cands[ci]
 			// A client whose cost to f provably stays >= d1[j] would
@@ -325,11 +348,7 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 			}
 			pots[ci] = pot
 		})
-		type scored struct {
-			f   int
-			pot float64
-		}
-		top := make([]scored, 0, len(cands))
+		top = top[:0]
 		for ci, f := range cands {
 			if pots[ci] > 0 {
 				top = append(top, scored{f: f, pot: pots[ci]})
@@ -349,10 +368,17 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 		// per-slot cost cells; the fold below replays the sequential
 		// first-strict-win scan, so ties resolve exactly as in the
 		// reference engine.
-		costs := make([]float64, len(top)*k)
+		if ev != nil {
+			ev.round(d1, a1, d2)
+			par.For(workers, len(top), func(si int) { ev.candidate(si, cols[si]) })
+		}
 		par.For(workers, len(top)*k, func(slot int) {
 			si, p := slot/k, slot%k
-			costs[slot] = swapCost(cols[si], d1, a1, d2, w, p, t, bufs[slot])
+			if ev != nil {
+				costs[slot] = ev.cost(si, cols[si], p, t, cur.Cost)
+			} else {
+				costs[slot] = swapCostWeighted(cols[si], d1, a1, d2, w, p, t, pairs[slot])
+			}
 		})
 		bestCost := cur.Cost
 		bestSwap := [2]int{-1, -1} // (center position, facility)
@@ -367,22 +393,22 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 		if bestSwap[0] < 0 || bestCost >= cur.Cost*(1-relTol) {
 			break
 		}
-		trial := append([]int(nil), cur.Centers...)
+		copy(trial, cur.Centers)
 		trial[bestSwap[0]] = bestSwap[1]
 		cur = EvalP(c, w, trial, t, workers)
 	}
 	return cur
 }
 
-// swapCost evaluates the exact partial cost of swapping the center at
-// position p for the facility whose distance column is col: client j's new
-// connection cost is min(col[j], d2[j]) when its nearest center is the one
-// removed, min(col[j], d1[j]) otherwise. buf receives the per-client
-// distances (len nc, overwritten). The result is bit-identical to
-// EvalSum on the swapped center set.
-func swapCost(col, d1 []float64, a1 []int, d2, w []float64, p int, t float64, buf []float64) float64 {
-	nc := len(col)
-	for j := 0; j < nc; j++ {
+// swapCostWeighted is the exact partial cost, on weighted clients, of
+// swapping the center at position p for the facility with distance column
+// col: client j pays min(col[j], d2[j]) when its nearest center is the one
+// removed, min(col[j], d1[j]) otherwise. ds (len nc, overwritten) takes the
+// pairs in client order: with unequal weights the order among tied costs
+// decides whose weight the fractional budget eats, so this path keeps
+// EvalSum's own sort and is bit-identical to it on the swapped center set.
+func swapCostWeighted(col, d1 []float64, a1 []int, d2, w []float64, p int, t float64, ds []cd) float64 {
+	for j := range col {
 		dj := d1[j]
 		if a1[j] == p {
 			dj = d2[j]
@@ -390,16 +416,150 @@ func swapCost(col, d1 []float64, a1 []int, d2, w []float64, p int, t float64, bu
 		if col[j] < dj {
 			dj = col[j]
 		}
-		buf[j] = dj
-	}
-	if w == nil {
-		return partialCostUnit(buf, t)
-	}
-	ds := make([]cd, nc)
-	for j := 0; j < nc; j++ {
-		ds[j] = cd{d: buf[j], w: w[j]}
+		ds[j] = cd{d: dj, w: w[j]}
 	}
 	return partialCostPairs(ds, t)
+}
+
+// swapEval is the unit-weight swap evaluator. With every weight 1, EvalSum's
+// descending budget walk depends only on the descending sequence of values
+// (equal values are interchangeable), so it can be fed by merging sorted
+// pieces instead of sorting nc values per slot. For candidate column col and
+// removed position p, client j pays col[j] if the candidate captures it
+// (col[j] < d1[j], whatever p is), min(col[j], d2[j]) if its nearest center
+// is the one removed, and d1[j] otherwise. So round sorts one d1 order and
+// buckets clients by a1 for all topE*k slots; candidate sorts its captured
+// values (about nc/k) and merges them into the d1 order; cost sorts position
+// p's re-homed values (about nc/k) and merges them with the candidate's
+// stream minus p's clients. candidate and cost write only their own
+// candidate's and slot's state.
+type swapEval struct {
+	d1, d2 []float64 // this round's nearest/second-nearest costs
+	a1     []int     // and nearest-center positions
+	ord    []int     // clients by d1 descending
+	grp    []int     // clients grouped by a1: grp[start[p]:start[p+1]]
+	start  []int
+	// Per candidate si, at [si*nc:(si+1)*nc]:
+	val   []float64 // min(col, d1) of every client, descending
+	tag   []int32   // a1 of val's client, -1 once captured
+	moved []float64 // cut like grp: slot (si, p)'s re-homed values
+}
+
+func newSwapEval(nc, k int) *swapEval {
+	return &swapEval{
+		ord:   make([]int, nc),
+		grp:   make([]int, nc),
+		start: make([]int, k+1),
+		val:   make([]float64, topE*nc),
+		tag:   make([]int32, topE*nc),
+		moved: make([]float64, topE*nc),
+	}
+}
+
+// round installs the round's d1/a1/d2 (read until the next round, not
+// copied). A client with no finite center cost (a1[j] < 0) is in no group.
+func (e *swapEval) round(d1 []float64, a1 []int, d2 []float64) {
+	e.d1, e.a1, e.d2 = d1, a1, d2
+	for j := range e.ord {
+		e.ord[j] = j
+	}
+	slices.SortFunc(e.ord, func(a, b int) int { return cmp.Compare(d1[b], d1[a]) })
+	// Counting sort by a1: counts, group ends, then a back-to-front fill that
+	// leaves start[p] at group p's head.
+	clear(e.start)
+	for _, p := range a1 {
+		if p >= 0 {
+			e.start[p]++
+		}
+	}
+	for p := 1; p < len(e.start); p++ {
+		e.start[p] += e.start[p-1]
+	}
+	for j := len(a1) - 1; j >= 0; j-- {
+		if p := a1[j]; p >= 0 {
+			e.start[p]--
+			e.grp[e.start[p]] = j
+		}
+	}
+}
+
+// candidate builds candidate si's stream from its distance column. Every
+// candidate call of a round must return before the round's first cost call:
+// the captured values are sorted in the candidate's moved buffer.
+func (e *swapEval) candidate(si int, col []float64) {
+	d1, nc := e.d1, len(e.ord)
+	u := e.moved[si*nc : si*nc]
+	for j, x := range col {
+		if x < d1[j] {
+			u = append(u, x)
+		}
+	}
+	slices.Sort(u)
+	val, tag := e.val[si*nc:(si+1)*nc], e.tag[si*nc:(si+1)*nc]
+	n, ui := 0, len(u)-1
+	for _, j := range e.ord {
+		if col[j] < d1[j] {
+			continue
+		}
+		for ; ui >= 0 && u[ui] > d1[j]; ui-- {
+			val[n], tag[n] = u[ui], -1
+			n++
+		}
+		val[n], tag[n] = d1[j], int32(e.a1[j])
+		n++
+	}
+	for ; ui >= 0; ui-- {
+		val[n], tag[n] = u[ui], -1
+		n++
+	}
+}
+
+// cost is the partial cost, budget t, of swapping the center at position p
+// for candidate si (column col): bit for bit the float EvalSum returns on
+// the swapped center set, or +Inf once the running sum reaches bound. Every
+// term is >= 0 and round-to-nearest addition is monotone, so the exact cost
+// is then >= bound too.
+func (e *swapEval) cost(si int, col []float64, p int, t, bound float64) float64 {
+	nc, lo, hi := len(e.ord), e.start[p], e.start[p+1]
+	v := e.moved[si*nc+lo : si*nc+lo : si*nc+hi]
+	for _, j := range e.grp[lo:hi] {
+		if col[j] < e.d1[j] {
+			continue // captured: already in the candidate's stream
+		}
+		v = append(v, min(col[j], e.d2[j]))
+	}
+	slices.Sort(v)
+	val, tag := e.val[si*nc:(si+1)*nc], e.tag[si*nc:(si+1)*nc]
+	i, vi, gone := 0, len(v)-1, int32(p)
+	budget, cost := t, 0.0
+	for n := len(val); n > 0; n-- {
+		for i < len(val) && tag[i] == gone {
+			i++
+		}
+		var d float64
+		if vi >= 0 && (i == len(val) || v[vi] > val[i]) {
+			d = v[vi]
+			vi--
+		} else {
+			d = val[i]
+			i++
+		}
+		// The budget walk of partialCostPairs at unit weight.
+		if budget >= 1 {
+			budget--
+			continue
+		}
+		keep := 1.0
+		if budget > 0 {
+			keep -= budget
+			budget = 0
+		}
+		cost += keep * d
+		if cost >= bound {
+			return math.Inf(1)
+		}
+	}
+	return cost
 }
 
 // descendReference is the seed implementation of descend, kept verbatim as

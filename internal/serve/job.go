@@ -383,7 +383,13 @@ func (r *Registry) run(ctx context.Context, spec JobSpec) (*JobResult, error) {
 // shardKey is the cache-pool key of one shard of a table dataset at a
 // version and site count — the sharing granularity of warm triangles.
 func shardKey(name string, version, shards, i int) string {
-	return fmt.Sprintf("%s@v%d/s%d/%d", name, version, shards, i)
+	return fmt.Sprintf("%ss%d/%d", shardVersionPrefix(name, version), shards, i)
+}
+
+// shardVersionPrefix is the common prefix of every shard key of one
+// dataset version, whatever the site count.
+func shardVersionPrefix(name string, version int) string {
+	return fmt.Sprintf("%s@v%d/", name, version)
 }
 
 // shardCaches returns the shared distance cache for every shard of a table

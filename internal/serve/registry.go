@@ -500,10 +500,17 @@ func (r *Registry) Delete(name string) error {
 	}
 	delete(s.ds, name)
 	s.mu.Unlock()
-	r.pool.InvalidatePrefix(name + "@v")
-	r.forgetHashes(name + "@v")
-	r.forgetIndexes(name + "@v")
+	r.reclaim(name + "@v")
 	return nil
+}
+
+// reclaim drops the pooled shard caches, spill hash records and indexes
+// whose shard key falls under prefix: a whole dataset's ("name@v") or one
+// version's (shardVersionPrefix).
+func (r *Registry) reclaim(prefix string) {
+	r.pool.InvalidatePrefix(prefix)
+	r.forgetHashes(prefix)
+	r.forgetIndexes(prefix)
 }
 
 // register inserts d, rejecting duplicate names.
@@ -647,9 +654,10 @@ func (r *Registry) AddRemoteGroup(name string, coord *transport.Coordinator) err
 }
 
 // Append adds points to a table (sealing them as a new storage chunk and
-// bumping the version, so future jobs see the grown dataset and stale
-// shard caches age out) or feeds them to a stream sketch. Remote datasets
-// ingest at the sites, not through the server.
+// bumping the version, so future jobs see the grown dataset; the replaced
+// version's shard caches are reclaimed right away) or feeds them to a
+// stream sketch. Remote datasets ingest at the sites, not through the
+// server.
 func (r *Registry) Append(name string, pts []metric.Point) (DatasetInfo, error) {
 	return r.AppendJournaled(name, pts, nil)
 }
@@ -670,8 +678,16 @@ func (r *Registry) AppendJournaled(name string, pts []metric.Point, journal func
 	if len(pts) == 0 {
 		return DatasetInfo{}, fmt.Errorf("serve: append to %q: no points", name)
 	}
-	if err := r.appendLocked(d, pts, journal); err != nil {
+	replaced, err := r.appendLocked(d, pts, journal)
+	if err != nil {
 		return DatasetInfo{}, err
+	}
+	if replaced != 0 {
+		// Jobs take the current version when they start, so no later job
+		// can ask for the replaced one: its pooled caches are dead weight
+		// that would otherwise sit in the pool until LRU pressure (jobs
+		// still running on them keep their own references).
+		r.reclaim(shardVersionPrefix(name, replaced))
 	}
 	return d.Info(), nil
 }
@@ -679,14 +695,15 @@ func (r *Registry) AppendJournaled(name string, pts []metric.Point, journal func
 // appendLocked performs the append under the dataset lock (deferred, so a
 // panicking solver path can never wedge the mutex): validate, journal,
 // then apply — a record is never written for points that fail validation,
-// and points are never applied that the journal did not accept.
-func (r *Registry) appendLocked(d *Dataset, pts []metric.Point, journal func() error) error {
+// and points are never applied that the journal did not accept. It returns
+// the table version the append replaced (0 for a stream).
+func (r *Registry) appendLocked(d *Dataset, pts []metric.Point, journal func() error) (replaced int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	switch d.kind {
 	case KindTable:
 		if err := validatePoints(pts, d.dim); err != nil {
-			return fmt.Errorf("serve: append to %q: %w", d.name, err)
+			return 0, fmt.Errorf("serve: append to %q: %w", d.name, err)
 		}
 	case KindStream:
 		// The sketch distance code assumes one dimension; pin it on first
@@ -694,21 +711,21 @@ func (r *Registry) appendLocked(d *Dataset, pts []metric.Point, journal func() e
 		dim := d.dim
 		if dim == 0 {
 			if len(pts[0]) == 0 {
-				return fmt.Errorf("serve: append to %q: point 0 is empty", d.name)
+				return 0, fmt.Errorf("serve: append to %q: point 0 is empty", d.name)
 			}
 			dim = pts[0].Dim()
 		}
 		if err := validatePoints(pts, dim); err != nil {
-			return fmt.Errorf("serve: append to %q: %w", d.name, err)
+			return 0, fmt.Errorf("serve: append to %q: %w", d.name, err)
 		}
 	case KindUncertain:
-		return fmt.Errorf("serve: dataset %q is uncertain; nodes are fixed at registration (register a new dataset to change them)", d.name)
+		return 0, fmt.Errorf("serve: dataset %q is uncertain; nodes are fixed at registration (register a new dataset to change them)", d.name)
 	default:
-		return fmt.Errorf("serve: dataset %q is %s; append its data at the sites", d.name, d.kind)
+		return 0, fmt.Errorf("serve: dataset %q is %s; append its data at the sites", d.name, d.kind)
 	}
 	if journal != nil {
 		if err := journal(); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	switch d.kind {
@@ -719,7 +736,7 @@ func (r *Registry) appendLocked(d *Dataset, pts []metric.Point, journal func() e
 		// not O(table).
 		d.chunks = append(d.chunks, pts[:len(pts):len(pts)])
 		d.n += len(pts)
-		d.version = r.nextVersion()
+		replaced, d.version = d.version, r.nextVersion()
 	case KindStream:
 		if d.dim == 0 {
 			d.dim = pts[0].Dim()
@@ -728,7 +745,7 @@ func (r *Registry) appendLocked(d *Dataset, pts []metric.Point, journal func() e
 			d.sketch.Add(p)
 		}
 	}
-	return nil
+	return replaced, nil
 }
 
 // validateName rejects empty or path-hostile dataset names.

@@ -141,7 +141,8 @@ func (r *Registry) StoreAppend(name string, pts []metric.Point) error {
 	if err != nil {
 		return err
 	}
-	return r.appendLocked(d, pts, nil)
+	_, err = r.appendLocked(d, pts, nil)
+	return err
 }
 
 // StoreSnapshot implements TableStore.

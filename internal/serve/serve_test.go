@@ -377,3 +377,50 @@ func TestStreamRegistrationRollsBackOnBadSeedPoints(t *testing.T) {
 		Name: "retry", Kind: KindStream, K: 2, T: 4, Points: [][]float64{{1, 2}, {3, 4}}},
 		http.StatusCreated, nil)
 }
+
+// TestAppendReclaimsReplacedVersionCaches: an append bumps the table's
+// version, and no later job can ask for the old one — so the old version's
+// pooled shard caches must leave the pool with the append, not sit there
+// until LRU pressure (a steady ingest otherwise fills the pool with caches
+// nobody can reach).
+func TestAppendReclaimsReplacedVersionCaches(t *testing.T) {
+	a, s := newAPI(t, Config{})
+	rows := testPoints(100, 2, 72)
+	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "grow", Points: rows}, http.StatusCreated, nil)
+	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "still", Points: testPoints(80, 2, 73)}, http.StatusCreated, nil)
+	run := func(spec JobSpec) Job {
+		t.Helper()
+		var job Job
+		a.do("POST", "/v1/jobs", spec, http.StatusAccepted, &job)
+		j := waitJob(t, a, job.ID)
+		if j.Status != StatusDone {
+			t.Fatalf("job on %q failed: %s", spec.Dataset, j.Error)
+		}
+		return j
+	}
+	spec := JobSpec{Dataset: "grow", K: 2, T: 5, Sites: 2, Seed: 4}
+	run(spec)
+	run(JobSpec{Dataset: "still", K: 2, T: 4, Sites: 2, Seed: 4})
+	pool := s.Registry().Pool()
+	if got := pool.Stats().Entries; got != 4 {
+		t.Fatalf("pool holds %d caches after two 2-site jobs, want 4", got)
+	}
+
+	more := testPoints(20, 2, 74)
+	a.do("POST", "/v1/datasets/grow/points", appendPointsRequest{Points: more}, http.StatusOK, nil)
+	for _, e := range pool.Entries() {
+		if !strings.HasPrefix(e.Key, "still@v") {
+			t.Fatalf("pool still holds %q after the append replaced that version", e.Key)
+		}
+	}
+	if got := pool.Stats().Entries; got != 2 {
+		t.Fatalf("pool holds %d caches after the append, want the other dataset's 2", got)
+	}
+
+	j := run(spec)
+	if got := pool.Stats().Entries; got != 4 {
+		t.Fatalf("pool holds %d caches after the post-append job, want 4", got)
+	}
+	want := oneShot(t, rowsToPoints(append(rows, more...)), spec)
+	assertCentersEqual(t, j.Result.Centers, want.Centers, "post-append job")
+}
