@@ -1,9 +1,10 @@
 // Benchmarks regenerating the paper's evaluation artifacts — one benchmark
 // per Table 1/Table 2 row-group and per figure-style claim (experiments
-// E1..E12 of DESIGN.md). Each benchmark runs the corresponding experiment
-// at reduced ("quick") size; the full-size tables come from
-// `go run ./cmd/dpc-tables`. Custom metrics expose the quantity the paper
-// bounds (bytes of communication, cost ratios) rather than just ns/op.
+// E1..E12, listed by `dpc-tables -list`). Each benchmark runs the
+// corresponding experiment at reduced ("quick") size; the full-size tables
+// come from `go run ./cmd/dpc-tables`. Custom metrics expose the quantity
+// the paper bounds (bytes of communication, cost ratios) rather than just
+// ns/op.
 package dpc_test
 
 import (
@@ -17,7 +18,8 @@ import (
 // benchmark iteration. Benchmarks always use the reduced ("quick")
 // instance sizes and are skipped entirely under -short, so
 // `go test -short -bench . ./...` stays fast; the full-size runs live in
-// cmd/dpc-tables and the engine comparison in cmd/dpc-bench.
+// cmd/dpc-tables and the engine comparison in internal/bench's
+// TestAllExperimentsQuick.
 func runExperiment(b *testing.B, id string) {
 	if testing.Short() {
 		b.Skipf("%s: experiment benchmarks are skipped in -short mode", id)

@@ -1,6 +1,7 @@
-// Command dpc-sweep emits CSV series for the figure-style plots behind
-// EXPERIMENTS.md: communication and quality as one parameter sweeps while
-// the rest stay fixed. Pipe the output into any plotting tool.
+// Command dpc-sweep emits CSV series for figure-style plots of the
+// experiments `dpc-tables -list` names: communication and quality as one
+// parameter sweeps while the rest stay fixed. Pipe the output into any
+// plotting tool.
 //
 // Usage:
 //

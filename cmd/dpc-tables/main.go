@@ -1,6 +1,6 @@
 // Command dpc-tables regenerates the paper's evaluation artifacts: every
 // row-group of Table 1 and Table 2 plus the figure-style claims, as
-// measured on this implementation (experiments E1..E12 of DESIGN.md).
+// measured on this implementation (experiments E1..E12; -list names them).
 //
 // Usage:
 //
@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"dpc/internal/bench"
+	"dpc/internal/engine"
 )
 
 func main() {
@@ -72,7 +73,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	opts := bench.Options{Seed: *seed, Quick: *quick, Workers: *workers, Index: *index, Pivots: *pivots}
+	opts := bench.Options{Seed: *seed, Quick: *quick,
+		Engine: engine.Options{Workers: *workers, Index: *index, Pivots: *pivots}}
 	for _, e := range selected {
 		t0 := time.Now()
 		table := e.Run(opts)

@@ -53,7 +53,8 @@
 // Workers=N on every objective, variant and transport. NoCache disables
 // the distance caches (a measurement knob — the caches are exact and never
 // change results), and Reference runs the seed sequential implementation
-// that cmd/dpc-bench benchmarks the engine against.
+// that the parity tests (TestEngineMatchesReferenceEndToEnd, internal/bench's
+// TestAllExperimentsQuick) hold the engine to.
 //
 // # Legacy one-shot surface
 //

@@ -18,6 +18,22 @@ import (
 	"dpc/internal/dataio"
 )
 
+// buildCommands builds the named cmd/ programs into a fresh temporary
+// directory and returns each one's path by name.
+func buildCommands(t *testing.T, names ...string) map[string]string {
+	t.Helper()
+	dir := t.TempDir()
+	bins := make(map[string]string, len(names))
+	for _, name := range names {
+		bins[name] = filepath.Join(dir, name)
+		out, err := exec.Command("go", "build", "-o", bins[name], "./cmd/"+name).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go build ./cmd/%s: %v\n%s", name, err, out)
+		}
+	}
+	return bins
+}
+
 // TestDaemonsEndToEnd is the acceptance test of the multi-process path at
 // the process level: it builds dpc-cluster and dpc-site, runs one
 // `dpc-cluster -listen` coordinator plus s site processes over localhost
@@ -29,14 +45,8 @@ func TestDaemonsEndToEnd(t *testing.T) {
 		t.Skip("builds and spawns real processes")
 	}
 	tmp := t.TempDir()
-	clusterBin := filepath.Join(tmp, "dpc-cluster")
-	siteBin := filepath.Join(tmp, "dpc-site")
-	for bin, pkg := range map[string]string{clusterBin: "./cmd/dpc-cluster", siteBin: "./cmd/dpc-site"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	bins := buildCommands(t, "dpc-cluster", "dpc-site")
+	clusterBin, siteBin := bins["dpc-cluster"], bins["dpc-site"]
 
 	// Seeded instance: n points around k planted centers; the uncertain
 	// variant scatters a 3-point support around each.

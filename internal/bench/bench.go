@@ -1,13 +1,15 @@
-// Package bench is the experiment harness behind EXPERIMENTS.md: one
-// function per experiment ID (E1..E12 in DESIGN.md), each reproducing one
-// row-group of Table 1/Table 2 or one figure-style claim of the paper and
-// returning a formatted table of measurements.
+// Package bench is the experiment harness of the paper reproduction: one
+// function per experiment ID (E1..E12, listed by `dpc-tables -list`), each
+// reproducing one row-group of Table 1/Table 2 or one figure-style claim of
+// the paper and returning a formatted table of measurements.
 package bench
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"dpc/internal/engine"
 )
 
 // Options tunes an experiment run.
@@ -17,21 +19,11 @@ type Options struct {
 	// Quick shrinks instance sizes (used by the go-test benchmarks; the
 	// full sizes are for cmd/dpc-tables).
 	Quick bool
-	// Workers bounds solver goroutines (0 = one per CPU). Any value
-	// produces identical tables; it only moves wall-clock.
-	Workers int
-	// NoCache disables the memoized distance oracles (identical tables,
-	// different wall-clock).
-	NoCache bool
-	// Reference runs every solver through the seed sequential engine —
-	// the baseline half of cmd/dpc-bench's engine comparison. Implies
-	// Workers=1 and NoCache.
-	Reference bool
-	// Index layers the pivot-based metric index over the solver oracles
-	// (identical tables — pruning is exact; different wall-clock). Pivots
-	// is its anchor count (0 = metric.DefaultPivots).
-	Index  bool
-	Pivots int
+	// Engine configures every solver the experiment runs. No setting
+	// changes a table that is not Timed — TestAllExperimentsQuick compares
+	// the Reference and Index engines' tables to the default engine's cell
+	// by cell — only wall-clock moves.
+	Engine engine.Options
 }
 
 // Table is one experiment's output.
@@ -94,23 +86,26 @@ type Experiment struct {
 	ID    string
 	Brief string
 	Run   func(Options) Table
+	// Timed marks a table with wall-clock columns: its cells legitimately
+	// differ from run to run, so no test compares them.
+	Timed bool
 }
 
 // All returns the registry of experiments in ID order.
 func All() []Experiment {
 	exps := []Experiment{
-		{"E1", "Table 1 median: comm is Otilde((sk+t)B), independent of n", E1MedianCommVsN},
-		{"E2", "Table 1/2 median: 2-round (sk+t) vs 1-round (sk+st) scaling", E2MedianCommVsST},
-		{"E3", "Table 1 median/means: (1+eps)t bicriteria cost vs eps", E3EpsSweep},
-		{"E4", "Table 1 center: Algorithm 2 vs 1-round baseline", E4Center},
-		{"E5", "Table 1 uncertain: compressed graph removes the I factor", E5Uncertain},
-		{"E6", "Table 1 center-g: comm Otilde(skB + tI + s logDelta)", E6CenterG},
-		{"E7", "Theorem 3.10: subquadratic centralized scaling", E7Subquadratic},
-		{"E8", "Table 2 one-round rows: measured comm vs formula", E8OneRoundFormula},
-		{"E9", "Theorem 3.8: no-ship variant comm flat in t", E9NoShip},
-		{"E10", "Figure 1 / Lemmas 5.3-5.4: compression sandwich", E10Compression},
-		{"E11", "Lemma 3.3: allocation optimality", E11Allocation},
-		{"E12", "Theorem 3.6: site wall-time scales ~1/s", E12SiteSpeedup},
+		{ID: "E1", Brief: "Table 1 median: comm is Otilde((sk+t)B), independent of n", Run: E1MedianCommVsN},
+		{ID: "E2", Brief: "Table 1/2 median: 2-round (sk+t) vs 1-round (sk+st) scaling", Run: E2MedianCommVsST},
+		{ID: "E3", Brief: "Table 1 median/means: (1+eps)t bicriteria cost vs eps", Run: E3EpsSweep},
+		{ID: "E4", Brief: "Table 1 center: Algorithm 2 vs 1-round baseline", Run: E4Center},
+		{ID: "E5", Brief: "Table 1 uncertain: compressed graph removes the I factor", Run: E5Uncertain},
+		{ID: "E6", Brief: "Table 1 center-g: comm Otilde(skB + tI + s logDelta)", Run: E6CenterG},
+		{ID: "E7", Brief: "Theorem 3.10: subquadratic centralized scaling", Run: E7Subquadratic, Timed: true},
+		{ID: "E8", Brief: "Table 2 one-round rows: measured comm vs formula", Run: E8OneRoundFormula},
+		{ID: "E9", Brief: "Theorem 3.8: no-ship variant comm flat in t", Run: E9NoShip},
+		{ID: "E10", Brief: "Figure 1 / Lemmas 5.3-5.4: compression sandwich", Run: E10Compression},
+		{ID: "E11", Brief: "Lemma 3.3: allocation optimality", Run: E11Allocation},
+		{ID: "E12", Brief: "Theorem 3.6: site wall-time scales ~1/s", Run: E12SiteSpeedup, Timed: true},
 	}
 	sort.Slice(exps, func(a, b int) bool { return exps[a].ID < exps[b].ID })
 	return exps

@@ -7,7 +7,6 @@ import (
 	"dpc/internal/alloc"
 	"dpc/internal/central"
 	"dpc/internal/core"
-	"dpc/internal/engine"
 	"dpc/internal/gen"
 	"dpc/internal/geom"
 	"dpc/internal/kcenter"
@@ -23,26 +22,17 @@ func mkSites(n, k, s int, outFrac float64, mode gen.PartitionMode, seed int64) (
 	return in, gen.SitePoints(in, parts)
 }
 
-// coreCfg applies the harness engine knobs to a distributed run config, so
-// cmd/dpc-bench can run every experiment against the reference and the
-// fast engine. The knobs never change a table's contents, only wall-clock.
+// coreCfg applies the harness engine knobs to a distributed run config.
+// The knobs never change a table's contents, only wall-clock.
 func (o Options) coreCfg(cfg core.Config) core.Config {
-	cfg.Options = o.eng()
+	cfg.Options = o.Engine
 	return cfg
-}
-
-// eng is the harness knobs as the consolidated engine-option struct.
-func (o Options) eng() engine.Options {
-	return engine.Options{
-		Workers: o.Workers, NoCache: o.NoCache, Reference: o.Reference,
-		Index: o.Index, Pivots: o.Pivots,
-	}
 }
 
 // solverOpts applies the engine knobs to direct solver options.
 func (o Options) solverOpts(opts kmedian.Options) kmedian.Options {
-	ref := opts.Reference || o.Reference
-	opts.Options = o.eng()
+	ref := opts.Reference || o.Engine.Reference
+	opts.Options = o.Engine
 	opts.Reference = ref
 	return opts
 }
@@ -59,20 +49,16 @@ func (o Options) cgCfg(cfg uncertain.CenterGConfig) uncertain.CenterGConfig {
 	return cfg
 }
 
-// kcOpt applies the engine knobs to the kcenter solvers.
-func (o Options) kcOpt() kcenter.Opt {
-	return o.eng()
-}
-
 // centralMedianCost is the centralized reference: the same engine on the
 // full data with the unicriterion budget t (the Copt(A,k,t) stand-in of
 // Lemma 3.5).
 func centralMedianCost(in gen.Instance, k, t int, squared bool, seed int64, o Options) float64 {
 	var sp metric.Space = in.Points()
-	if !o.Reference && !o.NoCache {
+	eng := o.Engine.Normalize()
+	if !eng.NoCache {
 		sp = metric.CacheSpace(sp)
 	}
-	sp = metric.IndexSpace(sp, o.Index && !o.Reference, o.Pivots)
+	sp = metric.IndexSpace(sp, eng.Index, eng.Pivots)
 	costs := metric.Costs(metric.SelfCosts{S: sp})
 	if squared {
 		costs = metric.Squared{C: costs}
@@ -218,7 +204,7 @@ func E4Center(o Options) Table {
 		if err != nil {
 			panic(err)
 		}
-		central := kcenter.PartialOpt(in.Points(), nil, k, float64(tt), o.kcOpt())
+		central := kcenter.PartialOpt(in.Points(), nil, k, float64(tt), o.Engine)
 		radius := core.Evaluate(in.Pts, two.Centers, two.OutlierBudget, core.Center)
 		ratio := math.Inf(1)
 		if central.Radius > 0 {

@@ -83,10 +83,81 @@ func TestTreeDeepMatchesStar(t *testing.T) {
 	}
 }
 
+// TestTreeInboxCurve sweeps the site count with everything else fixed (24
+// points a site, dim 4, k=8, t=s, the default branch, median and center):
+// at every s the tree returns the star's answer and logical byte
+// accounting; from 32 sites up the root's physical inbox is below the
+// star's, and the saving widens with s — the star's inbox grows linearly
+// in s, the tree's is bounded by the branching factor, which is the whole
+// point of the topology. At s <= branch the tree degenerates to the star.
+func TestTreeInboxCurve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("12 runs up to 256 sites")
+	}
+	for _, obj := range []Objective{Median, Center} {
+		t.Run(obj.String(), func(t *testing.T) {
+			t.Parallel()
+			var lastGap int64
+			for _, s := range []int{8, 16, 32, 64, 128, 256} {
+				sites := testSites(s, s*24, 4, 1+int64(s)*1009)
+				cfg := Config{
+					K: 8, T: s, Objective: obj, Variant: TwoRound,
+					LocalOpts: kmedian.Options{Seed: 1}, Transport: transport.KindLoopback,
+				}
+				star, err := Run(sites, cfg)
+				if err != nil {
+					t.Fatalf("s=%d star: %v", s, err)
+				}
+				cfg.Topology = tree.Spec{Tree: true, Branch: tree.DefaultBranch}
+				treed, err := Run(sites, cfg)
+				if err != nil {
+					t.Fatalf("s=%d tree: %v", s, err)
+				}
+				if s <= tree.DefaultBranch {
+					assertSameAnswer(t, star, treed)
+					if treed.Report.Tree != nil {
+						t.Fatalf("s=%d <= branch: degenerate tree reports levels: %+v", s, treed.Report.Tree)
+					}
+					continue
+				}
+				assertTreeParity(t, star, treed)
+				root := treed.Report.Tree.RootUpBytes()
+				t.Logf("s=%d: star inbox %d B, tree root inbox %d B", s, star.Report.UpBytes, root)
+				if s < 32 {
+					continue
+				}
+				gap := star.Report.UpBytes - root
+				if gap <= lastGap {
+					t.Fatalf("s=%d: root inbox %d B vs star %d B saves %d B, not more than the previous site count's %d B",
+						s, root, star.Report.UpBytes, gap, lastGap)
+				}
+				lastGap = gap
+			}
+		})
+	}
+}
+
 // assertTreeParity checks the star/tree invariants: identical results and
 // identical logical accounting, with physical per-level stats only on the
 // tree side.
 func assertTreeParity(t *testing.T, star, treed Result) {
+	t.Helper()
+	assertSameAnswer(t, star, treed)
+	if star.Report.Tree != nil {
+		t.Fatalf("star run carries tree stats: %+v", star.Report.Tree)
+	}
+	tr := treed.Report.Tree
+	if tr == nil {
+		t.Fatal("tree run reported no per-level stats")
+	}
+	if tr.RootUpBytes() <= 0 {
+		t.Fatalf("tree root inbox not accounted: %+v", tr)
+	}
+}
+
+// assertSameAnswer checks that two runs returned identical results and
+// identical logical accounting.
+func assertSameAnswer(t *testing.T, star, treed Result) {
 	t.Helper()
 	if !reflect.DeepEqual(star.Centers, treed.Centers) {
 		t.Fatalf("centers differ:\nstar: %v\ntree: %v", star.Centers, treed.Centers)
@@ -109,15 +180,5 @@ func assertTreeParity(t *testing.T, star, treed Result) {
 		t.Fatalf("logical accounting differs: star %d up/%d down/%d rounds, tree %d up/%d down/%d rounds",
 			star.Report.UpBytes, star.Report.DownBytes, star.Report.Rounds,
 			treed.Report.UpBytes, treed.Report.DownBytes, treed.Report.Rounds)
-	}
-	if star.Report.Tree != nil {
-		t.Fatalf("star run carries tree stats: %+v", star.Report.Tree)
-	}
-	tr := treed.Report.Tree
-	if tr == nil {
-		t.Fatal("tree run reported no per-level stats")
-	}
-	if tr.RootUpBytes() <= 0 {
-		t.Fatalf("tree root inbox not accounted: %+v", tr)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // DirLog is the segmented, compactable journal store: a directory of
 // fixed-format segment files (journal-000001.dpcj, journal-000002.dpcj,
-// …, each an independent FileLog-format stream) plus a MANIFEST.json
+// …, each an independent journal stream) plus a MANIFEST.json
 // naming the live segments in replay order. Appends go to the final
 // (active) segment and rotate to a fresh one when it fills; Checkpoint
 // rotates unconditionally and writes the caller's snapshot as the new
@@ -37,7 +37,8 @@ type DirLog struct {
 // DirOptions configures a DirLog.
 type DirOptions struct {
 	// Sync fsyncs the active segment after every record (power-loss
-	// durability, matching FileLog's sync mode).
+	// durability; a record handed to the OS survives a process kill
+	// either way).
 	Sync bool
 	// SegmentBytes is the rotation threshold: an append that would push
 	// the active segment past this size rotates first. 0 means the
@@ -54,11 +55,6 @@ const DefaultSegmentBytes int64 = 64 << 20
 // manifestName is the file naming the live segments, updated atomically
 // via write-to-temp + rename.
 const manifestName = "MANIFEST.json"
-
-// legacyWAL is the pre-segmentation single-file journal name; a
-// directory holding one (and no manifest) is migrated in place to
-// segment 1 so PR 6 journals replay unchanged.
-const legacyWAL = "dpc.wal"
 
 type manifest struct {
 	Version  int   `json:"version"`
@@ -165,10 +161,10 @@ func createSegment(dir string, n int) (*os.File, error) {
 // replays every live segment in manifest order, and returns the log
 // positioned for appending plus the combined replay result. Records
 // carry their RecordRef (segment + offset). A torn tail on the final
-// segment is repaired in place, like OpenFile; a short or corrupt
+// segment is repaired in place (cut back to the last complete record, so
+// appends continue on a record boundary); a short or corrupt
 // non-final segment is real corruption (those files are immutable once
 // rotated past) and returns the recovered prefix alongside ErrCorrupt.
-// A directory holding only a legacy dpc.wal is migrated to segment 1.
 func OpenDir(dir string, opts DirOptions) (*DirLog, ReplayResult, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -182,16 +178,7 @@ func OpenDir(dir string, opts DirOptions) (*DirLog, ReplayResult, error) {
 	}
 	if !haveManifest {
 		// No manifest: adopt whatever segments exist (a crash between
-		// creating segment 1 and writing the first manifest), after
-		// migrating a legacy single-file journal to segment 1.
-		if _, err := os.Stat(filepath.Join(dir, legacyWAL)); err == nil {
-			if _, err := os.Stat(SegmentPath(dir, 1)); err == nil {
-				return nil, ReplayResult{}, fmt.Errorf("journal: %s holds both %s and segment 1 — refusing to guess", dir, legacyWAL)
-			}
-			if err := os.Rename(filepath.Join(dir, legacyWAL), SegmentPath(dir, 1)); err != nil {
-				return nil, ReplayResult{}, err
-			}
-		}
+		// creating segment 1 and writing the first manifest).
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			return nil, ReplayResult{}, err

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -13,8 +12,9 @@ import (
 // during a post-restart append) is a crash, not a clean shutdown —
 // Sealed must be false whenever Truncated is true.
 func TestSealThenTornTailIsNotSealed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dpc.wal")
-	l, _, err := OpenFile(path, false)
+	dir := t.TempDir()
+	path := SegmentPath(dir, 1)
+	l, _, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +37,11 @@ func TestSealThenTornTailIsNotSealed(t *testing.T) {
 	}
 	f.Close()
 
-	_, res, err := OpenFile(path, false)
+	l2, res, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatalf("open seal+torn journal: %v", err)
 	}
+	defer l2.Close()
 	if !res.Truncated {
 		t.Error("torn tail after seal not reported truncated")
 	}
@@ -179,47 +180,6 @@ func TestDirLogCheckpointAndDrop(t *testing.T) {
 	}
 }
 
-// TestDirLogMigratesLegacyWAL: a PR 6 single-file journal becomes
-// segment 1 on first DirLog open, replaying identically.
-func TestDirLogMigratesLegacyWAL(t *testing.T) {
-	dir := t.TempDir()
-	fl, _, err := OpenFile(filepath.Join(dir, legacyWAL), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, fl, 5, 0)
-	if err := fl.Seal(); err != nil {
-		t.Fatal(err)
-	}
-
-	l, res, err := OpenDir(dir, DirOptions{})
-	if err != nil {
-		t.Fatalf("open dir over legacy wal: %v", err)
-	}
-	defer l.Close()
-	if len(res.Records) != 5 || !res.Sealed {
-		t.Fatalf("migrated replay: %d records sealed=%t, want 5 sealed", len(res.Records), res.Sealed)
-	}
-	if _, err := os.Stat(filepath.Join(dir, legacyWAL)); !os.IsNotExist(err) {
-		t.Errorf("legacy wal still present after migration (err=%v)", err)
-	}
-	if _, err := os.Stat(SegmentPath(dir, 1)); err != nil {
-		t.Errorf("segment 1 missing after migration: %v", err)
-	}
-	// Appends continue with climbing seqs.
-	ref, err := l.Append(2, []byte("post-migration"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Seg != 1 {
-		t.Errorf("post-migration append landed in segment %d, want 1", ref.Seg)
-	}
-	rec, err := ReadRecordAt(dir, ref)
-	if err != nil || string(rec.Payload) != "post-migration" {
-		t.Errorf("read back post-migration record: %v, %+v", err, rec)
-	}
-}
-
 // TestDirLogOrphanSegmentsDeleted: segment files the manifest does not
 // name (a rotation or GC that crashed mid-way) are removed at open.
 func TestDirLogOrphanSegmentsDeleted(t *testing.T) {
@@ -250,9 +210,8 @@ func TestDirLogOrphanSegmentsDeleted(t *testing.T) {
 	}
 }
 
-// TestDirLogTornFinalSegmentRepairs: the crash tail repairs exactly like
-// FileLog's, but only on the final segment — a torn middle segment is
-// corruption.
+// TestDirLogTornTailSemantics: the crash tail repairs in place, but only
+// on the final segment — a torn middle segment is corruption.
 func TestDirLogTornTailSemantics(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := OpenDir(dir, DirOptions{SegmentBytes: 100})

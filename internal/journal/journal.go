@@ -14,8 +14,9 @@
 //
 //   - a truncated tail (the file ends before a record completes) is the
 //     expected crash signature — Replay returns every record before the
-//     cut and reports Truncated, and OpenFile additionally truncates the
-//     file back to the last good record so appends continue cleanly;
+//     cut and reports Truncated, and OpenDir additionally truncates the
+//     active segment back to its last good record so appends continue
+//     cleanly;
 //   - a record that is fully present but fails its checksum (bit rot,
 //     concurrent writers, hostile edit) is real corruption — Replay stops
 //     there and returns ErrCorrupt, because records after a corrupt one
@@ -107,8 +108,8 @@ func (r Record) Ref() RecordRef { return RecordRef{Seg: r.Seg, Off: r.Off} }
 
 // Log is the pluggable write-ahead log surface the serving layer journals
 // through. Implementations: DirLog (segmented, compactable — the
-// production store), FileLog (single-file, the pre-segmentation format)
-// and MemLog (in-memory, for tests and journal-less embedding).
+// production store) and MemLog (in-memory, for tests and journal-less
+// embedding).
 type Log interface {
 	// Append durably adds one record and returns its durable address.
 	// Sequence numbers are assigned by the log, strictly increasing
@@ -178,7 +179,7 @@ type ReplayResult struct {
 	// signature. The records before the cut are complete and valid.
 	Truncated bool
 	// GoodBytes is the stream offset just past the last valid record
-	// (including the header); OpenFile truncates the file here.
+	// (including the header); OpenDir truncates the active segment here.
 	GoodBytes int64
 }
 

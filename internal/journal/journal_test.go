@@ -20,9 +20,12 @@ func appendN(t *testing.T, l Log, n, base int) {
 	}
 }
 
-func TestFileLogRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j", "dpc.wal")
-	l, res, err := OpenFile(path, false)
+// TestSegmentRoundTrip, like every record-format test in this file, drives
+// the stream format through a one-segment DirLog: the file under test is
+// SegmentPath(dir, 1).
+func TestSegmentRoundTrip(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "j", "nested")
+	l, res, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatalf("open fresh: %v", err)
 	}
@@ -34,7 +37,7 @@ func TestFileLogRoundTrip(t *testing.T) {
 		t.Fatalf("seal: %v", err)
 	}
 
-	l2, res2, err := OpenFile(path, false)
+	l2, res2, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -61,10 +64,11 @@ func TestFileLogRoundTrip(t *testing.T) {
 	if err := l2.Close(); err != nil { // crash path: no seal
 		t.Fatalf("close: %v", err)
 	}
-	_, res3, err := OpenFile(path, false)
+	l3, res3, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatalf("third open: %v", err)
 	}
+	defer l3.Close()
 	if res3.Sealed {
 		t.Errorf("unsealed (crashed) journal reported sealed")
 	}
@@ -81,9 +85,9 @@ func TestFileLogRoundTrip(t *testing.T) {
 // possible offset of the final record must recover exactly the records
 // before it, and the repaired file must accept appends again.
 func TestTruncatedTailRecovers(t *testing.T) {
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.wal")
-	l, _, err := OpenFile(full, false)
+	tmp := t.TempDir()
+	full := filepath.Join(tmp, "full")
+	l, _, err := OpenDir(full, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +95,7 @@ func TestTruncatedTailRecovers(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(full)
+	raw, err := os.ReadFile(SegmentPath(full, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +103,15 @@ func TestTruncatedTailRecovers(t *testing.T) {
 	// (check) bytes. Cut at every offset inside it.
 	recBytes := 13 + 11 + 8
 	for cut := 1; cut < recBytes; cut++ {
-		path := filepath.Join(dir, fmt.Sprintf("cut-%02d.wal", cut))
-		if err := os.WriteFile(path, raw[:len(raw)-cut], 0o644); err != nil {
+		// A directory holding only segment 1 (no manifest yet) is adopted.
+		dir := filepath.Join(tmp, fmt.Sprintf("cut-%02d", cut))
+		if err := os.Mkdir(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		l2, res, err := OpenFile(path, false)
+		if err := os.WriteFile(SegmentPath(dir, 1), raw[:len(raw)-cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l2, res, err := OpenDir(dir, DirOptions{})
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
@@ -120,10 +128,11 @@ func TestTruncatedTailRecovers(t *testing.T) {
 		if err := l2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, res2, err := OpenFile(path, false)
+		l3, res2, err := OpenDir(dir, DirOptions{})
 		if err != nil {
 			t.Fatalf("cut %d: reopen after repair: %v", cut, err)
 		}
+		l3.Close()
 		if len(res2.Records) != 5 || string(res2.Records[4].Payload) != "after-repair" {
 			t.Fatalf("cut %d: post-repair replay got %d records", cut, len(res2.Records))
 		}
@@ -132,10 +141,11 @@ func TestTruncatedTailRecovers(t *testing.T) {
 
 // TestFlippedChecksumRejected: a record that is fully present but fails
 // its checksum is corruption, not a crash — replay must surface the typed
-// error, and OpenFile must refuse to append after it.
+// error, and OpenDir must refuse to append after it.
 func TestFlippedChecksumRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dpc.wal")
-	l, _, err := OpenFile(path, false)
+	dir := t.TempDir()
+	path := SegmentPath(dir, 1)
+	l, _, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,16 +172,17 @@ func TestFlippedChecksumRejected(t *testing.T) {
 	if len(res.Records) != 1 {
 		t.Errorf("replay recovered %d records before the corruption, want 1", len(res.Records))
 	}
-	if _, _, err := OpenFile(path, false); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("OpenFile on corrupt journal: err = %v, want ErrCorrupt", err)
+	if l, _, err := OpenDir(dir, DirOptions{}); !errors.Is(err, ErrCorrupt) || l != nil {
+		t.Fatalf("OpenDir on corrupt journal: log = %v, err = %v, want no log and ErrCorrupt", l, err)
 	}
 }
 
 // TestMixedVersionRejected: files from a different format version fail
 // with the typed version error, never a partial parse.
 func TestMixedVersionRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dpc.wal")
-	l, _, err := OpenFile(path, false)
+	dir := t.TempDir()
+	path := SegmentPath(dir, 1)
+	l, _, err := OpenDir(dir, DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,16 +201,16 @@ func TestMixedVersionRejected(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenFile(path, false); !errors.Is(err, ErrVersion) {
-		t.Fatalf("OpenFile on v%d file: err = %v, want ErrVersion", Version+1, err)
+	if _, _, err := OpenDir(dir, DirOptions{}); !errors.Is(err, ErrVersion) {
+		t.Fatalf("OpenDir on v%d file: err = %v, want ErrVersion", Version+1, err)
 	}
 
 	// Not a journal at all.
 	if err := os.WriteFile(path, []byte("definitely not a journal file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenFile(path, false); !errors.Is(err, ErrNotJournal) {
-		t.Fatalf("OpenFile on garbage: err = %v, want ErrNotJournal", err)
+	if _, _, err := OpenDir(dir, DirOptions{}); !errors.Is(err, ErrNotJournal) {
+		t.Fatalf("OpenDir on garbage: err = %v, want ErrNotJournal", err)
 	}
 }
 

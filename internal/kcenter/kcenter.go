@@ -10,7 +10,8 @@
 // Opt.Workers goroutines, and the reference engine (Opt.Reference) is the
 // seed implementation kept as the regression baseline. The two are
 // bit-identical — all parallel reductions use fixed first-index
-// tie-breaking — and the harness (cmd/dpc-bench, parity tests) asserts it.
+// tie-breaking — and the parity tests (engine_parity_test.go here,
+// internal/bench's TestAllExperimentsQuick end to end) assert it.
 package kcenter
 
 import (

@@ -140,8 +140,8 @@ func EvalP(c metric.Costs, w []float64, centers []int, t float64, workers int) S
 
 // EvalSum is Eval returning only the cost (avoids the slices). It is the
 // reference partial-cost evaluator: the fast engine's swap evaluation
-// (descend) must agree with it bit-for-bit, and the regression harness
-// (cmd/dpc-bench, TestEngineMatchesReference) holds it to that.
+// (descend) must agree with it bit-for-bit, and TestEngineMatchesReference
+// and internal/bench's TestAllExperimentsQuick hold it to that.
 func EvalSum(c metric.Costs, w []float64, centers []int, t float64) float64 {
 	n := c.Clients()
 	ds := make([]cd, n)

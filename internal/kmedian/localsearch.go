@@ -46,7 +46,8 @@ type Options struct {
 	// Workers bounds the goroutines of the parallel engine paths (0 = one
 	// per CPU, bit-identical at every width) and Reference switches every
 	// solver to the pre-engine sequential implementation — the regression
-	// baseline of cmd/dpc-bench and the parity tests. The Index/Pivots
+	// baseline of the parity tests (TestEngineMatchesReference here,
+	// internal/bench's TestAllExperimentsQuick end to end). The Index/Pivots
 	// knobs are honored by the layers that construct the cost oracle; the
 	// solvers prune through whatever metric.CostPruner the oracle
 	// implements and never build indexes themselves.
@@ -226,8 +227,8 @@ const topE = 12
 // float of the swapped center set or +Inf, and +Inf only when that exact
 // float is >= cur.Cost — a value the strict fold below can never accept. So
 // every decision (swap chosen, stop condition, RNG stream) is bit-identical
-// to descendReference — TestEngineMatchesReference and the cmd/dpc-bench
-// harness enforce it.
+// to descendReference — TestEngineMatchesReference and internal/bench's
+// TestAllExperimentsQuick enforce it.
 func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options, rng *rand.Rand) Solution {
 	if opt.Reference {
 		return descendReference(c, w, centers, t, opt, rng)

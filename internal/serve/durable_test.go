@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -73,7 +72,7 @@ func TestJournalResumesQueuedJobs(t *testing.T) {
 	dir := t.TempDir()
 	// Fabricate the crashed life's journal directly: dataset + submitted
 	// job, no finish record, no seal.
-	jl, _, err := journal.OpenFile(filepath.Join(dir, "dpc.wal"), false)
+	jl, _, err := journal.OpenDir(dir, journal.DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestJournalResumesQueuedJobs(t *testing.T) {
 // serving beats not serving.
 func TestJournalCorruptionDegrades(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "dpc.wal"), []byte("not a journal at all"), 0o644); err != nil {
+	if err := os.WriteFile(journal.SegmentPath(dir, 1), []byte("not a journal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewChecked(Config{JournalDir: dir})

@@ -24,8 +24,9 @@
 // The registry itself is sharded: dataset names hash onto fixed segments,
 // each owning its slice of the namespace behind its own lock, so
 // concurrent register/append/lookup/delete traffic scales with cores
-// instead of serializing on one registry-wide mutex (cmd/dpc-loadgen
-// measures the difference against the preserved single-lock baseline).
+// instead of serializing on one registry-wide mutex
+// (TestRegistryConcurrentStress hammers it under the race detector; the
+// repository benchmark's serve-mixed workload prices it).
 // Table points live in append-friendly chunks: every append adds sealed
 // chunks instead of copying the table, and snapshots are O(1) header
 // copies that stay consistent while ingest continues.
@@ -281,8 +282,7 @@ type segment struct {
 
 // DefaultRegistrySegments is the segment count NewRegistry uses. Sixteen
 // segments keep cross-core cache-line traffic low at the concurrency the
-// scheduler actually produces; the loadgen storage benchmark measures the
-// return of more.
+// scheduler actually produces.
 const DefaultRegistrySegments = 16
 
 // Registry holds the named datasets across hash segments, plus the shared

@@ -38,7 +38,7 @@ type Config struct {
 	MaxJobs int
 	// RegistryShards sets the dataset registry's segment count (0 means
 	// serve.DefaultRegistrySegments; 1 degenerates to a single-lock
-	// namespace — the measured baseline of cmd/dpc-loadgen).
+	// namespace).
 	RegistryShards int
 	// CacheDir, when set, enables warm-triangle spill/restore: filled
 	// distance-cache cells persist there on Shutdown and are restored
@@ -65,8 +65,7 @@ type Config struct {
 	// mutations, job submissions, transitions and finished results append
 	// to rotating segment files (journal-000001.dpcj, …) under JournalDir,
 	// and Recover replays them so a restarted server resumes its queue and
-	// re-serves finished results with zero recompute. A directory holding
-	// a pre-segmentation dpc.wal is migrated in place. Shutdown seals the
+	// re-serves finished results with zero recompute. Shutdown seals the
 	// journal (clean-shutdown marker).
 	JournalDir string
 	// JournalSync fsyncs every journal append (power-loss durability). Off
@@ -75,8 +74,8 @@ type Config struct {
 	JournalSync bool
 	// SegmentBytes is the journal's segment-rotation threshold (0 = the
 	// journal package's 64 MiB default). Smaller segments mean finer-
-	// grained GC after a snapshot; the replica smoke uses tiny ones to
-	// force multi-segment logs quickly.
+	// grained GC after a snapshot; TestReplicaFailoverAndCompaction uses
+	// tiny ones to force multi-segment logs quickly.
 	SegmentBytes int64
 	// CompactEvery, when positive (and JournalDir is set), writes a
 	// snapshot checkpoint on this cadence and GCs the segments it

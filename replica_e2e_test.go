@@ -1,0 +1,363 @@
+package dpc_test
+
+import (
+	"bufio"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"os"
+	"os/exec"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"dpc"
+	"dpc/client"
+	"dpc/internal/journal"
+	"dpc/internal/serve"
+)
+
+// serverProc is one dpc-server child process with a private journal. Its
+// stderr is kept line by line so a test can assert on what a restart
+// reported.
+type serverProc struct {
+	bin, addr, dir string
+	url            string
+	cmd            *exec.Cmd
+	scanned        chan struct{} // closed when stderr hits EOF
+
+	mu  sync.Mutex
+	log []string
+}
+
+var servingRE = regexp.MustCompile(`serving HTTP on (\S+)`)
+
+// startServer starts dpc-server on addr (127.0.0.1:0 picks a port; a
+// restart passes the bound address back in) journaling into dir on tiny
+// segments, so modest traffic rotates them; -compact-every is far enough
+// out that only an explicit admin call compacts. It returns once the
+// process serves HTTP and has finished replaying its journal.
+func startServer(t *testing.T, bin, addr, dir string) *serverProc {
+	t.Helper()
+	p := &serverProc{bin: bin, dir: dir, scanned: make(chan struct{})}
+	p.cmd = exec.Command(bin, "-listen", addr, "-journal-dir", dir,
+		"-journal-segment-bytes", "8192", "-compact-every", "1h")
+	stderr, err := p.cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.kill)
+	bound := make(chan string, 1)
+	ready := make(chan struct{})
+	go func() {
+		defer close(p.scanned)
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			line := sc.Text()
+			p.mu.Lock()
+			p.log = append(p.log, line)
+			p.mu.Unlock()
+			if m := servingRE.FindStringSubmatch(line); m != nil {
+				bound <- m[1]
+			}
+			// Printed after the replay summary, so once it is seen the
+			// summary is in p.log.
+			if line == "dpc-server: ready" {
+				close(ready)
+			}
+		}
+	}()
+	timeout := time.After(30 * time.Second)
+	for waiting := 2; waiting > 0; waiting-- {
+		select {
+		case p.addr = <-bound:
+			bound = nil
+		case <-ready:
+			ready = nil
+		case <-p.scanned:
+			t.Fatalf("dpc-server exited while starting; stderr:\n%s", p.stderr())
+		case <-timeout:
+			t.Fatalf("dpc-server not ready after 30 s; stderr:\n%s", p.stderr())
+		}
+	}
+	p.url = "http://" + p.addr
+	return p
+}
+
+// kill SIGKILLs the process — no drain, no journal seal — and reaps it.
+func (p *serverProc) kill() {
+	p.cmd.Process.Kill()
+	<-p.scanned // Wait closes the pipe: finish reading it first
+	p.cmd.Wait()
+}
+
+// restart starts a new process on the same address and journal.
+func (p *serverProc) restart(t *testing.T) *serverProc {
+	t.Helper()
+	return startServer(t, p.bin, p.addr, p.dir)
+}
+
+func (p *serverProc) stderr() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return strings.Join(p.log, "\n")
+}
+
+// metric reads one sample from the server's /metrics page; name includes
+// the label set, e.g. `dpc_journal_records_total{event="replayed"}`.
+func (p *serverProc) metric(t *testing.T, name string) int {
+	t.Helper()
+	resp, err := http.Get(p.url + "/metrics")
+	if err != nil {
+		t.Fatalf("GET %s/metrics: %v", p.url, err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("metric %s = %q: %v", name, v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%s/metrics has no sample %s", p.url, name)
+	return 0
+}
+
+// TestReplicaFailoverAndCompaction is the durable control plane's proof at
+// the process level. Three dpc-server replicas with private journals serve
+// clustering jobs through client.Balanced while one of them is SIGKILLed
+// with a job running: every job must still complete with centers
+// byte-identical to a Local solve, at least one in-flight job must have
+// been resubmitted, and at least two replicas must have served. The victim
+// then restarts from its journal: it must replay records and re-serve a
+// job it finished in its previous life, marked replayed, with the same
+// centers. Phase 2 proves compaction on that replica: its journal is
+// driven across >= 3 segments, POST /v1/admin/compact must delete >= 3 of
+// them, more records land behind the snapshot, the replica is SIGKILLed
+// again, and the second restart must restore from the snapshot, replay
+// fewer records than the journal ever held, and still serve the same job.
+func TestReplicaFailoverAndCompaction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns real processes")
+	}
+	bin := buildCommands(t, "dpc-server")["dpc-server"]
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	tmp := t.TempDir()
+	replicas := make([]*serverProc, 3)
+	urls := make([]string, len(replicas))
+	for i := range replicas {
+		replicas[i] = startServer(t, bin, "127.0.0.1:0", fmt.Sprintf("%s/journal-%d", tmp, i))
+		urls[i] = replicas[i].url
+	}
+	bc, err := client.NewBalanced(urls, client.BalancedOptions{
+		RemoteOptions: client.RemoteOptions{PollInterval: 2 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+
+	// Three datasets of identical points whose names hash to three distinct
+	// primaries on a 3-replica ring, so every replica serves jobs.
+	pts := dpc.Mixture(dpc.MixtureSpec{N: 1200, K: 3, Dim: 2, OutlierFrac: 0.05, Seed: 42}).Pts
+	dataset := func(i int) string { return fmt.Sprintf("replica-e2e-%d", i%3) }
+	for i := 0; i < 3; i++ {
+		if err := bc.RegisterDataset(ctx, dataset(i), pts); err != nil {
+			t.Fatalf("register %s: %v", dataset(i), err)
+		}
+	}
+	// The fleet's answers must equal a Local solve of the same request: the
+	// determinism that makes independent replicas one logical server. A few
+	// seeds, so the run is not one memoized solve.
+	request := func(i int) client.Request {
+		return client.Request{Objective: client.Median, K: 3, T: 12, Sites: 4, Seed: int64(11 + i%4)}
+	}
+	want := make([][]client.Point, 4)
+	for i := range want {
+		req := request(i)
+		req.Points = pts
+		res, err := client.NewLocal().Do(ctx, req)
+		if err != nil {
+			t.Fatalf("local reference %d: %v", i, err)
+		}
+		want[i] = res.Centers
+	}
+
+	// Workers cycle jobs until the victim is dead, then four more each.
+	var (
+		mu     sync.Mutex
+		served = map[string]*client.Response{} // replica URL -> a job it finished
+		next   int
+		killed = make(chan struct{})
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for after := 0; after < 4; {
+				select {
+				case <-killed:
+					after++
+				default:
+				}
+				mu.Lock()
+				i := next
+				next++
+				mu.Unlock()
+				req := request(i)
+				req.Dataset = dataset(i)
+				res, err := bc.Do(ctx, req)
+				if err != nil {
+					t.Errorf("job %d: %v (a lost replica must never lose a job)", i, err)
+					return
+				}
+				if !reflect.DeepEqual(res.Centers, want[i%4]) {
+					t.Errorf("job %d on %s: centers differ from the Local solve", i, res.Replica)
+				}
+				mu.Lock()
+				if served[res.Replica] == nil {
+					served[res.Replica] = res
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+
+	// A t.Fatal below must not leave workers logging into a finished test.
+	defer func() { cancel(); wg.Wait() }()
+
+	// The victim is the first replica seen running a job after the client
+	// has a finished job from it: polled, not slept for, so the kill lands
+	// on accepted work and leaves a result to re-serve.
+	var victim *serverProc
+	var kept *client.Response
+	for deadline := time.Now().Add(time.Minute); victim == nil && time.Now().Before(deadline) && !t.Failed(); {
+		for _, p := range replicas {
+			mu.Lock()
+			res := served[p.url]
+			mu.Unlock()
+			if res != nil && p.metric(t, "dpc_jobs_running") > 0 {
+				victim, kept = p, res
+				p.kill()
+				break
+			}
+		}
+		time.Sleep(time.Millisecond) // pace the sweep, not the kill
+	}
+	close(killed)
+	wg.Wait()
+	if victim == nil {
+		t.Fatal("no replica was caught running a job")
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	st := bc.Stats()
+	t.Logf("%d jobs, %d retries, %d resubmissions, per replica %v", next, st.Retries, st.Resubmissions, st.PerReplica)
+	if st.Resubmissions < 1 {
+		t.Errorf("no resubmissions: the kill missed every in-flight job")
+	}
+	if len(st.PerReplica) < 2 {
+		t.Errorf("only %d replica(s) served jobs: %v", len(st.PerReplica), st.PerReplica)
+	}
+
+	// reserved checks that p still serves the job the victim finished before
+	// the first kill: restored from the journal, not solved again.
+	reserved := func(p *serverProc) {
+		t.Helper()
+		var job serve.Job
+		resp, err := http.Get(p.url + "/v1/jobs/" + kept.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+			t.Fatalf("GET /v1/jobs/%s: %v", kept.JobID, err)
+		}
+		if job.Status != serve.StatusDone || !job.Replayed || job.Result == nil {
+			t.Fatalf("job %s after restart: status %q replayed %t, want a replayed done job", kept.JobID, job.Status, job.Replayed)
+		}
+		got := make([]client.Point, len(job.Result.Centers))
+		for i, c := range job.Result.Centers {
+			got[i] = c
+		}
+		if !reflect.DeepEqual(got, kept.Centers) {
+			t.Fatalf("job %s after restart: centers %v, were %v", kept.JobID, got, kept.Centers)
+		}
+	}
+	const replayedRecords = `dpc_journal_records_total{event="replayed"}`
+
+	victim = victim.restart(t)
+	if n := victim.metric(t, replayedRecords); n == 0 {
+		t.Fatal("restarted replica replayed no journal records")
+	}
+	if !strings.Contains(victim.stderr(), "journal replayed from full history") {
+		t.Fatalf("restart log reports no journal replay:\n%s", victim.stderr())
+	}
+	reserved(victim)
+
+	// Phase 2. Appends of 200 points are ~8 KiB records, so each rotates
+	// the 8 KiB segments whatever phase 1 left behind.
+	rc := client.NewRemote(victim.url, client.RemoteOptions{})
+	defer rc.Close()
+	rng := rand.New(rand.NewSource(7))
+	chunk := make([]client.Point, 200)
+	for i := range chunk {
+		chunk[i] = client.Point{10 * rng.Float64(), 10 * rng.Float64()}
+	}
+	if err := rc.RegisterDataset(ctx, "cpt", chunk); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := rc.AppendPoints(ctx, "cpt", chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := victim.metric(t, "dpc_journal_segments"); n < 3 {
+		t.Fatalf("%d journal segments before compaction, want >= 3", n)
+	}
+	resp, err := http.Post(victim.url+"/v1/admin/compact", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compacted serve.CompactStats
+	err = json.NewDecoder(resp.Body).Decode(&compacted)
+	resp.Body.Close()
+	if err != nil || compacted.SegmentsRemoved < 3 {
+		t.Fatalf("compaction removed %d segments (decode error %v), want >= 3", compacted.SegmentsRemoved, err)
+	}
+	if _, err := os.Stat(journal.SegmentPath(victim.dir, 1)); !os.IsNotExist(err) {
+		t.Fatalf("superseded segment 1 still on disk (stat error %v)", err)
+	}
+	// A record the snapshot has not seen, then the arithmetic for the
+	// restart: uncompacted, the journal would hold replayed + appended.
+	if _, err := rc.AppendPoints(ctx, "cpt", chunk); err != nil {
+		t.Fatal(err)
+	}
+	held := victim.metric(t, replayedRecords) + victim.metric(t, `dpc_journal_records_total{event="appended"}`)
+
+	victim.kill()
+	victim = victim.restart(t)
+	if !strings.Contains(victim.stderr(), "journal replayed from snapshot (segment") {
+		t.Fatalf("second restart did not report a snapshot restore:\n%s", victim.stderr())
+	}
+	if n := victim.metric(t, replayedRecords); n == 0 || n >= held {
+		t.Fatalf("snapshot restart replayed %d records, want > 0 and fewer than the %d the journal held", n, held)
+	}
+	reserved(victim)
+}
