@@ -8,8 +8,8 @@ import (
 	"dpc/internal/kmedian"
 )
 
-// Ablation (DESIGN.md section 6): the geometric grid base trades site work
-// (number of local solves, ~log_base t of them) against hull fidelity.
+// Ablation: the geometric grid base trades site work (number of local
+// solves, ~log_base t of them) against hull fidelity.
 func BenchmarkAblationHullBase(b *testing.B) {
 	in := gen.Mixture(gen.MixtureSpec{N: 1200, K: 4, OutlierFrac: 0.08, Seed: 21})
 	parts := gen.Partition(in, 6, gen.Uniform, 22)

@@ -209,8 +209,9 @@ func runCenter(nw *comm.Network, cfg Config) (Result, error) {
 			pts = append(pts, msg.Pts...)
 			wts = append(wts, msg.W...)
 		}
-		// No distance cache here: PartialOpt's fast engine materializes
-		// its own distance columns once.
+		// No distance cache here: PartialOpt's fast engine asks for every
+		// distance once (the upper triangle, for a *metric.Points) and
+		// works from its own sorted copy.
 		space := metric.NewPoints(pts)
 		sol := kcenter.PartialOpt(space, wts, cfg.K, float64(cfg.T), cfg.Options)
 		result.Centers = pointsAt(pts, sol.Centers)

@@ -16,8 +16,8 @@ func benchPoints(n int) *metric.Points {
 	return metric.NewPoints(pts)
 }
 
-// Ablation (DESIGN.md section 6): Algorithm 2 only needs the first k+t
-// traversal points — compare against a full-length traversal.
+// Ablation: Algorithm 2 only needs the first k+t traversal points —
+// compare against a full-length traversal.
 func BenchmarkGonzalezPrefix(b *testing.B) {
 	sp := benchPoints(4000)
 	b.ReportAllocs()
@@ -43,6 +43,62 @@ func BenchmarkCharikarPartial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Partial(sp, nil, 5, 15)
 	}
+}
+
+// coordinatorInstance builds what Algorithm 2's coordinator solves: a
+// seeded Gaussian mixture with 3% far outliers is dealt round-robin to
+// `sites` sites of `perSite` points, every site runs Gonzalez to depth
+// `depth` (= k + t_i) and ships its precluster centers weighted by their
+// integer assignment counts.
+func coordinatorInstance(seed int64, sites, perSite, depth int) (*metric.Points, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := sites * perSite
+	shards := make([][]metric.Point, sites)
+	for i := 0; i < n; i++ {
+		p := metric.Point{rng.NormFloat64(), rng.NormFloat64()}
+		if rng.Float64() < 0.03 {
+			p[0], p[1] = p[0]*40, p[1]*40
+		} else {
+			c := float64(rng.Intn(4))
+			p[0], p[1] = p[0]+12*c, p[1]+7*c*c
+		}
+		shards[i%sites] = append(shards[i%sites], p)
+	}
+	var pts []metric.Point
+	var wts []float64
+	for _, shard := range shards {
+		sp := metric.NewPoints(shard)
+		tr := Gonzalez(sp, depth, 0)
+		_, counts, _ := tr.AssignPrefix(sp, depth, nil)
+		for r, idx := range tr.Order {
+			pts = append(pts, shard[idx])
+			wts = append(wts, counts[r])
+		}
+	}
+	return metric.NewPoints(pts), wts
+}
+
+var partialSink Solution
+
+// BenchmarkPartialCoordinator times the coordinator's (k,t)-center solve at
+// the three sizes the repo benchmark and the experiment tables run it:
+// fanin-tree's 384 weighted preclusters (32 sites x (k + t_i), k=4, t=128),
+// serve-mixed's 60-client center jobs, and a 1000-point unit-weight central
+// solve as in internal/bench's E-tables.
+func BenchmarkPartialCoordinator(b *testing.B) {
+	run := func(c metric.Costs, w []float64, k int, t float64) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				partialSink = PartialOpt(c, w, k, t, Opt{})
+			}
+		}
+	}
+	sp, w := coordinatorInstance(1, 32, 128, 12)
+	b.Run("clients=384", run(sp, w, 4, 128))
+	sp, w = coordinatorInstance(2, 4, 160, 15)
+	b.Run("clients=60", run(sp, w, 3, 20))
+	b.Run("points=1000", run(benchPoints(1000), nil, 5, 50))
 }
 
 func BenchmarkEvalMax(b *testing.B) {

@@ -65,40 +65,6 @@ func TestAssignPrefixMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPartialMatchesReference pins the column-cached greedy disk cover
-// (radix-sorted candidates, compacted uncovered list, parallel gain scans)
-// to the seed oracle-scanning implementation.
-func TestPartialMatchesReference(t *testing.T) {
-	for _, n := range []int{30, 250} {
-		for _, weighted := range []bool{false, true} {
-			sp := metric.NewPoints(parityPoints(int64(n)+9, n))
-			var w []float64
-			if weighted {
-				rng := rand.New(rand.NewSource(int64(n)))
-				w = make([]float64, n)
-				for i := range w {
-					w[i] = 0.25 + rng.Float64()
-				}
-			}
-			ref := PartialOpt(sp, w, 4, float64(n/10), Opt{Reference: true})
-			for _, workers := range []int{1, 4} {
-				got := PartialOpt(sp, w, 4, float64(n/10), Opt{Workers: workers})
-				if got.Radius != ref.Radius {
-					t.Fatalf("n=%d weighted=%v workers=%d: radius %v != %v", n, weighted, workers, got.Radius, ref.Radius)
-				}
-				if len(got.Centers) != len(ref.Centers) {
-					t.Fatalf("n=%d weighted=%v: center counts differ", n, weighted)
-				}
-				for i := range ref.Centers {
-					if got.Centers[i] != ref.Centers[i] {
-						t.Fatalf("n=%d weighted=%v: centers %v != %v", n, weighted, got.Centers, ref.Centers)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestEvalMaxMatchesReference pins the parallel objective evaluation.
 func TestEvalMaxMatchesReference(t *testing.T) {
 	sp := metric.NewPoints(parityPoints(13, 800))

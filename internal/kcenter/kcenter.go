@@ -6,17 +6,21 @@
 // in a weighted variant so it can run on aggregated precluster centers.
 //
 // Every solver has two engines selected by Opt: the fast engine (default)
-// materializes distance columns once and spreads independent scans over
+// asks the oracle for each distance once and spreads independent scans over
 // Opt.Workers goroutines, and the reference engine (Opt.Reference) is the
 // seed implementation kept as the regression baseline. The two are
-// bit-identical — all parallel reductions use fixed first-index
-// tie-breaking — and the parity tests (engine_parity_test.go here,
-// internal/bench's TestAllExperimentsQuick end to end) assert it.
+// bit-identical — parallel reductions use fixed first-index tie-breaking,
+// float sums keep the reference's order of addition — and the parity tests
+// (engine_parity_test.go and partial_parity_test.go here, internal/bench's
+// TestAllExperimentsQuick end to end) assert it.
 package kcenter
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"dpc/internal/engine"
 	"dpc/internal/metric"
@@ -262,23 +266,33 @@ func EvalMaxOpt(c metric.Costs, w []float64, centers []int, t float64, o Opt) fl
 // times; the guess is feasible when at most t weight remains uncovered. The
 // returned radius is the exact objective of the selected centers (<= 3 OPT).
 //
-// Runtime O(nc * nf * log(nc*nf) + feasibility * log(candidates)).
+// Runtime: nc*nf oracle calls and one linear-time radix sort of the cells to
+// set up, then O(log(nc*nf)) probes, each costing nc*log(nf) plus, per
+// greedy round, the sizes of the uncovered clients' r-balls.
 func Partial(c metric.Costs, w []float64, k int, t float64) Solution {
 	return PartialOpt(c, w, k, t, Opt{})
 }
 
-// maxPartialMatrix bounds the dense distance matrix the fast engine
-// materializes, in cells. The transient peak is ~4x the matrix itself:
-// the cols columns plus the candidate-radii copy (8 bytes/cell each) plus
-// the radix sort's two uint64 buffers — about 512 MiB at this cap. Larger
-// instances fall back to the oracle-scanning reference engine.
+// maxPartialMatrix bounds the dense cost matrix the fast engine
+// materializes, in cells. The transient peak is 28 bytes a cell — the
+// matrix (8), the radix sort's two buffers of packed cells (16; the spent
+// one then holds the candidate radii) and the per-client facility orders
+// (4) — about 448 MiB at this cap; it also keeps a cell index inside the 32
+// bits a packed cell has for it. Larger instances fall back to the
+// oracle-scanning reference engine.
 const maxPartialMatrix = 16 << 20
 
-// PartialOpt is Partial with an engine selection. The fast engine fills the
-// client/facility distance matrix once (a blocked parallel fill over
-// facilities — this is the cached distance oracle of the coordinator) and
-// runs every feasibility scan on the columns; greedy picks break ties
-// toward the lowest facility index exactly as the reference scan does.
+// PartialOpt is Partial with an engine selection. The fast engine asks the
+// oracle for every cost once (see ballIndex), after which a probe at radius
+// r never scans: each client's r-ball is a prefix of its cost-sorted
+// facility list, and a greedy round's gains are pushed from the uncovered
+// clients, in ascending client order, into the facilities of those
+// prefixes. Every facility's gain is therefore the sum of exactly the
+// weights the reference scan adds, in the reference's order, so gains,
+// picks (ties toward the lowest facility index) and the probe sequence are
+// bit-identical to partialReference for any weights. o.Workers spreads only
+// the matrix fill: the sort and the scatter-adds are sequential by design
+// (per-worker gain arrays would reorder the sums).
 func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 	nc, nf := c.Clients(), c.Facilities()
 	if o.Reference || nc*nf > maxPartialMatrix {
@@ -300,66 +314,59 @@ func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 	if totalW <= t {
 		return Solution{Centers: []int{0}, Radius: 0}
 	}
-	// One distance column per facility, filled in parallel — every
-	// feasibility scan below is then a pure array walk.
-	cols := make([][]float64, nf)
-	par.For(o.Workers, nf, func(f int) {
-		col := make([]float64, nc)
-		for j := 0; j < nc; j++ {
-			col[j] = c.Cost(j, f)
-		}
-		cols[f] = col
-	})
-	// Candidate radii: every distinct client-facility distance, collected
-	// in the reference order (client-major). The radix sort produces the
-	// same ascending value sequence the reference comparison sort does, so
-	// the dedup walk and the binary search see identical candidates.
-	cand := make([]float64, 0, nc*nf)
-	for j := 0; j < nc; j++ {
-		for f := 0; f < nf; f++ {
-			cand = append(cand, cols[f][j])
-		}
+	ix, ok := newBallIndex(c, o.Workers)
+	if !ok {
+		return partialReference(c, w, k, t)
 	}
-	par.SortFloats(cand)
-	cand = dedupFloats(cand)
+	cost, near := ix.cost, ix.near
 
+	// Everything a probe touches is allocated here, once a solve.
 	gains := make([]float64, nf)
+	reach := make([]int, nc) // reach[j]: how many of near's row j lie within r
 	uncBuf := make([]int, nc)
-	feasible := func(r float64) ([]int, bool) {
+	centers := make([]int, 0, min(k, nf))
+	bestCenters := make([]int, 0, min(k, nf))
+	feasible := func(r float64) bool {
 		// unc is the uncovered-client list, kept in ascending order so
 		// every weight sum visits clients exactly as the reference
 		// covered[]-flag scan does.
-		unc := uncBuf[:nc]
+		unc := uncBuf
 		for j := range unc {
 			unc[j] = j
+			row, costs := near[j*nf:(j+1)*nf], cost[j*nf:(j+1)*nf]
+			lo, hi := 0, nf
+			for lo < hi {
+				if mid := (lo + hi) / 2; costs[row[mid]] <= r {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			reach[j] = lo
 		}
 		remaining := totalW
-		centers := make([]int, 0, k)
+		centers = centers[:0]
 		for it := 0; it < k && remaining > t+1e-12; it++ {
-			par.For(o.Workers, nf, func(f int) {
-				col := cols[f]
-				gain := 0.0
-				for _, j := range unc {
-					if col[j] <= r {
-						gain += weight(j)
-					}
+			clear(gains)
+			for _, j := range unc {
+				wj := weight(j)
+				for _, f := range near[j*nf : j*nf+reach[j]] {
+					gains[f] += wj
 				}
-				gains[f] = gain
-			})
+			}
 			bestF, bestGain := -1, -1.0
-			for f := 0; f < nf; f++ {
-				if gains[f] > bestGain {
-					bestGain, bestF = gains[f], f
+			for f, gain := range gains {
+				if gain > bestGain {
+					bestGain, bestF = gain, f
 				}
 			}
 			if bestF < 0 {
 				break
 			}
 			centers = append(centers, bestF)
-			col := cols[bestF]
 			kept := unc[:0]
 			for _, j := range unc {
-				if col[j] <= 3*r {
+				if cost[j*nf+bestF] <= 3*r {
 					remaining -= weight(j)
 				} else {
 					kept = append(kept, j)
@@ -367,26 +374,161 @@ func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 			}
 			unc = kept
 		}
-		return centers, remaining <= t+1e-12
+		return remaining <= t+1e-12
 	}
 
-	lo, hi := 0, len(cand)-1
-	bestCenters, ok := feasible(cand[hi])
-	if !ok {
+	lo, hi := 0, len(ix.radii)-1
+	if !feasible(ix.radius(hi)) {
 		// Even the largest candidate fails (can happen only with k <
 		// effective clusters); fall back to greedy top-k facilities.
-		return Solution{Centers: bestCenters, Radius: EvalMaxOpt(c, w, bestCenters, t, o)}
+		return Solution{Centers: centers, Radius: EvalMaxOpt(c, w, centers, t, o)}
 	}
+	bestCenters = append(bestCenters[:0], centers...)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if centers, ok := feasible(cand[mid]); ok {
-			bestCenters = centers
+		if feasible(ix.radius(mid)) {
+			bestCenters = append(bestCenters[:0], centers...)
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	return Solution{Centers: bestCenters, Radius: EvalMaxOpt(c, w, bestCenters, t, o)}
+}
+
+// ballIndex is the fast engine's one-time view of a cost oracle: what a
+// feasibility probe needs to read balls off as prefixes.
+type ballIndex struct {
+	cost  []float64 // row-major client x facility matrix: cost[j*nf+f]
+	near  []uint32  // near[j*nf:(j+1)*nf]: the facilities by ascending cost to client j
+	radii []uint64  // one packed cell per distinct cost, ascending: the candidate radii
+}
+
+// radius returns candidate m as a float.
+func (ix *ballIndex) radius(m int) float64 { return ix.cost[uint32(ix.radii[m])] }
+
+// newBallIndex fills the cost matrix (rows spread over workers) and sorts
+// its cells once. A cell is packed into 8 bytes — the top 32 bits of its
+// cost's IEEE-754 pattern, which for non-negative non-NaN floats orders
+// like the value, over its 32-bit matrix index — so one pass over the
+// sorted cells yields both products: scattering each cell to its client's
+// row gives every row in ascending cost order, and the first cell of every
+// distinct cost is a candidate radius, the set partialReference sorts and
+// dedups. Which of several equal costs comes first is immaterial: a ball
+// holds all of them or none. ok is false when a cost is negative or NaN,
+// whose bits do not order like values.
+//
+// A *metric.Points oracle is bitwise symmetric by construction — (a-b)^2
+// == (b-a)^2 and |a-b| == |b-a| in IEEE arithmetic, summed in the same
+// coordinate order — so only the cells f >= j are asked for and sorted, and
+// each is scattered to both rows. The shortcut is keyed on that concrete
+// type, never on nc == nf or metric.Space: a Matrix may differ in the last
+// bit, and uncertain.Collapsed (l_j + d(y_j, y_f)) is asymmetric outright.
+func newBallIndex(c metric.Costs, workers int) (ix ballIndex, ok bool) {
+	nc, nf := c.Clients(), c.Facilities()
+	_, sym := c.(*metric.Points)
+	// Row j owns the cells [first(j), nf) of the matrix, stored from
+	// start(j) on.
+	first := func(j int) int {
+		if sym {
+			return j
+		}
+		return 0
+	}
+	start := func(j int) int { return j*nf - first(j)*(first(j)-1)/2 }
+	cost := make([]float64, nc*nf)
+	cells := make([]uint64, start(nc))
+	var unordered atomic.Bool
+	par.For(workers, nc, func(j int) {
+		row := cells[start(j):start(j+1)]
+		for f := first(j); f < nf; f++ {
+			d := c.Cost(j, f)
+			cost[j*nf+f] = d
+			if sym {
+				cost[f*nf+j] = d
+			}
+			// -0.0 is the same radius as +0.0 (sort.Float64s and
+			// dedupFloats treat them alike) but has the sign bit set.
+			var key uint64
+			if d != 0 {
+				key = math.Float64bits(d)
+			}
+			if key > math.Float64bits(math.Inf(1)) {
+				unordered.Store(true)
+			}
+			row[f-first(j)] = key&^math.MaxUint32 | uint64(j*nf+f)
+		}
+	})
+	if unordered.Load() {
+		return ballIndex{}, false
+	}
+	sorted, spent := sortCells(cells, make([]uint64, len(cells)), cost)
+
+	near := make([]uint32, nc*nf)
+	fill := make([]int, nc)
+	radii := spent[:0] // never longer than the cells already read
+	for i, cell := range sorted {
+		idx := int(uint32(cell))
+		j, f := idx/nf, idx%nf
+		near[j*nf+fill[j]] = uint32(f)
+		fill[j]++
+		if sym && f != j {
+			near[f*nf+fill[f]] = uint32(j)
+			fill[f]++
+		}
+		// Cells that differ in their high halves differ in cost; only
+		// the others need the matrix to tell.
+		if i == 0 || cell>>32 != sorted[i-1]>>32 || cost[idx] != cost[uint32(sorted[i-1])] {
+			radii = append(radii, cell)
+		}
+	}
+	return ballIndex{cost: cost, near: near, radii: radii}, true
+}
+
+// sortCells orders packed cells by cost[index] ascending and returns the
+// sorted buffer and the spent one. The high halves go through an LSD radix
+// sort, three 11-bit digits (2048 counters a pass stay in L1; the sign bit
+// is clear); runs that still tie there — equal costs, or costs that agree
+// in their first 20 mantissa bits — are then ordered by the full float in
+// the matrix.
+func sortCells(src, dst []uint64, cost []float64) (sorted, spent []uint64) {
+	const digit, mask = 11, 1<<11 - 1
+	var count [3][mask + 1]uint32
+	for _, c := range src {
+		count[0][c>>32&mask]++
+		count[1][c>>(32+digit)&mask]++
+		count[2][c>>(32+2*digit)]++
+	}
+	for p := range count {
+		shift, cnt := 32+digit*p, &count[p]
+		if int(cnt[src[0]>>shift&mask]) == len(src) {
+			continue // every key shares this digit
+		}
+		sum := uint32(0)
+		for d, n := range cnt {
+			cnt[d] = sum
+			sum += n
+		}
+		for _, c := range src {
+			d := c >> shift & mask
+			dst[cnt[d]] = c
+			cnt[d]++
+		}
+		src, dst = dst, src
+	}
+	// pdqsort is linear on the all-equal runs duplicate points make.
+	byCost := func(a, b uint64) int { return cmp.Compare(cost[uint32(a)], cost[uint32(b)]) }
+	for lo := 0; lo < len(src); {
+		hi := lo + 1
+		for hi < len(src) && src[hi]>>32 == src[lo]>>32 {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(src[lo:hi], byCost)
+		}
+		lo = hi
+	}
+	return src, dst
 }
 
 // partialReference is the seed implementation of Partial (regression

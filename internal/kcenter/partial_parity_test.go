@@ -1,0 +1,342 @@
+package kcenter
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"dpc/internal/metric"
+)
+
+// costFunc adapts a closure into a cost oracle that is neither a
+// metric.Space nor a *metric.Points, so the fast engine takes its
+// full-matrix walk.
+type costFunc struct {
+	nc, nf int
+	cost   func(j, f int) float64
+}
+
+func (c costFunc) Clients() int          { return c.nc }
+func (c costFunc) Facilities() int       { return c.nf }
+func (c costFunc) Cost(j, f int) float64 { return c.cost(j, f) }
+
+// partialCase is one instance of the fast-vs-reference identity.
+type partialCase struct {
+	name string
+	c    metric.Costs
+	w    []float64
+	k    int
+	t    float64
+}
+
+// samePartial fails unless the fast engine (at two worker counts) returns
+// partialReference's answer bit for bit: Radius by Float64bits, Centers
+// index by index.
+func samePartial(t *testing.T, pc partialCase) {
+	t.Helper()
+	ref := PartialOpt(pc.c, pc.w, pc.k, pc.t, Opt{Reference: true})
+	for _, workers := range []int{1, 4} {
+		got := PartialOpt(pc.c, pc.w, pc.k, pc.t, Opt{Workers: workers})
+		if math.Float64bits(got.Radius) != math.Float64bits(ref.Radius) {
+			t.Fatalf("workers=%d: radius %v (%#x) != reference %v (%#x)", workers,
+				got.Radius, math.Float64bits(got.Radius), ref.Radius, math.Float64bits(ref.Radius))
+		}
+		if !slices.Equal(got.Centers, ref.Centers) {
+			t.Fatalf("workers=%d: centers %v != reference %v", workers, got.Centers, ref.Centers)
+		}
+	}
+}
+
+// partialCases is the table TestPartialMatchesReference runs and
+// FuzzPartialMatchesReference is seeded from.
+func partialCases() []partialCase {
+	var cases []partialCase
+	add := func(name string, c metric.Costs, w []float64, k int, t float64) {
+		cases = append(cases, partialCase{name, c, w, k, t})
+	}
+	fractional := func(seed int64, n int) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = 0.25 + rng.Float64()
+		}
+		return w
+	}
+
+	// The coordinator of Algorithm 2: 32 sites x (k + t_i) Gonzalez
+	// preclusters of a 4096-point mixture, integer count weights.
+	coord, counts := coordinatorInstance(1, 32, 128, 12)
+	add("coordinator-counts", coord, counts, 4, 128)
+	add("coordinator-fractional", coord, fractional(2, coord.N()), 4, 128)
+	add("coordinator-unit", coord, nil, 4, 128)
+	for _, m := range []metric.Metric{metric.ManhattanL1, metric.ChebyshevLinf} {
+		add("coordinator-"+m.String(), &metric.Points{Pts: coord.Pts, M: m}, counts, 4, 128)
+	}
+	for _, n := range []int{30, 250} {
+		sp := metric.NewPoints(parityPoints(int64(n)+9, n))
+		add(fmt.Sprintf("gauss-%d-unit", n), sp, nil, 4, float64(n/10))
+		add(fmt.Sprintf("gauss-%d-fractional", n), sp, fractional(int64(n), n), 4, float64(n/10))
+	}
+
+	// Asymmetric and not a Space: l_j + d(y_j, y_f), as uncertain.Collapsed.
+	small := metric.NewPoints(parityPoints(77, 90))
+	ell := fractional(3, small.N())
+	add("asymmetric", costFunc{small.N(), small.N(), func(j, f int) float64 {
+		return small.Dist(j, f) + ell[j]
+	}}, fractional(4, small.N()), 3, 9)
+	// A symmetric oracle the engine may not assume symmetric.
+	add("self-costs", metric.SelfCosts{S: small}, fractional(5, small.N()), 3, 9)
+	// nc != nf.
+	add("facility-subset", metric.FacilitySubset{C: small, FacIdx: []int{3, 80, 11, 42, 42, 7, 60}},
+		fractional(6, small.N()), 2, 9.5)
+
+	// Ties: every point three times (off-diagonal zeros), then all equal.
+	var tripled []metric.Point
+	for _, p := range parityPoints(5, 40) {
+		tripled = append(tripled, p, p, p)
+	}
+	add("duplicates", metric.NewPoints(tripled), fractional(7, len(tripled)), 3, 10)
+	same := make([]metric.Point, 50)
+	for i := range same {
+		same[i] = metric.Point{1.5, -2}
+	}
+	add("all-equal", metric.NewPoints(same), fractional(8, len(same)), 2, 3)
+
+	// Near-ties: costs that agree in the 32 high bits the radix sort sees
+	// and differ below — one run of all 900 cells, and a point set whose
+	// distances (j-i) + dust form runs of every length up to n.
+	add("near-ties-matrix", costFunc{30, 30, func(j, f int) float64 {
+		return 1 + float64((j*31+f*17)%97)*0x1p-45
+	}}, fractional(10, 30), 3, 2.5)
+	line := make([]metric.Point, 40)
+	for i := range line {
+		line[i] = metric.Point{float64(i) + float64(i*i%7)*0x1p-30}
+	}
+	add("near-ties-points", metric.NewPoints(line), fractional(12, len(line)), 3, 4)
+
+	// Costs whose bit patterns need care: +Inf sorts last, -0.0 is the
+	// radius +0.0, and a negative cost sends the instance to the reference.
+	withCell := func(v float64) metric.Costs {
+		return costFunc{small.N(), small.N(), func(j, f int) float64 {
+			if j == 17 && f == 4 {
+				return v
+			}
+			return small.Dist(j, f)
+		}}
+	}
+	add("inf-cell", withCell(math.Inf(1)), nil, 3, 9)
+	add("inf-row", costFunc{small.N(), small.N(), func(j, f int) float64 {
+		if j == 17 {
+			return math.Inf(1)
+		}
+		return small.Dist(j, f)
+	}}, nil, 3, 0)
+	add("negative-zero-cell", withCell(math.Copysign(0, -1)), nil, 3, 9)
+	add("negative-zero-diagonal", costFunc{small.N(), small.N(), func(j, f int) float64 {
+		if j == f {
+			return math.Copysign(0, -1)
+		}
+		return small.Dist(j, f)
+	}}, nil, 90, 0)
+	add("negative-cell", withCell(-3), nil, 3, 9)
+	add("nan-cell", withCell(math.NaN()), nil, 3, 9)
+	add("inf-coordinate", metric.NewPoints(append([]metric.Point{{math.Inf(1), 0}}, small.Pts...)), nil, 3, 9)
+
+	// Degenerate k and t.
+	w := fractional(9, small.N())
+	var total float64
+	for _, x := range w {
+		total += x
+	}
+	add("k>=nf", small, w, small.N()+5, 0)
+	add("k>=nf-subset", metric.FacilitySubset{C: small, FacIdx: []int{3, 80}}, w, 2, 1)
+	add("k=1", small, w, 1, 9)
+	add("t=0", small, w, 3, 0)
+	add("t=2.5", small, w, 3, 2.5)
+	add("t>=total", small, w, 3, total)
+	add("t-just-below-total", small, w, 3, total-0.1)
+	add("k=0", small, w, 0, 1)
+	add("one-point", metric.NewPoints([]metric.Point{{1, 2}}), nil, 1, 0)
+	return cases
+}
+
+// TestPartialMatchesReference pins the fast greedy disk cover (one keyed
+// sort, ball prefixes, push-style gains) to the seed oracle-scanning
+// implementation, bit for bit: on the table above, then on seeded random
+// instances of both walks (symmetric *metric.Points, full matrix) under
+// count, unit and fractional weights.
+func TestPartialMatchesReference(t *testing.T) {
+	for _, pc := range partialCases() {
+		t.Run(pc.name, func(t *testing.T) { samePartial(t, pc) })
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 20 + rng.Intn(120)
+		sp := metric.NewPoints(parityPoints(seed+100, n))
+		var c metric.Costs = sp
+		if seed%2 == 1 {
+			ell := make([]float64, n)
+			for i := range ell {
+				ell[i] = rng.Float64()
+			}
+			c = costFunc{n, n, func(j, f int) float64 { return sp.Dist(j, f) + ell[j] }}
+		}
+		for _, weights := range []string{"count", "unit", "fractional"} {
+			var w []float64
+			if weights != "unit" {
+				w = make([]float64, n)
+				for i := range w {
+					w[i] = float64(1 + rng.Intn(9))
+					if weights == "fractional" {
+						w[i] *= 0.1
+					}
+				}
+			}
+			for _, kt := range [][2]float64{{1, 0}, {2, 3}, {4, 2.5}, {7, float64(n) / 4}, {3, 0.5}} {
+				pc := partialCase{c: c, w: w, k: int(kt[0]), t: kt[1]}
+				t.Run(fmt.Sprintf("sweep-%d-%s-k%d-t%g", seed, weights, pc.k, pc.t), func(t *testing.T) { samePartial(t, pc) })
+			}
+		}
+	}
+}
+
+// fuzzPartialInput encodes an instance as FuzzPartialMatchesReference
+// reads it: a header (nc, nf, k, t, symmetric?) and then one byte a cell /
+// weight. Costs are quantised to eight levels (plus four of dust) to force
+// ties and near-ties; weights are u*0.1 so that their sums depend on the
+// order of addition.
+func fuzzPartialInput(pc partialCase) []byte {
+	nc, nf := min(pc.c.Clients(), 12), min(pc.c.Facilities(), 12)
+	_, sym := pc.c.(*metric.Points)
+	b := []byte{byte(nc), byte(nf), byte(pc.k), byte(pc.t * 4), 0}
+	if sym {
+		b[4] = 1
+	}
+	for j := 0; j < nc; j++ {
+		for f := 0; f < nf; f++ {
+			level := byte(0)
+			if x := pc.c.Cost(j, f); x > 0 {
+				level = byte(math.Min(x, 255))
+			}
+			b = append(b, level)
+		}
+	}
+	for j := 0; j < nc; j++ {
+		u := 10.0
+		if pc.w != nil {
+			u = pc.w[j] * 10
+		}
+		b = append(b, byte(u))
+	}
+	return b
+}
+
+func FuzzPartialMatchesReference(f *testing.F) {
+	for _, pc := range partialCases() {
+		f.Add(fuzzPartialInput(pc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		nc, nf := 1+int(data[0])%12, 1+int(data[1])%12
+		k, budget, sym := int(data[2])%14, float64(data[3]%64)/4, data[4]%2 == 1
+		data = data[5:]
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		// Level 6 is +Inf; level 7 is -0.0, the same radius as level 0.
+		levels := [8]float64{0, 0.5, 1, 1.5, 2.5, 7, math.Inf(1), math.Copysign(0, -1)}
+		var c metric.Costs
+		if sym {
+			// One quantised coordinate a point: a *metric.Points instance,
+			// so the symmetric walk runs, with many tied distances.
+			pts := make([]metric.Point, nc)
+			for i := range pts {
+				pts[i] = metric.Point{float64(next()%8) * 0.5}
+			}
+			c = metric.NewPoints(pts)
+		} else {
+			// Two more bits add dust below the radix sort's 32 high bits,
+			// so that equal-looking cells are not all equal.
+			cells := make([]float64, nc*nf)
+			for i := range cells {
+				b := next()
+				cells[i] = levels[b&7]
+				if dust := b >> 3 & 3; dust != 0 {
+					cells[i] += float64(dust) * 0x1p-40
+				}
+			}
+			c = costFunc{nc, nf, func(j, f int) float64 { return cells[j*nf+f] }}
+		}
+		w := make([]float64, c.Clients())
+		for j := range w {
+			w[j] = float64(next()%32) * 0.1
+		}
+		samePartial(t, partialCase{c: c, w: w, k: k, t: budget})
+	})
+}
+
+// TestPointsCostBitwiseSymmetric pins what the fast engine's upper-triangle
+// walk relies on: (*metric.Points).Cost(i, j) and Cost(j, i) are the same
+// bits under every built-in metric, denormal coordinates included.
+func TestPointsCostBitwiseSymmetric(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pts := make([]metric.Point, 60)
+	for i := range pts {
+		p := make(metric.Point, 5)
+		for d := range p {
+			switch rng.Intn(4) {
+			case 0:
+				p[d] = math.Float64frombits(uint64(rng.Int63n(1 << 40))) // denormal
+			case 1:
+				p[d] = rng.NormFloat64() * 1e-160 // squares underflow
+			default:
+				p[d] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
+			}
+		}
+		pts[i] = p
+	}
+	for _, m := range []metric.Metric{metric.EuclideanL2, metric.ManhattanL1, metric.ChebyshevLinf} {
+		sp := &metric.Points{Pts: pts, M: m}
+		for i := range pts {
+			for j := range pts {
+				a, b := sp.Cost(i, j), sp.Cost(j, i)
+				if math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("%v: Cost(%d,%d) = %#x but Cost(%d,%d) = %#x", m, i, j,
+						math.Float64bits(a), j, i, math.Float64bits(b))
+				}
+			}
+		}
+	}
+}
+
+// TestPartialAllocsIndependentOfProbes is the ceiling on per-solve
+// allocations: everything a probe touches is solve-scoped, so the count is
+// the same small constant whether the binary search takes one probe (384
+// equal points: a single candidate radius) or eighteen (the coordinator
+// instance). It fails if a probe allocates again.
+func TestPartialAllocsIndependentOfProbes(t *testing.T) {
+	sp, w := coordinatorInstance(1, 32, 128, 12)
+	same := make([]metric.Point, sp.N())
+	for i := range same {
+		same[i] = metric.Point{3, 4}
+	}
+	allocs := func(c metric.Costs) float64 {
+		return testing.AllocsPerRun(5, func() { partialSink = PartialOpt(c, w, 4, 128, Opt{Workers: 1}) })
+	}
+	one, many := allocs(metric.NewPoints(same)), allocs(sp)
+	if one != many {
+		t.Fatalf("allocations depend on the probe count: %v with one probe, %v on the coordinator instance", one, many)
+	}
+	if many > 24 {
+		t.Fatalf("%v allocations a solve, want <= 24", many)
+	}
+}

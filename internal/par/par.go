@@ -30,13 +30,9 @@ func Resolve(w int) int {
 	return runtime.NumCPU()
 }
 
-// minSpan is the smallest index range worth spawning goroutines for; below
-// it the scheduling overhead dominates any win.
-const minSpan = 256
-
 // For runs fn(i) for every i in [0, n), spread over at most `workers`
 // goroutines. fn must only write to state owned by index i (e.g. out[i]).
-// With workers <= 1 (or a small n) the loop runs inline.
+// With workers <= 1, or n within a single block, the loop runs inline.
 func For(workers, n int, fn func(i int)) {
 	ForBlocks(workers, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -54,9 +50,11 @@ func ForBlocks(workers, n int, fn func(lo, hi int)) {
 	}
 	workers = Resolve(workers)
 	nb := numBlocks(n)
-	if workers <= 1 || n < minSpan {
+	if workers <= 1 || nb == 1 {
 		// Inline, but over the same fixed block grid the parallel path
 		// uses, so per-block partial results never depend on the pool size.
+		// A single block has nothing to spread: spawning a goroutine and
+		// two channels to run it is pure overhead.
 		for b := 0; b < nb; b++ {
 			lo, hi := blockBounds(n, b)
 			fn(lo, hi)

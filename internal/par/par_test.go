@@ -21,7 +21,7 @@ func TestResolve(t *testing.T) {
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
-		for _, n := range []int{0, 1, 255, 256, 513, 5000} {
+		for _, n := range []int{0, 1, 255, 256, 384, 512, 513, 5000} {
 			hits := make([]int32, n)
 			For(workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 			for i, h := range hits {
@@ -29,6 +29,19 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 					t.Fatalf("workers=%d n=%d: index %d hit %d times", workers, n, i, h)
 				}
 			}
+		}
+	}
+}
+
+// TestForBlocksSingleBlockRunsInline: a range that fits one block has
+// nothing to spread, so no goroutine or channel is made for it — the
+// 384-facility coordinator loops sit in exactly that range.
+func TestForBlocksSingleBlockRunsInline(t *testing.T) {
+	var sum int
+	fn := func(lo, hi int) { sum += hi - lo } // unsynchronized: inline or a race
+	for _, n := range []int{384, blockSize} {
+		if allocs := testing.AllocsPerRun(10, func() { ForBlocks(4, n, fn) }); allocs != 0 {
+			t.Fatalf("ForBlocks(4, %d) allocates %v times, want 0", n, allocs)
 		}
 	}
 }

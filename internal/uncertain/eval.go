@@ -93,7 +93,7 @@ func EvalCenterPP(g *Ground, nodes []Node, centers []metric.Point, t float64) fl
 // assignment pi are chosen as in the per-point objective (the exact optimum
 // over O is NP-hard and the expectation itself has exponential support —
 // the paper also reasons through rho_tau bounds rather than evaluating
-// Eq. 3; see DESIGN.md).
+// Eq. 3).
 func EvalCenterG(g *Ground, nodes []Node, centers []metric.Point, t float64, samples int, seed int64) float64 {
 	if len(centers) == 0 || samples <= 0 {
 		return math.Inf(1)
