@@ -21,12 +21,12 @@ package client
 
 import (
 	"context"
-	"fmt"
 
 	"dpc/internal/comm"
 	"dpc/internal/engine"
 	"dpc/internal/jobwire"
 	"dpc/internal/metric"
+	"dpc/internal/protocol"
 	"dpc/internal/serve"
 	"dpc/internal/tree"
 	"dpc/internal/uncertain"
@@ -204,44 +204,31 @@ type Client interface {
 	Close() error
 }
 
-// evalObjective computes the true global cost of centers for any objective
-// when the caller holds the data; used by Local always and by Cluster when
-// the request carries coordinator-side data.
-func evalObjective(req Request, centers []Point, budget float64) (float64, string, error) {
-	kind, err := req.kind()
-	if err != nil {
-		return 0, "", err
+// data is the request's in-memory instance.
+func (r Request) data() jobwire.Data {
+	return jobwire.Data{Pts: r.Points, G: r.Ground, Nodes: r.Nodes}
+}
+
+// respond maps a protocol result to the unified response of the in-process
+// and cluster backends. The cost is the true objective over d when d holds
+// the instance (byte-identical on every backend that does), and otherwise
+// the coordinator's own cost on its induced instance.
+func respond(backend string, job jobwire.Job, d jobwire.Data, res protocol.Result) *Response {
+	cost, kind := job.Evaluate(d, res.Centers, res.OutlierBudget)
+	if kind == "" {
+		cost, kind = res.CoordinatorCost, "coordinator"
 	}
-	switch kind {
-	case jobwire.KindPoint:
-		if len(req.Points) == 0 {
-			return 0, "", nil
-		}
-		spec := req.spec()
-		cfg, err := spec.CoreConfig()
-		if err != nil {
-			return 0, "", err
-		}
-		return evalPoints(req.Points, centers, budget, cfg.Objective), "global", nil
-	case jobwire.KindUncertain:
-		if req.Ground == nil || len(req.Nodes) == 0 {
-			return 0, "", nil
-		}
-		switch req.Objective {
-		case UncertainMeans:
-			return uncertain.EvalMeans(req.Ground, req.Nodes, centers, budget), "global", nil
-		case UncertainCenterPP:
-			return uncertain.EvalCenterPP(req.Ground, req.Nodes, centers, budget), "global", nil
-		default:
-			return uncertain.EvalMedian(req.Ground, req.Nodes, centers, budget), "global", nil
-		}
-	case jobwire.KindCenterG:
-		if req.Ground == nil || len(req.Nodes) == 0 {
-			return 0, "", nil
-		}
-		// serve.CenterGCostSamples keeps the Monte-Carlo sample count in
-		// lockstep with the server, so remote and local costs agree.
-		return uncertain.EvalCenterG(req.Ground, req.Nodes, centers, budget, serve.CenterGCostSamples, req.Seed), "estimate", nil
+	return &Response{
+		Centers:       res.Centers,
+		Cost:          cost,
+		CostKind:      kind,
+		OutlierBudget: res.OutlierBudget,
+		SiteBudgets:   res.SiteBudgets,
+		Rounds:        res.Report.Rounds,
+		UpBytes:       res.Report.UpBytes,
+		DownBytes:     res.Report.DownBytes,
+		Tree:          res.Report.Tree,
+		Tau:           res.Tau,
+		Backend:       backend,
 	}
-	return 0, "", fmt.Errorf("client: unhandled objective kind")
 }

@@ -82,10 +82,10 @@ func assertSameCenters(t *testing.T, got, want []Point, label string) {
 }
 
 // TestRequestRoundTripAllBackends is the acceptance test of the unified
-// API: the same Request — one point objective, one uncertain objective —
-// returns byte-identical centers via Local (in-process), Cluster (TCP site
-// daemons) and Remote (dpc-server HTTP), and the distributed backends
-// report identical payload-byte communication.
+// API: the same Request — each of the seven objectives in turn — returns
+// byte-identical centers, cost, outlier budget and tau via Local
+// (in-process), Cluster (TCP site daemons) and Remote (dpc-server HTTP), and
+// the distributed backends report identical payload-byte communication.
 func TestRequestRoundTripAllBackends(t *testing.T) {
 	const sites = 4
 	in := gen.Mixture(gen.MixtureSpec{N: 240, K: 3, OutlierFrac: 0.05, Seed: 42})
@@ -105,16 +105,14 @@ func TestRequestRoundTripAllBackends(t *testing.T) {
 	}()
 	remote, _ := newRemote(t, serve.Config{})
 
-	cases := []Request{
-		{Objective: Median, K: 3, T: 12, Sites: sites, Seed: 3,
-			Points: in.Pts},
-		{Objective: Center, K: 3, T: 12, Sites: sites, Seed: 3,
-			Points: in.Pts},
-		{Objective: UncertainMedian, K: 3, T: 6, Sites: sites, Seed: 3,
-			Ground: uin.Ground, Nodes: uin.Nodes},
-		{Objective: UncertainCenterG, K: 3, T: 4, Sites: sites, Seed: 3,
-			Ground: uin.Ground, Nodes: uin.Nodes},
+	var cases []Request
+	for _, objective := range []string{Median, Means, Center} {
+		cases = append(cases, Request{Objective: objective, K: 3, T: 12, Sites: sites, Seed: 3, Points: in.Pts})
 	}
+	for _, objective := range []string{UncertainMedian, UncertainMeans, UncertainCenterPP} {
+		cases = append(cases, Request{Objective: objective, K: 3, T: 6, Sites: sites, Seed: 3, Ground: uin.Ground, Nodes: uin.Nodes})
+	}
+	cases = append(cases, Request{Objective: UncertainCenterG, K: 3, T: 4, Sites: sites, Seed: 3, Ground: uin.Ground, Nodes: uin.Nodes})
 	ctx := context.Background()
 	for _, req := range cases {
 		t.Run(req.Objective, func(t *testing.T) {

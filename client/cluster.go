@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"sync"
 
-	"dpc/internal/core"
 	"dpc/internal/jobwire"
 	"dpc/internal/transport"
 	"dpc/internal/tree"
-	"dpc/internal/uncertain"
 )
 
 // Cluster answers requests by driving dpc-site daemons over TCP: the
@@ -34,21 +32,13 @@ import (
 // byte-identical to the flat cluster.
 type Cluster struct {
 	mu     sync.Mutex
-	coord  clusterTransport
-	addr   string // resolved listen address, for lazy reconnects
-	direct int    // connections accepted (leaf sites, or the top aggregator tier)
-	leaves int    // leaf site count the protocol runs over
-	branch int    // aggregation-tree branching factor; 0 = flat star
-	broken bool   // connections dropped (cancelled mid-protocol); reconnectable
-	closed bool   // Close called; terminal
-}
-
-// clusterTransport is what a Cluster drives: a protocol transport that can
-// also re-arm the fleet with job frames (*transport.Coordinator for a flat
-// cluster, *tree.Root over one for a tree cluster).
-type clusterTransport interface {
-	transport.Transport
-	StartJob(blob []byte) error
+	coord  jobwire.Fleet // *transport.Coordinator, or *tree.Root over one for a tree cluster
+	addr   string        // resolved listen address, for lazy reconnects
+	direct int           // connections accepted (leaf sites, or the top aggregator tier)
+	leaves int           // leaf site count the protocol runs over
+	branch int           // aggregation-tree branching factor; 0 = flat star
+	broken bool          // connections dropped (cancelled mid-protocol); reconnectable
+	closed bool          // Close called; terminal
 }
 
 // ClusterListener is a bound-but-not-yet-connected Cluster backend: the
@@ -121,7 +111,7 @@ func (cl *ClusterListener) Accept() (*Cluster, error) {
 }
 
 // wrap builds the cluster's transport over freshly accepted connections.
-func (c *Cluster) wrap(coord *transport.Coordinator) (clusterTransport, error) {
+func (c *Cluster) wrap(coord *transport.Coordinator) (jobwire.Fleet, error) {
 	if c.branch == 0 {
 		return coord, nil
 	}
@@ -155,7 +145,7 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*Response, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	kind, err := req.kind()
+	job, err := spec.Job()
 	if err != nil {
 		return nil, err
 	}
@@ -171,94 +161,14 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*Response, error) {
 		}
 	}
 
-	var resp *Response
-	var rep Report
-	switch kind {
-	case jobwire.KindPoint:
-		cfg, err := spec.CoreConfig()
-		if err != nil {
-			return nil, err
-		}
-		if err := c.startJob(jobwire.Job{Kind: jobwire.KindPoint, Core: cfg}); err != nil {
-			return nil, err
-		}
-		res, err := core.RunOverCtx(ctx, c.coord, cfg)
-		if err != nil {
-			return nil, c.fail(ctx, err)
-		}
-		resp = &Response{
-			Centers:       res.Centers,
-			Cost:          res.CoordinatorCost,
-			CostKind:      "coordinator",
-			OutlierBudget: res.OutlierBudget,
-			SiteBudgets:   res.SiteBudgets,
-		}
-		rep = res.Report
-	case jobwire.KindUncertain:
-		if req.Ground == nil {
-			return nil, fmt.Errorf("client: cluster %s request needs Ground (the shared ground metric)", req.Objective)
-		}
-		cfg, obj, err := spec.UncertainConfig()
-		if err != nil {
-			return nil, err
-		}
-		if err := c.startJob(jobwire.Job{Kind: jobwire.KindUncertain, Obj: obj, Unc: cfg}); err != nil {
-			return nil, err
-		}
-		res, err := uncertain.RunOverCtx(ctx, req.Ground, c.coord, cfg, obj)
-		if err != nil {
-			return nil, c.fail(ctx, err)
-		}
-		resp = &Response{
-			Centers:       res.Centers,
-			OutlierBudget: res.OutlierBudget,
-			SiteBudgets:   res.SiteBudgets,
-		}
-		rep = res.Report
-	case jobwire.KindCenterG:
-		if req.Ground == nil {
-			return nil, fmt.Errorf("client: cluster %s request needs Ground (the shared ground metric)", req.Objective)
-		}
-		cfg, err := spec.CenterGConfig()
-		if err != nil {
-			return nil, err
-		}
-		if err := c.startJob(jobwire.Job{Kind: jobwire.KindCenterG, CenterG: cfg}); err != nil {
-			return nil, err
-		}
-		res, err := uncertain.RunCenterGOverCtx(ctx, req.Ground, c.coord, cfg)
-		if err != nil {
-			return nil, c.fail(ctx, err)
-		}
-		resp = &Response{
-			Centers:       res.Centers,
-			OutlierBudget: res.OutlierBudget,
-			SiteBudgets:   res.SiteBudgets,
-			Tau:           res.Tau,
-		}
-		rep = res.Report
-	default:
-		return nil, fmt.Errorf("client: unhandled objective kind %v", kind)
-	}
-
-	// When the request carries coordinator-side data, report the true
-	// global cost (byte-identical to what Local computes); otherwise the
-	// coordinator cost (point) or no cost (uncertain) stands.
-	if cost, costKind, err := evalObjective(req, resp.Centers, resp.OutlierBudget); err == nil && costKind != "" {
-		resp.Cost, resp.CostKind = cost, costKind
-	}
-	resp.Rounds, resp.UpBytes, resp.DownBytes, resp.Tree = rep.Rounds, rep.UpBytes, rep.DownBytes, rep.Tree
-	resp.Backend = "cluster"
-	return resp, nil
-}
-
-// startJob ships the job frame that re-arms every site for this request.
-func (c *Cluster) startJob(j jobwire.Job) error {
-	blob, err := jobwire.Encode(j)
+	res, err := job.RunFleet(ctx, c.coord, req.Ground)
 	if err != nil {
-		return err
+		return nil, c.fail(ctx, err)
 	}
-	return c.coord.StartJob(blob)
+	// When the request carries coordinator-side data the response reports
+	// the true global cost (byte-identical to what Local computes);
+	// otherwise the coordinator's own cost stands.
+	return respond("cluster", job, req.data(), res), nil
 }
 
 // fail handles a protocol error: a context cancellation leaves the

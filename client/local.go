@@ -6,12 +6,9 @@ import (
 
 	"dpc/internal/central"
 	"dpc/internal/core"
-	"dpc/internal/dataio"
 	"dpc/internal/jobwire"
 	"dpc/internal/kmedian"
-	"dpc/internal/metric"
 	"dpc/internal/transport"
-	"dpc/internal/uncertain"
 )
 
 // Local answers requests in-process: the request's Points (or
@@ -19,8 +16,8 @@ import (
 // the full distributed protocol runs over the loopback (or, with
 // req.Transport = "tcp", real localhost socket) backend. With req.Central
 // set, point median/means requests run the Section 3.1 centralized solver
-// instead. It subsumes the one-shot Run / RunUncertain / RunCenterG /
-// Centralized entrypoints behind the unified Request.
+// instead. Which protocol answers which objective is not decided here: the
+// request becomes a jobwire.Job (serve.JobSpec.Job) and the job runs itself.
 type Local struct{}
 
 // NewLocal creates the in-process backend.
@@ -35,7 +32,7 @@ func (l *Local) Do(ctx context.Context, req Request) (*Response, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	kind, err := req.kind()
+	job, err := spec.Job()
 	if err != nil {
 		return nil, err
 	}
@@ -47,52 +44,13 @@ func (l *Local) Do(ctx context.Context, req Request) (*Response, error) {
 	if sites <= 0 {
 		sites = 8
 	}
-
-	if kind != jobwire.KindPoint {
-		if req.Central {
-			return nil, fmt.Errorf("client: the centralized solver handles point median/means only")
-		}
-		if req.Ground == nil || len(req.Nodes) == 0 {
-			return nil, fmt.Errorf("client: local %s request needs Ground and Nodes", req.Objective)
-		}
-		if req.T >= len(req.Nodes) {
-			return nil, fmt.Errorf("client: t = %d out of range [0, %d)", req.T, len(req.Nodes))
-		}
-		shards := dataio.SplitNodesRoundRobin(req.Nodes, sites)
-		if kind == jobwire.KindCenterG {
-			cfg, err := spec.CenterGConfig()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Transport = tkind
-			res, err := uncertain.RunCenterGCtx(ctx, req.Ground, shards, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return l.finish(req, res.Centers, res.OutlierBudget, res.SiteBudgets, res.Report, res.Tau)
-		}
-		cfg, obj, err := spec.UncertainConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Transport = tkind
-		res, err := uncertain.RunCtx(ctx, req.Ground, shards, cfg, obj)
-		if err != nil {
-			return nil, err
-		}
-		return l.finish(req, res.Centers, res.OutlierBudget, res.SiteBudgets, res.Report, 0)
-	}
-
-	if len(req.Points) == 0 {
-		return nil, fmt.Errorf("client: local %s request needs Points", req.Objective)
-	}
-	cfg, err := spec.CoreConfig()
-	if err != nil {
-		return nil, err
+	data := req.data()
+	if job.Len(data) == 0 {
+		return nil, fmt.Errorf("client: local %s request carries no data (point objectives need Points, uncertain ones Ground and Nodes)", req.Objective)
 	}
 	if req.Central {
-		if cfg.Objective == core.Center {
-			return nil, fmt.Errorf("client: the centralized solver handles median/means only")
+		if job.Kind != jobwire.KindPoint || job.Core.Objective == core.Center {
+			return nil, fmt.Errorf("client: the centralized solver handles point median/means only")
 		}
 		// The centralized solver is one indivisible solve; honor the
 		// context at its boundary (a cancelled request never starts it).
@@ -101,8 +59,8 @@ func (l *Local) Do(ctx context.Context, req Request) (*Response, error) {
 		}
 		sol := central.PartialMedian(req.Points, central.Config{
 			K: req.K, T: req.T, Levels: req.Levels, Eps: req.Eps,
-			Objective: cfg.Objective, Engine: cfg.Engine,
-			Opts: kmedian.Options{Seed: req.Seed, Options: cfg.Options},
+			Objective: job.Core.Objective, Engine: job.Core.Engine,
+			Opts: kmedian.Options{Seed: req.Seed, Options: job.Core.Options},
 		})
 		return &Response{
 			Centers:       sol.Centers,
@@ -112,41 +70,9 @@ func (l *Local) Do(ctx context.Context, req Request) (*Response, error) {
 			Backend:       "local",
 		}, nil
 	}
-	if req.T >= len(req.Points) {
-		return nil, fmt.Errorf("client: t = %d out of range [0, %d)", req.T, len(req.Points))
-	}
-	cfg.Transport = tkind
-	shards := dataio.SplitRoundRobin(req.Points, sites)
-	res, err := core.RunCtx(ctx, shards, cfg)
+	res, err := job.OnTransport(tkind).RunLocal(ctx, data.Split(sites))
 	if err != nil {
 		return nil, err
 	}
-	return l.finish(req, res.Centers, res.OutlierBudget, res.SiteBudgets, res.Report, 0)
-}
-
-// finish assembles the unified response, evaluating the true global cost
-// against the request's in-memory data.
-func (l *Local) finish(req Request, centers []metric.Point, budget float64, siteBudgets []int, rep Report, tau float64) (*Response, error) {
-	cost, costKind, err := evalObjective(req, centers, budget)
-	if err != nil {
-		return nil, err
-	}
-	return &Response{
-		Centers:       centers,
-		Cost:          cost,
-		CostKind:      costKind,
-		OutlierBudget: budget,
-		SiteBudgets:   siteBudgets,
-		Rounds:        rep.Rounds,
-		UpBytes:       rep.UpBytes,
-		DownBytes:     rep.DownBytes,
-		Tree:          rep.Tree,
-		Tau:           tau,
-		Backend:       "local",
-	}, nil
-}
-
-// evalPoints is core.Evaluate under the client package's vocabulary.
-func evalPoints(pts, centers []Point, budget float64, obj core.Objective) float64 {
-	return core.Evaluate(pts, centers, budget, obj)
+	return respond("local", job, data, res), nil
 }

@@ -190,8 +190,10 @@ const (
 // defaults (rho=2, eps=1, geometric grid base 2, loopback transport).
 type Config = core.Config
 
-// Result is the outcome of a distributed run, including the measured
-// communication Report.
+// Result is the outcome of a distributed run of any protocol, including
+// the measured communication Report; UncertainResult and CenterGResult are
+// the same type under their historical names (Tau and TauGrid are set by
+// RunCenterG only).
 type Result = core.Result
 
 // Engine selects the k-median optimization engine.

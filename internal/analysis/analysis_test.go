@@ -82,6 +82,18 @@ func TestAnalyzerScopeMatching(t *testing.T) {
 			t.Errorf("Applies(%q) = %v, want %v", path, got, want)
 		}
 	}
+	// The shipped scopes follow the code: hull construction and the round
+	// switch live in internal/protocol, the dispatcher above them does not
+	// compute anything.
+	for path, want := range map[string]bool{
+		"dpc/internal/protocol": true,
+		"dpc/internal/core":     true,
+		"dpc/internal/jobwire":  false,
+	} {
+		if got := Determinism.Applies(path); got != want {
+			t.Errorf("Determinism.Applies(%q) = %v, want %v", path, got, want)
+		}
+	}
 	unscoped := &Analyzer{Name: "y"}
 	if !unscoped.Applies("anything/at/all") {
 		t.Error("analyzer without Scope must apply everywhere")

@@ -8,9 +8,11 @@ import (
 )
 
 // solverScope names the packages whose outputs must be bit-identical across
-// engines, worker counts and backends (the TestWorkersParity contract).
-// Order-sensitive constructs inside them are determinism bugs by default.
-var solverScope = []string{"kmedian", "kcenter", "core", "uncertain", "central", "metric", "par", "stream"}
+// engines, worker counts and backends (the TestWorkersParity contract) —
+// the solvers, and the round skeleton that builds hulls and replays budgets
+// from their costs. Order-sensitive constructs inside them are determinism
+// bugs by default.
+var solverScope = []string{"kmedian", "kcenter", "core", "uncertain", "protocol", "central", "metric", "par", "stream"}
 
 // Determinism flags constructs whose result depends on map iteration order,
 // wall-clock time, the global rand source, or goroutine scheduling inside

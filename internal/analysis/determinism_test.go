@@ -9,6 +9,8 @@ import (
 
 func TestDeterminism(t *testing.T) {
 	atest.Run(t, "testdata/src", analysis.Determinism, "determ/kmedian")
+	// The scope entry for the round skeleton, by a fixture of its own.
+	atest.Run(t, "testdata/src", analysis.Determinism, "determ/protocol")
 }
 
 // The same constructs outside the solver scope must produce nothing.

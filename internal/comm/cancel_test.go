@@ -8,6 +8,7 @@ import (
 
 	"dpc/internal/core"
 	"dpc/internal/gen"
+	"dpc/internal/jobwire"
 	"dpc/internal/kmedian"
 	"dpc/internal/transport"
 	"dpc/internal/uncertain"
@@ -31,11 +32,12 @@ func (c cancelAfter) Gather(ctx context.Context, round int) (transport.RoundResu
 }
 
 // TestCancelAtEveryBoundary: whichever round boundary a cancellation lands
-// on, every protocol driver ends in context.Canceled. The last-round column
-// is the one only Network.Coordinator can catch: the preempted final solve
-// returns its best-so-far (for median, zero centers at infinite cost) and no
-// round follows to notice, so without the check the truncated answer came
-// back with a nil error.
+// on, every protocol — all seven objectives, and the 1-round variant of
+// each family — ends in context.Canceled. The last-round column is the one
+// only Network.Coordinator can catch: the preempted final solve returns its
+// best-so-far (for median, zero centers at infinite cost) and no round
+// follows to notice, so without the check the truncated answer came back
+// with a nil error.
 func TestCancelAtEveryBoundary(t *testing.T) {
 	const s = 6
 	pin := gen.Mixture(gen.MixtureSpec{N: s * 200, K: 4, OutlierFrac: 0.03, Seed: 5})
@@ -44,76 +46,49 @@ func TestCancelAtEveryBoundary(t *testing.T) {
 	nodes := gen.SiteNodes(uin, gen.PartitionNodes(uin, s, gen.Uniform, 8))
 	opts := kmedian.Options{Seed: 1}
 
-	// Each driver builds its site handlers and returns the coordinator run.
-	type run func(ctx context.Context, tr transport.Transport) error
-	type build func() ([]transport.Handler, run, error)
-	handlers := func(mk func(i int) (transport.Handler, error)) ([]transport.Handler, error) {
-		hs := make([]transport.Handler, s)
-		for i := range hs {
-			h, err := mk(i)
-			if err != nil {
-				return nil, err
-			}
-			hs[i] = h
-		}
-		return hs, nil
+	point := func(obj core.Objective, vr core.Variant) jobwire.Job {
+		return jobwire.Job{Kind: jobwire.KindPoint, Core: core.Config{K: 4, T: 30, Objective: obj, Variant: vr, LocalOpts: opts}}
 	}
-	point := func(obj core.Objective) build {
-		return func() ([]transport.Handler, run, error) {
-			cfg := core.Config{K: 4, T: 30, Objective: obj, LocalOpts: opts}
-			hs, err := handlers(func(i int) (transport.Handler, error) { return core.NewSiteHandler(cfg, i, pts[i]) })
-			return hs, func(ctx context.Context, tr transport.Transport) error {
-				_, err := core.RunOverCtx(ctx, tr, cfg)
-				return err
-			}, err
-		}
+	unc := func(obj uncertain.Objective, vr uncertain.Variant) jobwire.Job {
+		return jobwire.Job{Kind: jobwire.KindUncertain, Obj: obj, Unc: uncertain.Config{K: 3, T: 8, Variant: vr, LocalOpts: opts}}
 	}
-	unc := func(obj uncertain.Objective) build {
-		return func() ([]transport.Handler, run, error) {
-			cfg := uncertain.Config{K: 3, T: 8, LocalOpts: opts}
-			hs, err := handlers(func(i int) (transport.Handler, error) {
-				return uncertain.NewSiteHandler(uin.Ground, nodes[i], cfg, obj, i)
-			})
-			return hs, func(ctx context.Context, tr transport.Transport) error {
-				_, err := uncertain.RunOverCtx(ctx, uin.Ground, tr, cfg, obj)
-				return err
-			}, err
-		}
+	centerG := func(oneRound bool) jobwire.Job {
+		return jobwire.Job{Kind: jobwire.KindCenterG, CenterG: uncertain.CenterGConfig{K: 3, T: 8, OneRound: oneRound, LocalOpts: opts}}
 	}
-	centerG := func() ([]transport.Handler, run, error) {
-		cfg := uncertain.CenterGConfig{K: 3, T: 8, LocalOpts: opts}
-		hs, err := handlers(func(i int) (transport.Handler, error) {
-			return uncertain.NewCenterGSiteHandler(uin.Ground, nodes[i], cfg, i)
-		})
-		return hs, func(ctx context.Context, tr transport.Transport) error {
-			_, err := uncertain.RunCenterGOverCtx(ctx, uin.Ground, tr, cfg)
-			return err
-		}, err
-	}
-
 	for _, tc := range []struct {
-		name  string
-		build build
+		name   string
+		job    jobwire.Job
+		rounds int
 	}{
-		{"median", point(core.Median)},
-		{"means", point(core.Means)},
-		{"center", point(core.Center)},
-		{"u-median", unc(uncertain.Median)},
-		{"u-centerpp", unc(uncertain.CenterPP)},
-		{"u-centerg", centerG},
+		{"median", point(core.Median, core.TwoRound), 2},
+		{"means", point(core.Means, core.TwoRound), 2},
+		{"center", point(core.Center, core.TwoRound), 2},
+		{"u-median", unc(uncertain.Median, uncertain.TwoRound), 2},
+		{"u-means", unc(uncertain.Means, uncertain.TwoRound), 2},
+		{"u-centerpp", unc(uncertain.CenterPP, uncertain.TwoRound), 2},
+		{"u-centerg", centerG(false), 2},
+		{"median-1round", point(core.Median, core.OneRound), 1},
+		{"center-1round", point(core.Center, core.OneRound), 1},
+		{"u-median-1round", unc(uncertain.Median, uncertain.OneRoundShipDists), 1},
+		{"u-centerg-1round", centerG(true), 1},
 	} {
-		// Every driver here is two rounds: 0 (hulls up) and 1, the last.
-		for _, round := range []int{0, 1} {
+		// The boundaries are the gathers: after round 0 (hulls up, or the
+		// 1-round variants' only round) and after round 1, the last.
+		for round := 0; round < tc.rounds; round++ {
 			t.Run(fmt.Sprintf("%s/after-round-%d", tc.name, round), func(t *testing.T) {
-				hs, run, err := tc.build()
-				if err != nil {
-					t.Fatal(err)
+				hs := make([]transport.Handler, s)
+				for i := range hs {
+					var err error
+					hs[i], err = tc.job.SiteHandler(jobwire.SiteData{Site: i, Pts: pts[i], G: uin.Ground, Nodes: nodes[i]}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				tr := cancelAfter{Transport: transport.NewLoopback(hs, true), round: round, cancel: cancel}
 				defer tr.Close()
-				if err := run(ctx, tr); !errors.Is(err, context.Canceled) {
+				if _, err := tc.job.RunOver(ctx, tr, uin.Ground); !errors.Is(err, context.Canceled) {
 					t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 				}
 			})

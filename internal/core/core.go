@@ -20,10 +20,10 @@ import (
 	"math"
 	"sort"
 
-	"dpc/internal/comm"
 	"dpc/internal/engine"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
+	"dpc/internal/protocol"
 	"dpc/internal/transport"
 	"dpc/internal/tree"
 )
@@ -127,10 +127,6 @@ type Config struct {
 	// no index) and pushes Workers/Reference into LocalOpts.
 	engine.Options
 
-	// Sequential disables parallel site execution (used by the
-	// centralized simulation of Section 3.1, where total work matters).
-	// Loopback transport only; TCP sites always run concurrently.
-	Sequential bool
 	// Transport selects the wire backend for Run: empty or
 	// transport.KindLoopback keeps sites in-process (the exact simulated
 	// star network); transport.KindTCP drives the identical protocol over
@@ -174,25 +170,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Result is the outcome of a distributed run.
-type Result struct {
-	// Centers are the chosen centers as points.
-	Centers []metric.Point
-	// Report is the measured communication/time footprint.
-	Report comm.Report
-	// SiteBudgets are the per-site outlier budgets t_i chosen by the
-	// allocation (nil for 1-round runs, where t_i = t).
-	SiteBudgets []int
-	// CoordinatorClients is the size of the induced weighted instance the
-	// coordinator solved (the paper bounds it by 2sk + 3t).
-	CoordinatorClients int
-	// OutlierBudget is the number of (weighted) points the solution is
-	// entitled to ignore globally.
-	OutlierBudget float64
-	// CoordinatorCost is the coordinator's objective value on the induced
-	// weighted instance (not the true global cost; see Evaluate).
-	CoordinatorCost float64
+// params is the part of the (defaults-applied) configuration the shared
+// round skeleton reads.
+func (c Config) params() protocol.Params {
+	return protocol.Params{Name: "core", T: c.T, Rho: c.Rho, HullBase: c.HullBase, OneRound: c.Variant == OneRound}
 }
+
+// Result is the outcome of a distributed run.
+type Result = protocol.Result
 
 // validate rejects configuration combinations no variant supports; cfg
 // must already have defaults applied.
@@ -237,41 +222,14 @@ func RunCtx(ctx context.Context, sites [][]metric.Point, cfg Config) (Result, er
 	// site handlers built below inherit ctx through LocalOpts, so a
 	// cancellation also stops local-search descent and JV probes mid-solve.
 	cfg.LocalOpts.Ctx = ctx
-	if len(sites) == 0 {
-		return Result{}, fmt.Errorf("core: no sites")
-	}
-	total := 0
-	for i, pts := range sites {
-		if len(pts) == 0 {
-			return Result{}, fmt.Errorf("core: site %d is empty", i)
-		}
-		total += len(pts)
-	}
-	if err := validate(cfg); err != nil {
-		return Result{}, err
-	}
-	if cfg.T >= total {
-		return Result{}, fmt.Errorf("core: T = %d out of range [0, %d)", cfg.T, total)
-	}
-	handlers := make([]transport.Handler, len(sites))
-	for i := range sites {
-		h, err := NewSiteHandlerOracle(cfg, i, sites[i], nil)
-		if err != nil {
-			return Result{}, err
-		}
-		handlers[i] = h
-	}
-	tr, err := tree.NewLocal(ctx, cfg.Transport, handlers, !cfg.Sequential, cfg.Topology)
-	if err != nil {
-		return Result{}, err
-	}
-	defer tr.Close()
-	return RunOverCtx(ctx, tr, cfg)
+	return protocol.RunLocal(ctx, cfg.params(), cfg.Transport, cfg.Topology, sites,
+		func(i int) (transport.Handler, error) { return NewSiteHandlerOracle(cfg, i, sites[i], nil) },
+		func(tr transport.Transport) (Result, error) { return RunOverCtx(ctx, tr, cfg) })
 }
 
 // RunOverCtx executes the coordinator side of the protocol over an
 // already-connected transport; every site must be served elsewhere with a
-// handler built by NewSiteHandler from the identical Config (the
+// handler built by NewSiteHandlerOracle from the identical Config (the
 // coordinator ships the config in a job frame to guarantee this — see
 // internal/jobwire). Cancelling ctx aborts the round loop and the
 // coordinator solve promptly with ctx.Err(). The transport is left open;
@@ -284,25 +242,18 @@ func RunOverCtx(ctx context.Context, tr transport.Transport, cfg Config) (Result
 	if err := validate(cfg); err != nil {
 		return Result{}, err
 	}
-	if tr.Sites() == 0 {
-		return Result{}, fmt.Errorf("core: no sites")
+	res, err := protocol.Run(ctx, tr, cfg.params(), &reducer{cfg: cfg})
+	if err != nil {
+		return Result{}, err
 	}
-	nw := comm.NewOverCtx(ctx, tr)
-	if cfg.Objective == Center {
-		return runCenter(nw, cfg)
-	}
-	return runMedianMeans(nw, cfg)
+	res.OutlierBudget = outlierEntitlement(cfg, res.SiteBudgets)
+	return res, nil
 }
 
-// NewSiteHandler builds the site half of the protocol for site i holding
-// pts: a transport.Handler that consumes each round's downstream message
-// and produces the site's reply.
-func NewSiteHandler(cfg Config, site int, pts []metric.Point) (transport.Handler, error) {
-	return NewSiteHandlerOracle(cfg, site, pts, nil)
-}
-
-// NewSiteHandlerOracle is NewSiteHandler with an externally owned distance
-// oracle over pts. A long-running site (the job server's in-process shards,
+// NewSiteHandlerOracle builds the site half of the protocol for site i
+// holding pts — a transport.Handler that consumes each round's downstream
+// message and produces the site's reply — over an externally owned distance
+// oracle. A long-running site (the job server's in-process shards,
 // or dpc-site) builds one oracle per shard — a DistCache, or a
 // pivot Index layered over one — and passes it to the handler of every job
 // that queries the same points, so memoized distances and index bounds stay
@@ -329,9 +280,9 @@ func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Ora
 		}
 	}
 	if cfg.Objective == Center {
-		return newCenterSite(cfg, site, pts, o).handle, nil
+		return protocol.Handler(cfg.params(), site, newCenterSite(cfg, pts, o)), nil
 	}
-	return newMedianSite(cfg, site, pts, o).handle, nil
+	return protocol.Handler(cfg.params(), site, newMedianSite(cfg, site, pts, o)), nil
 }
 
 // costsOver wraps points in the objective's cost oracle per the engine

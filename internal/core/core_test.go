@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"dpc/internal/gen"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
+	"dpc/internal/transport"
+	"dpc/internal/tree"
 )
 
 // plantedSites builds a planted instance split across s sites.
@@ -313,8 +316,20 @@ func TestSequentialModeMatchesParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Sequential = true
-	seq, err := Run(sites, cfg)
+	// The sequential loopback (tree.NewLocal's parallel = false, which the
+	// repo benchmark still drives) runs the same handlers one after another.
+	handlers := make([]transport.Handler, len(sites))
+	for i, pts := range sites {
+		if handlers[i], err = NewSiteHandlerOracle(cfg, i, pts, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := tree.NewLocal(context.Background(), transport.KindLoopback, handlers, false, tree.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	seq, err := RunOverCtx(context.Background(), tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 // run, so all processes provably run the same protocol parameters — the
 // per-site solves are seeded from LocalOpts.Seed + site index, which makes
 // a TCP run reproduce the loopback run bit for bit. The format is a fixed
-// little-endian record; Sequential, Transport and Topology are
-// coordinator-local and not shipped.
+// little-endian record; Transport and Topology say where an in-process
+// fleet lives, are read by the coordinator alone and are not shipped.
 //
 // The engine knobs (Workers, NoCache, Reference, Index, Pivots) cross too:
 // they never change results, but a Reference or NoCache measurement run

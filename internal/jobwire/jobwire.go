@@ -1,9 +1,15 @@
 // Package jobwire defines the job frame a coordinator (dpc-cluster -listen,
 // dpc-server's remote datasets, or any client.Cluster backend) ships to its
-// site daemons before each protocol run, and the site-side factory that
-// turns such a frame into the right transport.Handler. It is the only
-// multi-process dialect in the repository: a one-shot run is a fleet that
-// is sent one job and then closed.
+// site daemons before each protocol run — the only multi-process dialect in
+// the repository: a one-shot run is a fleet that is sent one job and then
+// closed — and it is the one place that maps a job kind to code. A Job is
+// the tagged union of the three run configurations; its methods are the
+// four things anyone does with one: build a site's half (SiteHandler, and
+// Factory / ServeJobs for a daemon serving frame after frame), run the
+// coordinator's half over a connected fleet (RunOver), run both halves
+// in-process over shards (RunLocal), and measure the true cost of an answer
+// (Evaluate). The backends in dpc/client and internal/serve call these and
+// never name a protocol package.
 //
 // A frame is a two-byte envelope — magic, kind — followed by the kind's
 // configuration, so one connected site fleet serves every protocol:
@@ -18,11 +24,14 @@
 package jobwire
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 
 	"dpc/internal/core"
+	"dpc/internal/dataio"
 	"dpc/internal/metric"
+	"dpc/internal/protocol"
 	"dpc/internal/transport"
 	"dpc/internal/uncertain"
 )
@@ -56,7 +65,9 @@ func (k Kind) String() string {
 // magic is the first byte of a job frame.
 const magic = 0xDC
 
-// Job is one decoded job frame.
+// Job is one protocol run: the tagged union of the three run
+// configurations — what a job frame carries, and what every backend builds
+// (serve.JobSpec.Job) and then asks to run itself.
 type Job struct {
 	Kind Kind
 
@@ -168,8 +179,8 @@ func ServeJobs(sc *transport.Site, d SiteData, wrap func(job int, blob []byte, h
 }
 
 // Factory returns the transport.Site.ServeJobs factory for a persistent
-// site holding d: each job frame is decoded and turned into the matching
-// protocol's site handler, closing over the site-held data so datasets and
+// site holding d: each job frame is decoded and turned into its site
+// handler (SiteHandler), closing over the site-held data so datasets and
 // caches stay warm across jobs. It is the single implementation behind
 // dpc-site, the client.Cluster tests and the dpc-server remote e2e tests.
 func Factory(d SiteData) func(job int, blob []byte) (transport.Handler, error) {
@@ -184,47 +195,178 @@ func Factory(d SiteData) func(job int, blob []byte) (transport.Handler, error) {
 		if err != nil {
 			return nil, fmt.Errorf("job %d: %w", job, err)
 		}
-		switch j.Kind {
-		case KindPoint:
-			if len(d.Pts) == 0 {
-				return nil, fmt.Errorf("job %d: site %d holds no point shard", job, d.Site)
-			}
-			var oracle metric.Oracle
-			if d.Cache != nil {
-				oracle = d.Cache
-			}
-			if j.Core.Index && !j.Core.NoCache {
-				m := j.Core.Pivots
-				if m <= 0 {
-					m = metric.DefaultPivots
-				}
-				if m > len(d.Pts) {
-					m = len(d.Pts)
-				}
-				if siteIx == nil || ixPivots != m {
-					var sp metric.Space
-					if d.Cache != nil {
-						sp = d.Cache
-					} else {
-						sp = metric.NewPoints(d.Pts)
-					}
-					siteIx = metric.NewIndex(sp, metric.IndexOptions{Pivots: m})
-					ixPivots = m
-				}
-				oracle = siteIx
-			}
-			return core.NewSiteHandlerOracle(j.Core, d.Site, d.Pts, oracle)
-		case KindUncertain:
-			if len(d.Nodes) == 0 || d.G == nil {
-				return nil, fmt.Errorf("job %d: site %d holds no uncertain shard", job, d.Site)
-			}
-			return uncertain.NewSiteHandler(d.G, d.Nodes, j.Unc, j.Obj, d.Site)
-		case KindCenterG:
-			if len(d.Nodes) == 0 || d.G == nil {
-				return nil, fmt.Errorf("job %d: site %d holds no uncertain shard", job, d.Site)
-			}
-			return uncertain.NewCenterGSiteHandler(d.G, d.Nodes, j.CenterG, d.Site)
+		var oracle metric.Oracle
+		if d.Cache != nil {
+			oracle = d.Cache
 		}
-		return nil, fmt.Errorf("job %d: unhandled kind %v", job, j.Kind)
+		if j.Kind == KindPoint && j.Core.Index && !j.Core.NoCache && len(d.Pts) > 0 {
+			m := j.Core.Pivots
+			if m <= 0 {
+				m = metric.DefaultPivots
+			}
+			if m > len(d.Pts) {
+				m = len(d.Pts)
+			}
+			if siteIx == nil || ixPivots != m {
+				var sp metric.Space
+				if d.Cache != nil {
+					sp = d.Cache
+				} else {
+					sp = metric.NewPoints(d.Pts)
+				}
+				siteIx = metric.NewIndex(sp, metric.IndexOptions{Pivots: m})
+				ixPivots = m
+			}
+			oracle = siteIx
+		}
+		h, err := j.SiteHandler(d, oracle)
+		if err != nil {
+			return nil, fmt.Errorf("job %d: %w", job, err)
+		}
+		return h, nil
 	}
+}
+
+// SiteHandler builds the site half of j for a site holding d. o, when
+// non-nil, is a distance oracle over d.Pts that outlives the job (see
+// core.NewSiteHandlerOracle); point jobs build a private one otherwise. A
+// job of a kind the site has no data for is an error.
+func (j Job) SiteHandler(d SiteData, o metric.Oracle) (transport.Handler, error) {
+	switch {
+	case j.Kind == KindPoint && len(d.Pts) == 0:
+		return nil, fmt.Errorf("site %d holds no point shard", d.Site)
+	case j.Kind == KindPoint:
+		return core.NewSiteHandlerOracle(j.Core, d.Site, d.Pts, o)
+	case len(d.Nodes) == 0 || d.G == nil:
+		return nil, fmt.Errorf("site %d holds no uncertain shard", d.Site)
+	case j.Kind == KindUncertain:
+		return uncertain.NewSiteHandler(d.G, d.Nodes, j.Unc, j.Obj, d.Site)
+	case j.Kind == KindCenterG:
+		return uncertain.NewCenterGSiteHandler(d.G, d.Nodes, j.CenterG, d.Site)
+	}
+	return nil, fmt.Errorf("jobwire: unhandled kind %v", j.Kind)
+}
+
+// Fleet is a connected site fleet that can be re-armed job after job: the
+// protocol rounds plus the job-frame broadcast. *transport.Coordinator (one
+// group of daemons), *transport.Multi (several) and *tree.Root (daemons
+// behind aggregators) are fleets.
+type Fleet interface {
+	transport.Transport
+	StartJob(blob []byte) error
+}
+
+// RunFleet arms every site of f with j's frame, then runs the coordinator
+// half of j over it (RunOver). A job that cannot run — an uncertain kind
+// without its ground set — fails before any site has been armed.
+func (j Job) RunFleet(ctx context.Context, f Fleet, g *uncertain.Ground) (protocol.Result, error) {
+	if j.Kind != KindPoint && g == nil {
+		return protocol.Result{}, fmt.Errorf("jobwire: %v job needs Ground (the shared ground metric) on the coordinator", j.Kind)
+	}
+	blob, err := Encode(j)
+	if err != nil {
+		return protocol.Result{}, err
+	}
+	if err := f.StartJob(blob); err != nil {
+		return protocol.Result{}, err
+	}
+	return j.RunOver(ctx, f, g)
+}
+
+// RunOver runs the coordinator half of j over a transport whose sites
+// already serve j's site handlers. g is the ground set the uncertain kinds
+// share (the paper's common knowledge); point jobs ignore it. Cancelling
+// ctx aborts the run at its next round boundary with ctx.Err().
+func (j Job) RunOver(ctx context.Context, tr transport.Transport, g *uncertain.Ground) (protocol.Result, error) {
+	switch j.Kind {
+	case KindPoint:
+		return core.RunOverCtx(ctx, tr, j.Core)
+	case KindUncertain:
+		return uncertain.RunOverCtx(ctx, g, tr, j.Unc, j.Obj)
+	case KindCenterG:
+		return uncertain.RunCenterGOverCtx(ctx, g, tr, j.CenterG)
+	}
+	return protocol.Result{}, fmt.Errorf("jobwire: unhandled kind %v", j.Kind)
+}
+
+// Data is a whole instance as one process holds it: points for KindPoint
+// jobs, the ground set and nodes for the uncertain kinds. Either half may
+// be absent.
+type Data struct {
+	Pts   []metric.Point
+	G     *uncertain.Ground
+	Nodes []uncertain.Node
+}
+
+// Shards is an instance split over in-process sites, one shard per site.
+type Shards struct {
+	Pts   [][]metric.Point
+	G     *uncertain.Ground
+	Nodes [][]uncertain.Node
+}
+
+// Split shards d round-robin (item j to site j mod sites) — the sharding
+// every backend and the daemons' -sites flag share.
+func (d Data) Split(sites int) Shards {
+	return Shards{Pts: dataio.SplitRoundRobin(d.Pts, sites), G: d.G, Nodes: dataio.SplitNodesRoundRobin(d.Nodes, sites)}
+}
+
+// Len is the number of input items of j's kind that d holds; 0 means j can
+// neither run on d nor be evaluated against it.
+func (j Job) Len(d Data) int {
+	switch {
+	case j.Kind == KindPoint:
+		return len(d.Pts)
+	case d.G == nil:
+		return 0
+	}
+	return len(d.Nodes)
+}
+
+// OnTransport returns j with its in-process fleet placed on the given wire
+// backend: the coordinator-local Transport field of the configuration j
+// carries, which RunLocal reads (like Topology, it is not shipped to sites).
+func (j Job) OnTransport(k transport.Kind) Job {
+	j.Core.Transport, j.Unc.Transport, j.CenterG.Transport = k, k, k
+	return j
+}
+
+// RunLocal runs both halves of j in-process, one site per shard, over the
+// wire backend and topology j's configuration names.
+func (j Job) RunLocal(ctx context.Context, sh Shards) (protocol.Result, error) {
+	switch j.Kind {
+	case KindPoint:
+		return core.RunCtx(ctx, sh.Pts, j.Core)
+	case KindUncertain:
+		return uncertain.RunCtx(ctx, sh.G, sh.Nodes, j.Unc, j.Obj)
+	case KindCenterG:
+		return uncertain.RunCenterGCtx(ctx, sh.G, sh.Nodes, j.CenterG)
+	}
+	return protocol.Result{}, fmt.Errorf("jobwire: unhandled kind %v", j.Kind)
+}
+
+// CenterGCostSamples is the Monte-Carlo sample count behind every reported
+// center-g cost; one constant, so every backend's estimate is the same
+// number.
+const CenterGCostSamples = 200
+
+// Evaluate computes the true objective of centers on the whole instance d —
+// the measuring stick of every backend (a coordinator never sees the full
+// data) — and says what kind of number it is: "global", or "estimate" for
+// center-g's Monte Carlo, seeded with the job's seed. When d holds no data
+// of j's kind it returns 0 and "".
+func (j Job) Evaluate(d Data, centers []metric.Point, budget float64) (cost float64, kind string) {
+	switch {
+	case j.Len(d) == 0:
+		return 0, ""
+	case j.Kind == KindPoint:
+		return core.Evaluate(d.Pts, centers, budget, j.Core.Objective), "global"
+	case j.Kind == KindCenterG:
+		return uncertain.EvalCenterG(d.G, d.Nodes, centers, budget, CenterGCostSamples, j.CenterG.LocalOpts.Seed), "estimate"
+	case j.Obj == uncertain.Means:
+		return uncertain.EvalMeans(d.G, d.Nodes, centers, budget), "global"
+	case j.Obj == uncertain.CenterPP:
+		return uncertain.EvalCenterPP(d.G, d.Nodes, centers, budget), "global"
+	}
+	return uncertain.EvalMedian(d.G, d.Nodes, centers, budget), "global"
 }

@@ -2,6 +2,7 @@ package jobwire
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dpc/internal/core"
@@ -59,6 +60,43 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	for _, b := range [][]byte{nil, {}, {magic}, {magic, 99, 1, 2}, {magic, byte(KindUncertain), '{'}, {7, 7, 7}, bare} {
 		if _, err := Decode(b); err == nil {
 			t.Fatalf("decoded garbage %v", b)
+		}
+	}
+}
+
+// TestDecodeFramesWithRetiredSequentialKey: the two uncertain configs cross
+// as JSON and used to carry a Sequential field no code ever set. These are
+// the frame bodies the tree before its removal encoded for the round-trip
+// cases above; a coordinator of that vintage still arms today's sites with
+// the same job.
+func TestDecodeFramesWithRetiredSequentialKey(t *testing.T) {
+	for _, tc := range []struct {
+		kind Kind
+		body string
+		want Job
+	}{
+		{KindUncertain,
+			`{"obj":2,"cfg":{"K":2,"T":7,"Variant":0,"Eps":0.5,"Rho":0,"HullBase":0,"Engine":0,"LocalOpts":{"Seed":-4,"MaxIters":0,"SampleFacilities":0,"Restarts":0,"Warm":null},"Candidates":0,"Sequential":false,"Transport":"","topology":"star"}}`,
+			Job{Kind: KindUncertain, Obj: uncertain.CenterPP,
+				Unc: uncertain.Config{K: 2, T: 7, Eps: 0.5, LocalOpts: kmedian.Options{Seed: -4}}}},
+		{KindCenterG,
+			`{"K":3,"T":11,"Eps":0,"Rho":0,"HullBase":0,"TauBase":4,"MaxFacilities":0,"Engine":0,"LocalOpts":{"Seed":0,"MaxIters":0,"SampleFacilities":0,"Restarts":0,"Warm":null},"Sequential":false,"OneRound":true,"Transport":"","topology":"star"}`,
+			Job{Kind: KindCenterG, CenterG: uncertain.CenterGConfig{K: 3, T: 11, TauBase: 4, OneRound: true}}},
+	} {
+		got, err := Decode(append([]byte{magic, byte(tc.kind)}, tc.body...))
+		if err != nil {
+			t.Fatalf("%v: %v", tc.kind, err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v frame with the retired key decoded to %+v, want %+v", tc.kind, got, tc.want)
+		}
+		// Today's encoding is the same body without the key.
+		now, err := Encode(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := strings.Replace(tc.body, `"Sequential":false,`, "", 1); string(now[2:]) != want {
+			t.Errorf("%v frame body is now\n%s\nwant the old body less the key:\n%s", tc.kind, now[2:], want)
 		}
 	}
 }

@@ -210,6 +210,28 @@ func (tr Traversal) AssignPrefixOpt(sp metric.Space, r int, w []float64, o Opt) 
 	return assign, counts, maxDist
 }
 
+// SlopeSuffix samples Algorithm 2's convex surrogate of a site's local
+// cost, f(q) = sum over r > q of l(r), at every budget of grid (ascending;
+// its last entry is the largest budget considered). l(r) is the insertion
+// radius of the (k+r)-th traversal point (Line 4): the marginal saving of
+// the r-th ignored point, 0 once the traversal has run out of points. The
+// sums accumulate from the largest budget downward.
+func (tr Traversal) SlopeSuffix(k int, grid []int) []float64 {
+	tmax := grid[len(grid)-1]
+	suffix := make([]float64, tmax+2)
+	for q := tmax; q >= 1; q-- {
+		suffix[q] = suffix[q+1]
+		if idx := k + q - 1; idx < len(tr.Order) {
+			suffix[q] += tr.Radii[idx]
+		}
+	}
+	out := make([]float64, len(grid))
+	for i, q := range grid {
+		out[i] = suffix[q+1]
+	}
+	return out
+}
+
 // Solution is a (k,t)-center solution.
 type Solution struct {
 	Centers []int   // facility indices

@@ -46,6 +46,27 @@ func (s Solution) Outliers() []int {
 	return out
 }
 
+// CenterWeights returns, aligned with Centers, the inlier weight attached
+// to each center when clients carry unit weights: every served client adds
+// whatever part of its weight was not dropped, in increasing client-index
+// order (the order fixes the float sums a site puts on the wire).
+func (s Solution) CenterWeights() []float64 {
+	idx := make(map[int]int, len(s.Centers))
+	for i, f := range s.Centers {
+		idx[f] = i
+	}
+	w := make([]float64, len(s.Centers))
+	for j, f := range s.Assign {
+		if f < 0 {
+			continue
+		}
+		if in := 1 - s.DroppedWeight[j]; in > 0 {
+			w[idx[f]] += in
+		}
+	}
+	return w
+}
+
 // weight returns client j's weight under w (nil = unit weights).
 func weight(w []float64, j int) float64 {
 	if w == nil {

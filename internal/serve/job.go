@@ -6,11 +6,11 @@ import (
 	"time"
 
 	"dpc/internal/core"
-	"dpc/internal/dataio"
 	"dpc/internal/engine"
 	"dpc/internal/jobwire"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
+	"dpc/internal/protocol"
 	"dpc/internal/transport"
 	"dpc/internal/tree"
 	"dpc/internal/uncertain"
@@ -222,8 +222,7 @@ func (s JobSpec) EngineOptions() engine.Options {
 }
 
 // CoreConfig translates a point-objective JobSpec into the distributed run
-// configuration — exactly the mapping cmd/dpc-cluster performs, so server
-// jobs, client backends and CLI runs agree bit for bit.
+// configuration: the point half of Job.
 func (s JobSpec) CoreConfig() (core.Config, error) {
 	obj, err := parseObjective(s.Objective)
 	if err != nil {
@@ -247,68 +246,43 @@ func (s JobSpec) CoreConfig() (core.Config, error) {
 	}, nil
 }
 
-// UncertainConfig translates a u-median/u-means/u-centerpp JobSpec into
-// Algorithm 3's configuration and objective.
-func (s JobSpec) UncertainConfig() (uncertain.Config, uncertain.Objective, error) {
-	obj, err := parseUncertainObjective(s.Objective)
+// Job translates the spec into the protocol job it asks for — the one
+// mapping from the API vocabulary (objective, variant and engine strings)
+// to a run configuration, shared by the server, every client backend and
+// dpc-cluster, so they agree bit for bit.
+func (s JobSpec) Job() (jobwire.Job, error) {
+	kind, err := ObjectiveKind(s.Objective)
 	if err != nil {
-		return uncertain.Config{}, 0, err
+		return jobwire.Job{}, err
+	}
+	j := jobwire.Job{Kind: kind}
+	if kind == jobwire.KindPoint {
+		j.Core, err = s.CoreConfig()
+		return j, err
 	}
 	vr, err := parseUncertainVariant(s.Variant)
 	if err != nil {
-		return uncertain.Config{}, 0, err
+		return jobwire.Job{}, err
 	}
 	eng, err := parseEngine(s.Engine.Algo)
 	if err != nil {
-		return uncertain.Config{}, 0, err
+		return jobwire.Job{}, err
 	}
-	return uncertain.Config{
-		K: s.K, T: s.T, Variant: vr, Eps: s.Eps,
-		Engine:    eng,
-		LocalOpts: kmedian.Options{Seed: s.Seed, Options: s.EngineOptions()},
-		Topology:  s.Topology,
-	}, obj, nil
-}
-
-// CenterGConfig translates a u-centerg JobSpec into Algorithm 4's
-// configuration.
-func (s JobSpec) CenterGConfig() (uncertain.CenterGConfig, error) {
-	if s.Objective != "u-centerg" {
-		return uncertain.CenterGConfig{}, fmt.Errorf("serve: objective %q is not u-centerg", s.Objective)
+	opts := kmedian.Options{Seed: s.Seed, Options: s.EngineOptions()}
+	if kind == jobwire.KindCenterG {
+		j.CenterG = uncertain.CenterGConfig{K: s.K, T: s.T, Eps: s.Eps, OneRound: vr == uncertain.OneRoundShipDists,
+			Engine: eng, LocalOpts: opts, Topology: s.Topology}
+		return j, nil
 	}
-	vr, err := parseUncertainVariant(s.Variant)
-	if err != nil {
-		return uncertain.CenterGConfig{}, err
-	}
-	eng, err := parseEngine(s.Engine.Algo)
-	if err != nil {
-		return uncertain.CenterGConfig{}, err
-	}
-	return uncertain.CenterGConfig{
-		K: s.K, T: s.T, Eps: s.Eps,
-		OneRound:  vr == uncertain.OneRoundShipDists,
-		Engine:    eng,
-		LocalOpts: kmedian.Options{Seed: s.Seed, Options: s.EngineOptions()},
-		Topology:  s.Topology,
-	}, nil
+	j.Obj, err = parseUncertainObjective(s.Objective)
+	j.Unc = uncertain.Config{K: s.K, T: s.T, Variant: vr, Eps: s.Eps, Engine: eng, LocalOpts: opts, Topology: s.Topology}
+	return j, err
 }
 
 // Validate checks the spec's enums and shape without touching a registry —
 // the synchronous half of Submit, shared with the client package.
 func (s JobSpec) Validate() error {
-	kind, err := ObjectiveKind(s.Objective)
-	if err != nil {
-		return err
-	}
-	switch kind {
-	case jobwire.KindPoint:
-		_, err = s.CoreConfig()
-	case jobwire.KindUncertain:
-		_, _, err = s.UncertainConfig()
-	case jobwire.KindCenterG:
-		_, err = s.CenterGConfig()
-	}
-	if err != nil {
+	if _, err := s.Job(); err != nil {
 		return err
 	}
 	if s.K <= 0 {
@@ -350,11 +324,11 @@ func (r *Registry) run(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, err := ObjectiveKind(spec.Objective)
+	job, err := spec.Job()
 	if err != nil {
 		return nil, err
 	}
-	if (kind != jobwire.KindPoint) != (d.kind == KindUncertain) {
+	if (job.Kind != jobwire.KindPoint) != (d.kind == KindUncertain) {
 		return nil, fmt.Errorf("serve: objective %q does not apply to %s dataset %q",
 			spec.Objective, d.kind, d.name)
 	}
@@ -362,13 +336,13 @@ func (r *Registry) run(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	var res *JobResult
 	switch d.kind {
 	case KindTable:
-		res, err = r.runTable(ctx, d, spec)
+		res, err = r.runTable(ctx, d, spec, job)
 	case KindStream:
 		res, err = r.runStream(ctx, d, spec)
 	case KindRemote:
-		res, err = r.runRemote(ctx, d, spec)
+		res, err = r.runRemote(ctx, d, job)
 	case KindUncertain:
-		res, err = r.runUncertain(ctx, d, spec)
+		res, err = r.runUncertain(ctx, d, spec, job)
 	default:
 		err = fmt.Errorf("serve: dataset %q has unknown kind %q", d.name, d.kind)
 	}
@@ -417,41 +391,61 @@ func (r *Registry) shardCaches(d *Dataset, version int, shards [][]metric.Point)
 	return caches
 }
 
-// runTable executes the full distributed protocol over in-process loopback
-// shards — the same SplitRoundRobin sharding and core configuration as
-// dpc-cluster, plus shared shard caches drawn from the pool.
-func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec) (*JobResult, error) {
-	cfg, err := spec.CoreConfig()
-	if err != nil {
-		return nil, err
+// jobResult maps a protocol result to the job API's payload. The cost is
+// the true objective over data when the server holds the instance, and
+// otherwise (remote datasets: the data never reaches the server) the
+// coordinator's cost on its induced instance.
+func jobResult(job jobwire.Job, data jobwire.Data, res protocol.Result, wire transport.Kind) *JobResult {
+	cost, kind := job.Evaluate(data, res.Centers, res.OutlierBudget)
+	if kind == "" {
+		cost, kind = res.CoordinatorCost, "coordinator"
 	}
-	// The loopback site handlers below solve outside RunOverCtx's reach;
-	// hand them the job context directly so CancelJob and Shutdown preempt
-	// their solver inner loops, not just the round boundaries.
-	cfg.LocalOpts.Ctx = ctx
+	return &JobResult{
+		Centers:       pointsToRows(res.Centers),
+		OutlierBudget: res.OutlierBudget,
+		Cost:          cost,
+		CostKind:      kind,
+		Rounds:        res.Report.Rounds,
+		UpBytes:       res.Report.UpBytes,
+		DownBytes:     res.Report.DownBytes,
+		SiteBudgets:   res.SiteBudgets,
+		Transport:     string(wire),
+		Tau:           res.Tau,
+	}
+}
+
+// runTable executes the full distributed protocol over in-process loopback
+// shards — the same round-robin sharding and configuration as dpc-cluster,
+// plus shared shard oracles drawn from the pool (which is why it stands its
+// fleet up itself instead of through Job.RunLocal).
+func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec, job jobwire.Job) (*JobResult, error) {
+	// The loopback site handlers below solve outside RunOver's reach; hand
+	// them the job context directly so CancelJob and Shutdown preempt their
+	// solver inner loops, not just the round boundaries.
+	job.Core.LocalOpts.Ctx = ctx
 	view, version := d.snapshotTable()
-	// The same range check core.Run applies: a budget covering the whole
-	// dataset would "succeed" with zero centers.
+	// The same range check the in-process runs apply: a budget covering the
+	// whole dataset would "succeed" with zero centers.
 	if spec.T >= view.Len() {
 		return nil, fmt.Errorf("serve: t = %d out of range [0, %d) for dataset %q", spec.T, view.Len(), d.name)
 	}
-	pts := view.Flatten()
+	data := jobwire.Data{Pts: view.Flatten()}
 	sites := spec.Sites
 	if sites <= 0 {
 		sites = DefaultJobSites
 	}
-	shards := dataio.SplitRoundRobin(pts, sites)
+	shards := data.Split(sites).Pts
 	// Registration-time metric gate: a dataset whose sampled triangle check
 	// failed gets full scans even when the job asks for the index (the
 	// per-shard self-check would catch it too — this avoids paying the
 	// build just to have it degrade).
-	if cfg.Index && !d.MetricReport().TriangleOK {
-		cfg.Options.Index = false
+	if job.Core.Index && !d.MetricReport().TriangleOK {
+		job.Core.Options.Index = false
 	}
-	oracles := r.shardOracles(d, version, shards, cfg.Options)
+	oracles := r.shardOracles(d, version, shards, job.Core.Options)
 	handlers := make([]transport.Handler, len(shards))
 	for i := range shards {
-		h, err := core.NewSiteHandlerOracle(cfg, i, shards[i], oracles[i])
+		h, err := job.SiteHandler(jobwire.SiteData{Site: i, Pts: shards[i]}, oracles[i])
 		if err != nil {
 			return nil, err
 		}
@@ -462,22 +456,11 @@ func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec) (*Job
 		return nil, err
 	}
 	defer tr.Close()
-	res, err := core.RunOverCtx(ctx, tr, cfg)
+	res, err := job.RunOver(ctx, tr, nil)
 	if err != nil {
 		return nil, err
 	}
-	obj, _ := parseObjective(spec.Objective)
-	return &JobResult{
-		Centers:       pointsToRows(res.Centers),
-		OutlierBudget: res.OutlierBudget,
-		Cost:          core.Evaluate(pts, res.Centers, res.OutlierBudget, obj),
-		CostKind:      "global",
-		Rounds:        res.Report.Rounds,
-		UpBytes:       res.Report.UpBytes,
-		DownBytes:     res.Report.DownBytes,
-		SiteBudgets:   res.SiteBudgets,
-		Transport:     string(transport.KindLoopback),
-	}, nil
+	return jobResult(job, data, res, transport.KindLoopback), nil
 }
 
 // runStream answers a (k, t) query on the dataset's sketch summary. The
@@ -523,21 +506,10 @@ func (r *Registry) runStream(ctx context.Context, d *Dataset, spec JobSpec) (*Jo
 // the standard coordinator drive runs over the live sockets. Jobs against
 // one remote dataset serialize (the transport round contract); jobs against
 // different datasets still run concurrently.
-func (r *Registry) runRemote(ctx context.Context, d *Dataset, spec JobSpec) (*JobResult, error) {
-	cfg, err := spec.CoreConfig()
-	if err != nil {
-		return nil, err
-	}
-	blob, err := jobwire.Encode(jobwire.Job{Kind: jobwire.KindPoint, Core: cfg})
-	if err != nil {
-		return nil, err
-	}
+func (r *Registry) runRemote(ctx context.Context, d *Dataset, job jobwire.Job) (*JobResult, error) {
 	d.jobMu.Lock()
 	defer d.jobMu.Unlock()
-	if err := d.remote.StartJob(blob); err != nil {
-		return nil, err
-	}
-	res, err := core.RunOverCtx(ctx, d.remote, cfg)
+	res, err := job.RunFleet(ctx, d.remote, nil)
 	if err != nil {
 		// A cancellation mid-protocol leaves the persistent connections
 		// desynchronized (site replies for this run are still in flight).
@@ -548,17 +520,7 @@ func (r *Registry) runRemote(ctx context.Context, d *Dataset, spec JobSpec) (*Jo
 		}
 		return nil, err
 	}
-	return &JobResult{
-		Centers:       pointsToRows(res.Centers),
-		OutlierBudget: res.OutlierBudget,
-		Cost:          res.CoordinatorCost,
-		CostKind:      "coordinator",
-		Rounds:        res.Report.Rounds,
-		UpBytes:       res.Report.UpBytes,
-		DownBytes:     res.Report.DownBytes,
-		SiteBudgets:   res.SiteBudgets,
-		Transport:     string(transport.KindTCP),
-	}, nil
+	return jobResult(job, jobwire.Data{}, res, transport.KindTCP), nil
 }
 
 // runUncertain executes the Section 5 protocols over loopback shards of an
@@ -567,73 +529,18 @@ func (r *Registry) runRemote(ctx context.Context, d *Dataset, spec JobSpec) (*Jo
 // over all registered nodes (the server holds the ground set, so unlike
 // remote datasets there is no reason to settle for the coordinator's
 // induced cost); u-centerg costs are seeded Monte Carlo estimates.
-func (r *Registry) runUncertain(ctx context.Context, d *Dataset, spec JobSpec) (*JobResult, error) {
+func (r *Registry) runUncertain(ctx context.Context, d *Dataset, spec JobSpec, job jobwire.Job) (*JobResult, error) {
 	sites := spec.Sites
 	if sites <= 0 {
 		sites = DefaultJobSites
 	}
-	if spec.T >= len(d.nodes) {
-		return nil, fmt.Errorf("serve: t = %d out of range [0, %d) for dataset %q", spec.T, len(d.nodes), d.name)
-	}
-	shards := dataio.SplitNodesRoundRobin(d.nodes, sites)
-
-	if spec.Objective == "u-centerg" {
-		cfg, err := spec.CenterGConfig()
-		if err != nil {
-			return nil, err
-		}
-		res, err := uncertain.RunCenterGCtx(ctx, d.ground, shards, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &JobResult{
-			Centers:       pointsToRows(res.Centers),
-			OutlierBudget: res.OutlierBudget,
-			Cost:          uncertain.EvalCenterG(d.ground, d.nodes, res.Centers, res.OutlierBudget, CenterGCostSamples, spec.Seed),
-			CostKind:      "estimate",
-			Rounds:        res.Report.Rounds,
-			UpBytes:       res.Report.UpBytes,
-			DownBytes:     res.Report.DownBytes,
-			SiteBudgets:   res.SiteBudgets,
-			Transport:     string(transport.KindLoopback),
-			Tau:           res.Tau,
-		}, nil
-	}
-
-	cfg, obj, err := spec.UncertainConfig()
+	data := jobwire.Data{G: d.ground, Nodes: d.nodes}
+	res, err := job.RunLocal(ctx, data.Split(sites))
 	if err != nil {
 		return nil, err
 	}
-	res, err := uncertain.RunCtx(ctx, d.ground, shards, cfg, obj)
-	if err != nil {
-		return nil, err
-	}
-	var cost float64
-	switch obj {
-	case uncertain.Means:
-		cost = uncertain.EvalMeans(d.ground, d.nodes, res.Centers, res.OutlierBudget)
-	case uncertain.CenterPP:
-		cost = uncertain.EvalCenterPP(d.ground, d.nodes, res.Centers, res.OutlierBudget)
-	default:
-		cost = uncertain.EvalMedian(d.ground, d.nodes, res.Centers, res.OutlierBudget)
-	}
-	return &JobResult{
-		Centers:       pointsToRows(res.Centers),
-		OutlierBudget: res.OutlierBudget,
-		Cost:          cost,
-		CostKind:      "global",
-		Rounds:        res.Report.Rounds,
-		UpBytes:       res.Report.UpBytes,
-		DownBytes:     res.Report.DownBytes,
-		SiteBudgets:   res.SiteBudgets,
-		Transport:     string(transport.KindLoopback),
-	}, nil
+	return jobResult(job, data, res, transport.KindLoopback), nil
 }
-
-// CenterGCostSamples is the Monte-Carlo sample count behind u-centerg job
-// costs. Exported so the client package evaluates with the identical
-// sample count — remote and local u-centerg costs must agree exactly.
-const CenterGCostSamples = 200
 
 // pointsToRows converts points to JSON-friendly rows.
 func pointsToRows(pts []metric.Point) [][]float64 {

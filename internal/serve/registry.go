@@ -40,6 +40,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dpc/internal/jobwire"
 	"dpc/internal/metric"
 	"dpc/internal/stream"
 	"dpc/internal/transport"
@@ -78,10 +79,7 @@ const (
 // job: the protocol rounds plus the per-job re-arm frame. Satisfied by a
 // single *transport.Coordinator group and by *transport.Multi when the
 // dataset spans several site groups.
-type RemoteTransport interface {
-	transport.Transport
-	StartJob(blob []byte) error
-}
+type RemoteTransport = jobwire.Fleet
 
 // TableView is a consistent point-in-time view of a table dataset: the
 // sealed storage chunks as of one version. Taking a view is copy-free

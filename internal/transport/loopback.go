@@ -8,8 +8,8 @@ import (
 )
 
 // Loopback is the in-process backend: sites are Handlers invoked directly,
-// one goroutine per site (or sequentially, for the centralized simulation
-// of Section 3.1 where total work is what matters). Payload bytes are
+// one goroutine per site (or sequentially, one site after another, for a
+// caller that wants total work rather than wall clock). Payload bytes are
 // passed by reference and never copied, so the byte accounting upstream is
 // exactly the encoded payload sizes — identical to the simulated star
 // network the repository started with.

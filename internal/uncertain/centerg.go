@@ -12,6 +12,7 @@ import (
 	"dpc/internal/kcenter"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
+	"dpc/internal/protocol"
 	"dpc/internal/transport"
 	"dpc/internal/tree"
 )
@@ -34,7 +35,6 @@ type CenterGConfig struct {
 	MaxFacilities int
 	Engine        kmedian.Engine
 	LocalOpts     kmedian.Options // its NoCache / Reference knobs turn the memoized oracles off
-	Sequential    bool
 	// OneRound runs the Table 2 single-round variant: every site ships,
 	// for every tau in the grid, its full (2k, t, rho_6tau) preclustering
 	// (centers + outlier distributions + cost) — communication
@@ -69,21 +69,10 @@ func (c CenterGConfig) withDefaults() CenterGConfig {
 	return c
 }
 
-// CenterGResult is the outcome of Algorithm 4.
-type CenterGResult struct {
-	Centers []metric.Point
-	// Tau is the truncation threshold the parametric search selected
-	// (Step 6); Copt(A,k,t) >= Tau/3 by Lemma 5.13, so Tau is also a
-	// reported lower-bound witness.
-	Tau float64
-	// TauGrid is the searched grid (|TauGrid| = O(log Delta)).
-	TauGrid []float64
-	Report  comm.Report
-	// SiteBudgets are the t_i(tau-hat) of the chosen threshold (nil for
-	// the 1-round variant, where every t_i = t).
-	SiteBudgets   []int
-	OutlierBudget float64
-}
+// CenterGResult is the outcome of Algorithm 4: Tau is the threshold the
+// parametric search selected and TauGrid the grid it searched; SiteBudgets
+// are the t_i(tau-hat) of that threshold.
+type CenterGResult = protocol.Result
 
 // tauGrid computes Step 2's truncation grid
 // T = {base^i * dmin/18 : 0 <= i <= ceil(log Delta) + 2}. The grid is a
@@ -108,131 +97,91 @@ func tauGrid(g *Ground, base float64) ([]float64, error) {
 
 // cgSite is the site half of Algorithm 4.
 type cgSite struct {
-	cfg     CenterGConfig
+	cfg     CenterGConfig // LocalOpts carries the per-site seed
 	site    int
 	g       *Ground
 	grid    []float64
 	nodes   []Node
-	fac     []int                       // candidate facility indices into the ground set
-	sols    map[[2]int]kmedian.Solution // (tauIdx, q) -> solution
-	oracles map[int]metric.Costs        // tauIdx -> (cached) rho_tau oracle
-	fns     []geom.ConvexFn             // one per tau
-	budget  int
+	fac     []int                    // candidate facility indices into the ground set
+	solvers []*protocol.BudgetSolver // per tau: the (2k, q, rho_6tau)-median solves
+	fns     []geom.ConvexFn          // per tau: round 0's hull
 }
 
 func newCGSite(g *Ground, nodes []Node, cfg CenterGConfig, grid []float64, site int) *cgSite {
-	opts := cfg.LocalOpts
-	opts.Seed += int64(site) * 1000033
-	st := &cgSite{
+	cfg.LocalOpts.Seed += int64(site) * 1000033
+	return &cgSite{
 		cfg:     cfg,
 		site:    site,
 		g:       g,
 		grid:    grid,
 		nodes:   nodes,
-		sols:    make(map[[2]int]kmedian.Solution),
-		oracles: make(map[int]metric.Costs),
+		fac:     facilityCandidates(nodes, cfg.MaxFacilities),
+		solvers: make([]*protocol.BudgetSolver, len(grid)),
 	}
-	st.cfg.LocalOpts = opts
-	st.fac = facilityCandidates(nodes, cfg.MaxFacilities)
-	return st
 }
 
-func (st *cgSite) solve(tauIdx int, tau6 float64, k2, q int) kmedian.Solution {
-	key := [2]int{tauIdx, q}
-	if sol, ok := st.sols[key]; ok {
-		return sol
+// solver returns the local solves at one truncation grid index. Their
+// rho_tau cost oracle is memoized behind a cost cache (unless the reference
+// engine is selected): the truncated expected distances of Definition 5.7
+// are the most expensive oracle in the repository (a support-sized sum per
+// call), and the grid of budget solves at a fixed tau re-reads the same
+// entries many times.
+func (st *cgSite) solver(tauIdx int) *protocol.BudgetSolver {
+	if st.solvers[tauIdx] == nil {
+		var tc metric.Costs = &TruncCosts{G: st.g, Nodes: st.nodes, Fac: st.fac, Tau: 6 * st.grid[tauIdx]}
+		if !st.cfg.LocalOpts.Reference && !st.cfg.LocalOpts.NoCache {
+			tc = metric.CacheCosts(tc)
+		}
+		st.solvers[tauIdx] = &protocol.BudgetSolver{Costs: tc, K: 2 * st.cfg.K, Engine: st.cfg.Engine, Opts: st.cfg.LocalOpts}
 	}
-	sol := kmedian.Solve(st.oracle(tauIdx, tau6), nil, k2, float64(q), st.cfg.Engine, st.cfg.LocalOpts)
-	st.sols[key] = sol
-	return sol
-}
-
-// oracle returns the rho_tau cost oracle for one truncation grid index,
-// memoized behind a cost cache (unless the reference engine is selected):
-// the truncated expected distances of Definition 5.7 are the most expensive
-// oracle in the repository (a support-sized sum per call), and the grid of
-// budget solves at a fixed tau re-reads the same entries many times.
-func (st *cgSite) oracle(tauIdx int, tau6 float64) metric.Costs {
-	if c, ok := st.oracles[tauIdx]; ok {
-		return c
-	}
-	var tc metric.Costs = &TruncCosts{G: st.g, Nodes: st.nodes, Fac: st.fac, Tau: tau6}
-	if !st.cfg.LocalOpts.Reference && !st.cfg.LocalOpts.NoCache {
-		tc = metric.CacheCosts(tc)
-	}
-	st.oracles[tauIdx] = tc
-	return tc
+	return st.solvers[tauIdx]
 }
 
 // wirePrecluster serializes a local solution: the chosen centers as ground
 // points with attached node counts, and the outlier nodes as full
 // distributions (the I-bit payload).
 func (st *cgSite) wirePrecluster(sol kmedian.Solution) (comm.WeightedPointsMsg, comm.NodesMsg) {
-	var centers comm.WeightedPointsMsg
-	idx := make(map[int]int, len(sol.Centers))
+	centers := comm.WeightedPointsMsg{W: sol.CenterWeights()}
 	for _, f := range sol.Centers {
-		idx[f] = len(centers.Pts)
 		centers.Pts = append(centers.Pts, st.g.Pts[st.fac[f]])
-		centers.W = append(centers.W, 0)
-	}
-	for j, f := range sol.Assign {
-		if f < 0 {
-			continue
-		}
-		if inW := 1 - sol.DroppedWeight[j]; inW > 0 {
-			centers.W[idx[f]] += inW
-		}
 	}
 	var outs comm.NodesMsg
-	for j, w := range sol.DroppedWeight {
-		if w > 0 {
-			nd := st.nodes[j]
-			wire := comm.NodeWire{Support: make([]uint32, len(nd.Support)), Prob: append([]float64(nil), nd.Prob...)}
-			for q, u := range nd.Support {
-				wire.Support[q] = uint32(u)
-			}
-			outs.Nodes = append(outs.Nodes, wire)
-		}
+	for _, j := range sol.Outliers() {
+		outs.Nodes = append(outs.Nodes, nodeWire(st.nodes[j]))
 	}
 	return centers, outs
 }
 
-// handle implements transport.Handler for Algorithm 4's site side.
-func (st *cgSite) handle(round int, in []byte) ([]byte, error) {
+// handle is Algorithm 4's site side: its own round shape (one hull per
+// tau up, tau-hat down with the pivot), so its own round switch.
+func (st *cgSite) handle(round int, in []byte) (comm.Payload, error) {
 	cfg := st.cfg
-	k2 := 2 * cfg.K
+	tcap := protocol.CapBudget(cfg.T, len(st.nodes))
 	switch {
 	case cfg.OneRound && round == 0:
 		// Table 2 variant: one round, everything for every tau —
 		// Otilde(s (kB + tI) log Delta) communication.
-		st.budget = capBudget(cfg.T, len(st.nodes))
 		costs := make([]float64, len(st.grid))
 		parts := make([]comm.Payload, 1, 1+2*len(st.grid))
-		for ti, tv := range st.grid {
-			sol := st.solve(ti, 6*tv, k2, st.budget)
+		for ti := range st.grid {
+			sol := st.solver(ti).Solve(tcap)
 			costs[ti] = sol.Cost
 			centers, outs := st.wirePrecluster(sol)
 			parts = append(parts, centers, outs)
 		}
 		parts[0] = comm.Float64sMsg{Vals: costs}
-		return comm.Encode(comm.Multi{Parts: parts})
+		return comm.Multi{Parts: parts}, nil
 
 	case round == 0:
 		// Round 1: per tau, the hull of local truncated costs (Steps 3-5).
-		tcap := capBudget(cfg.T, len(st.nodes))
 		budgetGrid := geom.Grid(tcap, cfg.HullBase)
 		msg := comm.HullsMsg{Hulls: make([][]geom.Vertex, len(st.grid))}
 		st.fns = make([]geom.ConvexFn, len(st.grid))
-		for ti, tv := range st.grid {
-			samples := make([]geom.Vertex, 0, len(budgetGrid))
-			var warm []int
-			for _, q := range budgetGrid {
-				st.cfg.LocalOpts.Warm = warm
-				sol := st.solve(ti, 6*tv, k2, q)
-				warm = sol.Centers
-				samples = append(samples, geom.Vertex{Q: q, C: sol.Cost})
+		for ti := range st.grid {
+			samples := make([]geom.Vertex, len(budgetGrid))
+			for i, c := range st.solver(ti).Curve(budgetGrid) {
+				samples[i] = geom.Vertex{Q: budgetGrid[i], C: c}
 			}
-			st.cfg.LocalOpts.Warm = nil
 			fn, err := geom.NewConvexFn(samples)
 			if err != nil {
 				return nil, fmt.Errorf("uncertain: center-g site hull: %w", err)
@@ -240,33 +189,24 @@ func (st *cgSite) handle(round int, in []byte) ([]byte, error) {
 			st.fns[ti] = fn
 			msg.Hulls[ti] = fn.Vertices()
 		}
-		return comm.Encode(msg)
+		return msg, nil
 
 	case round == 1 && !cfg.OneRound:
 		// Round 2: preclustering at tau-hat; centers as points, outliers
 		// as full node distributions (Step 7). Tau-hat arrives in the
 		// pivot broadcast; the site locates it on its own grid.
-		var pm comm.PivotMsg
-		if err := pm.UnmarshalBinary(in); err != nil {
+		pivot, tau, err := protocol.DecodePivot(in)
+		if err != nil {
 			return nil, fmt.Errorf("uncertain: center-g site pivot: %w", err)
 		}
-		tauIdx := -1
 		for ti, tv := range st.grid {
-			if tv == pm.Tau {
-				tauIdx = ti
-				break
+			if tv == tau {
+				sol := st.solver(ti).Solve(alloc.FinalBudget(st.fns[ti], st.site, pivot))
+				centers, outs := st.wirePrecluster(sol)
+				return comm.Multi{Parts: []comm.Payload{centers, outs}}, nil
 			}
 		}
-		if tauIdx < 0 {
-			return nil, fmt.Errorf("uncertain: broadcast tau %g not on the site grid", pm.Tau)
-		}
-		pivot := alloc.Pivot{I0: pm.I0, Q0: pm.Q0, L0: pm.L0, Rank: pm.Rank, Exhausted: pm.Exhausted}
-		fn := st.fns[tauIdx]
-		ti := alloc.FinalBudget(fn, st.site, pivot)
-		st.budget = ti
-		sol := st.solve(tauIdx, 6*st.grid[tauIdx], k2, ti)
-		centers, outs := st.wirePrecluster(sol)
-		return comm.Encode(comm.Multi{Parts: []comm.Payload{centers, outs}})
+		return nil, fmt.Errorf("uncertain: broadcast tau %g not on the site grid", tau)
 	}
 	return nil, fmt.Errorf("uncertain: center-g site has no round %d", round)
 }
@@ -287,7 +227,10 @@ func newCenterGSiteHandler(g *Ground, nodes []Node, cfg CenterGConfig, grid []fl
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("uncertain: site %d empty", site)
 	}
-	return newCGSite(g, nodes, cfg, grid, site).handle, nil
+	if cfg.K <= 0 || cfg.T < 0 {
+		return nil, fmt.Errorf("uncertain: bad K=%d T=%d", cfg.K, cfg.T)
+	}
+	return protocol.SiteHandler(newCGSite(g, nodes, cfg, grid, site).handle), nil
 }
 
 // RunCenterG executes Algorithm 4 for the uncertain (k,t)-center-g
@@ -308,40 +251,15 @@ func RunCenterGCtx(ctx context.Context, g *Ground, sites [][]Node, cfg CenterGCo
 	// As in core.RunCtx: the truncated-oracle solves inherit ctx so a
 	// cancelled run stops mid-solve, not just at the next gather.
 	cfg.LocalOpts.Ctx = ctx
-	s := len(sites)
-	if s == 0 {
-		return CenterGResult{}, fmt.Errorf("uncertain: no sites")
-	}
-	total := 0
-	for i, nds := range sites {
-		if len(nds) == 0 {
-			return CenterGResult{}, fmt.Errorf("uncertain: site %d empty", i)
-		}
-		total += len(nds)
-	}
-	if cfg.K <= 0 || cfg.T < 0 || cfg.T >= total {
-		return CenterGResult{}, fmt.Errorf("uncertain: bad K=%d T=%d", cfg.K, cfg.T)
-	}
 	// One grid for everyone: tauGrid costs an O(|ground|^2) min/max scan,
 	// so in-process runs must not pay it once per site.
 	grid, err := tauGrid(g, cfg.TauBase)
 	if err != nil {
 		return CenterGResult{}, err
 	}
-	handlers := make([]transport.Handler, s)
-	for i := range sites {
-		h, err := newCenterGSiteHandler(g, sites[i], cfg, grid, i)
-		if err != nil {
-			return CenterGResult{}, err
-		}
-		handlers[i] = h
-	}
-	tr, err := tree.NewLocal(ctx, cfg.Transport, handlers, !cfg.Sequential, cfg.Topology)
-	if err != nil {
-		return CenterGResult{}, err
-	}
-	defer tr.Close()
-	return runCenterGOver(ctx, g, tr, cfg, grid)
+	return protocol.RunLocal(ctx, protocol.Params{Name: "uncertain", T: cfg.T}, cfg.Transport, cfg.Topology, sites,
+		func(i int) (transport.Handler, error) { return newCenterGSiteHandler(g, sites[i], cfg, grid, i) },
+		func(tr transport.Transport) (CenterGResult, error) { return runCenterGOver(ctx, g, tr, cfg, grid) })
 }
 
 // RunCenterGOverCtx executes the coordinator side of Algorithm 4 over an
@@ -367,10 +285,9 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 	nw := comm.NewOverCtx(ctx, tr)
 
 	tauIdx := len(grid) - 1
-	// centerParts/outParts hold, per site, the tau-hat preclustering as it
-	// came off the wire.
-	centerParts := make([]comm.WeightedPointsMsg, s)
-	outParts := make([]comm.NodesMsg, s)
+	// parts holds, per site, the tau-hat preclustering as it came off the
+	// wire: the centers message, then the outlier nodes message.
+	parts := make([][][]byte, s)
 	var budgets []int
 
 	if cfg.OneRound {
@@ -380,41 +297,30 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 		}
 		if err := nw.Coordinator(func() error {
 			sums := make([]float64, len(grid))
-			multis := make([][][]byte, s)
 			for i, b := range oneUp {
-				parts, err := comm.SplitMulti(b)
-				if err == nil && len(parts) != 1+2*len(grid) {
-					err = fmt.Errorf("uncertain: %d parts, want %d", len(parts), 1+2*len(grid))
+				var cm comm.Float64sMsg
+				var err error
+				if parts[i], err = splitParts(b, 1+2*len(grid)); err == nil {
+					err = cm.UnmarshalBinary(parts[i][0])
+				}
+				if err == nil && len(cm.Vals) != len(grid) {
+					err = fmt.Errorf("%d costs, want %d", len(cm.Vals), len(grid))
 				}
 				if err != nil {
 					return fmt.Errorf("uncertain: one-round center-g payload from site %d: %w", i, err)
-				}
-				multis[i] = parts
-				var cm comm.Float64sMsg
-				if err := cm.UnmarshalBinary(parts[0]); err != nil {
-					return fmt.Errorf("uncertain: costs from site %d: %w", i, err)
-				}
-				if len(cm.Vals) != len(grid) {
-					return fmt.Errorf("uncertain: site %d shipped %d costs, want %d", i, len(cm.Vals), len(grid))
 				}
 				for ti, v := range cm.Vals {
 					sums[ti] += v
 				}
 			}
-			tauIdx = len(grid) - 1
 			for ti, tv := range grid {
 				if sums[ti] <= 12*tv {
 					tauIdx = ti
 					break
 				}
 			}
-			for i, parts := range multis {
-				if err := centerParts[i].UnmarshalBinary(parts[1+2*tauIdx]); err != nil {
-					return fmt.Errorf("uncertain: centers from site %d: %w", i, err)
-				}
-				if err := outParts[i].UnmarshalBinary(parts[2+2*tauIdx]); err != nil {
-					return fmt.Errorf("uncertain: outliers from site %d: %w", i, err)
-				}
+			for i := range parts {
+				parts[i] = parts[i][1+2*tauIdx : 3+2*tauIdx]
 			}
 			return nil
 		}); err != nil {
@@ -429,7 +335,6 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 		// Coordinator: tau-hat = min{tau : sum_i f_i(t_i(tau)) <= 12 tau}
 		// (Step 6), then the pivot for tau-hat.
 		var pivot alloc.Pivot
-		var ts []int
 		if err := nw.Coordinator(func() error {
 			all := make([][]geom.ConvexFn, len(grid)) // [tau][site]
 			for ti := range grid {
@@ -465,23 +370,19 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 				}
 			}
 			if !found { // cannot happen for tau_max (rho_6tau = 0); be safe
-				tauIdx = len(grid) - 1
 				pivot, _ = alloc.Allocate(all[tauIdx], R)
 			}
 			// Replay Step 11 per site: the coordinator knows every
 			// t_i(tau-hat) without extra bytes.
-			ts = make([]int, s)
+			budgets = make([]int, s)
 			for i, fn := range all[tauIdx] {
-				ts[i] = alloc.FinalBudget(fn, i, pivot)
+				budgets[i] = alloc.FinalBudget(fn, i, pivot)
 			}
 			return nil
 		}); err != nil {
 			return CenterGResult{}, err
 		}
-		if err := nw.Broadcast(comm.PivotMsg{
-			I0: pivot.I0, Q0: pivot.Q0, L0: pivot.L0,
-			Rank: pivot.Rank, Exhausted: pivot.Exhausted, Tau: grid[tauIdx],
-		}); err != nil {
+		if err := protocol.BroadcastPivot(nw, pivot, grid[tauIdx]); err != nil {
 			return CenterGResult{}, err
 		}
 
@@ -490,59 +391,56 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 			return CenterGResult{}, err
 		}
 		for i, b := range roundTwo {
-			parts, err := comm.SplitMulti(b)
-			if err == nil && len(parts) != 2 {
-				err = fmt.Errorf("uncertain: %d parts, want 2", len(parts))
-			}
-			if err != nil {
+			if parts[i], err = splitParts(b, 2); err != nil {
 				return CenterGResult{}, fmt.Errorf("uncertain: center-g payload from site %d: %w", i, err)
 			}
-			if err := centerParts[i].UnmarshalBinary(parts[0]); err != nil {
-				return CenterGResult{}, fmt.Errorf("uncertain: centers from site %d: %w", i, err)
-			}
-			if err := outParts[i].UnmarshalBinary(parts[1]); err != nil {
-				return CenterGResult{}, fmt.Errorf("uncertain: outliers from site %d: %w", i, err)
-			}
 		}
-		budgets = ts
 	}
 
 	// Coordinator: weighted truncated (k,t)-center over the union.
-	var result CenterGResult
+	result := CenterGResult{Tau: grid[tauIdx], TauGrid: grid, SiteBudgets: budgets, OutlierBudget: (1 + cfg.Eps) * float64(cfg.T)}
 	if err := nw.Coordinator(func() error {
 		cc := &coordTruncCosts{g: g, tau: 6 * grid[tauIdx]}
 		var wts []float64
-		for i := range centerParts {
-			for c, pt := range centerParts[i].Pts {
-				cc.addPoint(pt)
-				wts = append(wts, centerParts[i].W[c])
+		for i, p := range parts {
+			var centers comm.WeightedPointsMsg
+			var outs comm.NodesMsg
+			if err := centers.UnmarshalBinary(p[0]); err != nil {
+				return fmt.Errorf("uncertain: centers from site %d: %w", i, err)
 			}
-			for _, wire := range outParts[i].Nodes {
-				nd := Node{Support: make([]int, len(wire.Support)), Prob: wire.Prob}
-				for q, u := range wire.Support {
-					nd.Support[q] = int(u)
-				}
-				cc.addNode(nd)
+			if err := outs.UnmarshalBinary(p[1]); err != nil {
+				return fmt.Errorf("uncertain: outliers from site %d: %w", i, err)
+			}
+			for c, pt := range centers.Pts {
+				cc.addPoint(pt)
+				wts = append(wts, centers.W[c])
+			}
+			for _, wire := range outs.Nodes {
+				cc.addNode(nodeFromWire(wire))
 				wts = append(wts, 1)
 			}
 		}
 		sol := kcenter.PartialOpt(cc, wts, cfg.K, float64(cfg.T),
 			kcenter.Opt{Workers: cfg.LocalOpts.Workers, Reference: cfg.LocalOpts.Reference})
-		result.Centers = make([]metric.Point, len(sol.Centers))
-		for i, f := range sol.Centers {
-			result.Centers[i] = cc.facPts[f].Clone()
+		result.CoordinatorCost = sol.Radius
+		for _, f := range sol.Centers {
+			result.Centers = append(result.Centers, cc.facPts[f].Clone())
 		}
 		return nil
 	}); err != nil {
 		return CenterGResult{}, err
 	}
-
-	result.Tau = grid[tauIdx]
-	result.TauGrid = grid
 	result.Report = nw.Report()
-	result.SiteBudgets = budgets
-	result.OutlierBudget = (1 + cfg.Eps) * float64(cfg.T)
 	return result, nil
+}
+
+// splitParts splits a Multi payload and checks its part count.
+func splitParts(b []byte, want int) ([][]byte, error) {
+	parts, err := comm.SplitMulti(b)
+	if err == nil && len(parts) != want {
+		err = fmt.Errorf("%d parts, want %d", len(parts), want)
+	}
+	return parts, err
 }
 
 // facilityCandidates returns the union of the nodes' support indices,

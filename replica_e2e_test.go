@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -28,6 +29,7 @@ import (
 // reported.
 type serverProc struct {
 	bin, addr, dir string
+	extra          []string // flags beyond the journal's
 	url            string
 	cmd            *exec.Cmd
 	scanned        chan struct{} // closed when stderr hits EOF
@@ -41,13 +43,14 @@ var servingRE = regexp.MustCompile(`serving HTTP on (\S+)`)
 // startServer starts dpc-server on addr (127.0.0.1:0 picks a port; a
 // restart passes the bound address back in) journaling into dir on tiny
 // segments, so modest traffic rotates them; -compact-every is far enough
-// out that only an explicit admin call compacts. It returns once the
-// process serves HTTP and has finished replaying its journal.
-func startServer(t *testing.T, bin, addr, dir string) *serverProc {
+// out that only an explicit admin call compacts. extra flags follow. It
+// returns once the process serves HTTP and has finished replaying its
+// journal.
+func startServer(t *testing.T, bin, addr, dir string, extra ...string) *serverProc {
 	t.Helper()
-	p := &serverProc{bin: bin, dir: dir, scanned: make(chan struct{})}
-	p.cmd = exec.Command(bin, "-listen", addr, "-journal-dir", dir,
-		"-journal-segment-bytes", "8192", "-compact-every", "1h")
+	p := &serverProc{bin: bin, dir: dir, extra: extra, scanned: make(chan struct{})}
+	p.cmd = exec.Command(bin, append([]string{"-listen", addr, "-journal-dir", dir,
+		"-journal-segment-bytes", "8192", "-compact-every", "1h"}, extra...)...)
 	stderr, err := p.cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +103,18 @@ func (p *serverProc) kill() {
 	p.cmd.Wait()
 }
 
-// restart starts a new process on the same address and journal.
+// restart starts a new process on the same address, journal and flags.
 func (p *serverProc) restart(t *testing.T) *serverProc {
 	t.Helper()
-	return startServer(t, p.bin, p.addr, p.dir)
+	return startServer(t, p.bin, p.addr, p.dir, p.extra...)
+}
+
+// terminate SIGTERMs the process — the graceful path: drain, seal the
+// journal, spill warm caches — and returns how it exited.
+func (p *serverProc) terminate() error {
+	p.cmd.Process.Signal(syscall.SIGTERM)
+	<-p.scanned // Wait closes the pipe: finish reading it first
+	return p.cmd.Wait()
 }
 
 func (p *serverProc) stderr() string {
