@@ -28,7 +28,10 @@
 // With -journal-dir set, every dataset and job mutation is written ahead
 // to an append-only journal and replayed on start: a restarted server
 // resumes its queue and re-serves finished results with zero recompute.
-// /readyz answers 503 until the replay completes.
+// /readyz answers 503 until the replay completes. The journal is the only
+// thing the server writes: distance caches are recomputed, never stored —
+// with -warm in the background, after every table registration and after
+// a replay.
 //
 // SIGTERM/SIGINT drain gracefully: submissions stop, queued jobs fail with
 // an explicit reason, and running jobs get -drain-timeout to finish before
@@ -56,19 +59,15 @@ import (
 // are generated from the tagged fields instead of hand-declared, so names
 // cannot drift from the documented configuration vocabulary.
 type options struct {
-	Listen         string `json:"listen" usage:"HTTP listen address"`
-	MaxJobs        int    `json:"max_jobs" usage:"max concurrently running jobs (0 = one per CPU)"`
-	Queue          int    `json:"queue" usage:"max queued jobs before 503 backpressure"`
-	CacheMB        int64  `json:"cache_mb" usage:"shared distance-cache pool budget in MiB"`
-	RegistryShards int    `json:"registry_shards" usage:"dataset-registry hash segments (0 = default; 1 = single-lock namespace)"`
-	CacheDir       string `json:"cache_dir" usage:"when set, spill warm distance triangles here on shutdown and restore them on start"`
-	Warm           bool   `json:"warm" usage:"prefill every table dataset's shard caches in the background after registration"`
-	WarmIndex      bool   `json:"warm_index" usage:"also build pooled pivot indexes during background warmup (with -warm)"`
-	WarmPivots     int    `json:"warm_pivots" usage:"pivot count for warmup-built indexes (0 = metric default)"`
-	SitesListen    string `json:"sites_listen" usage:"when set, accept persistent dpc-site daemons on this address (comma-separated for several site groups)"`
-	RemoteSites    string `json:"remote_sites" usage:"dpc-site daemons to wait for per -sites-listen address (comma-separated to match)"`
-	RemoteName     string `json:"remote_name" usage:"dataset name for the connected dpc-site daemons"`
-	DrainTimeout   string `json:"drain_timeout" usage:"how long running jobs may finish after SIGTERM before cancellation"`
+	Listen       string `json:"listen" usage:"HTTP listen address"`
+	MaxJobs      int    `json:"max_jobs" usage:"max concurrently running jobs (0 = one per CPU)"`
+	Queue        int    `json:"queue" usage:"max queued jobs before 503 backpressure"`
+	CacheMB      int64  `json:"cache_mb" usage:"shared distance-cache pool budget in MiB"`
+	Warm         bool   `json:"warm" usage:"prefill every table dataset's shard caches in the background after registration and after journal replay"`
+	SitesListen  string `json:"sites_listen" usage:"when set, accept persistent dpc-site daemons on this address (comma-separated for several site groups)"`
+	RemoteSites  string `json:"remote_sites" usage:"dpc-site daemons to wait for per -sites-listen address (comma-separated to match)"`
+	RemoteName   string `json:"remote_name" usage:"dataset name for the connected dpc-site daemons"`
+	DrainTimeout string `json:"drain_timeout" usage:"how long running jobs may finish after SIGTERM before cancellation"`
 
 	JournalDir   string  `json:"journal_dir" usage:"when set, write-ahead journal every dataset and job mutation here and replay it on start"`
 	JournalSync  bool    `json:"journal_sync" usage:"fsync the journal after every record (survives power loss, not just crashes)"`
@@ -132,11 +131,7 @@ func main() {
 		MaxConcurrentJobs: opt.MaxJobs,
 		QueueDepth:        opt.Queue,
 		MaxCacheBytes:     opt.CacheMB << 20,
-		RegistryShards:    opt.RegistryShards,
-		CacheDir:          opt.CacheDir,
 		WarmOnRegister:    opt.Warm,
-		WarmIndex:         opt.WarmIndex,
-		WarmPivots:        opt.WarmPivots,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "dpc-server: "+format+"\n", args...)
 		},
@@ -155,7 +150,7 @@ func main() {
 	}
 	go func() {
 		if err := srv.Recover(); err != nil {
-			// A corrupt spill or journal starts the server cold, never down.
+			// A corrupt journal starts the server journal-less, never down.
 			fmt.Fprintf(os.Stderr, "dpc-server: recovery degraded (starting cold): %v\n", err)
 		}
 		if opt.JournalDir != "" {

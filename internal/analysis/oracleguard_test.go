@@ -11,7 +11,7 @@ func TestOracleGuard(t *testing.T) {
 	atest.Run(t, "testdata/src", analysis.OracleGuard, "og/kmedian")
 }
 
-// Pool/spill infrastructure outside the solver scope legitimately names the
+// Pool infrastructure outside the solver scope legitimately names the
 // concrete cache types.
 func TestOracleGuardOutOfScope(t *testing.T) {
 	atest.Run(t, "testdata/src", analysis.OracleGuard, "og/pool")

@@ -1,5 +1,5 @@
 // An out-of-scope package: infrastructure that manages the concrete caches
-// (pooling, spill) legitimately names them.
+// (pooling) legitimately names them.
 package pool
 
 import "metric"

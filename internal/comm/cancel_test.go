@@ -79,7 +79,7 @@ func TestCancelAtEveryBoundary(t *testing.T) {
 				hs := make([]transport.Handler, s)
 				for i := range hs {
 					var err error
-					hs[i], err = tc.job.SiteHandler(jobwire.SiteData{Site: i, Pts: pts[i], G: uin.Ground, Nodes: nodes[i]}, nil)
+					hs[i], err = tc.job.SiteHandler(jobwire.SiteData{Site: i, Pts: pts[i], G: uin.Ground, Nodes: nodes[i]})
 					if err != nil {
 						t.Fatal(err)
 					}

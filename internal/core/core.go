@@ -254,13 +254,13 @@ func RunOverCtx(ctx context.Context, tr transport.Transport, cfg Config) (Result
 // holding pts — a transport.Handler that consumes each round's downstream
 // message and produces the site's reply — over an externally owned distance
 // oracle. A long-running site (the job server's in-process shards,
-// or dpc-site) builds one oracle per shard — a DistCache, or a
-// pivot Index layered over one — and passes it to the handler of every job
-// that queries the same points, so memoized distances and index bounds stay
+// or dpc-site) builds one DistCache per shard and passes it to the handler
+// of every job that queries the same points, so memoized distances stay
 // warm across jobs. Oracles are exact, so results are bit-identical to a
-// private-oracle run. o may be nil (a private oracle is built per the
-// engine policy in cfg); it must be built over exactly pts, and it is
-// ignored when cfg.NoCache or cfg.Reference asks for raw solves.
+// private-oracle run. o may be nil (a private oracle — cache and, when
+// cfg.Index asks, pivot index — is built per the engine policy in cfg); it
+// must be built over exactly pts, and it is ignored when cfg.NoCache or
+// cfg.Reference asks for raw solves.
 func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Oracle) (transport.Handler, error) {
 	cfg = cfg.withDefaults()
 	if err := validate(cfg); err != nil {

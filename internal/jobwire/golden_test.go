@@ -32,7 +32,7 @@ func goldenRun(j Job, sh Shards) (protocol.Result, *wireHash, error) {
 	hs := make([]transport.Handler, len(sh.Pts))
 	for i := range hs {
 		var err error
-		if hs[i], err = j.SiteHandler(SiteData{Site: i, Pts: sh.Pts[i], G: sh.G, Nodes: sh.Nodes[i]}, nil); err != nil {
+		if hs[i], err = j.SiteHandler(SiteData{Site: i, Pts: sh.Pts[i], G: sh.G, Nodes: sh.Nodes[i]}); err != nil {
 			return protocol.Result{}, nil, err
 		}
 	}

@@ -180,46 +180,17 @@ func ServeJobs(sc *transport.Site, d SiteData, wrap func(job int, blob []byte, h
 
 // Factory returns the transport.Site.ServeJobs factory for a persistent
 // site holding d: each job frame is decoded and turned into its site
-// handler (SiteHandler), closing over the site-held data so datasets and
-// caches stay warm across jobs. It is the single implementation behind
-// dpc-site, the client.Cluster tests and the dpc-server remote e2e tests.
+// handler (SiteHandler), closing over the site-held data so the shard and
+// its distance cache stay warm across jobs. It is the single implementation
+// behind dpc-site, the client.Cluster tests and the dpc-server remote e2e
+// tests.
 func Factory(d SiteData) func(job int, blob []byte) (transport.Handler, error) {
-	// The site's pivot index is as long-lived as its distance cache: built
-	// lazily by the first indexed job, reused (same pivot count) by every
-	// later one. Jobs on one connection are served sequentially, so the
-	// memo needs no locking.
-	var siteIx *metric.Index
-	ixPivots := -1
 	return func(job int, blob []byte) (transport.Handler, error) {
 		j, err := Decode(blob)
 		if err != nil {
 			return nil, fmt.Errorf("job %d: %w", job, err)
 		}
-		var oracle metric.Oracle
-		if d.Cache != nil {
-			oracle = d.Cache
-		}
-		if j.Kind == KindPoint && j.Core.Index && !j.Core.NoCache && len(d.Pts) > 0 {
-			m := j.Core.Pivots
-			if m <= 0 {
-				m = metric.DefaultPivots
-			}
-			if m > len(d.Pts) {
-				m = len(d.Pts)
-			}
-			if siteIx == nil || ixPivots != m {
-				var sp metric.Space
-				if d.Cache != nil {
-					sp = d.Cache
-				} else {
-					sp = metric.NewPoints(d.Pts)
-				}
-				siteIx = metric.NewIndex(sp, metric.IndexOptions{Pivots: m})
-				ixPivots = m
-			}
-			oracle = siteIx
-		}
-		h, err := j.SiteHandler(d, oracle)
+		h, err := j.SiteHandler(d)
 		if err != nil {
 			return nil, fmt.Errorf("job %d: %w", job, err)
 		}
@@ -227,15 +198,21 @@ func Factory(d SiteData) func(job int, blob []byte) (transport.Handler, error) {
 	}
 }
 
-// SiteHandler builds the site half of j for a site holding d. o, when
-// non-nil, is a distance oracle over d.Pts that outlives the job (see
-// core.NewSiteHandlerOracle); point jobs build a private one otherwise. A
-// job of a kind the site has no data for is an error.
-func (j Job) SiteHandler(d SiteData, o metric.Oracle) (transport.Handler, error) {
+// SiteHandler builds the site half of j for a site holding d. A point job
+// runs over d.Cache when the site holds one (it outlives the job; see
+// core.NewSiteHandlerOracle) and builds a private oracle per the engine
+// policy otherwise — which is also the only place a pivot index is built,
+// by metric.IndexSpace's rule, for one-shot runs and long-lived sites
+// alike. A job of a kind the site has no data for is an error.
+func (j Job) SiteHandler(d SiteData) (transport.Handler, error) {
 	switch {
 	case j.Kind == KindPoint && len(d.Pts) == 0:
 		return nil, fmt.Errorf("site %d holds no point shard", d.Site)
 	case j.Kind == KindPoint:
+		var o metric.Oracle
+		if d.Cache != nil {
+			o = d.Cache
+		}
 		return core.NewSiteHandlerOracle(j.Core, d.Site, d.Pts, o)
 	case len(d.Nodes) == 0 || d.G == nil:
 		return nil, fmt.Errorf("site %d holds no uncertain shard", d.Site)

@@ -5,9 +5,8 @@
 // restarted server resumes its queue and re-serves completed results
 // without recomputing anything.
 //
-// The format borrows the versioned/checksummed idiom of
-// internal/metric/spill.go, but checksums every record individually
-// instead of the whole file: a write-ahead log's tail is cut mid-record
+// The format is versioned and checksums every record individually
+// rather than the whole file: a write-ahead log's tail is cut mid-record
 // whenever the process dies between write and close, and the reader must
 // recover everything before the cut rather than rejecting the file.
 // The two corruption classes are therefore distinguished deliberately:

@@ -80,10 +80,10 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTruncatedTailRecovers mirrors the spill reader's corruption tests
-// for the WAL's crash signature: chopping bytes off the tail at every
-// possible offset of the final record must recover exactly the records
-// before it, and the repaired file must accept appends again.
+// TestTruncatedTailRecovers covers the WAL's crash signature: chopping
+// bytes off the tail at every possible offset of the final record must
+// recover exactly the records before it, and the repaired file must accept
+// appends again.
 func TestTruncatedTailRecovers(t *testing.T) {
 	tmp := t.TempDir()
 	full := filepath.Join(tmp, "full")

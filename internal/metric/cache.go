@@ -2,7 +2,6 @@ package metric
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -189,40 +188,6 @@ func (dc *DistCache) Filled() int {
 	return n
 }
 
-// SnapshotCells copies the current cell array with atomic loads — the
-// spill path's consistent view of a cache that concurrent jobs may still
-// be filling. Bit patterns are preserved exactly (empty cells included),
-// so a restore is bit-identical to the snapshot moment.
-func (dc *DistCache) SnapshotCells() []uint64 {
-	out := make([]uint64, len(dc.cells))
-	for i := range dc.cells {
-		out[i] = atomic.LoadUint64(&dc.cells[i])
-	}
-	return out
-}
-
-// AdoptCells merges a spilled cell array into this cache: every cell that
-// is empty here and filled in cells is stored verbatim, so restored
-// lookups return the exact float64 the original oracle computed. Cells
-// already filled locally win (they are equally exact and may be newer).
-// Returns the number of cells adopted; a geometry mismatch adopts nothing.
-func (dc *DistCache) AdoptCells(cells []uint64) (int, error) {
-	if len(cells) != len(dc.cells) {
-		return 0, fmt.Errorf("metric: adopting %d cells into a %d-cell cache", len(cells), len(dc.cells))
-	}
-	adopted := 0
-	for i, bits := range cells {
-		if bits == emptyCell {
-			continue
-		}
-		if atomic.LoadUint64(&dc.cells[i]) == emptyCell {
-			atomic.StoreUint64(&dc.cells[i], bits)
-			adopted++
-		}
-	}
-	return adopted, nil
-}
-
 // CostCache memoizes an arbitrary (possibly asymmetric) client/facility
 // cost oracle in a dense clients x facilities array — the rectangular
 // sibling of DistCache, for oracles like the compressed graph of Section 5
@@ -292,32 +257,3 @@ func (cc *CostCache) Filled() int {
 
 // Bytes returns the memory footprint of the cell array.
 func (cc *CostCache) Bytes() int64 { return int64(len(cc.cells)) * 8 }
-
-// SnapshotCells copies the current cell array with atomic loads (see
-// DistCache.SnapshotCells).
-func (cc *CostCache) SnapshotCells() []uint64 {
-	out := make([]uint64, len(cc.cells))
-	for i := range cc.cells {
-		out[i] = atomic.LoadUint64(&cc.cells[i])
-	}
-	return out
-}
-
-// AdoptCells merges a spilled cell array into this cache (see
-// DistCache.AdoptCells).
-func (cc *CostCache) AdoptCells(cells []uint64) (int, error) {
-	if len(cells) != len(cc.cells) {
-		return 0, fmt.Errorf("metric: adopting %d cells into a %d-cell cache", len(cells), len(cc.cells))
-	}
-	adopted := 0
-	for i, bits := range cells {
-		if bits == emptyCell {
-			continue
-		}
-		if atomic.LoadUint64(&cc.cells[i]) == emptyCell {
-			atomic.StoreUint64(&cc.cells[i], bits)
-			adopted++
-		}
-	}
-	return adopted, nil
-}

@@ -1,6 +1,7 @@
 package metric
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -272,4 +273,30 @@ func FuzzDistCache(f *testing.F) {
 			t.Fatalf("cache asymmetric at (%d,%d)", ii, jj)
 		}
 	})
+}
+
+// TestPrefillCtxAbortsAndReports checks the warmup contract: a cancelled
+// context or a false keep-probe stops the fill early, and the progress
+// counter tracks exactly the cells computed.
+func TestPrefillCtxAbortsAndReports(t *testing.T) {
+	pts := randPoints(rand.New(rand.NewSource(5)), 64, 2)
+	dc := NewDistCache(NewPoints(pts))
+	var progress atomic.Int64
+	filled := dc.PrefillCtx(context.Background(), 4, nil, &progress)
+	if want := 64 * 63 / 2; filled != want || int(progress.Load()) != want {
+		t.Fatalf("full prefill filled %d cells, progress %d, want %d", filled, progress.Load(), want)
+	}
+
+	dc2 := NewDistCache(NewPoints(pts))
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if n := dc2.PrefillCtx(canceled, 1, nil, nil); n != 0 {
+		t.Fatalf("cancelled prefill computed %d cells", n)
+	}
+	if n := dc2.PrefillCtx(context.Background(), 1, func() bool { return false }, nil); n != 0 {
+		t.Fatalf("keep=false prefill computed %d cells", n)
+	}
+	if dc2.Filled() != 0 {
+		t.Fatalf("aborted prefills left %d filled cells", dc2.Filled())
+	}
 }

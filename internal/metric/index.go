@@ -144,9 +144,6 @@ const probePivots = 4
 type IndexOptions struct {
 	// Pivots is the anchor count (0 = DefaultPivots, capped at N).
 	Pivots int
-	// Seed reserves deterministic-randomized pivot selection; the current
-	// farthest-first sweep is fully deterministic and ignores it.
-	Seed int64
 }
 
 // Index is a pivot-based metric index over an exact distance oracle. It
@@ -164,8 +161,7 @@ type IndexOptions struct {
 // degrades the index to plain full scans, never to wrong answers.
 //
 // Index implements Space, Costs (self facilities) and Oracle by delegating
-// exact distances to the wrapped space — typically a *DistCache, so the
-// index and the memoized triangle share one source of truth.
+// exact distances to the wrapped space.
 type Index struct {
 	S Space
 
@@ -178,13 +174,10 @@ type Index struct {
 	// probe that yields the tightest bound for pairs involving i, tried
 	// first by the capped Prune*/Nearest loops. pdT is pd transposed
 	// (pdT[a*n+i] = pd[i*m+a]) so pruneColumn streams one pivot's distances
-	// contiguously. Both are derived from pd, so spill restore rebuilds
-	// them without a format change.
+	// contiguously. Both are derived from pd.
 	nearest []int32
 	pdT     []float64
 	ok      bool
-	// maxViolation is the worst relative triangle excess the self-check saw.
-	maxViolation float64
 
 	scanned atomic.Int64
 	pruned  atomic.Int64
@@ -217,9 +210,8 @@ func NewIndex(s Space, opt IndexOptions) *Index {
 	// points look equidistant from all pivots, and the bounds go vacuous.
 	// In-distribution pivots keep per-cluster distances small and
 	// cross-cluster differences large, which is what the lower bound feeds
-	// on. The sweep is fully deterministic, so an index rebuilt over
-	// restored warm cells is identical to the one that was spilled. Each
-	// round fills one pd column.
+	// on. The sweep is fully deterministic, so every build over the same
+	// points is the same index. Each round fills one pd column.
 	mind := make([]float64, n)
 	used := make([]bool, n)
 	for a := 0; a < m; a++ {
@@ -260,9 +252,8 @@ func NewIndex(s Space, opt IndexOptions) *Index {
 	return ix
 }
 
-// finish derives the nearest-pivot table from pd and runs the metric
-// self-check. Shared by NewIndex and the spill-restore path, which
-// reconstructs pd from warm cells and must end up with an identical index.
+// finish derives the nearest-pivot table and the transposed columns from
+// pd and runs the metric self-check.
 func (ix *Index) finish() {
 	n, m := ix.S.N(), ix.m
 	ix.nearest = make([]int32, n)
@@ -289,7 +280,6 @@ func (ix *Index) finish() {
 func (ix *Index) selfCheck() bool {
 	n := ix.S.N()
 	m := ix.m
-	worst := 0.0
 	for a := 0; a < m; a++ {
 		// Pivot row sanity: d(pivot_a, pivot_a) = 0, nonnegative distances.
 		if d := ix.pd[ix.pivots[a]*m+a]; math.Abs(d) > indexCheckEps {
@@ -306,17 +296,13 @@ func (ix *Index) selfCheck() bool {
 					return false
 				}
 				// |d(j,a) − d(j,b)| <= d(a,b) up to relative slack.
-				diff := math.Abs(da - db)
-				if excess := diff - dab; excess > indexCheckEps*(1+diff) {
-					if rel := excess / (1 + diff); rel > worst {
-						worst = rel
-					}
+				if diff := math.Abs(da - db); diff-dab > indexCheckEps*(1+diff) {
+					return false
 				}
 			}
 		}
 	}
-	ix.maxViolation = worst
-	return worst == 0
+	return true
 }
 
 // Ok reports whether the metric self-check passed and pruning is active.
@@ -324,10 +310,6 @@ func (ix *Index) Ok() bool { return ix.ok }
 
 // Pivots returns the chosen anchor indices (read-only view).
 func (ix *Index) Pivots() []int { return ix.pivots }
-
-// MaxViolation is the worst relative triangle excess seen by the self-check
-// (0 when the metric checked out).
-func (ix *Index) MaxViolation() float64 { return ix.maxViolation }
 
 // N implements Space.
 func (ix *Index) N() int { return ix.S.N() }
@@ -522,17 +504,15 @@ func (ix *Index) Stats() OracleStats {
 }
 
 // IndexSpace wraps s in a pivot index when enable is set; otherwise returns
-// s unchanged. The one-liner the layered constructors (core sites, serve
-// shard caches, bench) share.
+// s unchanged. The one index policy of the repository: every site half
+// (core, uncertain, central, bench) builds its index through this call,
+// one-shot runs and the job server's shards alike.
 //
 // A memoized space is served unindexed: behind a DistCache every repeat
 // distance is a cached read, so a prune saves almost nothing while the
 // build spends N·m real evaluations — the index pays exactly where
 // CacheSpace declines to memoize (large instances that recompute) or where
-// the metric itself is expensive (collapsed uncertain oracles). Serve's
-// shard pool deliberately bypasses this gate via NewIndex: its indexes
-// front a cache shared across jobs, where the build is amortized and
-// spill/restore makes it nearly free.
+// the metric itself is expensive (collapsed uncertain oracles).
 func IndexSpace(s Space, enable bool, pivots int) Space {
 	if !enable {
 		return s

@@ -1,7 +1,6 @@
 package metric
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -167,55 +166,6 @@ func TestIndexPruneDistIsSound(t *testing.T) {
 	}
 	if pruned == 0 {
 		t.Fatal("no candidate was ever pruned; the bounds are vacuous")
-	}
-}
-
-func TestIndexSpillRoundTrip(t *testing.T) {
-	pts := tiePoints(150, 3, 21)
-	sp := NewPoints(pts)
-	ix := NewIndex(sp, IndexOptions{Pivots: 8})
-	hash := HashPoints(pts)
-
-	var buf bytes.Buffer
-	if err := WriteSpill(&buf, []SpillEntry{SpillIndexEntry(ix, hash)}); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := ReadSpill(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Kind != SpillIndex {
-		t.Fatalf("round trip returned %d entries", len(entries))
-	}
-	e := entries[0]
-	if e.Hash != hash || e.N != 150 || e.NC != 8 {
-		t.Fatalf("entry header = {hash %d, n %d, nc %d}", e.Hash, e.N, e.NC)
-	}
-	got, err := IndexFromSpill(sp, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Ok() {
-		t.Fatal("restored index failed its self-check")
-	}
-	// The restore must be bit-identical to the build: same pivots, same
-	// answers (the registry treats restored and rebuilt interchangeably).
-	wantP, gotP := ix.Pivots(), got.Pivots()
-	if len(wantP) != len(gotP) {
-		t.Fatalf("pivot count %d, want %d", len(gotP), len(wantP))
-	}
-	for i := range wantP {
-		if wantP[i] != gotP[i] {
-			t.Fatalf("pivot %d = %d, want %d", i, gotP[i], wantP[i])
-		}
-	}
-	checkNearestMatchesScan(t, sp, got, 22)
-
-	// A size mismatch must refuse to restore, not mis-index.
-	e2 := e
-	e2.N = 149
-	if _, err := IndexFromSpill(sp, e2); err == nil {
-		t.Fatal("IndexFromSpill accepted an entry for a different point count")
 	}
 }
 

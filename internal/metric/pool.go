@@ -172,10 +172,10 @@ type PoolEntry struct {
 	DC  *DistCache
 }
 
-// Entries snapshots the pooled caches whose builds have completed — the
-// spill path walks this at shutdown. In-flight builds are skipped (their
-// dc field is published by the ready channel, not the pool lock, and they
-// hold no warm cells worth persisting anyway).
+// Entries snapshots the pooled caches whose builds have completed, in key
+// order (tests assert which keys a reclaim left behind). In-flight builds
+// are skipped: their dc field is published by the ready channel, not the
+// pool lock.
 func (p *CachePool) Entries() []PoolEntry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -187,8 +187,6 @@ func (p *CachePool) Entries() []PoolEntry {
 		default:
 		}
 	}
-	// Key order keeps the spill layout (and anything else that walks the
-	// snapshot) independent of map iteration order.
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }

@@ -368,11 +368,8 @@ func shardVersionPrefix(name string, version int) string {
 
 // shardCaches returns the shared distance cache for every shard of a table
 // dataset at a given version and site count, building missing ones through
-// the pool. Shards beyond metric.MaxCachePoints get nil (the handler falls
-// back to the same uncached policy a one-shot run uses). Freshly built
-// caches adopt any spilled warm triangle whose content hash matches the
-// shard, so the first job after a restart starts from the previous
-// process's filled cells.
+// the pool. Shards beyond metric.MaxCachePoints get nil (the site half
+// falls back to the same uncached policy a one-shot run uses).
 func (r *Registry) shardCaches(d *Dataset, version int, shards [][]metric.Point) []*metric.DistCache {
 	caches := make([]*metric.DistCache, len(shards))
 	for i, shard := range shards {
@@ -380,13 +377,23 @@ func (r *Registry) shardCaches(d *Dataset, version int, shards [][]metric.Point)
 			continue
 		}
 		shard := shard
-		key := shardKey(d.name, version, len(shards), i)
-		caches[i] = r.pool.Get(key, func() *metric.DistCache {
+		caches[i] = r.pool.Get(shardKey(d.name, version, len(shards), i), func() *metric.DistCache {
 			dc := metric.NewDistCache(metric.NewPoints(shard))
 			dc.Counters = &d.stats
-			r.adoptSpilled(key, shard, dc)
 			return dc
 		})
+	}
+	// The caller snapshotted version some time ago. If an append has
+	// replaced it since (or a delete removed the dataset), that reclaim may
+	// already have run, and what was just pooled would sit under dead keys
+	// until LRU pressure: drop it (the caller keeps its references). If
+	// the bump or removal lands after these reads instead, its own reclaim
+	// runs after it and covers us.
+	d.mu.RLock()
+	stale := d.version != version
+	d.mu.RUnlock()
+	if cur, err := r.Get(d.name); stale || err != nil || cur != d {
+		r.pool.InvalidatePrefix(shardVersionPrefix(d.name, version))
 	}
 	return caches
 }
@@ -416,7 +423,7 @@ func jobResult(job jobwire.Job, data jobwire.Data, res protocol.Result, wire tra
 
 // runTable executes the full distributed protocol over in-process loopback
 // shards — the same round-robin sharding and configuration as dpc-cluster,
-// plus shared shard oracles drawn from the pool (which is why it stands its
+// plus shared shard caches drawn from the pool (which is why it stands its
 // fleet up itself instead of through Job.RunLocal).
 func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec, job jobwire.Job) (*JobResult, error) {
 	// The loopback site handlers below solve outside RunOver's reach; hand
@@ -442,10 +449,16 @@ func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec, job j
 	if job.Core.Index && !d.MetricReport().TriangleOK {
 		job.Core.Options.Index = false
 	}
-	oracles := r.shardOracles(d, version, shards, job.Core.Options)
+	// A pooled shard hands its site the shared cache; every other shard
+	// (above the memoization cap, or a NoCache job) builds its own oracle
+	// per the engine policy, exactly as a one-shot run does.
+	caches := make([]*metric.DistCache, len(shards))
+	if !job.Core.NoCache {
+		caches = r.shardCaches(d, version, shards)
+	}
 	handlers := make([]transport.Handler, len(shards))
 	for i := range shards {
-		h, err := job.SiteHandler(jobwire.SiteData{Site: i, Pts: shards[i]}, oracles[i])
+		h, err := job.SiteHandler(jobwire.SiteData{Site: i, Pts: shards[i], Cache: caches[i]})
 		if err != nil {
 			return nil, err
 		}

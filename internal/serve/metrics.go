@@ -114,10 +114,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# TYPE dpc_datasets gauge\n")
 	p("dpc_datasets %d\n", len(datasets))
 
-	p("# HELP dpc_registry_segments Hash segments the dataset registry shards its namespace over.\n")
-	p("# TYPE dpc_registry_segments gauge\n")
-	p("dpc_registry_segments %d\n", s.reg.Segments())
-
 	p("# HELP dpc_cache_pool_bytes Cell bytes held by the shared distance-cache pool.\n")
 	p("# TYPE dpc_cache_pool_bytes gauge\n")
 	p("dpc_cache_pool_bytes %d\n", pool.Bytes)
@@ -129,10 +125,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("dpc_cache_pool_events_total{event=\"hit\"} %d\n", pool.Hits)
 	p("dpc_cache_pool_events_total{event=\"build\"} %d\n", pool.Builds)
 	p("dpc_cache_pool_events_total{event=\"evict\"} %d\n", pool.Evictions)
-
-	p("# HELP dpc_cache_restored_cells_total Distance-cache cells restored from spilled warm triangles.\n")
-	p("# TYPE dpc_cache_restored_cells_total counter\n")
-	p("dpc_cache_restored_cells_total %d\n", s.reg.RestoredCells())
 
 	warm := s.warm.snapshot()
 	p("# HELP dpc_warmup_tasks_total Background cache-warmup tasks by disposition.\n")

@@ -278,85 +278,17 @@ type segment struct {
 	ds map[string]*Dataset
 }
 
-// DefaultRegistrySegments is the segment count NewRegistry uses. Sixteen
+// DefaultRegistrySegments is the registry's segment count. Sixteen
 // segments keep cross-core cache-line traffic low at the concurrency the
 // scheduler actually produces.
 const DefaultRegistrySegments = 16
 
 // Registry holds the named datasets across hash segments, plus the shared
-// cache pool and the spill/restore state for warm triangles.
+// cache pool.
 type Registry struct {
 	segs     []*segment
 	pool     *metric.CachePool
 	versions atomic.Int64 // monotonic dataset-version source
-
-	// spill state: triangles loaded from disk waiting for a matching shard
-	// (keyed by content hash), the key→hash record of caches built this
-	// process life (what SaveSpill walks), and the restored-cell counter
-	// /metrics exposes. All of it is inert until spillOn — a registry
-	// without a cache directory neither hashes shards nor records keys.
-	spillMu  sync.Mutex
-	spillOn  bool
-	spilled  map[spillKey]spilledCells
-	hashes   map[string]uint64 // pool key -> content hash of its shard
-	restored atomic.Int64
-
-	// pivot-index pool: built shard indexes shared across jobs, keyed by
-	// shard cache-pool key plus pivot count, with spilled indexes staged
-	// for restore exactly like warm triangles. warmIx arms index builds
-	// during background warmup.
-	ixMu         sync.Mutex
-	ixes         map[string]shardIndexEntry
-	spilledIx    map[ixSpillKey]stagedIndex
-	restoredIx   atomic.Int64
-	warmIx       bool
-	warmIxPivots int
-}
-
-// shardIndexEntry is one pooled shard index: the index plus the base
-// cache-pool key of the shard it covers (spill attribution) and the space
-// it was built over (identity — a rebuilt pooled cache gets a fresh index
-// so warmth and stats flow to the live cache).
-type shardIndexEntry struct {
-	base string
-	sp   metric.Space
-	ix   *metric.Index
-}
-
-// ixSpillKey identifies a spilled index by shard content, size and pivot
-// count — the triple that makes a restored index interchangeable with a
-// rebuild (pivot selection is deterministic).
-type ixSpillKey struct {
-	hash uint64
-	n    int
-	nc   int
-}
-
-// stagedIndex is one index spill entry waiting for a matching shard, plus
-// its carry age (same expiry policy as warm triangles).
-type stagedIndex struct {
-	e   metric.SpillEntry
-	age uint32
-}
-
-// maxShardIndexes bounds the index pool; past it, entries whose base cache
-// key has left the pool are pruned first, then arbitrary entries (they
-// rebuild on demand).
-const maxShardIndexes = 256
-
-// spillKey identifies a spilled triangle by content, not by name: names
-// and registry versions do not survive a restart, identical shard bytes
-// do.
-type spillKey struct {
-	hash uint64
-	n    int
-}
-
-// spilledCells is one staged triangle plus how many server lives it has
-// been carried through without being re-adopted (expiry input).
-type spilledCells struct {
-	cells []uint64
-	age   uint32
 }
 
 // nextVersion hands out a registry-unique dataset version.
@@ -365,50 +297,14 @@ func (r *Registry) nextVersion() int {
 }
 
 // NewRegistry creates an empty registry whose cache pool is bounded by
-// maxCacheBytes (<= 0 means the pool default), with the default segment
-// count.
+// maxCacheBytes (<= 0 means the pool default).
 func NewRegistry(maxCacheBytes int64) *Registry {
-	return NewRegistrySharded(maxCacheBytes, 0)
-}
-
-// NewRegistrySharded is NewRegistry with an explicit segment count
-// (<= 0 means DefaultRegistrySegments). More segments admit more
-// concurrent registry mutations before lock contention shows; the
-// per-dataset locks below the segment are unaffected.
-func NewRegistrySharded(maxCacheBytes int64, segments int) *Registry {
-	if segments <= 0 {
-		segments = DefaultRegistrySegments
-	}
-	segs := make([]*segment, segments)
+	segs := make([]*segment, DefaultRegistrySegments)
 	for i := range segs {
 		segs[i] = &segment{ds: make(map[string]*Dataset)}
 	}
-	return &Registry{
-		segs:      segs,
-		pool:      metric.NewCachePool(maxCacheBytes),
-		spilled:   make(map[spillKey]spilledCells),
-		hashes:    make(map[string]uint64),
-		ixes:      make(map[string]shardIndexEntry),
-		spilledIx: make(map[ixSpillKey]stagedIndex),
-	}
+	return &Registry{segs: segs, pool: metric.NewCachePool(maxCacheBytes)}
 }
-
-// SetIndexWarmup arms (or disarms) pivot-index builds during background
-// warmup: WarmTable then builds one pooled index per warmed shard with the
-// given pivot count (0 = metric.DefaultPivots), so the first indexed job
-// finds its bounds precomputed.
-func (r *Registry) SetIndexWarmup(enable bool, pivots int) {
-	r.ixMu.Lock()
-	r.warmIx, r.warmIxPivots = enable, pivots
-	r.ixMu.Unlock()
-}
-
-// RestoredIndexes reports how many pivot indexes have been restored from
-// spill this process life.
-func (r *Registry) RestoredIndexes() int64 { return r.restoredIx.Load() }
-
-// Segments returns the segment count (metrics/testing).
-func (r *Registry) Segments() int { return len(r.segs) }
 
 // seg returns the segment owning name.
 func (r *Registry) seg(name string) *segment {
@@ -419,10 +315,6 @@ func (r *Registry) seg(name string) *segment {
 
 // Pool returns the shared cache pool (metrics/testing).
 func (r *Registry) Pool() *metric.CachePool { return r.pool }
-
-// RestoredCells reports how many distance-cache cells have been restored
-// from spilled warm triangles this process life.
-func (r *Registry) RestoredCells() int64 { return r.restored.Load() }
 
 // Get returns the named dataset.
 func (r *Registry) Get(name string) (*Dataset, error) {
@@ -498,17 +390,8 @@ func (r *Registry) Delete(name string) error {
 	}
 	delete(s.ds, name)
 	s.mu.Unlock()
-	r.reclaim(name + "@v")
+	r.pool.InvalidatePrefix(name + "@v")
 	return nil
-}
-
-// reclaim drops the pooled shard caches, spill hash records and indexes
-// whose shard key falls under prefix: a whole dataset's ("name@v") or one
-// version's (shardVersionPrefix).
-func (r *Registry) reclaim(prefix string) {
-	r.pool.InvalidatePrefix(prefix)
-	r.forgetHashes(prefix)
-	r.forgetIndexes(prefix)
 }
 
 // register inserts d, rejecting duplicate names.
@@ -681,11 +564,13 @@ func (r *Registry) AppendJournaled(name string, pts []metric.Point, journal func
 		return DatasetInfo{}, err
 	}
 	if replaced != 0 {
-		// Jobs take the current version when they start, so no later job
-		// can ask for the replaced one: its pooled caches are dead weight
-		// that would otherwise sit in the pool until LRU pressure (jobs
-		// still running on them keep their own references).
-		r.reclaim(shardVersionPrefix(name, replaced))
+		// Jobs take the current version when they start, so the replaced
+		// one's pooled caches are dead weight that would otherwise sit in
+		// the pool until LRU pressure (jobs still running on them keep
+		// their own references). A job that snapshotted before this append
+		// and pools its caches after this reclaim drops them itself
+		// (shardCaches).
+		r.pool.InvalidatePrefix(shardVersionPrefix(name, replaced))
 	}
 	return d.Info(), nil
 }

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"dpc/internal/dataio"
 	"dpc/internal/metric"
 )
 
@@ -25,7 +27,7 @@ func stressPoints(n int, seed uint64) []metric.Point {
 // surviving datasets are intact. Run under -race in CI, this is the memory
 // model proof of the segment/chunk design.
 func TestRegistryConcurrentStress(t *testing.T) {
-	r := NewRegistrySharded(0, 8)
+	r := NewRegistry(0)
 	const (
 		workers  = 8
 		datasets = 24
@@ -60,8 +62,11 @@ func TestRegistryConcurrentStress(t *testing.T) {
 					// Snapshot during appends: the view must be internally
 					// consistent (every chunk fully visible, count exact).
 					if ds, err := r.Get(name(d)); err == nil && ds.Kind() == KindTable {
-						view, _ := ds.snapshotTable()
+						view, version := ds.snapshotTable()
 						flat := view.Flatten()
+						// What a job does next, racing the appends and
+						// deletes around it.
+						r.shardCaches(ds, version, dataio.SplitRoundRobin(flat, 2))
 						if len(flat) != view.Len() {
 							t.Errorf("snapshot flattens to %d points, Len says %d", len(flat), view.Len())
 							return
@@ -104,6 +109,17 @@ func TestRegistryConcurrentStress(t *testing.T) {
 		}
 		if view.Len()%8 != 0 {
 			t.Fatalf("dataset %q holds %d points; appends are multiples of 8 over a 16-point base", info.Name, view.Len())
+		}
+	}
+	// Whatever the interleaving, nothing stays pooled under a replaced
+	// version or a deleted dataset.
+	live := make(map[string]bool)
+	for _, info := range r.List() {
+		live[shardVersionPrefix(info.Name, info.Version)] = true
+	}
+	for _, e := range r.Pool().Entries() {
+		if !live[e.Key[:strings.Index(e.Key, "/")+1]] {
+			t.Fatalf("pool holds %q, which no live dataset version owns", e.Key)
 		}
 	}
 }
@@ -150,7 +166,7 @@ func TestRegistrySnapshotStableUnderAppend(t *testing.T) {
 // many names spread across more than one segment, and every one remains
 // reachable by Get.
 func TestRegistrySegmentsCoverNamespace(t *testing.T) {
-	r := NewRegistrySharded(0, 8)
+	r := NewRegistry(0)
 	touched := make(map[*segment]bool)
 	for i := 0; i < 64; i++ {
 		n := fmt.Sprintf("cover-%d", i)

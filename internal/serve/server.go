@@ -36,27 +36,13 @@ type Config struct {
 	// MaxJobs bounds how many finished jobs are retained for GET (oldest
 	// finished jobs are pruned first). 0 means 4096.
 	MaxJobs int
-	// RegistryShards sets the dataset registry's segment count (0 means
-	// serve.DefaultRegistrySegments; 1 degenerates to a single-lock
-	// namespace).
-	RegistryShards int
-	// CacheDir, when set, enables warm-triangle spill/restore: filled
-	// distance-cache cells persist there on Shutdown and are restored
-	// (bit-identical, content-addressed) on the next start.
-	CacheDir string
 	// WarmOnRegister prefills every table dataset's shard caches in the
-	// background after registration, on the scheduler's spare capacity.
-	// Individual registrations can opt in with ?warm=true regardless.
+	// background, on the scheduler's spare capacity: after a registration,
+	// and after Recover has replayed the dataset from the journal (clean
+	// shutdown or crash alike — caches are never persisted, a restart
+	// recomputes them). Individual registrations can opt in with
+	// ?warm=true regardless.
 	WarmOnRegister bool
-	// WarmIndex additionally builds a pooled pivot index per shard during
-	// background warmup, so the first indexed job finds its triangle bounds
-	// precomputed. Datasets whose registration-time metric check found a
-	// triangle violation are skipped (the index would degrade to full scans
-	// anyway).
-	WarmIndex bool
-	// WarmPivots is the anchor count for warmup-built indexes (0 means
-	// metric.DefaultPivots).
-	WarmPivots int
 	// Logf, when set, receives one-line server diagnostics (Printf-style):
 	// the registration-time metric check report per dataset, for example.
 	// Nil discards them.
@@ -167,39 +153,33 @@ type Server struct {
 	// compaction loop skips a tick when nothing was appended since.
 	compactedAt atomic.Int64
 
-	spillOnce sync.Once
-	sealOnce  sync.Once
+	sealOnce sync.Once
 
 	counters counters
 }
 
-// New creates a Server ready to accept requests. A configured CacheDir is
-// read eagerly: spilled warm triangles stage for adoption before the first
-// dataset registers (a missing file is fine; a corrupt one logs via the
-// returned server's metrics as zero restores rather than failing startup —
-// use NewChecked when the caller wants the error).
+// New creates a Server ready to accept requests, discarding any recovery
+// error (use NewChecked when the caller wants it).
 func New(cfg Config) *Server {
 	s, _ := NewChecked(cfg)
 	return s
 }
 
-// NewChecked is New, surfacing recovery errors (spill restore, journal
-// replay). The server is usable even when the error is non-nil (it simply
-// starts cold, and with a broken journal it runs journal-less). With
-// DeferRecovery set, NewChecked returns a not-ready server immediately
-// and the caller drives Recover itself.
+// NewChecked is New, surfacing the journal replay's error. The server is
+// usable even when the error is non-nil (with a broken journal it runs
+// journal-less). With DeferRecovery set, NewChecked returns a not-ready
+// server immediately and the caller drives Recover itself.
 func NewChecked(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,
-		reg:       NewRegistrySharded(cfg.MaxCacheBytes, cfg.RegistryShards),
+		reg:       NewRegistry(cfg.MaxCacheBytes),
 		pool:      par.NewPool(cfg.MaxConcurrentJobs, cfg.QueueDepth),
 		jobs:      make(map[string]*Job),
 		finishIdx: make(map[string]journal.RecordRef),
 		quotas:    newQuotas(cfg.QuotaBurst, cfg.QuotaPerSec),
 		start:     time.Now(),
 	}
-	s.reg.SetIndexWarmup(cfg.WarmIndex, cfg.WarmPivots)
 	s.warmCtx, s.warmCancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -215,34 +195,28 @@ func NewChecked(cfg Config) (*Server, error) {
 	return s, s.Recover()
 }
 
-// Recover stages the server's durable state — spilled warm triangles and
-// the write-ahead journal — and flips the server ready. Until it returns,
-// readiness reports false and every mutating call is rejected with
-// ErrNotReady; liveness is unaffected, which is the point: a server
-// replaying a big journal answers /livez while /readyz says "not yet".
+// Recover replays the server's durable state — the write-ahead journal —
+// and flips the server ready. Until it returns, readiness reports false
+// and every mutating call is rejected with ErrNotReady; liveness is
+// unaffected, which is the point: a server replaying a big journal answers
+// /livez while /readyz says "not yet".
 //
 // Journal replay re-registers datasets, restores finished jobs (results
 // re-servable with zero recompute) and requeues journaled-but-unfinished
-// jobs through the scheduler. A truncated tail is the expected crash
-// signature and is repaired; a corrupt or unreadable journal is returned
-// as an error and the server comes up ready but journal-less (serving is
-// better than not serving, and the operator sees the error).
+// jobs through the scheduler; with WarmOnRegister set it then schedules a
+// background warmup of every replayed table. A truncated tail is the
+// expected crash signature and is repaired; a corrupt or unreadable journal
+// is returned as an error and the server comes up ready but journal-less
+// (serving is better than not serving, and the operator sees the error).
 func (s *Server) Recover() error {
-	var firstErr error
-	if s.cfg.CacheDir != "" {
-		if _, err := s.reg.LoadSpill(s.cfg.CacheDir); err != nil {
-			firstErr = err
-		}
-	}
+	var replayErr error
 	if s.cfg.JournalDir != "" {
 		jl, res, err := journal.OpenDir(s.cfg.JournalDir, journal.DirOptions{
 			Sync:         s.cfg.JournalSync,
 			SegmentBytes: s.cfg.SegmentBytes,
 		})
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+			replayErr = err
 		} else {
 			// Install the log before replay: requeued jobs may start
 			// executing immediately, and their start/finish transitions
@@ -268,7 +242,7 @@ func (s *Server) Recover() error {
 		}
 	}
 	s.ready.Store(true)
-	return firstErr
+	return replayErr
 }
 
 // Ready reports whether the server accepts mutations (recovery finished,
@@ -317,14 +291,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// drain starts rejecting.
 	s.ready.Store(false)
 	// Preempt background warmups first: they run on the same pool the
-	// drain below waits for, and their half-filled caches spill just fine.
+	// drain below waits for.
 	s.warmCancel()
-	// Whatever else happens, filled triangles spill exactly once on the
-	// way out (SnapshotCells is atomic, so even an overstaying solve
-	// cannot corrupt the spill), and the journal is sealed exactly once —
-	// after the drain, so finishing jobs get their terminal records in
-	// before the clean-shutdown marker.
-	defer s.spillOnce.Do(s.spillCaches)
+	// Whatever else happens, the journal is sealed exactly once — after
+	// the drain, so finishing jobs get their terminal records in before
+	// the clean-shutdown marker.
 	defer s.sealOnce.Do(s.sealJournal)
 	s.mu.Lock()
 	alreadyDraining := s.draining
@@ -397,17 +368,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// spillCaches persists the registry's warm triangles to the configured
-// cache directory (no-op without one). Failures are recorded as a skipped
-// spill rather than failing the shutdown: the server is exiting either way
-// and the next start simply runs cold.
-func (s *Server) spillCaches() {
-	if s.cfg.CacheDir == "" {
-		return
-	}
-	s.reg.SaveSpill(s.cfg.CacheDir)
 }
 
 // WarmupStats snapshots the background-warmup progress (metrics/tests).

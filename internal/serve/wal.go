@@ -429,6 +429,15 @@ func (s *Server) applyWAL(records []journal.Record) RecoveryStats {
 	}
 	s.pruneLocked()
 	s.mu.Unlock()
+	if s.cfg.WarmOnRegister {
+		// Behind the resumed jobs, and as best-effort as a registration's
+		// warmup: a full queue skips it, a drain preempts it.
+		for _, d := range s.reg.All() {
+			if d.kind == KindTable {
+				s.warmDataset(d.name)
+			}
+		}
+	}
 	stats.Datasets = s.reg.Count()
 	s.counters.journalReplayed.Add(int64(stats.Records))
 	return stats

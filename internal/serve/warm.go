@@ -3,226 +3,16 @@ package serve
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync/atomic"
 
 	"dpc/internal/dataio"
-	"dpc/internal/metric"
 )
 
-// Warm triangles: background cache warmup and the spill/restore cycle.
-//
-// Warmup prefetches the pooled shard caches of a table dataset on the
-// scheduler's spare capacity, so the first job against fresh data no
-// longer pays the full O(n^2/s) metric cost inline. Spill persists every
-// filled triangle on shutdown and restore adopts them on the next start —
-// keyed by shard content hash, so the warmth survives renames, version
-// renumbering and re-registration, and never leaks across different data
-// (metric.HashPoints is exact).
-
-// SpillFile is the file name the registry reads and writes inside the
-// configured cache directory.
-const SpillFile = "warm-triangles.dpcspill"
-
-// maxSpillCarry bounds how many server lives a staged triangle survives
-// without being re-adopted before the spill cycle drops it: warmth should
-// outlast a couple of idle restarts, not accumulate dead datasets'
-// triangles forever.
-const maxSpillCarry = 3
-
-// maxHashRecords bounds the key→hash record: past it, keys whose caches
-// have left the pool (version churn, evictions) are pruned on the next
-// build, so a long server life with steady appends cannot grow the map
-// without bound.
-const maxHashRecords = 1024
-
-// adoptSpilled merges a spilled triangle into a freshly built shard cache
-// when the shard's content hash matches, and records the key→hash mapping
-// so SaveSpill can attribute the cache later. Called from the pool's build
-// path; the shard is hashed exactly once per cache build, and not at all
-// on a registry without a cache directory (spill disabled: nothing to
-// restore, nothing to save).
-func (r *Registry) adoptSpilled(key string, shard []metric.Point, dc *metric.DistCache) {
-	r.spillMu.Lock()
-	if !r.spillOn {
-		r.spillMu.Unlock()
-		return
-	}
-	r.spillMu.Unlock()
-
-	hash := metric.HashPoints(shard)
-	r.spillMu.Lock()
-	if len(r.hashes) >= maxHashRecords {
-		for k := range r.hashes {
-			if !r.pool.Has(k) {
-				delete(r.hashes, k)
-			}
-		}
-	}
-	r.hashes[key] = hash
-	sk := spillKey{hash: hash, n: len(shard)}
-	staged, ok := r.spilled[sk]
-	if ok {
-		// Adopt once: the cells now live in the pooled cache. A second
-		// build of the same content (after an eviction) rebuilds cold, like
-		// any other evicted cache.
-		delete(r.spilled, sk)
-	}
-	r.spillMu.Unlock()
-	if !ok {
-		return
-	}
-	if adopted, err := dc.AdoptCells(staged.cells); err == nil {
-		r.restored.Add(int64(adopted))
-	}
-}
-
-// forgetHashes drops key→hash records under a deleted dataset's key
-// prefix (the spill-side sibling of CachePool.InvalidatePrefix).
-func (r *Registry) forgetHashes(prefix string) {
-	r.spillMu.Lock()
-	defer r.spillMu.Unlock()
-	for k := range r.hashes {
-		if strings.HasPrefix(k, prefix) {
-			delete(r.hashes, k)
-		}
-	}
-}
-
-// LoadSpill reads the spill file under dir (if present) and stages its
-// triangles for adoption by future shard-cache builds; it also arms the
-// whole spill cycle (hashing, key records, SaveSpill) for this registry.
-// Returns the number of staged entries; a missing file is not an error
-// (the cycle still arms), a corrupt one is.
-func (r *Registry) LoadSpill(dir string) (int, error) {
-	r.spillMu.Lock()
-	r.spillOn = true
-	r.spillMu.Unlock()
-	f, err := os.Open(filepath.Join(dir, SpillFile))
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	entries, err := metric.ReadSpill(f)
-	if err != nil {
-		return 0, fmt.Errorf("serve: loading spill: %w", err)
-	}
-	r.spillMu.Lock()
-	defer r.spillMu.Unlock()
-	staged := 0
-	for _, e := range entries {
-		switch e.Kind {
-		case metric.SpillDist:
-			r.spilled[spillKey{hash: e.Hash, n: e.N}] = spilledCells{cells: e.Cells, age: e.Age}
-			staged++
-		case metric.SpillIndex:
-			r.spilledIx[ixSpillKey{hash: e.Hash, n: e.N, nc: e.NC}] = stagedIndex{e: e, age: e.Age}
-			staged++
-		}
-	}
-	return staged, nil
-}
-
-// SaveSpill writes every pooled shard cache with at least one filled cell
-// to the spill file under dir (atomically: temp file + rename). Triangles
-// staged at load but never re-adopted are carried forward with their age
-// bumped, so a dataset that sits out a few server runs keeps its warmth —
-// but past maxSpillCarry idle lives they expire, so the file and the
-// staged memory cannot accumulate dead data forever. Returns the number
-// of entries written.
-func (r *Registry) SaveSpill(dir string) (int, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
-	}
-	var entries []metric.SpillEntry
-	seen := make(map[spillKey]bool)
-	for _, pe := range r.pool.Entries() {
-		r.spillMu.Lock()
-		hash, ok := r.hashes[pe.Key]
-		r.spillMu.Unlock()
-		if !ok || pe.DC.Filled() == 0 {
-			continue
-		}
-		k := spillKey{hash: hash, n: pe.DC.N()}
-		if seen[k] {
-			continue // identical content pooled under two keys: spill once
-		}
-		seen[k] = true
-		entries = append(entries, metric.SpillDistCache(pe.DC, hash))
-	}
-	r.spillMu.Lock()
-	for k, staged := range r.spilled {
-		if seen[k] || staged.age+1 > maxSpillCarry {
-			continue
-		}
-		seen[k] = true
-		entries = append(entries, metric.SpillEntry{
-			Kind: metric.SpillDist, Hash: k.hash, Age: staged.age + 1, N: k.n, Cells: staged.cells})
-	}
-	r.spillMu.Unlock()
-
-	// Pivot indexes spill alongside the triangles they were built over,
-	// keyed by the same content hash (plus size and pivot count). Only
-	// self-checked indexes are worth keeping — a degraded one is just a
-	// full-scan shim the next process can rebuild for free.
-	seenIx := make(map[ixSpillKey]bool)
-	r.ixMu.Lock()
-	ixes := make([]shardIndexEntry, 0, len(r.ixes))
-	for _, e := range r.ixes {
-		ixes = append(ixes, e)
-	}
-	r.ixMu.Unlock()
-	for _, e := range ixes {
-		if !e.ix.Ok() || len(e.ix.Pivots()) == 0 {
-			continue
-		}
-		r.spillMu.Lock()
-		hash, ok := r.hashes[e.base]
-		r.spillMu.Unlock()
-		if !ok {
-			continue
-		}
-		k := ixSpillKey{hash: hash, n: e.ix.N(), nc: len(e.ix.Pivots())}
-		if seenIx[k] {
-			continue
-		}
-		seenIx[k] = true
-		entries = append(entries, metric.SpillIndexEntry(e.ix, hash))
-	}
-	r.spillMu.Lock()
-	for k, staged := range r.spilledIx {
-		if seenIx[k] || staged.age+1 > maxSpillCarry {
-			continue
-		}
-		seenIx[k] = true
-		e := staged.e
-		e.Age = staged.age + 1
-		entries = append(entries, e)
-	}
-	r.spillMu.Unlock()
-
-	tmp, err := os.CreateTemp(dir, SpillFile+".tmp*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name())
-	if err := metric.WriteSpill(tmp, entries); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, SpillFile)); err != nil {
-		return 0, err
-	}
-	return len(entries), nil
-}
+// Background cache warmup: prefill the pooled shard caches of a table
+// dataset on the scheduler's spare capacity, so the first job against fresh
+// data — or against data a restart just replayed from the journal — does
+// not pay the O(n^2/s) metric cost inline. Nothing about a cache is
+// persisted: recomputing a triangle is cheaper than reading one back.
 
 // WarmupStats is the background-warmup progress /metrics exposes.
 type WarmupStats struct {
@@ -272,39 +62,13 @@ func (r *Registry) WarmTable(ctx context.Context, name string, workers int, prog
 			continue // shard above the memoization limit
 		}
 		if total != nil {
-			// Target only the cells actually left to compute: a restored or
+			// Target only the cells actually left to compute: an
 			// already-queried cache contributes its remainder, so the
 			// done/total gauges converge instead of undercounting forever.
 			total.Add(dc.Bytes()/8 - int64(dc.Filled()))
 		}
 		key := shardKey(d.name, version, len(shards), i)
 		filled += dc.PrefillCtx(ctx, workers, func() bool { return r.pool.Has(key) }, progress)
-	}
-
-	// With index warmup armed, build one pooled pivot index per shard after
-	// the prefill: the point→pivot columns read straight out of the warm
-	// triangle, and the first indexed job finds its bounds precomputed.
-	// Shards above the memoization cap index over the raw points.
-	r.ixMu.Lock()
-	warmIx, warmPivots := r.warmIx, r.warmIxPivots
-	r.ixMu.Unlock()
-	if warmIx && d.metricReport.TriangleOK {
-		for i, dc := range caches {
-			if ctx.Err() != nil {
-				break
-			}
-			key := shardKey(d.name, version, len(shards), i)
-			var sp metric.Space
-			switch {
-			case dc != nil && r.pool.Has(key):
-				sp = dc
-			case dc != nil:
-				continue // evicted mid-warm: no point indexing an orphan
-			default:
-				sp = metric.NewPoints(shards[i])
-			}
-			r.shardIndex(key, sp, shards[i], warmPivots)
-		}
 	}
 	return filled, nil
 }

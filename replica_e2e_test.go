@@ -110,7 +110,7 @@ func (p *serverProc) restart(t *testing.T) *serverProc {
 }
 
 // terminate SIGTERMs the process — the graceful path: drain, seal the
-// journal, spill warm caches — and returns how it exited.
+// journal — and returns how it exited.
 func (p *serverProc) terminate() error {
 	p.cmd.Process.Signal(syscall.SIGTERM)
 	<-p.scanned // Wait closes the pipe: finish reading it first

@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -20,9 +19,9 @@ import (
 // what the service computes): readiness and the raw error envelope over
 // plain net/http with no typed client in between, a repeated job served
 // from the warm shared cache with the counters /metrics exposes, SIGTERM
-// draining to exit status 0, and the -cache-dir cycle — warm distance
-// triangles spilled on that SIGTERM, restored by the next process, so its
-// first job starts from the previous life's filled cells.
+// draining to exit status 0, and a -warm restart on the same journal — the
+// replayed dataset's shard caches prefilled in the background, so the new
+// life's first job computes no distance at the sites.
 func TestServerProcessSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns real processes")
@@ -30,32 +29,19 @@ func TestServerProcessSmoke(t *testing.T) {
 	bin := buildCommands(t, "dpc-server")["dpc-server"]
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	tmp := t.TempDir()
-	cacheDir := filepath.Join(tmp, "cache")
+	journalDir := filepath.Join(t.TempDir(), "journal")
 	pts := dpc.Mixture(dpc.MixtureSpec{N: 400, K: 3, Dim: 2, OutlierFrac: 0.05, Seed: 9}).Pts
 	req := client.Request{Objective: client.Median, K: 3, T: 15, Seed: 4}
 
-	// life starts a server on a fresh journal (so nothing but the cache
-	// directory carries over), registers pts under name, runs the job and
-	// returns the dataset's cache counters after it.
-	life := func(name string) (*serverProc, *client.Remote, int64, int64) {
+	req.Dataset = "d"
+	// counters reads the dataset's cache traffic so far.
+	counters := func(rc *client.Remote) (hits, misses int64) {
 		t.Helper()
-		srv := startServer(t, bin, "127.0.0.1:0", filepath.Join(tmp, "journal-"+name), "-cache-dir", cacheDir)
-		rc := client.NewRemote(srv.url, client.RemoteOptions{PollInterval: 2 * time.Millisecond})
-		t.Cleanup(func() { rc.Close() })
-		if err := rc.RegisterDataset(ctx, name, pts); err != nil {
-			t.Fatal(err)
-		}
-		jobReq := req
-		jobReq.Dataset = name
-		if _, err := rc.Do(ctx, jobReq); err != nil {
-			t.Fatal(err)
-		}
-		info, err := rc.Dataset(ctx, name)
+		info, err := rc.Dataset(ctx, req.Dataset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return srv, rc, info.CacheHits, info.CacheMisses
+		return info.CacheHits, info.CacheMisses
 	}
 	// get is the wire as a stranger sees it: status and body, no client.
 	get := func(url string) (int, string) {
@@ -72,7 +58,16 @@ func TestServerProcessSmoke(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	srv, rc, coldHits, coldMisses := life("cold")
+	srv := startServer(t, bin, "127.0.0.1:0", journalDir)
+	rc := client.NewRemote(srv.url, client.RemoteOptions{PollInterval: 2 * time.Millisecond})
+	defer rc.Close()
+	if err := rc.RegisterDataset(ctx, req.Dataset, pts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.Do(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	coldHits, coldMisses := counters(rc)
 	if code, _ := get(srv.url + "/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz = %d after the server reported ready", code)
 	}
@@ -87,18 +82,12 @@ func TestServerProcessSmoke(t *testing.T) {
 	}
 	// The same job again: every distance it needs is already in the shared
 	// shard caches.
-	again := req
-	again.Dataset = "cold"
-	if _, err := rc.Do(ctx, again); err != nil {
+	if _, err := rc.Do(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	info, err := rc.Dataset(ctx, "cold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.CacheMisses != coldMisses || info.CacheHits <= coldHits {
+	if hits, misses := counters(rc); misses != coldMisses || hits <= coldHits {
 		t.Fatalf("repeated job: misses %d -> %d, hits %d -> %d; want misses frozen and hits growing",
-			coldMisses, info.CacheMisses, coldHits, info.CacheHits)
+			coldMisses, misses, coldHits, hits)
 	}
 	if n := srv.metric(t, `dpc_jobs_total{status="done"}`); n != 2 {
 		t.Fatalf("/metrics counts %d done jobs, want 2", n)
@@ -113,19 +102,26 @@ func TestServerProcessSmoke(t *testing.T) {
 	if !strings.Contains(srv.stderr(), "drained cleanly") {
 		t.Fatalf("SIGTERM exit did not report a clean drain:\n%s", srv.stderr())
 	}
-	if _, err := os.Stat(filepath.Join(cacheDir, "warm-triangles.dpcspill")); err != nil {
-		t.Fatalf("no spill file after SIGTERM: %v", err)
-	}
 
-	// Restore is content-addressed: the same points under another name, on
-	// another journal, still start warm.
-	srv, _, warmHits, warmMisses := life("warm")
-	if warmHits == 0 || warmMisses >= coldMisses {
-		t.Fatalf("first job after restart: %d hits, %d misses (cold run: %d misses); want restored cells to serve it",
-			warmHits, warmMisses, coldMisses)
+	// The next life, on the same journal with -warm: replay brings the
+	// dataset back and schedules its warmup; once that is done the first
+	// job runs on filled cells.
+	srv = startServer(t, bin, "127.0.0.1:0", journalDir, "-warm")
+	rc2 := client.NewRemote(srv.url, client.RemoteOptions{PollInterval: 2 * time.Millisecond})
+	defer rc2.Close()
+	for deadline := time.Now().Add(30 * time.Second); srv.metric(t, `dpc_warmup_tasks_total{state="done"}`) < 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no warmup finished after a -warm restart; stderr:\n%s", srv.stderr())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if n := srv.metric(t, "dpc_cache_restored_cells_total"); n == 0 {
-		t.Fatal("/metrics reports zero restored cells")
+	warmHits, warmMisses := counters(rc2)
+	if _, err := rc2.Do(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := counters(rc2); hits <= warmHits || misses != warmMisses {
+		t.Fatalf("first job after the -warm restart: hits %d -> %d, misses %d -> %d; want the replay warmup to have filled every cell it reads",
+			warmHits, hits, warmMisses, misses)
 	}
 	if err := srv.terminate(); err != nil {
 		t.Fatalf("second SIGTERM: %v; stderr:\n%s", err, srv.stderr())
