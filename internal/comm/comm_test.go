@@ -19,8 +19,9 @@ func TestPointsMsgRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != 8+3*2*8 {
-		t.Fatalf("encoded size = %d, want %d", len(b), 8+48)
+	// One-byte uvarints for n and dim, then 3 rows of 2 f64 coordinates.
+	if want := 1 + 1 + 3*2*8; len(b) != want {
+		t.Fatalf("encoded size = %d, want %d", len(b), want)
 	}
 	var out PointsMsg
 	if err := out.UnmarshalBinary(b); err != nil {
@@ -57,8 +58,10 @@ func TestWeightedPointsMsgRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != 8+(3+1)*8 {
-		t.Fatalf("encoded size = %d", len(b))
+	// n, dim, the weight-form flag, then one row: 3 f64 coordinates and the
+	// integral weight 42 as a one-byte uvarint.
+	if want := 1 + 1 + 1 + (3*8 + 1); len(b) != want {
+		t.Fatalf("encoded size = %d, want %d", len(b), want)
 	}
 	var out WeightedPointsMsg
 	if err := out.UnmarshalBinary(b); err != nil {
@@ -78,8 +81,9 @@ func TestHullMsgRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != 4+2*12 {
-		t.Fatalf("encoded size = %d", len(b))
+	// n, then 2 vertices of a one-byte uvarint budget and an f64 cost.
+	if want := 1 + 2*(1+8); len(b) != want {
+		t.Fatalf("encoded size = %d, want %d", len(b), want)
 	}
 	var out HullMsg
 	if err := out.UnmarshalBinary(b); err != nil {
@@ -145,9 +149,10 @@ func TestNodesMsgRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 + (4 + 2*12) + (4 + 12)
-	if len(b) != 4+4+24+4+12 {
-		t.Fatalf("encoded size = %d", len(b))
+	// Node count, then per node its support size and (one-byte uvarint
+	// index, f64 probability) pairs.
+	if want := 1 + (1 + 2*(1+8)) + (1 + 1*(1+8)); len(b) != want {
+		t.Fatalf("encoded size = %d, want %d", len(b), want)
 	}
 	var out NodesMsg
 	if err := out.UnmarshalBinary(b); err != nil {
@@ -239,23 +244,31 @@ func sitePayloads(t *testing.T, s int, parallel bool, fn func(site, round int) P
 }
 
 func TestNetworkAccounting(t *testing.T) {
-	payload := PointsMsg{Pts: []metric.Point{{1, 2}}} // 24 bytes
-	nw := sitePayloads(t, 3, true, func(site, round int) Payload {
+	// Sizes from the format: a count (and a dimension) of one uvarint byte
+	// each, then 8 bytes per float.
+	const (
+		ptsB  = 1 + 1 + 2*8 // one 2-dim point
+		oneB  = 1 + 1*8     // Float64sMsg of one value
+		twoB  = 1 + 2*8     // Float64sMsg of two values
+		sites = 3
+	)
+	payload := PointsMsg{Pts: []metric.Point{{1, 2}}}
+	nw := sitePayloads(t, sites, true, func(site, round int) Payload {
 		if round == 0 {
 			return payload
 		}
 		if site == 0 {
 			return nil // empty message
 		}
-		return Float64sMsg{Vals: []float64{3}} // 12 bytes
+		return Float64sMsg{Vals: []float64{3}}
 	})
-	if err := nw.Broadcast(Float64sMsg{Vals: []float64{1}}); err != nil { // 12 bytes x 3 sites
+	if err := nw.Broadcast(Float64sMsg{Vals: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := nw.SiteRound(); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Send(1, Float64sMsg{Vals: []float64{1, 2}}); err != nil { // 20 bytes
+	if err := nw.Send(1, Float64sMsg{Vals: []float64{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	up, err := nw.SiteRound()
@@ -269,22 +282,22 @@ func TestNetworkAccounting(t *testing.T) {
 	if r.Rounds != 2 {
 		t.Fatalf("rounds = %d", r.Rounds)
 	}
-	if r.DownBytes != 12*3+20 {
-		t.Fatalf("down = %d, want %d", r.DownBytes, 12*3+20)
+	if r.DownBytes != oneB*sites+twoB {
+		t.Fatalf("down = %d, want %d", r.DownBytes, oneB*sites+twoB)
 	}
-	if r.UpBytes != 24*3+12*2 {
-		t.Fatalf("up = %d, want %d", r.UpBytes, 24*3+24)
+	if r.UpBytes != ptsB*sites+oneB*(sites-1) {
+		t.Fatalf("up = %d, want %d", r.UpBytes, ptsB*sites+oneB*(sites-1))
 	}
-	if r.RoundUp[0] != 72 || r.RoundUp[1] != 24 {
+	if r.RoundUp[0] != ptsB*sites || r.RoundUp[1] != oneB*(sites-1) {
 		t.Fatalf("per-round up = %v", r.RoundUp)
 	}
-	if r.RoundDown[0] != 36 || r.RoundDown[1] != 20 {
+	if r.RoundDown[0] != oneB*sites || r.RoundDown[1] != twoB {
 		t.Fatalf("per-round down = %v", r.RoundDown)
 	}
 	if r.TotalBytes() != r.UpBytes+r.DownBytes {
 		t.Fatal("TotalBytes mismatch")
 	}
-	if r.Sites != 3 {
+	if r.Sites != sites {
 		t.Fatalf("sites = %d", r.Sites)
 	}
 }
@@ -422,14 +435,15 @@ func TestSplitMulti(t *testing.T) {
 }
 
 func TestMultiPayloadSize(t *testing.T) {
-	a := Float64sMsg{Vals: []float64{1}}      // 12
-	bm := PointsMsg{Pts: []metric.Point{{1}}} // 16
+	a := Float64sMsg{Vals: []float64{1}}      // count + one f64
+	bm := PointsMsg{Pts: []metric.Point{{1}}} // n + dim + one f64
 	m := Multi{Parts: []Payload{a, bm}}
 	b, err := m.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != 4+4+12+4+16 {
-		t.Fatalf("multi size = %d", len(b))
+	// The part count, then each part behind a one-byte uvarint length.
+	if want := 1 + (1 + (1 + 8)) + (1 + (1 + 1 + 8)); len(b) != want {
+		t.Fatalf("multi size = %d, want %d", len(b), want)
 	}
 }

@@ -2,16 +2,45 @@
 // coordinator on a star network, computing in synchronous rounds
 // (coordinator -> sites, local computation, sites -> coordinator).
 //
-// Every message is a Payload with a concrete wire format (encoding/binary,
-// little endian). Network is a thin accounting layer over a
-// transport.Transport: the transport moves the encoded bytes (in-process
-// loopback, or framed TCP between real processes) while Network counts the
-// exact payload sizes, so the communication columns of Tables 1 and 2 are
-// measured on real bytes, not estimated — and a TCP run reports exactly
-// the bytes a loopback run does, because fixed frame headers are transport
-// overhead and never counted. Per-round site wall clock is the maximum
-// site duration (sites run in parallel in the modeled system) and total
-// work is the sum; both are measured on the site side of the transport.
+// Every message is a Payload with a concrete wire format (below). Network
+// is a thin accounting layer over a transport.Transport: the transport
+// moves the encoded bytes (in-process loopback, or framed TCP between real
+// processes) while Network counts the exact payload sizes, so the
+// communication columns of Tables 1 and 2 are measured on real bytes, not
+// estimated — and a TCP run reports exactly the bytes a loopback run does,
+// because fixed frame headers are transport overhead and never counted.
+// Per-round site wall clock is the maximum site duration (sites run in
+// parallel in the modeled system) and total work is the sum; both are
+// measured on the site side of the transport.
+//
+// # Wire format
+//
+// This package is the only place that knows it (payload.go); a relay such
+// as internal/tree carries payloads as opaque bytes. The paper charges a
+// site B bits per point and, for a precluster center, a count of log n
+// bits, and the encoding follows it: a float is 8 little-endian bytes, and
+// every count, dimension, hull budget, ground-set index and length is a
+// uvarint (unsigned LEB128, binary.PutUvarint).
+//
+//	PointsMsg          n, dim, n × (dim f64)
+//	WeightedPointsMsg  n, dim, form, n × (dim f64, weight)
+//	CollapsedMsg       n, dim, form, n × (dim f64, f64 ell, weight)
+//	HullMsg            hull = n, n × (Q, f64 C)
+//	HullsMsg           n, n × hull
+//	Float64sMsg        n, n × f64
+//	NodesMsg           n, n × (m, m × (index, f64 prob))
+//	Multi              n, n × (len, len bytes)
+//	PivotMsg           u32 I0 (signed), u32 Q0, f64 L0, u32 Rank, byte, f64 Tau
+//
+// form is one byte the encoder picks from the data: 1 when every weight of
+// the message is a non-negative integer below 2^53 — then each weight is a
+// uvarint, and float64(uvarint) gives the weight back bit for bit — and 0
+// otherwise (a fraction, -0, NaN, an infinity), when each weight is its
+// f64. Precluster weights are point counts, so sites produce form 1.
+// PivotMsg, the one downlink message, keeps fixed 32-bit slots: 29 bytes
+// whatever it carries. Decoders bound every count by the bytes that follow
+// it before allocating, compare every length in uint64, and reject
+// trailing bytes.
 package comm
 
 import (
@@ -168,8 +197,9 @@ func (nw *Network) Coordinator(fn func() error) error {
 
 // TreeLevel is the physical traffic crossing one level of an aggregation
 // tree: Down is coordinator-side bytes fanning out at that level, Up is the
-// bytes arriving from the level below (merged batches, not raw site
-// payloads). Level 0 is the root's own links to its direct children — the
+// bytes arriving from the level below (batches and their framing above the
+// leaf links, less the site compute times that ride along as transport
+// metadata). Level 0 is the root's own links to its direct children — the
 // coordinator's real inbox/outbox.
 type TreeLevel struct {
 	Down int64 `json:"down"`
@@ -180,7 +210,7 @@ type TreeLevel struct {
 // tree (internal/tree). The flat Report numbers stay in star terms — the
 // exact payload bytes the sites produced, identical across topologies —
 // while Levels carries what physically crossed each tier of links, so the
-// fan-in win of a tree deployment is measurable without changing what the
+// framing a tree deployment adds is measurable without changing what the
 // parity tests compare.
 type TreeStats struct {
 	// Branch is the configured branching factor.

@@ -2,6 +2,9 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"testing"
 
 	"dpc/internal/geom"
@@ -10,7 +13,10 @@ import (
 
 // wireTypes enumerates every payload type with representative and
 // degenerate values, plus a decoder that re-encodes — the round-trip
-// contract is encode(decode(encode(m))) == encode(m) for every m.
+// contract is encode(decode(encode(m))) == encode(m) for every m. The
+// weighted types carry both weight forms: integral weights (uvarints, up to
+// the last exact one, 2^53-1) and every kind of weight that must stay a raw
+// f64 — fractional, -0, NaN, +-Inf, 2^53 — bit for bit.
 type wireType struct {
 	name   string
 	msgs   []Payload
@@ -37,6 +43,12 @@ func wireTypes() []wireType {
 			msgs: []Payload{
 				WeightedPointsMsg{},
 				WeightedPointsMsg{Pts: []metric.Point{{1, 2, 3}}, W: []float64{42}},
+				WeightedPointsMsg{Pts: []metric.Point{{1, 2}}, W: []float64{0.5}},
+				WeightedPointsMsg{Pts: []metric.Point{{1}, {2}}, W: []float64{3, math.Copysign(0, -1)}},
+				WeightedPointsMsg{Pts: []metric.Point{{1}, {2}, {3}}, W: []float64{math.NaN(), math.Inf(1), math.Inf(-1)}},
+				WeightedPointsMsg{Pts: []metric.Point{{1}}, W: []float64{1 << 53}},
+				WeightedPointsMsg{Pts: []metric.Point{{}, {}}, W: []float64{1, 2}},
+				WeightedPointsMsg{Pts: []metric.Point{{1.5, -2.25, 3e9}, {0.125, 4, -5}, {6, 7, 8.5}}, W: []float64{0, 2000, 1<<53 - 1}},
 			},
 			decode: func(b []byte) (Payload, error) {
 				var m WeightedPointsMsg
@@ -112,7 +124,9 @@ func wireTypes() []wireType {
 			name: "CollapsedMsg",
 			msgs: []Payload{
 				CollapsedMsg{},
-				CollapsedMsg{Y: []metric.Point{{1, 1}, {2, 2}}, Ell: []float64{0.1, 0.2}, W: []float64{3, 4}},
+				CollapsedMsg{Y: []metric.Point{{1, 1}}, Ell: []float64{3}, W: []float64{-1}},
+				CollapsedMsg{Y: []metric.Point{{1, 1}, {2, 2}}, Ell: []float64{1, 2}, W: []float64{1.25, math.NaN()}},
+				CollapsedMsg{Y: []metric.Point{{1, 1}, {2, 2}}, Ell: []float64{0.1, 0.2}, W: []float64{3, 400}},
 			},
 			decode: func(b []byte) (Payload, error) {
 				var m CollapsedMsg
@@ -124,8 +138,10 @@ func wireTypes() []wireType {
 }
 
 // TestPayloadRoundTripAll: MarshalBinary and UnmarshalBinary are inverses
-// for every payload type — re-encoding a decoded message reproduces the
-// wire bytes exactly (so byte accounting is representation-independent).
+// for every payload type — the decoded message holds the values that were
+// sent (compared in %b, which tells -0 from 0, equates NaN with NaN and nil
+// with empty), and re-encoding it reproduces the wire bytes exactly (so
+// byte accounting is representation-independent).
 func TestPayloadRoundTripAll(t *testing.T) {
 	for _, wt := range wireTypes() {
 		t.Run(wt.name, func(t *testing.T) {
@@ -137,6 +153,9 @@ func TestPayloadRoundTripAll(t *testing.T) {
 				dec, err := wt.decode(b1)
 				if err != nil {
 					t.Fatalf("msg %d: unmarshal: %v", i, err)
+				}
+				if sent, got := fmt.Sprintf("%b", msg), fmt.Sprintf("%b", dec); sent != got {
+					t.Fatalf("msg %d: decoded values differ:\nsent %s\ngot  %s", i, sent, got)
 				}
 				b2, err := dec.MarshalBinary()
 				if err != nil {
@@ -172,24 +191,64 @@ func TestPayloadRejectsTruncationAll(t *testing.T) {
 	}
 }
 
+// uv is the wire bytes of a sequence of uvarints.
+func uv(vals ...uint64) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
 // TestHostileLengthsRejected: decoders must reject length fields claiming
-// more elements than the message can hold, before allocating for them.
+// more than the message holds before allocating for them — in uint64, so a
+// length of 2^31 and up cannot wrap a 32-bit int past the check — and
+// values outside what the Go-side type holds exactly.
 func TestHostileLengthsRejected(t *testing.T) {
-	// PointsMsg claiming 2^32-1 points of dim 2^32-1.
-	hostile := appendU32(appendU32(nil, 0xffffffff), 0xffffffff)
-	var pm PointsMsg
-	if err := pm.UnmarshalBinary(hostile); err == nil {
-		t.Fatal("hostile points count accepted")
+	types := map[string]func([]byte) (Payload, error){
+		"Multi": func(b []byte) (Payload, error) { _, err := SplitMulti(b); return nil, err },
 	}
-	// Multi claiming 2^32-1 parts.
-	if _, err := SplitMulti(appendU32(nil, 0xffffffff)); err == nil {
-		t.Fatal("hostile multi count accepted")
+	for _, wt := range wireTypes() {
+		types[wt.name] = wt.decode
 	}
-	// NodesMsg with a huge inner count.
-	inner := appendU32(appendU32(nil, 1), 0xffffffff)
-	var nm NodesMsg
-	if err := nm.UnmarshalBinary(inner); err == nil {
-		t.Fatal("hostile node support count accepted")
+	f64 := make([]byte, 8)
+	for _, tc := range []struct {
+		name, typ string
+		b         []byte
+	}{
+		{"2^32-1 points of the largest dimension", "PointsMsg", uv(math.MaxUint32, maxDim)},
+		{"2^32-1 multi parts", "Multi", uv(math.MaxUint32)},
+		{"huge node support count", "NodesMsg", uv(1, math.MaxUint32)},
+		{"multi part length 2^31", "Multi", uv(1, 1<<31)},
+		{"multi part length 2^32", "Multi", uv(1, 1<<32)},
+		{"multi part length 2^63", "Multi", uv(1, 1<<63)},
+		{"multi part length 2^64-1", "Multi", uv(1, math.MaxUint64)},
+		{"points count 2^64-1", "PointsMsg", uv(math.MaxUint64, 1)},
+		{"floats count 2^61 (8n wraps to 0)", "Float64sMsg", uv(1 << 61)},
+		{"dimension above the cap, no points", "PointsMsg", uv(0, maxDim+1)},
+		{"dimension 2^61 (row size wraps)", "WeightedPointsMsg", append(uv(1, 1<<61), 0)},
+		{"zero-dimensional points", "PointsMsg", uv(5, 0)},
+		{"weight 2^53 in integral form", "WeightedPointsMsg", append(append(uv(1, 0), 1), uv(1<<53)...)},
+		{"weight form flag 2", "WeightedPointsMsg", append(uv(0, 2), 2)},
+		{"collapsed weight form flag 2", "CollapsedMsg", append(uv(0, 2), 2)},
+		{"hull budget above MaxInt32", "HullMsg", append(uv(1, math.MaxInt32+1), f64...)},
+		{"hull count 2^50", "HullsMsg", uv(1, 1<<50)},
+		{"ground-set index above MaxUint32", "NodesMsg", append(uv(1, 1, math.MaxUint32+1), f64...)},
+	} {
+		if _, err := types[tc.typ](tc.b); err == nil {
+			t.Errorf("%s: %s decoded % x", tc.name, tc.typ, tc.b)
+		}
+	}
+	// The encoder refuses what the decoder would: values the wire form
+	// cannot carry never leave a site.
+	for name, p := range map[string]Payload{
+		"negative hull budget":    HullMsg{V: []geom.Vertex{{Q: -1}}},
+		"zero-dimensional points": PointsMsg{Pts: []metric.Point{{}}},
+		"short weight column":     WeightedPointsMsg{Pts: []metric.Point{{1}}},
+	} {
+		if _, err := p.MarshalBinary(); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
 	}
 }
 

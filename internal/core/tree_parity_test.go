@@ -78,26 +78,25 @@ func TestTreeDeepMatchesStar(t *testing.T) {
 	if len(tr.Levels) != 4 {
 		t.Fatalf("depth-4 tree reported %d levels: %+v", len(tr.Levels), tr.Levels)
 	}
-	if tr.RootUpBytes() >= star.Report.UpBytes {
-		t.Fatalf("root inbox %d not below star inbox %d", tr.RootUpBytes(), star.Report.UpBytes)
-	}
 }
 
 // TestTreeInboxCurve sweeps the site count with everything else fixed (24
 // points a site, dim 4, k=8, t=s, the default branch, median and center):
 // at every s the tree returns the star's answer and logical byte
-// accounting; from 32 sites up the root's physical inbox is below the
-// star's, and the saving widens with s — the star's inbox grows linearly
-// in s, the tree's is bounded by the branching factor, which is the whole
-// point of the topology. At s <= branch the tree degenerates to the star.
+// accounting, and the root's physical inbox is the star's plus framing (an
+// aggregator relays its sites' payloads as they are; assertTreeParity holds
+// the bound). What the compact payload encoding saves it saves on both
+// topologies, so the median run also pins the root inbox to no more than
+// it was when the tree re-packed the star's fixed-width payloads (PR 21).
+// At s <= branch the tree degenerates to the star.
 func TestTreeInboxCurve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("12 runs up to 256 sites")
 	}
+	repacked := map[int]int64{16: 10585, 64: 42314, 256: 169011}
 	for _, obj := range []Objective{Median, Center} {
 		t.Run(obj.String(), func(t *testing.T) {
 			t.Parallel()
-			var lastGap int64
 			for _, s := range []int{8, 16, 32, 64, 128, 256} {
 				sites := testSites(s, s*24, 4, 1+int64(s)*1009)
 				cfg := Config{
@@ -123,15 +122,9 @@ func TestTreeInboxCurve(t *testing.T) {
 				assertTreeParity(t, star, treed)
 				root := treed.Report.Tree.RootUpBytes()
 				t.Logf("s=%d: star inbox %d B, tree root inbox %d B", s, star.Report.UpBytes, root)
-				if s < 32 {
-					continue
+				if was, ok := repacked[s]; ok && obj == Median && root > was {
+					t.Fatalf("s=%d: root inbox %d B above the re-packing tree's %d B", s, root, was)
 				}
-				gap := star.Report.UpBytes - root
-				if gap <= lastGap {
-					t.Fatalf("s=%d: root inbox %d B vs star %d B saves %d B, not more than the previous site count's %d B",
-						s, root, star.Report.UpBytes, gap, lastGap)
-				}
-				lastGap = gap
 			}
 		})
 	}
@@ -139,7 +132,11 @@ func TestTreeInboxCurve(t *testing.T) {
 
 // assertTreeParity checks the star/tree invariants: identical results and
 // identical logical accounting, with physical per-level stats only on the
-// tree side.
+// tree side, and a root inbox of the star's bytes plus at most the framing:
+// per round, each of the root's <= branch batches spends 2 bytes on magic
+// and version, <= 4 on the level and section counts and two <= 5-byte
+// varints on each level below the root, and each site's section a <= 3-byte
+// length.
 func assertTreeParity(t *testing.T, star, treed Result) {
 	t.Helper()
 	assertSameAnswer(t, star, treed)
@@ -150,8 +147,10 @@ func assertTreeParity(t *testing.T, star, treed Result) {
 	if tr == nil {
 		t.Fatal("tree run reported no per-level stats")
 	}
-	if tr.RootUpBytes() <= 0 {
-		t.Fatalf("tree root inbox not accounted: %+v", tr)
+	perBatch := int64(6 + 10*(len(tr.Levels)-1))
+	framing := int64(star.Report.Rounds) * (int64(tr.Branch)*perBatch + 3*int64(tr.Leaves))
+	if root := tr.RootUpBytes(); root < star.Report.UpBytes || root > star.Report.UpBytes+framing {
+		t.Fatalf("root inbox %d B outside [star inbox %d B, +%d B of framing]", root, star.Report.UpBytes, framing)
 	}
 }
 

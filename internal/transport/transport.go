@@ -89,8 +89,10 @@ func ParseKind(s string) (Kind, error) {
 // JobsHello is the welcome blob of every coordinator in the repository: it
 // tells a dialing site that run configurations arrive per job frame
 // (ServeJobs). Sites and aggregators refuse any other welcome, so a
-// misconfigured pairing fails immediately instead of hanging.
-const JobsHello = "dpc-jobs/1"
+// misconfigured pairing fails immediately instead of hanging. The number
+// names the payload encoding (internal/comm) too: a fleet of mixed versions
+// fails at this handshake, not at a decoder.
+const JobsHello = "dpc-jobs/2"
 
 // NewLocal materializes a backend selection for in-process site handlers:
 // loopback directly, or TCP with one localhost site server per handler.

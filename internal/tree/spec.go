@@ -1,19 +1,21 @@
 // Package tree arranges a protocol run's s sites under intermediate
 // aggregator nodes with a configurable branching factor, so the
-// coordinator's fan-in is the branching factor instead of s.
+// coordinator's connection fan-in is the branching factor instead of s.
 //
 // The paper's star network ships every site summary straight to the
-// coordinator: total communication is the optimal Õ((sk+t)B), but the
-// coordinator's own inbox is O(s·(k+t)) and becomes the bottleneck long
-// before the bound does. Following the hierarchical-aggregation line
-// (Bendechache et al.), an aggregator merges its subtree's summaries into
-// one batch before forwarding upward. The merge here is an associative
-// re-grouping of the same summaries — child payloads are carried losslessly
-// (compactly re-encoded, see batch.go) and expanded back into per-site
-// payloads at the root — so every protocol driver in the repository runs
-// unchanged over a tree and returns centers byte-identical to the star.
-// What changes is the physical traffic on the root's links, attributed per
-// level in comm.TreeStats.
+// coordinator: total communication is the optimal Õ((sk+t)B), and the
+// coordinator holds s connections and reads s messages a round. Following
+// the hierarchical-aggregation line (Bendechache et al.), an aggregator
+// gathers its subtree's summaries into one batch before forwarding upward.
+// Unlike that line's merge, the batch here is a lossless relay: an
+// associative re-grouping of the same summaries, each carried exactly as
+// its site encoded it (batch.go is framing, the payload format belongs to
+// internal/comm) and split back into per-site payloads at the root — so
+// every protocol driver in the repository runs unchanged over a tree and
+// returns centers byte-identical to the star. The root's inbox is therefore
+// the star's plus a few bytes of framing per site; what the tree buys is
+// branch links at the root instead of s, and the physical traffic of every
+// tier attributed per level in comm.TreeStats.
 package tree
 
 import (

@@ -33,9 +33,9 @@ type Aggregator struct {
 
 // NewAggregator builds the merge role over an already-connected child
 // transport. inner declares whether the children are themselves aggregators
-// (payloads arrive as batches to merge) or leaf sites (payloads are raw
-// protocol messages to compact). ctx bounds the child gathers; nil means
-// context.Background().
+// (payloads arrive as batches to merge) or leaf sites (payloads are
+// protocol messages, carried as they are). ctx bounds the child gathers; nil
+// means context.Background().
 func NewAggregator(ctx context.Context, child transport.Transport, inner bool) *Aggregator {
 	if ctx == nil {
 		ctx = context.Background()
@@ -58,18 +58,17 @@ func (a *Aggregator) Handle(round int, in []byte) ([]byte, error) {
 	secs := make([]section, 0, len(res.Payloads))
 	for i, p := range res.Payloads {
 		own.Up += int64(len(p))
-		if a.inner {
-			cb, err := decodeBatch(p)
-			if err != nil {
-				return nil, fmt.Errorf("tree: child %d round %d: %w", i, round, err)
-			}
-			secs = append(secs, cb.secs...)
-			deeper = addLevels(deeper, cb.levels)
-		} else {
-			s := compact(p)
-			s.work = res.Work[i]
-			secs = append(secs, s)
+		if !a.inner {
+			secs = append(secs, section{work: res.Work[i], data: p})
+			continue
 		}
+		cb, err := decodeBatch(p)
+		if err != nil {
+			return nil, fmt.Errorf("tree: child %d round %d: %w", i, round, err)
+		}
+		own.Up -= cb.workBytes
+		secs = append(secs, cb.secs...)
+		deeper = addLevels(deeper, cb.levels)
 	}
 	return encodeBatch(batch{levels: append([]comm.TreeLevel{own}, deeper...), secs: secs}), nil
 }
@@ -112,10 +111,10 @@ func Serve(sc *transport.Site, child transport.Transport, inner bool) error {
 // Root is the coordinator end of an aggregation tree. It implements
 // transport.Transport over an inner transport whose "sites" are the root's
 // direct children (aggregators): Broadcast fans the downstream bytes into
-// the tree, and Gather expands the children's merged batches back into the
-// s per-site payloads in global site order — byte-identical to what a star
-// would have gathered — while recording what physically crossed each level
-// of links. Protocol drivers therefore run unchanged; comm.Network picks
+// the tree, and Gather splits the children's merged batches back into the
+// s per-site payloads in global site order — the very bytes a star would
+// have gathered — while recording what physically crossed each level of
+// links. Protocol drivers therefore run unchanged; comm.Network picks
 // the per-level attribution up through the comm.TreeStatser interface.
 type Root struct {
 	inner  transport.Transport
@@ -168,7 +167,7 @@ func (r *Root) Send(round, site int, b []byte) error {
 	return fmt.Errorf("tree: per-site Send is not supported over an aggregation tree (round %d, site %d)", round, site)
 }
 
-// Gather implements Transport: the direct children's batches are expanded
+// Gather implements Transport: the direct children's batches are split
 // into the per-site payloads of the round, in global site order.
 func (r *Root) Gather(ctx context.Context, round int) (transport.RoundResult, error) {
 	res, err := r.inner.Gather(ctx, round)
@@ -182,18 +181,14 @@ func (r *Root) Gather(ctx context.Context, round int) (transport.RoundResult, er
 	var inbox int64
 	var deeper []comm.TreeLevel
 	for i, p := range res.Payloads {
-		inbox += int64(len(p))
 		bt, err := decodeBatch(p)
 		if err != nil {
 			return transport.RoundResult{}, fmt.Errorf("tree: root child %d round %d: %w", i, round, err)
 		}
+		inbox += int64(len(p)) - bt.workBytes
 		deeper = addLevels(deeper, bt.levels)
-		for j, s := range bt.secs {
-			payload, err := expandSection(s)
-			if err != nil {
-				return transport.RoundResult{}, fmt.Errorf("tree: root child %d section %d round %d: %w", i, j, round, err)
-			}
-			out.Payloads = append(out.Payloads, payload)
+		for _, s := range bt.secs {
+			out.Payloads = append(out.Payloads, s.data)
 			out.Work = append(out.Work, s.work)
 		}
 	}

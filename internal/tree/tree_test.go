@@ -6,14 +6,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"dpc/internal/comm"
-	"dpc/internal/geom"
-	"dpc/internal/metric"
 	"dpc/internal/transport"
 )
 
@@ -99,9 +96,9 @@ func TestBatchRoundTrip(t *testing.T) {
 	bt := batch{
 		levels: []comm.TreeLevel{{Down: 120, Up: 4096}, {Down: 360, Up: 9000}},
 		secs: []section{
-			{method: mRaw, work: 17 * time.Microsecond, data: []byte("payload-a")},
-			{method: mHull, work: 0, data: []byte{0}},
-			{method: mRaw, data: nil},
+			{work: 17 * time.Microsecond, data: []byte("payload-a")},
+			{work: 0, data: []byte{0}},
+			{data: nil},
 		},
 	}
 	got, err := decodeBatch(encodeBatch(bt))
@@ -115,25 +112,30 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatalf("%d sections, want %d", len(got.secs), len(bt.secs))
 	}
 	for i := range bt.secs {
-		if got.secs[i].method != bt.secs[i].method || got.secs[i].work != bt.secs[i].work ||
-			!bytes.Equal(got.secs[i].data, bt.secs[i].data) {
+		if got.secs[i].work != bt.secs[i].work || !bytes.Equal(got.secs[i].data, bt.secs[i].data) {
 			t.Fatalf("section %d = %+v, want %+v", i, got.secs[i], bt.secs[i])
 		}
+	}
+	// 17000 ns is a three-byte uvarint, the two zero durations one each.
+	if got.workBytes != 3+1+1 {
+		t.Fatalf("work varints took %d bytes, want 5", got.workBytes)
 	}
 }
 
 func TestDecodeBatchHostile(t *testing.T) {
-	good := encodeBatch(batch{levels: []comm.TreeLevel{{Up: 5}}, secs: []section{{method: mRaw, data: []byte("x")}}})
+	good := encodeBatch(batch{levels: []comm.TreeLevel{{Up: 5}}, secs: []section{{data: []byte("x")}}})
 	for name, raw := range map[string][]byte{
 		"empty":          nil,
 		"bad magic":      {0x00, 0x01},
 		"bad version":    {batchMagic, 0x7f},
+		"old version":    {batchMagic, 1, 1, 0, 0, 0},
 		"zero levels":    {batchMagic, batchVersion, 0x00},
 		"huge levels":    append([]byte{batchMagic, batchVersion}, binary.AppendUvarint(nil, 1<<40)...),
+		"huge sections":  append([]byte{batchMagic, batchVersion, 1, 0, 0}, binary.AppendUvarint(nil, maxSections+1)...),
+		"many sections":  {batchMagic, batchVersion, 1, 0, 0, 3, 0, 0, 0, 0},
 		"truncated":      good[:len(good)-1],
 		"trailing":       append(append([]byte{}, good...), 0xff),
-		"bad method":     {batchMagic, batchVersion, 1, 0, 0, 1, 0xee, 0, 0},
-		"section length": {batchMagic, batchVersion, 1, 0, 0, 1, mRaw, 0, 0x7f},
+		"section length": {batchMagic, batchVersion, 1, 0, 0, 1, 0, 0x7f},
 	} {
 		if _, err := decodeBatch(raw); err == nil {
 			t.Errorf("%s: decoded", name)
@@ -141,88 +143,37 @@ func TestDecodeBatchHostile(t *testing.T) {
 	}
 }
 
-// marshal builds the star wire bytes of a payload for compaction tests.
-func marshal(t *testing.T, p comm.Payload) []byte {
-	t.Helper()
-	b, err := p.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func TestCompactKnownPayloads(t *testing.T) {
-	pts := []metric.Point{{1.5, -2.25, 3e9}, {0.125, 4, -5}, {6, 7, 8.5}}
-	cases := []struct {
-		name   string
-		p      []byte
-		method byte
-	}{
-		{"hull", marshal(t, comm.HullMsg{V: []geom.Vertex{{Q: 0, C: 91.5}, {Q: 3, C: 40.25}, {Q: 12, C: 0}}}), mHull},
-		{"weighted integral", marshal(t, comm.WeightedPointsMsg{Pts: pts, W: []float64{3, 17, 2000}}), mWeighted},
-		{"collapsed integral", marshal(t, comm.CollapsedMsg{Y: pts, Ell: []float64{0.5, 1.25, 9}, W: []float64{1, 2, 3}}), mCollapsed},
-		{"multi", marshal(t, comm.Multi{Parts: []comm.Payload{
-			comm.WeightedPointsMsg{Pts: pts, W: []float64{4, 5, 6}},
-			comm.PointsMsg{Pts: pts},
-		}}), mMulti},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := compact(tc.p)
-			if s.method != tc.method {
-				t.Fatalf("method %d, want %d", s.method, tc.method)
-			}
-			if len(s.data) >= len(tc.p) {
-				t.Fatalf("no shrink: %d -> %d bytes", len(tc.p), len(s.data))
-			}
-			back, err := expandSection(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(back, tc.p) {
-				t.Fatal("round trip not byte-identical")
-			}
-		})
-	}
-}
-
-func TestCompactFallsBackRaw(t *testing.T) {
-	// Non-integral weights still round-trip (raw rows behind a varint
-	// header); arbitrary bytes and empty payloads fall back to mRaw.
-	frac := marshal(t, comm.WeightedPointsMsg{Pts: []metric.Point{{1, 2}}, W: []float64{0.5}})
-	s := compact(frac)
-	back, err := expandSection(s)
-	if err != nil || !bytes.Equal(back, frac) {
-		t.Fatalf("fractional-weight round trip: err %v, equal %v", err, bytes.Equal(back, frac))
-	}
-	for _, p := range [][]byte{nil, {0x01}, []byte("arbitrary junk bytes"), bytes.Repeat([]byte{0xab}, 37)} {
-		s := compact(p)
-		back, err := expandSection(s)
+// FuzzDecodeBatch feeds arbitrary bytes to the batch decoder: it must never
+// panic, never size anything beyond the input, and whatever decodes must
+// re-encode to a batch that decodes to the same levels and sections.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add(encodeBatch(batch{levels: []comm.TreeLevel{{Up: 5}}, secs: []section{{data: []byte("x")}}}))
+	f.Add(encodeBatch(batch{
+		levels: []comm.TreeLevel{{Down: 120, Up: 4096}, {Down: 360, Up: 9000}},
+		secs:   []section{{work: time.Second, data: []byte("payload-a")}, {}, {work: 1, data: []byte{0}}},
+	}))
+	f.Add([]byte{batchMagic, batchVersion, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		bt, err := decodeBatch(raw)
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		if !bytes.Equal(back, p) {
-			t.Fatalf("junk payload altered: %x -> %x", p, back)
+		if len(bt.secs) > len(raw) || len(bt.levels) > len(raw) || bt.workBytes > int64(len(raw)) {
+			t.Fatalf("%d sections, %d levels, %d work bytes out of %d bytes", len(bt.secs), len(bt.levels), bt.workBytes, len(raw))
 		}
-	}
-}
-
-func TestExpandHostileSections(t *testing.T) {
-	for name, s := range map[string]section{
-		"hull huge count":   {method: mHull, data: binary.AppendUvarint(nil, 1<<50)},
-		"hull q overflow":   {method: mHull, data: append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), math.MaxUint32+1), make([]byte, 8)...)},
-		"block huge count":  {method: mPts, data: append(binary.AppendUvarint(binary.AppendUvarint(nil, 1<<40), 4), 0)},
-		"block flag no w":   {method: mPts, data: append(binary.AppendUvarint(binary.AppendUvarint(nil, 0), 2), 1)},
-		"weight overflow":   {method: mWeighted, data: append(append(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 0), 1), binary.AppendUvarint(nil, 1<<53)...)},
-		"multi huge count":  {method: mMulti, data: binary.AppendUvarint(nil, 1<<30)},
-		"multi nested":      {method: mMulti, data: append(binary.AppendUvarint(nil, 1), mMulti, 0)},
-		"unknown method":    {method: 0x7d, data: nil},
-		"block dim too big": {method: mPts, data: append(binary.AppendUvarint(binary.AppendUvarint(nil, 0), 1<<30), 0)},
-	} {
-		if _, err := expandSection(s); err == nil {
-			t.Errorf("%s: expanded", name)
+		again, err := decodeBatch(encodeBatch(bt))
+		if err != nil {
+			t.Fatalf("re-encoded batch rejected: %v", err)
 		}
-	}
+		if !reflect.DeepEqual(again.levels, bt.levels) || len(again.secs) != len(bt.secs) {
+			t.Fatalf("re-encoded batch differs: %+v vs %+v", again, bt)
+		}
+		for i := range bt.secs {
+			if again.secs[i].work != bt.secs[i].work || !bytes.Equal(again.secs[i].data, bt.secs[i].data) {
+				t.Fatalf("section %d differs after re-encoding", i)
+			}
+		}
+	})
 }
 
 // echoHandlers builds n handlers whose replies identify (site, round) so the
@@ -325,29 +276,98 @@ func TestHandlerErrorPropagates(t *testing.T) {
 }
 
 // An aggregator daemon serves job frames only: a parent whose welcome is
-// anything but the job-frame marker is refused, not served blindly.
+// anything but the job-frame marker — a stranger's, or the marker of the
+// previous payload encoding — is refused, not served blindly.
 func TestServeRejectsOtherWelcome(t *testing.T) {
-	l, err := transport.Listen("127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	served := make(chan error, 1)
-	go func() {
-		sc, err := transport.Dial(l.Addr().String(), 0, 5*time.Second)
+	for _, welcome := range []string{"not-the-jobs-marker", "dpc-jobs/1"} {
+		l, err := transport.Listen("127.0.0.1:0", 1)
 		if err != nil {
-			served <- nil // reported by Accept below
-			return
+			t.Fatal(err)
 		}
-		defer sc.Close()
-		served <- Serve(sc, transport.NewLoopback(echoHandlers(2), false), false)
-	}()
-	coord, err := l.Accept(1, []byte("not-the-jobs-marker"))
-	if err != nil {
-		t.Fatal(err)
+		defer l.Close()
+		served := make(chan error, 1)
+		go func() {
+			sc, err := transport.Dial(l.Addr().String(), 0, 5*time.Second)
+			if err != nil {
+				served <- nil // reported by Accept below
+				return
+			}
+			defer sc.Close()
+			served <- Serve(sc, transport.NewLoopback(echoHandlers(2), false), false)
+		}()
+		coord, err := l.Accept(1, []byte(welcome))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer coord.Close()
+		if err := <-served; err == nil {
+			t.Fatalf("Serve accepted a parent whose welcome is %q", welcome)
+		}
 	}
-	defer coord.Close()
-	if err := <-served; err == nil {
-		t.Fatal("Serve accepted a parent that does not speak job frames")
+}
+
+// timedSites is a child transport whose sites answer a fixed payload and
+// report an injected compute time.
+type timedSites struct {
+	payloads [][]byte
+	work     time.Duration
+}
+
+func (f timedSites) Sites() int                  { return len(f.payloads) }
+func (f timedSites) Broadcast(int, []byte) error { return nil }
+func (f timedSites) Send(int, int, []byte) error { return nil }
+func (f timedSites) Close() error                { return nil }
+func (f timedSites) Gather(context.Context, int) (transport.RoundResult, error) {
+	res := transport.RoundResult{Payloads: f.payloads, Work: make([]time.Duration, len(f.payloads))}
+	for i := range res.Work {
+		res.Work[i] = f.work
+	}
+	return res, nil
+}
+
+// Site compute times ride in the batch beside the payloads, as they ride in
+// the TCP frame header below the aggregators: transport metadata, outside
+// the byte accounting. Two runs that differ only in how long the sites took
+// — a one-byte varint against a six-byte one — report the same TreeStats.
+func TestTreeStatsIgnoreWorkDurations(t *testing.T) {
+	run := func(work time.Duration) comm.TreeStats {
+		var mids []transport.Handler
+		for g := 0; g < 2; g++ {
+			var low []transport.Handler
+			for c := 0; c < 2; c++ {
+				sites := timedSites{work: work}
+				for i := 0; i < 3; i++ {
+					sites.payloads = append(sites.payloads, []byte(fmt.Sprintf("payload of site %d", 6*g+3*c+i)))
+				}
+				low = append(low, NewAggregator(nil, sites, false).Handle)
+			}
+			mids = append(mids, NewAggregator(nil, transport.NewLoopback(low, false), true).Handle)
+		}
+		root, err := NewRootOver(transport.NewLoopback(mids, false), 12, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer root.Close()
+		if err := root.Broadcast(0, []byte("cfg")); err != nil {
+			t.Fatal(err)
+		}
+		res, err := root.Gather(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range res.Work {
+			if w != work {
+				t.Fatalf("site %d work %v, want %v", i, w, work)
+			}
+		}
+		stats, _ := root.TreeStats()
+		return stats
+	}
+	fast, slow := run(time.Nanosecond), run(time.Hour)
+	if !reflect.DeepEqual(fast, slow) {
+		t.Fatalf("tree stats move with site compute time:\n1ns: %+v\n1h:  %+v", fast, slow)
+	}
+	if len(fast.Levels) != 3 || fast.RootUpBytes() <= 0 {
+		t.Fatalf("stats = %+v", fast)
 	}
 }

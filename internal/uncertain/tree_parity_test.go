@@ -12,7 +12,8 @@ import (
 // TestUncertainTreeMatchesStar: the Section-5 summaries (hulls, collapsed
 // points, shipped distributions) survive aggregation-tree re-grouping
 // byte-for-byte — centers, budgets and logical accounting are identical to
-// the star, and only the tree run carries per-level stats.
+// the star, and only the tree run carries per-level stats, its root inbox
+// the star's bytes plus framing.
 func TestUncertainTreeMatchesStar(t *testing.T) {
 	in, sites := plantedUncertain(t, 200, 3, 9, 4, 0.05, 9)
 	for _, kind := range []transport.Kind{transport.KindLoopback, transport.KindTCP} {
@@ -57,8 +58,14 @@ func TestUncertainTreeMatchesStar(t *testing.T) {
 				if tr == nil {
 					t.Fatal("tree run reported no per-level stats")
 				}
-				if tr.RootUpBytes() <= 0 || tr.RootUpBytes() >= star.Report.UpBytes {
-					t.Fatalf("root inbox %d not inside (0, star inbox %d)", tr.RootUpBytes(), star.Report.UpBytes)
+				// Framing, per round: a batch per root link (<= branch) of 2
+				// bytes magic and version, <= 4 of level and section counts
+				// and two <= 5-byte varints per level below the root, and a
+				// <= 3-byte length per site.
+				perBatch := int64(6 + 10*(len(tr.Levels)-1))
+				framing := int64(star.Report.Rounds) * (int64(tr.Branch)*perBatch + 3*int64(tr.Leaves))
+				if root := tr.RootUpBytes(); root < star.Report.UpBytes || root > star.Report.UpBytes+framing {
+					t.Fatalf("root inbox %d B outside [star inbox %d B, +%d B of framing]", root, star.Report.UpBytes, framing)
 				}
 			})
 		}
