@@ -163,7 +163,7 @@ func TestRequestRoundTripAllBackends(t *testing.T) {
 // dataset: same request, Dataset instead of Points, identical centers, and
 // the second run served from the warm server-side cache.
 func TestNamedDatasetReuse(t *testing.T) {
-	in := gen.Mixture(gen.MixtureSpec{N: 200, K: 3, OutlierFrac: 0.05, Seed: 9})
+	in := gen.Mixture(gen.MixtureSpec{N: 200, K: 3, Dim: 8, OutlierFrac: 0.05, Seed: 9})
 	remote, _ := newRemote(t, serve.Config{})
 	ctx := context.Background()
 	if err := remote.RegisterDataset(ctx, "named", in.Pts); err != nil {
@@ -243,7 +243,7 @@ func TestRemoteUncertainSharedGroundExact(t *testing.T) {
 // cancelInstance is sized so a full solve takes far longer than the cancel
 // delay on any plausible machine: cancellation must interrupt it mid-run.
 func cancelInstance() gen.Instance {
-	return gen.Mixture(gen.MixtureSpec{N: 4000, K: 4, OutlierFrac: 0.05, Seed: 11})
+	return gen.Mixture(gen.MixtureSpec{N: 20000, K: 4, OutlierFrac: 0.05, Seed: 11})
 }
 
 func cancelRequest(pts []Point) Request {

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"dpc/internal/dataio"
 	"dpc/internal/gen"
 	"dpc/internal/kmedian"
+	"dpc/internal/metric"
+	"dpc/internal/transport"
+	"dpc/internal/tree"
 )
 
 // Ablation: the geometric grid base trades site work (number of local
@@ -69,5 +74,50 @@ func BenchmarkAblationRho(b *testing.B) {
 			}
 			b.ReportMetric(float64(bytes), "up-bytes")
 		})
+	}
+}
+
+// BenchmarkMemoCrossover is the measurement behind metric.Memoizes' dimension
+// rule: the repo benchmark's median-shards job (8 sites of 250 points, k = 5,
+// t = 20) at each dimension, with every site on the raw points and with every
+// site on a fresh per-job DistCache (forced through the explicit-oracle entry
+// point, which no policy overrides). The crossover is the dimension where
+// memo/ stops losing to raw/.
+func BenchmarkMemoCrossover(b *testing.B) {
+	cfg := Config{K: 5, T: 20, Objective: Median}
+	for _, dim := range []int{2, 3, 4, 5, 6, 7, 8, 16} {
+		in := gen.Mixture(gen.MixtureSpec{N: 2000, K: 5, Dim: dim, OutlierFrac: 0.01, Seed: 31})
+		sites := dataio.SplitRoundRobin(in.Pts, 8)
+		for _, memo := range []bool{false, true} {
+			name := "raw"
+			if memo {
+				name = "memo"
+			}
+			b.Run(fmt.Sprintf("dim=%d/%s", dim, name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					handlers := make([]transport.Handler, len(sites))
+					for s, pts := range sites {
+						var o metric.Oracle = metric.NewPoints(pts)
+						if memo {
+							o = metric.NewDistCache(metric.NewPoints(pts))
+						}
+						h, err := NewSiteHandlerOracle(cfg, s, pts, o)
+						if err != nil {
+							b.Fatal(err)
+						}
+						handlers[s] = h
+					}
+					tr, err := tree.NewLocal(context.Background(), transport.KindLoopback, handlers, true, tree.Spec{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					_, err = RunOverCtx(context.Background(), tr, cfg)
+					tr.Close()
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

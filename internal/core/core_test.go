@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"dpc/internal/engine"
 	"dpc/internal/exact"
 	"dpc/internal/gen"
 	"dpc/internal/kmedian"
@@ -403,5 +404,58 @@ func TestStringers(t *testing.T) {
 	}
 	if Variant(9).String() == "" {
 		t.Fatal("unknown variant string empty")
+	}
+}
+
+// TestMemoPolicyAtTheSite: a site that builds its own oracle runs a
+// low-dimensional shard raw and memoizes a higher-dimensional one
+// (metric.Memoizes), while an oracle handed in explicitly is used as given
+// whatever its dimension — and the answer is the same either way.
+func TestMemoPolicyAtTheSite(t *testing.T) {
+	low := gen.Mixture(gen.MixtureSpec{N: 120, K: 3, Dim: 2, OutlierFrac: 0.05, Seed: 3}).Pts
+	high := gen.Mixture(gen.MixtureSpec{N: 120, K: 3, Dim: 8, OutlierFrac: 0.05, Seed: 3}).Pts
+	if _, raw := costsOver(low, Median, engine.Options{}).(metric.SelfCosts).S.(*metric.Points); !raw {
+		t.Fatal("a dim-2 shard's private oracle is not the raw point set")
+	}
+	if _, memo := costsOver(high, Median, engine.Options{}).(metric.SelfCosts).S.(*metric.DistCache); !memo {
+		t.Fatal("a dim-8 shard's private oracle is not memoized")
+	}
+
+	_, sites := plantedSites(t, 300, 3, 3, 0.05, gen.Uniform, 18)
+	for _, obj := range []Objective{Median, Means, Center} {
+		cfg := Config{K: 3, T: 15, Objective: obj}
+		want, err := Run(sites, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st metric.CacheStats
+		handlers := make([]transport.Handler, len(sites))
+		for i, pts := range sites {
+			dc := metric.NewDistCache(metric.NewPoints(pts))
+			dc.Counters = &st
+			if handlers[i], err = NewSiteHandlerOracle(cfg, i, pts, dc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr, err := tree.NewLocal(context.Background(), transport.KindLoopback, handlers, true, tree.Spec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunOverCtx(context.Background(), tr, cfg)
+		tr.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits, misses := st.Snapshot(); hits == 0 || misses == 0 {
+			t.Fatalf("%v: the explicit dim-2 oracle saw %d hits and %d misses; it was not used", obj, hits, misses)
+		}
+		if len(got.Centers) != len(want.Centers) || got.Report.UpBytes != want.Report.UpBytes {
+			t.Fatalf("%v: explicit-oracle run differs from the raw run", obj)
+		}
+		for i := range want.Centers {
+			if !got.Centers[i].Equal(want.Centers[i]) {
+				t.Fatalf("%v: explicit-oracle run moved center %d", obj, i)
+			}
+		}
 	}
 }

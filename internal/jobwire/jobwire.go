@@ -156,7 +156,7 @@ type SiteData struct {
 // verifies the coordinator's job-frame hello marker (a site must never be
 // silently paired with something that speaks another protocol), builds one
 // long-lived distance cache over the point shard when none was provided
-// and the shard fits the memoization cap, and serves one handler per job
+// and the shard fits the memoization cap (persistentCache), and serves one handler per job
 // frame via Factory until the coordinator closes. wrap, when non-nil,
 // decorates each job's handler (dpc-site -v hangs its logging off it). It
 // is the single implementation behind dpc-site and client.ServeSite.
@@ -165,8 +165,8 @@ func ServeJobs(sc *transport.Site, d SiteData, wrap func(job int, blob []byte, h
 		return fmt.Errorf("jobwire: coordinator does not speak job frames (welcome %q, want %q)",
 			sc.Hello(), transport.JobsHello)
 	}
-	if d.Cache == nil && len(d.Pts) > 0 && len(d.Pts) <= metric.MaxCachePoints {
-		d.Cache = metric.NewDistCache(metric.NewPoints(d.Pts))
+	if d.Cache == nil {
+		d.Cache = persistentCache(d.Pts)
 	}
 	factory := Factory(d)
 	return sc.ServeJobs(func(job int, blob []byte) (transport.Handler, error) {
@@ -176,6 +176,21 @@ func ServeJobs(sc *transport.Site, d SiteData, wrap func(job int, blob []byte, h
 		}
 		return wrap(job, blob, h), nil
 	})
+}
+
+// persistentCache is the private memo a persistent site keeps over its shard
+// for as long as its connection lives, or nil when the shard is empty or
+// above metric.MaxCachePoints. Deliberately not metric.Memoizes: that policy
+// prices a memo built per job or shared through a pool, and says no at low
+// dimension; this one is built once over an immutable, unshared shard and
+// read by every job after, and measured faster than recomputing even at
+// dimension 2 (the repo benchmark's fanin-tree, 128-point dim-2 leaves:
+// job_p50_ms 8.5-8.9 with it, 9.8-9.9 without).
+func persistentCache(pts []metric.Point) *metric.DistCache {
+	if len(pts) == 0 || len(pts) > metric.MaxCachePoints {
+		return nil
+	}
+	return metric.NewDistCache(metric.NewPoints(pts))
 }
 
 // Factory returns the transport.Site.ServeJobs factory for a persistent

@@ -1,13 +1,18 @@
 package jobwire
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"dpc/internal/core"
 	"dpc/internal/engine"
+	"dpc/internal/gen"
 	"dpc/internal/kmedian"
+	"dpc/internal/metric"
+	"dpc/internal/transport"
+	"dpc/internal/tree"
 	"dpc/internal/uncertain"
 )
 
@@ -98,5 +103,52 @@ func TestDecodeFramesWithRetiredSequentialKey(t *testing.T) {
 		if want := strings.Replace(tc.body, `"Sequential":false,`, "", 1); string(now[2:]) != want {
 			t.Errorf("%v frame body is now\n%s\nwant the old body less the key:\n%s", tc.kind, now[2:], want)
 		}
+	}
+}
+
+// TestPersistentSiteCachesLowDimensionShard: the memo a persistent site
+// (ServeJobs) keeps over its shard is not subject to metric.Memoizes — a
+// dim-2 shard still gets one, every job's handler reads it, and only the
+// size cap declines.
+func TestPersistentSiteCachesLowDimensionShard(t *testing.T) {
+	pts := gen.Mixture(gen.MixtureSpec{N: 240, K: 3, Dim: 2, OutlierFrac: 0.05, Seed: 5}).Pts
+	if metric.Memoizes(metric.NewPoints(pts)) {
+		t.Fatal("fixture: metric.Memoizes accepts the dim-2 shard; the test would prove nothing")
+	}
+	if persistentCache(nil) != nil || persistentCache(make([]metric.Point, metric.MaxCachePoints+1)) != nil {
+		t.Fatal("persistentCache built a memo over an empty or oversized shard")
+	}
+	shards := Data{Pts: pts}.Split(2).Pts
+	job := Job{Kind: KindPoint, Core: core.Config{K: 3, T: 12, Objective: core.Center}}
+	want, err := job.RunLocal(context.Background(), Shards{Pts: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st metric.CacheStats
+	handlers := make([]transport.Handler, len(shards))
+	for i, shard := range shards {
+		dc := persistentCache(shard)
+		if dc == nil {
+			t.Fatalf("no persistent cache over dim-2 shard %d (%d points)", i, len(shard))
+		}
+		dc.Counters = &st
+		if handlers[i], err = job.SiteHandler(SiteData{Site: i, Pts: shard, Cache: dc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := tree.NewLocal(context.Background(), transport.KindLoopback, handlers, true, tree.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	got, err := job.RunOver(context.Background(), tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := st.Snapshot(); hits == 0 || misses == 0 {
+		t.Fatalf("the site cache saw %d hits and %d misses; the handlers did not read it", hits, misses)
+	}
+	if !reflect.DeepEqual(got.Centers, want.Centers) {
+		t.Fatal("cached persistent sites and a one-shot run disagree")
 	}
 }

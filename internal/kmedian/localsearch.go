@@ -236,18 +236,6 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 	nc, nf := c.Clients(), c.Facilities()
 	workers := opt.Workers
 	cp := metric.CostPrunerOf(c)
-	ccp := metric.CostColumnPrunerOf(c)
-	// One skip mask per concurrent potential-scan worker: the column pruner
-	// bounds a whole facility in one call, so the scan pays a few loads per
-	// (client, facility) pair instead of a per-pair pruner call chain.
-	var colSkip chan []bool
-	if ccp != nil {
-		wk := par.Resolve(workers)
-		colSkip = make(chan []bool, wk)
-		for i := 0; i < wk; i++ {
-			colSkip <- make([]bool, nc)
-		}
-	}
 	cur := EvalP(c, w, centers, t, workers)
 	k := len(cur.Centers)
 	// One reusable distance column per top candidate.
@@ -271,6 +259,7 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 	a1 := make([]int, nc)      // position of that center in cur.Centers
 	d2 := make([]float64, nc)  // distance to second-nearest current center
 	inW := make([]float64, nc) // inlier weight under the current solution
+	ps := newPotScan(c, d1, a1, inW, workers)
 	// Round scratch, reused across rounds.
 	type scored struct {
 		f   int
@@ -310,45 +299,10 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 			d1[j], a1[j], d2[j] = b1, bp, b2
 			inW[j] = weight(w, j) - cur.DroppedWeight[j]
 		})
+		ps.begin(cur.Centers)
 		cands := facilityCandidates(nf, pos, opt, rng)
 		pots = append(pots[:0], make([]float64, len(cands))...)
-		par.For(workers, len(cands), func(ci int) {
-			f := cands[ci]
-			// A client whose cost to f provably stays >= d1[j] would
-			// contribute max(0, d1[j]-cost) = 0: skip the evaluation
-			// without touching the sum. The bulk column form proves the
-			// whole facility in one pass; the per-pair pruner is the
-			// fallback when no bulk pruner is wired (or it declines).
-			var skip []bool
-			if ccp != nil {
-				b := <-colSkip
-				if ccp.PruneCostColumn(f, d1, b) {
-					skip = b
-				} else {
-					colSkip <- b
-				}
-			}
-			var pot float64
-			for j := 0; j < nc; j++ {
-				if inW[j] <= 0 {
-					continue
-				}
-				if skip != nil {
-					if skip[j] {
-						continue
-					}
-				} else if cp != nil && cp.PruneCost(j, f, d1[j]) {
-					continue
-				}
-				if s := d1[j] - c.Cost(j, f); s > 0 {
-					pot += inW[j] * s
-				}
-			}
-			if skip != nil {
-				colSkip <- skip
-			}
-			pots[ci] = pot
-		})
+		par.For(workers, len(cands), func(ci int) { pots[ci] = ps.potential(cands[ci]) })
 		top = top[:0]
 		for ci, f := range cands {
 			if pots[ci] > 0 {
@@ -360,10 +314,8 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 			top = top[:topE]
 		}
 		// Distance columns of the surviving candidates, once per round.
-		par.For(workers, nc, func(j int) {
-			for si := range top {
-				cols[si][j] = c.Cost(j, top[si].f)
-			}
+		par.For(workers, len(top), func(si int) {
+			metric.CostColumn(c, top[si].f, nil, cols[si])
 		})
 		// Exact evaluation of every (candidate, removed position) swap into
 		// per-slot cost cells; the fold below replays the sequential

@@ -19,7 +19,7 @@ const emptyCell = 0x7ff8_0000_dead_c0de
 // so the hot region stays cache-resident — measurements on cheap metrics
 // (low-dimensional L2) show a DRAM-resident triangle costs more per lookup
 // than recomputing the distance, so past the limit the wrappers pass the
-// oracle through unchanged.
+// oracle through unchanged (see Memoizes for the whole policy).
 const MaxCachePoints = 2048
 
 // CacheStats counts cache traffic. Attach one to a DistCache or CostCache
@@ -68,24 +68,54 @@ func NewDistCache(s Space) *DistCache {
 	return &DistCache{S: s, n: n, cells: cells}
 }
 
-// CacheSpace wraps s in a DistCache unless it is too large to memoize, in
-// which case s is returned unchanged.
-func CacheSpace(s Space) Space {
+// rawMaxDim is the largest dimension at which a point set under a built-in
+// metric is served raw: the column kernel and the switch-dispatched pair path
+// recompute a low-dimensional distance faster than a memo finds it (index
+// arithmetic, an atomic load, the triangle's cache misses, and the fill).
+// Measured with BenchmarkMemoCrossover (internal/core) — the repo benchmark's
+// median-shards job, 8 sites of 250 points, every site raw against every site
+// on a fresh DistCache; ms per job, range of 3 runs of 100 jobs, 2 vCPUs:
+//
+//	dim    raw          memo
+//	 2     36.8-39.8    41.4-42.1
+//	 3     42.7-44.2    46.1-47.7
+//	 4     43.5-44.6    46.6-46.7
+//	 5     49.0-49.7    48.2-50.7
+//	 6     44.6-45.1    45.9-46.5
+//	 7     43.8-44.6    44.9-45.5
+//	 8     46.7-47.7    46.7-47.2
+//	16     56.6-56.8    47.5-47.8
+//
+// Raw wins by 6-10% through dimension 4, the two are within 3% of each other
+// from 5 to 8, and the memo wins from there (19% at 16). The constant is the
+// last dimension where raw wins outside the noise: in the tie band a pooled
+// memo that later jobs reuse is the better side.
+const rawMaxDim = 4
+
+// Memoizes reports whether a DistCache over s pays for itself — the one
+// memoization policy of the repository, consulted by CacheSpace and by the
+// job server's shard pool. It says no above MaxCachePoints and for point
+// sets of dimension <= rawMaxDim; every other space (an explicit matrix, a
+// collapsed uncertain oracle: anything whose Dist this package cannot price)
+// is memoized. The policy never reaches an oracle a caller built itself: a
+// DistCache handed in explicitly is used as given.
+func Memoizes(s Space) bool {
 	if s.N() > MaxCachePoints {
+		return false
+	}
+	if p, okp := s.(*Points); okp && p.Dim() <= rawMaxDim {
+		return false
+	}
+	return true
+}
+
+// CacheSpace wraps s in a DistCache where Memoizes says one pays, and
+// returns s unchanged otherwise.
+func CacheSpace(s Space) Space {
+	if !Memoizes(s) {
 		return s
 	}
 	return NewDistCache(s)
-}
-
-// CachedSelfCosts is the one place the engine's self-cost caching policy
-// lives: it returns p as a Costs oracle, memoized behind a DistCache when
-// enable is true and the instance is within MaxCachePoints. Callers wrap
-// Squared on top for squared objectives.
-func CachedSelfCosts(p *Points, enable bool) Costs {
-	if !enable || p.N() > MaxCachePoints {
-		return p
-	}
-	return NewDistCache(p)
 }
 
 // cell returns the packed index of pair (i, j), i < j.

@@ -157,13 +157,60 @@ func TestDistCachePrefill(t *testing.T) {
 }
 
 func TestCacheSpaceLimit(t *testing.T) {
-	pts := randPoints(rand.New(rand.NewSource(12)), 10, 2)
+	pts := randPoints(rand.New(rand.NewSource(12)), 10, 8)
 	if _, ok := CacheSpace(NewPoints(pts)).(*DistCache); !ok {
 		t.Fatal("small space not cached")
 	}
 	big := &hugeSpace{n: MaxCachePoints + 1}
 	if _, ok := CacheSpace(big).(*hugeSpace); !ok {
 		t.Fatal("oversized space was cached")
+	}
+}
+
+// TestMemoizes is the memoization policy as a table: size x dimension x
+// metric for point sets, and every non-point space up to the size cap.
+func TestMemoizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, tc := range []struct {
+		n, dim int
+		want   bool
+	}{
+		{10, 1, false}, {10, 2, false}, {250, 2, false}, {10, 4, false}, {MaxCachePoints, 4, false},
+		{10, 5, true}, {250, 8, true}, {2, 16, true}, {MaxCachePoints, 5, true},
+		{MaxCachePoints + 1, 5, false}, {MaxCachePoints + 1, 2, false},
+		{0, 0, false},
+	} {
+		for _, m := range []Metric{EuclideanL2, ManhattanL1, ChebyshevLinf} {
+			p := &Points{Pts: randPoints(rng, tc.n, tc.dim), M: m}
+			if got := Memoizes(p); got != tc.want {
+				t.Errorf("Memoizes(%d points, dim %d, %s) = %v, want %v", tc.n, tc.dim, m, got, tc.want)
+			}
+			_, cached := CacheSpace(p).(*DistCache)
+			if cached != tc.want {
+				t.Errorf("CacheSpace(%d points, dim %d, %s) memoized = %v, want %v", tc.n, tc.dim, m, cached, tc.want)
+			}
+		}
+	}
+	// The dimension rule prices the built-in point metrics only: any other
+	// space is memoized up to the size cap, as before.
+	low := randPoints(rng, 12, 2)
+	for name, s := range map[string]Space{
+		"matrix":   spaceMatrix(NewPoints(low)),
+		"angular":  &AngularSpace{Pts: low},
+		"counting": &countingSpace{p: NewPoints(low)},
+		"index":    NewIndex(NewPoints(low), IndexOptions{Pivots: 2}),
+		"opaque":   &hugeSpace{n: 64},
+	} {
+		if !Memoizes(s) {
+			t.Errorf("Memoizes(%s) = false", name)
+		}
+		if _, cached := CacheSpace(s).(*DistCache); !cached {
+			t.Errorf("CacheSpace(%s) did not memoize", name)
+		}
+	}
+	// An explicitly built memo is never second-guessed.
+	if dc := NewDistCache(NewPoints(low)); dc.N() != len(low) || dc.Dist(0, 1) != L2(low[0], low[1]) {
+		t.Fatal("NewDistCache over a low-dimensional point set is not a working memo")
 	}
 }
 

@@ -56,33 +56,6 @@ type CostPruner interface {
 	PruneCost(client, facility int, thresh float64) bool
 }
 
-// DistColumnPruner is the bulk form of DistPruner: one call bounds a whole
-// facility column, amortizing the per-pair call chain that dominates
-// PruneDist in dense facility-against-all-clients scans. On success skip[j]
-// reports, for every point j, that d(j, f) >= thresh[j] is proven; every
-// entry of skip is overwritten, and a false entry carries no information.
-// Returning false (skip untouched) is always allowed — the caller falls back
-// to per-pair pruning or plain evaluation.
-type DistColumnPruner interface {
-	PruneDistColumn(f int, thresh []float64, skip []bool) bool
-	// PruneSqDistColumn proves d(j, f)² >= thresh[j] instead — the squared
-	// form the means objective needs, served without per-entry square roots.
-	PruneSqDistColumn(f int, thresh []float64, skip []bool) bool
-}
-
-// CostColumnPruner is the Costs-level twin of DistColumnPruner: skip[j]
-// reports Cost(j, facility) >= thresh[j] proven, for every client j.
-type CostColumnPruner interface {
-	PruneCostColumn(facility int, thresh []float64, skip []bool) bool
-}
-
-// SqCostColumnPruner is implemented by cost oracles that can prove
-// Cost(j, facility)² >= thresh[j] in bulk; Squared prunes through it
-// without materializing a sqrt-transformed threshold column.
-type SqCostColumnPruner interface {
-	PruneSqCostColumn(facility int, thresh []float64, skip []bool) bool
-}
-
 // scanNearest is the shared exact fallback: first strict minimum.
 func scanNearest(s Space, p int, cands []int) (int, float64) {
 	best, bd := -1, math.Inf(1)
@@ -120,12 +93,13 @@ func (dc *DistCache) Stats() OracleStats {
 // magnitude cheaper than a distance evaluation.
 const DefaultPivots = 16
 
-// lbScale deflates every pivot lower bound by a relative margin before it is
-// compared against a true distance, so float rounding in the underlying
+// LBScale deflates every triangle lower bound (the index's pivot bounds,
+// kmedian's nearest-center bound) by a relative margin before it is
+// compared against a computed distance, so float rounding in the underlying
 // metric can never promote a bound above the distance it bounds. 1e-9 is ~6
 // orders of magnitude above the worst accumulated rounding of the built-in
 // metrics and still far below any distance gap the solvers act on.
-const lbScale = 1 - 1e-9
+const LBScale = 1 - 1e-9
 
 // indexCheckEps is the relative slack of the index's triangle self-check,
 // matching CheckMetric's tolerance.
@@ -172,11 +146,8 @@ type Index struct {
 	pd []float64
 	// nearest[i] is the pd column of the pivot closest to point i — the
 	// probe that yields the tightest bound for pairs involving i, tried
-	// first by the capped Prune*/Nearest loops. pdT is pd transposed
-	// (pdT[a*n+i] = pd[i*m+a]) so pruneColumn streams one pivot's distances
-	// contiguously. Both are derived from pd.
+	// first by the capped Prune*/Nearest loops; derived from pd.
 	nearest []int32
-	pdT     []float64
 	ok      bool
 
 	scanned atomic.Int64
@@ -252,17 +223,15 @@ func NewIndex(s Space, opt IndexOptions) *Index {
 	return ix
 }
 
-// finish derives the nearest-pivot table and the transposed columns from
-// pd and runs the metric self-check.
+// finish derives the nearest-pivot table from pd and runs the metric
+// self-check.
 func (ix *Index) finish() {
 	n, m := ix.S.N(), ix.m
 	ix.nearest = make([]int32, n)
-	ix.pdT = make([]float64, m*n)
 	for i := 0; i < n; i++ {
 		row := ix.pd[i*m : i*m+m]
 		best := 0
 		for a, d := range row {
-			ix.pdT[a*n+i] = d
 			if d < row[best] {
 				best = a
 			}
@@ -363,60 +332,7 @@ func (ix *Index) probe(bi, bj, a int, thresh float64) bool {
 	if d < 0 {
 		d = -d
 	}
-	return d*lbScale >= thresh
-}
-
-// pruneColumn is the bulk bound sweep behind PruneDistColumn and
-// PruneSqDistColumn: one pass over every point j sets skip[j] to whether the
-// pivot bound proves d(j, f) >= thresh[j] (d(j,f)² >= thresh[j] when
-// squared). It applies only the probe that delivers essentially all prunes —
-// the pivot hugging f, whose pdT column streams densely against one hoisted
-// constant — so a dense facility-against-all-clients scan pays three
-// sequential loads per pair instead of a per-pair interface call chain.
-// Every entry of skip is overwritten; false entries carry no information
-// (declining to prune is always sound).
-func (ix *Index) pruneColumn(f int, thresh []float64, skip []bool, squared bool) bool {
-	n := ix.S.N()
-	if !ix.ok || len(thresh) != n || len(skip) != n {
-		return false
-	}
-	af := int(ix.nearest[f])
-	colf := ix.pdT[af*n : af*n+n]
-	dfa := ix.pd[f*ix.m+af]
-	if squared {
-		for j, d := range colf {
-			lb := (d - dfa) * lbScale
-			// d(j,f) >= |lb| and both sides are nonnegative, so
-			// d(j,f)² >= lb²; squaring also erases the sign, saving the
-			// abs, and the one multiply replaces a per-entry sqrt on the
-			// caller's side.
-			skip[j] = lb*lb >= thresh[j]
-		}
-		return true
-	}
-	for j, d := range colf {
-		lb := d - dfa
-		if lb < 0 {
-			lb = -lb
-		}
-		skip[j] = lb*lbScale >= thresh[j]
-	}
-	return true
-}
-
-// PruneDistColumn implements DistColumnPruner.
-func (ix *Index) PruneDistColumn(f int, thresh []float64, skip []bool) bool {
-	return ix.pruneColumn(f, thresh, skip, false)
-}
-
-// PruneSqDistColumn implements DistColumnPruner (squared thresholds).
-func (ix *Index) PruneSqDistColumn(f int, thresh []float64, skip []bool) bool {
-	return ix.pruneColumn(f, thresh, skip, true)
-}
-
-// PruneCostColumn implements CostColumnPruner (self costs — Cost is Dist).
-func (ix *Index) PruneCostColumn(facility int, thresh []float64, skip []bool) bool {
-	return ix.pruneColumn(facility, thresh, skip, false)
+	return d*LBScale >= thresh
 }
 
 // PruneCost implements CostPruner (self costs — Cost is Dist).
@@ -442,7 +358,7 @@ func (ix *Index) DistLowerBound(i, j int) float64 {
 			best = d
 		}
 	}
-	return best * lbScale
+	return best * LBScale
 }
 
 // Nearest implements Oracle: an exact first-strict-minimum scan that skips
@@ -545,32 +461,6 @@ func (s Squared) PruneCost(client, facility int, thresh float64) bool {
 	return p.PruneCost(client, facility, math.Nextafter(math.Sqrt(thresh), math.Inf(1)))
 }
 
-// PruneCostColumn on SelfCosts delegates to the wrapped space's bulk
-// pruner, if any.
-func (sc SelfCosts) PruneCostColumn(facility int, thresh []float64, skip []bool) bool {
-	if p, okp := sc.S.(DistColumnPruner); okp {
-		return p.PruneDistColumn(facility, thresh, skip)
-	}
-	return false
-}
-
-// PruneSqCostColumn implements SqCostColumnPruner for SelfCosts.
-func (sc SelfCosts) PruneSqCostColumn(facility int, thresh []float64, skip []bool) bool {
-	if p, okp := sc.S.(DistColumnPruner); okp {
-		return p.PruneSqDistColumn(facility, thresh, skip)
-	}
-	return false
-}
-
-// PruneCostColumn on Squared: Cost = d², so the wrapped oracle's
-// squared-threshold column form answers directly.
-func (s Squared) PruneCostColumn(facility int, thresh []float64, skip []bool) bool {
-	if p, okp := s.C.(SqCostColumnPruner); okp {
-		return p.PruneSqCostColumn(facility, thresh, skip)
-	}
-	return false
-}
-
 // PruneCost on SubCosts remaps the client index.
 func (s SubCosts) PruneCost(client, facility int, thresh float64) bool {
 	if p, okp := s.C.(CostPruner); okp {
@@ -603,14 +493,6 @@ func CostPrunerOf(c Costs) CostPruner {
 		}
 	}
 	p, _ := c.(CostPruner)
-	return p
-}
-
-// CostColumnPrunerOf returns c's bulk pruning hook, or nil. A non-nil hook
-// may still decline at call time (returning false); callers pay one cheap
-// call per facility either way.
-func CostColumnPrunerOf(c Costs) CostColumnPruner {
-	p, _ := c.(CostColumnPruner)
 	return p
 }
 

@@ -211,117 +211,10 @@ func TestIndexDeterministicPivots(t *testing.T) {
 	}
 }
 
-func TestIndexPruneColumnSound(t *testing.T) {
-	const n = 200
-	pts := tiePoints(n, 3, 51)
-	sp := NewPoints(pts)
-	ix := NewIndex(sp, IndexOptions{Pivots: 10})
-	if !ix.Ok() {
-		t.Fatal("self-check failed")
-	}
-	r := rand.New(rand.NewSource(52))
-	thresh := make([]float64, n)
-	skip := make([]bool, n)
-	prunedAny := false
-	for _, f := range []int{0, 17, 63, n - 1} {
-		for j := 0; j < n; j++ {
-			switch j % 5 {
-			case 0:
-				thresh[j] = 0 // vacuously provable: distances are nonnegative
-			case 1:
-				thresh[j] = -1
-			default:
-				thresh[j] = sp.Dist(j, f) * (0.2 + 1.6*r.Float64())
-			}
-			skip[j] = j%2 == 0 // stale garbage the sweep must overwrite
-		}
-		if !ix.PruneDistColumn(f, thresh, skip) {
-			t.Fatalf("PruneDistColumn declined on a healthy index (f=%d)", f)
-		}
-		for j := 0; j < n; j++ {
-			if thresh[j] <= 0 && !skip[j] {
-				t.Fatalf("thresh[%d]=%v <= 0 not vacuously pruned", j, thresh[j])
-			}
-			if skip[j] {
-				prunedAny = true
-				if d := sp.Dist(j, f); d < thresh[j] {
-					t.Fatalf("column pruned (%d,%d) at thresh %v but d = %v", j, f, thresh[j], d)
-				}
-			}
-		}
-		// Squared form: proves d² >= thresh.
-		sqThresh := make([]float64, n)
-		for j := range sqThresh {
-			d := sp.Dist(j, f)
-			sqThresh[j] = d * d * (0.2 + 1.6*r.Float64())
-		}
-		if !ix.PruneSqDistColumn(f, sqThresh, skip) {
-			t.Fatalf("PruneSqDistColumn declined (f=%d)", f)
-		}
-		for j := 0; j < n; j++ {
-			if skip[j] {
-				if d := sp.Dist(j, f); d*d < sqThresh[j] {
-					t.Fatalf("sq column pruned (%d,%d) at thresh %v but d² = %v", j, f, sqThresh[j], d*d)
-				}
-			}
-		}
-	}
-	if !prunedAny {
-		t.Fatal("column sweep never pruned; the bounds are vacuous")
-	}
-
-	// Mis-sized buffers must decline, not mis-index.
-	if ix.PruneDistColumn(0, thresh[:n-1], skip) {
-		t.Fatal("accepted a short threshold column")
-	}
-	if ix.PruneDistColumn(0, thresh, skip[:n-1]) {
-		t.Fatal("accepted a short skip column")
-	}
-}
-
-func TestCostColumnPrunerWiring(t *testing.T) {
-	pts := tiePoints(120, 3, 61)
-	sp := NewPoints(pts)
-	ix := NewIndex(sp, IndexOptions{Pivots: 8})
-	if !ix.Ok() {
-		t.Fatal("self-check failed")
-	}
-	thresh := make([]float64, 120)
-	skip := make([]bool, 120)
-
-	// SelfCosts and Squared over an indexed space both expose the bulk hook
-	// and agree with their per-pair counterparts' guarantees.
-	for _, tc := range []struct {
-		name string
-		c    Costs
-	}{
-		{"selfcosts", SelfCosts{S: ix}},
-		{"squared", Squared{C: SelfCosts{S: ix}}},
-	} {
-		ccp := CostColumnPrunerOf(tc.c)
-		if ccp == nil {
-			t.Fatalf("%s: no CostColumnPruner", tc.name)
-		}
-		for j := range thresh {
-			thresh[j] = tc.c.Cost(j, 42) * 1.5
-		}
-		if !ccp.PruneCostColumn(42, thresh, skip) {
-			t.Fatalf("%s: bulk pruner declined", tc.name)
-		}
-		for j := range skip {
-			if skip[j] && tc.c.Cost(j, 42) < thresh[j] {
-				t.Fatalf("%s: pruned client %d below threshold", tc.name, j)
-			}
-		}
-	}
-
-	// Unindexed wrappers decline at call time (plain Points has no bounds)
-	// and CostPrunerOf reports no per-pair pruner at all, so the solvers
-	// skip dead calls.
-	plain := SelfCosts{S: sp}
-	if ccp := CostColumnPrunerOf(plain); ccp != nil && ccp.PruneCostColumn(0, thresh, skip) {
-		t.Fatal("unindexed SelfCosts claimed to prune a column")
-	}
+// Unindexed wrappers report no per-pair pruner at all, so the solvers skip
+// calls that could only decline.
+func TestUnindexedWrappersExposeNoPruner(t *testing.T) {
+	plain := SelfCosts{S: NewPoints(tiePoints(120, 3, 61))}
 	if CostPrunerOf(plain) != nil {
 		t.Fatal("unindexed SelfCosts exposes a per-pair pruner")
 	}
@@ -331,7 +224,7 @@ func TestCostColumnPrunerWiring(t *testing.T) {
 }
 
 func TestIndexSpaceSkipsMemoizedSpaces(t *testing.T) {
-	pts := tiePoints(64, 3, 71)
+	pts := tiePoints(64, 8, 71)
 	cached := CacheSpace(NewPoints(pts))
 	if _, okc := cached.(*DistCache); !okc {
 		t.Fatal("CacheSpace did not memoize a small instance")

@@ -109,6 +109,19 @@ func (m Metric) Func() func(a, b Point) float64 {
 	}
 }
 
+// dist is the metric's distance by static call: the per-pair paths (Points.Dist
+// and Points.Cost) pay a switch, not a func value fetched and called per pair.
+func (m Metric) dist(a, b Point) float64 {
+	switch m {
+	case ManhattanL1:
+		return L1(a, b)
+	case ChebyshevLinf:
+		return Linf(a, b)
+	default:
+		return L2(a, b)
+	}
+}
+
 // Space is a finite metric space given by a symmetric distance oracle over
 // indices 0..N()-1. Implementations must satisfy d(i,i)=0, symmetry, and the
 // triangle inequality (verified in tests via CheckMetric).
@@ -146,7 +159,7 @@ func NewPoints(pts []Point) *Points { return &Points{Pts: pts, M: EuclideanL2} }
 func (p *Points) N() int { return len(p.Pts) }
 
 // Dist implements Space.
-func (p *Points) Dist(i, j int) float64 { return p.M.Func()(p.Pts[i], p.Pts[j]) }
+func (p *Points) Dist(i, j int) float64 { return p.M.dist(p.Pts[i], p.Pts[j]) }
 
 // Clients implements Costs.
 func (p *Points) Clients() int { return len(p.Pts) }
@@ -155,7 +168,7 @@ func (p *Points) Clients() int { return len(p.Pts) }
 func (p *Points) Facilities() int { return len(p.Pts) }
 
 // Cost implements Costs.
-func (p *Points) Cost(c, f int) float64 { return p.M.Func()(p.Pts[c], p.Pts[f]) }
+func (p *Points) Cost(c, f int) float64 { return p.M.dist(p.Pts[c], p.Pts[f]) }
 
 // Dim returns the dimension of the point set (0 when empty).
 func (p *Points) Dim() int {

@@ -38,7 +38,7 @@ func TestConcurrentJobsShareOneCacheAndMatchSequential(t *testing.T) {
 		goroutines = 8
 		sites      = 4
 	)
-	in := gen.Mixture(gen.MixtureSpec{N: 400, K: 3, OutlierFrac: 0.05, Seed: 41})
+	in := gen.Mixture(gen.MixtureSpec{N: 400, K: 3, Dim: 8, OutlierFrac: 0.05, Seed: 41})
 
 	// Sequential reference on a fresh server.
 	seq := New(Config{MaxConcurrentJobs: 1})
@@ -149,7 +149,7 @@ func TestManyDatasetsConcurrently(t *testing.T) {
 	defer s.Close()
 	const datasets = 5
 	for d := 0; d < datasets; d++ {
-		in := gen.Mixture(gen.MixtureSpec{N: 150 + 30*d, K: 2, OutlierFrac: 0.02, Seed: int64(50 + d)})
+		in := gen.Mixture(gen.MixtureSpec{N: 150 + 30*d, K: 2, Dim: 8, OutlierFrac: 0.02, Seed: int64(50 + d)})
 		if _, err := s.Registry().RegisterTable(fmt.Sprintf("ds%d", d), in.Pts); err != nil {
 			t.Fatal(err)
 		}

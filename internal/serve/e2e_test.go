@@ -56,7 +56,7 @@ func assertCentersEqual(t *testing.T, got [][]float64, want []metric.Point, labe
 // hit-count assertion) and return results identical to one-shot
 // dpc-cluster-equivalent runs for the same (k, t, objective).
 func TestServerEndToEnd(t *testing.T) {
-	in := gen.Mixture(gen.MixtureSpec{N: 500, K: 4, OutlierFrac: 0.05, Seed: 11})
+	in := gen.Mixture(gen.MixtureSpec{N: 500, K: 4, Dim: 8, OutlierFrac: 0.05, Seed: 11})
 	a, s := newAPI(t, Config{})
 
 	var info DatasetInfo

@@ -368,17 +368,18 @@ func shardVersionPrefix(name string, version int) string {
 
 // shardCaches returns the shared distance cache for every shard of a table
 // dataset at a given version and site count, building missing ones through
-// the pool. Shards beyond metric.MaxCachePoints get nil (the site half
-// falls back to the same uncached policy a one-shot run uses).
+// the pool. Shards metric.Memoizes declines (too large, or of a dimension
+// that recomputes faster than a memo reads) get nil: the site half builds
+// the same raw oracle a one-shot run does.
 func (r *Registry) shardCaches(d *Dataset, version int, shards [][]metric.Point) []*metric.DistCache {
 	caches := make([]*metric.DistCache, len(shards))
 	for i, shard := range shards {
-		if len(shard) > metric.MaxCachePoints {
+		sp := metric.NewPoints(shard)
+		if !metric.Memoizes(sp) {
 			continue
 		}
-		shard := shard
 		caches[i] = r.pool.Get(shardKey(d.name, version, len(shards), i), func() *metric.DistCache {
-			dc := metric.NewDistCache(metric.NewPoints(shard))
+			dc := metric.NewDistCache(sp)
 			dc.Counters = &d.stats
 			return dc
 		})
@@ -450,7 +451,7 @@ func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec, job j
 		job.Core.Options.Index = false
 	}
 	// A pooled shard hands its site the shared cache; every other shard
-	// (above the memoization cap, or a NoCache job) builds its own oracle
+	// (one metric.Memoizes declines, or a NoCache job) builds its own oracle
 	// per the engine policy, exactly as a one-shot run does.
 	caches := make([]*metric.DistCache, len(shards))
 	if !job.Core.NoCache {

@@ -15,8 +15,12 @@ import (
 )
 
 // testPoints returns a small deterministic planted workload as JSON rows.
-func testPoints(n, k int, seed int64) [][]float64 {
-	in := gen.Mixture(gen.MixtureSpec{N: n, K: k, OutlierFrac: 0.05, Seed: seed})
+func testPoints(n, k int, seed int64) [][]float64 { return testPointsDim(n, k, 2, seed) }
+
+// testPointsDim is testPoints at a chosen dimension: the tests about pooled
+// shard caches need one metric.Memoizes memoizes.
+func testPointsDim(n, k, dim int, seed int64) [][]float64 {
+	in := gen.Mixture(gen.MixtureSpec{N: n, K: k, Dim: dim, OutlierFrac: 0.05, Seed: seed})
 	rows := make([][]float64, len(in.Pts))
 	for i, p := range in.Pts {
 		rows[i] = p
@@ -284,7 +288,7 @@ func TestStreamAppendRejectsDimensionMismatch(t *testing.T) {
 
 func TestDeleteAndReregisterNeverReusesStaleCaches(t *testing.T) {
 	a, s := newAPI(t, Config{})
-	first := testPoints(100, 2, 70)
+	first := testPointsDim(100, 2, 8, 70)
 	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "re", Points: first}, http.StatusCreated, nil)
 	spec := JobSpec{Dataset: "re", K: 2, T: 5, Sites: 2, Seed: 4}
 	var job Job
@@ -299,7 +303,7 @@ func TestDeleteAndReregisterNeverReusesStaleCaches(t *testing.T) {
 	// dataset must get fresh caches (fresh registry-global version), so
 	// results reflect the new points.
 	a.do("DELETE", "/v1/datasets/re", nil, http.StatusNoContent, nil)
-	second := testPoints(100, 2, 71)
+	second := testPointsDim(100, 2, 8, 71)
 	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "re", Points: second}, http.StatusCreated, nil)
 	a.do("POST", "/v1/jobs", spec, http.StatusAccepted, &job)
 	j2 := waitJob(t, a, job.ID)
@@ -385,9 +389,9 @@ func TestStreamRegistrationRollsBackOnBadSeedPoints(t *testing.T) {
 // nobody can reach).
 func TestAppendReclaimsReplacedVersionCaches(t *testing.T) {
 	a, s := newAPI(t, Config{})
-	rows := testPoints(100, 2, 72)
+	rows := testPointsDim(100, 2, 8, 72)
 	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "grow", Points: rows}, http.StatusCreated, nil)
-	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "still", Points: testPoints(80, 2, 73)}, http.StatusCreated, nil)
+	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "still", Points: testPointsDim(80, 2, 8, 73)}, http.StatusCreated, nil)
 	run := func(spec JobSpec) Job {
 		t.Helper()
 		var job Job
@@ -406,7 +410,7 @@ func TestAppendReclaimsReplacedVersionCaches(t *testing.T) {
 		t.Fatalf("pool holds %d caches after two 2-site jobs, want 4", got)
 	}
 
-	more := testPoints(20, 2, 74)
+	more := testPointsDim(20, 2, 8, 74)
 	a.do("POST", "/v1/datasets/grow/points", appendPointsRequest{Points: more}, http.StatusOK, nil)
 	for _, e := range pool.Entries() {
 		if !strings.HasPrefix(e.Key, "still@v") {

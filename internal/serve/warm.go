@@ -59,7 +59,7 @@ func (r *Registry) WarmTable(ctx context.Context, name string, workers int, prog
 	filled := 0
 	for i, dc := range caches {
 		if dc == nil {
-			continue // shard above the memoization limit
+			continue // a shard metric.Memoizes declines: nothing to prefill
 		}
 		if total != nil {
 			// Target only the cells actually left to compute: an

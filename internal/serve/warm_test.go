@@ -14,9 +14,11 @@ import (
 	"dpc/internal/metric"
 )
 
+// mixturePoints are dim-8 points: a dimension metric.Memoizes pools shard
+// caches for (the tests here are about those caches).
 func mixturePoints(t *testing.T, n int, seed int64) []metric.Point {
 	t.Helper()
-	return gen.Mixture(gen.MixtureSpec{N: n, K: 3, OutlierFrac: 0.05, Seed: seed}).Pts
+	return gen.Mixture(gen.MixtureSpec{N: n, K: 3, Dim: 8, OutlierFrac: 0.05, Seed: seed}).Pts
 }
 
 func runJobOK(t *testing.T, s *Server, spec JobSpec) Job {
@@ -71,6 +73,43 @@ func TestWarmupFillsCachesBeforeFirstJob(t *testing.T) {
 	}
 }
 
+// TestLowDimensionTableRunsRaw: a table of a dimension metric.Memoizes
+// declines pools no shard cache — its jobs solve on the raw points, its
+// cache counters stay 0, a warmup finds nothing to prefill — and answers
+// exactly what a one-shot run does.
+func TestLowDimensionTableRunsRaw(t *testing.T) {
+	s := New(Config{WarmOnRegister: true})
+	defer s.Close()
+	rows := testPoints(360, 3, 13)
+	if _, err := s.Registry().RegisterTable("low", rowsToPoints(rows)); err != nil {
+		t.Fatal(err)
+	}
+	s.warmDataset("low")
+	deadline := time.Now().Add(10 * time.Second)
+	for s.WarmupStats().Done < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("warmup never finished: %+v", s.WarmupStats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if ws := s.WarmupStats(); ws.CellsTotal != 0 || ws.CellsDone != 0 {
+		t.Fatalf("warmup of a dim-2 table targeted %d cells and filled %d, want none", ws.CellsTotal, ws.CellsDone)
+	}
+	for _, objective := range []string{"median", "center"} {
+		spec := JobSpec{Dataset: "low", K: 3, T: 15, Objective: objective, Seed: 2}
+		done := runJobOK(t, s, spec)
+		want := oneShot(t, rowsToPoints(rows), spec)
+		assertCentersEqual(t, done.Result.Centers, want.Centers, objective+" on a raw table")
+	}
+	if n := s.Registry().Pool().Stats().Entries; n != 0 {
+		t.Fatalf("pool holds %d caches for a dim-2 table", n)
+	}
+	d, _ := s.Registry().Get("low")
+	if hits, misses := d.CacheStats(); hits != 0 || misses != 0 {
+		t.Fatalf("dim-2 table counted %d hits and %d misses; nothing should be memoized", hits, misses)
+	}
+}
+
 // TestWarmupPreemptedByDrain: a shutdown racing a warmup must preempt the
 // fill instead of waiting behind the full O(n^2) metric.
 func TestWarmupPreemptedByDrain(t *testing.T) {
@@ -102,7 +141,7 @@ func TestReplayWarmsTables(t *testing.T) {
 	spec := JobSpec{Dataset: "w", K: 3, T: 15, Objective: "median", Seed: 2}
 
 	a, s1 := newAPI(t, cfg)
-	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "w", Points: testPoints(360, 3, 13)}, http.StatusCreated, nil)
+	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "w", Points: testPointsDim(360, 3, 8, 13)}, http.StatusCreated, nil)
 	first := runJobOK(t, s1, spec)
 	// The crash: drain the pool but leave the journal unsealed.
 	s1.sealOnce.Do(func() {})
@@ -191,8 +230,9 @@ func TestStaleVersionCachesNotPooled(t *testing.T) {
 
 // TestIndexedJobMatchesDefault: an -engine index job on the server answers
 // exactly what the default engine does, on a pooled sharding (the shared
-// caches are served unindexed) and on a shard above the memoization cap
-// (the site builds its index over the raw points, per job).
+// caches are served unindexed) and on shards nothing is pooled for — above
+// the memoization cap, or low-dimensional (the site builds its index over
+// the raw points, per job).
 func TestIndexedJobMatchesDefault(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -202,8 +242,15 @@ func TestIndexedJobMatchesDefault(t *testing.T) {
 	if _, err := s.Registry().RegisterTable("raw", mixturePoints(t, 2100, 29)); err != nil {
 		t.Fatal(err)
 	}
+	// A low-dimensional table: no pooled cache (metric.Memoizes), so its
+	// small shards are indexed over the raw points too.
+	if _, err := s.Registry().RegisterTable("low", rowsToPoints(testPoints(360, 3, 23))); err != nil {
+		t.Fatal(err)
+	}
 	for _, spec := range []JobSpec{
 		{Dataset: "pooled", K: 3, T: 18, Objective: "median", Seed: 9},
+		{Dataset: "low", K: 3, T: 18, Objective: "median", Seed: 9},
+		{Dataset: "low", K: 3, T: 18, Objective: "means", Seed: 9},
 		{Dataset: "raw", K: 3, T: 40, Objective: "median", Sites: 1, Seed: 9},
 		{Dataset: "raw", K: 3, T: 40, Objective: "center", Sites: 1, Seed: 9},
 	} {

@@ -312,3 +312,36 @@ func TestEvalHelpers(t *testing.T) {
 		t.Fatalf("center-g eval t=0 = %g, want 9900", got)
 	}
 }
+
+// TestOraclesDeclareNoTrianglePower is this package's rows of the capability
+// table (metric.TestTrianglePowerDeclared holds the rest): none of the
+// uncertain cost oracles is a metric over one shared index set — Collapsed
+// costs are asymmetric (ell_i on the client side only), the truncated costs
+// satisfy only Lemma 5.9's relaxed inequality — so kmedian's potential scan
+// must bound nothing through them, whatever wraps them.
+func TestOraclesDeclareNoTrianglePower(t *testing.T) {
+	g := twoClusterGround()
+	nodes := []Node{
+		{Support: []int{0, 1}, Prob: []float64{0.5, 0.5}},
+		{Support: []int{3, 4}, Prob: []float64{0.5, 0.5}},
+	}
+	col := Collapse(g, nodes, false, FullGround)
+	cc := &coordTruncCosts{g: g, tau: 1}
+	cc.addPoint(g.Pts[0])
+	cc.addNode(nodes[1])
+	for name, c := range map[string]metric.Costs{
+		"collapsed":           col,
+		"collapsed-squared":   Collapse(g, nodes, true, FullGround),
+		"selfcosts-collapsed": metric.SelfCosts{S: col},
+		"cached-collapsed":    metric.SelfCosts{S: metric.NewDistCache(col)},
+		"indexed-collapsed":   metric.SelfCosts{S: metric.NewIndex(col, metric.IndexOptions{})},
+		"costcache-collapsed": metric.NewCostCache(col),
+		"selfcosts-ground":    metric.SelfCosts{S: g},
+		"trunc":               &TruncCosts{G: g, Nodes: nodes, Fac: []int{1, 6}, Tau: 0.5},
+		"coord-trunc":         cc,
+	} {
+		if p := metric.TrianglePower(c); p != 0 {
+			t.Errorf("%s declares triangle power %d, want 0", name, p)
+		}
+	}
+}

@@ -30,7 +30,7 @@ func TestServerProcessSmoke(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	journalDir := filepath.Join(t.TempDir(), "journal")
-	pts := dpc.Mixture(dpc.MixtureSpec{N: 400, K: 3, Dim: 2, OutlierFrac: 0.05, Seed: 9}).Pts
+	pts := dpc.Mixture(dpc.MixtureSpec{N: 400, K: 3, Dim: 8, OutlierFrac: 0.05, Seed: 9}).Pts
 	req := client.Request{Objective: client.Median, K: 3, T: 15, Seed: 4}
 
 	req.Dataset = "d"
