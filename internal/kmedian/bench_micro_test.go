@@ -40,10 +40,11 @@ func BenchmarkLocalSearchMeans2100x16(b *testing.B) {
 	}
 }
 
-// BenchmarkSwapEval is the exact swap evaluation of one descent round at
-// the repo benchmark's two shard sizes: topE candidates against k = 10
-// centers of a converged solution, 120 slots, early stop at the current
-// cost as in descend.
+// BenchmarkSwapEval is the swap evaluation of one descent round at the repo
+// benchmark's two shard sizes: topE candidates against k = 10 centers of a
+// converged solution, 120 slots, both phases of swapEval.swaps against the
+// current cost as in descend. walked/round is how many of the 120 slots the
+// bounds left for the exact sort-and-merge walk.
 func BenchmarkSwapEval(b *testing.B) {
 	for _, nc := range []int{250, 2100} {
 		b.Run(fmt.Sprintf("nc=%d", nc), func(b *testing.B) {
@@ -51,17 +52,18 @@ func BenchmarkSwapEval(b *testing.B) {
 			sp := benchPoints(nc)
 			t := float64(nc / 50)
 			cur := LocalSearch(sp, nil, k, t, Options{Seed: 1})
-			d1, d2, a1 := make([]float64, nc), make([]float64, nc), make([]int, nc)
+			r := swapRound{d1: make([]float64, nc), d2: make([]float64, nc), a1: make([]int, nc)}
 			for j := 0; j < nc; j++ {
-				d1[j], d2[j] = math.Inf(1), math.Inf(1)
+				r.d1[j], r.d2[j] = math.Inf(1), math.Inf(1)
 				for p, f := range cur.Centers {
-					if x := sp.Cost(j, f); x < d1[j] {
-						d1[j], d2[j], a1[j] = x, d1[j], p
-					} else if x < d2[j] {
-						d2[j] = x
+					if x := sp.Cost(j, f); x < r.d1[j] {
+						r.d1[j], r.d2[j], r.a1[j] = x, r.d1[j], p
+					} else if x < r.d2[j] {
+						r.d2[j] = x
 					}
 				}
 			}
+			ord := r.byD1Desc()
 			cols := make([][]float64, topE)
 			for si := range cols {
 				cols[si] = make([]float64, nc)
@@ -70,19 +72,15 @@ func BenchmarkSwapEval(b *testing.B) {
 				}
 			}
 			ev := newSwapEval(nc, k)
-			var sink float64
+			costs := make([]float64, topE*k)
+			walked := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev.round(d1, a1, d2)
-				for si, col := range cols {
-					ev.candidate(si, col)
-					for p := 0; p < k; p++ {
-						sink += ev.cost(si, col, p, t, cur.Cost)
-					}
-				}
+				ev.round(r.d1, r.a1, r.d2, ord)
+				walked += ev.swaps(1, cols, t, cur.Cost, costs)
 			}
-			_ = sink
+			b.ReportMetric(float64(walked)/float64(b.N), "walked/round")
 		})
 	}
 }

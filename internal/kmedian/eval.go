@@ -11,6 +11,7 @@ package kmedian
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"dpc/internal/metric"
@@ -159,6 +160,73 @@ func EvalP(c metric.Costs, w []float64, centers []int, t float64, workers int) S
 	return sol
 }
 
+// eval is EvalP for the descent: it evaluates the centers whose cost columns
+// are sc.rows with outlier budget t, reading columns instead of the oracle,
+// and returns the partial cost. Per client it makes EvalP's strict
+// comparisons in center order, and it sorts the same identity-initialized
+// order with the same sort.Slice on the same costs, so the cost, the
+// assignment (a1) and — on ties — the clients the budget lands on come out
+// bit for bit EvalP's. Beside them it leaves what the next round reads: the
+// second-nearest cost d2, the sorted order and the inlier weights inW.
+func (sc *Scratch) eval(w []float64, t float64, workers int) float64 {
+	d1, d2, a1, order := sc.d1, sc.d2, sc.a1, sc.order
+	par.ForBlocks(workers, sc.nc, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			d1[j], d2[j], a1[j], order[j] = math.Inf(1), math.Inf(1), -1, j
+		}
+		for p, row := range sc.rows {
+			for j := lo; j < hi; j++ {
+				if x := row[j]; x < d1[j] {
+					d1[j], d2[j], a1[j] = x, d1[j], p
+				} else if x < d2[j] {
+					d2[j] = x
+				}
+			}
+		}
+	})
+	sort.Slice(order, func(a, b int) bool { return d1[order[a]] > d1[order[b]] })
+	clear(sc.dropped)
+	budget := t
+	var cost float64
+	for _, j := range order {
+		wj := weight(w, j)
+		if wj <= budget {
+			budget -= wj
+			sc.dropped[j] = wj
+			continue
+		}
+		if budget > 0 {
+			sc.dropped[j] = budget
+			wj -= budget
+			budget = 0
+		}
+		cost += wj * d1[j]
+	}
+	for j, dw := range sc.dropped {
+		sc.inW[j] = weight(w, j) - dw
+	}
+	return cost
+}
+
+// solution is the Solution of the centers eval last evaluated, cost being
+// what it returned for budget t. Every slice is the solution's own.
+func (sc *Scratch) solution(cost, t float64) Solution {
+	sol := Solution{
+		Centers:       slices.Clone(sc.centers),
+		Cost:          cost,
+		Budget:        t,
+		DroppedWeight: slices.Clone(sc.dropped),
+		Assign:        make([]int, sc.nc),
+	}
+	for j, p := range sc.a1 {
+		sol.Assign[j] = -1
+		if p >= 0 {
+			sol.Assign[j] = sc.centers[p]
+		}
+	}
+	return sol
+}
+
 // EvalSum is Eval returning only the cost (avoids the slices). It is the
 // reference partial-cost evaluator: the fast engine's swap evaluation
 // (descend) must agree with it bit-for-bit, and TestEngineMatchesReference
@@ -190,8 +258,8 @@ type cd struct{ d, w float64 }
 // partialCostPairs drops the t largest units of weight greedily and sums
 // the rest — the tail of EvalSum, shared with the fast engine's weighted
 // swap evaluation so weighted instances follow the exact same sort and
-// summation order (unit weights go through swapEval's merges, which add the
-// same value sequence without the sort).
+// summation order (unit weights go through swapEval, whose exact walk adds the
+// same value sequence from merged pieces).
 func partialCostPairs(ds []cd, t float64) float64 {
 	sort.Slice(ds, func(a, b int) bool { return ds[a].d > ds[b].d })
 	budget := t

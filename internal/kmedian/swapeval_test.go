@@ -168,9 +168,30 @@ func swapCorpus() []swapCase {
 	return cases
 }
 
+// byD1Desc is the client order descend hands swapEval.round: the one
+// Scratch.eval sorted.
+func (r swapRound) byD1Desc() []int {
+	ord := make([]int, len(r.d1))
+	for j := range ord {
+		ord[j] = j
+	}
+	sort.Slice(ord, func(a, b int) bool { return r.d1[ord[a]] > r.d1[ord[b]] })
+	return ord
+}
+
+// cost is one slot the way swaps prices it against a fixed bound: discarded
+// on its lower bound alone, walked otherwise.
+func (e *swapEval) cost(si int, col []float64, p int, t, bound float64) float64 {
+	if e.lower(si, col, p, t) > bound {
+		return math.Inf(1)
+	}
+	return e.exact(si, col, p, t, bound)
+}
+
 // checkSwapEval holds every slot of one decoded round to the sorted walk:
 // the same float bit for bit with no early stop, and under a bound either
-// that float or +Inf with the sorted-walk cost >= bound.
+// that float or +Inf with the sorted-walk cost >= bound — which holds lower
+// to the walk too: a bound above it discards a slot the table says to keep.
 func checkSwapEval(t *testing.T, data []byte, k int, budget float64) {
 	t.Helper()
 	r := decodeSwapRound(data, k)
@@ -178,7 +199,7 @@ func checkSwapEval(t *testing.T, data []byte, k int, budget float64) {
 		return
 	}
 	ev := newSwapEval(len(r.col), k)
-	ev.round(r.d1, r.a1, r.d2)
+	ev.round(r.d1, r.a1, r.d2, r.byD1Desc())
 	const si = topE - 1
 	ev.candidate(si, r.col)
 	for p := 0; p < k; p++ {
@@ -222,6 +243,97 @@ func TestSwapEvalMatchesSortedWalk(t *testing.T) {
 	})
 }
 
+// checkSwapRound holds a whole two-phase round to the sorted walk: three
+// candidates cut from the decoded column, every slot's lower bound at or
+// below its exact float, and — against a current cost of +Inf, the round's
+// minimum, the float just above it and the median slot — every cell swaps
+// leaves either the exact float or +Inf, +Inf only where the exact float is
+// >= the current cost or strictly above the round's minimum, so that the
+// first-strict-win fold takes the slot and cost it takes on the exact table.
+func checkSwapRound(t *testing.T, data []byte, k int, budget float64) {
+	t.Helper()
+	r := decodeSwapRound(data, k)
+	nc := len(r.col)
+	if nc == 0 {
+		return
+	}
+	cols := [][]float64{r.col, make([]float64, nc), make([]float64, nc)}
+	for j := range r.col {
+		cols[1][j], cols[2][j] = r.col[(j+1)%nc], r.col[nc-1-j]
+	}
+	ev := newSwapEval(nc, k)
+	ev.round(r.d1, r.a1, r.d2, r.byD1Desc())
+	exact := make([]float64, len(cols)*k)
+	for si, col := range cols {
+		ev.candidate(si, col)
+		for p := 0; p < k; p++ {
+			want := swapRound{col: col, d1: r.d1, d2: r.d2, a1: r.a1}.sortedWalkCost(p, budget)
+			exact[si*k+p] = want
+			if lb := ev.lower(si, col, p, budget); !(lb <= want) {
+				t.Fatalf("candidate %d p=%d t=%v: lower bound %v above the sorted walk's %v", si, p, budget, lb, want)
+			}
+		}
+	}
+	fold := func(cur float64, cells []float64) (int, float64) {
+		best, at := cur, -1
+		for slot, c := range cells {
+			if c < best {
+				best, at = c, slot
+			}
+		}
+		return at, best
+	}
+	_, lowest := fold(math.Inf(1), exact)
+	sorted := append([]float64(nil), exact...)
+	sort.Float64s(sorted)
+	costs := make([]float64, len(exact))
+	for _, cur := range []float64{math.Inf(1), lowest, math.Nextafter(lowest, math.Inf(1)), sorted[len(sorted)/2]} {
+		walked := ev.swaps(1, cols, budget, cur, costs)
+		if walked < 0 || walked > len(costs) {
+			t.Fatalf("cur=%v: walked %d of %d slots", cur, walked, len(costs))
+		}
+		for slot, got := range costs {
+			want := exact[slot]
+			switch {
+			case math.Float64bits(got) == math.Float64bits(want):
+			case !math.IsInf(got, 1):
+				t.Fatalf("cur=%v slot %d: cell %v is neither the sorted walk's %v nor +Inf", cur, slot, got, want)
+			case want < cur && !(want > lowest):
+				t.Fatalf("cur=%v slot %d: discarded a slot at the round's minimum %v", cur, slot, want)
+			}
+		}
+		gotAt, gotBest := fold(cur, costs)
+		wantAt, wantBest := fold(cur, exact)
+		if gotAt != wantAt || math.Float64bits(gotBest) != math.Float64bits(wantBest) {
+			t.Fatalf("cur=%v: fold takes slot %d at %v, on the exact table slot %d at %v", cur, gotAt, gotBest, wantAt, wantBest)
+		}
+	}
+}
+
+// TestSwapLowerBound is the contract of lower and of the bound-ordered
+// phase 2, on the corpus (ties, +Inf columns / second-nearest / whole
+// clients, empty groups, budgets 0, fractional and >= nc) and on the seeded
+// rounds of TestSwapEvalMatchesSortedWalk.
+func TestSwapLowerBound(t *testing.T) {
+	for _, c := range swapCorpus() {
+		t.Run(c.name, func(t *testing.T) { checkSwapRound(t, c.data, c.k, c.t) })
+	}
+	t.Run("random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 300; trial++ {
+			data := make([]byte, swapClientBytes*(1+rng.Intn(90)))
+			rng.Read(data)
+			if trial%2 == 0 { // few distinct values: ties everywhere
+				for i := range data {
+					data[i] &= 0x03
+				}
+			}
+			nc := len(data) / swapClientBytes
+			checkSwapRound(t, data, 1+rng.Intn(12), rng.Float64()*float64(nc+2))
+		}
+	})
+}
+
 // FuzzSwapEval mutates the table test's corpus under the same oracle.
 func FuzzSwapEval(f *testing.F) {
 	for _, c := range swapCorpus() {
@@ -232,5 +344,6 @@ func FuzzSwapEval(f *testing.F) {
 			t.Skip()
 		}
 		checkSwapEval(t, data, int(k), budget)
+		checkSwapRound(t, data, int(k), budget)
 	})
 }

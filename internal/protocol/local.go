@@ -75,15 +75,20 @@ func (s *BudgetSolver) Solve(q int) kmedian.Solution {
 
 // Curve solves at every budget of grid and returns the costs — a site's
 // local cost curve (Lines 1-4 of Algorithm 1). Each solve is warm-started
-// from the previous budget's centers; solves outside Curve start cold.
+// from the previous budget's centers and runs in the one local-search
+// scratch of this grid, so the next budget reuses the previous one's buffers
+// instead of allocating them again; the memoized solutions share nothing
+// with it, and it is released with the grid — a site keeps no solver memory
+// while it waits for its budget. Solves outside Curve start cold and
+// allocate their own.
 func (s *BudgetSolver) Curve(grid []int) []float64 {
 	costs := make([]float64, len(grid))
-	s.Opts.Warm = nil
+	s.Opts.Warm, s.Opts.Scratch = nil, new(kmedian.Scratch)
 	for i, q := range grid {
 		sol := s.Solve(q)
 		s.Opts.Warm = sol.Centers
 		costs[i] = sol.Cost
 	}
-	s.Opts.Warm = nil
+	s.Opts.Warm, s.Opts.Scratch = nil, nil
 	return costs
 }
