@@ -132,18 +132,15 @@ func main() {
 		QueueDepth:        opt.Queue,
 		MaxCacheBytes:     opt.CacheMB << 20,
 		WarmOnRegister:    opt.Warm,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "dpc-server: "+format+"\n", args...)
-		},
-		JournalDir:    opt.JournalDir,
-		JournalSync:   opt.JournalSync,
-		SegmentBytes:  opt.SegmentBytes,
-		CompactEvery:  compactEvery,
-		JobTTL:        jobTTL,
-		QuotaBurst:    opt.QuotaBurst,
-		QuotaPerSec:   opt.QuotaRate,
-		MaxQueueWait:  maxQueueWait,
-		DeferRecovery: true,
+		JournalDir:        opt.JournalDir,
+		JournalSync:       opt.JournalSync,
+		SegmentBytes:      opt.SegmentBytes,
+		CompactEvery:      compactEvery,
+		JobTTL:            jobTTL,
+		QuotaBurst:        opt.QuotaBurst,
+		QuotaPerSec:       opt.QuotaRate,
+		MaxQueueWait:      maxQueueWait,
+		DeferRecovery:     true,
 	})
 	if err != nil {
 		fatal(err)

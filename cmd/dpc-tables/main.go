@@ -43,8 +43,6 @@ func run(args []string, stdout io.Writer) error {
 	quick := fs.Bool("quick", false, "run reduced-size instances")
 	seed := fs.Int64("seed", 1, "workload seed")
 	workers := fs.Int("workers", 0, "solver goroutines (0 = one per CPU; tables are identical for every value)")
-	index := fs.Bool("index", false, "layer the pivot metric index over the solver oracles (tables are identical; only wall-clock moves)")
-	pivots := fs.Int("pivots", 0, "pivot count with -index (0 = metric default)")
 	list := fs.Bool("list", false, "list experiments and exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -74,7 +72,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	opts := bench.Options{Seed: *seed, Quick: *quick,
-		Engine: engine.Options{Workers: *workers, Index: *index, Pivots: *pivots}}
+		Engine: engine.Options{Workers: *workers}}
 	for _, e := range selected {
 		t0 := time.Now()
 		table := e.Run(opts)

@@ -211,14 +211,14 @@ const (
 
 // EngineOptions is the consolidated engine-knob surface shared by every
 // entry point: algorithm choice (Algo), goroutine bound (Workers), the
-// memoized-oracle toggle (NoCache), the pivot-index toggle (Index, Pivots)
-// and the sequential reference switch (Reference). It embeds into
-// SolverOptions, Config.Options, the kcenter options and the job API's
-// "engine" object, so one spelling configures the engine everywhere.
+// memoized-oracle toggle (NoCache) and the sequential reference switch
+// (Reference). It embeds into SolverOptions, Config.Options, the kcenter
+// options and the job API's "engine" object, so one spelling configures
+// the engine everywhere.
 type EngineOptions = engine.Options
 
 // EngineSpec is EngineOptions plus its wire forms: a flag.Value taking
-// comma-separated tokens ("jv,index,pivots=32,workers=4") and a JSON
+// comma-separated tokens ("jv,workers=4,nocache") and a JSON
 // codec accepting both the legacy engine string and the structured object.
 type EngineSpec = engine.Spec
 

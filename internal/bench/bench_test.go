@@ -119,8 +119,8 @@ func diffLines(want, got string) []string {
 // the regression gate on what it measures. Every experiment must run in
 // quick mode and produce a non-empty table. Every table without wall-clock
 // columns must also (a) come out cell-for-cell identical under the
-// Reference and Index engines — a speed-up that changes a result is a bug,
-// and E5/E6/E10 are reached by no other parity test — and (b) equal the
+// Reference engine — a speed-up that changes a result is a bug, and
+// E5/E6/E10 are reached by no other parity test — and (b) equal the
 // checked-in golden, so a change that moves an objective value, a byte
 // count or a cost ratio says so in its diff. The golden is compared on
 // amd64 only: elsewhere the compiler may fuse a multiply-add and

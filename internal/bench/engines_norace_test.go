@@ -10,6 +10,5 @@ import "dpc/internal/engine"
 func init() {
 	extraEngines = map[string]engine.Options{
 		"reference": {Reference: true},
-		"index":     {Index: true},
 	}
 }

@@ -58,7 +58,6 @@ func centralMedianCost(in gen.Instance, k, t int, squared bool, seed int64, o Op
 	if !eng.NoCache {
 		sp = metric.CacheSpace(sp)
 	}
-	sp = metric.IndexSpace(sp, eng.Index, eng.Pivots)
 	costs := metric.Costs(metric.SelfCosts{S: sp})
 	if squared {
 		costs = metric.Squared{C: costs}

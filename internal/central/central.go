@@ -225,16 +225,12 @@ func directSolve(pts []metric.Point, k, q int, cfg Config) precluster {
 
 // weightedCosts wraps points in the objective's cost oracle, memoized
 // behind the distance cache when the fast engine runs with caching on and
-// the instance is small enough for the cache to pay for itself, with the
-// pivot index layered on top when the engine asks for one — above the
-// memoization cap the index prunes recomputed distances, which is exactly
-// where it pays most.
+// the instance is small enough for the cache to pay for itself.
 func weightedCosts(pts []metric.Point, obj core.Objective, opts kmedian.Options) metric.Costs {
 	var sp metric.Space = metric.NewPoints(pts)
 	if !opts.Reference && !opts.NoCache {
 		sp = metric.CacheSpace(sp)
 	}
-	sp = metric.IndexSpace(sp, opts.Index && !opts.Reference, opts.Pivots)
 	c := metric.Costs(metric.SelfCosts{S: sp})
 	if obj == core.Means {
 		return metric.Squared{C: c}

@@ -23,10 +23,9 @@ type centerSite struct {
 // newCenterSite builds a site's state; cfg must already have defaults
 // applied. The site metric is served through the memoized distance cache
 // (unless disabled), so the traversal, the prefix assignments and the
-// no-ship drop scan all pay for each pairwise distance once; with
-// cfg.Index set, a pivot index over the cache additionally prunes those
-// scans. o, when non-nil, is an externally owned (job-server shared)
-// oracle over pts and replaces the private stack.
+// no-ship drop scan all pay for each pairwise distance once. o, when
+// non-nil, is an externally owned (job-server shared) oracle over pts and
+// replaces the private one.
 func newCenterSite(cfg Config, pts []metric.Point, o metric.Oracle) *centerSite {
 	var space metric.Space
 	if o != nil {
@@ -36,7 +35,6 @@ func newCenterSite(cfg Config, pts []metric.Point, o metric.Oracle) *centerSite 
 		if !cfg.NoCache {
 			space = metric.CacheSpace(space)
 		}
-		space = metric.IndexSpace(space, cfg.Index, cfg.Pivots)
 	}
 	return &centerSite{cfg: cfg, pts: pts, space: space}
 }

@@ -120,11 +120,11 @@ type Config struct {
 	// from LocalOpts.Seed + site index.
 	LocalOpts kmedian.Options
 
-	// Options is the engine-knob block (workers, cache, reference, pivot
-	// index) shared with kmedian.Options, kcenter.Opt, serve.JobSpec and
+	// Options is the engine-knob block (algorithm, workers, cache,
+	// reference) shared with kmedian.Options, kcenter.Opt, serve.JobSpec and
 	// client.Request. Results are bit-identical for every setting;
-	// withDefaults normalizes it (Reference implies Workers=1, NoCache and
-	// no index) and pushes Workers/Reference into LocalOpts.
+	// withDefaults normalizes it (Reference implies Workers=1 and NoCache)
+	// and pushes Workers/Reference into LocalOpts.
 	engine.Options
 
 	// Transport selects the wire backend for Run: empty or
@@ -180,13 +180,24 @@ func (c Config) params() protocol.Params {
 type Result = protocol.Result
 
 // validate rejects configuration combinations no variant supports; cfg
-// must already have defaults applied.
+// must already have defaults applied. Both halves call it, so a site
+// rejects a shipped record (whose floats cross as raw bits) before any
+// parameter reaches a solver or the budget grid.
 func validate(cfg Config) error {
 	if cfg.K <= 0 {
 		return fmt.Errorf("core: K = %d", cfg.K)
 	}
 	if cfg.T < 0 {
 		return fmt.Errorf("core: T = %d", cfg.T)
+	}
+	// Delta before Rho: the no-ship default derives Rho from it.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Eps", cfg.Eps}, {"Delta", cfg.Delta}, {"Rho", cfg.Rho}, {"HullBase", cfg.HullBase}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s = %v is not finite", f.name, f.v)
+		}
 	}
 	switch cfg.Objective {
 	case Center:
@@ -257,10 +268,9 @@ func RunOverCtx(ctx context.Context, tr transport.Transport, cfg Config) (Result
 // or dpc-site) builds one DistCache per shard and passes it to the handler
 // of every job that queries the same points, so memoized distances stay
 // warm across jobs. Oracles are exact, so results are bit-identical to a
-// private-oracle run. o may be nil (a private oracle — cache and, when
-// cfg.Index asks, pivot index — is built per the engine policy in cfg); it
-// must be built over exactly pts, and it is ignored when cfg.NoCache or
-// cfg.Reference asks for raw solves.
+// private-oracle run. o may be nil (a private oracle — memoized or raw — is
+// built per the engine policy in cfg); it must be built over exactly pts,
+// and it is ignored when cfg.NoCache or cfg.Reference asks for raw solves.
 func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Oracle) (transport.Handler, error) {
 	cfg = cfg.withDefaults()
 	if err := validate(cfg); err != nil {
@@ -288,22 +298,20 @@ func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Ora
 // costsOver wraps points in the objective's cost oracle per the engine
 // knobs: pairwise distances are memoized (exactly — cached and uncached
 // runs are bit-identical) unless eng.NoCache is set or the instance is too
-// large for the cache to pay for itself, and a pivot index is layered on
-// top when eng.Index asks for one (pruning only; values unchanged).
+// large for the cache to pay for itself.
 func costsOver(pts []metric.Point, obj Objective, eng engine.Options) metric.Costs {
 	var sp metric.Space = metric.NewPoints(pts)
 	if !eng.NoCache {
 		sp = metric.CacheSpace(sp)
 	}
-	sp = metric.IndexSpace(sp, eng.Index, eng.Pivots)
 	return costsShared(sp, obj)
 }
 
 // costsShared layers the objective's cost view over an externally owned
 // space/oracle: the oracle serves unsquared distances (it wraps the raw
 // point metric), so median, means and center jobs over the same shard all
-// share one memoized triangle and one pivot index — means solves square on
-// top per lookup, exactly like costsOver's layering.
+// share one memoized triangle — means solves square on top per lookup,
+// exactly like costsOver's layering.
 func costsShared(sp metric.Space, obj Objective) metric.Costs {
 	c := metric.Costs(metric.SelfCosts{S: sp})
 	if obj == Means {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"dpc/internal/engine"
@@ -41,6 +42,19 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run([][]metric.Point{pts}, Config{K: 1, Objective: Objective(9)}); err == nil {
 		t.Error("bad objective accepted")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, cfg := range map[string]Config{
+			"Eps":      {K: 1, Eps: bad},
+			"Rho":      {K: 1, Rho: bad},
+			"Delta":    {K: 1, Delta: bad, Variant: TwoRoundNoOutliers},
+			"HullBase": {K: 1, HullBase: bad},
+		} {
+			_, err := Run([][]metric.Point{pts}, cfg)
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %v: err = %v, want one naming the field", name, bad, err)
+			}
+		}
 	}
 }
 

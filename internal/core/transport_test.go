@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"dpc/internal/engine"
+	"dpc/internal/geom"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 	"dpc/internal/transport"
@@ -124,32 +126,64 @@ func TestConfigWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConfigWireIndexKnobs: the record carries the pivot-index knobs to the
-// sites, and anything that is not exactly one current-version record —
-// including the retired index-less version 2 — is rejected.
-func TestConfigWireIndexKnobs(t *testing.T) {
-	in := Config{K: 5, T: 10, Options: engine.Options{Workers: 2, Index: true, Pivots: 24}}
-	b := EncodeConfig(in)
-	if b[0] != configWireVersion || len(b) != configWireSize {
-		t.Fatalf("encoded version %d, %d bytes; want v%d, %d bytes", b[0], len(b), configWireVersion, configWireSize)
+// TestConfigWireVersion: a record is version 4, 96 bytes, and anything that
+// is not exactly one such record — including the 105-byte version 3 that
+// still carried the retired pivot-index fields — is rejected.
+func TestConfigWireVersion(t *testing.T) {
+	b := EncodeConfig(Config{K: 5, T: 10, Options: engine.Options{Workers: 2}})
+	if b[0] != 4 || len(b) != 96 {
+		t.Fatalf("encoded version %d, %d bytes; want v4, 96 bytes", b[0], len(b))
 	}
-	out, err := DecodeConfig(b)
-	if err != nil {
-		t.Fatal(err)
+	v3 := append(append([]byte(nil), b...), make([]byte, 9)...)
+	v3[0] = 3
+	if _, err := DecodeConfig(v3); err == nil {
+		t.Fatal("105-byte version-3 record accepted")
 	}
-	if !out.Index || out.Pivots != 24 || out.Workers != 2 {
-		t.Fatalf("engine knobs lost on the wire: %+v", out.Options)
-	}
-
-	v2 := append([]byte(nil), b[:len(b)-9]...)
-	v2[0] = 2
-	if _, err := DecodeConfig(v2); err == nil {
-		t.Fatal("version-2 record accepted")
-	}
-	if _, err := DecodeConfig(b[:len(b)-9]); err == nil {
+	if _, err := DecodeConfig(b[:len(b)-1]); err == nil {
 		t.Fatal("short record accepted")
 	}
 	if _, err := DecodeConfig(append(b, 0)); err == nil {
 		t.Fatal("oversized record accepted")
 	}
+}
+
+// FuzzDecodeConfig feeds arbitrary bytes to the config decoder, as a site
+// receives them in a job frame: it must never panic, accept nothing but a
+// current-version record, and whatever it accepts must re-encode to a fixed
+// point (compared as bytes: a NaN field is not equal to itself). A record
+// that also validates must give a budget grid that returns — the site's
+// first use of HullBase and T.
+func FuzzDecodeConfig(f *testing.F) {
+	// The point rows of internal/jobwire's TestProtocolGolden.
+	for _, obj := range []Objective{Median, Means, Center} {
+		for _, vr := range []Variant{TwoRound, OneRound, TwoRoundNoOutliers} {
+			f.Add(EncodeConfig(Config{K: 3, T: 40, Objective: obj, Variant: vr, LocalOpts: kmedian.Options{Seed: 1}}))
+		}
+	}
+	// A version-3 record: the version-4 fields plus the retired Index byte
+	// and Pivots word.
+	v3 := append(EncodeConfig(Config{K: 3, T: 40}), make([]byte, 9)...)
+	v3[0] = 3
+	f.Add(v3)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		cfg, err := DecodeConfig(raw)
+		if err != nil {
+			return
+		}
+		if raw[0] != configWireVersion || len(raw) != configWireSize {
+			t.Fatalf("accepted a %d-byte version-%d record", len(raw), raw[0])
+		}
+		once := EncodeConfig(cfg)
+		again, err := DecodeConfig(once)
+		if err != nil {
+			t.Fatalf("re-encoded record rejected: %v", err)
+		}
+		if twice := EncodeConfig(again); !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding is not a fixed point:\n%x\n%x", once, twice)
+		}
+		if validate(cfg.withDefaults()) != nil {
+			return
+		}
+		geom.Grid(min(cfg.T, 4096), cfg.HullBase)
+	})
 }

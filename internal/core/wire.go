@@ -16,13 +16,14 @@ import (
 // little-endian record; Transport and Topology say where an in-process
 // fleet lives, are read by the coordinator alone and are not shipped.
 //
-// The engine knobs (Workers, NoCache, Reference, Index, Pivots) cross too:
+// The engine knobs (Workers, NoCache, Reference) cross too:
 // they never change results, but a Reference or NoCache measurement run
 // must reach the sites or its recorded baseline would silently be the fast
 // engine. Workers crosses as configured; the 0 default still means "one
-// worker per CPU" resolved on each site's own host.
+// worker per CPU" resolved on each site's own host. Version 4 dropped the
+// two pivot-index fields of version 3; a version 3 record is rejected.
 
-const configWireVersion = 3
+const configWireVersion = 4
 
 // configWireSize is the encoded size of a record.
 const configWireSize = 1 + // version
@@ -33,8 +34,7 @@ const configWireSize = 1 + // version
 	8 + 8 + 8 + // Rho, Delta, HullBase
 	1 + // Engine
 	8 + 8 + 8 + 8 + // LocalOpts: Seed, MaxIters, SampleFacilities, Restarts
-	8 + 1 + 1 + // Workers, NoCache, Reference
-	1 + 8 // Index, Pivots
+	8 + 1 + 1 // Workers, NoCache, Reference
 
 // EncodeConfig serializes the protocol-relevant configuration (with
 // defaults applied) for a coordinator -> site job frame.
@@ -57,8 +57,6 @@ func EncodeConfig(cfg Config) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(cfg.LocalOpts.Restarts)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(cfg.Workers)))
 	b = append(b, boolByte(cfg.NoCache), boolByte(cfg.Reference))
-	b = append(b, boolByte(cfg.Index))
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(cfg.Pivots)))
 	return b
 }
 
@@ -103,8 +101,6 @@ func DecodeConfig(b []byte) (Config, error) {
 	cfg.Workers = int(int64(u64()))
 	cfg.NoCache = u8() == 1
 	cfg.Reference = u8() == 1
-	cfg.Index = u8() == 1
-	cfg.Pivots = int(int64(u64()))
 	// Re-apply defaults so derived fields (LocalOpts.Workers/Reference,
 	// which are not shipped separately) are consistent on the site side;
 	// withDefaults is idempotent, so this exactly mirrors the encoder's

@@ -1,8 +1,8 @@
 // Package engine holds the one set of solver-engine knobs shared by every
 // layer of the stack: the root dpc.Config, kmedian.Options, kcenter.Opt and
 // client.Request all embed (or alias) engine.Options, so "which engine, how
-// many workers, which caches, which index" is said in exactly one vocabulary
-// from the CLI flags down to the per-site solvers.
+// many workers, which caches" is said in exactly one vocabulary from the
+// CLI flags down to the per-site solvers.
 //
 // The knobs never change results — every configuration returns centers
 // bit-identical to the Reference engine — they only move wall-clock and
@@ -20,7 +20,7 @@ import (
 
 // Options are the consolidated engine knobs. The zero value is the default
 // fast engine: auto algorithm selection, one worker per CPU, memoized
-// distance caches on, no pivot index.
+// distance caches on.
 type Options struct {
 	// Algo selects the k-median algorithm: "" or "auto" (default),
 	// "localsearch", or "jv". Non-median solvers ignore it.
@@ -32,33 +32,28 @@ type Options struct {
 	// results never change).
 	NoCache bool `json:"no_cache,omitempty" usage:"disable memoized distance caches (measurement knob)"`
 	// Reference runs the seed sequential algorithms — the baseline half of
-	// every engine comparison. Implies Workers=1, NoCache and no index.
-	Reference bool `json:"reference,omitempty" usage:"run the sequential reference engine (implies workers=1, no caches, no index)"`
-	// Index enables the pivot-based metric index: triangle-inequality lower
-	// bounds prune candidate scans, with results still bit-identical (the
-	// index falls back to full scans when its metric self-check fails).
-	Index bool `json:"index,omitempty" usage:"enable the pivot metric index (triangle-inequality pruning; results unchanged)"`
-	// Pivots is the index anchor count (0 = default, currently 16).
-	Pivots int `json:"pivots,omitempty" usage:"pivot count for the metric index (0 = default)"`
+	// every engine comparison. Implies Workers=1 and NoCache.
+	Reference bool `json:"reference,omitempty" usage:"run the sequential reference engine (implies workers=1, no caches)"`
 }
 
 // Normalize resolves implied settings: the Reference engine is the seed
-// sequential code path, so it forces Workers=1 and disables caches and the
-// index. Idempotent.
+// sequential code path, so it forces Workers=1 and disables caches.
+// Idempotent.
 func (o Options) Normalize() Options {
 	if o.Reference {
 		o.Workers = 1
 		o.NoCache = true
-		o.Index = false
 	}
 	return o
 }
 
 // Spec is Options plus wire/CLI ergonomics: it unmarshals from either the
 // legacy JSON string form ("jv" — just the algorithm) or the full object
-// form ({"algo":"jv","index":true,"pivots":16}), and it implements
-// flag.Value so one -engine flag accepts "jv" or
-// "jv,index,workers=4,pivots=16".
+// form ({"algo":"jv","workers":4}), and it implements flag.Value so one
+// -engine flag accepts "jv" or "jv,workers=4,nocache". Keys the object form
+// does not know — the retired "index" / "pivots" of older journals and
+// clients among them — are ignored, as encoding/json ignores any unknown
+// field.
 type Spec struct {
 	Options
 }
@@ -67,7 +62,7 @@ type Spec struct {
 func (s Spec) IsZero() bool { return s.Options == Options{} }
 
 // MarshalJSON emits the compact string form when only Algo is set (the wire
-// shape every pre-index client and journal record used), and the object form
+// shape every older client and journal record used), and the object form
 // otherwise.
 func (s Spec) MarshalJSON() ([]byte, error) {
 	if o := s.Options; o == (Options{Algo: o.Algo}) {
@@ -119,19 +114,12 @@ func (s *Spec) String() string {
 	if s.Reference {
 		parts = append(parts, "reference")
 	}
-	if s.Index {
-		parts = append(parts, "index")
-	}
-	if s.Pivots != 0 {
-		parts = append(parts, "pivots="+strconv.Itoa(s.Pivots))
-	}
 	return strings.Join(parts, ",")
 }
 
 // Set implements flag.Value: a comma-separated token list where a bare
-// algorithm name ("auto", "localsearch", "jv") selects Algo, bare "index" /
-// "nocache" / "reference" flip the booleans, and "workers=N" / "pivots=N"
-// set the counts.
+// algorithm name ("auto", "localsearch", "jv") selects Algo, bare "nocache"
+// / "reference" flip the booleans, and "workers=N" sets the count.
 func (s *Spec) Set(v string) error {
 	out := Options{}
 	for _, tok := range strings.Split(v, ",") {
@@ -144,21 +132,15 @@ func (s *Spec) Set(v string) error {
 			if err != nil {
 				return fmt.Errorf("engine: %s: %w", tok, err)
 			}
-			switch key {
-			case "workers":
-				out.Workers = n
-			case "pivots":
-				out.Pivots = n
-			default:
+			if key != "workers" {
 				return fmt.Errorf("engine: unknown setting %q (want %s)", key, strings.Join(specKeys, " | "))
 			}
+			out.Workers = n
 			continue
 		}
 		switch tok {
 		case "auto", "localsearch", "jv":
 			out.Algo = tok
-		case "index":
-			out.Index = true
 		case "nocache", "no-cache", "no_cache":
 			out.NoCache = true
 		case "reference":
@@ -172,7 +154,7 @@ func (s *Spec) Set(v string) error {
 }
 
 var specKeys = func() []string {
-	ks := []string{"auto", "localsearch", "jv", "index", "nocache", "reference", "workers=N", "pivots=N"}
+	ks := []string{"auto", "localsearch", "jv", "nocache", "reference", "workers=N"}
 	sort.Strings(ks)
 	return ks
 }()

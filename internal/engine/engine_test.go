@@ -6,18 +6,18 @@ import (
 )
 
 func TestNormalizeReferenceImplies(t *testing.T) {
-	o := Options{Reference: true, Workers: 8, Index: true, Pivots: 32}
+	o := Options{Reference: true, Workers: 8, Algo: "jv"}
 	n := o.Normalize()
-	if n.Workers != 1 || !n.NoCache || n.Index {
-		t.Fatalf("Normalize(reference) = %+v, want workers=1 nocache no-index", n)
+	if n.Workers != 1 || !n.NoCache {
+		t.Fatalf("Normalize(reference) = %+v, want workers=1 nocache", n)
 	}
-	if n.Pivots != 32 {
-		t.Fatalf("Normalize clobbered Pivots: %+v", n)
+	if n.Algo != "jv" {
+		t.Fatalf("Normalize clobbered Algo: %+v", n)
 	}
 	if again := n.Normalize(); again != n {
 		t.Fatalf("Normalize not idempotent: %+v vs %+v", again, n)
 	}
-	if fast := (Options{Workers: 3, Index: true}).Normalize(); fast != (Options{Workers: 3, Index: true}) {
+	if fast := (Options{Workers: 3, Algo: "jv"}).Normalize(); fast != (Options{Workers: 3, Algo: "jv"}) {
 		t.Fatalf("Normalize touched a non-reference config: %+v", fast)
 	}
 }
@@ -31,8 +31,8 @@ func TestSpecJSONStringForm(t *testing.T) {
 	if s.Options != (Options{Algo: "jv"}) {
 		t.Fatalf("string form decoded to %+v", s.Options)
 	}
-	// And an algo-only spec marshals back to exactly that string, so
-	// pre-index journals and clients keep seeing the shape they wrote.
+	// And an algo-only spec marshals back to exactly that string, so older
+	// journals and clients keep seeing the shape they wrote.
 	b, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestSpecJSONStringForm(t *testing.T) {
 }
 
 func TestSpecJSONObjectForm(t *testing.T) {
-	in := Spec{Options{Algo: "localsearch", Workers: 4, Index: true, Pivots: 24}}
+	in := Spec{Options{Algo: "localsearch", Workers: 4, NoCache: true}}
 	b, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +67,10 @@ func TestSpecJSONObjectForm(t *testing.T) {
 
 func TestSpecFlagTokens(t *testing.T) {
 	var s Spec
-	if err := s.Set("jv,index,pivots=32,workers=4,nocache"); err != nil {
+	if err := s.Set("jv,workers=4,nocache"); err != nil {
 		t.Fatal(err)
 	}
-	want := Options{Algo: "jv", Workers: 4, NoCache: true, Index: true, Pivots: 32}
+	want := Options{Algo: "jv", Workers: 4, NoCache: true}
 	if s.Options != want {
 		t.Fatalf("Set parsed %+v, want %+v", s.Options, want)
 	}
@@ -90,16 +90,16 @@ func TestSpecFlagTokens(t *testing.T) {
 		t.Fatalf("Set did not replace: %+v", s.Options)
 	}
 	// Spaces and empty tokens are tolerated.
-	if err := s.Set(" auto , index ,"); err != nil {
+	if err := s.Set(" auto , nocache ,"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Options != (Options{Algo: "auto", Index: true}) {
+	if s.Options != (Options{Algo: "auto", NoCache: true}) {
 		t.Fatalf("Set with spaces parsed %+v", s.Options)
 	}
 }
 
 func TestSpecFlagErrors(t *testing.T) {
-	for _, bad := range []string{"bogus", "workers=many", "depth=3", "index=1"} {
+	for _, bad := range []string{"bogus", "workers=many", "depth=3", "index=1", "index", "pivots=16"} {
 		var s Spec
 		if err := s.Set(bad); err == nil {
 			t.Errorf("Set(%q) accepted an invalid spec", bad)
@@ -116,7 +116,7 @@ func TestSpecIsZero(t *testing.T) {
 	if !s.IsZero() {
 		t.Fatal("zero Spec not IsZero")
 	}
-	s.Index = true
+	s.NoCache = true
 	if s.IsZero() {
 		t.Fatal("non-zero Spec reported IsZero")
 	}

@@ -7,6 +7,7 @@ package geom
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -179,17 +180,33 @@ func (f ConvexFn) IsVertex(q int) bool {
 
 // Grid returns the paper's geometric budget grid
 // I = {floor(base^r) : 1 <= r <= floor(log_base t)} + {0, t}
-// (Line 2 of Algorithm 1), sorted and deduplicated. base must be > 1.
-// For t = 0 it returns {0}.
+// (Line 2 of Algorithm 1), sorted and deduplicated. base must be a finite
+// number > 1; any other base (NaN and ±Inf included) falls back to 2. For
+// t = 0 it returns {0}. Any float base returns promptly: HullBase reaches
+// here from a decoded job frame.
 func Grid(t int, base float64) []int {
 	if t <= 0 {
 		return []int{0}
 	}
-	if base <= 1 {
+	if !(base > 1) || math.IsInf(base, 1) {
 		base = 2
 	}
+	// int(x) <= t exactly when x < t+1 (t < 2^53). The float comparison
+	// also ends the walk on a product at or past 2^63, where int(x) is
+	// undefined (MinInt64 on amd64, which never exceeds t).
+	end := float64(t) + 1
+	if base-1 < 1/end {
+		// Below t+1 every step grows x by less than one, so the floors of
+		// the powers are every integer up to t; walking there would take
+		// about ln(t)/(base-1) steps.
+		grid := make([]int, t+1)
+		for q := range grid {
+			grid[q] = q
+		}
+		return grid
+	}
 	set := map[int]bool{0: true, t: true}
-	for x := base; int(x) <= t; x *= base {
+	for x := base; x < end; x *= base {
 		set[int(x)] = true
 	}
 	grid := make([]int, 0, len(set))

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -206,8 +207,18 @@ func TestGrid(t *testing.T) {
 		t.Fatalf("Grid(1,2) = %v", g)
 	}
 	// Bad base falls back to 2: {0, 2, 4, 8}.
-	if g := Grid(8, 0.5); len(g) != 4 || g[1] != 2 {
-		t.Fatalf("Grid(8,0.5) = %v", g)
+	for _, base := range []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if g := Grid(8, base); len(g) != 4 || g[1] != 2 {
+			t.Fatalf("Grid(8,%v) = %v", base, g)
+		}
+	}
+	// A base whose first power is already past t: just the endpoints.
+	if g := Grid(40, 1e300); len(g) != 2 || g[0] != 0 || g[1] != 40 {
+		t.Fatalf("Grid(40,1e300) = %v", g)
+	}
+	// A base this close to 1 hits every integer up to t.
+	if g := Grid(4096, math.Nextafter(1, 2)); len(g) != 4097 || g[4096] != 4096 {
+		t.Fatalf("Grid(4096,1+ulp) has %d entries", len(g))
 	}
 	// Grid size is O(log t): for t = 1e6, base 2 -> ~21 entries.
 	if g := Grid(1_000_000, 2); len(g) > 25 {
@@ -220,5 +231,31 @@ func TestGrid(t *testing.T) {
 	}
 	if !sort.IntsAreSorted(g) {
 		t.Fatalf("Grid not sorted: %v", g)
+	}
+}
+
+// TestGridMatchesPowerWalk: the shortcuts Grid takes for bases next to 1
+// return what walking the powers returns, on both sides of the threshold.
+func TestGridMatchesPowerWalk(t *testing.T) {
+	walk := func(top int, base float64) []int {
+		set := map[int]bool{0: true, top: true}
+		for x := base; int(x) <= top; x *= base {
+			set[int(x)] = true
+		}
+		var grid []int
+		for q := range set {
+			grid = append(grid, q)
+		}
+		sort.Ints(grid)
+		return grid
+	}
+	for _, n := range []int{1, 2, 3, 7, 40, 1000} {
+		edge := 1 + 1/(float64(n)+1)
+		for _, base := range []float64{1 + 0.5/(float64(n)+1), edge * (1 - 1e-12), edge, edge * (1 + 1e-12), 1 + 3/(float64(n)+1), 1.2, 2, 3.5} {
+			want := walk(n, base)
+			if got := Grid(n, base); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Grid(%d, %v) = %v, walking the powers gives %v", n, base, got, want)
+			}
+		}
 	}
 }

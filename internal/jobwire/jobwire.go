@@ -216,9 +216,8 @@ func Factory(d SiteData) func(job int, blob []byte) (transport.Handler, error) {
 // SiteHandler builds the site half of j for a site holding d. A point job
 // runs over d.Cache when the site holds one (it outlives the job; see
 // core.NewSiteHandlerOracle) and builds a private oracle per the engine
-// policy otherwise — which is also the only place a pivot index is built,
-// by metric.IndexSpace's rule, for one-shot runs and long-lived sites
-// alike. A job of a kind the site has no data for is an error.
+// policy otherwise, for one-shot runs and long-lived sites alike. A job of
+// a kind the site has no data for is an error.
 func (j Job) SiteHandler(d SiteData) (transport.Handler, error) {
 	switch {
 	case j.Kind == KindPoint && len(d.Pts) == 0:

@@ -29,10 +29,9 @@ import (
 
 // Opt selects the engine of a solver call. It is the consolidated engine
 // knob set (see engine.Options): Workers bounds the fast engine's
-// goroutines, Reference runs the seed sequential implementation, and the
-// Index/Pivots knobs are honored by the callers that construct the space —
-// the solvers themselves prune through whatever metric.DistPruner /
-// metric.CostPruner the passed oracle implements, and never build indexes.
+// goroutines and Reference runs the seed sequential implementation. The
+// oracle itself (memoized or raw) is chosen by the callers that construct
+// the space.
 type Opt = engine.Options
 
 // workers resolves the pool size: Reference mode always runs single-worker
@@ -85,7 +84,6 @@ func GonzalezOpt(sp metric.Space, m, first int, o Opt) Traversal {
 	nb := (n + par.BlockSize - 1) / par.BlockSize
 	blockFar := make([]float64, nb)
 	blockNext := make([]int, nb)
-	pr := metric.DistPrunerOf(sp)
 	cur := first
 	curR := math.Inf(1)
 	for len(order) < m {
@@ -95,13 +93,8 @@ func GonzalezOpt(sp metric.Space, m, first int, o Opt) Traversal {
 		par.ForBlocks(o.Workers, n, func(lo, hi int) {
 			far, next := -1.0, -1
 			for j := lo; j < hi; j++ {
-				// A pruned pair is guaranteed d(j,c) >= dmin[j], so the
-				// update below would not fire; skipping the evaluation
-				// leaves dmin — and every later comparison — unchanged.
-				if pr == nil || !pr.PruneDist(j, c, dmin[j]) {
-					if d := sp.Dist(j, c); d < dmin[j] {
-						dmin[j] = d
-					}
+				if d := sp.Dist(j, c); d < dmin[j] {
+					dmin[j] = d
 				}
 				if dmin[j] > far {
 					far = dmin[j]
@@ -178,15 +171,9 @@ func (tr Traversal) AssignPrefixOpt(sp metric.Space, r int, w []float64, o Opt) 
 	assign = make([]int, n)
 	counts = make([]float64, r)
 	dist := make([]float64, n)
-	pr := metric.DistPrunerOf(sp)
 	par.For(workers(o), n, func(j int) {
 		best, bd := -1, math.Inf(1)
 		for c := 0; c < r; c++ {
-			// A candidate proven no nearer than the current best cannot win
-			// the strict comparison; skipping it is result-identical.
-			if pr != nil && pr.PruneDist(j, tr.Order[c], bd) {
-				continue
-			}
 			if d := sp.Dist(j, tr.Order[c]); d < bd {
 				bd = d
 				best = c
@@ -252,13 +239,9 @@ func EvalMaxOpt(c metric.Costs, w []float64, centers []int, t float64, o Opt) fl
 	n := c.Clients()
 	type cd struct{ d, w float64 }
 	ds := make([]cd, n)
-	cp := metric.CostPrunerOf(c)
 	par.For(workers(o), n, func(j int) {
 		dmin := math.Inf(1)
 		for _, f := range centers {
-			if cp != nil && cp.PruneCost(j, f, dmin) {
-				continue
-			}
 			if d := c.Cost(j, f); d < dmin {
 				dmin = d
 			}

@@ -111,15 +111,9 @@ func EvalP(c metric.Costs, w []float64, centers []int, t float64, workers int) S
 	}
 	d := make([]float64, n)
 	order := make([]int, n)
-	cp := metric.CostPrunerOf(c)
 	par.For(workers, n, func(j int) {
 		best, bd := -1, math.Inf(1)
 		for _, f := range centers {
-			// A center proven no cheaper than the current best cannot win
-			// the strict comparison; skipping it is result-identical.
-			if cp != nil && cp.PruneCost(j, f, bd) {
-				continue
-			}
 			if x := c.Cost(j, f); x < bd {
 				bd, best = x, f
 			}

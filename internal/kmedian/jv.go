@@ -383,15 +383,9 @@ func topKByServedWeight(c metric.Costs, w []float64, open []int, k int, t float6
 // with the heaviest remaining large centers.
 func pairAndFill(c metric.Costs, w []float64, small, large []int, k int, t float64) []int {
 	nc := c.Clients()
-	cp := metric.CostPrunerOf(c)
 	pairDist := func(f, g int) float64 {
 		best := math.Inf(1)
 		for j := 0; j < nc; j++ {
-			// Either term alone proving >= best bounds the nonnegative sum
-			// away from a strict improvement; skip both evaluations.
-			if cp != nil && (cp.PruneCost(j, f, best) || cp.PruneCost(j, g, best)) {
-				continue
-			}
 			if d := c.Cost(j, f) + c.Cost(j, g); d < best {
 				best = d
 			}

@@ -47,12 +47,9 @@ type Options struct {
 	// per CPU, bit-identical at every width) and Reference switches every
 	// solver to the pre-engine sequential implementation — the regression
 	// baseline of the parity tests (TestEngineMatchesReference here,
-	// internal/bench's TestAllExperimentsQuick end to end). The Index/Pivots
-	// knobs are honored by the layers that construct the cost oracle; the
-	// solvers prune through whatever metric.CostPruner the oracle
-	// implements and never build indexes themselves — seeding and EvalP do;
-	// the descent does not consult it, it reads its centers' cost columns
-	// (Scratch) and asks the oracle nothing per pair.
+	// internal/bench's TestAllExperimentsQuick end to end). The descent
+	// reads its centers' cost columns (Scratch) and asks the oracle nothing
+	// per pair.
 	engine.Options
 	// Scratch, when non-nil, is the descent's working memory, reused from
 	// the previous solve it was handed to instead of allocated again — set
@@ -156,7 +153,6 @@ func warmCenters(warm []int, k, nf int) []int {
 // facility as the new center).
 func seedDSquared(c metric.Costs, w []float64, k int, rng *rand.Rand) []int {
 	nc, nf := c.Clients(), c.Facilities()
-	cp := metric.CostPrunerOf(c)
 	centers := make([]int, 0, k)
 	centers = append(centers, rng.Intn(nf))
 	d := make([]float64, nc)
@@ -188,11 +184,6 @@ func seedDSquared(c metric.Costs, w []float64, k int, rng *rand.Rand) []int {
 			if inSet[f] {
 				continue
 			}
-			// A facility provably no cheaper than the current best cannot
-			// win the strict comparison; skipping it is result-identical.
-			if cp != nil && cp.PruneCost(pick, f, bd) {
-				continue
-			}
 			if x := c.Cost(pick, f); x < bd {
 				bd, bestF = x, f
 			}
@@ -203,9 +194,6 @@ func seedDSquared(c metric.Costs, w []float64, k int, rng *rand.Rand) []int {
 		centers = append(centers, bestF)
 		inSet[bestF] = true
 		for j := 0; j < nc; j++ {
-			if cp != nil && cp.PruneCost(j, bestF, d[j]) {
-				continue
-			}
 			if x := c.Cost(j, bestF); x < d[j] {
 				d[j] = x
 			}

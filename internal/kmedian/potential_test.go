@@ -129,14 +129,12 @@ func rayPoints(r *rand.Rand, n, dim int) []metric.Point {
 // solving on, each with the power it must declare.
 func potentialOracles(p *metric.Points, means bool) map[string]metric.Costs {
 	dc := metric.NewDistCache(p)
-	ix := metric.NewIndex(p, metric.IndexOptions{Pivots: 4})
 	if !means {
-		return map[string]metric.Costs{"points": p, "selfcosts": metric.SelfCosts{S: p}, "cache": metric.SelfCosts{S: dc}, "index": metric.SelfCosts{S: ix}}
+		return map[string]metric.Costs{"points": p, "selfcosts": metric.SelfCosts{S: p}, "cache": metric.SelfCosts{S: dc}}
 	}
 	return map[string]metric.Costs{
 		"sq-points": metric.Squared{C: metric.SelfCosts{S: p}},
 		"sq-cache":  metric.Squared{C: metric.SelfCosts{S: dc}},
-		"sq-index":  metric.Squared{C: metric.SelfCosts{S: ix}},
 	}
 }
 

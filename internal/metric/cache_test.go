@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// countingSpace wraps Points and counts underlying Dist computations.
+// countingSpace wraps a space and counts underlying Dist computations.
 type countingSpace struct {
-	p     *Points
+	p     Space
 	calls int64
 }
 
@@ -198,7 +198,6 @@ func TestMemoizes(t *testing.T) {
 		"matrix":   spaceMatrix(NewPoints(low)),
 		"angular":  &AngularSpace{Pts: low},
 		"counting": &countingSpace{p: NewPoints(low)},
-		"index":    NewIndex(NewPoints(low), IndexOptions{Pivots: 2}),
 		"opaque":   &hugeSpace{n: 64},
 	} {
 		if !Memoizes(s) {

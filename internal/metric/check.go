@@ -3,23 +3,15 @@ package metric
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
-// CheckReport is the typed result of a metric-axiom verification. Callers
-// that previously only saw CheckMetric's error can now act on the individual
-// findings — the serving layer logs the report once per dataset registration
-// and uses TriangleOK to decide whether index pruning is trustworthy before
-// an Index even runs its own self-check.
+// CheckReport is the typed result of a metric-axiom verification: the
+// individual findings behind CheckMetric's error.
 type CheckReport struct {
 	// Points is the size of the checked space.
 	Points int
-	// Triples is the number of triangle triples examined (n³ exhaustive,
-	// or the sample size).
+	// Triples is the number of triangle triples examined (n³).
 	Triples int
-	// Sampled reports that the triangle phase was sampled rather than
-	// exhaustive (CheckSampled).
-	Sampled bool
 
 	// ZeroDiagonal: d(i,i) = 0 for every checked i.
 	ZeroDiagonal bool
@@ -52,25 +44,11 @@ func (r CheckReport) Err() error {
 	return fmt.Errorf("metric: %s", r.Detail)
 }
 
-// String renders a one-line summary fit for a server log.
-func (r CheckReport) String() string {
-	mode := "exhaustive"
-	if r.Sampled {
-		mode = "sampled"
-	}
-	if r.OK() {
-		return fmt.Sprintf("metric check ok: n=%d, %d triangle triples (%s)", r.Points, r.Triples, mode)
-	}
-	return fmt.Sprintf("metric check FAILED: n=%d, %d triples (%s): zero-diag=%v symmetric=%v nonneg=%v triangle=%v (max rel violation %.3g): %s",
-		r.Points, r.Triples, mode, r.ZeroDiagonal, r.Symmetric, r.NonNegative, r.TriangleOK, r.MaxViolation, r.Detail)
-}
-
 // checkEps matches CheckMetric's historical floating-point slack.
 const checkEps = 1e-9
 
 // Check verifies the metric axioms exhaustively (O(n³) triangle triples) and
-// returns the typed report. Intended for tests and small spaces; servers use
-// CheckSampled.
+// returns the typed report. Intended for tests and small spaces.
 func Check(s Space) CheckReport {
 	r := checkBasics(s)
 	n := s.N()
@@ -85,25 +63,6 @@ func Check(s Space) CheckReport {
 	return r
 }
 
-// CheckSampled verifies zero diagonal and (sampled) symmetry, then checks at
-// most triples random triangle triples — the bounded-cost registration-time
-// check of the serving layer. Deterministic for a fixed seed.
-func CheckSampled(s Space, triples int, seed int64) CheckReport {
-	r := checkBasicsSampled(s, triples, seed)
-	r.Sampled = true
-	n := s.N()
-	if n < 3 || triples <= 0 {
-		return r
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for t := 0; t < triples; t++ {
-		i, j, k := rng.Intn(n), rng.Intn(n), rng.Intn(n)
-		r.checkTriple(s, i, j, k)
-		r.Triples++
-	}
-	return r
-}
-
 // checkBasics runs the exhaustive diagonal/symmetry/sign phase.
 func checkBasics(s Space) CheckReport {
 	r := CheckReport{Points: s.N(), ZeroDiagonal: true, Symmetric: true, NonNegative: true, TriangleOK: true}
@@ -113,27 +72,6 @@ func checkBasics(s Space) CheckReport {
 		for j := 0; j < n; j++ {
 			r.checkPair(s, i, j)
 		}
-	}
-	return r
-}
-
-// checkBasicsSampled bounds the pair phase to ~triples probes.
-func checkBasicsSampled(s Space, triples int, seed int64) CheckReport {
-	r := CheckReport{Points: s.N(), ZeroDiagonal: true, Symmetric: true, NonNegative: true, TriangleOK: true}
-	n := s.N()
-	if n == 0 {
-		return r
-	}
-	rng := rand.New(rand.NewSource(seed + 1))
-	probes := triples
-	if probes > n {
-		probes = n
-	}
-	for t := 0; t < probes; t++ {
-		r.checkDiag(s, rng.Intn(n))
-	}
-	for t := 0; t < triples; t++ {
-		r.checkPair(s, rng.Intn(n), rng.Intn(n))
 	}
 	return r
 }

@@ -81,12 +81,6 @@ func (s Squared) costColumn(f int, idx []int32, out []float64) {
 	}
 }
 
-// An Index serves exact distances from the space it wraps, so its columns
-// are that space's.
-func (ix *Index) costColumn(f int, idx []int32, out []float64) {
-	SelfCosts{S: ix.S}.costColumn(f, idx, out)
-}
-
 // triangular is declared by the oracles whose costs are known to obey the
 // triangle inequality; see TrianglePower.
 type triangular interface {
@@ -99,10 +93,9 @@ type triangular interface {
 // such a metric, 0 when nothing is known. The answer is declared by the
 // oracle, never inferred from its values: a bound built on it decides which
 // pairs a scan may skip, and a wrong yes would change results. Only point
-// sets under the built-in metrics, their memo, a self-checked Index over
-// either, and the SelfCosts / Squared views of those say yes; an explicit
-// Matrix, a client or facility subset, and every oracle outside this package
-// answer 0 and are scanned in full.
+// sets under the built-in metrics, their memo, and the SelfCosts / Squared
+// views of those say yes; an explicit Matrix, a client or facility subset,
+// and every oracle outside this package answer 0 and are scanned in full.
 func TrianglePower(c Costs) int {
 	if t, okt := c.(triangular); okt {
 		return t.trianglePower()
@@ -120,13 +113,6 @@ func spacePower(s Space) int {
 func (p *Points) trianglePower() int     { return 1 }
 func (dc *DistCache) trianglePower() int { return spacePower(dc.S) }
 func (sc SelfCosts) trianglePower() int  { return spacePower(sc.S) }
-
-func (ix *Index) trianglePower() int {
-	if !ix.ok {
-		return 0
-	}
-	return spacePower(ix.S)
-}
 
 func (s Squared) trianglePower() int {
 	if TrianglePower(s.C) == 1 {

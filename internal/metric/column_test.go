@@ -11,7 +11,6 @@ import (
 // point set: the native kernel, each forwarding wrapper, and the oracles that
 // are read pair by pair.
 func columnOracles(p *Points) map[string]Costs {
-	ix := NewIndex(p, IndexOptions{Pivots: 4})
 	sub := []int{3, 0, 7, 7, 11}
 	return map[string]Costs{
 		"points":            p,
@@ -21,9 +20,6 @@ func columnOracles(p *Points) map[string]Costs {
 		"distcache":         NewDistCache(p),
 		"selfcosts-cache":   SelfCosts{S: NewDistCache(p)},
 		"squared-cache":     Squared{C: SelfCosts{S: NewDistCache(p)}},
-		"index":             ix,
-		"squared-index":     Squared{C: SelfCosts{S: ix}},
-		"index-over-cache":  SelfCosts{S: NewIndex(NewDistCache(p), IndexOptions{Pivots: 4})},
 		"costcache":         NewCostCache(p),
 		"subcosts":          SubCosts{C: p, ClientIdx: sub},
 		"facilitysubset":    FacilitySubset{C: Squared{C: p}, FacIdx: sub},
@@ -112,31 +108,13 @@ func TestCostColumnDoesNotAllocate(t *testing.T) {
 
 // TestTrianglePowerDeclared is the capability table of this package: every
 // Costs implementation and wrapper composition, and the power it declares.
-// Only point sets under the built-in metrics, their memo, a self-checked
-// index over either and the SelfCosts / Squared views of those say yes.
+// Only point sets under the built-in metrics, their memo and the SelfCosts /
+// Squared views of those say yes.
 func TestTrianglePowerDeclared(t *testing.T) {
 	p := NewPoints(tiePoints(60, 3, 5))
 	l1 := &Points{Pts: p.Pts, M: ManhattanL1}
 	dc := NewDistCache(p)
-	ix := NewIndex(p, IndexOptions{Pivots: 6})
-	if !ix.Ok() {
-		t.Fatal("index self-check failed on Euclidean points")
-	}
 	graph := randGraphMetric(t, 60, 3) // a true metric, but only by its values
-	gix := NewIndex(graph, IndexOptions{Pivots: 6})
-	if !gix.Ok() {
-		t.Fatal("index self-check failed on a shortest-path metric")
-	}
-	// A non-metric space whose index fails the self-check.
-	broken := spaceMatrix(p)
-	broken[0][1], broken[1][0] = 1e6, 1e6
-	bix := NewIndex(broken, IndexOptions{Pivots: 60})
-	if bix.Ok() {
-		t.Fatal("index self-check passed on a broken metric")
-	}
-	// An unchecked index over a point set: the inner declaration must not
-	// pass through an index whose own check has not passed.
-	pbix := &Index{S: p}
 	sub := []int{0, 1, 2}
 	for _, tc := range []struct {
 		name string
@@ -149,24 +127,15 @@ func TestTrianglePowerDeclared(t *testing.T) {
 		{"selfcosts-points", SelfCosts{S: p}, 1},
 		{"distcache-points", dc, 1},
 		{"selfcosts-distcache", SelfCosts{S: dc}, 1},
-		{"index-points", ix, 1},
-		{"selfcosts-index", SelfCosts{S: ix}, 1},
-		{"selfcosts-index-over-cache", SelfCosts{S: NewIndex(dc, IndexOptions{Pivots: 6})}, 1},
 		{"squared-selfcosts-points", Squared{C: SelfCosts{S: p}}, 2},
 		{"squared-points", Squared{C: l1}, 2},
 		{"squared-selfcosts-distcache", Squared{C: SelfCosts{S: dc}}, 2},
-		{"squared-selfcosts-index", Squared{C: SelfCosts{S: ix}}, 2},
 
 		{"squared-squared", Squared{C: Squared{C: p}}, 0},
-		{"index-check-failed", pbix, 0},
-		{"squared-index-check-failed", Squared{C: SelfCosts{S: pbix}}, 0},
 		{"matrix", graph, 0},
 		{"selfcosts-matrix", SelfCosts{S: graph}, 0},
 		{"squared-selfcosts-matrix", Squared{C: SelfCosts{S: graph}}, 0},
 		{"distcache-matrix", NewDistCache(graph), 0},
-		{"index-matrix", gix, 0},
-		{"selfcosts-index-matrix", SelfCosts{S: gix}, 0},
-		{"index-broken-matrix", bix, 0},
 		{"angular", &AngularSpace{Pts: p.Pts}, 0},
 		{"selfcosts-angular", SelfCosts{S: &AngularSpace{Pts: p.Pts}}, 0},
 		{"subcosts", SubCosts{C: p, ClientIdx: sub}, 0},

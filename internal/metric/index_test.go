@@ -54,8 +54,9 @@ func randGraphMetric(t *testing.T, n int, seed int64) Matrix {
 
 // checkNearestMatchesScan asserts the property the whole index rests on:
 // for every query and candidate set, the pruned scan returns exactly the
-// full scan's winner — a pruned candidate is never the true nearest.
-func checkNearestMatchesScan(t *testing.T, s Space, ix *Index, seed int64) {
+// full scan's winner — a pruned candidate is never the true nearest. It
+// returns how many candidates the queries offered.
+func checkNearestMatchesScan(t *testing.T, s Space, ix *Index, seed int64) (offered int64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	n := s.N()
@@ -78,19 +79,22 @@ func checkNearestMatchesScan(t *testing.T, s Space, ix *Index, seed int64) {
 			t.Fatalf("trial %d: Nearest(%d) = (%d, %v), full scan (%d, %v)",
 				trial, p, gotJ, gotD, wantJ, wantD)
 		}
+		offered += int64(len(cands))
 	}
+	return offered
 }
 
 func TestIndexNearestEuclideanNearTies(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		pts := tiePoints(300, 4, seed)
 		sp := NewPoints(pts)
-		ix := NewIndex(sp, IndexOptions{Pivots: 8})
-		if !ix.Ok() {
+		cs := &countingSpace{p: sp}
+		ix := NewIndex(cs, IndexOptions{Pivots: 8})
+		if !ix.ok {
 			t.Fatalf("seed %d: self-check failed on a Euclidean space", seed)
 		}
-		checkNearestMatchesScan(t, sp, ix, seed+100)
-		if st := ix.Stats(); st.Pruned == 0 {
+		cs.calls = 0
+		if offered := checkNearestMatchesScan(t, sp, ix, seed+100); cs.calls >= offered {
 			t.Errorf("seed %d: index pruned nothing — the test exercised no bounds", seed)
 		}
 	}
@@ -100,7 +104,7 @@ func TestIndexNearestRandomGraphMetric(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		m := randGraphMetric(t, 120, seed)
 		ix := NewIndex(m, IndexOptions{Pivots: 6})
-		if !ix.Ok() {
+		if !ix.ok {
 			t.Fatalf("seed %d: self-check failed on a shortest-path metric", seed)
 		}
 		checkNearestMatchesScan(t, m, ix, seed+200)
@@ -128,22 +132,25 @@ func TestIndexSelfCheckCatchesNonMetric(t *testing.T) {
 	// far endpoint then wins the farthest-first sweep and becomes a pivot
 	// itself, and pairing it with any third pivot exposes the excess.
 	m[0][5], m[5][0] = 100, 100
-	ix := NewIndex(brokenSpace{m}.Matrix, IndexOptions{Pivots: 4})
-	if ix.Ok() {
+	cs := &countingSpace{p: brokenSpace{m}.Matrix}
+	ix := NewIndex(cs, IndexOptions{Pivots: 4})
+	if ix.ok {
 		t.Fatal("self-check accepted a triangle-violating space")
 	}
 	// Degraded mode must still be exact: full-scan fallback, no pruning.
-	checkNearestMatchesScan(t, m, ix, 77)
-	if st := ix.Stats(); st.Pruned != 0 {
-		t.Fatalf("degraded index pruned %d candidates", st.Pruned)
+	cs.calls = 0
+	if offered := checkNearestMatchesScan(t, m, ix, 77); cs.calls != offered {
+		t.Fatalf("degraded index evaluated %d of %d candidates", cs.calls, offered)
 	}
 }
 
-func TestIndexPruneDistIsSound(t *testing.T) {
+// TestIndexProbeIsSound: a pivot column that proves d(i,j) >= thresh is
+// never wrong, and the bounds are not vacuous.
+func TestIndexProbeIsSound(t *testing.T) {
 	pts := tiePoints(200, 3, 11)
 	sp := NewPoints(pts)
 	ix := NewIndex(sp, IndexOptions{Pivots: 10})
-	if !ix.Ok() {
+	if !ix.ok {
 		t.Fatal("self-check failed")
 	}
 	r := rand.New(rand.NewSource(12))
@@ -152,16 +159,16 @@ func TestIndexPruneDistIsSound(t *testing.T) {
 		i, j := r.Intn(200), r.Intn(200)
 		d := sp.Dist(i, j)
 		thresh := d * (0.2 + 1.6*r.Float64())
-		if ix.PruneDist(i, j, thresh) {
+		for a := 0; a < ix.m; a++ {
+			if !ix.probe(i*ix.m, j*ix.m, a, thresh) {
+				continue
+			}
 			pruned++
-			// Soundness: pruning at thresh promises d >= thresh (the scan
+			// Soundness: a proof at thresh promises d >= thresh (the scan
 			// it serves only needs strict improvements d < thresh).
 			if d < thresh {
-				t.Fatalf("pruned (%d,%d) at thresh %v but d = %v", i, j, thresh, d)
+				t.Fatalf("pivot %d proved (%d,%d) >= %v but d = %v", a, i, j, thresh, d)
 			}
-		}
-		if lb := ix.DistLowerBound(i, j); lb > d+1e-9 {
-			t.Fatalf("lower bound %v above true distance %v", lb, d)
 		}
 	}
 	if pruned == 0 {
@@ -169,71 +176,14 @@ func TestIndexPruneDistIsSound(t *testing.T) {
 	}
 }
 
-func TestIndexSquaredPruneCost(t *testing.T) {
-	pts := tiePoints(160, 3, 31)
-	sp := NewPoints(pts)
-	ix := NewIndex(sp, IndexOptions{Pivots: 8})
-	if !ix.Ok() {
-		t.Fatal("self-check failed")
-	}
-	sq := Squared{C: SelfCosts{S: ix}}
-	cp := CostPrunerOf(sq)
-	if cp == nil {
-		t.Fatal("Squared over an indexed space exposes no CostPruner")
-	}
-	r := rand.New(rand.NewSource(32))
-	pruned := 0
-	for trial := 0; trial < 2000; trial++ {
-		i, j := r.Intn(160), r.Intn(160)
-		c := sq.Cost(i, j)
-		thresh := c * (0.2 + 1.6*r.Float64())
-		if cp.PruneCost(i, j, thresh) {
-			pruned++
-			if c < thresh {
-				t.Fatalf("pruned (%d,%d) at thresh %v but cost = %v", i, j, thresh, c)
-			}
-		}
-	}
-	if pruned == 0 {
-		t.Fatal("squared pruner never pruned")
-	}
-}
-
 func TestIndexDeterministicPivots(t *testing.T) {
 	pts := tiePoints(100, 3, 41)
 	a := NewIndex(NewPoints(pts), IndexOptions{Pivots: 8})
 	b := NewIndex(NewPoints(pts), IndexOptions{Pivots: 8})
-	pa, pb := a.Pivots(), b.Pivots()
+	pa, pb := a.pivots, b.pivots
 	for i := range pa {
 		if pa[i] != pb[i] {
 			t.Fatalf("pivot selection not deterministic: %v vs %v", pa, pb)
 		}
-	}
-}
-
-// Unindexed wrappers report no per-pair pruner at all, so the solvers skip
-// calls that could only decline.
-func TestUnindexedWrappersExposeNoPruner(t *testing.T) {
-	plain := SelfCosts{S: NewPoints(tiePoints(120, 3, 61))}
-	if CostPrunerOf(plain) != nil {
-		t.Fatal("unindexed SelfCosts exposes a per-pair pruner")
-	}
-	if CostPrunerOf(Squared{C: plain}) != nil {
-		t.Fatal("unindexed Squared exposes a per-pair pruner")
-	}
-}
-
-func TestIndexSpaceSkipsMemoizedSpaces(t *testing.T) {
-	pts := tiePoints(64, 8, 71)
-	cached := CacheSpace(NewPoints(pts))
-	if _, okc := cached.(*DistCache); !okc {
-		t.Fatal("CacheSpace did not memoize a small instance")
-	}
-	if got := IndexSpace(cached, true, 8); got != cached {
-		t.Fatal("IndexSpace indexed a memoized space (prunes would only save cached reads)")
-	}
-	raw := NewPoints(pts)
-	if _, oki := IndexSpace(raw, true, 8).(*Index); !oki {
-		t.Fatal("IndexSpace declined a raw space")
 	}
 }

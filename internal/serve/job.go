@@ -36,12 +36,13 @@ type JobSpec struct {
 	Sites int     `json:"sites,omitempty"`
 	Eps   float64 `json:"eps,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
-	// Engine is the engine knob object: algorithm, workers, caches, and the
-	// pivot metric index — any setting returns bit-identical results. It
-	// unmarshals from the string form ("jv") as well as the object form
-	// ({"algo":"jv","index":true}). The retired top-level "workers" and
-	// "no_cache" keys of old request bodies and journal records are ignored
-	// on decode, which is safe for exactly that reason.
+	// Engine is the engine knob object: algorithm, workers, caches,
+	// reference — any setting returns bit-identical results. It unmarshals
+	// from the string form ("jv") as well as the object form
+	// ({"algo":"jv","workers":4}). The retired top-level "workers" and
+	// "no_cache" keys and the retired engine "index" / "pivots" keys of old
+	// request bodies and journal records are ignored on decode, which is
+	// safe for exactly that reason.
 	Engine      engine.Spec `json:"engine,omitempty"`
 	LloydPolish bool        `json:"lloyd_polish,omitempty"`
 	// Client names the submitting client for per-client admission quotas
@@ -216,7 +217,7 @@ func parseEngine(s string) (kmedian.Engine, error) {
 }
 
 // EngineOptions returns the job's engine knobs, normalized (Reference
-// implies sequential, uncached, unindexed).
+// implies sequential and uncached).
 func (s JobSpec) EngineOptions() engine.Options {
 	return s.Engine.Options.Normalize()
 }
@@ -443,13 +444,6 @@ func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec, job j
 		sites = DefaultJobSites
 	}
 	shards := data.Split(sites).Pts
-	// Registration-time metric gate: a dataset whose sampled triangle check
-	// failed gets full scans even when the job asks for the index (the
-	// per-shard self-check would catch it too — this avoids paying the
-	// build just to have it degrade).
-	if job.Core.Index && !d.MetricReport().TriangleOK {
-		job.Core.Options.Index = false
-	}
 	// A pooled shard hands its site the shared cache; every other shard
 	// (one metric.Memoizes declines, or a NoCache job) builds its own oracle
 	// per the engine policy, exactly as a one-shot run does.

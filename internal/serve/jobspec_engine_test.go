@@ -9,10 +9,11 @@ import (
 
 // The engine object is the only source of a job's engine knobs. Request
 // bodies and journal records written before the flat top-level "workers" /
-// "no_cache" keys were retired still decode, and those keys are ignored —
-// safe because engine knobs never change results — the same way on every
-// replica and every journal replay. (The test names predate the retirement,
-// when the two spellings were merged.)
+// "no_cache" keys, or the engine's "index" / "pivots" keys, were retired
+// still decode, and those keys are ignored — safe because engine knobs never
+// change results — the same way on every replica and every journal replay.
+// (The test names predate the retirement, when the two spellings were
+// merged.)
 func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
 	cases := []struct {
 		name string
@@ -48,6 +49,11 @@ func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
 			name: "reference normalization overrides a conflicting flat workers",
 			body: `{"dataset":"d","k":2,"t":1,"workers":8,"engine":{"reference":true,"index":true}}`,
 			want: engine.Options{Reference: true, Workers: 1, NoCache: true},
+		},
+		{
+			name: "retired index knobs are ignored",
+			body: `{"dataset":"d","k":2,"t":1,"engine":{"algo":"jv","index":true,"pivots":16}}`,
+			want: engine.Options{Algo: "jv"},
 		},
 	}
 	for _, tc := range cases {

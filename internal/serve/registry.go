@@ -150,41 +150,6 @@ type Dataset struct {
 	// stats aggregates hit/miss traffic over every shard cache of this
 	// dataset — the observable the e2e test asserts cache reuse with.
 	stats metric.CacheStats
-
-	// metricReport is the sampled metric self-check run once at table
-	// registration: indexed jobs are gated on its TriangleOK, and the
-	// server logs it so a metric that would defeat pruning is visible the
-	// moment the data arrives rather than at first query.
-	metricReport metric.CheckReport
-}
-
-// MetricReport returns the registration-time sampled metric check (zero
-// for dataset kinds that do not run one).
-func (d *Dataset) MetricReport() metric.CheckReport { return d.metricReport }
-
-// MetricCheckTriples caps the sample size of the registration-time
-// triangle check: large enough to catch systematically broken metrics,
-// small enough to be free next to the registration body decode. Small
-// tables sample proportionally fewer (metricCheckTriplesFor), so
-// registration stays O(n) and a register-heavy workload is not taxed a
-// constant 4096 triples per tiny dataset.
-const MetricCheckTriples = 4096
-
-// metricCheckTriplesFor returns the triangle sample size for an n-point
-// table: about one triple per point (never fewer than 64) up to the cap,
-// mirroring how the check's cost should track the O(n·dim) decode the
-// registration already paid. A systematically broken metric trips an O(n)
-// sample with overwhelming probability; per-pair glitches are caught by
-// the index's own exhaustive (point, pivot, pivot) self-check at build.
-func metricCheckTriplesFor(n int) int {
-	t := n
-	if t < 64 {
-		t = 64
-	}
-	if t > MetricCheckTriples {
-		t = MetricCheckTriples
-	}
-	return t
 }
 
 // Name returns the dataset name.
@@ -421,10 +386,6 @@ func (r *Registry) RegisterTable(name string, pts []metric.Point) (*Dataset, err
 	d := &Dataset{name: name, kind: KindTable,
 		chunks: [][]metric.Point{pts[:len(pts):len(pts)]}, n: len(pts),
 		version: r.nextVersion(), dim: pts[0].Dim()}
-	// One sampled metric self-check per registration (satisfied trivially
-	// by Euclidean points, but the report is what gates index pruning and
-	// what the server logs — the check is the observable, not the surprise).
-	d.metricReport = metric.CheckSampled(metric.NewPoints(pts), metricCheckTriplesFor(len(pts)), int64(d.version))
 	if err := r.register(d); err != nil {
 		return nil, err
 	}

@@ -43,10 +43,6 @@ type Config struct {
 	// recomputes them). Individual registrations can opt in with
 	// ?warm=true regardless.
 	WarmOnRegister bool
-	// Logf, when set, receives one-line server diagnostics (Printf-style):
-	// the registration-time metric check report per dataset, for example.
-	// Nil discards them.
-	Logf func(format string, args ...any)
 	// JournalDir, when set, enables the write-ahead journal: dataset
 	// mutations, job submissions, transitions and finished results append
 	// to rotating segment files (journal-000001.dpcj, …) under JournalDir,
@@ -768,23 +764,10 @@ func (s *Server) finishCreateDataset(w http.ResponseWriter, r *http.Request, d *
 			return
 		}
 	}
-	if d.Kind() == KindTable {
-		// Surface the registration-time metric check once per dataset: a
-		// triangle violation here is the signal that index pruning will be
-		// disabled for jobs against this data.
-		s.logf("dataset %s: %s", d.Name(), d.MetricReport())
-		if s.wantWarm(r) {
-			s.warmDataset(d.Name())
-		}
+	if d.Kind() == KindTable && s.wantWarm(r) {
+		s.warmDataset(d.Name())
 	}
 	writeJSON(w, http.StatusCreated, d.Info())
-}
-
-// logf forwards a diagnostic line to Config.Logf, or discards it.
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {

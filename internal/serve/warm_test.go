@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dpc/internal/dataio"
-	"dpc/internal/engine"
 	"dpc/internal/gen"
 	"dpc/internal/metric"
 )
@@ -225,41 +224,5 @@ func TestStaleVersionCachesNotPooled(t *testing.T) {
 	r.shardCaches(d, v3, dataio.SplitRoundRobin(view.Flatten(), DefaultJobSites))
 	if n := r.Pool().Stats().Entries; n != 0 {
 		t.Fatalf("pool holds %d caches of a deleted dataset", n)
-	}
-}
-
-// TestIndexedJobMatchesDefault: an -engine index job on the server answers
-// exactly what the default engine does, on a pooled sharding (the shared
-// caches are served unindexed) and on shards nothing is pooled for — above
-// the memoization cap, or low-dimensional (the site builds its index over
-// the raw points, per job).
-func TestIndexedJobMatchesDefault(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	if _, err := s.Registry().RegisterTable("pooled", mixturePoints(t, 360, 23)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Registry().RegisterTable("raw", mixturePoints(t, 2100, 29)); err != nil {
-		t.Fatal(err)
-	}
-	// A low-dimensional table: no pooled cache (metric.Memoizes), so its
-	// small shards are indexed over the raw points too.
-	if _, err := s.Registry().RegisterTable("low", rowsToPoints(testPoints(360, 3, 23))); err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []JobSpec{
-		{Dataset: "pooled", K: 3, T: 18, Objective: "median", Seed: 9},
-		{Dataset: "low", K: 3, T: 18, Objective: "median", Seed: 9},
-		{Dataset: "low", K: 3, T: 18, Objective: "means", Seed: 9},
-		{Dataset: "raw", K: 3, T: 40, Objective: "median", Sites: 1, Seed: 9},
-		{Dataset: "raw", K: 3, T: 40, Objective: "center", Sites: 1, Seed: 9},
-	} {
-		plain := runJobOK(t, s, spec)
-		spec.Engine = engine.Spec{Options: engine.Options{Index: true}}
-		indexed := runJobOK(t, s, spec)
-		if indexed.Result.Cost != plain.Result.Cost || !reflect.DeepEqual(indexed.Result.Centers, plain.Result.Centers) {
-			t.Fatalf("%s/%s: indexed job diverged from the default engine: cost %v vs %v",
-				spec.Dataset, spec.Objective, indexed.Result.Cost, plain.Result.Cost)
-		}
 	}
 }

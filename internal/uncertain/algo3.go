@@ -140,9 +140,6 @@ func (st *uSite) start() {
 		st.space = st.col
 		if cache {
 			st.space = metric.CacheSpace(st.space)
-			// The pivot index layers over the (possibly cached) collapsed
-			// space; the greedy covers below prune through it.
-			st.space = metric.IndexSpace(st.space, st.Opts.Index, st.Opts.Pivots)
 		}
 		st.trav = kcenter.GonzalezOpt(st.space, st.cfg.K+st.cfg.T, 0, st.Opts.Options)
 	}

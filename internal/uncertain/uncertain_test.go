@@ -334,7 +334,6 @@ func TestOraclesDeclareNoTrianglePower(t *testing.T) {
 		"collapsed-squared":   Collapse(g, nodes, true, FullGround),
 		"selfcosts-collapsed": metric.SelfCosts{S: col},
 		"cached-collapsed":    metric.SelfCosts{S: metric.NewDistCache(col)},
-		"indexed-collapsed":   metric.SelfCosts{S: metric.NewIndex(col, metric.IndexOptions{})},
 		"costcache-collapsed": metric.NewCostCache(col),
 		"selfcosts-ground":    metric.SelfCosts{S: g},
 		"trunc":               &TruncCosts{G: g, Nodes: nodes, Fac: []int{1, 6}, Tau: 0.5},

@@ -61,15 +61,6 @@ func TestWorkersParity(t *testing.T) {
 					}
 					requireSameRun(t, fmt.Sprintf("%v/%v workers=%d", obj, tr, workers), ref, got)
 				}
-				// The pivot index joins the matrix: its triangle-inequality
-				// pruning is exact, so indexed runs must match the same
-				// reference byte for byte.
-				ix, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr,
-					Options: dpc.EngineOptions{Workers: 4, Index: true}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameRun(t, fmt.Sprintf("%v/%v index", obj, tr), ref, ix)
 			})
 		}
 	}
