@@ -7,7 +7,7 @@ import (
 	"dpc/internal/central"
 	"dpc/internal/core"
 	"dpc/internal/jobwire"
-	"dpc/internal/kmedian"
+	"dpc/internal/serve"
 	"dpc/internal/transport"
 )
 
@@ -42,7 +42,7 @@ func (l *Local) Do(ctx context.Context, req Request) (*Response, error) {
 	}
 	sites := req.Sites
 	if sites <= 0 {
-		sites = 8
+		sites = serve.DefaultJobSites
 	}
 	data := req.data()
 	if job.Len(data) == 0 {
@@ -59,8 +59,7 @@ func (l *Local) Do(ctx context.Context, req Request) (*Response, error) {
 		}
 		sol := central.PartialMedian(req.Points, central.Config{
 			K: req.K, T: req.T, Levels: req.Levels, Eps: req.Eps,
-			Objective: job.Core.Objective, Engine: job.Core.Engine,
-			Opts: kmedian.Options{Seed: req.Seed, Options: job.Core.Options},
+			Objective: job.Core.Objective, Opts: job.Core.LocalOpts,
 		})
 		return &Response{
 			Centers:       sol.Centers,

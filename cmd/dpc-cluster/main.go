@@ -48,7 +48,6 @@ import (
 
 	"dpc/client"
 	"dpc/internal/dataio"
-	"dpc/internal/engine"
 )
 
 func main() {
@@ -57,7 +56,6 @@ func main() {
 	req := client.Request{
 		Objective: client.Median, Variant: "2round", K: 3,
 		Sites: 8, Eps: 1, Seed: 1, Transport: "loopback",
-		Engine: engine.Spec{Options: engine.Options{Algo: "auto"}},
 	}
 	client.BindFlags(flag.CommandLine, &req)
 	var (

@@ -47,13 +47,17 @@
 // # Engine
 //
 // Local solves run on a multi-core engine with memoized distance oracles,
-// configured in one place: EngineOptions (Request.Engine, Config.Options,
-// the -engine flag). Workers bounds the per-solve goroutines (0 = one per
-// CPU) with a hard invariant: results are bit-identical for Workers=1 and
-// Workers=N on every objective, variant and transport. NoCache disables
-// the distance caches (a measurement knob — the caches are exact and never
-// change results), and Reference runs the seed sequential implementation
-// that the parity tests (TestEngineMatchesReferenceEndToEnd, internal/bench's
+// configured in one place and spelled once per configuration: EngineOptions
+// — Request.Engine and the -engine flag on the client surface, and the
+// LocalOpts.Options of every run configuration (Config, UncertainConfig,
+// CenterGConfig, CentralConfig). Algo picks the k-median algorithm
+// (EngineAuto, EngineLocalSearch or EngineJV). Workers bounds the per-solve
+// goroutines (0 = one per CPU) with a hard invariant: results are
+// bit-identical for Workers=1 and Workers=N on every objective, variant and
+// transport. NoCache disables the distance caches (a measurement knob — the
+// caches are exact and never change results), and Reference runs the seed
+// sequential implementation that the parity tests
+// (TestEngineMatchesReferenceEndToEnd, internal/bench's
 // TestAllExperimentsQuick) hold the engine to.
 //
 // # Legacy one-shot surface
@@ -196,35 +200,38 @@ type Config = core.Config
 // RunCenterG only).
 type Result = core.Result
 
-// Engine selects the k-median optimization engine.
-type Engine = kmedian.Engine
+// Engine selects the k-median optimization algorithm: the type of
+// EngineOptions.Algo, written "auto", "localsearch" or "jv" on every wire.
+type Engine = engine.Algo
 
 // Engines.
 const (
 	// EngineAuto picks JV for small instances, local search otherwise.
-	EngineAuto = kmedian.EngineAuto
+	EngineAuto = engine.Auto
 	// EngineLocalSearch always uses swap local search.
-	EngineLocalSearch = kmedian.EngineLocalSearch
+	EngineLocalSearch = engine.LocalSearch
 	// EngineJV always uses the Jain-Vazirani primal-dual engine.
-	EngineJV = kmedian.EngineJV
+	EngineJV = engine.JV
 )
 
 // EngineOptions is the consolidated engine-knob surface shared by every
 // entry point: algorithm choice (Algo), goroutine bound (Workers), the
 // memoized-oracle toggle (NoCache) and the sequential reference switch
-// (Reference). It embeds into SolverOptions, Config.Options, the kcenter
-// options and the job API's "engine" object, so one spelling configures
-// the engine everywhere.
+// (Reference). SolverOptions embeds it (so every run configuration's
+// LocalOpts carries it), the kcenter options are it, and the job API's
+// "engine" object spells it, so one vocabulary configures the engine
+// everywhere.
 type EngineOptions = engine.Options
 
 // EngineSpec is EngineOptions plus its wire forms: a flag.Value taking
-// comma-separated tokens ("jv,workers=4,nocache") and a JSON
-// codec accepting both the legacy engine string and the structured object.
+// comma-separated tokens ("jv,workers=4,nocache") and a JSON codec that
+// writes the object form ({"algo":"jv","workers":4}) and also reads the
+// legacy engine string ("jv").
 type EngineSpec = engine.Spec
 
 // SolverOptions tunes the optimization engines (seed, iteration caps,
-// warm starts) around an embedded EngineOptions. It was previously named
-// EngineOptions; that name now refers to the engine-knob subset.
+// warm starts) around an embedded EngineOptions, whose Algo picks the
+// engine. It is every run configuration's LocalOpts.
 type SolverOptions = kmedian.Options
 
 // Run executes distributed partial clustering over the per-site datasets.
@@ -360,10 +367,11 @@ type AngularSpace = metric.AngularSpace
 type OracleSolution = kmedian.Solution
 
 // SolvePartialMedian solves the (k,t)-median problem on an arbitrary cost
-// oracle with optional client weights (nil = unit). For (k,t)-means, wrap
-// the oracle so Cost returns squared distances.
-func SolvePartialMedian(c CostOracle, w []float64, k int, t float64, eng Engine, opts SolverOptions) OracleSolution {
-	return kmedian.Solve(c, w, k, t, eng, opts)
+// oracle with optional client weights (nil = unit), on the engine opts.Algo
+// selects. For (k,t)-means, wrap the oracle so Cost returns squared
+// distances.
+func SolvePartialMedian(c CostOracle, w []float64, k int, t float64, opts SolverOptions) OracleSolution {
+	return kmedian.Solve(c, w, k, t, opts)
 }
 
 // CenterSolution is a (k,t)-center solution over a cost oracle.
@@ -409,7 +417,8 @@ type Server = serve.Server
 
 // JobSpec is one clustering job: a (k, t, objective) query against a
 // registered dataset, with per-job engine knobs (Engine, Seed)
-// mirroring Config's — zero values reproduce a one-shot Run bit for bit.
+// mirroring Config's LocalOpts — zero values reproduce a one-shot Run bit
+// for bit.
 type JobSpec = serve.JobSpec
 
 // JobResult is a finished job's centers, cost and measured footprint.

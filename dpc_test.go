@@ -124,7 +124,7 @@ func TestFacadeGraphOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol := dpc.SolvePartialMedian(g, nil, 1, 1, dpc.EngineAuto, dpc.SolverOptions{Seed: 1})
+	sol := dpc.SolvePartialMedian(g, nil, 1, 1, dpc.SolverOptions{Seed: 1})
 	if got := sol.Outliers(); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("outliers = %v, want the far node [3]", got)
 	}
@@ -140,8 +140,8 @@ func TestFacadeEngines(t *testing.T) {
 	sites := dpc.SitePoints(in, parts)
 	for _, e := range []dpc.Engine{dpc.EngineAuto, dpc.EngineLocalSearch, dpc.EngineJV} {
 		res, err := dpc.Run(sites, dpc.Config{
-			K: 2, T: 4, Objective: dpc.Median, Engine: e,
-			LocalOpts: dpc.SolverOptions{Seed: 11},
+			K: 2, T: 4, Objective: dpc.Median,
+			LocalOpts: dpc.SolverOptions{Seed: 11, Options: dpc.EngineOptions{Algo: e}},
 		})
 		if err != nil {
 			t.Fatalf("engine %v: %v", e, err)

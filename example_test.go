@@ -36,7 +36,7 @@ func ExampleSolvePartialMedian() {
 	if err != nil {
 		panic(err)
 	}
-	sol := dpc.SolvePartialMedian(g, nil, 1, 1, dpc.EngineAuto, dpc.SolverOptions{Seed: 1})
+	sol := dpc.SolvePartialMedian(g, nil, 1, 1, dpc.SolverOptions{Seed: 1})
 	fmt.Println("outliers:", sol.Outliers())
 	// Output:
 	// outliers: [3]

@@ -46,7 +46,7 @@ func main() {
 	}
 
 	// k=4 depots, up to t=3 settlements written off.
-	sol := dpc.SolvePartialMedian(g, nil, 4, 3, dpc.EngineAuto, dpc.SolverOptions{Seed: 1})
+	sol := dpc.SolvePartialMedian(g, nil, 4, 3, dpc.SolverOptions{Seed: 1})
 	fmt.Println("(k=4, t=3)-median over the road network")
 	fmt.Printf("  depots at nodes:      %v\n", sol.Centers)
 	fmt.Printf("  total road distance:  %.1f\n", sol.Cost)
@@ -54,7 +54,7 @@ func main() {
 		sol.Outliers(), remote)
 
 	// Without the outlier budget the mountain roads dominate.
-	sol0 := dpc.SolvePartialMedian(g, nil, 4, 0, dpc.EngineAuto, dpc.SolverOptions{Seed: 1})
+	sol0 := dpc.SolvePartialMedian(g, nil, 4, 0, dpc.SolverOptions{Seed: 1})
 	fmt.Printf("  with t=0 the cost is  %.1f (%.1fx worse)\n", sol0.Cost, sol0.Cost/sol.Cost)
 
 	// Same network, worst-case (center) objective.
@@ -69,7 +69,7 @@ func main() {
 		{1, 0, 8}, {0, 2, 10}, // topic C
 		{5, 5, 5}, // an off-topic document
 	}}
-	dsol := dpc.SolvePartialMedian(docs, nil, 3, 1, dpc.EngineAuto, dpc.SolverOptions{Seed: 2})
+	dsol := dpc.SolvePartialMedian(docs, nil, 3, 1, dpc.SolverOptions{Seed: 2})
 	fmt.Println("(k=3, t=1)-median over documents in angular feature space")
 	fmt.Printf("  topic exemplars: %v, off-topic doc dropped: %v\n", dsol.Centers, dsol.Outliers())
 }

@@ -25,7 +25,7 @@ func mkSites(n, k, s int, outFrac float64, mode gen.PartitionMode, seed int64) (
 // coreCfg applies the harness engine knobs to a distributed run config.
 // The knobs never change a table's contents, only wall-clock.
 func (o Options) coreCfg(cfg core.Config) core.Config {
-	cfg.Options = o.Engine
+	cfg.LocalOpts = o.solverOpts(cfg.LocalOpts)
 	return cfg
 }
 

@@ -35,8 +35,7 @@ type Config struct {
 	Eps float64
 	// Objective is Median or Means (core.Center is not supported here).
 	Objective core.Objective
-	Engine    kmedian.Engine
-	Opts      kmedian.Options // its NoCache / Reference knobs turn the memoized oracles off
+	Opts      kmedian.Options // every solve's options, and the run's one set of engine knobs
 	// MinChunk bottoms out the recursion: inputs smaller than this are
 	// solved directly. Default 64.
 	MinChunk int
@@ -61,6 +60,7 @@ func (c Config) withDefaults() Config {
 	if c.Eps == 0 {
 		c.Eps = 1
 	}
+	c.Opts.Options = c.Opts.Options.Normalize()
 	if c.MinChunk == 0 {
 		c.MinChunk = 64
 	}
@@ -203,7 +203,7 @@ func solveLevel(pts []metric.Point, k, q, level int, cfg Config) (precluster, in
 	opts := cfg.engineOpts()
 	opts.Seed += int64(level) * 31337
 	costs := weightedCosts(upts, cfg.Objective, opts)
-	sol := kmedian.Solve(costs, uw, k, float64(q), cfg.Engine, opts)
+	sol := kmedian.Solve(costs, uw, k, float64(q), opts)
 	centers := make([]metric.Point, len(sol.Centers))
 	for i, f := range sol.Centers {
 		centers[i] = upts[f]
@@ -215,7 +215,7 @@ func solveLevel(pts []metric.Point, k, q, level int, cfg Config) (precluster, in
 func directSolve(pts []metric.Point, k, q int, cfg Config) precluster {
 	opts := cfg.engineOpts()
 	costs := weightedCosts(pts, cfg.Objective, opts)
-	sol := kmedian.Solve(costs, nil, k, float64(q), cfg.Engine, opts)
+	sol := kmedian.Solve(costs, nil, k, float64(q), opts)
 	centers := make([]metric.Point, len(sol.Centers))
 	for i, f := range sol.Centers {
 		centers[i] = pts[f]
@@ -224,11 +224,11 @@ func directSolve(pts []metric.Point, k, q int, cfg Config) precluster {
 }
 
 // weightedCosts wraps points in the objective's cost oracle, memoized
-// behind the distance cache when the fast engine runs with caching on and
-// the instance is small enough for the cache to pay for itself.
+// behind the distance cache when caching is on (opts normalized) and the
+// instance is small enough for the cache to pay for itself.
 func weightedCosts(pts []metric.Point, obj core.Objective, opts kmedian.Options) metric.Costs {
 	var sp metric.Space = metric.NewPoints(pts)
-	if !opts.Reference && !opts.NoCache {
+	if !opts.NoCache {
 		sp = metric.CacheSpace(sp)
 	}
 	c := metric.Costs(metric.SelfCosts{S: sp})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dpc/internal/dataio"
+	"dpc/internal/engine"
 	"dpc/internal/gen"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
@@ -40,12 +41,12 @@ func BenchmarkAblationEngine(b *testing.B) {
 	in := gen.Mixture(gen.MixtureSpec{N: 700, K: 3, OutlierFrac: 0.05, Seed: 23})
 	parts := gen.Partition(in, 4, gen.Uniform, 24)
 	sites := gen.SitePoints(in, parts)
-	for _, eng := range []kmedian.Engine{kmedian.EngineLocalSearch, kmedian.EngineJV} {
-		b.Run(eng.String(), func(b *testing.B) {
+	for _, algo := range []engine.Algo{engine.LocalSearch, engine.JV} {
+		b.Run(algo.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			var cost float64
 			for i := 0; i < b.N; i++ {
-				res, err := Run(sites, Config{K: 3, T: 30, Objective: Median, Engine: eng})
+				res, err := Run(sites, Config{K: 3, T: 30, Objective: Median, LocalOpts: kmedian.Options{Options: engine.Options{Algo: algo}}})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -15,7 +15,7 @@ import (
 type centerSite struct {
 	cfg     Config
 	pts     []metric.Point
-	space   metric.Space // cached unless cfg.NoCache
+	space   metric.Space // cached unless cfg.LocalOpts.NoCache
 	trav    kcenter.Traversal
 	started bool
 }
@@ -32,7 +32,7 @@ func newCenterSite(cfg Config, pts []metric.Point, o metric.Oracle) *centerSite 
 		space = o
 	} else {
 		space = metric.NewPoints(pts)
-		if !cfg.NoCache {
+		if !cfg.LocalOpts.NoCache {
 			space = metric.CacheSpace(space)
 		}
 	}
@@ -47,7 +47,7 @@ func newCenterSite(cfg Config, pts []metric.Point, o metric.Oracle) *centerSite 
 func (st *centerSite) traversal() kcenter.Traversal {
 	if !st.started {
 		st.started = true
-		st.trav = kcenter.GonzalezOpt(st.space, st.cfg.K+st.cfg.T, 0, st.cfg.Options)
+		st.trav = kcenter.GonzalezOpt(st.space, st.cfg.K+st.cfg.T, 0, st.cfg.LocalOpts.Options)
 	}
 	return st.trav
 }
@@ -81,7 +81,7 @@ func (st *centerSite) Precluster(b protocol.Budget) comm.Payload {
 	if m > len(trav.Order) {
 		m = len(trav.Order)
 	}
-	assign, counts, _ := trav.AssignPrefixOpt(st.space, m, nil, st.cfg.Options)
+	assign, counts, _ := trav.AssignPrefixOpt(st.space, m, nil, st.cfg.LocalOpts.Options)
 	if st.cfg.Variant == TwoRoundNoOutliers {
 		n := len(st.pts)
 		dist := make([]float64, n)

@@ -114,26 +114,20 @@ type Config struct {
 	// HullBase is the geometric grid base for local budget sampling
 	// (Line 2 of Algorithm 1). Default 2.
 	HullBase float64
-	// Engine selects the local/coordinator k-median engine.
-	Engine kmedian.Engine
-	// LocalOpts tunes the site-side solver; per-site seeds are derived
-	// from LocalOpts.Seed + site index.
+	// LocalOpts tunes every solve, the sites' and the coordinator's;
+	// per-site seeds are derived from LocalOpts.Seed + site index. Its
+	// engine knobs (algorithm, workers, caches, reference) are the run's
+	// only ones; withDefaults normalizes them.
 	LocalOpts kmedian.Options
-
-	// Options is the engine-knob block (algorithm, workers, cache,
-	// reference) shared with kmedian.Options, kcenter.Opt, serve.JobSpec and
-	// client.Request. Results are bit-identical for every setting;
-	// withDefaults normalizes it (Reference implies Workers=1 and NoCache)
-	// and pushes Workers/Reference into LocalOpts.
-	engine.Options
 
 	// Transport selects the wire backend for Run: empty or
 	// transport.KindLoopback keeps sites in-process (the exact simulated
 	// star network); transport.KindTCP drives the identical protocol over
 	// real localhost sockets, one in-process site server per site. For
 	// sites in genuinely separate processes, see RunOverCtx, internal/jobwire
-	// and the dpc-cluster -listen / dpc-site commands.
-	Transport transport.Kind
+	// and the dpc-cluster -listen / dpc-site commands. Coordinator-local,
+	// like Topology.
+	Transport transport.Kind `json:"-"`
 	// Topology selects the coordinator fan-in for Run: the zero value is
 	// the paper's star (every site talks straight to the coordinator);
 	// tree.Spec{Tree: true, Branch: b} routes sites through intermediate
@@ -142,7 +136,7 @@ type Config struct {
 	// (the aggregators re-group the same summaries losslessly); the
 	// per-level traffic lands in Result.Report.Tree. Like Transport, this
 	// is coordinator-local and not shipped to sites.
-	Topology tree.Spec
+	Topology tree.Spec `json:"-"`
 }
 
 func (c Config) withDefaults() Config {
@@ -162,11 +156,7 @@ func (c Config) withDefaults() Config {
 	if c.HullBase == 0 {
 		c.HullBase = 2
 	}
-	c.Options = c.Options.Normalize()
-	if c.Workers != 0 {
-		c.LocalOpts.Workers = c.Workers
-	}
-	c.LocalOpts.Reference = c.LocalOpts.Reference || c.Reference
+	c.LocalOpts.Options = c.LocalOpts.Options.Normalize()
 	return c
 }
 
@@ -181,8 +171,8 @@ type Result = protocol.Result
 
 // validate rejects configuration combinations no variant supports; cfg
 // must already have defaults applied. Both halves call it, so a site
-// rejects a shipped record (whose floats cross as raw bits) before any
-// parameter reaches a solver or the budget grid.
+// rejects a shipped configuration before any parameter reaches a solver or
+// the budget grid.
 func validate(cfg Config) error {
 	if cfg.K <= 0 {
 		return fmt.Errorf("core: K = %d", cfg.K)
@@ -270,7 +260,8 @@ func RunOverCtx(ctx context.Context, tr transport.Transport, cfg Config) (Result
 // warm across jobs. Oracles are exact, so results are bit-identical to a
 // private-oracle run. o may be nil (a private oracle — memoized or raw — is
 // built per the engine policy in cfg); it must be built over exactly pts,
-// and it is ignored when cfg.NoCache or cfg.Reference asks for raw solves.
+// and it is ignored when cfg.LocalOpts.NoCache (or Reference, which implies
+// it) asks for raw solves.
 func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Oracle) (transport.Handler, error) {
 	cfg = cfg.withDefaults()
 	if err := validate(cfg); err != nil {
@@ -283,7 +274,7 @@ func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Ora
 		return nil, fmt.Errorf("core: negative site id %d", site)
 	}
 	if o != nil {
-		if cfg.NoCache {
+		if cfg.LocalOpts.NoCache {
 			o = nil
 		} else if o.N() != len(pts) {
 			return nil, fmt.Errorf("core: site %d oracle over %d points, shard has %d", site, o.N(), len(pts))
@@ -295,10 +286,10 @@ func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Ora
 	return protocol.Handler(cfg.params(), site, newMedianSite(cfg, site, pts, o)), nil
 }
 
-// costsOver wraps points in the objective's cost oracle per the engine
-// knobs: pairwise distances are memoized (exactly — cached and uncached
-// runs are bit-identical) unless eng.NoCache is set or the instance is too
-// large for the cache to pay for itself.
+// costsOver wraps points in the objective's cost oracle per the (normalized)
+// engine knobs: pairwise distances are memoized (exactly — cached and
+// uncached runs are bit-identical) unless eng.NoCache is set or the instance
+// is too large for the cache to pay for itself.
 func costsOver(pts []metric.Point, obj Objective, eng engine.Options) metric.Costs {
 	var sp metric.Space = metric.NewPoints(pts)
 	if !eng.NoCache {

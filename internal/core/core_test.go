@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -300,27 +301,44 @@ func TestCenterApproximationVersusExact(t *testing.T) {
 	}
 }
 
+// TestRunDeterministicGivenSeed: identical configurations give identical
+// runs, and the engine LocalOpts names is the one that runs — its sites hold
+// 75 points, where auto picks JV, so only the local-search row's cost and
+// bytes (pinned from a run of the enum this field replaced) show that the
+// setting reached every solve.
 func TestRunDeterministicGivenSeed(t *testing.T) {
-	_, sites := plantedSites(t, 300, 3, 4, 0.05, gen.Uniform, 15)
-	cfg := Config{K: 3, T: 15, Objective: Median, LocalOpts: kmedian.Options{Seed: 99}}
-	a, err := Run(sites, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(sites, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Centers) != len(b.Centers) {
-		t.Fatal("center counts differ")
-	}
-	for i := range a.Centers {
-		if !a.Centers[i].Equal(b.Centers[i]) {
-			t.Fatal("centers differ between identical runs")
+	in, sites := plantedSites(t, 300, 3, 4, 0.05, gen.Uniform, 15)
+	for _, tc := range []struct {
+		algo engine.Algo
+		cost string
+		up   int64
+	}{
+		{engine.Auto, "309.842252", 1178},
+		{engine.LocalSearch, "312.547972", 1131},
+	} {
+		cfg := Config{K: 3, T: 15, Objective: Median, LocalOpts: kmedian.Options{Seed: 99, Options: engine.Options{Algo: tc.algo}}}
+		a, err := Run(sites, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if a.Report.UpBytes != b.Report.UpBytes {
-		t.Fatal("bytes differ between identical runs")
+		b, err := Run(sites, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Centers) != len(b.Centers) {
+			t.Fatalf("%v: center counts differ", tc.algo)
+		}
+		for i := range a.Centers {
+			if !a.Centers[i].Equal(b.Centers[i]) {
+				t.Fatalf("%v: centers differ between identical runs", tc.algo)
+			}
+		}
+		if a.Report.UpBytes != b.Report.UpBytes {
+			t.Fatalf("%v: bytes differ between identical runs", tc.algo)
+		}
+		if cost := fmt.Sprintf("%.6f", Evaluate(in.Pts, a.Centers, a.OutlierBudget, Median)); cost != tc.cost || a.Report.UpBytes != tc.up {
+			t.Errorf("%v: cost %s with %d up bytes, want %s with %d", tc.algo, cost, a.Report.UpBytes, tc.cost, tc.up)
+		}
 	}
 }
 
@@ -423,52 +441,71 @@ func TestStringers(t *testing.T) {
 
 // TestMemoPolicyAtTheSite: a site that builds its own oracle runs a
 // low-dimensional shard raw and memoizes a higher-dimensional one
-// (metric.Memoizes), while an oracle handed in explicitly is used as given
-// whatever its dimension — and the answer is the same either way.
+// (metric.Memoizes) unless LocalOpts turns caching off, while an oracle
+// handed in explicitly is used as given whatever its dimension, and dropped
+// for a raw one under LocalOpts.NoCache — and the answer is the same every
+// way.
 func TestMemoPolicyAtTheSite(t *testing.T) {
 	low := gen.Mixture(gen.MixtureSpec{N: 120, K: 3, Dim: 2, OutlierFrac: 0.05, Seed: 3}).Pts
 	high := gen.Mixture(gen.MixtureSpec{N: 120, K: 3, Dim: 8, OutlierFrac: 0.05, Seed: 3}).Pts
-	if _, raw := costsOver(low, Median, engine.Options{}).(metric.SelfCosts).S.(*metric.Points); !raw {
-		t.Fatal("a dim-2 shard's private oracle is not the raw point set")
-	}
-	if _, memo := costsOver(high, Median, engine.Options{}).(metric.SelfCosts).S.(*metric.DistCache); !memo {
-		t.Fatal("a dim-8 shard's private oracle is not memoized")
+	for _, tc := range []struct {
+		name string
+		pts  []metric.Point
+		eng  engine.Options
+		raw  bool
+	}{
+		{"dim 2", low, engine.Options{}, true},
+		{"dim 8", high, engine.Options{}, false},
+		{"dim 8, LocalOpts.NoCache", high, engine.Options{NoCache: true}, true},
+		{"dim 8, LocalOpts.Reference", high, engine.Options{Reference: true}, true},
+	} {
+		cfg := Config{K: 3, T: 15, LocalOpts: kmedian.Options{Options: tc.eng}}.withDefaults()
+		_, medianRaw := newMedianSite(cfg, 0, tc.pts, nil).Costs.(metric.SelfCosts).S.(*metric.Points)
+		_, centerRaw := newCenterSite(cfg, tc.pts, nil).space.(*metric.Points)
+		if medianRaw != tc.raw || centerRaw != tc.raw {
+			t.Errorf("%s: the median site's private oracle is raw = %v, the center site's %v; want %v", tc.name, medianRaw, centerRaw, tc.raw)
+		}
 	}
 
 	_, sites := plantedSites(t, 300, 3, 3, 0.05, gen.Uniform, 18)
 	for _, obj := range []Objective{Median, Means, Center} {
-		cfg := Config{K: 3, T: 15, Objective: obj}
-		want, err := Run(sites, cfg)
+		want, err := Run(sites, Config{K: 3, T: 15, Objective: obj})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st metric.CacheStats
-		handlers := make([]transport.Handler, len(sites))
-		for i, pts := range sites {
-			dc := metric.NewDistCache(metric.NewPoints(pts))
-			dc.Counters = &st
-			if handlers[i], err = NewSiteHandlerOracle(cfg, i, pts, dc); err != nil {
+		for _, noCache := range []bool{false, true} {
+			cfg := Config{K: 3, T: 15, Objective: obj, LocalOpts: kmedian.Options{Options: engine.Options{NoCache: noCache}}}
+			var st metric.CacheStats
+			handlers := make([]transport.Handler, len(sites))
+			for i, pts := range sites {
+				dc := metric.NewDistCache(metric.NewPoints(pts))
+				dc.Counters = &st
+				if handlers[i], err = NewSiteHandlerOracle(cfg, i, pts, dc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr, err := tree.NewLocal(context.Background(), transport.KindLoopback, handlers, true, tree.Spec{})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		tr, err := tree.NewLocal(context.Background(), transport.KindLoopback, handlers, true, tree.Spec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := RunOverCtx(context.Background(), tr, cfg)
-		tr.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hits, misses := st.Snapshot(); hits == 0 || misses == 0 {
-			t.Fatalf("%v: the explicit dim-2 oracle saw %d hits and %d misses; it was not used", obj, hits, misses)
-		}
-		if len(got.Centers) != len(want.Centers) || got.Report.UpBytes != want.Report.UpBytes {
-			t.Fatalf("%v: explicit-oracle run differs from the raw run", obj)
-		}
-		for i := range want.Centers {
-			if !got.Centers[i].Equal(want.Centers[i]) {
-				t.Fatalf("%v: explicit-oracle run moved center %d", obj, i)
+			got, err := RunOverCtx(context.Background(), tr, cfg)
+			tr.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch hits, misses := st.Snapshot(); {
+			case noCache && hits+misses != 0:
+				t.Fatalf("%v: under LocalOpts.NoCache the explicit oracle saw %d hits and %d misses; it was not dropped", obj, hits, misses)
+			case !noCache && (hits == 0 || misses == 0):
+				t.Fatalf("%v: the explicit dim-2 oracle saw %d hits and %d misses; it was not used", obj, hits, misses)
+			}
+			if len(got.Centers) != len(want.Centers) || got.Report.UpBytes != want.Report.UpBytes {
+				t.Fatalf("%v (nocache %v): explicit-oracle run differs from the raw run", obj, noCache)
+			}
+			for i := range want.Centers {
+				if !got.Centers[i].Equal(want.Centers[i]) {
+					t.Fatalf("%v (nocache %v): explicit-oracle run moved center %d", obj, noCache, i)
+				}
 			}
 		}
 	}

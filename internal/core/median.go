@@ -29,10 +29,10 @@ func newMedianSite(cfg Config, site int, pts []metric.Point, o metric.Oracle) *m
 	if o != nil {
 		costs = costsShared(o, cfg.Objective)
 	} else {
-		costs = costsOver(pts, cfg.Objective, cfg.Options)
+		costs = costsOver(pts, cfg.Objective, opts.Options)
 	}
 	return &medianSite{
-		BudgetSolver: protocol.BudgetSolver{Costs: costs, K: 2 * cfg.K, Engine: cfg.Engine, Opts: opts},
+		BudgetSolver: protocol.BudgetSolver{Costs: costs, K: 2 * cfg.K, Opts: opts},
 		cfg:          cfg,
 		pts:          pts,
 	}
@@ -121,7 +121,7 @@ func (r *reducer) Solve(res *Result) {
 		// No distance cache here: PartialOpt's fast engine asks for every
 		// distance once (the upper triangle, for a *metric.Points) and
 		// works from its own sorted copy.
-		sol := kcenter.PartialOpt(metric.NewPoints(r.pts), r.wts, cfg.K, float64(cfg.T), cfg.Options)
+		sol := kcenter.PartialOpt(metric.NewPoints(r.pts), r.wts, cfg.K, float64(cfg.T), cfg.LocalOpts.Options)
 		res.Centers, res.CoordinatorCost = protocol.PointsAt(r.pts, sol.Centers), sol.Radius
 		return
 	}
@@ -131,7 +131,7 @@ func (r *reducer) Solve(res *Result) {
 	if cfg.RelaxCenters {
 		relax = kmedian.RelaxCenters
 	}
-	sol := kmedian.Bicriteria(costsOver(r.pts, cfg.Objective, cfg.Options), r.wts, cfg.K, float64(cfg.T), cfg.Eps, relax, cfg.Engine, copt)
+	sol := kmedian.Bicriteria(costsOver(r.pts, cfg.Objective, copt.Options), r.wts, cfg.K, float64(cfg.T), cfg.Eps, relax, copt)
 	res.Centers, res.CoordinatorCost = protocol.PointsAt(r.pts, sol.Centers), sol.Cost
 	if cfg.LloydPolish && cfg.Objective == Means {
 		res.Centers, res.CoordinatorCost = kmedian.LloydPolish(r.pts, r.wts, res.Centers, sol.Budget, 32)

@@ -1,30 +1,75 @@
 // Package engine holds the one set of solver-engine knobs shared by every
-// layer of the stack: the root dpc.Config, kmedian.Options, kcenter.Opt and
-// client.Request all embed (or alias) engine.Options, so "which engine, how
-// many workers, which caches" is said in exactly one vocabulary from the
-// CLI flags down to the per-site solvers.
+// layer of the stack: kmedian.Options embeds engine.Options (so every run
+// configuration spells them once, in its LocalOpts), kcenter.Opt aliases it
+// and client.Request carries it, so "which engine, how many workers, which
+// caches" is said in exactly one vocabulary from the CLI flags down to the
+// per-site solvers.
 //
-// The knobs never change results — every configuration returns centers
-// bit-identical to the Reference engine — they only move wall-clock and
-// memory. That invariant is what lets the serving layer pick engine settings
-// per deployment without re-validating outputs.
+// Apart from Algo, which picks the algorithm, the knobs never change
+// results — every configuration returns centers bit-identical to the
+// Reference engine — they only move wall-clock and memory. That invariant is
+// what lets the serving layer pick engine settings per deployment without
+// re-validating outputs.
 package engine
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
+// Algo selects the k-median optimization algorithm behind the Theorem 3.1
+// interface. It crosses every wire as its name; "" reads as Auto, and any
+// other name is an error.
+type Algo int
+
+// Algorithms.
+const (
+	Auto        Algo = iota // JV on small instances, local search otherwise
+	LocalSearch             // always the swap local search
+	JV                      // always the primal-dual Lagrangian engine
+)
+
+var algoNames = [...]string{"auto", "localsearch", "jv"}
+
+// String implements fmt.Stringer.
+func (a Algo) String() string {
+	if b, err := a.MarshalText(); err == nil {
+		return string(b)
+	}
+	return fmt.Sprintf("engine.Algo(%d)", int(a))
+}
+
+// MarshalText implements encoding.TextMarshaler.
+func (a Algo) MarshalText() ([]byte, error) {
+	if a < 0 || int(a) >= len(algoNames) {
+		return nil, fmt.Errorf("engine: unknown algorithm %d", int(a))
+	}
+	return []byte(algoNames[a]), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (a *Algo) UnmarshalText(b []byte) error {
+	i := slices.Index(algoNames[:], string(b))
+	if len(b) == 0 {
+		i = int(Auto)
+	}
+	if i < 0 {
+		return fmt.Errorf("engine: unknown algorithm %q (want auto, localsearch or jv)", b)
+	}
+	*a = Algo(i)
+	return nil
+}
+
 // Options are the consolidated engine knobs. The zero value is the default
 // fast engine: auto algorithm selection, one worker per CPU, memoized
 // distance caches on.
 type Options struct {
-	// Algo selects the k-median algorithm: "" or "auto" (default),
-	// "localsearch", or "jv". Non-median solvers ignore it.
-	Algo string `json:"algo,omitempty" usage:"k-median engine: auto | localsearch | jv"`
+	// Algo selects the k-median algorithm. Non-median solvers ignore it.
+	Algo Algo `json:"algo,omitempty" usage:"k-median engine: auto | localsearch | jv"`
 	// Workers bounds per-solve goroutines (0 = one per CPU); results are
 	// bit-identical for every value.
 	Workers int `json:"workers,omitempty" usage:"solver goroutines per solve (0 = one per CPU)"`
@@ -47,30 +92,15 @@ func (o Options) Normalize() Options {
 	return o
 }
 
-// Spec is Options plus wire/CLI ergonomics: it unmarshals from either the
-// legacy JSON string form ("jv" — just the algorithm) or the full object
-// form ({"algo":"jv","workers":4}), and it implements flag.Value so one
-// -engine flag accepts "jv" or "jv,workers=4,nocache". Keys the object form
-// does not know — the retired "index" / "pivots" of older journals and
-// clients among them — are ignored, as encoding/json ignores any unknown
-// field.
+// Spec is Options plus wire/CLI ergonomics: it marshals as the object form
+// ({"algo":"jv","workers":4}) and unmarshals from that or from the legacy
+// string form ("jv" — just the algorithm) of older journals and request
+// bodies, and it implements flag.Value so one -engine flag accepts "jv" or
+// "jv,workers=4,nocache". Keys the object form does not know — the retired
+// "index" / "pivots" of older journals and clients among them — are
+// ignored, as encoding/json ignores any unknown field.
 type Spec struct {
 	Options
-}
-
-// IsZero reports whether every knob is at its default.
-func (s Spec) IsZero() bool { return s.Options == Options{} }
-
-// MarshalJSON emits the compact string form when only Algo is set (the wire
-// shape every older client and journal record used), and the object form
-// otherwise.
-func (s Spec) MarshalJSON() ([]byte, error) {
-	if o := s.Options; o == (Options{Algo: o.Algo}) {
-		return []byte(strconv.Quote(o.Algo)), nil
-	}
-	// Alias strips Spec's methods so the object form marshals plainly.
-	type alias Options
-	return json.Marshal(alias(s.Options))
 }
 
 // UnmarshalJSON accepts both wire shapes.
@@ -84,8 +114,8 @@ func (s *Spec) UnmarshalJSON(b []byte) error {
 		if err != nil {
 			return fmt.Errorf("engine: bad string spec %s: %w", t, err)
 		}
-		s.Options = Options{Algo: algo}
-		return nil
+		s.Options = Options{}
+		return s.Algo.UnmarshalText([]byte(algo))
 	}
 	type alias Options
 	var a alias
@@ -102,8 +132,8 @@ func (s *Spec) String() string {
 		return ""
 	}
 	var parts []string
-	if s.Algo != "" {
-		parts = append(parts, s.Algo)
+	if s.Algo != Auto {
+		parts = append(parts, s.Algo.String())
 	}
 	if s.Workers != 0 {
 		parts = append(parts, "workers="+strconv.Itoa(s.Workers))
@@ -139,14 +169,14 @@ func (s *Spec) Set(v string) error {
 			continue
 		}
 		switch tok {
-		case "auto", "localsearch", "jv":
-			out.Algo = tok
 		case "nocache", "no-cache", "no_cache":
 			out.NoCache = true
 		case "reference":
 			out.Reference = true
 		default:
-			return fmt.Errorf("engine: unknown token %q (want %s)", tok, strings.Join(specKeys, " | "))
+			if out.Algo.UnmarshalText([]byte(tok)) != nil {
+				return fmt.Errorf("engine: unknown token %q (want %s)", tok, strings.Join(specKeys, " | "))
+			}
 		}
 	}
 	s.Options = out

@@ -2,58 +2,67 @@ package engine
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
 func TestNormalizeReferenceImplies(t *testing.T) {
-	o := Options{Reference: true, Workers: 8, Algo: "jv"}
+	o := Options{Reference: true, Workers: 8, Algo: JV}
 	n := o.Normalize()
 	if n.Workers != 1 || !n.NoCache {
 		t.Fatalf("Normalize(reference) = %+v, want workers=1 nocache", n)
 	}
-	if n.Algo != "jv" {
+	if n.Algo != JV {
 		t.Fatalf("Normalize clobbered Algo: %+v", n)
 	}
 	if again := n.Normalize(); again != n {
 		t.Fatalf("Normalize not idempotent: %+v vs %+v", again, n)
 	}
-	if fast := (Options{Workers: 3, Algo: "jv"}).Normalize(); fast != (Options{Workers: 3, Algo: "jv"}) {
+	if fast := (Options{Workers: 3, Algo: JV}).Normalize(); fast != (Options{Workers: 3, Algo: JV}) {
 		t.Fatalf("Normalize touched a non-reference config: %+v", fast)
 	}
 }
 
 func TestSpecJSONStringForm(t *testing.T) {
-	// Legacy wire shape: a bare string is just the algorithm.
-	var s Spec
-	if err := json.Unmarshal([]byte(`"jv"`), &s); err != nil {
-		t.Fatal(err)
+	// Legacy wire shape of older journals and request bodies: a bare string
+	// is just the algorithm, and "" is the default one.
+	for body, want := range map[string]Options{`"jv"`: {Algo: JV}, `"localsearch"`: {Algo: LocalSearch}, `""`: {}} {
+		s := Spec{Options{Workers: 3}}
+		if err := json.Unmarshal([]byte(body), &s); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if s.Options != want {
+			t.Fatalf("string form %s decoded to %+v, want %+v", body, s.Options, want)
+		}
 	}
-	if s.Options != (Options{Algo: "jv"}) {
-		t.Fatalf("string form decoded to %+v", s.Options)
-	}
-	// And an algo-only spec marshals back to exactly that string, so older
-	// journals and clients keep seeing the shape they wrote.
-	b, err := json.Marshal(s)
+	// Only the object form is ever written back.
+	b, err := json.Marshal(Spec{Options{Algo: JV}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(b) != `"jv"` {
-		t.Fatalf("algo-only spec marshaled to %s, want \"jv\"", b)
+	if string(b) != `{"algo":"jv"}` {
+		t.Fatalf("algo-only spec marshaled to %s, want the object form", b)
 	}
 }
 
 func TestSpecJSONObjectForm(t *testing.T) {
-	in := Spec{Options{Algo: "localsearch", Workers: 4, NoCache: true}}
-	b, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out Spec
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("object round trip %s decoded to %+v", b, out.Options)
+	for _, algo := range []Algo{Auto, LocalSearch, JV} {
+		in := Spec{Options{Algo: algo, Workers: 4, NoCache: true}}
+		b, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if algo != Auto && !strings.Contains(string(b), `"algo":"`+algo.String()+`"`) {
+			t.Fatalf("%v marshaled to %s, want its name", algo, b)
+		}
+		out = Spec{Options{Algo: 7}}
+		if err := json.Unmarshal(b, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out != in {
+			t.Fatalf("object round trip %s decoded to %+v", b, out.Options)
+		}
 	}
 	// null leaves the spec untouched (absent field in a containing struct).
 	prev := out
@@ -70,7 +79,7 @@ func TestSpecFlagTokens(t *testing.T) {
 	if err := s.Set("jv,workers=4,nocache"); err != nil {
 		t.Fatal(err)
 	}
-	want := Options{Algo: "jv", Workers: 4, NoCache: true}
+	want := Options{Algo: JV, Workers: 4, NoCache: true}
 	if s.Options != want {
 		t.Fatalf("Set parsed %+v, want %+v", s.Options, want)
 	}
@@ -93,34 +102,42 @@ func TestSpecFlagTokens(t *testing.T) {
 	if err := s.Set(" auto , nocache ,"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Options != (Options{Algo: "auto", NoCache: true}) {
+	if s.Options != (Options{Algo: Auto, NoCache: true}) {
 		t.Fatalf("Set with spaces parsed %+v", s.Options)
 	}
 }
 
 func TestSpecFlagErrors(t *testing.T) {
-	for _, bad := range []string{"bogus", "workers=many", "depth=3", "index=1", "index", "pivots=16"} {
+	for _, bad := range []string{"bogus", "warp", "JV", "workers=many", "depth=3", "index=1", "index", "pivots=16"} {
 		var s Spec
 		if err := s.Set(bad); err == nil {
 			t.Errorf("Set(%q) accepted an invalid spec", bad)
 		}
 	}
-	var s Spec
-	if err := json.Unmarshal([]byte(`{"workers":"four"}`), &s); err == nil {
-		t.Error("UnmarshalJSON accepted a mistyped object")
+	// An unknown algorithm fails at decode in either JSON form, and so does
+	// a numeric one.
+	for _, bad := range []string{`{"workers":"four"}`, `"warp"`, `{"algo":"warp"}`, `{"algo":2}`} {
+		var s Spec
+		if err := json.Unmarshal([]byte(bad), &s); err == nil {
+			t.Errorf("UnmarshalJSON accepted %s", bad)
+		}
+	}
+	// A value outside the enum has no name to cross the wire with.
+	if b, err := json.Marshal(Spec{Options{Algo: 7}}); err == nil {
+		t.Errorf("Algo(7) marshaled to %s", b)
 	}
 }
 
+// TestSpecIsZero: the zero Spec is the default engine in every form — it
+// marshals as the empty object and renders as the empty flag value.
 func TestSpecIsZero(t *testing.T) {
-	var s Spec
-	if !s.IsZero() {
-		t.Fatal("zero Spec not IsZero")
-	}
-	s.NoCache = true
-	if s.IsZero() {
-		t.Fatal("non-zero Spec reported IsZero")
+	if b, err := json.Marshal(Spec{}); err != nil || string(b) != "{}" {
+		t.Fatalf("zero Spec marshaled to %s, %v; want {}", b, err)
 	}
 	if s := (Spec{}); s.String() != "" {
 		t.Fatalf("zero Spec renders %q", s.String())
+	}
+	if b, _ := json.Marshal(Spec{Options{NoCache: true}}); string(b) == "{}" {
+		t.Fatal("a non-zero Spec marshaled as the empty object")
 	}
 }

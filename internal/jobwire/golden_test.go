@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"dpc/internal/core"
+	"dpc/internal/engine"
 	"dpc/internal/gen"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
@@ -27,12 +28,22 @@ var update = flag.Bool("update", false, "rewrite testdata/protocol_seed1.golden 
 const goldenPath = "testdata/protocol_seed1.golden"
 
 // goldenRun runs j with one loopback site per shard behind a wireHash, and
-// checks that the in-process scaffold (RunLocal) is that same run.
+// checks that the in-process scaffold (RunLocal) is that same run. The site
+// handlers are built from j as its job frame delivers it, Decode(Encode(j)),
+// so the golden also proves the frame carries every field a site half
+// reads.
 func goldenRun(j Job, sh Shards) (protocol.Result, *wireHash, error) {
+	blob, err := Encode(j)
+	if err != nil {
+		return protocol.Result{}, nil, err
+	}
+	sent, err := Decode(blob)
+	if err != nil {
+		return protocol.Result{}, nil, err
+	}
 	hs := make([]transport.Handler, len(sh.Pts))
 	for i := range hs {
-		var err error
-		if hs[i], err = j.SiteHandler(SiteData{Site: i, Pts: sh.Pts[i], G: sh.G, Nodes: sh.Nodes[i]}); err != nil {
+		if hs[i], err = sent.SiteHandler(SiteData{Site: i, Pts: sh.Pts[i], G: sh.G, Nodes: sh.Nodes[i]}); err != nil {
 			return protocol.Result{}, nil, err
 		}
 	}
@@ -137,6 +148,7 @@ func goldenShards() Shards {
 // by the job API's spellings, in the order the golden file holds them.
 func goldenJobs() (names []string, jobs []Job) {
 	opts := kmedian.Options{Seed: 1}
+	ls := kmedian.Options{Seed: 1, Options: engine.Options{Algo: engine.LocalSearch}}
 	for _, obj := range []core.Objective{core.Median, core.Means, core.Center} {
 		for i, vr := range []core.Variant{core.TwoRound, core.OneRound, core.TwoRoundNoOutliers} {
 			names = append(names, fmt.Sprintf("%v/%s", obj, [...]string{"2round", "1round", "noship"}[i]))
@@ -148,13 +160,13 @@ func goldenJobs() (names []string, jobs []Job) {
 		for j, vr := range []uncertain.Variant{uncertain.TwoRound, uncertain.OneRoundShipDists} {
 			names = append(names, [...]string{"u-median", "u-means", "u-centerpp"}[i]+[...]string{"/2round", "/1round"}[j])
 			jobs = append(jobs, Job{Kind: KindUncertain, Obj: obj,
-				Unc: uncertain.Config{K: 3, T: 6, Variant: vr, Engine: kmedian.EngineLocalSearch, LocalOpts: opts}})
+				Unc: uncertain.Config{K: 3, T: 6, Variant: vr, LocalOpts: ls}})
 		}
 	}
 	for i, name := range []string{"u-centerg/2round", "u-centerg/1round"} {
 		names = append(names, name)
 		jobs = append(jobs, Job{Kind: KindCenterG,
-			CenterG: uncertain.CenterGConfig{K: 3, T: 6, OneRound: i == 1, Engine: kmedian.EngineLocalSearch, LocalOpts: opts}})
+			CenterG: uncertain.CenterGConfig{K: 3, T: 6, OneRound: i == 1, LocalOpts: ls}})
 	}
 	return names, jobs
 }

@@ -12,15 +12,17 @@
 // never name a protocol package.
 //
 // A frame is a two-byte envelope — magic, kind — followed by the kind's
-// configuration, so one connected site fleet serves every protocol:
+// configuration as JSON, one codec for every kind (float64 values
+// round-trip exactly), so one connected site fleet serves every protocol:
 //
-//   - KindPoint: Algorithm 1/2 over the site's point shard (the payload is
-//     the exact core.EncodeConfig record, so its byte-parity guarantees
-//     carry over).
+//   - KindPoint: Algorithm 1/2 over the site's point shard (core.Config).
 //   - KindUncertain: Algorithm 3 (uncertain median/means/center-pp) over
-//     the site's node shard; the config crosses as JSON (float64 values
-//     round-trip exactly through encoding/json).
+//     the site's node shard (the objective and an uncertain.Config).
 //   - KindCenterG: Algorithm 4 (uncertain center-g) over the node shard.
+//
+// The coordinator-local Transport and Topology stay out of the frame. A site
+// half applies defaults and validation to what it decodes, as a coordinator
+// does, and transport.JobsHello versions the layout.
 package jobwire
 
 import (
@@ -82,29 +84,35 @@ type Job struct {
 
 // uncertainWire is the JSON payload of a KindUncertain frame.
 type uncertainWire struct {
-	Obj uncertain.Objective `json:"obj"`
-	Cfg uncertain.Config    `json:"cfg"`
+	Obj *uncertain.Objective `json:"obj"`
+	Cfg *uncertain.Config    `json:"cfg"`
+}
+
+// body points at what a frame of j's kind carries: the value Encode
+// marshals and Decode fills.
+func (j *Job) body() (any, error) {
+	switch j.Kind {
+	case KindPoint:
+		return &j.Core, nil
+	case KindUncertain:
+		return &uncertainWire{Obj: &j.Obj, Cfg: &j.Unc}, nil
+	case KindCenterG:
+		return &j.CenterG, nil
+	}
+	return nil, fmt.Errorf("jobwire: unknown job kind %v", j.Kind)
 }
 
 // Encode serializes a job frame.
 func Encode(j Job) ([]byte, error) {
-	switch j.Kind {
-	case KindPoint:
-		return append([]byte{magic, byte(KindPoint)}, core.EncodeConfig(j.Core)...), nil
-	case KindUncertain:
-		body, err := json.Marshal(uncertainWire{Obj: j.Obj, Cfg: j.Unc})
-		if err != nil {
-			return nil, fmt.Errorf("jobwire: %w", err)
-		}
-		return append([]byte{magic, byte(KindUncertain)}, body...), nil
-	case KindCenterG:
-		body, err := json.Marshal(j.CenterG)
-		if err != nil {
-			return nil, fmt.Errorf("jobwire: %w", err)
-		}
-		return append([]byte{magic, byte(KindCenterG)}, body...), nil
+	body, err := j.body()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("jobwire: unknown job kind %v", j.Kind)
+	b, err := json.Marshal(body)
+	if err != nil {
+		return nil, fmt.Errorf("jobwire: %v job: %w", j.Kind, err)
+	}
+	return append([]byte{magic, byte(j.Kind)}, b...), nil
 }
 
 // Decode parses a job frame.
@@ -115,28 +123,15 @@ func Decode(b []byte) (Job, error) {
 	if b[0] != magic {
 		return Job{}, fmt.Errorf("jobwire: bad job frame magic 0x%02x", b[0])
 	}
-	body := b[2:]
-	switch Kind(b[1]) {
-	case KindPoint:
-		cfg, err := core.DecodeConfig(body)
-		if err != nil {
-			return Job{}, fmt.Errorf("jobwire: point job: %w", err)
-		}
-		return Job{Kind: KindPoint, Core: cfg}, nil
-	case KindUncertain:
-		var w uncertainWire
-		if err := json.Unmarshal(body, &w); err != nil {
-			return Job{}, fmt.Errorf("jobwire: uncertain job: %w", err)
-		}
-		return Job{Kind: KindUncertain, Obj: w.Obj, Unc: w.Cfg}, nil
-	case KindCenterG:
-		var cfg uncertain.CenterGConfig
-		if err := json.Unmarshal(body, &cfg); err != nil {
-			return Job{}, fmt.Errorf("jobwire: center-g job: %w", err)
-		}
-		return Job{Kind: KindCenterG, CenterG: cfg}, nil
+	j := Job{Kind: Kind(b[1])}
+	body, err := j.body()
+	if err != nil {
+		return Job{}, err
 	}
-	return Job{}, fmt.Errorf("jobwire: unknown job kind %d", b[1])
+	if err := json.Unmarshal(b[2:], body); err != nil {
+		return Job{}, fmt.Errorf("jobwire: %v job: %w", j.Kind, err)
+	}
+	return j, nil
 }
 
 // SiteData is the state a persistent site holds across jobs: its point

@@ -1,14 +1,15 @@
 package jobwire
 
 import (
+	"bytes"
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"dpc/internal/core"
 	"dpc/internal/engine"
 	"dpc/internal/gen"
+	"dpc/internal/geom"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 	"dpc/internal/transport"
@@ -16,16 +17,24 @@ import (
 	"dpc/internal/uncertain"
 )
 
+// TestEncodeDecodeRoundTrip: a frame carries every field of its kind's
+// configuration exactly, except the coordinator-local Transport and
+// Topology, which it drops.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
+	tree4 := tree.Spec{Tree: true, Branch: 4}
 	cases := []Job{
-		{Kind: KindPoint, Core: core.Config{K: 5, T: 40, Objective: core.Center,
-			LocalOpts: kmedian.Options{Seed: 9}, Options: engine.Options{Workers: 3}}},
+		{Kind: KindPoint, Core: core.Config{K: 5, T: 40, Objective: core.Center, Variant: core.TwoRoundNoOutliers,
+			Eps: 0.5, Rho: 1.25, Delta: 0.125, HullBase: 3,
+			LocalOpts: kmedian.Options{Seed: -9, MaxIters: 17, SampleFacilities: -1, Restarts: 2,
+				Options: engine.Options{Algo: engine.JV, Workers: 3, NoCache: true}},
+			Topology: tree4}},
 		{Kind: KindUncertain, Obj: uncertain.CenterPP,
-			Unc: uncertain.Config{K: 2, T: 7, Eps: 0.5, LocalOpts: kmedian.Options{Seed: -4}}},
-		{Kind: KindCenterG, CenterG: uncertain.CenterGConfig{K: 3, T: 11, TauBase: 4, OneRound: true}},
+			Unc: uncertain.Config{K: 2, T: 7, Eps: 0.5, LocalOpts: kmedian.Options{Seed: -4,
+				Options: engine.Options{Algo: engine.LocalSearch, Reference: true}}, Topology: tree4}},
+		{Kind: KindCenterG, CenterG: uncertain.CenterGConfig{K: 3, T: 11, TauBase: 4, OneRound: true, Topology: tree4}},
 	}
 	for _, in := range cases {
-		b, err := Encode(in)
+		b, err := Encode(in.OnTransport(transport.KindTCP))
 		if err != nil {
 			t.Fatalf("%v: %v", in.Kind, err)
 		}
@@ -33,77 +42,78 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: decode: %v", in.Kind, err)
 		}
-		if out.Kind != in.Kind {
-			t.Fatalf("kind %v round-tripped to %v", in.Kind, out.Kind)
-		}
-		switch in.Kind {
-		case KindPoint:
-			// The point payload reuses the handshake encoding, which
-			// re-applies defaults; compare against that canonical form.
-			want, err := core.DecodeConfig(core.EncodeConfig(in.Core))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(out.Core, want) {
-				t.Fatalf("core config %+v, want %+v", out.Core, want)
-			}
-		case KindUncertain:
-			if out.Obj != in.Obj || !reflect.DeepEqual(out.Unc, in.Unc) {
-				t.Fatalf("uncertain job %+v/%+v, want %+v/%+v", out.Obj, out.Unc, in.Obj, in.Unc)
-			}
-		case KindCenterG:
-			if !reflect.DeepEqual(out.CenterG, in.CenterG) {
-				t.Fatalf("center-g config %+v, want %+v", out.CenterG, in.CenterG)
-			}
+		want := in
+		want.Core.Topology, want.Unc.Topology, want.CenterG.Topology = tree.Spec{}, tree.Spec{}, tree.Spec{}
+		if !reflect.DeepEqual(out, want) {
+			t.Fatalf("%v job round-tripped to\n%+v\nwant\n%+v", in.Kind, out, want)
 		}
 	}
 }
+
+// binaryPointFrame is a point job frame in the retired binary config record
+// (version 4, 96 bytes behind the envelope) — the golden median/2round job
+// as a coordinator of the previous frame version sent it.
+const binaryPointFrame = "\xdc\x01\x04\x03\x00\x00\x00\x00\x00\x00\x00(\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00\x00\x00@\x00\x00\x00\x00\x00\x00\xd0?\x00\x00\x00\x00\x00\x00\x00@\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	// A config record without the envelope is not a job frame.
-	bare := core.EncodeConfig(core.Config{K: 4, T: 9})
-	for _, b := range [][]byte{nil, {}, {magic}, {magic, 99, 1, 2}, {magic, byte(KindUncertain), '{'}, {7, 7, 7}, bare} {
+	// A config without the envelope is not a job frame, and the binary point
+	// record of the previous frame version is not JSON.
+	for _, b := range [][]byte{nil, {}, {magic}, {magic, 99, 1, 2}, {magic, byte(KindUncertain), '{'}, {7, 7, 7},
+		[]byte(`{"K":4,"T":9}`), []byte(binaryPointFrame), append([]byte{magic, byte(KindPoint)}, `{"K":4,"T":9}x`...)} {
 		if _, err := Decode(b); err == nil {
-			t.Fatalf("decoded garbage %v", b)
+			t.Fatalf("decoded garbage %q", b)
 		}
 	}
 }
 
-// TestDecodeFramesWithRetiredSequentialKey: the two uncertain configs cross
-// as JSON and used to carry a Sequential field no code ever set. These are
-// the frame bodies the tree before its removal encoded for the round-trip
-// cases above; a coordinator of that vintage still arms today's sites with
-// the same job.
-func TestDecodeFramesWithRetiredSequentialKey(t *testing.T) {
-	for _, tc := range []struct {
-		kind Kind
-		body string
-		want Job
-	}{
-		{KindUncertain,
-			`{"obj":2,"cfg":{"K":2,"T":7,"Variant":0,"Eps":0.5,"Rho":0,"HullBase":0,"Engine":0,"LocalOpts":{"Seed":-4,"MaxIters":0,"SampleFacilities":0,"Restarts":0,"Warm":null},"Candidates":0,"Sequential":false,"Transport":"","topology":"star"}}`,
-			Job{Kind: KindUncertain, Obj: uncertain.CenterPP,
-				Unc: uncertain.Config{K: 2, T: 7, Eps: 0.5, LocalOpts: kmedian.Options{Seed: -4}}}},
-		{KindCenterG,
-			`{"K":3,"T":11,"Eps":0,"Rho":0,"HullBase":0,"TauBase":4,"MaxFacilities":0,"Engine":0,"LocalOpts":{"Seed":0,"MaxIters":0,"SampleFacilities":0,"Restarts":0,"Warm":null},"Sequential":false,"OneRound":true,"Transport":"","topology":"star"}`,
-			Job{Kind: KindCenterG, CenterG: uncertain.CenterGConfig{K: 3, T: 11, TauBase: 4, OneRound: true}}},
-	} {
-		got, err := Decode(append([]byte{magic, byte(tc.kind)}, tc.body...))
+// FuzzDecodeJob feeds arbitrary bytes to the job frame decoder, as a site
+// receives them: it must never panic, and whatever it accepts must re-encode
+// to a fixed point (compared as bytes). A point job the site half also
+// accepts (defaults plus validation) must give a budget grid that returns —
+// the site's first use of T and HullBase.
+func FuzzDecodeJob(f *testing.F) {
+	_, jobs := goldenJobs()
+	for _, j := range jobs {
+		b, err := Encode(j)
 		if err != nil {
-			t.Fatalf("%v: %v", tc.kind, err)
+			f.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%v frame with the retired key decoded to %+v, want %+v", tc.kind, got, tc.want)
-		}
-		// Today's encoding is the same body without the key.
-		now, err := Encode(tc.want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := strings.Replace(tc.body, `"Sequential":false,`, "", 1); string(now[2:]) != want {
-			t.Errorf("%v frame body is now\n%s\nwant the old body less the key:\n%s", tc.kind, now[2:], want)
-		}
+		f.Add(b)
 	}
+	f.Add([]byte(binaryPointFrame))
+	// A hostile point config whose HullBase of 7.9e115 once hung a site's
+	// budget grid, restated as a JSON frame.
+	hostile, err := Encode(Job{Kind: KindPoint, Core: core.Config{K: 3470867938590851075, T: 134020159504424, Variant: 90,
+		Eps: 1.2301717406954053e+160, Rho: 2.0000000000000533, Delta: 0.2500000000017195, HullBase: 7.880401249703114e+115,
+		LocalOpts: kmedian.Options{Seed: 1}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hostile)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		j, err := Decode(raw)
+		if err != nil {
+			return
+		}
+		once, err := Encode(j)
+		if err != nil {
+			t.Fatalf("accepted frame does not re-encode: %v", err)
+		}
+		again, err := Decode(once)
+		if err != nil {
+			t.Fatalf("re-encoded frame rejected: %v", err)
+		}
+		if twice, err := Encode(again); err != nil || !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding is not a fixed point (%v):\n%s\n%s", err, once, twice)
+		}
+		if j.Kind != KindPoint {
+			return
+		}
+		if _, err := j.SiteHandler(SiteData{Pts: []metric.Point{{0}}}); err != nil {
+			return
+		}
+		geom.Grid(min(j.Core.T, 4096), j.Core.HullBase)
+	})
 }
 
 // TestPersistentSiteCachesLowDimensionShard: the memo a persistent site

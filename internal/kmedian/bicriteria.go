@@ -3,33 +3,9 @@ package kmedian
 import (
 	"math"
 
+	"dpc/internal/engine"
 	"dpc/internal/metric"
 )
-
-// Engine selects the optimization engine behind the Theorem 3.1 interface.
-type Engine int
-
-const (
-	// EngineAuto uses JV on small instances (where its O(n^2 log n) events
-	// are cheap) and local search otherwise.
-	EngineAuto Engine = iota
-	// EngineLocalSearch always uses the swap local search.
-	EngineLocalSearch
-	// EngineJV always uses the primal-dual Lagrangian engine.
-	EngineJV
-)
-
-// String implements fmt.Stringer.
-func (e Engine) String() string {
-	switch e {
-	case EngineLocalSearch:
-		return "localsearch"
-	case EngineJV:
-		return "jv"
-	default:
-		return "auto"
-	}
-}
 
 // Relax selects which criterion Theorem 3.1 relaxes.
 type Relax int
@@ -41,13 +17,18 @@ const (
 	RelaxCenters
 )
 
-// autoJVLimit is the instance size up to which EngineAuto picks JV.
+// autoJVLimit is the instance size up to which engine.Auto picks JV.
 const autoJVLimit = 140
 
-// Solve dispatches a plain (k,t) solve (unicriterion budget) to the chosen
-// engine — the "Compute sol(A_i, 2k, q)" of Algorithm 1 Line 3.
-func Solve(c metric.Costs, w []float64, k int, t float64, engine Engine, opt Options) Solution {
-	if engine == EngineJV || (engine == EngineAuto && c.Clients() <= autoJVLimit) {
+// useJV reports whether opt.Algo sends a solve over c to the JV engine.
+func useJV(c metric.Costs, opt Options) bool {
+	return opt.Algo == engine.JV || (opt.Algo == engine.Auto && c.Clients() <= autoJVLimit)
+}
+
+// Solve dispatches a plain (k,t) solve (unicriterion budget) to the engine
+// opt.Algo selects — the "Compute sol(A_i, 2k, q)" of Algorithm 1 Line 3.
+func Solve(c metric.Costs, w []float64, k int, t float64, opt Options) Solution {
+	if useJV(c, opt) {
 		return JV(c, w, k, t, 0, opt)
 	}
 	return LocalSearch(c, w, k, t, opt)
@@ -57,23 +38,24 @@ func Solve(c metric.Costs, w []float64, k int, t float64, engine Engine, opt Opt
 // sol(Z,(1+eps)k,t) for the (k,t)-median problem (means when c is a
 // metric.Squared oracle) with constant-factor quality in the O(1/eps)
 // regime. eps <= 0 is treated as 0 (unicriterion evaluation budget).
-func Bicriteria(c metric.Costs, w []float64, k int, t float64, eps float64, relax Relax, engine Engine, opt Options) Solution {
+// opt.Algo selects the engine.
+func Bicriteria(c metric.Costs, w []float64, k int, t float64, eps float64, relax Relax, opt Options) Solution {
 	if eps < 0 {
 		eps = 0
 	}
-	useJV := engine == EngineJV || (engine == EngineAuto && c.Clients() <= autoJVLimit)
+	jv := useJV(c, opt)
 	switch relax {
 	case RelaxCenters:
 		kk := int(math.Ceil(float64(k) * (1 + eps)))
 		if kk < k {
 			kk = k
 		}
-		if useJV {
+		if jv {
 			return JV(c, w, kk, t, 0, opt)
 		}
 		return LocalSearch(c, w, kk, t, opt)
 	default: // RelaxOutliers
-		if useJV {
+		if jv {
 			return JV(c, w, k, t, eps, opt)
 		}
 		return LocalSearch(c, w, k, t*(1+eps), opt)

@@ -97,15 +97,17 @@ func TestJVCancelMidSolve(t *testing.T) {
 func TestCancelNeverChangesLiveResults(t *testing.T) {
 	pts := cancelTestPoints(200)
 	base := metric.NewPoints(pts)
-	for _, engine := range []Engine{EngineLocalSearch, EngineJV} {
-		plain := Solve(base, nil, 5, 12, engine, Options{Seed: 7})
-		ctxed := Solve(base, nil, 5, 12, engine, Options{Seed: 7, Ctx: context.Background()})
+	for _, algo := range []engine.Algo{engine.LocalSearch, engine.JV} {
+		opts := Options{Seed: 7, Options: engine.Options{Algo: algo}}
+		plain := Solve(base, nil, 5, 12, opts)
+		opts.Ctx = context.Background()
+		ctxed := Solve(base, nil, 5, 12, opts)
 		if plain.Cost != ctxed.Cost || len(plain.Centers) != len(ctxed.Centers) {
-			t.Fatalf("%v: live context changed the solution (%v vs %v)", engine, plain.Cost, ctxed.Cost)
+			t.Fatalf("%v: live context changed the solution (%v vs %v)", algo, plain.Cost, ctxed.Cost)
 		}
 		for i := range plain.Centers {
 			if plain.Centers[i] != ctxed.Centers[i] {
-				t.Fatalf("%v: center %d differs under a live context", engine, i)
+				t.Fatalf("%v: center %d differs under a live context", algo, i)
 			}
 		}
 	}

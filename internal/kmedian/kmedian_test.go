@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dpc/internal/engine"
 	"dpc/internal/exact"
 	"dpc/internal/metric"
 )
@@ -257,20 +258,21 @@ func TestBicriteriaRelaxModes(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	sp := randPoints(r, 40, 2, 100)
 	k, tt, eps := 3, 2.0, 1.0
-	for _, engine := range []Engine{EngineLocalSearch, EngineJV, EngineAuto} {
-		so := Bicriteria(sp, nil, k, tt, eps, RelaxOutliers, engine, Options{Seed: 1})
+	for _, algo := range []engine.Algo{engine.LocalSearch, engine.JV, engine.Auto} {
+		opts := Options{Seed: 1, Options: engine.Options{Algo: algo}}
+		so := Bicriteria(sp, nil, k, tt, eps, RelaxOutliers, opts)
 		if len(so.Centers) > k {
-			t.Fatalf("%v RelaxOutliers: %d centers > k", engine, len(so.Centers))
+			t.Fatalf("%v RelaxOutliers: %d centers > k", algo, len(so.Centers))
 		}
 		if so.Budget > tt*(1+eps)+1e-9 {
-			t.Fatalf("%v RelaxOutliers: budget %g > (1+eps)t", engine, so.Budget)
+			t.Fatalf("%v RelaxOutliers: budget %g > (1+eps)t", algo, so.Budget)
 		}
-		sc := Bicriteria(sp, nil, k, tt, eps, RelaxCenters, engine, Options{Seed: 1})
+		sc := Bicriteria(sp, nil, k, tt, eps, RelaxCenters, opts)
 		if len(sc.Centers) > int(math.Ceil(float64(k)*(1+eps))) {
-			t.Fatalf("%v RelaxCenters: %d centers", engine, len(sc.Centers))
+			t.Fatalf("%v RelaxCenters: %d centers", algo, len(sc.Centers))
 		}
 		if sc.Budget > tt+1e-9 {
-			t.Fatalf("%v RelaxCenters: budget %g > t", engine, sc.Budget)
+			t.Fatalf("%v RelaxCenters: budget %g > t", algo, sc.Budget)
 		}
 	}
 }
@@ -284,7 +286,7 @@ func TestBicriteriaQuality(t *testing.T) {
 		k, tt := 2, 2.0
 		opt := exact.Solve(sp, nil, k, tt, exact.Sum)
 		for _, eps := range []float64{0.5, 1, 2} {
-			sol := Bicriteria(sp, nil, k, tt, eps, RelaxOutliers, EngineAuto, Options{Seed: int64(trial)})
+			sol := Bicriteria(sp, nil, k, tt, eps, RelaxOutliers, Options{Seed: int64(trial)})
 			bound := math.Max(6, 6/eps) * opt.Cost
 			if opt.Cost > 0 && sol.Cost > bound+1e-9 {
 				t.Fatalf("trial %d eps=%g: cost %g > %g (opt %g)", trial, eps, sol.Cost, bound, opt.Cost)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dpc/internal/dataio"
+	"dpc/internal/engine"
 	"dpc/internal/gen"
 	"dpc/internal/geom"
 	"dpc/internal/kmedian"
@@ -26,7 +27,7 @@ func BenchmarkCurveMeansMixture(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := &protocol.BudgetSolver{Costs: costs, K: 10, Engine: kmedian.EngineLocalSearch, Opts: kmedian.Options{Seed: int64(i)}}
+		s := &protocol.BudgetSolver{Costs: costs, K: 10, Opts: kmedian.Options{Seed: int64(i), Options: engine.Options{Algo: engine.LocalSearch}}}
 		s.Curve(grid)
 	}
 }

@@ -52,10 +52,9 @@ func RunLocal[S any](ctx context.Context, p Params, kind transport.Kind, topo tr
 // was sampled from is the one the site preclusters with when the allocation
 // lands on that vertex.
 type BudgetSolver struct {
-	Costs  metric.Costs
-	K      int
-	Engine kmedian.Engine
-	Opts   kmedian.Options
+	Costs metric.Costs
+	K     int
+	Opts  kmedian.Options // Opts.Algo picks the engine
 
 	sols map[int]kmedian.Solution
 }
@@ -68,7 +67,7 @@ func (s *BudgetSolver) Solve(q int) kmedian.Solution {
 	if s.sols == nil {
 		s.sols = make(map[int]kmedian.Solution)
 	}
-	sol := kmedian.Solve(s.Costs, nil, s.K, float64(q), s.Engine, s.Opts)
+	sol := kmedian.Solve(s.Costs, nil, s.K, float64(q), s.Opts)
 	s.sols[q] = sol
 	return sol
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"dpc/internal/engine"
 	"dpc/internal/geom"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
@@ -118,11 +119,11 @@ func TestCurveScratchReuse(t *testing.T) {
 	if len(grid) != 7 {
 		t.Fatalf("grid %v: want 7 budgets", grid)
 	}
-	opts := kmedian.Options{Seed: 3}
+	opts := kmedian.Options{Seed: 3, Options: engine.Options{Algo: engine.LocalSearch}}
 	solve := func(q int, warm []int) kmedian.Solution {
 		o := opts
 		o.Warm = warm
-		return kmedian.Solve(costs, nil, k2, float64(q), kmedian.EngineLocalSearch, o)
+		return kmedian.Solve(costs, nil, k2, float64(q), o)
 	}
 	want := make([]kmedian.Solution, len(grid))
 	var warm []int
@@ -132,7 +133,7 @@ func TestCurveScratchReuse(t *testing.T) {
 	}
 
 	// Curve's loop by hand, so the scratch can be reached between solves.
-	s := &BudgetSolver{Costs: costs, K: k2, Engine: kmedian.EngineLocalSearch, Opts: opts}
+	s := &BudgetSolver{Costs: costs, K: k2, Opts: opts}
 	s.Opts.Scratch = new(kmedian.Scratch)
 	for _, q := range grid {
 		s.Opts.Warm = s.Solve(q).Centers
@@ -142,7 +143,7 @@ func TestCurveScratchReuse(t *testing.T) {
 		sameBits(t, "poisoned grid", want[i], s.Solve(q))
 	}
 
-	whole := &BudgetSolver{Costs: costs, K: k2, Engine: kmedian.EngineLocalSearch, Opts: opts}
+	whole := &BudgetSolver{Costs: costs, K: k2, Opts: opts}
 	var curve []float64
 	grown := allocated(func() { curve = whole.Curve(grid) })
 	for i := range grid {

@@ -37,12 +37,13 @@ type JobSpec struct {
 	Eps   float64 `json:"eps,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
 	// Engine is the engine knob object: algorithm, workers, caches,
-	// reference — any setting returns bit-identical results. It unmarshals
-	// from the string form ("jv") as well as the object form
-	// ({"algo":"jv","workers":4}). The retired top-level "workers" and
-	// "no_cache" keys and the retired engine "index" / "pivots" keys of old
-	// request bodies and journal records are ignored on decode, which is
-	// safe for exactly that reason.
+	// reference — any setting but the algorithm returns bit-identical
+	// results. It marshals as the object form ({"algo":"jv","workers":4})
+	// and also unmarshals from the string form ("jv") of old request bodies
+	// and journal records; an unknown algorithm fails the decode. The
+	// retired top-level "workers" and "no_cache" keys and the retired engine
+	// "index" / "pivots" keys are ignored on decode, which is safe because
+	// those knobs never changed results.
 	Engine      engine.Spec `json:"engine,omitempty"`
 	LloydPolish bool        `json:"lloyd_polish,omitempty"`
 	// Client names the submitting client for per-client admission quotas
@@ -203,19 +204,6 @@ func parseVariant(s string) (core.Variant, error) {
 	return 0, fmt.Errorf("serve: unknown variant %q (want 2round, 1round or noship)", s)
 }
 
-// parseEngine maps the API engine algorithm string to the kmedian enum.
-func parseEngine(s string) (kmedian.Engine, error) {
-	switch s {
-	case "", "auto":
-		return kmedian.EngineAuto, nil
-	case "localsearch":
-		return kmedian.EngineLocalSearch, nil
-	case "jv":
-		return kmedian.EngineJV, nil
-	}
-	return 0, fmt.Errorf("serve: unknown engine %q (want auto, localsearch or jv)", s)
-}
-
 // EngineOptions returns the job's engine knobs, normalized (Reference
 // implies sequential and uncached).
 func (s JobSpec) EngineOptions() engine.Options {
@@ -233,16 +221,10 @@ func (s JobSpec) CoreConfig() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	eng, err := parseEngine(s.Engine.Algo)
-	if err != nil {
-		return core.Config{}, err
-	}
 	return core.Config{
 		K: s.K, T: s.T, Objective: obj, Variant: vr, Eps: s.Eps,
 		LloydPolish: s.LloydPolish,
-		Engine:      eng,
-		LocalOpts:   kmedian.Options{Seed: s.Seed},
-		Options:     s.EngineOptions(),
+		LocalOpts:   kmedian.Options{Seed: s.Seed, Options: s.EngineOptions()},
 		Topology:    s.Topology,
 	}, nil
 }
@@ -265,18 +247,14 @@ func (s JobSpec) Job() (jobwire.Job, error) {
 	if err != nil {
 		return jobwire.Job{}, err
 	}
-	eng, err := parseEngine(s.Engine.Algo)
-	if err != nil {
-		return jobwire.Job{}, err
-	}
 	opts := kmedian.Options{Seed: s.Seed, Options: s.EngineOptions()}
 	if kind == jobwire.KindCenterG {
 		j.CenterG = uncertain.CenterGConfig{K: s.K, T: s.T, Eps: s.Eps, OneRound: vr == uncertain.OneRoundShipDists,
-			Engine: eng, LocalOpts: opts, Topology: s.Topology}
+			LocalOpts: opts, Topology: s.Topology}
 		return j, nil
 	}
 	j.Obj, err = parseUncertainObjective(s.Objective)
-	j.Unc = uncertain.Config{K: s.K, T: s.T, Variant: vr, Eps: s.Eps, Engine: eng, LocalOpts: opts, Topology: s.Topology}
+	j.Unc = uncertain.Config{K: s.K, T: s.T, Variant: vr, Eps: s.Eps, LocalOpts: opts, Topology: s.Topology}
 	return j, err
 }
 
@@ -448,7 +426,7 @@ func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec, job j
 	// (one metric.Memoizes declines, or a NoCache job) builds its own oracle
 	// per the engine policy, exactly as a one-shot run does.
 	caches := make([]*metric.DistCache, len(shards))
-	if !job.Core.NoCache {
+	if !job.Core.LocalOpts.NoCache {
 		caches = r.shardCaches(d, version, shards)
 	}
 	handlers := make([]transport.Handler, len(shards))

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"dpc/internal/engine"
@@ -28,12 +29,12 @@ func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
 		{
 			name: "flat workers alone is ignored",
 			body: `{"dataset":"d","k":2,"t":1,"workers":8,"engine":{"algo":"jv"}}`,
-			want: engine.Options{Algo: "jv"},
+			want: engine.Options{Algo: engine.JV},
 		},
 		{
 			name: "flat no_cache alone is ignored",
 			body: `{"dataset":"d","k":2,"t":1,"no_cache":true,"engine":{"algo":"jv","no_cache":false}}`,
-			want: engine.Options{Algo: "jv"},
+			want: engine.Options{Algo: engine.JV},
 		},
 		{
 			name: "structured no_cache holds without the flat alias",
@@ -43,7 +44,7 @@ func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
 		{
 			name: "legacy string engine plus flat knobs",
 			body: `{"dataset":"d","k":2,"t":1,"workers":3,"no_cache":true,"engine":"localsearch"}`,
-			want: engine.Options{Algo: "localsearch"},
+			want: engine.Options{Algo: engine.LocalSearch},
 		},
 		{
 			name: "reference normalization overrides a conflicting flat workers",
@@ -53,7 +54,22 @@ func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
 		{
 			name: "retired index knobs are ignored",
 			body: `{"dataset":"d","k":2,"t":1,"engine":{"algo":"jv","index":true,"pivots":16}}`,
-			want: engine.Options{Algo: "jv"},
+			want: engine.Options{Algo: engine.JV},
+		},
+		{
+			name: "empty string engine is auto",
+			body: `{"dataset":"d","k":2,"t":1,"engine":""}`,
+			want: engine.Options{},
+		},
+		{
+			name: "string engine",
+			body: `{"dataset":"d","k":2,"t":1,"engine":"jv"}`,
+			want: engine.Options{Algo: engine.JV},
+		},
+		{
+			name: "object engine",
+			body: `{"dataset":"d","k":2,"t":1,"engine":{"algo":"jv","workers":2}}`,
+			want: engine.Options{Algo: engine.JV, Workers: 2},
 		},
 	}
 	for _, tc := range cases {
@@ -64,6 +80,15 @@ func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
 			}
 			if got := spec.EngineOptions(); got != tc.want {
 				t.Fatalf("EngineOptions() = %+v, want %+v", got, tc.want)
+			}
+			// Re-marshalling (the journal write) emits the object form only.
+			wire, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var obj struct{ Engine json.RawMessage }
+			if err := json.Unmarshal(wire, &obj); err != nil || !strings.HasPrefix(string(obj.Engine), "{") {
+				t.Fatalf("re-marshalled engine is %s (%v), want the object form", obj.Engine, err)
 			}
 		})
 	}

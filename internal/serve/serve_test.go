@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"dpc/internal/engine"
 	"dpc/internal/gen"
 )
 
@@ -191,7 +190,10 @@ func TestJobValidationHTTP(t *testing.T) {
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "nope", K: 2}, http.StatusNotFound, nil)
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "d", K: 2, Objective: "mode"}, http.StatusBadRequest, nil)
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "d", K: 2, Variant: "3round"}, http.StatusBadRequest, nil)
-	a.do("POST", "/v1/jobs", JobSpec{Dataset: "d", K: 2, Engine: engine.Spec{Options: engine.Options{Algo: "warp"}}}, http.StatusBadRequest, nil)
+	// An unknown engine fails at decode, in the string and the object form.
+	for _, body := range []string{`{"dataset":"d","k":2,"engine":"warp"}`, `{"dataset":"d","k":2,"engine":{"algo":"warp"}}`} {
+		a.do("POST", "/v1/jobs", json.RawMessage(body), http.StatusBadRequest, nil)
+	}
 	a.do("GET", "/v1/jobs/job-999999", nil, http.StatusNotFound, nil)
 	// Degenerate shapes fail synchronously too.
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "d", K: 0}, http.StatusBadRequest, nil)

@@ -25,9 +25,8 @@ type Config struct {
 	T int // outliers of the final solution
 	// Chunk is the buffer capacity before a compression fires.
 	// Default max(512, 4*(2K+T)).
-	Chunk  int
-	Engine kmedian.Engine
-	Opts   kmedian.Options
+	Chunk int
+	Opts  kmedian.Options // Opts.Algo picks the engine
 	// Means switches connection costs to squared distances.
 	Means bool
 }
@@ -105,7 +104,7 @@ func (s *Sketch) compress() {
 	costs := s.costs()
 	opts := s.cfg.Opts
 	opts.Seed += int64(s.compressions) * 7919
-	sol := kmedian.Solve(costs, s.w, 2*s.cfg.K, float64(s.cfg.T), s.cfg.Engine, opts)
+	sol := kmedian.Solve(costs, s.w, 2*s.cfg.K, float64(s.cfg.T), opts)
 	if len(sol.Centers) == 0 {
 		return // nothing sensible to do; keep buffer (can only happen for tiny buffers)
 	}
@@ -176,7 +175,7 @@ func (s *Sketch) Query(k, t int) Result {
 	costs := s.costs()
 	opts := s.cfg.Opts
 	opts.Seed += 104729
-	sol := kmedian.Solve(costs, s.w, k, float64(t), s.cfg.Engine, opts)
+	sol := kmedian.Solve(costs, s.w, k, float64(t), opts)
 	centers := make([]metric.Point, len(sol.Centers))
 	for i, f := range sol.Centers {
 		centers[i] = s.pts[f].Clone()

@@ -90,9 +90,10 @@ func ParseKind(s string) (Kind, error) {
 // tells a dialing site that run configurations arrive per job frame
 // (ServeJobs). Sites and aggregators refuse any other welcome, so a
 // misconfigured pairing fails immediately instead of hanging. The number
-// names the payload encoding (internal/comm) too: a fleet of mixed versions
-// fails at this handshake, not at a decoder.
-const JobsHello = "dpc-jobs/2"
+// names the job frame and payload encodings (internal/jobwire,
+// internal/comm) too: a fleet of mixed versions fails at this handshake, not
+// at a decoder or at a site that drops a config key it does not know.
+const JobsHello = "dpc-jobs/3"
 
 // NewLocal materializes a backend selection for in-process site handlers:
 // loopback directly, or TCP with one localhost site server per handler.

@@ -276,10 +276,10 @@ func TestHandlerErrorPropagates(t *testing.T) {
 }
 
 // An aggregator daemon serves job frames only: a parent whose welcome is
-// anything but the job-frame marker — a stranger's, or the marker of the
-// previous payload encoding — is refused, not served blindly.
+// anything but the job-frame marker — a stranger's, or the marker of an
+// earlier payload or job frame encoding — is refused, not served blindly.
 func TestServeRejectsOtherWelcome(t *testing.T) {
-	for _, welcome := range []string{"not-the-jobs-marker", "dpc-jobs/1"} {
+	for _, welcome := range []string{"not-the-jobs-marker", "dpc-jobs/1", "dpc-jobs/2"} {
 		l, err := transport.Listen("127.0.0.1:0", 1)
 		if err != nil {
 			t.Fatal(err)

@@ -34,7 +34,7 @@ func TestTentaclesAreNecessary(t *testing.T) {
 	}
 
 	// With tentacles: (k=1, t=1) drops the wide node; tiny cost remains.
-	withSol := kmedian.Solve(col, nil, 1, 1, kmedian.EngineLocalSearch, kmedian.Options{Seed: 1, Restarts: 4})
+	withSol := kmedian.LocalSearch(col, nil, 1, 1, kmedian.Options{Seed: 1, Restarts: 4})
 	trueWith := EvalMedian(g, nodes, []metric.Point{col.Y[withSol.Centers[0]]}, 1)
 
 	// Without tentacles (ell zeroed): every node looks identical, the
@@ -42,7 +42,7 @@ func TestTentaclesAreNecessary(t *testing.T) {
 	// the true objective with the *same* centers but the outlier choice
 	// implied by the ell-free costs.
 	bald := &Collapsed{Y: col.Y, Ell: make([]float64, col.Len())}
-	baldSol := kmedian.Solve(bald, nil, 1, 1, kmedian.EngineLocalSearch, kmedian.Options{Seed: 1, Restarts: 4})
+	baldSol := kmedian.LocalSearch(bald, nil, 1, 1, kmedian.Options{Seed: 1, Restarts: 4})
 	// The bald solver believes its cost is ~the cluster spread and cannot
 	// distinguish dropping node 5 from dropping any cluster node.
 	dropped := baldSol.Outliers()

@@ -59,26 +59,26 @@ type Config struct {
 	T int
 
 	Variant    Variant
-	Eps        float64 // coordinator bicriteria slack (default 1)
-	Rho        float64 // allocation rank multiplier (default 2)
-	HullBase   float64 // budget grid base (default 2)
-	Engine     kmedian.Engine
-	LocalOpts  kmedian.Options // its NoCache / Reference knobs turn the memoized oracles off
+	Eps        float64         // coordinator bicriteria slack (default 1)
+	Rho        float64         // allocation rank multiplier (default 2)
+	HullBase   float64         // budget grid base (default 2)
+	LocalOpts  kmedian.Options // every solve's options, and the run's one set of engine knobs
 	Candidates CandidateSet    // where 1-medians are searched
 	// Transport selects the wire backend: empty or transport.KindLoopback
 	// keeps sites in-process; transport.KindTCP runs the identical
-	// protocol over real localhost sockets.
-	Transport transport.Kind
+	// protocol over real localhost sockets. Coordinator-local, like Topology.
+	Transport transport.Kind `json:"-"`
 	// Topology selects the coordinator fan-in (star by default, or an
 	// aggregation tree; see internal/tree). Coordinator-local: sites
 	// ignore it, and centers are byte-identical across topologies.
-	Topology tree.Spec `json:"topology,omitempty"`
+	Topology tree.Spec `json:"-"`
 }
 
 func (c Config) withDefaults() Config {
 	if c.Eps == 0 {
 		c.Eps = 1
 	}
+	c.LocalOpts.Options = c.LocalOpts.Options.Normalize()
 	if c.Rho == 0 {
 		c.Rho = 2
 	}
@@ -115,7 +115,7 @@ func newUSite(g *Ground, nodes []Node, cfg Config, obj Objective, site int) *uSi
 	opts := cfg.LocalOpts
 	opts.Seed += int64(site) * 999983
 	return &uSite{
-		BudgetSolver: protocol.BudgetSolver{K: 2 * cfg.K, Engine: cfg.Engine, Opts: opts},
+		BudgetSolver: protocol.BudgetSolver{K: 2 * cfg.K, Opts: opts},
 		cfg:          cfg,
 		obj:          obj,
 		g:            g,
@@ -132,7 +132,7 @@ func (st *uSite) start() {
 	st.started = true
 	st.col = Collapse(st.g, st.nodes, st.obj == Means, st.cfg.Candidates)
 	st.Costs = st.col
-	cache := !st.Opts.Reference && !st.Opts.NoCache
+	cache := !st.Opts.NoCache
 	if cache {
 		st.Costs = metric.CacheCosts(st.col)
 	}
@@ -315,17 +315,16 @@ func (r *reducer) Solve(res *Result) {
 	cfg := r.cfg
 	res.CoordinatorClients = r.col.Len()
 	if r.obj == CenterPP {
-		sol := kcenter.PartialOpt(&r.col, r.wts, cfg.K, float64(cfg.T),
-			kcenter.Opt{Workers: cfg.LocalOpts.Workers, Reference: cfg.LocalOpts.Reference})
+		sol := kcenter.PartialOpt(&r.col, r.wts, cfg.K, float64(cfg.T), cfg.LocalOpts.Options)
 		res.Centers, res.CoordinatorCost = protocol.PointsAt(r.col.Y, sol.Centers), sol.Radius
 		return
 	}
 	copt := cfg.LocalOpts
 	copt.Seed += 555557
 	var costs metric.Costs = &r.col
-	if !copt.Reference && !copt.NoCache {
+	if !copt.NoCache {
 		costs = metric.CacheCosts(costs)
 	}
-	sol := kmedian.Bicriteria(costs, r.wts, cfg.K, float64(cfg.T), cfg.Eps, kmedian.RelaxOutliers, cfg.Engine, copt)
+	sol := kmedian.Bicriteria(costs, r.wts, cfg.K, float64(cfg.T), cfg.Eps, kmedian.RelaxOutliers, copt)
 	res.Centers, res.CoordinatorCost = protocol.PointsAt(r.col.Y, sol.Centers), sol.Cost
 }

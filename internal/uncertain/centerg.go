@@ -33,8 +33,7 @@ type CenterGConfig struct {
 	// (all realization points); larger sets are thinned deterministically.
 	// Default 256.
 	MaxFacilities int
-	Engine        kmedian.Engine
-	LocalOpts     kmedian.Options // its NoCache / Reference knobs turn the memoized oracles off
+	LocalOpts     kmedian.Options // every solve's options, and the run's one set of engine knobs
 	// OneRound runs the Table 2 single-round variant: every site ships,
 	// for every tau in the grid, its full (2k, t, rho_6tau) preclustering
 	// (centers + outlier distributions + cost) — communication
@@ -42,12 +41,12 @@ type CenterGConfig struct {
 	// from the shipped costs.
 	OneRound bool
 	// Transport selects the wire backend (loopback in-process by default,
-	// tcp for real localhost sockets).
-	Transport transport.Kind
+	// tcp for real localhost sockets). Coordinator-local, like Topology.
+	Transport transport.Kind `json:"-"`
 	// Topology selects the coordinator fan-in (star by default, or an
 	// aggregation tree; see internal/tree). Coordinator-local: sites
 	// ignore it, and centers are byte-identical across topologies.
-	Topology tree.Spec `json:"topology,omitempty"`
+	Topology tree.Spec `json:"-"`
 }
 
 func (c CenterGConfig) withDefaults() CenterGConfig {
@@ -60,6 +59,7 @@ func (c CenterGConfig) withDefaults() CenterGConfig {
 	if c.HullBase == 0 {
 		c.HullBase = 2
 	}
+	c.LocalOpts.Options = c.LocalOpts.Options.Normalize()
 	if c.TauBase == 0 {
 		c.TauBase = 2
 	}
@@ -121,18 +121,18 @@ func newCGSite(g *Ground, nodes []Node, cfg CenterGConfig, grid []float64, site 
 }
 
 // solver returns the local solves at one truncation grid index. Their
-// rho_tau cost oracle is memoized behind a cost cache (unless the reference
-// engine is selected): the truncated expected distances of Definition 5.7
+// rho_tau cost oracle is memoized behind a cost cache (unless NoCache, or
+// the reference engine that implies it, is selected): the truncated expected distances of Definition 5.7
 // are the most expensive oracle in the repository (a support-sized sum per
 // call), and the grid of budget solves at a fixed tau re-reads the same
 // entries many times.
 func (st *cgSite) solver(tauIdx int) *protocol.BudgetSolver {
 	if st.solvers[tauIdx] == nil {
 		var tc metric.Costs = &TruncCosts{G: st.g, Nodes: st.nodes, Fac: st.fac, Tau: 6 * st.grid[tauIdx]}
-		if !st.cfg.LocalOpts.Reference && !st.cfg.LocalOpts.NoCache {
+		if !st.cfg.LocalOpts.NoCache {
 			tc = metric.CacheCosts(tc)
 		}
-		st.solvers[tauIdx] = &protocol.BudgetSolver{Costs: tc, K: 2 * st.cfg.K, Engine: st.cfg.Engine, Opts: st.cfg.LocalOpts}
+		st.solvers[tauIdx] = &protocol.BudgetSolver{Costs: tc, K: 2 * st.cfg.K, Opts: st.cfg.LocalOpts}
 	}
 	return st.solvers[tauIdx]
 }
@@ -420,8 +420,7 @@ func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg 
 				wts = append(wts, 1)
 			}
 		}
-		sol := kcenter.PartialOpt(cc, wts, cfg.K, float64(cfg.T),
-			kcenter.Opt{Workers: cfg.LocalOpts.Workers, Reference: cfg.LocalOpts.Reference})
+		sol := kcenter.PartialOpt(cc, wts, cfg.K, float64(cfg.T), cfg.LocalOpts.Options)
 		result.CoordinatorCost = sol.Radius
 		for _, f := range sol.Centers {
 			result.Centers = append(result.Centers, cc.facPts[f].Clone())

@@ -50,12 +50,12 @@ func TestWorkersParity(t *testing.T) {
 		for _, tr := range []dpc.TransportKind{dpc.TransportLoopback, dpc.TransportTCP} {
 			obj, tr := obj, tr
 			t.Run(fmt.Sprintf("%v-%v", obj, tr), func(t *testing.T) {
-				ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, Options: dpc.EngineOptions{Workers: 1}})
+				ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, LocalOpts: dpc.SolverOptions{Options: dpc.EngineOptions{Workers: 1}}})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range widths {
-					got, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, Options: dpc.EngineOptions{Workers: workers}})
+					got, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, LocalOpts: dpc.SolverOptions{Options: dpc.EngineOptions{Workers: workers}}})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -73,11 +73,11 @@ func TestWorkersParityVariants(t *testing.T) {
 	for _, v := range []dpc.Variant{dpc.TwoRoundNoOutliers, dpc.OneRound} {
 		v := v
 		t.Run(fmt.Sprint(v), func(t *testing.T) {
-			ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Variant: v, Options: dpc.EngineOptions{Workers: 1}})
+			ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Variant: v, LocalOpts: dpc.SolverOptions{Options: dpc.EngineOptions{Workers: 1}}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Variant: v, Options: dpc.EngineOptions{Workers: 4}})
+			got, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Variant: v, LocalOpts: dpc.SolverOptions{Options: dpc.EngineOptions{Workers: 4}}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestWorkersParityUncertain(t *testing.T) {
 
 // TestEngineMatchesReferenceEndToEnd is the distributed half of the
 // regression harness: the full fast engine (workers + caches + restructured
-// evaluators) against Config.Reference, across objectives and transports —
+// evaluators) against Config.LocalOpts.Reference, across objectives and transports —
 // same centers, same bytes, same coordinator cost.
 func TestEngineMatchesReferenceEndToEnd(t *testing.T) {
 	sites := parityWorkload(t)
@@ -132,7 +132,7 @@ func TestEngineMatchesReferenceEndToEnd(t *testing.T) {
 		for _, tr := range []dpc.TransportKind{dpc.TransportLoopback, dpc.TransportTCP} {
 			obj, tr := obj, tr
 			t.Run(fmt.Sprintf("%v-%v", obj, tr), func(t *testing.T) {
-				ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, Options: dpc.EngineOptions{Reference: true}})
+				ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, LocalOpts: dpc.SolverOptions{Options: dpc.EngineOptions{Reference: true}}})
 				if err != nil {
 					t.Fatal(err)
 				}
