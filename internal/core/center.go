@@ -59,7 +59,7 @@ func (st *centerSite) Len() int { return len(st.pts) }
 // f_i(q) = sum_{r>q} l(i,r) over the traversal's insertion radii — the
 // "subsequent steps as in Algorithm 1" (Line 7) with O(log t)
 // communication.
-func (st *centerSite) Curve(grid []int) []float64 {
+func (st *centerSite) Curve(_ int, grid []int) []float64 {
 	return st.traversal().SlopeSuffix(st.cfg.K, grid)
 }
 

@@ -13,7 +13,7 @@ import (
 // medianSite is the site half of Algorithm 1: the local (2k, q)-median
 // solves behind the cost curve, and the preclustering one of them induces.
 type medianSite struct {
-	protocol.BudgetSolver // Curve is the grid of local solves (Lines 1-4)
+	protocol.BudgetSolver // the local (2k, q)-median solves
 	cfg                   Config
 	pts                   []metric.Point
 }
@@ -40,6 +40,9 @@ func newMedianSite(cfg Config, site int, pts []metric.Point, o metric.Oracle) *m
 
 // Len implements protocol.Site.
 func (st *medianSite) Len() int { return len(st.pts) }
+
+// Curve implements protocol.Site: the grid of local solves (Lines 1-4).
+func (st *medianSite) Curve(_ int, grid []int) []float64 { return st.BudgetSolver.Curve(grid) }
 
 // Precluster implements protocol.Site: the budget's local solution as
 // centers with attached inlier counts (Remark 1(i): no input point is lost —

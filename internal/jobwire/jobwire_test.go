@@ -66,11 +66,17 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// fuzzShard is the fixed data FuzzDecodeJob builds an accepted job's site
+// half over: a point shard, and a node shard over a small ground set.
+var fuzzShard = SiteData{Pts: []metric.Point{{0}}, G: &uncertain.Ground{Pts: []metric.Point{{0}, {1}, {3}}},
+	Nodes: []uncertain.Node{{Support: []int{0, 1}, Prob: []float64{0.5, 0.5}}, {Support: []int{2}, Prob: []float64{1}}}}
+
 // FuzzDecodeJob feeds arbitrary bytes to the job frame decoder, as a site
 // receives them: it must never panic, and whatever it accepts must re-encode
-// to a fixed point (compared as bytes). A point job the site half also
-// accepts (defaults plus validation) must give a budget grid that returns —
-// the site's first use of T and HullBase.
+// to a fixed point (compared as bytes). Every accepted job's site half is
+// built over fuzzShard (defaults plus validation, and for center-g the tau
+// grid) without panicking, and a point job the site half accepts must give
+// a budget grid that returns — the site's first use of T and HullBase.
 func FuzzDecodeJob(f *testing.F) {
 	_, jobs := goldenJobs()
 	for _, j := range jobs {
@@ -82,14 +88,14 @@ func FuzzDecodeJob(f *testing.F) {
 	}
 	f.Add([]byte(binaryPointFrame))
 	// A hostile point config whose HullBase of 7.9e115 once hung a site's
-	// budget grid, restated as a JSON frame.
-	hostile, err := Encode(Job{Kind: KindPoint, Core: core.Config{K: 3470867938590851075, T: 134020159504424, Variant: 90,
-		Eps: 1.2301717406954053e+160, Rho: 2.0000000000000533, Delta: 0.2500000000017195, HullBase: 7.880401249703114e+115,
-		LocalOpts: kmedian.Options{Seed: 1}}})
-	if err != nil {
-		f.Fatal(err)
+	// budget grid, as raw JSON: its K does not fit a 32-bit int.
+	f.Add(append([]byte{magic, byte(KindPoint)}, `{"K":3470867938590851075,"T":134020159504424,"Variant":90,`+
+		`"Eps":1.2301717406954053e+160,"Rho":2.0000000000000533,"Delta":0.2500000000017195,"HullBase":7.880401249703114e+115,"LocalOpts":{"Seed":1}}`...))
+	// Center-g frames that once crashed a site building its tau grid or its
+	// facility candidates.
+	for _, body := range []string{`{"K":3,"T":6,"TauBase":1}`, `{"K":3,"T":6,"TauBase":0.5}`, `{"K":3,"T":6,"MaxFacilities":-1}`} {
+		f.Add(append([]byte{magic, byte(KindCenterG)}, body...))
 	}
-	f.Add(hostile)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		j, err := Decode(raw)
 		if err != nil {
@@ -106,10 +112,7 @@ func FuzzDecodeJob(f *testing.F) {
 		if twice, err := Encode(again); err != nil || !bytes.Equal(once, twice) {
 			t.Fatalf("re-encoding is not a fixed point (%v):\n%s\n%s", err, once, twice)
 		}
-		if j.Kind != KindPoint {
-			return
-		}
-		if _, err := j.SiteHandler(SiteData{Pts: []metric.Point{{0}}}); err != nil {
+		if _, err := j.SiteHandler(fuzzShard); err != nil || j.Kind != KindPoint {
 			return
 		}
 		geom.Grid(min(j.Core.T, 4096), j.Core.HullBase)

@@ -74,7 +74,7 @@ func TestMinIndexMatchesSequential(t *testing.T) {
 	n := 4096
 	vals := make([]float64, n)
 	for i := range vals {
-		vals[i] = float64((i*2654435761 + 12345) % 97) // many ties
+		vals[i] = float64((int64(i)*2654435761 + 12345) % 97) // many ties
 	}
 	score := func(i int) float64 { return vals[i] }
 	seqI, seqV := -1, math.Inf(1)

@@ -1,40 +1,37 @@
 // Package protocol owns the round structure of the paper's distributed
 // algorithms. Algorithms 2 and 3 are Algorithm 1 with a different local
 // cost curve and precluster payload ("subsequent steps as in Algorithm 1"),
-// so the shape is written once here: every site ships the convex hull of
-// its local cost curve on a geometric budget grid, the coordinator ranks the
-// slopes and broadcasts the pivot, every site derives its budget t_i from
-// the pivot and ships its preclustering, and the coordinator solves the
-// union. An algorithm supplies the two halves that differ — a Site (how
-// many items it holds, its cost curve, its payload for a budget) and a
-// Reducer (decode one site's payload, solve the union) — and knows nothing
-// of round numbers, the hull and pivot messages, budget capping, the
-// 1-round baseline (t_i = t, no hull, no pivot) or how an in-process fleet
-// is stood up; Handler, Run and RunLocal own those, and Result is the one
-// outcome type. Algorithm 4 has a round shape no other protocol uses (a
-// hull per truncation threshold, the chosen threshold riding in the pivot
-// broadcast) and keeps its own round switch and driver in
-// internal/uncertain/centerg.go, built from the same pieces: SiteHandler,
-// DecodePivot / BroadcastPivot, CapBudget, BudgetSolver, RunLocal, Result.
+// and Algorithm 4 is Algorithm 1 with one hull per truncation threshold tau
+// and Step 6 choosing the threshold, so the shape is written once here:
+// every site ships the convex hull of its local cost curve on a geometric
+// budget grid (one hull per parameter of Params.TauGrid), the coordinator
+// picks the parameter, ranks the slopes and broadcasts the pivot, every site
+// derives its budget t_i from the pivot and ships its preclustering, and the
+// coordinator solves the union. An algorithm supplies the two halves that
+// differ — a Site (how many items it holds, its cost curve per parameter,
+// its payload for a budget) and a Reducer (decode one site's payload, solve
+// the union) — and knows nothing of round numbers, the hull and pivot
+// messages, budget capping, the 1-round baseline (t_i = t, no hull, no
+// pivot) or how an in-process fleet is stood up; Handler, Run and RunLocal
+// own those, and Result is the one outcome type.
 //
 // Where a span per protocol step would go (ROADMAP direction 6), for all
 // seven objectives:
 //
-//   - every site solve and every site encode: SiteHandler, which wraps the
-//     round function of every site half (Handler's and Algorithm 4's) — the
-//     solve is its call to that function, the encode its comm.Encode;
-//   - every gather: comm.Network.SiteRound, which outside its tests has
-//     callers only in Run and in Algorithm 4's driver;
-//   - every coordinator-side decode and solve: the closures handed to
-//     comm.Network.Coordinator — hull decode + allocation and payload
-//     decode + final solve in Run, the same two steps in Algorithm 4's
-//     driver. Cancellation at any boundary is Network's: those two methods
-//     are also the only places a run notices its context.
+//   - every site solve and every site encode: Handler — the solve is its
+//     call into the Site, the encode its comm.Encode;
+//   - every gather, and every coordinator-side decode and solve: Run — the
+//     gathers are its comm.Network.SiteRound calls, the decodes and solves
+//     the closures it hands comm.Network.Coordinator (hull decode +
+//     parameter choice + allocation, payload decode + final solve).
+//     Cancellation at any boundary is Network's: those two methods are also
+//     the only places a run notices its context.
 package protocol
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dpc/internal/alloc"
 	"dpc/internal/comm"
@@ -61,6 +58,10 @@ type Params struct {
 	// OneRound selects the 1-round baseline: every site preclusters with
 	// the full budget T in round 0.
 	OneRound bool
+	// TauGrid is Algorithm 4's grid of truncation thresholds, ascending: a
+	// site ships one hull per threshold and the coordinator picks one by
+	// Step 6 (PickTau). Nil for Algorithms 1-3, which have one parameter.
+	TauGrid []float64
 }
 
 // Result is the outcome of a distributed run of any protocol.
@@ -102,17 +103,22 @@ type Budget struct {
 	// hull edge, where no single local solution achieves the hull cost and
 	// Theorem 3.8's variant combines the two endpoint solutions (Lemma 3.7).
 	Lo, Hi int
+	// Param is the parameter (an index into Params.TauGrid) whose hull T
+	// was derived from; always 0 for the one-parameter protocols, and 0 in a
+	// 1-round run, where a site of several parameters ships all of them.
+	Param int
 }
 
 // Site is the algorithm half of one site. The skeleton calls Curve at most
-// once and before Precluster; anything a site computes lazily inside these
-// calls is booked as site time on every transport.
+// once per parameter and before Precluster; anything a site computes lazily
+// inside these calls is booked as site time on every transport.
 type Site interface {
 	// Len is the number of input items the site holds; budgets stay below it.
 	Len() int
-	// Curve returns the site's local cost at every budget of grid
+	// Curve returns the site's local cost under parameter param (an index
+	// into Params.TauGrid, 0 without one) at every budget of grid
 	// (ascending, ending at the capped budget).
-	Curve(grid []int) []float64
+	Curve(param int, grid []int) []float64
 	// Precluster returns the site's preclustering for budget b.
 	Precluster(b Budget) comm.Payload
 }
@@ -123,17 +129,22 @@ type Reducer interface {
 	// the skeleton calls it once per site, in site order.
 	Add(payload []byte) error
 	// Solve solves the union and fills res.Centers, res.CoordinatorClients
-	// and res.CoordinatorCost.
+	// and res.CoordinatorCost. In a 2-round run over a TauGrid, res.Tau is
+	// already the chosen threshold; in a 1-round one, Solve picks and fills it.
 	Solve(res *Result)
 }
 
-// CapBudget bounds a site budget so at least one of its n items remains
-// clustered.
-func CapBudget(t, n int) int {
-	if t >= n {
-		return n - 1
+// PickTau is Step 6 of Algorithm 4: the first threshold of grid whose
+// summed local cost is at most 12 tau, else the last one. It calls cost in
+// grid order and never past the index it returns, so the last call is
+// always the chosen threshold's.
+func PickTau(grid []float64, cost func(i int) float64) int {
+	for i, tau := range grid {
+		if cost(i) <= 12*tau {
+			return i
+		}
 	}
-	return t
+	return len(grid) - 1
 }
 
 // PointsAt selects pts[i] for every i of idx — a solution's facility
@@ -146,74 +157,63 @@ func PointsAt(pts []metric.Point, idx []int) []metric.Point {
 	return out
 }
 
-// SiteHandler turns a site half's round function into a transport.Handler:
-// the site computes its reply, then the reply is encoded.
-func SiteHandler(rounds func(round int, in []byte) (comm.Payload, error)) transport.Handler {
-	return func(round int, in []byte) ([]byte, error) {
-		p, err := rounds(round, in)
-		if err != nil {
-			return nil, err
-		}
-		return comm.Encode(p)
-	}
-}
-
 // Handler builds the site half of the skeleton for site number `site`:
 // driven purely by the round number and the wire bytes the coordinator
 // sent, so the same code runs in-process and in a separate dpc-site process.
+// The site computes its reply, then the reply is encoded.
 func Handler(p Params, site int, s Site) transport.Handler {
-	var hull geom.ConvexFn // round 0's, kept for round 1
-	return SiteHandler(func(round int, in []byte) (comm.Payload, error) {
-		tcap := CapBudget(p.T, s.Len())
+	var hulls []geom.ConvexFn // round 0's, one per parameter, kept for round 1
+	return func(round int, in []byte) ([]byte, error) {
+		tcap := min(p.T, s.Len()-1) // at least one item stays clustered
 		switch {
 		case p.OneRound && round == 0:
-			return s.Precluster(Budget{T: tcap, Lo: tcap, Hi: tcap}), nil
+			return comm.Encode(s.Precluster(Budget{T: tcap, Lo: tcap, Hi: tcap}))
 
 		case !p.OneRound && round == 0:
-			// Lines 1-6: sample the local cost on the grid, ship its hull.
+			// Lines 1-6: sample the local cost on the grid, ship its hull —
+			// one per parameter.
 			grid := geom.Grid(tcap, p.HullBase)
-			samples := make([]geom.Vertex, len(grid))
-			for i, c := range s.Curve(grid) {
-				samples[i] = geom.Vertex{Q: grid[i], C: c}
+			hulls = make([]geom.ConvexFn, max(len(p.TauGrid), 1))
+			msg := comm.HullsMsg{Hulls: make([][]geom.Vertex, len(hulls))}
+			for pi := range hulls {
+				samples := make([]geom.Vertex, len(grid))
+				for i, c := range s.Curve(pi, grid) {
+					samples[i] = geom.Vertex{Q: grid[i], C: c}
+				}
+				fn, err := geom.NewConvexFn(samples)
+				if err != nil {
+					return nil, fmt.Errorf("%s: site hull: %w", p.Name, err)
+				}
+				hulls[pi], msg.Hulls[pi] = fn, fn.Vertices()
 			}
-			fn, err := geom.NewConvexFn(samples)
-			if err != nil {
-				return nil, fmt.Errorf("%s: site hull: %w", p.Name, err)
+			if len(p.TauGrid) == 0 {
+				return comm.Encode(comm.HullMsg{V: msg.Hulls[0]})
 			}
-			hull = fn
-			return comm.HullMsg{V: fn.Vertices()}, nil
+			return comm.Encode(msg)
 
-		case !p.OneRound && round == 1:
-			// Lines 10-16: t_i from the pivot, preclustering up.
-			pivot, _, err := DecodePivot(in)
-			if err != nil {
+		case !p.OneRound && round == 1 && hulls != nil:
+			// Lines 10-16: t_i from the pivot, preclustering up. The pivot
+			// carries the chosen threshold; the site locates it on its grid.
+			var pm comm.PivotMsg
+			if err := pm.UnmarshalBinary(in); err != nil {
 				return nil, fmt.Errorf("%s: site pivot: %w", p.Name, err)
 			}
-			b := Budget{T: alloc.FinalBudget(hull, site, pivot)}
+			pi := 0
+			if len(p.TauGrid) > 0 {
+				if pi = slices.Index(p.TauGrid, pm.Tau); pi < 0 {
+					return nil, fmt.Errorf("%s: site pivot: tau %g is not on the site's grid", p.Name, pm.Tau)
+				}
+			}
+			pivot, hull := alloc.Pivot{I0: pm.I0, Q0: pm.Q0, L0: pm.L0, Rank: pm.Rank, Exhausted: pm.Exhausted}, hulls[pi]
+			b := Budget{T: alloc.FinalBudget(hull, site, pivot), Param: pi}
 			b.Lo, b.Hi = b.T, b.T
 			if site == pivot.I0 && !hull.IsVertex(b.T) {
 				b.Lo, b.Hi = hull.PrevVertex(b.T), hull.NextVertex(b.T)
 			}
-			return s.Precluster(b), nil
+			return comm.Encode(s.Precluster(b))
 		}
 		return nil, fmt.Errorf("%s: site has no round %d (one-round %v)", p.Name, round, p.OneRound)
-	})
-}
-
-// DecodePivot parses the coordinator's round-2 broadcast: the pivot, and
-// the truncation threshold Algorithm 4 sends along (zero otherwise).
-func DecodePivot(in []byte) (alloc.Pivot, float64, error) {
-	var pm comm.PivotMsg
-	if err := pm.UnmarshalBinary(in); err != nil {
-		return alloc.Pivot{}, 0, err
 	}
-	return alloc.Pivot{I0: pm.I0, Q0: pm.Q0, L0: pm.L0, Rank: pm.Rank, Exhausted: pm.Exhausted}, pm.Tau, nil
-}
-
-// BroadcastPivot sends every site the pivot (Step 9) and tau, the message
-// DecodePivot parses.
-func BroadcastPivot(nw *comm.Network, p alloc.Pivot, tau float64) error {
-	return nw.Broadcast(comm.PivotMsg{I0: p.I0, Q0: p.Q0, L0: p.L0, Rank: p.Rank, Exhausted: p.Exhausted, Tau: tau})
 }
 
 // Run drives the coordinator half of the skeleton over an already-connected
@@ -228,7 +228,7 @@ func Run(ctx context.Context, tr transport.Transport, p Params, red Reducer) (Re
 		return Result{}, fmt.Errorf("%s: no sites", p.Name)
 	}
 	nw := comm.NewOverCtx(ctx, tr)
-	var res Result
+	res := Result{TauGrid: p.TauGrid}
 	if !p.OneRound {
 		// Lines 1-9: hulls up, pivot of rank rho*t down.
 		hullUp, err := nw.SiteRound()
@@ -236,32 +236,53 @@ func Run(ctx context.Context, tr transport.Transport, p Params, red Reducer) (Re
 			return Result{}, err
 		}
 		var pivot alloc.Pivot
-		fns := make([]geom.ConvexFn, len(hullUp))
 		if err := nw.Coordinator(func() error {
+			fns := make([][]geom.ConvexFn, max(len(p.TauGrid), 1)) // [parameter][site]
 			for i, b := range hullUp {
-				var msg comm.HullMsg
-				if err := msg.UnmarshalBinary(b); err != nil {
-					return fmt.Errorf("%s: coordinator hull %d: %w", p.Name, i, err)
+				var msg comm.HullsMsg
+				var err error
+				if len(p.TauGrid) == 0 {
+					var one comm.HullMsg
+					err = one.UnmarshalBinary(b)
+					msg.Hulls = [][]geom.Vertex{one.V}
+				} else if err = msg.UnmarshalBinary(b); err == nil && len(msg.Hulls) != len(fns) {
+					err = fmt.Errorf("%d hulls, want %d", len(msg.Hulls), len(fns))
 				}
-				fn, err := geom.NewConvexFn(msg.V)
+				for pi := 0; err == nil && pi < len(fns); pi++ {
+					var fn geom.ConvexFn
+					fn, err = geom.NewConvexFn(msg.Hulls[pi])
+					fns[pi] = append(fns[pi], fn)
+				}
 				if err != nil {
 					return fmt.Errorf("%s: coordinator hull %d: %w", p.Name, i, err)
 				}
-				fns[i] = fn
 			}
-			pivot, _ = alloc.Allocate(fns, int(p.Rho*float64(p.T)))
+			// Allocate under one parameter, returning the allocated hull
+			// costs. Step 11 is deterministic in hull + pivot: replaying it
+			// here tells the coordinator every t_i without a byte spent
+			// reporting them.
+			allocate := func(pi int) float64 {
+				pivot, _ = alloc.Allocate(fns[pi], int(p.Rho*float64(p.T)))
+				res.SiteBudgets = make([]int, len(fns[pi]))
+				var sum float64
+				for i, fn := range fns[pi] {
+					res.SiteBudgets[i] = alloc.FinalBudget(fn, i, pivot)
+					sum += fn.Eval(res.SiteBudgets[i])
+				}
+				return sum
+			}
+			if len(p.TauGrid) == 0 {
+				allocate(0)
+			} else {
+				res.Tau = p.TauGrid[PickTau(p.TauGrid, allocate)]
+			}
 			return nil
 		}); err != nil {
 			return Result{}, err
 		}
-		if err := BroadcastPivot(nw, pivot, 0); err != nil {
+		// Step 9, with the chosen threshold riding along.
+		if err := nw.Broadcast(comm.PivotMsg{I0: pivot.I0, Q0: pivot.Q0, L0: pivot.L0, Rank: pivot.Rank, Exhausted: pivot.Exhausted, Tau: res.Tau}); err != nil {
 			return Result{}, err
-		}
-		// Step 11 is deterministic in hull + pivot: replaying it here tells
-		// the coordinator every t_i without a byte spent reporting them.
-		res.SiteBudgets = make([]int, len(fns))
-		for i, fn := range fns {
-			res.SiteBudgets[i] = alloc.FinalBudget(fn, i, pivot)
 		}
 	}
 	up, err := nw.SiteRound()

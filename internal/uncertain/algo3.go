@@ -3,6 +3,7 @@ package uncertain
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"dpc/internal/comm"
 	"dpc/internal/kcenter"
@@ -88,6 +89,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate rejects what no run can use; c must already have defaults
+// applied. Both halves call it, so a site rejects a shipped configuration
+// before any value reaches a solver or a grid.
+func (c Config) validate() error {
+	if c.K <= 0 || c.T < 0 {
+		return fmt.Errorf("uncertain: bad K=%d T=%d", c.K, c.T)
+	}
+	for i, v := range []float64{c.Eps, c.Rho, c.HullBase} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("uncertain: %s = %v is not finite", [...]string{"Eps", "Rho", "HullBase"}[i], v)
+		}
+	}
+	return nil
+}
+
 // params is the part of the (defaults-applied) configuration the shared
 // round skeleton reads.
 func (c Config) params() protocol.Params {
@@ -150,7 +166,7 @@ func (st *uSite) Len() int { return len(st.nodes) }
 
 // Curve implements protocol.Site: Algorithm 1's grid of local solves, or
 // Algorithm 2's slope suffix sums for center-pp.
-func (st *uSite) Curve(grid []int) []float64 {
+func (st *uSite) Curve(_ int, grid []int) []float64 {
 	st.start()
 	if st.obj == CenterPP {
 		return st.trav.SlopeSuffix(st.cfg.K, grid)
@@ -237,11 +253,11 @@ func RunCtx(ctx context.Context, g *Ground, sites [][]Node, cfg Config, obj Obje
 // holding nodes over the shared ground set g.
 func NewSiteHandler(g *Ground, nodes []Node, cfg Config, obj Objective, site int) (transport.Handler, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("uncertain: site %d empty", site)
-	}
-	if cfg.K <= 0 || cfg.T < 0 {
-		return nil, fmt.Errorf("uncertain: bad K=%d T=%d", cfg.K, cfg.T)
 	}
 	return protocol.Handler(cfg.params(), site, newUSite(g, nodes, cfg, obj, site)), nil
 }
@@ -254,6 +270,9 @@ func NewSiteHandler(g *Ground, nodes []Node, cfg Config, obj Objective, site int
 func RunOverCtx(ctx context.Context, g *Ground, tr transport.Transport, cfg Config, obj Objective) (Result, error) {
 	cfg = cfg.withDefaults()
 	cfg.LocalOpts.Ctx = ctx
+	if err := cfg.validate(); err != nil {
+		return Result{}, err
+	}
 	res, err := protocol.Run(ctx, tr, cfg.params(), &reducer{g: g, cfg: cfg, obj: obj, col: Collapsed{Squared: obj == Means}})
 	if err != nil {
 		return Result{}, err

@@ -1,9 +1,13 @@
 package uncertain_test
 
 import (
+	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"dpc/internal/gen"
+	"dpc/internal/transport"
 	"dpc/internal/uncertain"
 )
 
@@ -171,6 +175,62 @@ func TestCenterGValidation(t *testing.T) {
 	nodes := [][]uncertain.Node{{{Support: []int{0}, Prob: []float64{1}}}}
 	if _, err := uncertain.RunCenterG(g, nodes, uncertain.CenterGConfig{K: 1}); err == nil {
 		t.Error("degenerate ground accepted")
+	}
+}
+
+// TestConfigRejectsHostileKnobs: a knob no run can use is an error from
+// every entry point of both halves — the site handler a daemon builds from
+// a job frame, the in-process run and the coordinator over a fleet — never
+// a panic, and never a run on a non-finite allocation rank.
+func TestConfigRejectsHostileKnobs(t *testing.T) {
+	in, sites := plantedUncertain(t, 40, 2, 2, 3, 0, 10)
+	tr := transport.NewLoopback(nil, true)
+	defer tr.Close()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		cfg  uncertain.CenterGConfig
+		want string
+	}{
+		{uncertain.CenterGConfig{K: 3, T: 6, TauBase: 1}, "TauBase"},
+		{uncertain.CenterGConfig{K: 3, T: 6, TauBase: 0.5}, "TauBase"},
+		{uncertain.CenterGConfig{K: 3, T: 6, TauBase: math.Inf(1)}, "TauBase"},
+		{uncertain.CenterGConfig{K: 3, T: 6, TauBase: math.NaN()}, "TauBase"},
+		{uncertain.CenterGConfig{K: 3, T: 6, TauBase: 1 + 1e-12}, "thresholds"},
+		{uncertain.CenterGConfig{K: 3, T: 6, MaxFacilities: -1}, "MaxFacilities"},
+		{uncertain.CenterGConfig{K: 3, T: 6, Eps: math.NaN()}, "Eps"},
+		{uncertain.CenterGConfig{K: 3, T: 6, Rho: math.Inf(1)}, "Rho"},
+		{uncertain.CenterGConfig{K: 3, T: 6, HullBase: math.Inf(-1)}, "HullBase"},
+	} {
+		for name, run := range map[string]func() error{
+			"site":        func() error { _, err := uncertain.NewCenterGSiteHandler(in.Ground, sites[0], tc.cfg, 0); return err },
+			"local":       func() error { _, err := uncertain.RunCenterG(in.Ground, sites, tc.cfg); return err },
+			"coordinator": func() error { _, err := uncertain.RunCenterGOverCtx(ctx, in.Ground, tr, tc.cfg); return err },
+		} {
+			if err := run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("center-g %s %+v: error %v, want one naming %s", name, tc.cfg, err, tc.want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		cfg  uncertain.Config
+		want string
+	}{
+		{uncertain.Config{K: 3, T: 6, Eps: math.Inf(1)}, "Eps"},
+		{uncertain.Config{K: 3, T: 6, Rho: math.NaN()}, "Rho"},
+		{uncertain.Config{K: 3, T: 6, HullBase: math.NaN()}, "HullBase"},
+	} {
+		for name, run := range map[string]func() error{
+			"site": func() error {
+				_, err := uncertain.NewSiteHandler(in.Ground, sites[0], tc.cfg, uncertain.Median, 0)
+				return err
+			},
+			"local":       func() error { _, err := uncertain.Run(in.Ground, sites, tc.cfg, uncertain.Median); return err },
+			"coordinator": func() error { _, err := uncertain.RunOverCtx(ctx, in.Ground, tr, tc.cfg, uncertain.Median); return err },
+		} {
+			if err := run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("uncertain %s %+v: error %v, want one naming %s", name, tc.cfg, err, tc.want)
+			}
+		}
 	}
 }
 

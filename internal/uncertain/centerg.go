@@ -6,9 +6,7 @@ import (
 	"math"
 	"sort"
 
-	"dpc/internal/alloc"
 	"dpc/internal/comm"
-	"dpc/internal/geom"
 	"dpc/internal/kcenter"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
@@ -49,17 +47,15 @@ type CenterGConfig struct {
 	Topology tree.Spec `json:"-"`
 }
 
+// common is the part of c Algorithm 3's configuration also has: the two
+// share its defaults and its validation.
+func (c CenterGConfig) common() Config {
+	return Config{K: c.K, T: c.T, Eps: c.Eps, Rho: c.Rho, HullBase: c.HullBase, LocalOpts: c.LocalOpts}
+}
+
 func (c CenterGConfig) withDefaults() CenterGConfig {
-	if c.Eps == 0 {
-		c.Eps = 1
-	}
-	if c.Rho == 0 {
-		c.Rho = 2
-	}
-	if c.HullBase == 0 {
-		c.HullBase = 2
-	}
-	c.LocalOpts.Options = c.LocalOpts.Options.Normalize()
+	d := c.common().withDefaults()
+	c.Eps, c.Rho, c.HullBase, c.LocalOpts = d.Eps, d.Rho, d.HullBase, d.LocalOpts
 	if c.TauBase == 0 {
 		c.TauBase = 2
 	}
@@ -69,55 +65,66 @@ func (c CenterGConfig) withDefaults() CenterGConfig {
 	return c
 }
 
+// params is the part of the (defaults-applied) configuration the shared
+// round skeleton reads: Algorithm 1's, and the tau grid.
+func (c CenterGConfig) params(grid []float64) protocol.Params {
+	return protocol.Params{Name: "uncertain", T: c.T, Rho: c.Rho, HullBase: c.HullBase, OneRound: c.OneRound, TauGrid: grid}
+}
+
 // CenterGResult is the outcome of Algorithm 4: Tau is the threshold the
 // parametric search selected and TauGrid the grid it searched; SiteBudgets
 // are the t_i(tau-hat) of that threshold.
 type CenterGResult = protocol.Result
 
-// tauGrid computes Step 2's truncation grid
-// T = {base^i * dmin/18 : 0 <= i <= ceil(log Delta) + 2}. The grid is a
-// deterministic function of the shared ground set, so coordinator and
-// sites derive the identical grid independently — only the chosen tau-hat
-// crosses the wire (in the pivot broadcast).
-func tauGrid(g *Ground, base float64) ([]float64, error) {
+// maxTauGrid caps Step 2's truncation grid, whose length a job frame's
+// TauBase controls: every threshold costs a site a grid of local solves, and
+// at base 2 the cap covers a spread dmax/dmin of 2^1021.
+const maxTauGrid = 1024
+
+// validate rejects what no run can use and returns Step 2's truncation
+// grid T = {TauBase^i * dmin/18 : 0 <= i <= ceil(log Delta) + 2} over g; c
+// must already have defaults applied. Both halves call it, so a site rejects
+// a shipped configuration before any value reaches a solver or a grid. The
+// grid is a deterministic function of the shared ground set, so coordinator
+// and sites derive the identical grid independently — only the chosen
+// tau-hat crosses the wire (in the pivot broadcast). Its length is checked
+// in floats, before a TauBase near 1 can overflow an int.
+func (c CenterGConfig) validate(g *Ground) ([]float64, error) {
+	if err := c.common().validate(); err != nil {
+		return nil, err
+	}
+	if !(c.TauBase > 1) || math.IsInf(c.TauBase, 1) {
+		return nil, fmt.Errorf("uncertain: TauBase = %v is not in (1, inf)", c.TauBase)
+	}
+	if c.MaxFacilities < 0 {
+		return nil, fmt.Errorf("uncertain: MaxFacilities = %d", c.MaxFacilities)
+	}
 	dmin, dmax := g.MinMax()
 	if dmin <= 0 {
 		return nil, fmt.Errorf("uncertain: degenerate ground set (dmin=0)")
 	}
-	delta := dmax / dmin
-	steps := int(math.Ceil(math.Log(delta)/math.Log(base))) + 3
-	grid := make([]float64, steps)
+	steps := math.Ceil(math.Log(dmax/dmin)/math.Log(c.TauBase)) + 3
+	if !(steps <= maxTauGrid) {
+		return nil, fmt.Errorf("uncertain: TauBase %v over a spread of %g asks for %g thresholds, above the cap %d", c.TauBase, dmax/dmin, steps, maxTauGrid)
+	}
+	grid := make([]float64, int(steps))
 	tau := dmin / 18
 	for i := range grid {
 		grid[i] = tau
-		tau *= base
+		tau *= c.TauBase
 	}
 	return grid, nil
 }
 
-// cgSite is the site half of Algorithm 4.
+// cgSite is the site half of Algorithm 4: per truncation threshold, the
+// local solves behind that threshold's hull and preclustering.
 type cgSite struct {
 	cfg     CenterGConfig // LocalOpts carries the per-site seed
-	site    int
 	g       *Ground
 	grid    []float64
 	nodes   []Node
 	fac     []int                    // candidate facility indices into the ground set
 	solvers []*protocol.BudgetSolver // per tau: the (2k, q, rho_6tau)-median solves
-	fns     []geom.ConvexFn          // per tau: round 0's hull
-}
-
-func newCGSite(g *Ground, nodes []Node, cfg CenterGConfig, grid []float64, site int) *cgSite {
-	cfg.LocalOpts.Seed += int64(site) * 1000033
-	return &cgSite{
-		cfg:     cfg,
-		site:    site,
-		g:       g,
-		grid:    grid,
-		nodes:   nodes,
-		fac:     facilityCandidates(nodes, cfg.MaxFacilities),
-		solvers: make([]*protocol.BudgetSolver, len(grid)),
-	}
 }
 
 // solver returns the local solves at one truncation grid index. Their
@@ -138,9 +145,9 @@ func (st *cgSite) solver(tauIdx int) *protocol.BudgetSolver {
 }
 
 // wirePrecluster serializes a local solution: the chosen centers as ground
-// points with attached node counts, and the outlier nodes as full
+// points with attached node counts, then the outlier nodes as full
 // distributions (the I-bit payload).
-func (st *cgSite) wirePrecluster(sol kmedian.Solution) (comm.WeightedPointsMsg, comm.NodesMsg) {
+func (st *cgSite) wirePrecluster(sol kmedian.Solution) []comm.Payload {
 	centers := comm.WeightedPointsMsg{W: sol.CenterWeights()}
 	for _, f := range sol.Centers {
 		centers.Pts = append(centers.Pts, st.g.Pts[st.fac[f]])
@@ -149,66 +156,33 @@ func (st *cgSite) wirePrecluster(sol kmedian.Solution) (comm.WeightedPointsMsg, 
 	for _, j := range sol.Outliers() {
 		outs.Nodes = append(outs.Nodes, nodeWire(st.nodes[j]))
 	}
-	return centers, outs
+	return []comm.Payload{centers, outs}
 }
 
-// handle is Algorithm 4's site side: its own round shape (one hull per
-// tau up, tau-hat down with the pivot), so its own round switch.
-func (st *cgSite) handle(round int, in []byte) (comm.Payload, error) {
-	cfg := st.cfg
-	tcap := protocol.CapBudget(cfg.T, len(st.nodes))
-	switch {
-	case cfg.OneRound && round == 0:
-		// Table 2 variant: one round, everything for every tau —
-		// Otilde(s (kB + tI) log Delta) communication.
-		costs := make([]float64, len(st.grid))
-		parts := make([]comm.Payload, 1, 1+2*len(st.grid))
-		for ti := range st.grid {
-			sol := st.solver(ti).Solve(tcap)
-			costs[ti] = sol.Cost
-			centers, outs := st.wirePrecluster(sol)
-			parts = append(parts, centers, outs)
-		}
-		parts[0] = comm.Float64sMsg{Vals: costs}
-		return comm.Multi{Parts: parts}, nil
+// Len implements protocol.Site.
+func (st *cgSite) Len() int { return len(st.nodes) }
 
-	case round == 0:
-		// Round 1: per tau, the hull of local truncated costs (Steps 3-5).
-		budgetGrid := geom.Grid(tcap, cfg.HullBase)
-		msg := comm.HullsMsg{Hulls: make([][]geom.Vertex, len(st.grid))}
-		st.fns = make([]geom.ConvexFn, len(st.grid))
-		for ti := range st.grid {
-			samples := make([]geom.Vertex, len(budgetGrid))
-			for i, c := range st.solver(ti).Curve(budgetGrid) {
-				samples[i] = geom.Vertex{Q: budgetGrid[i], C: c}
-			}
-			fn, err := geom.NewConvexFn(samples)
-			if err != nil {
-				return nil, fmt.Errorf("uncertain: center-g site hull: %w", err)
-			}
-			st.fns[ti] = fn
-			msg.Hulls[ti] = fn.Vertices()
-		}
-		return msg, nil
+// Curve implements protocol.Site: the local truncated costs at the tau-th
+// threshold (Steps 3-5).
+func (st *cgSite) Curve(tau int, grid []int) []float64 { return st.solver(tau).Curve(grid) }
 
-	case round == 1 && !cfg.OneRound:
-		// Round 2: preclustering at tau-hat; centers as points, outliers
-		// as full node distributions (Step 7). Tau-hat arrives in the
-		// pivot broadcast; the site locates it on its own grid.
-		pivot, tau, err := protocol.DecodePivot(in)
-		if err != nil {
-			return nil, fmt.Errorf("uncertain: center-g site pivot: %w", err)
-		}
-		for ti, tv := range st.grid {
-			if tv == tau {
-				sol := st.solver(ti).Solve(alloc.FinalBudget(st.fns[ti], st.site, pivot))
-				centers, outs := st.wirePrecluster(sol)
-				return comm.Multi{Parts: []comm.Payload{centers, outs}}, nil
-			}
-		}
-		return nil, fmt.Errorf("uncertain: broadcast tau %g not on the site grid", tau)
+// Precluster implements protocol.Site: the preclustering at tau-hat,
+// centers as points and outliers as full node distributions (Step 7). The
+// Table 2 1-round variant ships everything for every tau instead — the
+// costs the coordinator picks tau-hat from, then each tau's preclustering:
+// Otilde(s (kB + tI) log Delta) communication.
+func (st *cgSite) Precluster(b protocol.Budget) comm.Payload {
+	if !st.cfg.OneRound {
+		return comm.Multi{Parts: st.wirePrecluster(st.solver(b.Param).Solve(b.T))}
 	}
-	return nil, fmt.Errorf("uncertain: center-g site has no round %d", round)
+	costs := make([]float64, len(st.grid))
+	parts := []comm.Payload{comm.Float64sMsg{Vals: costs}} // costs filled below
+	for ti := range st.grid {
+		sol := st.solver(ti).Solve(b.T)
+		costs[ti] = sol.Cost
+		parts = append(parts, st.wirePrecluster(sol)...)
+	}
+	return comm.Multi{Parts: parts}
 }
 
 // NewCenterGSiteHandler builds the site half of Algorithm 4 for site i,
@@ -216,7 +190,7 @@ func (st *cgSite) handle(round int, in []byte) (comm.Payload, error) {
 // site must compute it itself; in-process runs share one grid instead).
 func NewCenterGSiteHandler(g *Ground, nodes []Node, cfg CenterGConfig, site int) (transport.Handler, error) {
 	cfg = cfg.withDefaults()
-	grid, err := tauGrid(g, cfg.TauBase)
+	grid, err := cfg.validate(g)
 	if err != nil {
 		return nil, err
 	}
@@ -227,10 +201,10 @@ func newCenterGSiteHandler(g *Ground, nodes []Node, cfg CenterGConfig, grid []fl
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("uncertain: site %d empty", site)
 	}
-	if cfg.K <= 0 || cfg.T < 0 {
-		return nil, fmt.Errorf("uncertain: bad K=%d T=%d", cfg.K, cfg.T)
-	}
-	return protocol.SiteHandler(newCGSite(g, nodes, cfg, grid, site).handle), nil
+	st := &cgSite{cfg: cfg, g: g, grid: grid, nodes: nodes, fac: facilityCandidates(nodes, cfg.MaxFacilities),
+		solvers: make([]*protocol.BudgetSolver, len(grid))}
+	st.cfg.LocalOpts.Seed += int64(site) * 1000033
+	return protocol.Handler(cfg.params(grid), site, st), nil
 }
 
 // RunCenterG executes Algorithm 4 for the uncertain (k,t)-center-g
@@ -248,18 +222,18 @@ func RunCenterG(g *Ground, sites [][]Node, cfg CenterGConfig) (CenterGResult, er
 // protocol between site computations and returns ctx.Err() promptly.
 func RunCenterGCtx(ctx context.Context, g *Ground, sites [][]Node, cfg CenterGConfig) (CenterGResult, error) {
 	cfg = cfg.withDefaults()
-	// As in core.RunCtx: the truncated-oracle solves inherit ctx so a
-	// cancelled run stops mid-solve, not just at the next gather.
-	cfg.LocalOpts.Ctx = ctx
-	// One grid for everyone: tauGrid costs an O(|ground|^2) min/max scan,
-	// so in-process runs must not pay it once per site.
-	grid, err := tauGrid(g, cfg.TauBase)
+	grid, err := cfg.validate(g)
 	if err != nil {
 		return CenterGResult{}, err
 	}
-	return protocol.RunLocal(ctx, protocol.Params{Name: "uncertain", T: cfg.T}, cfg.Transport, cfg.Topology, sites,
+	// The truncated-oracle solves inherit ctx: a cancelled run stops
+	// mid-solve, not just at the next gather.
+	cfg.LocalOpts.Ctx = ctx
+	// One grid for everyone: validate costs an O(|ground|^2) min/max scan,
+	// so in-process runs must not pay it once per site.
+	return protocol.RunLocal(ctx, cfg.params(grid), cfg.Transport, cfg.Topology, sites,
 		func(i int) (transport.Handler, error) { return newCenterGSiteHandler(g, sites[i], cfg, grid, i) },
-		func(tr transport.Transport) (CenterGResult, error) { return runCenterGOver(ctx, g, tr, cfg, grid) })
+		func(tr transport.Transport) (CenterGResult, error) { return centerGOver(ctx, g, tr, cfg, grid) })
 }
 
 // RunCenterGOverCtx executes the coordinator side of Algorithm 4 over an
@@ -267,179 +241,91 @@ func RunCenterGCtx(ctx context.Context, g *Ground, sites [][]Node, cfg CenterGCo
 // coordinator solves promptly with ctx.Err().
 func RunCenterGOverCtx(ctx context.Context, g *Ground, tr transport.Transport, cfg CenterGConfig) (CenterGResult, error) {
 	cfg = cfg.withDefaults()
-	cfg.LocalOpts.Ctx = ctx
-	grid, err := tauGrid(g, cfg.TauBase)
+	grid, err := cfg.validate(g)
 	if err != nil {
 		return CenterGResult{}, err
 	}
-	return runCenterGOver(ctx, g, tr, cfg, grid)
+	cfg.LocalOpts.Ctx = ctx
+	return centerGOver(ctx, g, tr, cfg, grid)
 }
 
-// runCenterGOver is RunCenterGOverCtx with the tau grid already computed
-// (cfg must have defaults applied).
-func runCenterGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg CenterGConfig, grid []float64) (CenterGResult, error) {
-	s := tr.Sites()
-	if s == 0 {
-		return CenterGResult{}, fmt.Errorf("uncertain: no sites")
-	}
-	nw := comm.NewOverCtx(ctx, tr)
-
-	tauIdx := len(grid) - 1
-	// parts holds, per site, the tau-hat preclustering as it came off the
-	// wire: the centers message, then the outlier nodes message.
-	parts := make([][][]byte, s)
-	var budgets []int
-
+// centerGOver is RunCenterGOverCtx once cfg has its defaults and ctx
+// and validate has returned its grid.
+func centerGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg CenterGConfig, grid []float64) (CenterGResult, error) {
+	red := &cgReducer{g: g, cfg: cfg, grid: grid, sums: make([]float64, len(grid)), unions: make([]coordTruncCosts, 1)}
 	if cfg.OneRound {
-		oneUp, err := nw.SiteRound()
-		if err != nil {
-			return CenterGResult{}, err
-		}
-		if err := nw.Coordinator(func() error {
-			sums := make([]float64, len(grid))
-			for i, b := range oneUp {
-				var cm comm.Float64sMsg
-				var err error
-				if parts[i], err = splitParts(b, 1+2*len(grid)); err == nil {
-					err = cm.UnmarshalBinary(parts[i][0])
-				}
-				if err == nil && len(cm.Vals) != len(grid) {
-					err = fmt.Errorf("%d costs, want %d", len(cm.Vals), len(grid))
-				}
-				if err != nil {
-					return fmt.Errorf("uncertain: one-round center-g payload from site %d: %w", i, err)
-				}
-				for ti, v := range cm.Vals {
-					sums[ti] += v
-				}
-			}
-			for ti, tv := range grid {
-				if sums[ti] <= 12*tv {
-					tauIdx = ti
-					break
-				}
-			}
-			for i := range parts {
-				parts[i] = parts[i][1+2*tauIdx : 3+2*tauIdx]
-			}
-			return nil
-		}); err != nil {
-			return CenterGResult{}, err
-		}
-	} else {
-		hullUp, err := nw.SiteRound()
-		if err != nil {
-			return CenterGResult{}, err
-		}
-
-		// Coordinator: tau-hat = min{tau : sum_i f_i(t_i(tau)) <= 12 tau}
-		// (Step 6), then the pivot for tau-hat.
-		var pivot alloc.Pivot
-		if err := nw.Coordinator(func() error {
-			all := make([][]geom.ConvexFn, len(grid)) // [tau][site]
-			for ti := range grid {
-				all[ti] = make([]geom.ConvexFn, s)
-			}
-			for i, b := range hullUp {
-				var msg comm.HullsMsg
-				if err := msg.UnmarshalBinary(b); err != nil {
-					return fmt.Errorf("uncertain: hulls from site %d: %w", i, err)
-				}
-				if len(msg.Hulls) != len(grid) {
-					return fmt.Errorf("uncertain: site %d shipped %d hulls, want %d", i, len(msg.Hulls), len(grid))
-				}
-				for ti := range grid {
-					fn, err := geom.NewConvexFn(msg.Hulls[ti])
-					if err != nil {
-						return fmt.Errorf("uncertain: hull %d from site %d: %w", ti, i, err)
-					}
-					all[ti][i] = fn
-				}
-			}
-			R := int(cfg.Rho * float64(cfg.T))
-			found := false
-			for ti, tv := range grid {
-				p, _ := alloc.Allocate(all[ti], R)
-				var sum float64
-				for i, fn := range all[ti] {
-					sum += fn.Eval(alloc.FinalBudget(fn, i, p))
-				}
-				if sum <= 12*tv {
-					pivot, tauIdx, found = p, ti, true
-					break
-				}
-			}
-			if !found { // cannot happen for tau_max (rho_6tau = 0); be safe
-				pivot, _ = alloc.Allocate(all[tauIdx], R)
-			}
-			// Replay Step 11 per site: the coordinator knows every
-			// t_i(tau-hat) without extra bytes.
-			budgets = make([]int, s)
-			for i, fn := range all[tauIdx] {
-				budgets[i] = alloc.FinalBudget(fn, i, pivot)
-			}
-			return nil
-		}); err != nil {
-			return CenterGResult{}, err
-		}
-		if err := protocol.BroadcastPivot(nw, pivot, grid[tauIdx]); err != nil {
-			return CenterGResult{}, err
-		}
-
-		roundTwo, err := nw.SiteRound()
-		if err != nil {
-			return CenterGResult{}, err
-		}
-		for i, b := range roundTwo {
-			if parts[i], err = splitParts(b, 2); err != nil {
-				return CenterGResult{}, fmt.Errorf("uncertain: center-g payload from site %d: %w", i, err)
-			}
-		}
+		red.unions = make([]coordTruncCosts, len(grid))
 	}
-
-	// Coordinator: weighted truncated (k,t)-center over the union.
-	result := CenterGResult{Tau: grid[tauIdx], TauGrid: grid, SiteBudgets: budgets, OutlierBudget: (1 + cfg.Eps) * float64(cfg.T)}
-	if err := nw.Coordinator(func() error {
-		cc := &coordTruncCosts{g: g, tau: 6 * grid[tauIdx]}
-		var wts []float64
-		for i, p := range parts {
-			var centers comm.WeightedPointsMsg
-			var outs comm.NodesMsg
-			if err := centers.UnmarshalBinary(p[0]); err != nil {
-				return fmt.Errorf("uncertain: centers from site %d: %w", i, err)
-			}
-			if err := outs.UnmarshalBinary(p[1]); err != nil {
-				return fmt.Errorf("uncertain: outliers from site %d: %w", i, err)
-			}
-			for c, pt := range centers.Pts {
-				cc.addPoint(pt)
-				wts = append(wts, centers.W[c])
-			}
-			for _, wire := range outs.Nodes {
-				cc.addNode(nodeFromWire(wire))
-				wts = append(wts, 1)
-			}
-		}
-		sol := kcenter.PartialOpt(cc, wts, cfg.K, float64(cfg.T), cfg.LocalOpts.Options)
-		result.CoordinatorCost = sol.Radius
-		for _, f := range sol.Centers {
-			result.Centers = append(result.Centers, cc.facPts[f].Clone())
-		}
-		return nil
-	}); err != nil {
+	res, err := protocol.Run(ctx, tr, cfg.params(grid), red)
+	if err != nil {
 		return CenterGResult{}, err
 	}
-	result.Report = nw.Report()
-	return result, nil
+	res.OutlierBudget = (1 + cfg.Eps) * float64(cfg.T)
+	return res, nil
 }
 
-// splitParts splits a Multi payload and checks its part count.
-func splitParts(b []byte, want int) ([][]byte, error) {
+// cgReducer is the coordinator half of Algorithm 4: the sites'
+// preclusterings at tau-hat as one mixed instance of Dirac points and
+// outlier nodes, solved as a weighted truncated (k,t)-center at 6 tau-hat.
+type cgReducer struct {
+	g      *Ground
+	cfg    CenterGConfig
+	grid   []float64
+	sums   []float64         // 1-round: per tau, the costs the sites shipped, summed
+	unions []coordTruncCosts // per tau in a 1-round run, tau-hat's alone otherwise
+}
+
+// Add implements protocol.Reducer: a Multi of the centers and outliers
+// messages, in a 1-round run one pair per tau behind the site's costs at
+// every tau.
+func (r *cgReducer) Add(b []byte) error {
 	parts, err := comm.SplitMulti(b)
-	if err == nil && len(parts) != want {
-		err = fmt.Errorf("%d parts, want %d", len(parts), want)
+	if err != nil {
+		return err
 	}
-	return parts, err
+	if r.cfg.OneRound && len(parts) > 0 {
+		var cm comm.Float64sMsg
+		if err := cm.UnmarshalBinary(parts[0]); err != nil {
+			return err
+		}
+		if len(cm.Vals) != len(r.grid) {
+			return fmt.Errorf("%d costs, want %d", len(cm.Vals), len(r.grid))
+		}
+		for ti, v := range cm.Vals {
+			r.sums[ti] += v
+		}
+		parts = parts[1:]
+	}
+	if len(parts) != 2*len(r.unions) {
+		return fmt.Errorf("%d preclustering parts, want %d", len(parts), 2*len(r.unions))
+	}
+	for ti := range r.unions {
+		var centers comm.WeightedPointsMsg
+		var outs comm.NodesMsg
+		if err := centers.UnmarshalBinary(parts[2*ti]); err != nil {
+			return fmt.Errorf("centers: %w", err)
+		}
+		if err := outs.UnmarshalBinary(parts[2*ti+1]); err != nil {
+			return fmt.Errorf("outliers: %w", err)
+		}
+		r.unions[ti].add(r.g, centers, outs)
+	}
+	return nil
+}
+
+// Solve implements protocol.Reducer: in a 1-round run, Step 6 over the
+// shipped costs picks tau-hat; then the weighted truncated (k,t)-center over
+// the union at 6 tau-hat.
+func (r *cgReducer) Solve(res *protocol.Result) {
+	ti := 0
+	if r.cfg.OneRound {
+		ti = protocol.PickTau(r.grid, func(i int) float64 { return r.sums[i] })
+		res.Tau = r.grid[ti]
+	}
+	cc := &r.unions[ti]
+	cc.g, cc.tau = r.g, 6*res.Tau
+	sol := kcenter.PartialOpt(cc, cc.wts, r.cfg.K, float64(r.cfg.T), r.cfg.LocalOpts.Options)
+	res.Centers, res.CoordinatorCost = protocol.PointsAt(cc.facPts, sol.Centers), sol.Radius
 }
 
 // facilityCandidates returns the union of the nodes' support indices,
@@ -477,25 +363,30 @@ type coordTruncCosts struct {
 	diracs []metric.Point // nil entry means the client is a node
 	nodes  []Node
 	facPts []metric.Point
+	wts    []float64 // client weights
 }
 
-func (cc *coordTruncCosts) addPoint(p metric.Point) {
-	cc.diracs = append(cc.diracs, p)
-	cc.nodes = append(cc.nodes, Node{})
-	cc.facPts = append(cc.facPts, p)
-}
-
-func (cc *coordTruncCosts) addNode(nd Node) {
-	cc.diracs = append(cc.diracs, nil)
-	cc.nodes = append(cc.nodes, nd)
-	// Representative facility: the node's highest-probability support point.
-	best, bp := 0, -1.0
-	for i, p := range nd.Prob {
-		if p > bp {
-			bp, best = p, i
+// add appends one site's preclustering: its centers as Dirac clients at
+// their attached weights, then its outlier nodes (over g) at weight 1.
+func (cc *coordTruncCosts) add(g *Ground, centers comm.WeightedPointsMsg, outs comm.NodesMsg) {
+	cc.diracs = append(cc.diracs, centers.Pts...)
+	cc.nodes = append(cc.nodes, make([]Node, len(centers.Pts))...)
+	cc.facPts = append(cc.facPts, centers.Pts...)
+	cc.wts = append(cc.wts, centers.W...)
+	for _, wire := range outs.Nodes {
+		nd := nodeFromWire(wire)
+		cc.diracs = append(cc.diracs, nil)
+		cc.nodes = append(cc.nodes, nd)
+		// Representative facility: the node's highest-probability support point.
+		best, bp := 0, -1.0
+		for i, p := range nd.Prob {
+			if p > bp {
+				bp, best = p, i
+			}
 		}
+		cc.facPts = append(cc.facPts, g.Pts[nd.Support[best]])
+		cc.wts = append(cc.wts, 1)
 	}
-	cc.facPts = append(cc.facPts, cc.g.Pts[nd.Support[best]])
 }
 
 // Clients implements metric.Costs.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dpc/internal/comm"
 	"dpc/internal/metric"
 )
 
@@ -327,8 +328,7 @@ func TestOraclesDeclareNoTrianglePower(t *testing.T) {
 	}
 	col := Collapse(g, nodes, false, FullGround)
 	cc := &coordTruncCosts{g: g, tau: 1}
-	cc.addPoint(g.Pts[0])
-	cc.addNode(nodes[1])
+	cc.add(g, comm.WeightedPointsMsg{Pts: g.Pts[:1], W: []float64{1}}, comm.NodesMsg{Nodes: []comm.NodeWire{nodeWire(nodes[1])}})
 	for name, c := range map[string]metric.Costs{
 		"collapsed":           col,
 		"collapsed-squared":   Collapse(g, nodes, true, FullGround),
