@@ -13,7 +13,9 @@
 // All three return the same Response (centers, cost, outlier budget,
 // measured communication), and all three honor context cancellation: a
 // cancelled context aborts the solve at its next protocol round and Do
-// returns an error satisfying errors.Is(err, context.Canceled).
+// returns an error satisfying errors.Is(err, context.Canceled). Local's
+// centralized solver (Request.Central) is no exception: its simulated levels
+// are protocol runs too.
 //
 // The same Request — same seed, same shard count — returns byte-identical
 // centers on every backend; the round-trip tests in this package assert it.
@@ -94,7 +96,8 @@ type Request struct {
 	// physical inbox by the branching factor instead of the site count.
 	Topology tree.Spec `json:"topology,omitempty" usage:"coordinator fan-in: star | tree | tree,branch=N"`
 	// Central switches the Local backend to the Section 3.1 centralized
-	// solver (median/means only); Levels is its simulation depth.
+	// solver (median/means only); Levels is its simulation depth, each
+	// level an in-process Algorithm 1 run over chunks of Points.
 	Central bool `json:"central,omitempty" usage:"solve centrally (Section 3.1) instead of the distributed protocol (median/means)"`
 	Levels  int  `json:"levels,omitempty" usage:"centralized simulation depth (with -central)"`
 

@@ -251,38 +251,45 @@ func cancelRequest(pts []Point) Request {
 }
 
 // TestCancellationAllBackends proves a context cancelled mid-solve returns
-// promptly with context.Canceled on Local, Cluster and Remote.
+// promptly with context.Canceled on Local, Cluster and Remote, and on
+// Local's centralized solver (one simulated level over the same instance).
 func TestCancellationAllBackends(t *testing.T) {
 	in := cancelInstance()
 	req := cancelRequest(in.Pts)
 	shards := dataio.SplitRoundRobin(in.Pts, req.Sites)
 
 	backends := []struct {
-		name  string
-		build func(t *testing.T) Client
+		name    string
+		build   func(t *testing.T) Client
+		central bool
 	}{
-		{"local", func(t *testing.T) Client { return NewLocal() }},
+		{"local", func(t *testing.T) Client { return NewLocal() }, false},
+		{"local-central", func(t *testing.T) Client { return NewLocal() }, true},
 		{"cluster", func(t *testing.T) Client {
 			cluster, _ := newCluster(t, shards, nil, nil)
 			// Join is not asserted: a cancellation tears the sites down
 			// mid-protocol by design.
 			return cluster
-		}},
+		}, false},
 		{"remote", func(t *testing.T) Client {
 			remote, _ := newRemote(t, serve.Config{})
 			return remote
-		}},
+		}, false},
 	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
 			c := b.build(t)
+			r := req
+			if b.central {
+				r.Central, r.Levels = true, 1
+			}
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				time.Sleep(40 * time.Millisecond)
 				cancel()
 			}()
 			start := time.Now()
-			_, err := c.Do(ctx, req)
+			_, err := c.Do(ctx, r)
 			elapsed := time.Since(start)
 			if err == nil {
 				t.Fatalf("cancelled %s run returned a result", b.name)

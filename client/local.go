@@ -16,7 +16,9 @@ import (
 // the full distributed protocol runs over the loopback (or, with
 // req.Transport = "tcp", real localhost socket) backend. With req.Central
 // set, point median/means requests run the Section 3.1 centralized solver
-// instead. Which protocol answers which objective is not decided here: the
+// instead, whose simulated levels are in-process protocol runs over chunks
+// of req.Points and cancel like any other run (req.Sites does not apply).
+// Which protocol answers which objective is not decided here: the
 // request becomes a jobwire.Job (serve.JobSpec.Job) and the job runs itself.
 type Local struct{}
 
@@ -52,15 +54,13 @@ func (l *Local) Do(ctx context.Context, req Request) (*Response, error) {
 		if job.Kind != jobwire.KindPoint || job.Core.Objective == core.Center {
 			return nil, fmt.Errorf("client: the centralized solver handles point median/means only")
 		}
-		// The centralized solver is one indivisible solve; honor the
-		// context at its boundary (a cancelled request never starts it).
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sol := central.PartialMedian(req.Points, central.Config{
+		sol, err := central.PartialMedian(ctx, req.Points, central.Config{
 			K: req.K, T: req.T, Levels: req.Levels, Eps: req.Eps,
 			Objective: job.Core.Objective, Opts: job.Core.LocalOpts,
 		})
+		if err != nil {
+			return nil, err
+		}
 		return &Response{
 			Centers:       sol.Centers,
 			Cost:          sol.Cost,

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -228,7 +229,10 @@ func (sw *sweeper) sweepSubq() error {
 		opts := kmedian.Options{MaxIters: 10, Seed: sw.seed}
 		var secs [3]float64
 		for lvl := 0; lvl <= 2; lvl++ {
-			sol := central.PartialMedian(in.Pts, central.Config{K: 3, T: n / 50, Levels: lvl, Opts: opts})
+			sol, err := central.PartialMedian(context.Background(), in.Pts, central.Config{K: 3, T: n / 50, Levels: lvl, Opts: opts})
+			if err != nil {
+				return err
+			}
 			secs[lvl] = sol.Elapsed.Seconds()
 		}
 		fmt.Fprintf(sw.out, "%d,%.3f,%.3f,%.3f\n", n, secs[0], secs[1], secs[2])

@@ -75,12 +75,15 @@
 //   - Run / Config / Result          — Algorithms 1 and 2 + variants (legacy)
 //   - TransportLoopback/TransportTCP — wire backends for distributed runs
 //   - RunUncertain, RunCenterG       — Section 5 (compressed graph, Alg. 3/4)
-//   - Centralized                    — Section 3.1 (subquadratic simulation)
+//   - Centralized                    — Section 3.1 (subquadratic simulation:
+//     Algorithm 1 over chunk sites, recursively; legacy)
 //   - NewServer / ServeConfig        — the embeddable job server
 //   - Mixture, UncertainMixture, ... — planted workload generators
 package dpc
 
 import (
+	"context"
+
 	"dpc/client"
 	"dpc/internal/central"
 	"dpc/internal/core"
@@ -437,11 +440,14 @@ type CentralConfig = central.Config
 type CentralSolution = central.Solution
 
 // Centralized solves (k,t)-median/means centrally, optionally simulating
-// the distributed algorithm to break the quadratic barrier (Theorem 3.10).
+// the distributed algorithm to break the quadratic barrier (Theorem 3.10):
+// each simulated level runs Algorithm 1 over in-process chunk sites on the
+// same round skeleton as Run.
 //
-// Legacy one-shot surface: prefer Client with Request.Central set.
-func Centralized(pts []Point, cfg CentralConfig) CentralSolution {
-	return central.PartialMedian(pts, cfg)
+// Legacy one-shot surface: prefer Client with Request.Central set, which
+// adds context cancellation.
+func Centralized(pts []Point, cfg CentralConfig) (CentralSolution, error) {
+	return central.PartialMedian(context.Background(), pts, cfg)
 }
 
 // --- Workload generators ---

@@ -83,8 +83,14 @@ func TestFacadeUncertain(t *testing.T) {
 
 func TestFacadeCentralized(t *testing.T) {
 	in := dpc.Mixture(dpc.MixtureSpec{N: 500, K: 3, OutlierFrac: 0.05, Seed: 8})
-	direct := dpc.Centralized(in.Pts, dpc.CentralConfig{K: 3, T: 25, Levels: 0})
-	sim := dpc.Centralized(in.Pts, dpc.CentralConfig{K: 3, T: 25, Levels: 1})
+	direct, err := dpc.Centralized(in.Pts, dpc.CentralConfig{K: 3, T: 25, Levels: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := dpc.Centralized(in.Pts, dpc.CentralConfig{K: 3, T: 25, Levels: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if direct.Cost <= 0 || sim.Cost <= 0 {
 		t.Fatal("degenerate costs")
 	}
@@ -113,7 +119,10 @@ func TestFacadeStream(t *testing.T) {
 		t.Fatalf("centers = %d", len(res.Centers))
 	}
 	cost := dpc.Evaluate(in.Pts, res.Centers, 60, dpc.Median)
-	batch := dpc.Centralized(in.Pts, dpc.CentralConfig{K: 3, T: 60, Levels: 0, Eps: 0.0001})
+	batch, err := dpc.Centralized(in.Pts, dpc.CentralConfig{K: 3, T: 60, Levels: 0, Eps: 0.0001})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if batch.Cost > 0 && cost > 6*batch.Cost {
 		t.Fatalf("stream %g vs batch %g", cost, batch.Cost)
 	}

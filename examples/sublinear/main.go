@@ -1,5 +1,5 @@
 // Sublinear: the Section 3.1 trick — accelerate a *centralized*
-// (k,t)-median solve by simulating the distributed algorithm sequentially.
+// (k,t)-median solve by simulating the distributed algorithm in-process.
 // The direct Theorem 3.1 engine is quadratic in n; one simulation level
 // brings the exponent to ~4/3, two to ~8/7 (Theorem 3.10), trading a
 // constant factor of quality.
@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"dpc"
 )
@@ -26,10 +27,14 @@ func main() {
 		t := n / 50
 		var sols [3]dpc.CentralSolution
 		for lvl := 0; lvl <= 2; lvl++ {
-			sols[lvl] = dpc.Centralized(in.Pts, dpc.CentralConfig{
+			sol, err := dpc.Centralized(in.Pts, dpc.CentralConfig{
 				K: 4, T: t, Levels: lvl,
 				Opts: dpc.SolverOptions{MaxIters: 10, Seed: 1},
 			})
+			if err != nil {
+				log.Fatal(err)
+			}
+			sols[lvl] = sol
 		}
 		fmt.Printf("%8d  %10v  %10v  %10v  %8.2f  %8.2f\n",
 			n,

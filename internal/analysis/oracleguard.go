@@ -7,8 +7,9 @@ import (
 
 // OracleGuard keeps solver entry points oracle-typed: a parameter declared
 // as the concrete *metric.DistCache or *metric.Index welds the solver to
-// one acceleration structure, where metric.Oracle (which both satisfy, and
-// which the ROADMAP's out-of-core store will too) slots any of them in.
+// one acceleration structure, where metric.Oracle (exact distances only, so
+// the memo, a raw point set and the ROADMAP's out-of-core store all satisfy
+// it) slots any of them in.
 // The metric package itself is out of scope — it owns the concrete types —
 // and deliberate compat shims carry //dpc:vet-ok oracleguard <reason>.
 var OracleGuard = &Analyzer{

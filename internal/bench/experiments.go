@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -319,7 +320,10 @@ func E7Subquadratic(o Options) Table {
 		var secs [3]float64
 		var costs [3]float64
 		for lvl := 0; lvl <= 2; lvl++ {
-			sol := central.PartialMedian(in.Pts, central.Config{K: k, T: tt, Levels: lvl, Opts: opts})
+			sol, err := central.PartialMedian(context.Background(), in.Pts, central.Config{K: k, T: tt, Levels: lvl, Opts: opts})
+			if err != nil {
+				panic(err)
+			}
 			secs[lvl] = sol.Elapsed.Seconds()
 			costs[lvl] = sol.Cost
 		}

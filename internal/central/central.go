@@ -1,26 +1,34 @@
 // Package central implements Section 3.1: centralized (k,t)-median/means
-// solvers obtained by *sequentially simulating* the distributed algorithm.
+// solvers obtained by simulating the distributed algorithm.
 //
 // Level 0 is the direct Theorem 3.1 engine with Otilde(n^2) behaviour.
 // Level j >= 1 splits the input into s = n^{e/(e+1)} chunks (e = runtime
-// exponent of level j-1; Lemma 3.9's balancing n^{1+a0} = s^{2+a0}),
-// preclusters every chunk with the level j-1 solver on the geometric budget
-// grid, allocates the outlier budget with the rank-2q pivot, and solves the
-// induced weighted instance directly. One level yields the Otilde(t^2 +
-// n^{4/3} k^2) algorithm; repeating drives the exponent to 1+alpha
-// (Theorem 3.10) at the price of a (c0*gamma)^j approximation factor.
+// exponent of level j-1; Lemma 3.9's balancing n^{1+a0} = s^{2+a0}) and runs
+// Algorithm 1 over them on the round skeleton of internal/protocol, as an
+// in-process loopback fleet: every chunk is a protocol.Site whose cost curve
+// and preclustering are level j-1 solves, the skeleton allocates the outlier
+// budget with the rank-2q pivot, and a protocol.Reducer solves the induced
+// weighted instance directly. One level yields the Otilde(t^2 + n^{4/3} k^2)
+// algorithm; repeating drives the exponent to 1+alpha (Theorem 3.10) at the
+// price of a (c0*gamma)^j approximation factor.
 package central
 
 import (
+	"context"
+	"errors"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
-	"dpc/internal/alloc"
+	"dpc/internal/comm"
 	"dpc/internal/core"
-	"dpc/internal/geom"
+	"dpc/internal/dataio"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
+	"dpc/internal/par"
+	"dpc/internal/protocol"
+	"dpc/internal/transport"
+	"dpc/internal/tree"
 )
 
 // Config parameterizes the centralized solver.
@@ -43,24 +51,18 @@ type Config struct {
 	HullBase float64
 }
 
-// engineOpts returns the per-solve options. Unlike the distributed package,
-// the centralized engine defaults to scanning ALL facilities per local
-// search round (SampleFacilities = -1): that is the faithful
-// Otilde(n^2)-time Theorem 3.1 engine whose quadratic growth the
-// simulation of Lemma 3.9 is designed to break.
-func (c Config) engineOpts() kmedian.Options {
-	opts := c.Opts
-	if opts.SampleFacilities == 0 {
-		opts.SampleFacilities = -1
-	}
-	return opts
-}
-
 func (c Config) withDefaults() Config {
 	if c.Eps == 0 {
 		c.Eps = 1
 	}
 	c.Opts.Options = c.Opts.Options.Normalize()
+	// Unlike the distributed package, every solve defaults to scanning ALL
+	// facilities per local search round: that is the faithful
+	// Otilde(n^2)-time Theorem 3.1 engine whose quadratic growth the
+	// simulation of Lemma 3.9 is designed to break.
+	if c.Opts.SampleFacilities == 0 {
+		c.Opts.SampleFacilities = -1
+	}
 	if c.MinChunk == 0 {
 		c.MinChunk = 64
 	}
@@ -82,29 +84,25 @@ type Solution struct {
 }
 
 // PartialMedian solves the centralized (k,t)-median/means problem at the
-// configured simulation depth.
-func PartialMedian(pts []metric.Point, cfg Config) Solution {
+// configured simulation depth. Cancelling ctx stops it at the next simulated
+// round or local-search step and returns ctx.Err().
+func PartialMedian(ctx context.Context, pts []metric.Point, cfg Config) (Solution, error) {
 	cfg = cfg.withDefaults()
+	// Every solve at every level inherits ctx, as core.RunCtx's sites do.
+	cfg.Opts.Ctx = ctx
 	t0 := time.Now() //dpc:nondeterministic-ok wall-clock feeds the Elapsed diagnostic only, never centers or costs
-	pre, chunks := solveLevel(pts, cfg.K, cfg.T, cfg.Levels, cfg)
+	centers, chunks, err := solveLevel(pts, cfg.K, cfg.T, cfg.Levels, cfg)
+	if err != nil {
+		return Solution{}, err
+	}
 	budget := (1 + cfg.Eps) * float64(cfg.T)
-	sol := Solution{
-		Centers:       pre.centers,
-		Cost:          core.Evaluate(pts, pre.centers, budget, cfg.Objective),
+	return Solution{
+		Centers:       centers,
+		Cost:          core.Evaluate(pts, centers, budget, cfg.Objective),
 		OutlierBudget: budget,
 		TopChunks:     chunks,
 		Elapsed:       time.Since(t0),
-	}
-	return sol
-}
-
-// precluster is the aggregated output of one (k, q) sub-solve: centers with
-// attached inlier weight plus the q designated outlier points.
-type precluster struct {
-	centers  []metric.Point
-	weights  []float64
-	outliers []metric.Point
-	cost     float64
+	}, nil
 }
 
 // runtimeExponent returns e_j: e_0 = 2, e_j = 2 e_{j-1} / (e_{j-1} + 1).
@@ -120,167 +118,150 @@ func runtimeExponent(level int) float64 {
 // within [2, n/2].
 func chunkCount(n, level int) int {
 	e := runtimeExponent(level - 1)
-	s := int(math.Ceil(math.Pow(float64(n), e/(e+1))))
-	if s < 2 {
-		s = 2
-	}
-	if s > n/2 {
-		s = n / 2
-	}
-	return s
+	return min(max(int(math.Ceil(math.Pow(float64(n), e/(e+1)))), 2), n/2)
 }
 
-// solveLevel returns the (k, q) preclustering of pts at the given recursion
-// level, and the chunk count used (0 when solved directly).
-func solveLevel(pts []metric.Point, k, q, level int, cfg Config) (precluster, int) {
-	n := len(pts)
+// solveLevel returns the centers of a (k, q) solve of pts at the given
+// recursion level, and the chunk count used (0 when solved directly).
+func solveLevel(pts []metric.Point, k, q, level int, cfg Config) ([]metric.Point, int, error) {
+	n, ctx := len(pts), cfg.Opts.Ctx
 	if level <= 0 || n <= cfg.MinChunk || n <= 4*(k+q) {
-		return directSolve(pts, k, q, cfg), 0
+		// A preempted solve returns its best answer so far, maybe none.
+		return solve(pts, nil, k, q, 0, cfg), 0, ctx.Err()
 	}
-	s := chunkCount(n, level)
-	chunks := make([][]metric.Point, s)
-	for i, p := range pts {
-		chunks[i%s] = append(chunks[i%s], p)
+	chunks := dataio.SplitRoundRobin(pts, chunkCount(n, level))
+	p := protocol.Params{Name: "central", T: q, Rho: 2, HullBase: cfg.HullBase}
+	errs := make([]error, len(chunks)) // chunk i's first failed sub-solve
+	// The loopback fleet starts every chunk at once, and a chunk of a deeper
+	// level starts a fleet of its own: at most Workers chunks of this fleet
+	// compute at a time, so the goroutines and memory in flight grow with
+	// the levels, not with the product of their chunk counts.
+	slots := make(chan struct{}, par.Resolve(cfg.Opts.Workers))
+	res, err := protocol.RunLocal(ctx, p, transport.KindLoopback, tree.Spec{}, chunks,
+		func(i int) (transport.Handler, error) {
+			h := protocol.Handler(p, i, &chunk{pts: chunks[i], k: 2 * k, level: level - 1, cfg: cfg,
+				err: &errs[i], memo: make(map[int]summary)})
+			return func(round int, in []byte) ([]byte, error) {
+				slots <- struct{}{}
+				defer func() { <-slots }()
+				return h(round, in)
+			}, nil
+		},
+		func(tr transport.Transport) (protocol.Result, error) {
+			return protocol.Run(ctx, tr, p, &union{k: k, q: q, level: level, cfg: cfg})
+		})
+	if err == nil {
+		err = errors.Join(errs...)
 	}
-
-	// Per-chunk cost curves on the geometric budget grid (with caching so
-	// the post-allocation fetch reuses grid solves).
-	type chunkState struct {
-		cache map[int]precluster
-		fn    geom.ConvexFn
-	}
-	states := make([]*chunkState, s)
-	for i, chunk := range chunks {
-		st := &chunkState{cache: make(map[int]precluster)}
-		qcap := q
-		if qcap >= len(chunk) {
-			qcap = len(chunk) - 1
-		}
-		samples := make([]geom.Vertex, 0, 8)
-		for _, g := range geom.Grid(qcap, cfg.HullBase) {
-			sub, _ := solveLevel(chunk, 2*k, g, level-1, cfg)
-			st.cache[g] = sub
-			samples = append(samples, geom.Vertex{Q: g, C: sub.cost})
-		}
-		fn, err := geom.NewConvexFn(samples)
-		if err != nil {
-			panic(err)
-		}
-		st.fn = fn
-		states[i] = st
-	}
-
-	fns := make([]geom.ConvexFn, s)
-	for i, st := range states {
-		fns[i] = st.fn
-	}
-	pivot, ts := alloc.Allocate(fns, 2*q)
-
-	// Union of chunk preclusterings at the allocated budgets.
-	var upts []metric.Point
-	var uw []float64
-	for i, st := range states {
-		b := ts[i]
-		if i == pivot.I0 {
-			b = st.fn.NextVertex(pivot.Q0)
-		}
-		sub, ok := st.cache[b]
-		if !ok {
-			sub, _ = solveLevel(chunks[i], 2*k, b, level-1, cfg)
-		}
-		for c := range sub.centers {
-			upts = append(upts, sub.centers[c])
-			uw = append(uw, sub.weights[c])
-		}
-		for _, o := range sub.outliers {
-			upts = append(upts, o)
-			uw = append(uw, 1)
-		}
-	}
-
-	// Direct weighted solve on the induced instance, then re-aggregate
-	// against the original points.
-	opts := cfg.engineOpts()
-	opts.Seed += int64(level) * 31337
-	costs := weightedCosts(upts, cfg.Objective, opts)
-	sol := kmedian.Solve(costs, uw, k, float64(q), opts)
-	centers := make([]metric.Point, len(sol.Centers))
-	for i, f := range sol.Centers {
-		centers[i] = upts[f]
-	}
-	return aggregate(pts, centers, q, cfg.Objective), s
+	return res.Centers, len(chunks), err
 }
 
-// directSolve is the level-0 engine.
-func directSolve(pts []metric.Point, k, q int, cfg Config) precluster {
-	opts := cfg.engineOpts()
-	costs := weightedCosts(pts, cfg.Objective, opts)
-	sol := kmedian.Solve(costs, nil, k, float64(q), opts)
-	centers := make([]metric.Point, len(sol.Centers))
-	for i, f := range sol.Centers {
-		centers[i] = pts[f]
-	}
-	return aggregate(pts, centers, q, cfg.Objective)
-}
-
-// weightedCosts wraps points in the objective's cost oracle, memoized
-// behind the distance cache when caching is on (opts normalized) and the
-// instance is small enough for the cache to pay for itself.
-func weightedCosts(pts []metric.Point, obj core.Objective, opts kmedian.Options) metric.Costs {
+// solve is the direct Theorem 3.1 solve of the instance pts (weights w, nil
+// for unit), the seed offset by salt: the objective's cost oracle, memoized
+// behind the distance cache when caching is on, under kmedian.Solve.
+func solve(pts []metric.Point, w []float64, k, q int, salt int64, cfg Config) []metric.Point {
+	opts := cfg.Opts
+	opts.Seed += salt
 	var sp metric.Space = metric.NewPoints(pts)
 	if !opts.NoCache {
 		sp = metric.CacheSpace(sp)
 	}
-	c := metric.Costs(metric.SelfCosts{S: sp})
-	if obj == core.Means {
-		return metric.Squared{C: c}
+	costs := metric.Costs(metric.SelfCosts{S: sp})
+	if cfg.Objective == core.Means {
+		costs = metric.Squared{C: costs}
 	}
-	return c
+	return protocol.PointsAt(pts, kmedian.Solve(costs, w, k, float64(q), opts).Centers)
+}
+
+// chunk is one simulated site of a level: its cost curve and preclustering
+// are level j-1 solves of its points, memoized per budget, so the budget the
+// allocation lands on reuses the grid solve.
+type chunk struct {
+	pts      []metric.Point
+	k, level int
+	cfg      Config
+	err      *error
+	memo     map[int]summary
+}
+
+// summary is one (k, b) sub-solve as a chunk ships it — the centers at their
+// inlier counts, then the b farthest points as outliers at weight 1 — with
+// its partial cost.
+type summary struct {
+	msg  comm.WeightedPointsMsg
+	cost float64
+}
+
+// at returns the sub-solve at budget b. A failed one (a cancelled run, in
+// practice) is kept as an empty summary and its error in c.err, which the
+// level reports once the run is over.
+func (c *chunk) at(b int) summary {
+	s, ok := c.memo[b]
+	if !ok {
+		centers, _, err := solveLevel(c.pts, c.k, b, c.level, c.cfg)
+		if err == nil {
+			s = aggregate(c.pts, centers, b, c.cfg.Objective)
+		} else if *c.err == nil {
+			*c.err = err
+		}
+		c.memo[b] = s
+	}
+	return s
+}
+
+// Len implements protocol.Site.
+func (c *chunk) Len() int { return len(c.pts) }
+
+// Curve implements protocol.Site.
+func (c *chunk) Curve(_ int, grid []int) []float64 {
+	costs := make([]float64, len(grid))
+	for i, b := range grid {
+		costs[i] = c.at(b).cost
+	}
+	return costs
+}
+
+// Precluster implements protocol.Site.
+func (c *chunk) Precluster(b protocol.Budget) comm.Payload { return c.at(b.T).msg }
+
+// union is the coordinator half of a level: the chunks' summaries as one
+// weighted instance, solved directly.
+type union struct {
+	k, q, level int
+	cfg         Config
+	pts         []metric.Point
+	w           []float64
+}
+
+// Add implements protocol.Reducer.
+func (u *union) Add(b []byte) error {
+	var m comm.WeightedPointsMsg
+	if err := m.UnmarshalBinary(b); err != nil {
+		return err
+	}
+	u.pts, u.w = append(u.pts, m.Pts...), append(u.w, m.W...)
+	return nil
+}
+
+// Solve implements protocol.Reducer.
+func (u *union) Solve(res *protocol.Result) {
+	res.Centers, res.CoordinatorClients = solve(u.pts, u.w, u.k, u.q, int64(u.level)*31337, u.cfg), len(u.pts)
 }
 
 // aggregate attaches every input point to its nearest center, designates
-// the q farthest points as outliers, and returns the weighted summary plus
-// the partial cost.
-func aggregate(pts []metric.Point, centers []metric.Point, q int, obj core.Objective) precluster {
-	n := len(pts)
-	dist := make([]float64, n)
-	assign := make([]int, n)
-	order := make([]int, n)
-	for j, p := range pts {
-		best, bd := -1, math.Inf(1)
-		for c, cp := range centers {
-			x := metric.L2(p, cp)
-			if obj == core.Means {
-				x = metric.SqL2(p, cp)
-			}
-			if x < bd {
-				bd, best = x, c
-			}
+// the q farthest points as outliers, and returns the summary.
+func aggregate(pts []metric.Point, centers []metric.Point, q int, obj core.Objective) summary {
+	a := dataio.Assign(pts, centers, float64(q), obj == core.Means)
+	s := summary{msg: comm.WeightedPointsMsg{Pts: slices.Clip(centers), W: make([]float64, len(centers))}}
+	for j, c := range a.Center {
+		if c >= 0 {
+			s.msg.W[c]++
+			s.cost += a.Dist[j]
 		}
-		assign[j] = best
-		dist[j] = bd
-		order[j] = j
 	}
-	sort.Slice(order, func(a, b int) bool { return dist[order[a]] > dist[order[b]] })
-	if q > n {
-		q = n
+	for _, j := range a.Outliers {
+		s.msg.Pts = append(s.msg.Pts, pts[j])
+		s.msg.W = append(s.msg.W, 1)
 	}
-	out := precluster{
-		centers: centers,
-		weights: make([]float64, len(centers)),
-	}
-	dropped := make([]bool, n)
-	for i := 0; i < q; i++ {
-		j := order[i]
-		dropped[j] = true
-		out.outliers = append(out.outliers, pts[j])
-	}
-	for j := range pts {
-		if dropped[j] {
-			continue
-		}
-		out.weights[assign[j]]++
-		out.cost += dist[j]
-	}
-	return out
+	return s
 }

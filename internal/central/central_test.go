@@ -1,6 +1,8 @@
 package central
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"dpc/internal/core"
@@ -8,7 +10,31 @@ import (
 	"dpc/internal/exact"
 	"dpc/internal/gen"
 	"dpc/internal/kmedian"
+	"dpc/internal/metric"
 )
+
+// solveOK is PartialMedian under a live context, failing t on an error.
+func solveOK(t *testing.T, pts []metric.Point, cfg Config) Solution {
+	t.Helper()
+	sol, err := PartialMedian(context.Background(), pts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol
+}
+
+// TestCancelledContext: a cancelled context fails the solve at every depth
+// with ctx.Err(), never a truncated answer.
+func TestCancelledContext(t *testing.T) {
+	in := gen.Mixture(gen.MixtureSpec{N: 400, K: 3, OutlierFrac: 0.05, Seed: 5})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for levels := 0; levels <= 2; levels++ {
+		if _, err := PartialMedian(ctx, in.Pts, Config{K: 3, T: 12, Levels: levels}); !errors.Is(err, context.Canceled) {
+			t.Errorf("levels=%d: %v, want context.Canceled", levels, err)
+		}
+	}
+}
 
 func TestRuntimeExponent(t *testing.T) {
 	cases := []struct {
@@ -41,7 +67,7 @@ func TestChunkCount(t *testing.T) {
 
 func TestDirectSolveQuality(t *testing.T) {
 	in := gen.Mixture(gen.MixtureSpec{N: 14, K: 2, Dim: 2, OutlierFrac: 0.1, Seed: 1, Box: 30})
-	sol := PartialMedian(in.Pts, Config{K: 2, T: 1, Levels: 0, Eps: 1})
+	sol := solveOK(t, in.Pts, Config{K: 2, T: 1, Levels: 0, Eps: 1})
 	opt := exact.Solve(in.Points(), nil, 2, 1, exact.Sum)
 	if opt.Cost > 0 && sol.Cost > 12*opt.Cost {
 		t.Fatalf("direct: %g vs exact %g", sol.Cost, opt.Cost)
@@ -53,12 +79,12 @@ func TestDirectSolveQuality(t *testing.T) {
 
 func TestSimulatedLevelsStayReasonable(t *testing.T) {
 	in := gen.Mixture(gen.MixtureSpec{N: 800, K: 4, Dim: 2, OutlierFrac: 0.05, Seed: 2})
-	direct := PartialMedian(in.Pts, Config{K: 4, T: 40, Levels: 0})
+	direct := solveOK(t, in.Pts, Config{K: 4, T: 40, Levels: 0})
 	if direct.Cost <= 0 {
 		t.Fatal("direct cost zero?")
 	}
 	for _, levels := range []int{1, 2} {
-		sim := PartialMedian(in.Pts, Config{K: 4, T: 40, Levels: levels})
+		sim := solveOK(t, in.Pts, Config{K: 4, T: 40, Levels: levels})
 		if len(sim.Centers) == 0 || len(sim.Centers) > 4 {
 			t.Fatalf("levels=%d: %d centers", levels, len(sim.Centers))
 		}
@@ -77,8 +103,8 @@ func TestSimulatedLevelsStayReasonable(t *testing.T) {
 
 func TestSimulatedMeans(t *testing.T) {
 	in := gen.Mixture(gen.MixtureSpec{N: 400, K: 3, Dim: 2, OutlierFrac: 0.05, Seed: 3})
-	direct := PartialMedian(in.Pts, Config{K: 3, T: 20, Levels: 0, Objective: core.Means})
-	sim := PartialMedian(in.Pts, Config{K: 3, T: 20, Levels: 1, Objective: core.Means})
+	direct := solveOK(t, in.Pts, Config{K: 3, T: 20, Levels: 0, Objective: core.Means})
+	sim := solveOK(t, in.Pts, Config{K: 3, T: 20, Levels: 1, Objective: core.Means})
 	if direct.Cost > 0 && sim.Cost > 10*direct.Cost {
 		t.Fatalf("means simulation ratio %.2f", sim.Cost/direct.Cost)
 	}
@@ -102,7 +128,7 @@ func TestSimulationReducesGrowthRate(t *testing.T) {
 		// measured ratios — especially under -race, which instruments the
 		// cache's atomics.
 		opts := kmedian.Options{MaxIters: 10, Options: engine.Options{Reference: true}}
-		sol := PartialMedian(in.Pts, Config{K: 3, T: n / 50, Levels: levels, Opts: opts})
+		sol := solveOK(t, in.Pts, Config{K: 3, T: n / 50, Levels: levels, Opts: opts})
 		return sol.Elapsed.Seconds()
 	}
 	// Warm up and measure.

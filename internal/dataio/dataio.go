@@ -99,9 +99,9 @@ func SplitRoundRobin(pts []metric.Point, s int) [][]metric.Point {
 // Assignment labels every point with its nearest center and marks the
 // `budget` largest connection costs as outliers (center index -1).
 type Assignment struct {
-	Center  []int // per point; -1 for outliers
-	Dist    []float64
-	Dropped int
+	Center   []int // per point; -1 for outliers
+	Dist     []float64
+	Outliers []int // the dropped points, farthest first
 }
 
 // Assign computes the assignment of points to centers under the given
@@ -126,14 +126,10 @@ func Assign(pts []metric.Point, centers []metric.Point, budget float64, squared 
 		order[j] = j
 	}
 	sort.Slice(order, func(x, y int) bool { return a.Dist[order[x]] > a.Dist[order[y]] })
-	drop := int(budget)
-	if drop > n {
-		drop = n
+	a.Outliers = order[:min(int(budget), n)]
+	for _, j := range a.Outliers {
+		a.Center[j] = -1
 	}
-	for i := 0; i < drop; i++ {
-		a.Center[order[i]] = -1
-	}
-	a.Dropped = drop
 	return a
 }
 

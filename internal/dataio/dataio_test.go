@@ -85,8 +85,8 @@ func TestAssign(t *testing.T) {
 	if a.Center[3] != -1 {
 		t.Fatalf("far point should be outlier: %v", a.Center)
 	}
-	if a.Dropped != 1 {
-		t.Fatalf("dropped = %d", a.Dropped)
+	if len(a.Outliers) != 1 {
+		t.Fatalf("dropped = %v", a.Outliers)
 	}
 	// Squared mode changes distances but not this assignment.
 	sq := Assign(pts, centers, 0, true)

@@ -188,9 +188,10 @@ func (ix *Index) probe(bi, bj, a int, thresh float64) bool {
 	return d*LBScale >= thresh
 }
 
-// Nearest returns what Oracle.Nearest does — the first candidate at the
-// minimum distance to p, and that exact distance — skipping candidates
-// whose pivot bound proves they cannot beat the current best.
+// Nearest returns what a plain scan of cands does — the first candidate at
+// the minimum distance to p, and that exact distance; (-1, +Inf) when cands
+// is empty — skipping candidates whose pivot bound proves they cannot beat
+// the current best.
 func (ix *Index) Nearest(p int, cands []int) (int, float64) {
 	if !ix.ok {
 		return scanNearest(ix.S, p, cands)

@@ -44,8 +44,8 @@ import (
 // both halves of a run must be built from the same values (the job frame
 // ships the configuration they derive from).
 type Params struct {
-	// Name is the calling protocol ("core", "uncertain"); it tags every
-	// error the skeleton reports.
+	// Name is the calling protocol ("core", "uncertain", "central"); it
+	// tags every error the skeleton reports.
 	Name string
 	// T is the global outlier budget.
 	T int

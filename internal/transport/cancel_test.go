@@ -34,8 +34,8 @@ func TestLoopbackGatherCancels(t *testing.T) {
 	}
 }
 
-// TestLoopbackGatherSequentialCancel covers the sequential path (used by
-// the centralized simulation): cancellation is noticed between sites.
+// TestLoopbackGatherSequentialCancel covers the sequential path (parallel =
+// false, one site after another): cancellation is noticed between sites.
 func TestLoopbackGatherSequentialCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	first := func(round int, in []byte) ([]byte, error) {

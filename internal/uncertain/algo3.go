@@ -221,13 +221,26 @@ func nodeWire(nd Node) comm.NodeWire {
 	return w
 }
 
-// nodeFromWire is nodeWire's inverse.
-func nodeFromWire(w comm.NodeWire) Node {
+// nodeFromWire is nodeWire's inverse on the coordinator, which indexes the
+// shipped node into its ground set g: an empty support, an index outside g
+// or a probability that is not finite and positive is an error. (The sum of
+// the probabilities is not checked: Node.Validate's tolerance is not known to
+// hold for every honest node.)
+func nodeFromWire(g *Ground, w comm.NodeWire) (Node, error) {
+	if len(w.Support) == 0 {
+		return Node{}, fmt.Errorf("outlier node has an empty support")
+	}
 	nd := Node{Support: make([]int, len(w.Support)), Prob: w.Prob}
 	for i, u := range w.Support {
+		if uint64(u) >= uint64(g.N()) {
+			return Node{}, fmt.Errorf("outlier node support index %d outside the ground set of %d points", u, g.N())
+		}
+		if p := w.Prob[i]; !(p > 0) || math.IsInf(p, 1) {
+			return Node{}, fmt.Errorf("outlier node probability %v is not finite and positive", p)
+		}
 		nd.Support[i] = int(u)
 	}
-	return nd
+	return nd, nil
 }
 
 // Run executes the distributed uncertain (k,t)-median/means/center-pp
@@ -317,11 +330,19 @@ func (r *reducer) Add(b []byte) error {
 	r.col.Ell = append(r.col.Ell, msg.Ell...)
 	r.wts = append(r.wts, msg.W...)
 	for _, wire := range outs.Nodes {
+		nd, err := nodeFromWire(r.g, wire)
+		if err != nil {
+			return err
+		}
 		one := OneMedian
 		if r.col.Squared {
 			one = OneMean
 		}
-		yi, li := one(r.g, nodeFromWire(wire), r.cfg.Candidates)
+		yi, li := one(r.g, nd, r.cfg.Candidates)
+		if yi < 0 {
+			// Every candidate's expected distance overflowed (a huge probability).
+			return fmt.Errorf("outlier node has no finite 1-median")
+		}
 		r.col.Y = append(r.col.Y, r.g.Pts[yi])
 		r.col.Ell = append(r.col.Ell, li)
 		r.wts = append(r.wts, 1)

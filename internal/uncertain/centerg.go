@@ -252,11 +252,7 @@ func RunCenterGOverCtx(ctx context.Context, g *Ground, tr transport.Transport, c
 // centerGOver is RunCenterGOverCtx once cfg has its defaults and ctx
 // and validate has returned its grid.
 func centerGOver(ctx context.Context, g *Ground, tr transport.Transport, cfg CenterGConfig, grid []float64) (CenterGResult, error) {
-	red := &cgReducer{g: g, cfg: cfg, grid: grid, sums: make([]float64, len(grid)), unions: make([]coordTruncCosts, 1)}
-	if cfg.OneRound {
-		red.unions = make([]coordTruncCosts, len(grid))
-	}
-	res, err := protocol.Run(ctx, tr, cfg.params(grid), red)
+	res, err := protocol.Run(ctx, tr, cfg.params(grid), newCGReducer(g, cfg, grid))
 	if err != nil {
 		return CenterGResult{}, err
 	}
@@ -273,6 +269,14 @@ type cgReducer struct {
 	grid   []float64
 	sums   []float64         // 1-round: per tau, the costs the sites shipped, summed
 	unions []coordTruncCosts // per tau in a 1-round run, tau-hat's alone otherwise
+}
+
+func newCGReducer(g *Ground, cfg CenterGConfig, grid []float64) *cgReducer {
+	r := &cgReducer{g: g, cfg: cfg, grid: grid, sums: make([]float64, len(grid)), unions: make([]coordTruncCosts, 1)}
+	if cfg.OneRound {
+		r.unions = make([]coordTruncCosts, len(grid))
+	}
+	return r
 }
 
 // Add implements protocol.Reducer: a Multi of the centers and outliers
@@ -308,7 +312,9 @@ func (r *cgReducer) Add(b []byte) error {
 		if err := outs.UnmarshalBinary(parts[2*ti+1]); err != nil {
 			return fmt.Errorf("outliers: %w", err)
 		}
-		r.unions[ti].add(r.g, centers, outs)
+		if err := r.unions[ti].add(r.g, centers, outs); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -368,13 +374,16 @@ type coordTruncCosts struct {
 
 // add appends one site's preclustering: its centers as Dirac clients at
 // their attached weights, then its outlier nodes (over g) at weight 1.
-func (cc *coordTruncCosts) add(g *Ground, centers comm.WeightedPointsMsg, outs comm.NodesMsg) {
+func (cc *coordTruncCosts) add(g *Ground, centers comm.WeightedPointsMsg, outs comm.NodesMsg) error {
 	cc.diracs = append(cc.diracs, centers.Pts...)
 	cc.nodes = append(cc.nodes, make([]Node, len(centers.Pts))...)
 	cc.facPts = append(cc.facPts, centers.Pts...)
 	cc.wts = append(cc.wts, centers.W...)
 	for _, wire := range outs.Nodes {
-		nd := nodeFromWire(wire)
+		nd, err := nodeFromWire(g, wire)
+		if err != nil {
+			return err
+		}
 		cc.diracs = append(cc.diracs, nil)
 		cc.nodes = append(cc.nodes, nd)
 		// Representative facility: the node's highest-probability support point.
@@ -387,6 +396,7 @@ func (cc *coordTruncCosts) add(g *Ground, centers comm.WeightedPointsMsg, outs c
 		cc.facPts = append(cc.facPts, g.Pts[nd.Support[best]])
 		cc.wts = append(cc.wts, 1)
 	}
+	return nil
 }
 
 // Clients implements metric.Costs.
