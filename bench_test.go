@@ -8,6 +8,7 @@
 package dpc_test
 
 import (
+	"context"
 	"testing"
 
 	"dpc"
@@ -86,62 +87,45 @@ func BenchmarkLemma33Allocation(b *testing.B) { runExperiment(b, "E11") }
 // claim — site wall time falls like ~1/s (E12).
 func BenchmarkTheorem36SiteSpeedup(b *testing.B) { runExperiment(b, "E12") }
 
-// BenchmarkEndToEndMedian measures one full 2-round (k,t)-median run
-// (communication reported as a custom metric). Shrunk under -short.
-func BenchmarkEndToEndMedian(b *testing.B) {
-	n := 1200
-	if testing.Short() {
-		n = 300
-	}
-	in := dpc.Mixture(dpc.MixtureSpec{N: n, K: 4, OutlierFrac: 0.05, Seed: 11})
-	parts := dpc.Partition(in, 6, dpc.PartitionUniform, 12)
-	sites := dpc.SitePoints(in, parts)
+// endToEnd measures one full answer to req on the local client
+// (communication reported as a custom metric).
+func endToEnd(b *testing.B, req dpc.Request) {
+	local := dpc.NewLocalClient()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var bytes int64
 	for i := 0; i < b.N; i++ {
-		res, err := dpc.Run(sites, dpc.Config{K: 4, T: 60, Objective: dpc.Median})
+		res, err := local.Do(context.Background(), req)
 		if err != nil {
 			b.Fatal(err)
 		}
-		bytes = res.Report.TotalBytes()
+		bytes = res.UpBytes + res.DownBytes
 	}
 	b.ReportMetric(float64(bytes), "wire-bytes")
 }
 
-// BenchmarkEndToEndCenter measures one full Algorithm 2 run. Shrunk under
-// -short.
-func BenchmarkEndToEndCenter(b *testing.B) {
-	n := 1200
+// endToEndN is the point benchmarks' instance size, shrunk under -short.
+func endToEndN() int {
 	if testing.Short() {
-		n = 300
+		return 300
 	}
-	in := dpc.Mixture(dpc.MixtureSpec{N: n, K: 4, OutlierFrac: 0.05, Seed: 13})
-	parts := dpc.Partition(in, 6, dpc.PartitionUniform, 14)
-	sites := dpc.SitePoints(in, parts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var bytes int64
-	for i := 0; i < b.N; i++ {
-		res, err := dpc.Run(sites, dpc.Config{K: 4, T: 60, Objective: dpc.Center})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bytes = res.Report.TotalBytes()
-	}
-	b.ReportMetric(float64(bytes), "wire-bytes")
+	return 1200
+}
+
+// BenchmarkEndToEndMedian measures one full 2-round (k,t)-median run.
+func BenchmarkEndToEndMedian(b *testing.B) {
+	in := dpc.Mixture(dpc.MixtureSpec{N: endToEndN(), K: 4, OutlierFrac: 0.05, Seed: 11})
+	endToEnd(b, dpc.Request{Objective: "median", K: 4, T: 60, Sites: 6, Points: in.Pts})
+}
+
+// BenchmarkEndToEndCenter measures one full Algorithm 2 run.
+func BenchmarkEndToEndCenter(b *testing.B) {
+	in := dpc.Mixture(dpc.MixtureSpec{N: endToEndN(), K: 4, OutlierFrac: 0.05, Seed: 13})
+	endToEnd(b, dpc.Request{Objective: "center", K: 4, T: 60, Sites: 6, Points: in.Pts})
 }
 
 // BenchmarkEndToEndUncertain measures one full Algorithm 3 run.
 func BenchmarkEndToEndUncertain(b *testing.B) {
 	in := dpc.UncertainMixture(dpc.UncertainSpec{N: 200, K: 3, Support: 4, OutlierFrac: 0.05, Seed: 15})
-	parts := dpc.PartitionNodes(in, 4, dpc.PartitionUniform, 16)
-	sites := dpc.SiteNodes(in, parts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dpc.RunUncertain(in.Ground, sites, dpc.UncertainConfig{K: 3, T: 10}, dpc.UncertainMedian); err != nil {
-			b.Fatal(err)
-		}
-	}
+	endToEnd(b, dpc.Request{Objective: "u-median", K: 3, T: 10, Sites: 4, Ground: in.Ground, Nodes: in.Nodes})
 }

@@ -306,10 +306,10 @@ func (b *Balanced) Do(ctx context.Context, req Request) (*Response, error) {
 	if req.Central {
 		return nil, fmt.Errorf("client: Central (the Section 3.1 solver) runs on the Local backend only")
 	}
-	spec := req.spec()
-	if err := spec.Validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		return nil, err
 	}
+	spec := req.spec()
 	kind, err := req.kind()
 	if err != nil {
 		return nil, err

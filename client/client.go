@@ -23,6 +23,8 @@ package client
 
 import (
 	"context"
+	"fmt"
+	"math"
 
 	"dpc/internal/comm"
 	"dpc/internal/engine"
@@ -151,10 +153,51 @@ func (r Request) kind() (jobwire.Kind, error) {
 	return serve.ObjectiveKind(r.Objective)
 }
 
-// Validate checks the request's enums and shape (backends also run it
-// inside Do).
+// Validate checks the request's enums and shape and the in-memory data it
+// carries: points (Points and the Ground's) non-empty, of one dimension and
+// finite — what dataio demands of a CSV — and every node a distribution over
+// Ground. Every backend runs it inside Do, before any site sees the data.
 func (r Request) Validate() error {
-	return r.spec().Validate()
+	if err := r.spec().Validate(); err != nil {
+		return err
+	}
+	if err := validatePoints("point", r.Points); err != nil {
+		return err
+	}
+	if r.Ground == nil {
+		if len(r.Nodes) > 0 {
+			return fmt.Errorf("client: %d nodes without a Ground", len(r.Nodes))
+		}
+		return nil
+	}
+	if err := validatePoints("ground point", r.Ground.Pts); err != nil {
+		return err
+	}
+	for j, nd := range r.Nodes {
+		if err := nd.Validate(r.Ground); err != nil {
+			return fmt.Errorf("client: node %d: %w", j, err)
+		}
+	}
+	return nil
+}
+
+// validatePoints rejects an empty point, a dimension differing from the
+// first point's, and a non-finite coordinate.
+func validatePoints(what string, pts []Point) error {
+	for i, p := range pts {
+		if len(p) == 0 {
+			return fmt.Errorf("client: %s %d is empty", what, i)
+		}
+		if len(p) != len(pts[0]) {
+			return fmt.Errorf("client: %s %d has dimension %d, want %d", what, i, len(p), len(pts[0]))
+		}
+		for _, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("client: %s %d has non-finite coordinate %g", what, i, v)
+			}
+		}
+	}
+	return nil
 }
 
 // Response is the unified outcome of a Request on any backend.

@@ -3,8 +3,10 @@ package client
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -411,6 +413,57 @@ func TestLocalValidation(t *testing.T) {
 		if _, err := local.Do(ctx, req); err == nil {
 			t.Fatalf("request %+v validated", req)
 		}
+	}
+}
+
+// TestRequestValidatesData: malformed in-memory data is a validation error
+// on every backend, before any site sees it. The ragged point and the
+// out-of-range support index used to panic a Local site goroutine and take
+// the whole process down.
+func TestRequestValidatesData(t *testing.T) {
+	pts := gen.Mixture(gen.MixtureSpec{N: 40, K: 2, Seed: 1}).Pts
+	with := func(i int, p Point) []Point {
+		out := append([]Point(nil), pts...)
+		out[i] = p
+		return out
+	}
+	g := &Ground{Pts: []Point{{0, 0}, {1, 0}, {0, 1}}}
+	nodes := []Node{{Support: []int{0, 1}, Prob: []float64{0.5, 0.5}}, {Support: []int{2}, Prob: []float64{1}}}
+	rows := map[string]Request{
+		"ragged point":      {Points: with(7, Point{1, 2, 3})},
+		"empty point":       {Points: with(0, Point{})},
+		"NaN coordinate":    {Points: with(3, Point{math.NaN(), 0})},
+		"infinite":          {Points: with(39, Point{0, math.Inf(-1)})},
+		"support out of P":  {Objective: UncertainMedian, Ground: g, Nodes: append(nodes, Node{Support: []int{7}, Prob: []float64{1}})},
+		"probabilities":     {Objective: UncertainMedian, Ground: g, Nodes: append(nodes, Node{Support: []int{0, 1}, Prob: []float64{0.5, 0.6}})},
+		"nodes without P":   {Objective: UncertainMedian, Nodes: nodes},
+		"ragged ground":     {Objective: UncertainMedian, Ground: &Ground{Pts: []Point{{0, 0}, {1}, {0, 1}}}, Nodes: nodes},
+		"non-finite ground": {Objective: UncertainMedian, Ground: &Ground{Pts: []Point{{0, 0}, {1, math.NaN()}, {0, 1}}}, Nodes: nodes},
+	}
+
+	cluster, join := newCluster(t, dataio.SplitRoundRobin(pts, 2), g, nil)
+	defer join()
+	defer cluster.Close()
+	remote, _ := newRemote(t, serve.Config{})
+	balanced, err := NewBalanced([]string{"http://127.0.0.1:1"}, BalancedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := map[string]Client{"local": NewLocal(), "cluster": cluster, "remote": remote, "balanced": balanced}
+	for name, req := range rows {
+		req.K, req.T, req.Sites = 2, 2, 2
+		if req.Validate() == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+		for b, c := range backends {
+			if _, err := c.Do(context.Background(), req); err == nil || !strings.HasPrefix(err.Error(), "client: ") {
+				t.Errorf("%s on %s: error %v, want a client validation error", name, b, err)
+			}
+		}
+	}
+	ok := Request{Objective: UncertainMedian, K: 2, T: 1, Sites: 2, Ground: g, Nodes: nodes}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("well-formed uncertain request rejected: %v", err)
 	}
 }
 

@@ -141,11 +141,10 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*Response, error) {
 	if req.Central {
 		return nil, fmt.Errorf("client: Central (the Section 3.1 solver) runs on the Local backend only")
 	}
-	spec := req.spec()
-	if err := spec.Validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	job, err := spec.Job()
+	job, err := req.spec().Job()
 	if err != nil {
 		return nil, err
 	}

@@ -30,11 +30,10 @@ func (l *Local) Close() error { return nil }
 
 // Do implements Client.
 func (l *Local) Do(ctx context.Context, req Request) (*Response, error) {
-	spec := req.spec()
-	if err := spec.Validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	job, err := spec.Job()
+	job, err := req.spec().Job()
 	if err != nil {
 		return nil, err
 	}

@@ -31,6 +31,7 @@ package protocol
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"dpc/internal/alloc"
@@ -216,6 +217,22 @@ func Handler(p Params, site int, s Site) transport.Handler {
 	}
 }
 
+// checkHull rejects a decoded hull no honest site ships: an honest grid ends
+// at min(t, Len-1), and its costs are finite. A budget past t would let one
+// site's hull hand that site (and, summed, the run) any outlier budget it
+// likes; a NaN or infinite cost would make the slopes unorderable.
+func checkHull(vs []geom.Vertex, t int) error {
+	for _, v := range vs {
+		if v.Q > t {
+			return fmt.Errorf("budget %d above t = %d", v.Q, t)
+		}
+		if math.IsNaN(v.C) || math.IsInf(v.C, 0) {
+			return fmt.Errorf("cost %g at budget %d", v.C, v.Q)
+		}
+	}
+	return nil
+}
+
 // Run drives the coordinator half of the skeleton over an already-connected
 // transport whose sites serve Handler with the same Params: gather the
 // preclusterings (after the hull and pivot rounds, unless OneRound), then
@@ -250,7 +267,9 @@ func Run(ctx context.Context, tr transport.Transport, p Params, red Reducer) (Re
 				}
 				for pi := 0; err == nil && pi < len(fns); pi++ {
 					var fn geom.ConvexFn
-					fn, err = geom.NewConvexFn(msg.Hulls[pi])
+					if err = checkHull(msg.Hulls[pi], p.T); err == nil {
+						fn, err = geom.NewConvexFn(msg.Hulls[pi])
+					}
 					fns[pi] = append(fns[pi], fn)
 				}
 				if err != nil {

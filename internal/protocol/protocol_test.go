@@ -261,6 +261,25 @@ func TestCoordinatorErrorsNameTheSite(t *testing.T) {
 			return honest(r, in)
 		}
 	}
+	// hull is site 1 of a run under p, shipping the given hulls in round 0
+	// (one HullMsg, or a HullsMsg under a TauGrid) and an honest budget
+	// payload in round 1.
+	hull := func(p Params, hs ...[]geom.Vertex) transport.Handler {
+		var msg comm.Payload = comm.HullsMsg{Hulls: hs}
+		if p.TauGrid == nil {
+			msg = comm.HullMsg{V: hs[0]}
+		}
+		return func(r int, in []byte) ([]byte, error) {
+			if r == 0 {
+				return comm.Encode(msg)
+			}
+			return comm.Encode(comm.Float64sMsg{Vals: []float64{0}})
+		}
+	}
+	honest := []geom.Vertex{{Q: 0, C: 36}, {Q: 6, C: 0}}
+	// The probe: a hull past t whose pivot rounds site 1 up to 2^30
+	// outliers, which under noship became the reported outlier budget.
+	probe := []geom.Vertex{{Q: 0, C: 1e15}, {Q: 1 << 30, C: 0}}
 	for _, tc := range []struct {
 		p    Params
 		bad  transport.Handler
@@ -271,6 +290,11 @@ func TestCoordinatorErrorsNameTheSite(t *testing.T) {
 		{one, garbage(one, 0), "fake: precluster from site 1:"},
 		{four, Handler(three, 1, &fakeSite{n: 20}), "fake: coordinator hull 1: 3 hulls, want 4"},
 		{four, Handler(two, 1, &fakeSite{n: 20}), "fake: coordinator hull 1:"},
+		{two, hull(two, probe), "fake: coordinator hull 1: budget 1073741824 above t = 6"},
+		{two, hull(two, []geom.Vertex{{Q: 0, C: 5}, {Q: 7, C: 0}}), "fake: coordinator hull 1: budget 7 above t = 6"},
+		{two, hull(two, []geom.Vertex{{Q: 0, C: math.NaN()}, {Q: 6, C: 0}}), "fake: coordinator hull 1: cost NaN at budget 0"},
+		{two, hull(two, []geom.Vertex{{Q: 0, C: math.Inf(1)}, {Q: 6, C: 0}}), "fake: coordinator hull 1: cost +Inf at budget 0"},
+		{four, hull(four, honest, honest, probe, honest), "fake: coordinator hull 1: budget 1073741824 above t = 6"},
 	} {
 		tr := transport.NewLoopback([]transport.Handler{Handler(tc.p, 0, &fakeSite{n: 20}), tc.bad}, true)
 		_, err := Run(context.Background(), tr, tc.p, &fakeReducer{})

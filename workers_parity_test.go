@@ -6,7 +6,20 @@ import (
 	"testing"
 
 	"dpc"
+	"dpc/internal/core"
+	"dpc/internal/engine"
+	"dpc/internal/kmedian"
+	"dpc/internal/transport"
+	"dpc/internal/uncertain"
 )
+
+// The parity matrix runs the protocols' own entry points: it compares
+// CoordinatorCost, which a client.Response does not carry.
+
+// engineCfg is the matrix's point run configuration under engine options e.
+func engineCfg(obj core.Objective, tr transport.Kind, e engine.Options) core.Config {
+	return core.Config{K: 4, T: 45, Objective: obj, Transport: tr, LocalOpts: kmedian.Options{Options: e}}
+}
 
 // parityWorkload builds the shared instance of the parity matrix.
 func parityWorkload(t *testing.T) [][]dpc.Point {
@@ -16,7 +29,7 @@ func parityWorkload(t *testing.T) [][]dpc.Point {
 	return dpc.SitePoints(in, parts)
 }
 
-func requireSameRun(t *testing.T, label string, ref, got dpc.Result) {
+func requireSameRun(t *testing.T, label string, ref, got core.Result) {
 	t.Helper()
 	if len(got.Centers) != len(ref.Centers) {
 		t.Fatalf("%s: %d centers, want %d", label, len(got.Centers), len(ref.Centers))
@@ -46,16 +59,16 @@ func requireSameRun(t *testing.T, label string, ref, got dpc.Result) {
 func TestWorkersParity(t *testing.T) {
 	sites := parityWorkload(t)
 	widths := []int{runtime.NumCPU(), 4}
-	for _, obj := range []dpc.Objective{dpc.Median, dpc.Means, dpc.Center} {
-		for _, tr := range []dpc.TransportKind{dpc.TransportLoopback, dpc.TransportTCP} {
+	for _, obj := range []core.Objective{core.Median, core.Means, core.Center} {
+		for _, tr := range []transport.Kind{transport.KindLoopback, transport.KindTCP} {
 			obj, tr := obj, tr
 			t.Run(fmt.Sprintf("%v-%v", obj, tr), func(t *testing.T) {
-				ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, LocalOpts: dpc.SolverOptions{Options: dpc.EngineOptions{Workers: 1}}})
+				ref, err := core.Run(sites, engineCfg(obj, tr, engine.Options{Workers: 1}))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range widths {
-					got, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, LocalOpts: dpc.SolverOptions{Options: dpc.EngineOptions{Workers: workers}}})
+					got, err := core.Run(sites, engineCfg(obj, tr, engine.Options{Workers: workers}))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -70,14 +83,14 @@ func TestWorkersParity(t *testing.T) {
 // (no-ship, 1-round) on the loopback transport.
 func TestWorkersParityVariants(t *testing.T) {
 	sites := parityWorkload(t)
-	for _, v := range []dpc.Variant{dpc.TwoRoundNoOutliers, dpc.OneRound} {
+	for _, v := range []core.Variant{core.TwoRoundNoOutliers, core.OneRound} {
 		v := v
 		t.Run(fmt.Sprint(v), func(t *testing.T) {
-			ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Variant: v, LocalOpts: dpc.SolverOptions{Options: dpc.EngineOptions{Workers: 1}}})
+			ref, err := core.Run(sites, core.Config{K: 4, T: 45, Variant: v, LocalOpts: kmedian.Options{Options: engine.Options{Workers: 1}}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Variant: v, LocalOpts: dpc.SolverOptions{Options: dpc.EngineOptions{Workers: 4}}})
+			got, err := core.Run(sites, core.Config{K: 4, T: 45, Variant: v, LocalOpts: kmedian.Options{Options: engine.Options{Workers: 4}}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,17 +106,17 @@ func TestWorkersParityUncertain(t *testing.T) {
 	in := dpc.UncertainMixture(dpc.UncertainSpec{N: 160, K: 3, Support: 4, OutlierFrac: 0.06, Seed: 51})
 	parts := dpc.PartitionNodes(in, 4, dpc.PartitionUniform, 52)
 	sites := dpc.SiteNodes(in, parts)
-	for _, obj := range []dpc.UncertainObjective{dpc.UncertainMedian, dpc.UncertainMeans, dpc.UncertainCenterPP} {
+	for _, obj := range []uncertain.Objective{uncertain.Median, uncertain.Means, uncertain.CenterPP} {
 		obj := obj
 		t.Run(fmt.Sprint(obj), func(t *testing.T) {
-			cfg := dpc.UncertainConfig{K: 3, T: 12}
+			cfg := uncertain.Config{K: 3, T: 12}
 			cfg.LocalOpts.Workers = 1
-			ref, err := dpc.RunUncertain(in.Ground, sites, cfg, obj)
+			ref, err := uncertain.Run(in.Ground, sites, cfg, obj)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.LocalOpts.Workers = 4
-			got, err := dpc.RunUncertain(in.Ground, sites, cfg, obj)
+			got, err := uncertain.Run(in.Ground, sites, cfg, obj)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,19 +137,19 @@ func TestWorkersParityUncertain(t *testing.T) {
 
 // TestEngineMatchesReferenceEndToEnd is the distributed half of the
 // regression harness: the full fast engine (workers + caches + restructured
-// evaluators) against Config.LocalOpts.Reference, across objectives and transports —
+// evaluators) against core.Config.LocalOpts.Reference, across objectives and transports —
 // same centers, same bytes, same coordinator cost.
 func TestEngineMatchesReferenceEndToEnd(t *testing.T) {
 	sites := parityWorkload(t)
-	for _, obj := range []dpc.Objective{dpc.Median, dpc.Means, dpc.Center} {
-		for _, tr := range []dpc.TransportKind{dpc.TransportLoopback, dpc.TransportTCP} {
+	for _, obj := range []core.Objective{core.Median, core.Means, core.Center} {
+		for _, tr := range []transport.Kind{transport.KindLoopback, transport.KindTCP} {
 			obj, tr := obj, tr
 			t.Run(fmt.Sprintf("%v-%v", obj, tr), func(t *testing.T) {
-				ref, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr, LocalOpts: dpc.SolverOptions{Options: dpc.EngineOptions{Reference: true}}})
+				ref, err := core.Run(sites, engineCfg(obj, tr, engine.Options{Reference: true}))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := dpc.Run(sites, dpc.Config{K: 4, T: 45, Objective: obj, Transport: tr})
+				got, err := core.Run(sites, engineCfg(obj, tr, engine.Options{}))
 				if err != nil {
 					t.Fatal(err)
 				}
