@@ -154,13 +154,33 @@ func EvalP(c metric.Costs, w []float64, centers []int, t float64, workers int) S
 	return sol
 }
 
+// descBy is the slices.SortFunc comparator of the index sort whose
+// reference uses sort.Slice with less key[a] > key[b]. sort.Slice and
+// slices.SortFunc are the same pdqsort, generated from one template
+// (sort/gen_sort_variants.go), which consults the comparison only as
+// less(a, b), i.e. cmp(a, b) < 0. descBy returns -1 exactly where that less
+// holds, so with it SortFunc makes sort.Slice's permutation, ties and NaNs
+// included (TestSortFuncMatchesSortSlice pins it). cmp.Compare would not:
+// it orders NaN first.
+func descBy(key []float64) func(a, b int) int {
+	return func(a, b int) int {
+		switch x, y := key[a], key[b]; {
+		case x > y:
+			return -1
+		case x < y:
+			return 1
+		}
+		return 0
+	}
+}
+
 // eval is EvalP for the descent: it evaluates the centers whose cost columns
 // are sc.rows with outlier budget t, reading columns instead of the oracle,
 // and returns the partial cost. Per client it makes EvalP's strict
 // comparisons in center order, and it sorts the same identity-initialized
-// order with the same sort.Slice on the same costs, so the cost, the
-// assignment (a1) and — on ties — the clients the budget lands on come out
-// bit for bit EvalP's. Beside them it leaves what the next round reads: the
+// order, with slices.SortFunc under descBy — sort.Slice's permutation — on
+// the same costs, so the cost, the assignment (a1) and — on ties — the
+// clients the budget lands on come out bit for bit EvalP's. Beside them it leaves what the next round reads: the
 // second-nearest cost d2, the sorted order and the inlier weights inW.
 func (sc *Scratch) eval(w []float64, t float64, workers int) float64 {
 	d1, d2, a1, order := sc.d1, sc.d2, sc.a1, sc.order
@@ -178,7 +198,7 @@ func (sc *Scratch) eval(w []float64, t float64, workers int) float64 {
 			}
 		}
 	})
-	sort.Slice(order, func(a, b int) bool { return d1[order[a]] > d1[order[b]] })
+	slices.SortFunc(order, descBy(d1))
 	clear(sc.dropped)
 	budget := t
 	var cost float64

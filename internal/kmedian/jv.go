@@ -2,19 +2,18 @@ package kmedian
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"dpc/internal/metric"
 	"dpc/internal/par"
 )
 
-// jvOrders is the lambda-independent edge structure of the dual ascent:
-// every facility's connection-cost column and its clients sorted by that
-// cost. JV's binary search probes dozens of facility prices on the same
-// instance, so the fast engine computes this once and shares it across
-// every probe (the columns and sorts are per-facility independent and
-// spread over the worker pool); the reference engine rebuilds it per probe,
-// as the seed implementation did.
+// jvOrders is the lambda-independent edge structure of the reference
+// engine's dual ascent: every facility's connection-cost column and its
+// clients sorted by that cost. jvRun rebuilds it for every probe of JV's
+// binary search, as the seed implementation did; the fast engine builds its
+// own, jvGraph, once per JV call.
 type jvOrders struct {
 	byCost [][]int
 	costs  [][]float64
@@ -44,6 +43,78 @@ func jvPrecompute(c metric.Costs, opt Options) *jvOrders {
 	return ord
 }
 
+// jvGraph is the fast engine's edge structure, built once per JV call by
+// newJVGraph and shared by every probe of the binary search.
+type jvGraph struct {
+	nc     int
+	costs  [][]float64 // costs[f][j] = Cost(j, f)
+	sorted [][]jvEdge  // facility f's clients by cost, in jvPrecompute's order
+	// cells[j*nf+f] is Cost(j, f) and client j's index in sorted[f]: a
+	// freeze's scan of every facility, laid out client-major.
+	cells []jvCell
+	nan   bool // some cost is NaN, so no column is monotone
+	// live is jvRunFast's working copy of sorted, reused probe to probe.
+	live []jvEdge
+}
+
+// jvEdge is one client of a facility's sorted column and its cost.
+type jvEdge struct {
+	c float64
+	j int32
+}
+
+// jvCell is one (client, facility) pair of a freeze's scan.
+type jvCell struct {
+	c   float64
+	pos int32
+}
+
+// edgeCmp orders a column's edges by cost as jvPrecompute's sort.Slice
+// orders its client indices: -1 exactly where that sort's less holds (see
+// descBy).
+func edgeCmp(a, b jvEdge) int {
+	switch {
+	case a.c < b.c:
+		return -1
+	case a.c > b.c:
+		return 1
+	}
+	return 0
+}
+
+// newJVGraph is jvPrecompute for the fast engine: each column comes from
+// metric.CostColumn (Cost's floats, bit for bit), and slices.SortFunc under
+// edgeCmp over (cost, client) pairs makes the same comparisons as
+// jvPrecompute's sort.Slice over client indices — one pdqsort, generated
+// from one template, whose moves depend only on the outcomes — so sorted
+// holds its permutation, ties included (TestSortFuncMatchesSortSlice). The
+// cancel check, and the nil columns it leaves, are jvPrecompute's, for the
+// same reason.
+func newJVGraph(c metric.Costs, opt Options) *jvGraph {
+	nc, nf := c.Clients(), c.Facilities()
+	g := &jvGraph{nc: nc, costs: make([][]float64, nf), sorted: make([][]jvEdge, nf), cells: make([]jvCell, nc*nf)}
+	nan := make([]bool, nf)
+	par.For(opt.Workers, nf, func(f int) {
+		if opt.canceled() {
+			return
+		}
+		col := make([]float64, nc)
+		metric.CostColumn(c, f, nil, col)
+		es := make([]jvEdge, nc)
+		for j, x := range col {
+			es[j] = jvEdge{c: x, j: int32(j)}
+		}
+		slices.SortFunc(es, edgeCmp)
+		nan[f] = slices.ContainsFunc(col, math.IsNaN)
+		for i, e := range es {
+			g.cells[int(e.j)*nf+f] = jvCell{c: e.c, pos: int32(i)}
+		}
+		g.costs[f], g.sorted[f] = col, es
+	})
+	g.nan = slices.Contains(nan, true)
+	return g
+}
+
 // jvResult is the outcome of one primal-dual run at a fixed facility price.
 type jvResult struct {
 	open      []int   // facilities surviving the pruning, in opening order
@@ -66,7 +137,11 @@ type jvResult struct {
 // facilities are pruned to a maximal independent set of the conflict graph
 // (two facilities conflict when some client contributes positively to
 // both), greedily in opening order.
-func jvRun(c metric.Costs, w []float64, lambda, stopW float64, opt Options, ord *jvOrders) jvResult {
+//
+// This is the reference engine's ascent: every event re-walks every unopened
+// facility and re-scans every (active client, open facility) pair. The fast
+// engine runs jvRunFast, which must return the same result bit for bit.
+func jvRun(c metric.Costs, w []float64, lambda, stopW float64, opt Options) jvResult {
 	workers := opt.Workers
 	nc, nf := c.Clients(), c.Facilities()
 	active := make([]bool, nc)
@@ -76,9 +151,7 @@ func jvRun(c metric.Costs, w []float64, lambda, stopW float64, opt Options, ord 
 		active[j] = true
 		activeW += weight(w, j)
 	}
-	if ord == nil {
-		ord = jvPrecompute(c, opt)
-	}
+	ord := jvPrecompute(c, opt)
 	byCost, costs := ord.byCost, ord.costs
 	frozenContrib := make([]float64, nf) // locked surplus from frozen clients
 	isOpen := make([]bool, nf)
@@ -241,6 +314,241 @@ func jvRun(c metric.Costs, w []float64, lambda, stopW float64, opt Options, ord 
 	return jvResult{open: open, outlier: out, numOpen: len(open), outlierW: activeW, stopTheta: theta}
 }
 
+// jvRunFast is jvRun for the fast engine, over the graph newJVGraph built
+// once per JV call. It fires the same events in the same order and does the
+// same float operations on the same values, so its result is jvRun's bit
+// for bit (TestJVMatchesReference, FuzzJVMatchesReference); it only stops
+// redoing work whose inputs did not change:
+//
+//   - Client events. minOpen[j] is the cost of client j's cheapest open
+//     facility, lowest index first among equal costs, updated in O(nc) when
+//     a facility opens. jvRun's per-client minimum over open f of
+//     max(c_fj, theta) is max(minOpen[j], theta): both are exact selections
+//     among the same floats, with the same tie-break.
+//   - Facility events. tf[f] caches facility f's walk and stop[f] a
+//     position in sorted[f] at or past the breakpoint jvRun's walk stops
+//     at, with only frozen clients in between. That walk reads lambda,
+//     frozenContrib[f], theta and which clients before its breakpoint are
+//     active; f is walked again only when a freeze adds to frozenContrib[f]
+//     or freezes a client before stop[f] (cells). A clean f's cache is exact:
+//     theta is always the minimum over the cached times (or a client time
+//     below them), so it never passes tf[f], and at any theta' in
+//     [theta, tf[f]] every breakpoint before the stopping one still fails
+//     its test — max(th, theta') only grew — while the stopping one passes
+//     with max(th, theta') = tf[f].
+//   - The walk itself. Between two active clients W and S do not change, so
+//     th does not either, and with the costs ascending (no NaN: JV sends a
+//     NaN instance to jvRun) jvRun's tests at the inactive breakpoints in
+//     between pass iff the test at the next active client's breakpoint does,
+//     returning the same max(th, theta). So the walk visits active clients
+//     only, dropping frozen ones from its own copy of the column as it goes,
+//     and skips the division where the segment ends below theta, where
+//     max(th, theta) >= theta > segEnd fails the test anyway.
+//   - Pruning. Each opened facility gets the bitset of clients whose
+//     effective dual exceeds its cost + eps; two facilities conflict exactly
+//     when their bitsets intersect, the boolean jvRun's conflicts computes.
+func jvRunFast(g *jvGraph, w []float64, lambda, stopW float64, opt Options) jvResult {
+	nc, nf := g.nc, len(g.costs)
+	costs := g.costs
+	active := make([]bool, nc)
+	alpha := make([]float64, nc)
+	minOpen := make([]float64, nc)
+	minAt := make([]int, nc)
+	activeW := 0.0
+	for j := 0; j < nc; j++ {
+		active[j] = true
+		activeW += weight(w, j)
+		minOpen[j], minAt[j] = math.Inf(1), nf
+	}
+	frozenContrib := make([]float64, nf)
+	isOpen := make([]bool, nf)
+	tf := make([]float64, nf)
+	stop := make([]int32, nf)
+	dirty := make([]bool, nf)
+	// live[f]: sorted[f] less some frozen clients, compacted by walk.
+	live := make([][]jvEdge, nf)
+	if g.live == nil {
+		g.live = make([]jvEdge, 0, nf*nc)
+	}
+	flat := g.live[:0]
+	for f, es := range g.sorted {
+		live[f] = flat[len(flat) : len(flat)+len(es) : len(flat)+len(es)]
+		flat = append(flat, es...)
+		dirty[f] = true
+	}
+	g.live = flat
+	var openOrder []int
+	theta := 0.0
+
+	freeze := func(j int, a float64) {
+		active[j] = false
+		alpha[j] = a
+		wj := weight(w, j)
+		activeW -= wj
+		for f, x := range g.cells[j*nf : (j+1)*nf] {
+			if costs[f] == nil {
+				continue // column skipped by a cancelled precompute
+			}
+			if s := a - x.c; s > 0 {
+				frozenContrib[f] += wj * s
+				dirty[f] = true
+			} else if x.pos < stop[f] {
+				dirty[f] = true
+			}
+		}
+	}
+
+	// walk is jvRun's facilityTime for an unopened f, over its active
+	// clients, returning also the position it stopped at (nc+1: ran off the
+	// end without a finite time).
+	walk := func(f int) (float64, int32) {
+		W, S := 0.0, 0.0
+		fc := frozenContrib[f]
+		es := live[f]
+		n := 0
+		for i, e := range es {
+			if !active[e.j] {
+				continue
+			}
+			es[n] = e
+			n++
+			if W > 0 {
+				if !(e.c < theta) {
+					th := (lambda - fc + S) / W
+					if th < theta {
+						th = theta
+					}
+					if th <= e.c {
+						live[f] = append(es[:n], es[i+1:]...)
+						return th, g.cells[int(e.j)*nf+f].pos
+					}
+				}
+			} else if fc >= lambda {
+				live[f] = append(es[:n], es[i+1:]...)
+				return theta, g.cells[int(e.j)*nf+f].pos
+			}
+			W += weight(w, int(e.j))
+			S += weight(w, int(e.j)) * e.c
+		}
+		live[f] = es[:n]
+		// The breakpoint past the last client: segEnd = +Inf, which th
+		// meets unless it is NaN.
+		if W > 0 {
+			th := (lambda - fc + S) / W
+			if th < theta {
+				th = theta
+			}
+			if th <= math.Inf(1) {
+				return th, int32(nc)
+			}
+		} else if fc >= lambda {
+			return theta, int32(nc)
+		}
+		return math.Inf(1), int32(nc) + 1
+	}
+	facilityTime := func(f int) float64 {
+		if isOpen[f] {
+			return math.Inf(1)
+		}
+		if dirty[f] {
+			tf[f], stop[f] = walk(f)
+			dirty[f] = false
+		}
+		return tf[f]
+	}
+	clientTime := func(j int) float64 {
+		if !active[j] {
+			return math.Inf(1)
+		}
+		if t := minOpen[j]; !(t < theta) {
+			return t
+		}
+		return theta
+	}
+
+	const eps = 1e-12 // jvRun's
+	for activeW > stopW+eps {
+		if opt.canceled() {
+			break // preempted mid-ascent: prune what opened so far and exit
+		}
+		f, tfMin := par.MinIndex(opt.Workers, nf, facilityTime)
+		j, tc := par.MinIndex(opt.Workers, nc, clientTime)
+		if math.IsInf(tfMin, 1) && math.IsInf(tc, 1) {
+			break // no facilities at all
+		}
+		if tfMin <= tc {
+			theta = tfMin
+			isOpen[f] = true
+			openOrder = append(openOrder, f)
+			col := costs[f]
+			for jj := 0; jj < nc; jj++ {
+				if active[jj] && col[jj] <= theta+eps {
+					freeze(jj, theta)
+					if activeW <= stopW+eps {
+						break
+					}
+				}
+			}
+			for jj, x := range col {
+				if x < minOpen[jj] || (x == minOpen[jj] && f < minAt[jj]) {
+					minOpen[jj], minAt[jj] = x, f
+				}
+			}
+		} else {
+			theta = tc
+			freeze(j, theta)
+		}
+	}
+
+	// Pruning: greedy maximal independent set in opening order over the
+	// positive-contribution bitsets.
+	words := (nc + 63) / 64
+	eff := make([]float64, nc)
+	for j := range eff {
+		eff[j] = alpha[j]
+		if active[j] {
+			eff[j] = theta
+		}
+	}
+	sets := make([]uint64, len(openOrder)*words)
+	set := func(i int) []uint64 { return sets[i*words : (i+1)*words] }
+	for i, f := range openOrder {
+		s := set(i)
+		for j, x := range costs[f] {
+			if eff[j] > x+eps {
+				s[j>>6] |= 1 << (j & 63)
+			}
+		}
+	}
+	var open, kept []int
+	for i, f := range openOrder {
+		ok := true
+		for _, k := range kept {
+			if intersects(set(i), set(k)) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			open = append(open, f)
+			kept = append(kept, i)
+		}
+	}
+	out := make([]bool, nc)
+	copy(out, active)
+	return jvResult{open: open, outlier: out, numOpen: len(open), outlierW: activeW, stopTheta: theta}
+}
+
+// intersects reports whether two equal-length bitsets share a bit.
+func intersects(a, b []uint64) bool {
+	for i, x := range a {
+		if x&b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // JV solves the (k,t)-median problem with the Lagrangian relaxation: binary
 // search on the uniform facility price lambda until the pruned primal-dual
 // solution brackets k facilities, then round per Appendix B. The rounding
@@ -273,25 +581,39 @@ func JV(c metric.Costs, w []float64, k int, t float64, eps float64, opt Options)
 	budget := t * (1 + eps)
 
 	// lambda = 0 opens ~one facility per client; very large lambda opens one.
+	// The maximum is an exact selection, so the fast engine may take it from
+	// its precomputed columns in any order.
 	var maxCost float64
-	for j := 0; j < nc; j++ {
-		if opt.canceled() {
-			break // preempted: any finite bracket works for a doomed search
-		}
-		for f := 0; f < nf; f++ {
-			if x := c.Cost(j, f); x > maxCost {
-				maxCost = x
+	var run func(lambda float64) jvResult
+	if opt.Reference {
+		for j := 0; j < nc; j++ {
+			if opt.canceled() {
+				break // preempted: any finite bracket works for a doomed search
 			}
+			for f := 0; f < nf; f++ {
+				if x := c.Cost(j, f); x > maxCost {
+					maxCost = x
+				}
+			}
+		}
+		run = func(lambda float64) jvResult { return jvRun(c, w, lambda, t, opt) }
+	} else {
+		g := newJVGraph(c, opt)
+		for _, col := range g.costs {
+			for _, x := range col {
+				if x > maxCost {
+					maxCost = x
+				}
+			}
+		}
+		run = func(lambda float64) jvResult { return jvRunFast(g, w, lambda, t, opt) }
+		if g.nan {
+			run = func(lambda float64) jvResult { return jvRun(c, w, lambda, t, opt) }
 		}
 	}
 	lo, hi := 0.0, (TotalWeight(c, w)+1)*(maxCost+1)
 
 	var small, large *jvResult // small: <= k facilities; large: > k
-	var ord *jvOrders
-	if !opt.Reference {
-		ord = jvPrecompute(c, opt)
-	}
-	run := func(lambda float64) jvResult { return jvRun(c, w, lambda, t, opt, ord) }
 
 	rLo := run(lo)
 	if rLo.numOpen <= k { // even free facilities give <= k: done

@@ -2,6 +2,7 @@ package kmedian
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dpc/internal/engine"
@@ -14,7 +15,7 @@ func TestJVRunFreeFacilitiesOpenEverywhere(t *testing.T) {
 	// lambda = 0: every point pays for its own facility instantly; after
 	// pruning each client is served at distance 0.
 	sp := metric.NewPoints([]metric.Point{{0}, {5}, {9}})
-	r := jvRun(sp, nil, 0, 0, Options{Options: engine.Options{Workers: 1}}, nil)
+	r := jvRun(sp, nil, 0, 0, Options{Options: engine.Options{Workers: 1}})
 	if r.outlierW > 1e-9 {
 		t.Fatalf("outlier weight = %g", r.outlierW)
 	}
@@ -26,7 +27,7 @@ func TestJVRunFreeFacilitiesOpenEverywhere(t *testing.T) {
 
 func TestJVRunHugeLambdaOpensOne(t *testing.T) {
 	sp := metric.NewPoints([]metric.Point{{0}, {1}, {2}, {3}})
-	r := jvRun(sp, nil, 1e6, 0, Options{Options: engine.Options{Workers: 1}}, nil)
+	r := jvRun(sp, nil, 1e6, 0, Options{Options: engine.Options{Workers: 1}})
 	if r.numOpen != 1 {
 		t.Fatalf("open = %d, want 1", r.numOpen)
 	}
@@ -39,7 +40,7 @@ func TestJVRunOutlierStop(t *testing.T) {
 	// One extremely remote point: with stopW = 1 the ascent must stop
 	// before freezing it (it is the last to connect).
 	sp := metric.NewPoints([]metric.Point{{0}, {0.1}, {0.2}, {1e9}})
-	r := jvRun(sp, nil, 0.5, 1, Options{Options: engine.Options{Workers: 1}}, nil)
+	r := jvRun(sp, nil, 0.5, 1, Options{Options: engine.Options{Workers: 1}})
 	if !r.outlier[3] {
 		t.Fatalf("remote point not left active: %+v", r.outlier)
 	}
@@ -56,7 +57,7 @@ func TestJVRunPrunedFacilitiesAreIndependent(t *testing.T) {
 	// Two tight pairs: pruning must never keep two facilities that share a
 	// positively-contributing client.
 	sp := metric.NewPoints([]metric.Point{{0}, {0.01}, {10}, {10.01}})
-	r := jvRun(sp, nil, 0.1, 0, Options{Options: engine.Options{Workers: 1}}, nil)
+	r := jvRun(sp, nil, 0.1, 0, Options{Options: engine.Options{Workers: 1}})
 	if r.numOpen < 1 || r.numOpen > 2 {
 		t.Fatalf("open = %d", r.numOpen)
 	}
@@ -77,11 +78,43 @@ func TestJVRunWeightedStop(t *testing.T) {
 		{100, 100, 0},
 	}
 	w := []float64{1, 1, 5} // the far client is heavy
-	r := jvRun(m, w, 10, 2, Options{Options: engine.Options{Workers: 1}}, nil)
+	r := jvRun(m, w, 10, 2, Options{Options: engine.Options{Workers: 1}})
 	// The heavy client (weight 5 > stop 2) cannot be the outlier wholesale;
 	// the ascent must connect it eventually or stop with light actives.
 	if r.outlierW > 2+1e-9 {
 		t.Fatalf("outlier weight %g > stop budget", r.outlierW)
+	}
+}
+
+// TestJVRunFastMatchesJVRun holds the event-driven ascent to the reference
+// ascent probe by probe: over a geometric lambda sweep from 0 past the
+// one-facility price, with and without an outlier stop, jvRunFast opens the
+// same facilities in the same order, leaves the same clients active, and
+// stops at the same theta and active weight, bit for bit.
+func TestJVRunFastMatchesJVRun(t *testing.T) {
+	for _, in := range jvInstances() {
+		c, w := in.ref, in.w
+		g := newJVGraph(in.got, Options{})
+		top := 0.0
+		for _, col := range g.costs {
+			top = max(top, slices.Max(col))
+		}
+		top *= TotalWeight(c, w) + 1
+		lambdas := []float64{0}
+		for l := top * 1e-7; l <= 2*top; l *= 2.5 {
+			lambdas = append(lambdas, l)
+		}
+		for _, stopW := range []float64{0, float64(c.Clients() / 10)} {
+			for _, lambda := range lambdas {
+				opt := Options{Options: engine.Options{Workers: 1}}
+				ref, got := jvRun(c, w, lambda, stopW, opt), jvRunFast(g, w, lambda, stopW, opt)
+				if !slices.Equal(got.open, ref.open) || !slices.Equal(got.outlier, ref.outlier) || got.numOpen != ref.numOpen ||
+					math.Float64bits(got.stopTheta) != math.Float64bits(ref.stopTheta) || math.Float64bits(got.outlierW) != math.Float64bits(ref.outlierW) {
+					t.Fatalf("%s lambda=%v stopW=%v: fast open %v theta %v active weight %v, reference open %v theta %v active weight %v",
+						in.name, lambda, stopW, got.open, got.stopTheta, got.outlierW, ref.open, ref.stopTheta, ref.outlierW)
+				}
+			}
+		}
 	}
 }
 

@@ -214,6 +214,19 @@ type scored struct {
 	pot float64
 }
 
+// byPotDesc orders candidates by potential, largest first: the
+// slices.SortFunc form of descendReference's sort.Slice less
+// top[a].pot > top[b].pot, with its permutation (see descBy).
+func byPotDesc(a, b scored) int {
+	switch {
+	case a.pot > b.pot:
+		return -1
+	case a.pot < b.pot:
+		return 1
+	}
+	return 0
+}
+
 // Scratch is the working memory of a descent over nc clients and k centers:
 // the centers' and candidates' cost columns, the nearest/second-nearest
 // state, the swap evaluator's streams and the round buffers. A zero Scratch
@@ -319,7 +332,7 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 			pairs[i] = flat[i*nc : (i+1)*nc : (i+1)*nc]
 		}
 	}
-	ps := newPotScan(c, sc.d1, sc.a1, sc.inW, workers)
+	ps := newPotScan(c, sc.d1, sc.a1, sc.inW)
 	for iter := 0; iter < opt.MaxIters; iter++ {
 		if opt.canceled() {
 			break // preempted mid-descent: stop burning rounds
@@ -328,11 +341,11 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 		for p, f := range cur {
 			sc.pos[f] = p
 		}
-		ps.begin(cur)
+		ps.begin(cur, sc.order)
 		cands := facilityCandidates(nf, sc.pos, opt, rng, sc.seen, sc.cands)
 		pots := slices.Grow(sc.pots[:0], len(cands))[:len(cands)]
 		sc.cands, sc.pots = cands, pots
-		par.For(workers, len(cands), func(ci int) { pots[ci] = ps.potential(cands[ci]) })
+		ps.potentials(workers, cands, pots)
 		top := sc.top[:0]
 		for ci, f := range cands {
 			if pots[ci] > 0 {
@@ -340,7 +353,7 @@ func descend(c metric.Costs, w []float64, centers []int, t float64, opt Options,
 			}
 		}
 		sc.top = top
-		sort.Slice(top, func(a, b int) bool { return top[a].pot > top[b].pot })
+		slices.SortFunc(top, byPotDesc)
 		if len(top) > topE {
 			top = top[:topE]
 		}

@@ -4,19 +4,61 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dpc/internal/engine"
 	"dpc/internal/metric"
 )
 
+// scanStats counts what potentialParity saw: pairs the bound dropped of
+// the live ones, and the grouped survivor walk's edge cases — a group
+// holding equal r2, a live client without a finite center (a1 = -1), and
+// an r2 forced to +Inf by tinyDist.
+type scanStats struct {
+	dropped, total             int
+	equalR2, noCenter, tinyInf int
+}
+
+func (s *scanStats) add(o scanStats) {
+	s.dropped += o.dropped
+	s.total += o.total
+	s.equalR2 += o.equalR2
+	s.noCenter += o.noCenter
+	s.tinyInf += o.tinyInf
+}
+
+// filterSurvivors is survivors' defining predicate run as a filter over
+// the live clients in ascending order: keep j when candidate f's threshold
+// for j's nearest center is below r2[j].
+func filterSurvivors(ps *potScan, f int) []int32 {
+	thr := []float64{math.Inf(-1)} // a1 = -1
+	for _, c := range ps.centers {
+		d := ps.c.Cost(f, c)
+		if ps.power == 2 {
+			d = math.Sqrt(d)
+		}
+		if math.IsInf(d, 1) {
+			d = math.Inf(-1)
+		}
+		thr = append(thr, d*metric.LBScale)
+	}
+	var out []int32
+	for _, j := range ps.live {
+		if thr[ps.a1[j]+1] < ps.r2[j] {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 // potentialParity sets up one descent round on c — the given centers, the
 // partial solution Eval finds for them — and holds the potential scan, with
 // the oracle's declared triangle power, to the same scan with the bound
 // switched off and to descendReference's own loop, bit for bit, for every
-// facility. It returns how many (client, facility) pairs the bound dropped,
-// of how many live ones.
-func potentialParity(t testing.TB, label string, c metric.Costs, wantPower int, w []float64, centers []int, budget float64) (dropped, total int) {
+// facility; and where the bound is on, holds survivors to filterSurvivors'
+// list, element for element.
+func potentialParity(t testing.TB, label string, c metric.Costs, wantPower int, w []float64, centers []int, budget float64) (st scanStats) {
 	t.Helper()
 	nc, nf := c.Clients(), c.Facilities()
 	cur := Eval(c, w, centers, budget)
@@ -30,14 +72,25 @@ func potentialParity(t testing.TB, label string, c metric.Costs, wantPower int, 
 		}
 		inW[j] = weight(w, j) - cur.DroppedWeight[j]
 	}
-	ps := newPotScan(c, d1, a1, inW, 1)
+	ps := newPotScan(c, d1, a1, inW)
 	if ps.power != wantPower {
 		t.Fatalf("%s: oracle declares triangle power %d, want %d", label, ps.power, wantPower)
 	}
-	ps.begin(cur.Centers)
+	order := make([]int, nc)
+	for j := range order {
+		order[j] = j
+	}
+	slices.SortFunc(order, descBy(d1))
+	ps.begin(cur.Centers, order)
 	full := *ps
-	full.power = 0
-	sc := &potScratch{thr: make([]float64, len(cur.Centers)+1), idx: make([]int32, nc)}
+	full.power, full.scr = 0, nil
+	all := make([]int, nf)
+	for f := range all {
+		all[f] = f
+	}
+	got, unpruned := make([]float64, nf), make([]float64, nf)
+	ps.potentials(1, all, got)
+	full.potentials(3, all, unpruned)
 	for f := 0; f < nf; f++ {
 		var want float64
 		for j := 0; j < nc; j++ {
@@ -48,17 +101,37 @@ func potentialParity(t testing.TB, label string, c metric.Costs, wantPower int, 
 				want += inW[j] * s
 			}
 		}
-		got, unpruned := ps.potential(f), full.potential(f)
-		if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(unpruned) != math.Float64bits(want) {
+		if math.Float64bits(got[f]) != math.Float64bits(want) || math.Float64bits(unpruned[f]) != math.Float64bits(want) {
 			t.Fatalf("%s: facility %d potential: pruned %v (%#x), unpruned %v (%#x), reference loop %v (%#x)", label, f,
-				got, math.Float64bits(got), unpruned, math.Float64bits(unpruned), want, math.Float64bits(want))
+				got[f], math.Float64bits(got[f]), unpruned[f], math.Float64bits(unpruned[f]), want, math.Float64bits(want))
 		}
-		total += len(ps.live)
+		st.total += len(ps.live)
 		if ps.power > 0 {
-			dropped += len(ps.live) - len(ps.survivors(sc, f))
+			surv, filt := ps.survivors(ps.scr[0], f), filterSurvivors(ps, f)
+			if !slices.Equal(surv, filt) {
+				t.Fatalf("%s: facility %d survivors %v, the predicate keeps %v", label, f, surv, filt)
+			}
+			st.dropped += len(ps.live) - len(surv)
 		}
 	}
-	return dropped, total
+	if ps.power > 0 {
+		for _, j := range ps.live {
+			switch {
+			case a1[j] < 0:
+				st.noCenter++
+			case math.IsInf(ps.r2[j], 1) && !math.IsInf(d1[j], 1):
+				st.tinyInf++
+			}
+		}
+		for _, grp := range ps.groups {
+			for i := 1; i < len(grp); i++ {
+				if grp[i].r2 == grp[i-1].r2 {
+					st.equalR2++
+				}
+			}
+		}
+	}
+	return st
 }
 
 // clusteredPoints is a small mixture with the shapes the bound must survive:
@@ -89,6 +162,29 @@ func clusteredPoints(r *rand.Rand, n, dim int, scale float64) []metric.Point {
 		}
 		pts[i] = p
 	}
+	return pts
+}
+
+// tripledPoints is clusteredPoints with every point three times: zero
+// distances, and equal r2 in every group.
+func tripledPoints(r *rand.Rand, n, dim int) []metric.Point {
+	base := clusteredPoints(r, (n+2)/3, dim, 1)
+	pts := make([]metric.Point, n)
+	for i := range pts {
+		pts[i] = base[i/3]
+	}
+	return pts
+}
+
+// withUnreachable puts one point at +Inf in every coordinate: no finite
+// cost to any other point, so unless it is a center itself it has no
+// finite center (a1 = -1).
+func withUnreachable(pts []metric.Point) []metric.Point {
+	inf := make(metric.Point, len(pts[0]))
+	for d := range inf {
+		inf[d] = math.Inf(1)
+	}
+	pts[1] = inf
 	return pts
 }
 
@@ -146,7 +242,7 @@ func potentialOracles(p *metric.Points, means bool) map[string]metric.Costs {
 // overflow.
 func TestPotentialPruneMatchesFullScan(t *testing.T) {
 	const n = 90
-	var dropped, total int
+	var clustered, seen scanStats
 	for _, m := range []metric.Metric{metric.EuclideanL2, metric.ManhattanL1, metric.ChebyshevLinf} {
 		for _, dim := range []int{1, 2, 16} {
 			r := rand.New(rand.NewSource(int64(dim)*10 + int64(m)))
@@ -156,6 +252,8 @@ func TestPotentialPruneMatchesFullScan(t *testing.T) {
 				"ray":       rayPoints(r, n, dim),
 				"tiny":      clusteredPoints(r, n, dim, 1e-162),
 				"huge":      clusteredPoints(r, n, dim, 1e152),
+				"triplets":  tripledPoints(r, n, dim),
+				"unreached": withUnreachable(clusteredPoints(r, n, dim, 1)),
 			}
 			w := make([]float64, n)
 			for j := range w {
@@ -174,9 +272,10 @@ func TestPotentialPruneMatchesFullScan(t *testing.T) {
 								for _, k := range []int{1, 5} {
 									centers := r.Perm(n)[:k]
 									label := fmt.Sprintf("%s %s dim=%d %s weighted=%v t=%v k=%d", fam, m, dim, oname, weights != nil, budget, k)
-									d, tot := potentialParity(t, label, c, power, weights, centers, budget)
+									st := potentialParity(t, label, c, power, weights, centers, budget)
+									seen.add(st)
 									if fam == "clustered" {
-										dropped, total = dropped+d, total+tot
+										clustered.add(st)
 									}
 								}
 							}
@@ -186,11 +285,17 @@ func TestPotentialPruneMatchesFullScan(t *testing.T) {
 			}
 		}
 	}
-	// Not a vacuous pass: on clustered data the bound must actually bite.
-	if dropped*4 < total {
-		t.Fatalf("the bound dropped only %d of %d live pairs on clustered data", dropped, total)
+	// Not a vacuous pass: on clustered data the bound must actually bite,
+	// and the grouped walk must have met each of its edge cases.
+	if clustered.dropped*4 < clustered.total {
+		t.Fatalf("the bound dropped only %d of %d live pairs on clustered data", clustered.dropped, clustered.total)
 	}
-	t.Logf("clustered: bound dropped %d of %d live pairs (%.0f%%)", dropped, total, 100*float64(dropped)/float64(total))
+	if seen.equalR2 == 0 || seen.noCenter == 0 || seen.tinyInf == 0 {
+		t.Fatalf("edge cases not reached: %d equal r2 in a group, %d clients without a finite center, %d r2 forced to +Inf",
+			seen.equalR2, seen.noCenter, seen.tinyInf)
+	}
+	t.Logf("clustered: bound dropped %d of %d live pairs (%.0f%%); edge cases: %d equal r2, %d without a center, %d r2 = +Inf", clustered.dropped, clustered.total,
+		100*float64(clustered.dropped)/float64(clustered.total), seen.equalR2, seen.noCenter, seen.tinyInf)
 }
 
 // TestPotentialScanAtInfinity: a client with no finite cost to any center
@@ -247,13 +352,23 @@ func TestNonMetricOracleScansInFull(t *testing.T) {
 // FuzzPotentialPrune drives potentialParity over seeded instances: the seed
 // picks the points, the other arguments the metric, objective, dimension,
 // scale (a power of two, through the underflow and overflow ranges), center
-// count, weights and budget.
+// count, weights, budget, and whether every point comes three times (32) or
+// one point sits at +Inf (64).
 func FuzzPotentialPrune(f *testing.F) {
 	f.Add(int64(1), uint8(60), uint8(2), uint8(3), uint8(0), int16(0), 3.5)
 	f.Add(int64(2), uint8(90), uint8(16), uint8(5), uint8(1|4), int16(0), 0.0)
 	f.Add(int64(3), uint8(40), uint8(1), uint8(1), uint8(2|8), int16(-540), 100.0)
 	f.Add(int64(4), uint8(70), uint8(3), uint8(7), uint8(4|16), int16(500), 0.5)
 	f.Add(int64(5), uint8(33), uint8(1), uint8(4), uint8(8|16), int16(-1060), 2.0)
+	// The grouped survivor walk's edge cases: equal r2 and duplicates
+	// (tripled points, and the line), a client without a finite center,
+	// and r2 = +Inf from tinyDist (the underflow scales).
+	f.Add(int64(6), uint8(60), uint8(2), uint8(4), uint8(32), int16(0), 3.0)
+	f.Add(int64(7), uint8(45), uint8(3), uint8(3), uint8(4|32), int16(0), 0.0)
+	f.Add(int64(8), uint8(50), uint8(2), uint8(5), uint8(64), int16(0), 1.0)
+	f.Add(int64(9), uint8(50), uint8(1), uint8(2), uint8(4|8|64), int16(0), 6.5)
+	f.Add(int64(10), uint8(40), uint8(2), uint8(3), uint8(32), int16(-540), 2.0)
+	f.Add(int64(11), uint8(64), uint8(1), uint8(4), uint8(16|32), int16(-1060), 0.0)
 	f.Fuzz(func(t *testing.T, seed int64, n, dim, k, flags uint8, exp int16, budget float64) {
 		if n < 2 || dim == 0 || dim > 24 || k == 0 || int(k) > int(n) || exp < -1070 || exp > 1000 || !(budget >= 0) || math.IsInf(budget, 1) {
 			t.Skip()
@@ -267,6 +382,15 @@ func FuzzPotentialPrune(f *testing.F) {
 			}
 		} else {
 			pts = clusteredPoints(r, int(n), int(dim), math.Ldexp(1, int(exp)))
+		}
+		if flags&32 != 0 {
+			base := slices.Clone(pts)
+			for i := range pts {
+				pts[i] = base[i/3]
+			}
+		}
+		if flags&64 != 0 {
+			pts = withUnreachable(pts)
 		}
 		p := &metric.Points{Pts: pts, M: metric.Metric(flags & 3 % 3)}
 		var c metric.Costs = metric.SelfCosts{S: p}
