@@ -461,6 +461,14 @@ func TestRequestValidatesData(t *testing.T) {
 			}
 		}
 	}
+	// An Eps that budgets nothing (negative, or (1+Eps)T overflows) used to
+	// panic client.Local in the cost evaluation; now it is a spec error.
+	for _, eps := range []float64{-5, 1e308} {
+		req := Request{Objective: Median, K: 2, T: 2, Sites: 2, Points: pts, Eps: eps}
+		if _, err := NewLocal().Do(context.Background(), req); err == nil || !strings.Contains(err.Error(), "Eps") {
+			t.Errorf("eps %v on local: error %v, want one naming Eps", eps, err)
+		}
+	}
 	ok := Request{Objective: UncertainMedian, K: 2, T: 1, Sites: 2, Ground: g, Nodes: nodes}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("well-formed uncertain request rejected: %v", err)

@@ -167,9 +167,12 @@ const (
 	Center = core.Center
 )
 
-// Evaluate computes the true global partial cost of centers on a dataset:
-// every point connects to its nearest center, the `budget` largest
-// connection costs are free.
+// Evaluate computes the true global partial cost of centers on a dataset
+// by the repository's one definition of a partial objective,
+// internal/kmedian's Eval: every point connects to its nearest center, the
+// floor(budget) largest connection costs are free (none for a budget below
+// 1, all for one of at least len(pts)), and the rest are summed (Median,
+// Means) or maxed (Center).
 func Evaluate(pts []Point, centers []Point, budget float64, obj Objective) float64 {
 	return core.Evaluate(pts, centers, budget, obj)
 }

@@ -195,15 +195,6 @@ func TestAllExperimentsQuick(t *testing.T) {
 	})
 }
 
-func TestHelperSumDropTop(t *testing.T) {
-	if got := sumDropTop([]float64{5, 1, 9, 3}, 1); got != 9 { // drop the 9 -> 5+1+3
-		t.Fatalf("sumDropTop = %g, want 9", got)
-	}
-	if got := sumDropTop([]float64{5, 1}, 5); got != 0 {
-		t.Fatalf("sumDropTop over-drop = %g, want 0", got)
-	}
-}
-
 func TestHelperRandomCurveDomain(t *testing.T) {
 	r := newRand(3)
 	for trial := 0; trial < 10; trial++ {

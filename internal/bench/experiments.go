@@ -8,6 +8,7 @@ import (
 	"dpc/internal/alloc"
 	"dpc/internal/central"
 	"dpc/internal/core"
+	"dpc/internal/exact"
 	"dpc/internal/gen"
 	"dpc/internal/geom"
 	"dpc/internal/kcenter"
@@ -428,8 +429,8 @@ func E10Compression(o Options) Table {
 			N: 9, K: 2, Support: 3, Scatter: 2, Seed: o.Seed + int64(trial),
 		})
 		col := uncertain.Collapse(in.Ground, in.Nodes, false, uncertain.FullGround)
-		cg := bruteCollapsed(col, 2, 1)
-		ca := bruteUncertain(in.Ground, in.Nodes, col.Y, 2, 1)
+		cg := exact.Solve(col, nil, 2, 1, exact.Sum).Cost
+		ca := exact.Solve(uncertain.NodeCosts{G: in.Ground, Nodes: in.Nodes, Centers: col.Y}, nil, 2, 1, exact.Sum).Cost
 		ratio := cg / ca
 		ok := ratio >= 0.5-1e-9 && ratio <= 5+1e-9
 		t.AddRow(fmt.Sprint(trial), f3(ca), f3(cg), f3(ratio), fmt.Sprint(ok))

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 
 	"dpc/internal/geom"
-	"dpc/internal/metric"
-	"dpc/internal/uncertain"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -49,87 +47,4 @@ func dpOptimum(fns []geom.ConvexFn, R int) float64 {
 		cur, next = next, cur
 	}
 	return cur[R]
-}
-
-// bruteCollapsed enumerates k-subsets of compressed-graph facilities with t
-// outliers dropped.
-func bruteCollapsed(col *uncertain.Collapsed, k, t int) float64 {
-	n := col.Len()
-	best := math.Inf(1)
-	var centers []int
-	var rec func(start int)
-	rec = func(start int) {
-		if len(centers) == k {
-			ds := make([]float64, n)
-			for j := 0; j < n; j++ {
-				d := math.Inf(1)
-				for _, f := range centers {
-					if x := col.Cost(j, f); x < d {
-						d = x
-					}
-				}
-				ds[j] = d
-			}
-			if c := sumDropTop(ds, t); c < best {
-				best = c
-			}
-			return
-		}
-		for f := start; f < n; f++ {
-			centers = append(centers, f)
-			rec(f + 1)
-			centers = centers[:len(centers)-1]
-		}
-	}
-	rec(0)
-	return best
-}
-
-// bruteUncertain enumerates k-subsets of a center pool under the true
-// expected-distance objective.
-func bruteUncertain(g *uncertain.Ground, nodes []uncertain.Node, pool []metric.Point, k, t int) float64 {
-	best := math.Inf(1)
-	var centers []metric.Point
-	var rec func(start int)
-	rec = func(start int) {
-		if len(centers) == k {
-			ds := make([]float64, len(nodes))
-			for j, nd := range nodes {
-				d := math.Inf(1)
-				for _, c := range centers {
-					if x := uncertain.ExpectedDist(g, nd, c); x < d {
-						d = x
-					}
-				}
-				ds[j] = d
-			}
-			if c := sumDropTop(ds, t); c < best {
-				best = c
-			}
-			return
-		}
-		for f := start; f < len(pool); f++ {
-			centers = append(centers, pool[f])
-			rec(f + 1)
-			centers = centers[:len(centers)-1]
-		}
-	}
-	rec(0)
-	return best
-}
-
-func sumDropTop(ds []float64, t int) float64 {
-	sorted := append([]float64(nil), ds...)
-	for i := 0; i < len(sorted); i++ {
-		for j := i + 1; j < len(sorted); j++ {
-			if sorted[j] > sorted[i] {
-				sorted[i], sorted[j] = sorted[j], sorted[i]
-			}
-		}
-	}
-	var s float64
-	for i := t; i < len(sorted); i++ {
-		s += sorted[i]
-	}
-	return s
 }

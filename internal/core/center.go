@@ -1,10 +1,9 @@
 package core
 
 import (
-	"sort"
-
 	"dpc/internal/comm"
 	"dpc/internal/kcenter"
+	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 	"dpc/internal/protocol"
 )
@@ -83,17 +82,12 @@ func (st *centerSite) Precluster(b protocol.Budget) comm.Payload {
 	}
 	assign, counts, _ := trav.AssignPrefixOpt(st.space, m, nil, st.cfg.LocalOpts.Options)
 	if st.cfg.Variant == TwoRoundNoOutliers {
-		n := len(st.pts)
-		dist := make([]float64, n)
-		order := make([]int, n)
-		for j := 0; j < n; j++ {
-			dist[j] = st.space.Dist(j, trav.Order[assign[j]])
-			order[j] = j
-		}
-		sort.Slice(order, func(a, b int) bool { return dist[order[a]] > dist[order[b]] })
 		// t_i is below the hull domain, hence < n: exactly t_i points drop.
-		for _, j := range order[:b.T] {
-			counts[assign[j]]--
+		sol := kmedian.Eval(metric.SelfCosts{S: st.space}, nil, trav.Order[:m], float64(b.T))
+		for j, dw := range sol.DroppedWeight {
+			if dw > 0 {
+				counts[assign[j]]--
+			}
 		}
 	}
 	return comm.WeightedPointsMsg{Pts: protocol.PointsAt(st.pts, trav.Order[:m]), W: counts}

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"dpc/internal/engine"
 	"dpc/internal/kmedian"
@@ -189,6 +188,9 @@ func validate(cfg Config) error {
 			return fmt.Errorf("core: %s = %v is not finite", f.name, f.v)
 		}
 	}
+	if cfg.Eps < 0 || math.IsInf((1+cfg.Eps)*float64(cfg.T), 0) {
+		return fmt.Errorf("core: Eps = %v: want Eps >= 0 and a finite (1+Eps)T (T = %d)", cfg.Eps, cfg.T)
+	}
 	switch cfg.Objective {
 	case Center:
 		if cfg.RelaxCenters {
@@ -312,47 +314,30 @@ func costsShared(sp metric.Space, obj Objective) metric.Costs {
 }
 
 // Evaluate computes the true global partial cost of centers on the full
-// dataset: every point connects to its nearest center and the `budget`
-// largest connection costs are free. This is the measuring stick for all
+// dataset: kmedian.Eval over metric.Cross at floor(budget), so every point
+// connects to its nearest center, the floor(budget) farthest points are
+// free (none for a budget below 1), and the rest are summed (median,
+// means) or maxed (center). This is the measuring stick for all
 // experiments (the coordinator itself never sees the full data).
 func Evaluate(pts []metric.Point, centers []metric.Point, budget float64, obj Objective) float64 {
-	if len(centers) == 0 {
-		if float64(len(pts)) <= budget {
-			return 0
-		}
-		return math.Inf(1)
+	cross := metric.Cross{Pts: pts, Centers: centers, Squared: obj == Means}
+	all := make([]int, len(centers))
+	for i := range all {
+		all[i] = i
 	}
-	d := make([]float64, len(pts))
-	for j, p := range pts {
-		best := math.Inf(1)
-		for _, c := range centers {
-			x := metric.L2(p, c)
-			if obj == Means {
-				x = metric.SqL2(p, c)
+	sol := kmedian.Eval(cross, nil, all, math.Floor(budget))
+	if obj != Center || len(centers) == 0 {
+		return sol.Cost
+	}
+	for _, j := range sol.Order {
+		if sol.DroppedWeight[j] == 0 {
+			if f := sol.Assign[j]; f >= 0 {
+				return cross.Cost(j, f)
 			}
-			if x < best {
-				best = x
-			}
+			return math.Inf(1) // no finite cost to any center
 		}
-		d[j] = best
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(d)))
-	drop := int(budget)
-	if drop > len(d) {
-		drop = len(d)
-	}
-	rest := d[drop:]
-	if obj == Center {
-		if len(rest) == 0 {
-			return 0
-		}
-		return rest[0]
-	}
-	var sum float64
-	for _, x := range rest {
-		sum += x
-	}
-	return sum
+	return 0
 }
 
 // FlattenSites concatenates per-site point slices (evaluation helper).

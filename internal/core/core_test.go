@@ -57,6 +57,13 @@ func TestRunValidation(t *testing.T) {
 			}
 		}
 	}
+	// A negative Eps, or one whose (1+Eps)T overflows, budgets nothing.
+	for _, bad := range []float64{-5, 1e308} {
+		_, err := Run([][]metric.Point{append(pts, metric.Point{2})}, Config{K: 1, T: 2, Eps: bad})
+		if err == nil || !strings.Contains(err.Error(), "Eps") {
+			t.Errorf("Eps = %v: err = %v, want one naming the field", bad, err)
+		}
+	}
 }
 
 func TestMedianTwoRoundEndToEnd(t *testing.T) {

@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 
+	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 )
 
@@ -97,7 +97,7 @@ func SplitRoundRobin(pts []metric.Point, s int) [][]metric.Point {
 }
 
 // Assignment labels every point with its nearest center and marks the
-// `budget` largest connection costs as outliers (center index -1).
+// floor(budget) largest connection costs as outliers (center index -1).
 type Assignment struct {
 	Center   []int // per point; -1 for outliers
 	Dist     []float64
@@ -105,31 +105,29 @@ type Assignment struct {
 }
 
 // Assign computes the assignment of points to centers under the given
-// objective ("means" squares distances) and outlier budget.
+// objective ("means" squares distances) and outlier budget: kmedian.Eval
+// over metric.Cross at floor(budget), whose farthest-first order the
+// outliers keep.
 func Assign(pts []metric.Point, centers []metric.Point, budget float64, squared bool) Assignment {
-	n := len(pts)
-	a := Assignment{Center: make([]int, n), Dist: make([]float64, n)}
-	order := make([]int, n)
-	for j, p := range pts {
-		best, bd := -1, math.Inf(1)
-		for c, cp := range centers {
-			x := metric.L2(p, cp)
-			if squared {
-				x = metric.SqL2(p, cp)
-			}
-			if x < bd {
-				bd, best = x, c
-			}
+	cross := metric.Cross{Pts: pts, Centers: centers, Squared: squared}
+	all := make([]int, len(centers))
+	for i := range all {
+		all[i] = i
+	}
+	sol := kmedian.Eval(cross, nil, all, math.Floor(budget))
+	a := Assignment{Center: sol.Assign, Dist: make([]float64, len(pts))}
+	for j, c := range a.Center {
+		a.Dist[j] = math.Inf(1)
+		if c >= 0 {
+			a.Dist[j] = cross.Cost(j, c)
 		}
-		a.Center[j] = best
-		a.Dist[j] = bd
-		order[j] = j
 	}
-	sort.Slice(order, func(x, y int) bool { return a.Dist[order[x]] > a.Dist[order[y]] })
-	a.Outliers = order[:min(int(budget), n)]
-	for _, j := range a.Outliers {
-		a.Center[j] = -1
+	dropped := 0
+	for dropped < len(sol.Order) && sol.DroppedWeight[sol.Order[dropped]] > 0 {
+		a.Center[sol.Order[dropped]] = -1
+		dropped++
 	}
+	a.Outliers = sol.Order[:dropped]
 	return a
 }
 

@@ -78,6 +78,9 @@ func totalWeight(c metric.Costs, w []float64) float64 {
 	return s
 }
 
+// evalPartial stays apart from kmedian.Eval on purpose: the oracle shares
+// no code with the solvers it checks.
+//
 // evalPartial computes the objective of the given centers after optimally
 // removing up to t units of client weight: for both Sum and Max the optimal
 // removal is the largest connection costs first (fractionally for weighted

@@ -234,7 +234,8 @@ func EvalMax(c metric.Costs, w []float64, centers []int, t float64) float64 {
 }
 
 // EvalMaxOpt is EvalMax with the per-client scans on o.Workers goroutines
-// (bit-identical for every worker count).
+// (bit-identical for every worker count). It stays apart from kmedian.Eval
+// on purpose: its 1e-12 slack is the Charikar greedy's feasibility rule.
 func EvalMaxOpt(c metric.Costs, w []float64, centers []int, t float64, o Opt) float64 {
 	n := c.Clients()
 	type cd struct{ d, w float64 }

@@ -80,7 +80,7 @@ func TestDescendTieOrder(t *testing.T) {
 	}
 }
 
-// TestRowsEvalMatchesEvalP holds the descent's column evaluation to EvalP,
+// TestRowsEvalMatchesEvalP holds the descent's column evaluation to Eval,
 // field by field and bit for bit: median and means, unit and fractional
 // weights, duplicate points (ties in the sort that decide who is dropped)
 // and an explicit matrix that is no metric.
@@ -118,7 +118,7 @@ func TestRowsEvalMatchesEvalP(t *testing.T) {
 				for _, budget := range []float64{0, 2.5, 17, float64(2 * nc)} {
 					centers := rng.Perm(o.c.Facilities())[:k]
 					label := fmt.Sprintf("%s weighted=%v k=%d t=%v", o.name, w != nil, k, budget)
-					want := EvalP(o.c, w, centers, budget, 1)
+					want := Eval(o.c, w, centers, budget)
 					for _, workers := range []int{1, 3} {
 						var sc Scratch
 						sc.fit(nc, k)
@@ -128,14 +128,14 @@ func TestRowsEvalMatchesEvalP(t *testing.T) {
 						}
 						got := sc.solution(sc.eval(w, budget, workers), budget)
 						if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Budget != want.Budget {
-							t.Fatalf("%s: cost %v (%#x) budget %v, EvalP %v (%#x) %v", label, got.Cost, math.Float64bits(got.Cost), got.Budget, want.Cost, math.Float64bits(want.Cost), want.Budget)
+							t.Fatalf("%s: cost %v (%#x) budget %v, Eval %v (%#x) %v", label, got.Cost, math.Float64bits(got.Cost), got.Budget, want.Cost, math.Float64bits(want.Cost), want.Budget)
 						}
-						if !slices.Equal(got.Centers, want.Centers) || !slices.Equal(got.Assign, want.Assign) {
-							t.Fatalf("%s: centers or assignment differ from EvalP", label)
+						if !slices.Equal(got.Centers, want.Centers) || !slices.Equal(got.Assign, want.Assign) || !slices.Equal(got.Order, want.Order) {
+							t.Fatalf("%s: centers, assignment or order differ from Eval", label)
 						}
 						for j := range want.DroppedWeight {
 							if math.Float64bits(got.DroppedWeight[j]) != math.Float64bits(want.DroppedWeight[j]) {
-								t.Fatalf("%s: dropped weight of client %d: %v, EvalP %v", label, j, got.DroppedWeight[j], want.DroppedWeight[j])
+								t.Fatalf("%s: dropped weight of client %d: %v, Eval %v", label, j, got.DroppedWeight[j], want.DroppedWeight[j])
 							}
 						}
 					}

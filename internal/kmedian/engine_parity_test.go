@@ -302,23 +302,6 @@ func TestSortFuncMatchesSortSlice(t *testing.T) {
 	}
 }
 
-// TestEvalPMatchesEval pins the parallel assignment loop.
-func TestEvalPMatchesEval(t *testing.T) {
-	pts := parityPoints(21, 700, 3)
-	base := metric.NewPoints(pts)
-	centers := []int{3, 99, 250, 600}
-	ref := Eval(base, nil, centers, 31)
-	for _, workers := range []int{2, 5} {
-		got := EvalP(base, nil, centers, 31, workers)
-		sameSolution(t, "evalp", ref, got)
-		for j := range ref.Assign {
-			if got.Assign[j] != ref.Assign[j] {
-				t.Fatalf("assignment differs at client %d", j)
-			}
-		}
-	}
-}
-
 // TestPartialCostUnitMatchesPairs pins the unit-weight fast walk against
 // the reference pair walk on adversarial tie patterns.
 func TestPartialCostUnitMatchesPairs(t *testing.T) {

@@ -1,12 +1,22 @@
 // Package kmedian implements the k-median/k-means machinery of the paper:
-// weighted partial-cost evaluation (outliers dropped greedily by distance),
-// a swap-based local-search engine for (k,t)-median with outliers, the
-// Jain-Vazirani primal-dual facility-location algorithm with an outlier stop
-// (Appendix B), and the Theorem 3.1 bicriteria solver built from them.
+// weighted partial-cost evaluation, a swap-based local-search engine for
+// (k,t)-median with outliers, the Jain-Vazirani primal-dual
+// facility-location algorithm with an outlier stop (Appendix B), and the
+// Theorem 3.1 bicriteria solver built from them.
 //
 // All engines consume the metric.Costs oracle, so they serve the plain
 // Euclidean case, the (k,t)-means case (squared costs), the compressed
 // graph of Section 5 and the truncated rho_tau costs of Definition 5.7.
+//
+// Eval is the repository's one definition of a partial objective, for
+// every objective and every caller (core and dpc's Evaluate, dataio's
+// Assign, Lloyd's polish, the uncertain evaluators, the center sites'
+// no-ship drop): each client goes to its nearest center, the heaviest t
+// units of weight are dropped, and the rest are summed (median, means) or
+// maxed (center). Unit point sets are evaluated at floor(budget) and drop
+// that many whole points; weighted instances may drop part of a client's
+// weight. metric.Cross and uncertain.NodeCosts put arbitrary centers
+// behind it.
 package kmedian
 
 import (
@@ -33,6 +43,9 @@ type Solution struct {
 	// Assign[j] is the facility serving client j (its nearest center), or
 	// -1 when the instance has no centers.
 	Assign []int
+	// Order lists the clients farthest first: the order the budget was
+	// spent in, so the clients with dropped weight are a prefix of it.
+	Order []int
 }
 
 // Outliers returns the indices of clients with any dropped weight, in
@@ -88,40 +101,34 @@ func TotalWeight(c metric.Costs, w []float64) float64 {
 	return s
 }
 
-// Eval computes the full evaluation of centers on (c, w) with outlier
-// budget t: each client connects to its cheapest center; the t units of
-// weight with the largest connection costs are discarded (fractionally for
-// weighted clients, per Remark 1(ii) — the coordinator may exclude only
-// some copies of an aggregated point).
+// Eval is the one evaluation of a partial objective: each client connects
+// to its cheapest center (the first of equal costs, in center order), the
+// clients are ordered farthest first, and the budget t is spent down that
+// order — a client's whole weight while it fits, then what is left of the
+// budget (Remark 1(ii): the coordinator may exclude only some copies of an
+// aggregated point). The kept weight's costs, summed in that order, are
+// the cost; the (k,t)-center objective is the cost of the first client in
+// Order that keeps weight. A budget of zero or below drops nothing, and
+// one of at least the total weight drops everything.
 func Eval(c metric.Costs, w []float64, centers []int, t float64) Solution {
-	return EvalP(c, w, centers, t, 1)
-}
-
-// EvalP is Eval with the per-client assignment loop spread over at most
-// `workers` goroutines. Each client's nearest-center scan is self-contained
-// and writes only its own slots, so the result is bit-identical to Eval for
-// every worker count.
-func EvalP(c metric.Costs, w []float64, centers []int, t float64, workers int) Solution {
 	n := c.Clients()
 	sol := Solution{
 		Centers:       append([]int(nil), centers...),
 		Budget:        t,
 		Assign:        make([]int, n),
 		DroppedWeight: make([]float64, n),
+		Order:         make([]int, n),
 	}
 	d := make([]float64, n)
-	order := make([]int, n)
-	par.For(workers, n, func(j int) {
+	for j := range n {
 		best, bd := -1, math.Inf(1)
 		for _, f := range centers {
 			if x := c.Cost(j, f); x < bd {
 				bd, best = x, f
 			}
 		}
-		sol.Assign[j] = best
-		d[j] = bd
-		order[j] = j
-	})
+		sol.Assign[j], d[j], sol.Order[j] = best, bd, j
+	}
 	if len(centers) == 0 {
 		// Degenerate: cost is defined only if everything fits in the budget.
 		if TotalWeight(c, w) <= t {
@@ -133,25 +140,34 @@ func EvalP(c metric.Costs, w []float64, centers []int, t float64, workers int) S
 		sol.Cost = math.Inf(1)
 		return sol
 	}
-	sort.Slice(order, func(a, b int) bool { return d[order[a]] > d[order[b]] })
+	sol.Cost = dropFarthest(sol.Order, d, w, t, sol.DroppedWeight)
+	return sol
+}
+
+// dropFarthest is the drop loop of Eval and Scratch.eval: it sorts order
+// farthest first by d, with slices.SortFunc under descBy, and spends the
+// budget t down it, recording each client's dropped weight in dropped
+// (all zero on entry). It returns the kept weight's cost, summed in that
+// order.
+func dropFarthest(order []int, d, w []float64, t float64, dropped []float64) float64 {
+	slices.SortFunc(order, descBy(d))
 	budget := t
 	var cost float64
 	for _, j := range order {
 		wj := weight(w, j)
 		if wj <= budget {
 			budget -= wj
-			sol.DroppedWeight[j] = wj
+			dropped[j] = wj
 			continue
 		}
 		if budget > 0 {
-			sol.DroppedWeight[j] = budget
+			dropped[j] = budget
 			wj -= budget
 			budget = 0
 		}
 		cost += wj * d[j]
 	}
-	sol.Cost = cost
-	return sol
+	return cost
 }
 
 // descBy is the slices.SortFunc comparator of the index sort whose
@@ -174,14 +190,14 @@ func descBy(key []float64) func(a, b int) int {
 	}
 }
 
-// eval is EvalP for the descent: it evaluates the centers whose cost columns
+// eval is Eval for the descent: it evaluates the centers whose cost columns
 // are sc.rows with outlier budget t, reading columns instead of the oracle,
-// and returns the partial cost. Per client it makes EvalP's strict
-// comparisons in center order, and it sorts the same identity-initialized
-// order, with slices.SortFunc under descBy — sort.Slice's permutation — on
-// the same costs, so the cost, the assignment (a1) and — on ties — the
-// clients the budget lands on come out bit for bit EvalP's. Beside them it leaves what the next round reads: the
-// second-nearest cost d2, the sorted order and the inlier weights inW.
+// and returns the partial cost. Per client it makes Eval's strict
+// comparisons in center order, and it spends the budget with Eval's
+// dropFarthest on the same costs, so the cost, the assignment (a1) and —
+// on ties — the clients the budget lands on come out bit for bit Eval's.
+// Beside them it leaves what the next round reads: the second-nearest cost
+// d2, the sorted order and the inlier weights inW.
 func (sc *Scratch) eval(w []float64, t float64, workers int) float64 {
 	d1, d2, a1, order := sc.d1, sc.d2, sc.a1, sc.order
 	par.ForBlocks(workers, sc.nc, func(lo, hi int) {
@@ -198,24 +214,8 @@ func (sc *Scratch) eval(w []float64, t float64, workers int) float64 {
 			}
 		}
 	})
-	slices.SortFunc(order, descBy(d1))
 	clear(sc.dropped)
-	budget := t
-	var cost float64
-	for _, j := range order {
-		wj := weight(w, j)
-		if wj <= budget {
-			budget -= wj
-			sc.dropped[j] = wj
-			continue
-		}
-		if budget > 0 {
-			sc.dropped[j] = budget
-			wj -= budget
-			budget = 0
-		}
-		cost += wj * d1[j]
-	}
+	cost := dropFarthest(order, d1, w, t, sc.dropped)
 	for j, dw := range sc.dropped {
 		sc.inW[j] = weight(w, j) - dw
 	}
@@ -231,6 +231,7 @@ func (sc *Scratch) solution(cost, t float64) Solution {
 		Budget:        t,
 		DroppedWeight: slices.Clone(sc.dropped),
 		Assign:        make([]int, sc.nc),
+		Order:         slices.Clone(sc.order),
 	}
 	for j, p := range sc.a1 {
 		sol.Assign[j] = -1
@@ -269,6 +270,9 @@ func EvalSum(c metric.Costs, w []float64, centers []int, t float64) float64 {
 // cd is a (connection cost, client weight) pair of the partial-cost walk.
 type cd struct{ d, w float64 }
 
+// partialCostPairs stays apart from Eval on purpose: EvalSum's pair sort is
+// the reference whose bits the weighted swap evaluation follows.
+//
 // partialCostPairs drops the t largest units of weight greedily and sums
 // the rest — the tail of EvalSum, shared with the fast engine's weighted
 // swap evaluation so weighted instances follow the exact same sort and

@@ -26,10 +26,7 @@ type jvOrders struct {
 func jvPrecompute(c metric.Costs, opt Options) *jvOrders {
 	nc, nf := c.Clients(), c.Facilities()
 	ord := &jvOrders{byCost: make([][]int, nf), costs: make([][]float64, nf)}
-	par.For(opt.Workers, nf, func(f int) {
-		if opt.canceled() {
-			return
-		}
+	for f := 0; f < nf && !opt.canceled(); f++ {
 		idx := make([]int, nc)
 		cf := make([]float64, nc)
 		for j := 0; j < nc; j++ {
@@ -39,7 +36,7 @@ func jvPrecompute(c metric.Costs, opt Options) *jvOrders {
 		sort.Slice(idx, func(a, b int) bool { return cf[idx[a]] < cf[idx[b]] })
 		ord.byCost[f] = idx
 		ord.costs[f] = cf
-	})
+	}
 	return ord
 }
 
@@ -142,7 +139,6 @@ type jvResult struct {
 // facility and re-scans every (active client, open facility) pair. The fast
 // engine runs jvRunFast, which must return the same result bit for bit.
 func jvRun(c metric.Costs, w []float64, lambda, stopW float64, opt Options) jvResult {
-	workers := opt.Workers
 	nc, nf := c.Clients(), c.Facilities()
 	active := make([]bool, nc)
 	alpha := make([]float64, nc)
@@ -162,20 +158,19 @@ func jvRun(c metric.Costs, w []float64, lambda, stopW float64, opt Options) jvRe
 		active[j] = false
 		alpha[j] = a
 		activeW -= weight(w, j)
-		par.For(workers, nf, func(f int) {
+		for f := 0; f < nf; f++ {
 			if costs[f] == nil {
-				return // column skipped by a cancelled precompute
+				continue // column skipped by a cancelled precompute
 			}
 			if s := a - costs[f][j]; s > 0 {
 				frozenContrib[f] += weight(w, j) * s
 			}
-		})
+		}
 	}
 
 	// nextFacilityEvent returns the earliest time >= theta at which an
-	// unopened facility becomes fully paid, or +Inf. The per-facility
-	// breakpoint walks are independent; the reduction breaks ties toward
-	// the lowest facility index, like the sequential scan.
+	// unopened facility becomes fully paid, or +Inf; ties break toward the
+	// lowest facility index.
 	facilityTime := func(f int) float64 {
 		if isOpen[f] {
 			return math.Inf(1)
@@ -214,16 +209,18 @@ func jvRun(c metric.Costs, w []float64, lambda, stopW float64, opt Options) jvRe
 		return tf
 	}
 	nextFacilityEvent := func() (float64, int) {
-		f, tf := par.MinIndex(workers, nf, facilityTime)
-		if math.IsInf(tf, 1) {
-			return tf, -1
+		tf, f := math.Inf(1), -1
+		for g := 0; g < nf; g++ {
+			if x := facilityTime(g); x < tf {
+				tf, f = x, g
+			}
 		}
 		return tf, f
 	}
 
 	// nextClientEvent returns the earliest time >= theta at which an active
 	// client reaches a tight edge to an open facility, or +Inf; ties break
-	// toward the lowest client index, like the sequential scan.
+	// toward the lowest client index.
 	clientTime := func(j int) float64 {
 		if !active[j] {
 			return math.Inf(1)
@@ -244,9 +241,11 @@ func jvRun(c metric.Costs, w []float64, lambda, stopW float64, opt Options) jvRe
 		return bestT
 	}
 	nextClientEvent := func() (float64, int) {
-		j, tc := par.MinIndex(workers, nc, clientTime)
-		if math.IsInf(tc, 1) {
-			return tc, -1
+		tc, j := math.Inf(1), -1
+		for i := 0; i < nc; i++ {
+			if x := clientTime(i); x < tc {
+				tc, j = x, i
+			}
 		}
 		return tc, j
 	}
@@ -559,11 +558,6 @@ func intersects(a, b []uint64) bool {
 // Returned solution has at most k centers; its Cost is evaluated with
 // outlier budget (1+eps)t (set eps = 0 for the unicriterion evaluation).
 func JV(c metric.Costs, w []float64, k int, t float64, eps float64, opt Options) Solution {
-	if opt.Reference {
-		// The reference baseline is sequential: without this, Workers=0
-		// would resolve to NumCPU inside the parallel loops.
-		opt.Workers = 1
-	}
 	nc, nf := c.Clients(), c.Facilities()
 	if nc == 0 || nf == 0 || k <= 0 {
 		return Eval(c, w, nil, t)

@@ -2,7 +2,6 @@ package kmedian
 
 import (
 	"math"
-	"sort"
 
 	"dpc/internal/metric"
 )
@@ -25,50 +24,18 @@ func LloydPolish(pts []metric.Point, w []float64, centers []metric.Point, t floa
 		maxIters = 32
 	}
 	cur := make([]metric.Point, len(centers))
+	all := make([]int, len(centers))
 	for i, c := range centers {
-		cur[i] = c.Clone()
+		cur[i], all[i] = c.Clone(), i
 	}
 	dim := len(pts[0])
-	weightOf := func(j int) float64 {
-		if w == nil {
-			return 1
-		}
-		return w[j]
-	}
+	costs := metric.Cross{Pts: pts, Centers: cur, Squared: true}
 	prevCost := math.Inf(1)
 	var cost float64
 	for iter := 0; iter < maxIters; iter++ {
-		// Assign and compute per-point squared distances.
-		assign := make([]int, len(pts))
-		d := make([]float64, len(pts))
-		order := make([]int, len(pts))
-		for j, p := range pts {
-			best, bd := -1, math.Inf(1)
-			for c, cp := range cur {
-				if x := metric.SqL2(p, cp); x < bd {
-					bd, best = x, c
-				}
-			}
-			assign[j] = best
-			d[j] = bd
-			order[j] = j
-		}
-		// Drop the largest t units of weight (fractionally).
-		sort.Slice(order, func(a, b int) bool { return d[order[a]] > d[order[b]] })
-		inW := make([]float64, len(pts))
-		budget := t
-		cost = 0
-		for _, j := range order {
-			wj := weightOf(j)
-			if wj <= budget {
-				budget -= wj
-				continue
-			}
-			keep := wj - budget
-			budget = 0
-			inW[j] = keep
-			cost += keep * d[j]
-		}
+		// Assign, and drop the largest t units of weight (fractionally).
+		sol := Eval(costs, w, all, t)
+		cost = sol.Cost
 		if cost >= prevCost-1e-12*(1+prevCost) {
 			break
 		}
@@ -80,13 +47,14 @@ func LloydPolish(pts []metric.Point, w []float64, centers []metric.Point, t floa
 			sums[c] = make([]float64, dim)
 		}
 		for j, p := range pts {
-			if inW[j] <= 0 {
+			inW := weight(w, j) - sol.DroppedWeight[j]
+			if inW <= 0 {
 				continue
 			}
-			c := assign[j]
-			wsum[c] += inW[j]
+			c := sol.Assign[j]
+			wsum[c] += inW
 			for dd := 0; dd < dim; dd++ {
-				sums[c][dd] += inW[j] * p[dd]
+				sums[c][dd] += inW * p[dd]
 			}
 		}
 		for c := range cur {
@@ -101,43 +69,4 @@ func LloydPolish(pts []metric.Point, w []float64, centers []metric.Point, t floa
 		}
 	}
 	return cur, cost
-}
-
-// EvalPointsMeans computes the weighted partial means cost of arbitrary
-// (not necessarily input) centers on a Euclidean point set.
-func EvalPointsMeans(pts []metric.Point, w []float64, centers []metric.Point, t float64) float64 {
-	if len(centers) == 0 {
-		return math.Inf(1)
-	}
-	type cd struct{ d, w float64 }
-	ds := make([]cd, len(pts))
-	for j, p := range pts {
-		bd := math.Inf(1)
-		for _, c := range centers {
-			if x := metric.SqL2(p, c); x < bd {
-				bd = x
-			}
-		}
-		wj := 1.0
-		if w != nil {
-			wj = w[j]
-		}
-		ds[j] = cd{d: bd, w: wj}
-	}
-	sort.Slice(ds, func(a, b int) bool { return ds[a].d > ds[b].d })
-	budget := t
-	var cost float64
-	for _, x := range ds {
-		if x.w <= budget {
-			budget -= x.w
-			continue
-		}
-		keep := x.w
-		if budget > 0 {
-			keep -= budget
-			budget = 0
-		}
-		cost += keep * x.d
-	}
-	return cost
 }

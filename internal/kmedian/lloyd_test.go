@@ -34,8 +34,8 @@ func TestLloydPolishImprovesDiscreteSolution(t *testing.T) {
 	if len(polished) != 2 {
 		t.Fatalf("polished centers = %d", len(polished))
 	}
-	// The polished cost matches the independent evaluator.
-	if got := EvalPointsMeans(pts, nil, polished, 0); math.Abs(got-cost) > 1e-9*(1+cost) {
+	// The polished cost is the means evaluation of the polished centers.
+	if got := Eval(metric.Cross{Pts: pts, Centers: polished, Squared: true}, nil, []int{0, 1}, 0).Cost; math.Abs(got-cost) > 1e-9*(1+cost) {
 		t.Fatalf("eval mismatch: %g vs %g", got, cost)
 	}
 }
@@ -76,11 +76,5 @@ func TestLloydPolishDegenerate(t *testing.T) {
 	centers, _ := LloydPolish([]metric.Point{{0}, {1}}, nil, []metric.Point{{0.5}, {999}}, 0, 5)
 	if centers[1][0] != 999 {
 		t.Fatalf("empty cluster moved: %v", centers[1])
-	}
-}
-
-func TestEvalPointsMeansNoCenters(t *testing.T) {
-	if !math.IsInf(EvalPointsMeans([]metric.Point{{1}}, nil, nil, 0), 1) {
-		t.Fatal("no centers should be inf")
 	}
 }

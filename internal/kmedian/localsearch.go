@@ -244,7 +244,7 @@ type Scratch struct {
 	// Per client under the current centers, all written by eval: cost to the
 	// nearest center and its position (-1: no finite cost), cost to the
 	// second-nearest, dropped and inlier weight; order is the clients by d1
-	// descending, in EvalP's tie order.
+	// descending, in Eval's tie order.
 	d1, d2, dropped, inW []float64
 	a1, order            []int
 	ev                   swapEval

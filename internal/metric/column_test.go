@@ -142,6 +142,8 @@ func TestTrianglePowerDeclared(t *testing.T) {
 		{"facilitysubset", FacilitySubset{C: p, FacIdx: sub}, 0},
 		{"squared-subcosts", Squared{C: SubCosts{C: p, ClientIdx: sub}}, 0},
 		{"costcache", NewCostCache(p), 0},
+		{"cross", Cross{Pts: p.Pts, Centers: p.Pts[:3]}, 0},
+		{"cross-squared", Cross{Pts: p.Pts, Centers: p.Pts[:3], Squared: true}, 0},
 		{"selfcosts-hugespace", SelfCosts{S: &hugeSpace{n: 8}}, 0},
 	} {
 		if got := TrianglePower(tc.c); got != tc.want {
@@ -179,7 +181,7 @@ func BenchmarkCostColumn(b *testing.B) {
 var benchSink float64
 
 // BenchmarkPointsDist is the per-pair path every scan outside the potential
-// scan still takes (d1/d2, EvalP, seeding, kcenter, the coordinator's matrix
+// scan still takes (d1/d2, Eval, seeding, kcenter, the coordinator's matrix
 // fill): 2100 Dist calls through the Space interface; ns/op is per 2100
 // pairs, comparable with BenchmarkCostColumn.
 func BenchmarkPointsDist(b *testing.B) {

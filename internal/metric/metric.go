@@ -259,6 +259,29 @@ func (s FacilitySubset) Facilities() int { return len(s.FacIdx) }
 // Cost implements Costs.
 func (s FacilitySubset) Cost(c, f int) float64 { return s.C.Cost(c, s.FacIdx[f]) }
 
+// Cross is the Costs of Euclidean points (the clients) against arbitrary
+// centers (the facilities), which need not be input points: L2, or SqL2
+// when Squared (the (k,t)-means cost, which is SqL2 itself, not L2
+// squared).
+type Cross struct {
+	Pts, Centers []Point
+	Squared      bool
+}
+
+// Clients implements Costs.
+func (x Cross) Clients() int { return len(x.Pts) }
+
+// Facilities implements Costs.
+func (x Cross) Facilities() int { return len(x.Centers) }
+
+// Cost implements Costs.
+func (x Cross) Cost(c, f int) float64 {
+	if x.Squared {
+		return SqL2(x.Pts[c], x.Centers[f])
+	}
+	return L2(x.Pts[c], x.Centers[f])
+}
+
 // MinMaxDist returns the minimum nonzero and the maximum pairwise distance
 // in the space. The ratio dmax/dmin is the spread Delta used by
 // Algorithm 4. Returns (0,0) for spaces with fewer than two points.

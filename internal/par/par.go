@@ -7,7 +7,7 @@
 //
 //   - parallel loops write only to per-index (or per-block) slots, never to
 //     shared accumulators, so no floating-point operation is reordered;
-//   - argmin/argmax reductions compute per-block candidates and then fold
+//   - argmin reductions compute per-block candidates and then fold
 //     them sequentially in block order with strict comparisons, which is
 //     exactly equivalent to the sequential first-wins scan;
 //   - blocks are contiguous and depend only on n (never on the worker
@@ -141,11 +141,4 @@ func MinIndex(workers, n int, score func(i int) float64) (int, float64) {
 		}
 	}
 	return best.i, best.v
-}
-
-// MaxIndex is MinIndex with the comparison reversed (strict greater, first
-// index wins ties).
-func MaxIndex(workers, n int, score func(i int) float64) (int, float64) {
-	i, v := MinIndex(workers, n, func(i int) float64 { return -score(i) })
-	return i, -v
 }

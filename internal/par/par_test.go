@@ -91,27 +91,6 @@ func TestMinIndexMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestMaxIndexMatchesSequential(t *testing.T) {
-	n := 2000
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Mod(float64(i*31)*0.77, 13)
-	}
-	score := func(i int) float64 { return vals[i] }
-	seqI, seqV := 0, vals[0]
-	for i := 1; i < n; i++ {
-		if vals[i] > seqV {
-			seqI, seqV = i, vals[i]
-		}
-	}
-	for _, workers := range []int{1, 2, 5, 16} {
-		i, v := MaxIndex(workers, n, score)
-		if i != seqI || v != seqV {
-			t.Fatalf("workers=%d: MaxIndex = (%d, %g), sequential = (%d, %g)", workers, i, v, seqI, seqV)
-		}
-	}
-}
-
 func TestMinIndexEmpty(t *testing.T) {
 	if i, _ := MinIndex(4, 0, func(int) float64 { return 0 }); i != -1 {
 		t.Fatalf("MinIndex on empty range = %d, want -1", i)

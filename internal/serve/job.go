@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"dpc/internal/core"
@@ -269,6 +270,10 @@ func (s JobSpec) Validate() error {
 	}
 	if s.T < 0 {
 		return fmt.Errorf("serve: job t = %d, must be non-negative", s.T)
+	}
+	// As core and uncertain validate Eps (0 stands for their default 1).
+	if s.Eps < 0 || math.IsInf((1+s.Eps)*float64(s.T), 0) {
+		return fmt.Errorf("serve: job eps = %v: want Eps >= 0 and a finite (1+Eps)t (t = %d)", s.Eps, s.T)
 	}
 	if s.Sites < 0 || s.Sites > MaxJobSites {
 		return fmt.Errorf("serve: job sites = %d, must be in [0, %d]", s.Sites, MaxJobSites)

@@ -198,6 +198,10 @@ func TestJobValidationHTTP(t *testing.T) {
 	// Degenerate shapes fail synchronously too.
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "d", K: 0}, http.StatusBadRequest, nil)
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "d", K: 2, T: -1}, http.StatusBadRequest, nil)
+	// So does an eps that budgets nothing: negative, or (1+eps)t overflows.
+	for _, eps := range []float64{-5, 1e308} {
+		a.do("POST", "/v1/jobs", JobSpec{Dataset: "d", K: 2, T: 2, Eps: eps}, http.StatusBadRequest, nil)
+	}
 }
 
 func TestHealthzAndMetricsHTTP(t *testing.T) {

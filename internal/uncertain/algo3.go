@@ -101,6 +101,9 @@ func (c Config) validate() error {
 			return fmt.Errorf("uncertain: %s = %v is not finite", [...]string{"Eps", "Rho", "HullBase"}[i], v)
 		}
 	}
+	if c.Eps < 0 || math.IsInf((1+c.Eps)*float64(c.T), 0) {
+		return fmt.Errorf("uncertain: Eps = %v: want Eps >= 0 and a finite (1+Eps)T (T = %d)", c.Eps, c.T)
+	}
 	return nil
 }
 

@@ -198,6 +198,8 @@ func TestConfigRejectsHostileKnobs(t *testing.T) {
 		{uncertain.CenterGConfig{K: 3, T: 6, TauBase: 1 + 1e-12}, "thresholds"},
 		{uncertain.CenterGConfig{K: 3, T: 6, MaxFacilities: -1}, "MaxFacilities"},
 		{uncertain.CenterGConfig{K: 3, T: 6, Eps: math.NaN()}, "Eps"},
+		{uncertain.CenterGConfig{K: 3, T: 6, Eps: -5}, "Eps"},
+		{uncertain.CenterGConfig{K: 3, T: 6, Eps: 1e308}, "Eps"},
 		{uncertain.CenterGConfig{K: 3, T: 6, Rho: math.Inf(1)}, "Rho"},
 		{uncertain.CenterGConfig{K: 3, T: 6, HullBase: math.Inf(-1)}, "HullBase"},
 	} {
@@ -216,6 +218,8 @@ func TestConfigRejectsHostileKnobs(t *testing.T) {
 		want string
 	}{
 		{uncertain.Config{K: 3, T: 6, Eps: math.Inf(1)}, "Eps"},
+		{uncertain.Config{K: 3, T: 6, Eps: -5}, "Eps"},
+		{uncertain.Config{K: 3, T: 6, Eps: 1e308}, "Eps"},
 		{uncertain.Config{K: 3, T: 6, Rho: math.NaN()}, "Rho"},
 		{uncertain.Config{K: 3, T: 6, HullBase: math.NaN()}, "HullBase"},
 	} {

@@ -3,75 +3,59 @@ package uncertain
 import (
 	"math"
 	"math/rand"
-	"sort"
 
+	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 )
 
-// assignCosts returns, for every node, the cheapest expected connection
-// cost against the given centers (the optimal assigned clustering pi for
-// the per-point objectives).
-func assignCosts(g *Ground, nodes []Node, centers []metric.Point, squared bool) []float64 {
-	out := make([]float64, len(nodes))
-	for j, nd := range nodes {
-		best := math.Inf(1)
-		for _, c := range centers {
-			var v float64
-			if squared {
-				v = ExpectedSqDist(g, nd, c)
-			} else {
-				v = ExpectedDist(g, nd, c)
-			}
-			if v < best {
-				best = v
-			}
-		}
-		out[j] = best
-	}
-	return out
+// NodeCosts is the Costs of uncertain nodes (the clients) against arbitrary
+// centers (the facilities): ExpectedDist, or ExpectedSqDist when Squared.
+type NodeCosts struct {
+	G       *Ground
+	Nodes   []Node
+	Centers []metric.Point
+	Squared bool
 }
 
-// dropTop returns the values with the floor(t) largest entries removed.
-func dropTop(vals []float64, t float64) []float64 {
-	sorted := append([]float64(nil), vals...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	drop := int(t)
-	if drop > len(sorted) {
-		drop = len(sorted)
+// Clients implements metric.Costs.
+func (nc NodeCosts) Clients() int { return len(nc.Nodes) }
+
+// Facilities implements metric.Costs.
+func (nc NodeCosts) Facilities() int { return len(nc.Centers) }
+
+// Cost implements metric.Costs.
+func (nc NodeCosts) Cost(j, f int) float64 {
+	if nc.Squared {
+		return ExpectedSqDist(nc.G, nc.Nodes[j], nc.Centers[f])
 	}
-	return sorted[drop:]
+	return ExpectedDist(nc.G, nc.Nodes[j], nc.Centers[f])
+}
+
+// evalNodes is kmedian.Eval of the centers on the nodes at floor(t): each
+// node goes to its expected-nearest center (the optimal assigned
+// clustering pi of the per-point objectives), and the floor(t) nodes with
+// the largest expected cost are ignored.
+func evalNodes(g *Ground, nodes []Node, centers []metric.Point, t float64, squared bool) (NodeCosts, kmedian.Solution) {
+	nc := NodeCosts{G: g, Nodes: nodes, Centers: centers, Squared: squared}
+	all := make([]int, len(centers))
+	for i := range all {
+		all[i] = i
+	}
+	return nc, kmedian.Eval(nc, nil, all, math.Floor(t))
 }
 
 // EvalMedian computes the true uncertain (k,t)-median objective (Eq. 1) of
 // the centers: sum over surviving nodes of E[d(sigma(j), pi(j))] with the
 // optimal assignment and the t most expensive nodes ignored.
 func EvalMedian(g *Ground, nodes []Node, centers []metric.Point, t float64) float64 {
-	if len(centers) == 0 {
-		if float64(len(nodes)) <= t {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	var sum float64
-	for _, v := range dropTop(assignCosts(g, nodes, centers, false), t) {
-		sum += v
-	}
-	return sum
+	_, sol := evalNodes(g, nodes, centers, t, false)
+	return sol.Cost
 }
 
 // EvalMeans is EvalMedian under squared distances.
 func EvalMeans(g *Ground, nodes []Node, centers []metric.Point, t float64) float64 {
-	if len(centers) == 0 {
-		if float64(len(nodes)) <= t {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	var sum float64
-	for _, v := range dropTop(assignCosts(g, nodes, centers, true), t) {
-		sum += v
-	}
-	return sum
+	_, sol := evalNodes(g, nodes, centers, t, true)
+	return sol.Cost
 }
 
 // EvalCenterPP computes the uncertain (k,t)-center-pp objective (Eq. 2):
@@ -80,11 +64,16 @@ func EvalCenterPP(g *Ground, nodes []Node, centers []metric.Point, t float64) fl
 	if len(centers) == 0 {
 		return math.Inf(1)
 	}
-	rest := dropTop(assignCosts(g, nodes, centers, false), t)
-	if len(rest) == 0 {
-		return 0
+	nc, sol := evalNodes(g, nodes, centers, t, false)
+	for _, j := range sol.Order {
+		if sol.DroppedWeight[j] == 0 {
+			if f := sol.Assign[j]; f >= 0 {
+				return nc.Cost(j, f)
+			}
+			return math.Inf(1) // no finite cost to any center
+		}
 	}
-	return rest[0]
+	return 0
 }
 
 // EvalCenterG estimates the uncertain (k,t)-center-g objective (Eq. 3),
@@ -98,38 +87,19 @@ func EvalCenterG(g *Ground, nodes []Node, centers []metric.Point, t float64, sam
 	if len(centers) == 0 || samples <= 0 {
 		return math.Inf(1)
 	}
-	// Pick O = the floor(t) nodes with the largest expected assignment
-	// cost, pi = expected-nearest center.
-	costs := assignCosts(g, nodes, centers, false)
-	order := make([]int, len(nodes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
-	ignored := make(map[int]bool, int(t))
-	for i := 0; i < int(t) && i < len(order); i++ {
-		ignored[order[i]] = true
-	}
-	pi := make([]metric.Point, len(nodes))
-	for j, nd := range nodes {
-		best, bd := -1, math.Inf(1)
-		for c, cp := range centers {
-			if v := ExpectedDist(g, nd, cp); v < bd {
-				bd, best = v, c
-			}
-		}
-		pi[j] = centers[best]
-	}
+	// O = the floor(t) nodes with the largest expected assignment cost,
+	// pi = expected-nearest center.
+	_, sol := evalNodes(g, nodes, centers, t, false)
 	r := rand.New(rand.NewSource(seed))
 	var sum float64
 	for it := 0; it < samples; it++ {
 		worst := 0.0
 		for j, nd := range nodes {
-			if ignored[j] {
+			if sol.DroppedWeight[j] > 0 {
 				continue
 			}
 			u := nd.Realize(r.Float64())
-			if d := g.DistTo(u, pi[j]); d > worst {
+			if d := g.DistTo(u, centers[sol.Assign[j]]); d > worst {
 				worst = d
 			}
 		}

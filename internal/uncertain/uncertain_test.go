@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dpc/internal/comm"
+	"dpc/internal/exact"
 	"dpc/internal/metric"
 )
 
@@ -170,12 +171,11 @@ func TestCompressionSandwich(t *testing.T) {
 			nodes = append(nodes, nd)
 		}
 		col := Collapse(g, nodes, false, FullGround)
-		k, tt := 2, 1
+		k, tt := 2, 1.0
 		// Optimal over compressed graph (centers = 1-medians).
-		optG := bruteForceCollapsed(col, k, tt)
+		optG := exact.Solve(col, nil, k, tt, exact.Sum).Cost
 		// Optimal original cost with centers restricted to 1-medians.
-		centersPool := col.Y
-		optA := bruteForceUncertain(g, nodes, centersPool, k, tt)
+		optA := exact.Solve(NodeCosts{G: g, Nodes: nodes, Centers: col.Y}, nil, k, tt, exact.Sum).Cost
 		// Lemma 5.3: C_G <= 5 C_A; Lemma 5.4: C_A <= 2 C_G.
 		if optG > 5*optA+1e-9 {
 			t.Fatalf("trial %d: C_G=%g > 5*C_A=%g", trial, optG, 5*optA)
@@ -184,84 +184,6 @@ func TestCompressionSandwich(t *testing.T) {
 			t.Fatalf("trial %d: C_A=%g > 2*C_G=%g", trial, optA, 2*optG)
 		}
 	}
-}
-
-// bruteForceCollapsed enumerates k-subsets of facilities on the compressed
-// graph and drops the t largest connection costs.
-func bruteForceCollapsed(col *Collapsed, k, t int) float64 {
-	n := col.Len()
-	best := math.Inf(1)
-	var centers []int
-	var rec func(start int)
-	rec = func(start int) {
-		if len(centers) == k {
-			var ds []float64
-			for j := 0; j < n; j++ {
-				d := math.Inf(1)
-				for _, f := range centers {
-					if x := col.Cost(j, f); x < d {
-						d = x
-					}
-				}
-				ds = append(ds, d)
-			}
-			cost := sumDropTop(ds, t)
-			if cost < best {
-				best = cost
-			}
-			return
-		}
-		for f := start; f < n; f++ {
-			centers = append(centers, f)
-			rec(f + 1)
-			centers = centers[:len(centers)-1]
-		}
-	}
-	rec(0)
-	return best
-}
-
-// bruteForceUncertain enumerates k-subsets of the center pool under the true
-// expected-distance objective.
-func bruteForceUncertain(g *Ground, nodes []Node, pool []metric.Point, k, t int) float64 {
-	best := math.Inf(1)
-	var centers []metric.Point
-	var rec func(start int)
-	rec = func(start int) {
-		if len(centers) == k {
-			var ds []float64
-			for _, nd := range nodes {
-				d := math.Inf(1)
-				for _, c := range centers {
-					if x := ExpectedDist(g, nd, c); x < d {
-						d = x
-					}
-				}
-				ds = append(ds, d)
-			}
-			cost := sumDropTop(ds, t)
-			if cost < best {
-				best = cost
-			}
-			return
-		}
-		for f := start; f < len(pool); f++ {
-			centers = append(centers, pool[f])
-			rec(f + 1)
-			centers = centers[:len(centers)-1]
-		}
-	}
-	rec(0)
-	return best
-}
-
-func sumDropTop(ds []float64, t int) float64 {
-	rest := dropTop(ds, float64(t))
-	var s float64
-	for _, x := range rest {
-		s += x
-	}
-	return s
 }
 
 func TestTruncCostsOracle(t *testing.T) {
@@ -338,6 +260,7 @@ func TestOraclesDeclareNoTrianglePower(t *testing.T) {
 		"selfcosts-ground":    metric.SelfCosts{S: g},
 		"trunc":               &TruncCosts{G: g, Nodes: nodes, Fac: []int{1, 6}, Tau: 0.5},
 		"coord-trunc":         cc,
+		"nodes-centers":       NodeCosts{G: g, Nodes: nodes, Centers: g.Pts[:2]},
 	} {
 		if p := metric.TrianglePower(c); p != 0 {
 			t.Errorf("%s declares triangle power %d, want 0", name, p)
