@@ -84,10 +84,10 @@ type Request struct {
 	Eps   float64 `json:"eps,omitempty" usage:"coordinator bicriteria slack (default 1)"`
 	Seed  int64   `json:"seed,omitempty" usage:"engine seed (site i derives seed + i*const)"`
 	// Engine bundles every solver-engine knob: algorithm choice plus the
-	// cache, worker and reference toggles. As a flag it takes
+	// worker and reference settings. As a flag it takes
 	// comma-separated tokens ("jv,workers=4"); as JSON it is the object
 	// {"algo": ..., "workers": ...} (a bare algorithm string is still read).
-	Engine      engine.Spec `json:"engine,omitempty" usage:"engine spec: algo and knobs, e.g. jv,workers=4 (tokens: auto|localsearch|jv, nocache, workers=N, reference)"`
+	Engine      engine.Spec `json:"engine,omitempty" usage:"engine spec: algo and knobs, e.g. jv,workers=4 (tokens: auto|localsearch|jv, workers=N, reference)"`
 	LloydPolish bool        `json:"lloyd_polish,omitempty" usage:"Lloyd-polish the final centers (means only)"`
 	// Transport selects the Local backend's wire: loopback (default) or
 	// tcp (real localhost sockets). Other backends ignore it.

@@ -436,6 +436,7 @@ func TestRequestValidatesData(t *testing.T) {
 		"infinite":          {Points: with(39, Point{0, math.Inf(-1)})},
 		"support out of P":  {Objective: UncertainMedian, Ground: g, Nodes: append(nodes, Node{Support: []int{7}, Prob: []float64{1}})},
 		"probabilities":     {Objective: UncertainMedian, Ground: g, Nodes: append(nodes, Node{Support: []int{0, 1}, Prob: []float64{0.5, 0.6}})},
+		"NaN probability":   {Objective: UncertainMedian, Ground: g, Nodes: append(nodes, Node{Support: []int{0, 1}, Prob: []float64{math.NaN(), 0.5}})},
 		"nodes without P":   {Objective: UncertainMedian, Nodes: nodes},
 		"ragged ground":     {Objective: UncertainMedian, Ground: &Ground{Pts: []Point{{0, 0}, {1}, {0, 1}}}, Nodes: nodes},
 		"non-finite ground": {Objective: UncertainMedian, Ground: &Ground{Pts: []Point{{0, 0}, {1, math.NaN()}, {0, 1}}}, Nodes: nodes},

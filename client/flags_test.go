@@ -42,10 +42,10 @@ func TestBindFlagsMatchesJSONNames(t *testing.T) {
 
 	// Spot-check the underscore mapping and that parsing lands in the
 	// struct (the property the generated CLI depends on).
-	if err := fs.Parse([]string{"-lloyd-polish", "-k", "7", "-objective", "u-means", "-engine", "nocache"}); err != nil {
+	if err := fs.Parse([]string{"-lloyd-polish", "-k", "7", "-objective", "u-means", "-engine", "reference"}); err != nil {
 		t.Fatal(err)
 	}
-	if !req.LloydPolish || req.K != 7 || req.Objective != "u-means" || !req.Engine.NoCache {
+	if !req.LloydPolish || req.K != 7 || req.Objective != "u-means" || !req.Engine.Reference {
 		t.Fatalf("parsed request %+v", req)
 	}
 
@@ -54,7 +54,7 @@ func TestBindFlagsMatchesJSONNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"lloyd_polish":true`, `"k":7`, `"objective":"u-means"`, `"no_cache":true`} {
+	for _, key := range []string{`"lloyd_polish":true`, `"k":7`, `"objective":"u-means"`, `"reference":true`} {
 		if !strings.Contains(string(raw), key) {
 			t.Fatalf("marshalled request %s lacks %s", raw, key)
 		}

@@ -41,10 +41,10 @@
 // line). Algo picks the k-median algorithm (EngineAuto, EngineLocalSearch or
 // EngineJV). Workers bounds the per-solve goroutines (0 = one per CPU) with
 // a hard invariant: results are bit-identical for Workers=1 and Workers=N
-// on every objective, variant and transport. NoCache disables the distance
-// caches (a measurement knob — the caches are exact and never change
-// results), and Reference runs the seed sequential implementation that the
-// parity tests hold the engine to.
+// on every objective, variant and transport. Reference runs the seed
+// sequential implementation that the parity tests hold the engine to.
+// Memoization is not a knob: metric.Memoizes and metric.CacheCosts decide it
+// from each instance, and the caches are exact, so they never change results.
 //
 // # Package map
 //
@@ -142,13 +142,13 @@ const (
 )
 
 // EngineOptions is the consolidated engine-knob surface: algorithm choice
-// (Algo), goroutine bound (Workers), the memoized-oracle toggle (NoCache)
-// and the sequential reference switch (Reference).
+// (Algo), goroutine bound (Workers) and the sequential reference switch
+// (Reference).
 type EngineOptions = engine.Options
 
 // EngineSpec is EngineOptions plus its wire forms — the type of
 // Request.Engine: a flag.Value taking comma-separated tokens
-// ("jv,workers=4,nocache") and a JSON codec that writes the object form
+// ("jv,workers=4,reference") and a JSON codec that writes the object form
 // ({"algo":"jv","workers":4}) and also reads the legacy engine string ("jv").
 type EngineSpec = engine.Spec
 

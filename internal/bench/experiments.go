@@ -54,17 +54,8 @@ func (o Options) cgCfg(cfg uncertain.CenterGConfig) uncertain.CenterGConfig {
 // centralMedianCost is the centralized reference: the same engine on the
 // full data with the unicriterion budget t (the Copt(A,k,t) stand-in of
 // Lemma 3.5).
-func centralMedianCost(in gen.Instance, k, t int, squared bool, seed int64, o Options) float64 {
-	var sp metric.Space = in.Points()
-	eng := o.Engine.Normalize()
-	if !eng.NoCache {
-		sp = metric.CacheSpace(sp)
-	}
-	costs := metric.Costs(metric.SelfCosts{S: sp})
-	if squared {
-		costs = metric.Squared{C: costs}
-	}
-	sol := kmedian.LocalSearch(costs, nil, k, float64(t), o.solverOpts(kmedian.Options{Seed: seed, Restarts: 3}))
+func centralMedianCost(in gen.Instance, k, t int, obj core.Objective, seed int64, o Options) float64 {
+	sol := kmedian.LocalSearch(core.CostsOver(in.Pts, obj), nil, k, float64(t), o.solverOpts(kmedian.Options{Seed: seed, Restarts: 3}))
 	return sol.Cost
 }
 
@@ -93,7 +84,7 @@ func E1MedianCommVsN(o Options) Table {
 		if err != nil {
 			panic(err)
 		}
-		ref := centralMedianCost(in, k, tt, false, o.Seed+5, o)
+		ref := centralMedianCost(in, k, tt, core.Median, o.Seed+5, o)
 		cost := core.Evaluate(in.Pts, two.Centers, two.OutlierBudget, core.Median)
 		sum := 0
 		for _, b := range two.SiteBudgets {
@@ -164,7 +155,7 @@ func E3EpsSweep(o Options) Table {
 	}
 	for _, obj := range []core.Objective{core.Median, core.Means} {
 		in, sites := mkSites(n, k, s, 0.05, gen.Uniform, o.Seed+int64(obj))
-		ref := centralMedianCost(in, k, tt, obj == core.Means, o.Seed+9, o)
+		ref := centralMedianCost(in, k, tt, obj, o.Seed+9, o)
 		for _, eps := range []float64{0.25, 0.5, 1, 2, 4} {
 			res, err := core.Run(sites, o.coreCfg(core.Config{K: k, T: tt, Objective: obj, Eps: eps}))
 			if err != nil {
@@ -393,7 +384,7 @@ func E9NoShip(o Options) Table {
 	}
 	for _, tt := range tts {
 		in, sites := mkSites(n, k, s, 0.15, gen.Uniform, o.Seed+int64(tt))
-		ref := centralMedianCost(in, k, tt, false, o.Seed+3, o)
+		ref := centralMedianCost(in, k, tt, core.Median, o.Seed+3, o)
 		noship, err := core.Run(sites, o.coreCfg(core.Config{K: k, T: tt, Objective: core.Median, Variant: core.TwoRoundNoOutliers}))
 		if err != nil {
 			panic(err)

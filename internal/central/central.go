@@ -157,20 +157,12 @@ func solveLevel(pts []metric.Point, k, q, level int, cfg Config) ([]metric.Point
 }
 
 // solve is the direct Theorem 3.1 solve of the instance pts (weights w, nil
-// for unit), the seed offset by salt: the objective's cost oracle, memoized
-// behind the distance cache when caching is on, under kmedian.Solve.
+// for unit), the seed offset by salt: the objective's cost oracle
+// (core.CostsOver) under kmedian.Solve.
 func solve(pts []metric.Point, w []float64, k, q int, salt int64, cfg Config) []metric.Point {
 	opts := cfg.Opts
 	opts.Seed += salt
-	var sp metric.Space = metric.NewPoints(pts)
-	if !opts.NoCache {
-		sp = metric.CacheSpace(sp)
-	}
-	costs := metric.Costs(metric.SelfCosts{S: sp})
-	if cfg.Objective == core.Means {
-		costs = metric.Squared{C: costs}
-	}
-	return protocol.PointsAt(pts, kmedian.Solve(costs, w, k, float64(q), opts).Centers)
+	return protocol.PointsAt(pts, kmedian.Solve(core.CostsOver(pts, cfg.Objective), w, k, float64(q), opts).Centers)
 }
 
 // chunk is one simulated site of a level: its cost curve and preclustering

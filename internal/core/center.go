@@ -14,26 +14,21 @@ import (
 type centerSite struct {
 	cfg     Config
 	pts     []metric.Point
-	space   metric.Space // cached unless cfg.LocalOpts.NoCache
+	space   metric.Space // cached where metric.Memoizes says it pays
 	trav    kcenter.Traversal
 	started bool
 }
 
 // newCenterSite builds a site's state; cfg must already have defaults
 // applied. The site metric is served through the memoized distance cache
-// (unless disabled), so the traversal, the prefix assignments and the
-// no-ship drop scan all pay for each pairwise distance once. o, when
-// non-nil, is an externally owned (job-server shared) oracle over pts and
-// replaces the private one.
+// (where metric.Memoizes says it pays), so the traversal, the prefix
+// assignments and the no-ship drop scan all pay for each pairwise distance
+// once. o, when non-nil, is an externally owned (job-server shared) oracle
+// over pts and replaces the private one.
 func newCenterSite(cfg Config, pts []metric.Point, o metric.Oracle) *centerSite {
-	var space metric.Space
-	if o != nil {
-		space = o
-	} else {
-		space = metric.NewPoints(pts)
-		if !cfg.LocalOpts.NoCache {
-			space = metric.CacheSpace(space)
-		}
+	var space metric.Space = o
+	if o == nil {
+		space = metric.CacheSpace(metric.NewPoints(pts))
 	}
 	return &centerSite{cfg: cfg, pts: pts, space: space}
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 
-	"dpc/internal/engine"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 	"dpc/internal/protocol"
@@ -261,9 +260,7 @@ func RunOverCtx(ctx context.Context, tr transport.Transport, cfg Config) (Result
 // of every job that queries the same points, so memoized distances stay
 // warm across jobs. Oracles are exact, so results are bit-identical to a
 // private-oracle run. o may be nil (a private oracle — memoized or raw — is
-// built per the engine policy in cfg); it must be built over exactly pts,
-// and it is ignored when cfg.LocalOpts.NoCache (or Reference, which implies
-// it) asks for raw solves.
+// built per metric.Memoizes); otherwise it must be built over exactly pts.
 func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Oracle) (transport.Handler, error) {
 	cfg = cfg.withDefaults()
 	if err := validate(cfg); err != nil {
@@ -275,12 +272,8 @@ func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Ora
 	if site < 0 {
 		return nil, fmt.Errorf("core: negative site id %d", site)
 	}
-	if o != nil {
-		if cfg.LocalOpts.NoCache {
-			o = nil
-		} else if o.N() != len(pts) {
-			return nil, fmt.Errorf("core: site %d oracle over %d points, shard has %d", site, o.N(), len(pts))
-		}
+	if o != nil && o.N() != len(pts) {
+		return nil, fmt.Errorf("core: site %d oracle over %d points, shard has %d", site, o.N(), len(pts))
 	}
 	if cfg.Objective == Center {
 		return protocol.Handler(cfg.params(), site, newCenterSite(cfg, pts, o)), nil
@@ -288,23 +281,18 @@ func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Ora
 	return protocol.Handler(cfg.params(), site, newMedianSite(cfg, site, pts, o)), nil
 }
 
-// costsOver wraps points in the objective's cost oracle per the (normalized)
-// engine knobs: pairwise distances are memoized (exactly — cached and
-// uncached runs are bit-identical) unless eng.NoCache is set or the instance
-// is too large for the cache to pay for itself.
-func costsOver(pts []metric.Point, obj Objective, eng engine.Options) metric.Costs {
-	var sp metric.Space = metric.NewPoints(pts)
-	if !eng.NoCache {
-		sp = metric.CacheSpace(sp)
-	}
-	return costsShared(sp, obj)
+// CostsOver wraps points in the objective's cost oracle: pairwise distances
+// are memoized (exactly — cached and uncached runs are bit-identical) where
+// metric.Memoizes says the cache pays for itself, and squared for means.
+func CostsOver(pts []metric.Point, obj Objective) metric.Costs {
+	return costsShared(metric.CacheSpace(metric.NewPoints(pts)), obj)
 }
 
 // costsShared layers the objective's cost view over an externally owned
 // space/oracle: the oracle serves unsquared distances (it wraps the raw
 // point metric), so median, means and center jobs over the same shard all
 // share one memoized triangle — means solves square on top per lookup,
-// exactly like costsOver's layering.
+// exactly like CostsOver's layering.
 func costsShared(sp metric.Space, obj Objective) metric.Costs {
 	c := metric.Costs(metric.SelfCosts{S: sp})
 	if obj == Means {

@@ -448,10 +448,9 @@ func TestStringers(t *testing.T) {
 
 // TestMemoPolicyAtTheSite: a site that builds its own oracle runs a
 // low-dimensional shard raw and memoizes a higher-dimensional one
-// (metric.Memoizes) unless LocalOpts turns caching off, while an oracle
-// handed in explicitly is used as given whatever its dimension, and dropped
-// for a raw one under LocalOpts.NoCache — and the answer is the same every
-// way.
+// (metric.Memoizes) whatever the engine options, while an oracle handed in
+// explicitly is used as given whatever its dimension — and the answer is
+// the same every way.
 func TestMemoPolicyAtTheSite(t *testing.T) {
 	low := gen.Mixture(gen.MixtureSpec{N: 120, K: 3, Dim: 2, OutlierFrac: 0.05, Seed: 3}).Pts
 	high := gen.Mixture(gen.MixtureSpec{N: 120, K: 3, Dim: 8, OutlierFrac: 0.05, Seed: 3}).Pts
@@ -463,8 +462,7 @@ func TestMemoPolicyAtTheSite(t *testing.T) {
 	}{
 		{"dim 2", low, engine.Options{}, true},
 		{"dim 8", high, engine.Options{}, false},
-		{"dim 8, LocalOpts.NoCache", high, engine.Options{NoCache: true}, true},
-		{"dim 8, LocalOpts.Reference", high, engine.Options{Reference: true}, true},
+		{"dim 8, LocalOpts.Reference", high, engine.Options{Reference: true}, false},
 	} {
 		cfg := Config{K: 3, T: 15, LocalOpts: kmedian.Options{Options: tc.eng}}.withDefaults()
 		_, medianRaw := newMedianSite(cfg, 0, tc.pts, nil).Costs.(metric.SelfCosts).S.(*metric.Points)
@@ -480,8 +478,8 @@ func TestMemoPolicyAtTheSite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, noCache := range []bool{false, true} {
-			cfg := Config{K: 3, T: 15, Objective: obj, LocalOpts: kmedian.Options{Options: engine.Options{NoCache: noCache}}}
+		for _, eng := range []engine.Options{{}, {Reference: true}} {
+			cfg := Config{K: 3, T: 15, Objective: obj, LocalOpts: kmedian.Options{Options: eng}}
 			var st metric.CacheStats
 			handlers := make([]transport.Handler, len(sites))
 			for i, pts := range sites {
@@ -500,18 +498,15 @@ func TestMemoPolicyAtTheSite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch hits, misses := st.Snapshot(); {
-			case noCache && hits+misses != 0:
-				t.Fatalf("%v: under LocalOpts.NoCache the explicit oracle saw %d hits and %d misses; it was not dropped", obj, hits, misses)
-			case !noCache && (hits == 0 || misses == 0):
-				t.Fatalf("%v: the explicit dim-2 oracle saw %d hits and %d misses; it was not used", obj, hits, misses)
+			if hits, misses := st.Snapshot(); hits == 0 || misses == 0 {
+				t.Fatalf("%v (%+v): the explicit dim-2 oracle saw %d hits and %d misses; it was not used", obj, eng, hits, misses)
 			}
 			if len(got.Centers) != len(want.Centers) || got.Report.UpBytes != want.Report.UpBytes {
-				t.Fatalf("%v (nocache %v): explicit-oracle run differs from the raw run", obj, noCache)
+				t.Fatalf("%v (%+v): explicit-oracle run differs from the raw run", obj, eng)
 			}
 			for i := range want.Centers {
 				if !got.Centers[i].Equal(want.Centers[i]) {
-					t.Fatalf("%v (nocache %v): explicit-oracle run moved center %d", obj, noCache, i)
+					t.Fatalf("%v (%+v): explicit-oracle run moved center %d", obj, eng, i)
 				}
 			}
 		}

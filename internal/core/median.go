@@ -21,7 +21,7 @@ type medianSite struct {
 // newMedianSite builds site i's state; cfg must already have defaults
 // applied. Per-site seeds are derived from LocalOpts.Seed + site index.
 // o, when non-nil, is an externally owned (job-server shared) distance
-// oracle over pts; a private one is built from the engine knobs otherwise.
+// oracle over pts; a private one is built by CostsOver otherwise.
 func newMedianSite(cfg Config, site int, pts []metric.Point, o metric.Oracle) *medianSite {
 	opts := cfg.LocalOpts
 	opts.Seed += int64(site) * 1000003
@@ -29,7 +29,7 @@ func newMedianSite(cfg Config, site int, pts []metric.Point, o metric.Oracle) *m
 	if o != nil {
 		costs = costsShared(o, cfg.Objective)
 	} else {
-		costs = costsOver(pts, cfg.Objective, opts.Options)
+		costs = CostsOver(pts, cfg.Objective)
 	}
 	return &medianSite{
 		BudgetSolver: protocol.BudgetSolver{Costs: costs, K: 2 * cfg.K, Opts: opts},
@@ -134,7 +134,7 @@ func (r *reducer) Solve(res *Result) {
 	if cfg.RelaxCenters {
 		relax = kmedian.RelaxCenters
 	}
-	sol := kmedian.Bicriteria(costsOver(r.pts, cfg.Objective, copt.Options), r.wts, cfg.K, float64(cfg.T), cfg.Eps, relax, copt)
+	sol := kmedian.Bicriteria(CostsOver(r.pts, cfg.Objective), r.wts, cfg.K, float64(cfg.T), cfg.Eps, relax, copt)
 	res.Centers, res.CoordinatorCost = protocol.PointsAt(r.pts, sol.Centers), sol.Cost
 	if cfg.LloydPolish && cfg.Objective == Means {
 		res.Centers, res.CoordinatorCost = kmedian.LloydPolish(r.pts, r.wts, res.Centers, sol.Budget, 32)

@@ -1,9 +1,10 @@
 // Package engine holds the one set of solver-engine knobs shared by every
 // layer of the stack: kmedian.Options embeds engine.Options (so every run
 // configuration spells them once, in its LocalOpts), kcenter.Opt aliases it
-// and client.Request carries it, so "which engine, how many workers, which
-// caches" is said in exactly one vocabulary from the CLI flags down to the
-// per-site solvers.
+// and client.Request carries it, so "which engine, how many workers" is said
+// in exactly one vocabulary from the CLI flags down to the per-site solvers.
+// Whether a distance oracle is memoized is not a knob: metric.Memoizes and
+// metric.CacheCosts decide it from the instance.
 //
 // Apart from Algo, which picks the algorithm, the knobs never change
 // results — every configuration returns centers bit-identical to the
@@ -65,29 +66,23 @@ func (a *Algo) UnmarshalText(b []byte) error {
 }
 
 // Options are the consolidated engine knobs. The zero value is the default
-// fast engine: auto algorithm selection, one worker per CPU, memoized
-// distance caches on.
+// fast engine: auto algorithm selection, one worker per CPU.
 type Options struct {
 	// Algo selects the k-median algorithm. Non-median solvers ignore it.
 	Algo Algo `json:"algo,omitempty" usage:"k-median engine: auto | localsearch | jv"`
 	// Workers bounds per-solve goroutines (0 = one per CPU); results are
 	// bit-identical for every value.
 	Workers int `json:"workers,omitempty" usage:"solver goroutines per solve (0 = one per CPU)"`
-	// NoCache disables the memoized distance oracles (a measurement knob;
-	// results never change).
-	NoCache bool `json:"no_cache,omitempty" usage:"disable memoized distance caches (measurement knob)"`
 	// Reference runs the seed sequential algorithms — the baseline half of
-	// every engine comparison. Implies Workers=1 and NoCache.
-	Reference bool `json:"reference,omitempty" usage:"run the sequential reference engine (implies workers=1, no caches)"`
+	// every engine comparison. Implies Workers=1.
+	Reference bool `json:"reference,omitempty" usage:"run the sequential reference engine (implies workers=1)"`
 }
 
 // Normalize resolves implied settings: the Reference engine is the seed
-// sequential code path, so it forces Workers=1 and disables caches.
-// Idempotent.
+// sequential code path, so it forces Workers=1. Idempotent.
 func (o Options) Normalize() Options {
 	if o.Reference {
 		o.Workers = 1
-		o.NoCache = true
 	}
 	return o
 }
@@ -96,8 +91,8 @@ func (o Options) Normalize() Options {
 // ({"algo":"jv","workers":4}) and unmarshals from that or from the legacy
 // string form ("jv" — just the algorithm) of older journals and request
 // bodies, and it implements flag.Value so one -engine flag accepts "jv" or
-// "jv,workers=4,nocache". Keys the object form does not know — the retired
-// "index" / "pivots" of older journals and clients among them — are
+// "jv,workers=4,reference". Keys the object form does not know — the retired
+// cache, index and pivot keys of older journals and clients among them — are
 // ignored, as encoding/json ignores any unknown field.
 type Spec struct {
 	Options
@@ -138,9 +133,6 @@ func (s *Spec) String() string {
 	if s.Workers != 0 {
 		parts = append(parts, "workers="+strconv.Itoa(s.Workers))
 	}
-	if s.NoCache {
-		parts = append(parts, "nocache")
-	}
 	if s.Reference {
 		parts = append(parts, "reference")
 	}
@@ -148,8 +140,8 @@ func (s *Spec) String() string {
 }
 
 // Set implements flag.Value: a comma-separated token list where a bare
-// algorithm name ("auto", "localsearch", "jv") selects Algo, bare "nocache"
-// / "reference" flip the booleans, and "workers=N" sets the count.
+// algorithm name ("auto", "localsearch", "jv") selects Algo, bare
+// "reference" selects the reference engine, and "workers=N" sets the count.
 func (s *Spec) Set(v string) error {
 	out := Options{}
 	for _, tok := range strings.Split(v, ",") {
@@ -168,15 +160,10 @@ func (s *Spec) Set(v string) error {
 			out.Workers = n
 			continue
 		}
-		switch tok {
-		case "nocache", "no-cache", "no_cache":
-			out.NoCache = true
-		case "reference":
+		if tok == "reference" {
 			out.Reference = true
-		default:
-			if out.Algo.UnmarshalText([]byte(tok)) != nil {
-				return fmt.Errorf("engine: unknown token %q (want %s)", tok, strings.Join(specKeys, " | "))
-			}
+		} else if out.Algo.UnmarshalText([]byte(tok)) != nil {
+			return fmt.Errorf("engine: unknown token %q (want %s)", tok, strings.Join(specKeys, " | "))
 		}
 	}
 	s.Options = out
@@ -184,7 +171,7 @@ func (s *Spec) Set(v string) error {
 }
 
 var specKeys = func() []string {
-	ks := []string{"auto", "localsearch", "jv", "nocache", "reference", "workers=N"}
+	ks := []string{"auto", "localsearch", "jv", "reference", "workers=N"}
 	sort.Strings(ks)
 	return ks
 }()

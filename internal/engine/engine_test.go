@@ -9,8 +9,8 @@ import (
 func TestNormalizeReferenceImplies(t *testing.T) {
 	o := Options{Reference: true, Workers: 8, Algo: JV}
 	n := o.Normalize()
-	if n.Workers != 1 || !n.NoCache {
-		t.Fatalf("Normalize(reference) = %+v, want workers=1 nocache", n)
+	if n.Workers != 1 {
+		t.Fatalf("Normalize(reference) = %+v, want workers=1", n)
 	}
 	if n.Algo != JV {
 		t.Fatalf("Normalize clobbered Algo: %+v", n)
@@ -48,7 +48,7 @@ func TestSpecJSONStringForm(t *testing.T) {
 func TestSpecJSONObjectForm(t *testing.T) {
 	var out Spec
 	for _, algo := range []Algo{Auto, LocalSearch, JV} {
-		in := Spec{Options{Algo: algo, Workers: 4, NoCache: true}}
+		in := Spec{Options{Algo: algo, Workers: 4, Reference: true}}
 		b, err := json.Marshal(in)
 		if err != nil {
 			t.Fatal(err)
@@ -76,10 +76,10 @@ func TestSpecJSONObjectForm(t *testing.T) {
 
 func TestSpecFlagTokens(t *testing.T) {
 	var s Spec
-	if err := s.Set("jv,workers=4,nocache"); err != nil {
+	if err := s.Set("jv,workers=4,reference"); err != nil {
 		t.Fatal(err)
 	}
-	want := Options{Algo: JV, Workers: 4, NoCache: true}
+	want := Options{Algo: JV, Workers: 4, Reference: true}
 	if s.Options != want {
 		t.Fatalf("Set parsed %+v, want %+v", s.Options, want)
 	}
@@ -92,17 +92,17 @@ func TestSpecFlagTokens(t *testing.T) {
 		t.Fatalf("String/Set round trip: %+v vs %+v", rt.Options, s.Options)
 	}
 	// Set replaces, not merges: a later -engine flag wins outright.
-	if err := s.Set("reference"); err != nil {
+	if err := s.Set("localsearch"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Options != (Options{Reference: true}) {
+	if s.Options != (Options{Algo: LocalSearch}) {
 		t.Fatalf("Set did not replace: %+v", s.Options)
 	}
 	// Spaces and empty tokens are tolerated.
-	if err := s.Set(" auto , nocache ,"); err != nil {
+	if err := s.Set(" auto , reference ,"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Options != (Options{Algo: Auto, NoCache: true}) {
+	if s.Options != (Options{Algo: Auto, Reference: true}) {
 		t.Fatalf("Set with spaces parsed %+v", s.Options)
 	}
 }
@@ -112,6 +112,20 @@ func TestSpecFlagErrors(t *testing.T) {
 		var s Spec
 		if err := s.Set(bad); err == nil {
 			t.Errorf("Set(%q) accepted an invalid spec", bad)
+		}
+	}
+	// Memoization is not a knob: the retired cache tokens are unknown, and
+	// the error lists every valid token.
+	for _, retired := range []string{"nocache", "no-cache", "no_cache", "jv,nocache"} {
+		var s Spec
+		err := s.Set(retired)
+		if err == nil {
+			t.Fatalf("Set(%q) accepted the retired cache token", retired)
+		}
+		for _, tok := range specKeys {
+			if !strings.Contains(err.Error(), tok) {
+				t.Fatalf("Set(%q) error %q does not list %q", retired, err, tok)
+			}
 		}
 	}
 	// An unknown algorithm fails at decode in either JSON form, and so does
@@ -137,7 +151,7 @@ func TestSpecIsZero(t *testing.T) {
 	if s := (Spec{}); s.String() != "" {
 		t.Fatalf("zero Spec renders %q", s.String())
 	}
-	if b, _ := json.Marshal(Spec{Options{NoCache: true}}); string(b) == "{}" {
+	if b, _ := json.Marshal(Spec{Options{Workers: 2}}); string(b) == "{}" {
 		t.Fatal("a non-zero Spec marshaled as the empty object")
 	}
 }

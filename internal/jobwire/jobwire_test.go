@@ -26,7 +26,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Kind: KindPoint, Core: core.Config{K: 5, T: 40, Objective: core.Center, Variant: core.TwoRoundNoOutliers,
 			Eps: 0.5, Rho: 1.25, Delta: 0.125, HullBase: 3,
 			LocalOpts: kmedian.Options{Seed: -9, MaxIters: 17, SampleFacilities: -1, Restarts: 2,
-				Options: engine.Options{Algo: engine.JV, Workers: 3, NoCache: true}},
+				Options: engine.Options{Algo: engine.JV, Workers: 3}},
 			Topology: tree4}},
 		{Kind: KindUncertain, Obj: uncertain.CenterPP,
 			Unc: uncertain.Config{K: 2, T: 7, Eps: 0.5, LocalOpts: kmedian.Options{Seed: -4,

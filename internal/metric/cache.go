@@ -92,13 +92,16 @@ func NewDistCache(s Space) *DistCache {
 // memo that later jobs reuse is the better side.
 const rawMaxDim = 4
 
-// Memoizes reports whether a DistCache over s pays for itself — the one
-// memoization policy of the repository, consulted by CacheSpace and by the
-// job server's shard pool. It says no above MaxCachePoints and for point
-// sets of dimension <= rawMaxDim; every other space (an explicit matrix, a
+// Memoizes reports whether a DistCache over s pays for itself — with
+// CacheCosts's size cap, the one memoization policy of the repository: no
+// engine option overrides it. CacheSpace and the job server's shard pool
+// consult it. It says no above MaxCachePoints and for point sets of
+// dimension <= rawMaxDim; every other space (an explicit matrix, a
 // collapsed uncertain oracle: anything whose Dist this package cannot price)
 // is memoized. The policy never reaches an oracle a caller built itself: a
-// DistCache handed in explicitly is used as given.
+// DistCache handed in explicitly is used as given, and the one a persistent
+// site keeps over its shard (jobwire.persistentCache) is the documented,
+// measured exception.
 func Memoizes(s Space) bool {
 	if s.N() > MaxCachePoints {
 		return false

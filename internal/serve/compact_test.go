@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,6 +137,46 @@ func TestCompactCrashBeforeGC(t *testing.T) {
 	if n := s2.reg.Count(); n != 1 {
 		t.Fatalf("datasets after recovery: %d", n)
 	}
+}
+
+// TestMalformedStreamSnapshotIsARecoveryError: a snapshot whose stream
+// state no sketch can be in (here one weight short of its summary points)
+// is a recovery error naming the dataset, not a sketch that panics later.
+// The dataset is dropped, so an append journaled after the checkpoint —
+// one that fills the buffer and would compress the malformed state —
+// fails replay cleanly too.
+func TestMalformedStreamSnapshotIsARecoveryError(t *testing.T) {
+	cfg := Config{JournalDir: t.TempDir()}
+	a, s1 := newAPI(t, cfg)
+	a.do("POST", "/v1/datasets", createDatasetRequest{
+		Name: "str", Kind: KindStream, K: 3, T: 2, Chunk: 64, Seed: 9,
+		Points: testPoints(40, 3, 11),
+	}, http.StatusCreated, nil)
+
+	s1.snapMu.Lock()
+	snap := s1.buildSnapshot()
+	s1.snapMu.Unlock()
+	wd := &snap.Datasets[0]
+	wd.Weights = wd.Weights[:len(wd.Weights)-1]
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.jnl.(journal.Compactor).Checkpoint(recSnapshot, payload); err != nil {
+		t.Fatal(err)
+	}
+	a.do("POST", "/v1/datasets/str/points", appendPointsRequest{Points: testPoints(64, 3, 12)},
+		http.StatusOK, nil)
+	s1.Close()
+
+	b, s2 := newAPI(t, cfg)
+	rec := s2.Recovery()
+	if !rec.FromSnapshot || len(rec.Errors) != 2 ||
+		!strings.Contains(rec.Errors[0], `snapshot dataset "str"`) || !strings.Contains(rec.Errors[0], "weights") ||
+		!strings.Contains(rec.Errors[1], `append to "str"`) {
+		t.Fatalf("recovery: %+v, want the snapshot's stream error, then the append's", rec)
+	}
+	b.do("GET", "/v1/datasets/str", nil, http.StatusNotFound, nil)
 }
 
 // TestEvictedJobFetchIsOneRead is the O(history) regression guard: a

@@ -37,14 +37,14 @@ type JobSpec struct {
 	Sites int     `json:"sites,omitempty"`
 	Eps   float64 `json:"eps,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
-	// Engine is the engine knob object: algorithm, workers, caches,
-	// reference — any setting but the algorithm returns bit-identical
-	// results. It marshals as the object form ({"algo":"jv","workers":4})
-	// and also unmarshals from the string form ("jv") of old request bodies
-	// and journal records; an unknown algorithm fails the decode. The
-	// retired top-level "workers" and "no_cache" keys and the retired engine
-	// "index" / "pivots" keys are ignored on decode, which is safe because
-	// those knobs never changed results.
+	// Engine is the engine knob object: algorithm, workers, reference —
+	// any setting but the algorithm returns bit-identical results. It
+	// marshals as the object form ({"algo":"jv","workers":4}) and also
+	// unmarshals from the string form ("jv") of old request bodies and
+	// journal records; an unknown algorithm fails the decode. The retired
+	// top-level "workers" and "no_cache" keys and the retired engine
+	// "no_cache" / "index" / "pivots" keys are ignored on decode, which is
+	// safe because those knobs never changed results.
 	Engine      engine.Spec `json:"engine,omitempty"`
 	LloydPolish bool        `json:"lloyd_polish,omitempty"`
 	// Client names the submitting client for per-client admission quotas
@@ -427,13 +427,10 @@ func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec, job j
 		sites = DefaultJobSites
 	}
 	shards := data.Split(sites).Pts
-	// A pooled shard hands its site the shared cache; every other shard
-	// (one metric.Memoizes declines, or a NoCache job) builds its own oracle
-	// per the engine policy, exactly as a one-shot run does.
-	caches := make([]*metric.DistCache, len(shards))
-	if !job.Core.LocalOpts.NoCache {
-		caches = r.shardCaches(d, version, shards)
-	}
+	// A pooled shard hands its site the shared cache; a shard
+	// metric.Memoizes declines gets a nil one and runs raw, exactly as a
+	// one-shot run does.
+	caches := r.shardCaches(d, version, shards)
 	handlers := make([]transport.Handler, len(shards))
 	for i := range shards {
 		h, err := job.SiteHandler(jobwire.SiteData{Site: i, Pts: shards[i], Cache: caches[i]})

@@ -10,9 +10,10 @@ import (
 
 // The engine object is the only source of a job's engine knobs. Request
 // bodies and journal records written before the flat top-level "workers" /
-// "no_cache" keys, or the engine's "index" / "pivots" keys, were retired
-// still decode, and those keys are ignored — safe because engine knobs never
-// change results — the same way on every replica and every journal replay.
+// "no_cache" keys, or the engine's "no_cache" / "index" / "pivots" keys,
+// were retired still decode, and those keys are ignored — safe because
+// engine knobs never change results — the same way on every replica and
+// every journal replay.
 // (The test names predate the retirement, when the two spellings were
 // merged.)
 func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
@@ -37,9 +38,9 @@ func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
 			want: engine.Options{Algo: engine.JV},
 		},
 		{
-			name: "structured no_cache holds without the flat alias",
+			name: "engine no_cache is ignored",
 			body: `{"dataset":"d","k":2,"t":1,"engine":{"no_cache":true}}`,
-			want: engine.Options{NoCache: true},
+			want: engine.Options{},
 		},
 		{
 			name: "legacy string engine plus flat knobs",
@@ -49,7 +50,7 @@ func TestJobSpecMergeConflictingFlatAndStructured(t *testing.T) {
 		{
 			name: "reference normalization overrides a conflicting flat workers",
 			body: `{"dataset":"d","k":2,"t":1,"workers":8,"engine":{"reference":true,"index":true}}`,
-			want: engine.Options{Reference: true, Workers: 1, NoCache: true},
+			want: engine.Options{Reference: true, Workers: 1},
 		},
 		{
 			name: "retired index knobs are ignored",

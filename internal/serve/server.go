@@ -625,7 +625,7 @@ func buildUncertain(ground [][]float64, wire []NodeWire) (*uncertain.Ground, []u
 		}
 		var tot float64
 		for _, p := range nd.Prob {
-			if p <= 0 {
+			if !(p > 0) || math.IsInf(p, 1) {
 				return nil, nil, fmt.Errorf("serve: node %d: probability %g out of range", j, p)
 			}
 			tot += p

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -24,6 +25,22 @@ func wireNodes(in gen.UncertainInstance) []NodeWire {
 		wire[j] = w
 	}
 	return wire
+}
+
+// TestBuildUncertainRejectsBadProbabilities: a NaN or +Inf probability
+// fails the build, with or without an explicit ground set, instead of
+// slipping past the range and sum checks into a solver.
+func TestBuildUncertainRejectsBadProbabilities(t *testing.T) {
+	for _, p := range []float64{math.NaN(), math.Inf(1), 0, -0.5} {
+		inline := []NodeWire{{Points: [][]float64{{0, 0}, {1, 0}}, Probs: []float64{p, 0.5}}}
+		if _, _, err := buildUncertain(nil, inline); err == nil {
+			t.Errorf("inline node with probability %g accepted", p)
+		}
+		indexed := []NodeWire{{Support: []int{0, 1}, Probs: []float64{0.5, p}}}
+		if _, _, err := buildUncertain([][]float64{{0, 0}, {1, 0}}, indexed); err == nil {
+			t.Errorf("indexed node with probability %g accepted", p)
+		}
+	}
 }
 
 // TestUncertainDatasetJobsHTTP is the "uncertain jobs as a service

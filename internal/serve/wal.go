@@ -239,14 +239,19 @@ func (s *Server) restoreDataset(wd walDataset) error {
 		}
 		if wd.Ingested > 0 || len(wd.Summary) > 0 {
 			d.mu.Lock()
-			d.sketch.LoadState(stream.State{
-				Points: rowsToPoints(wd.Summary), Weights: wd.Weights,
+			err = d.sketch.LoadState(stream.State{
+				Points: rowsToPoints(wd.Summary), Weights: wd.Weights, Dim: wd.Dim,
 				Compressions: wd.Compressions, N: wd.Ingested,
 			})
 			d.dim = wd.Dim
 			d.mu.Unlock()
 		}
-		return nil
+		if err != nil {
+			// A dataset that cannot be restored is not served as an
+			// empty one: drop it, as a failed table registration would.
+			s.reg.Delete(wd.Name)
+		}
+		return err
 	case KindUncertain:
 		g := &uncertain.Ground{Pts: rowsToPoints(wd.Ground)}
 		nodes := make([]uncertain.Node, len(wd.Nodes))

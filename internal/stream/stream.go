@@ -14,6 +14,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
@@ -204,10 +205,12 @@ func (s *Sketch) Config() Config { return s.cfg }
 // compressions deterministic. A sketch restored via LoadState answers
 // every future Add/Query exactly as the original would have: compression
 // seeds derive from Compressions, so the (pts, w, compressions, n)
-// tuple is the whole trajectory-relevant state.
+// tuple is the whole trajectory-relevant state. Dim is the dimension every
+// summary point has (0 while the summary is empty).
 type State struct {
 	Points       []metric.Point
 	Weights      []float64
+	Dim          int
 	Compressions int
 	N            int
 }
@@ -217,13 +220,23 @@ type State struct {
 // stream, which the sketch has already forgotten).
 func (s *Sketch) State() State {
 	pts, w := s.Summary()
-	return State{Points: pts, Weights: w, Compressions: s.compressions, N: s.n}
+	st := State{Points: pts, Weights: w, Compressions: s.compressions, N: s.n}
+	if len(pts) > 0 {
+		st.Dim = pts[0].Dim()
+	}
+	return st
 }
 
 // LoadState replaces the sketch's internal state with st (deep-copied).
 // The sketch must have been created with the same Config for the restore
-// to be exact.
-func (s *Sketch) LoadState(st State) {
+// to be exact. A state no sketch can be in — one weight per point, every
+// point of dimension Dim, weights finite and non-negative, counters
+// non-negative, no more summary points than points consumed — is an error,
+// and leaves the sketch unchanged.
+func (s *Sketch) LoadState(st State) error {
+	if err := st.validate(); err != nil {
+		return err
+	}
 	s.pts = make([]metric.Point, len(st.Points))
 	for i, p := range st.Points {
 		s.pts[i] = p.Clone()
@@ -231,4 +244,27 @@ func (s *Sketch) LoadState(st State) {
 	s.w = append([]float64(nil), st.Weights...)
 	s.compressions = st.Compressions
 	s.n = st.N
+	return nil
+}
+
+func (st State) validate() error {
+	switch {
+	case len(st.Points) != len(st.Weights):
+		return fmt.Errorf("stream: state has %d points and %d weights", len(st.Points), len(st.Weights))
+	case st.Dim < 0 || st.Compressions < 0 || st.N < 0:
+		return fmt.Errorf("stream: state has a negative counter (dim %d, compressions %d, n %d)", st.Dim, st.Compressions, st.N)
+	case len(st.Points) > st.N:
+		return fmt.Errorf("stream: state holds %d summary points but consumed only %d", len(st.Points), st.N)
+	case len(st.Points) > 0 && st.Dim == 0:
+		return fmt.Errorf("stream: state has %d points of dimension 0", len(st.Points))
+	}
+	for i, p := range st.Points {
+		if p.Dim() != st.Dim {
+			return fmt.Errorf("stream: state point %d has dim %d, want %d", i, p.Dim(), st.Dim)
+		}
+		if w := st.Weights[i]; !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("stream: state weight %d is %g", i, w)
+		}
+	}
+	return nil
 }

@@ -150,16 +150,9 @@ func (st *uSite) start() {
 	}
 	st.started = true
 	st.col = Collapse(st.g, st.nodes, st.obj == Means, st.cfg.Candidates)
-	st.Costs = st.col
-	cache := !st.Opts.NoCache
-	if cache {
-		st.Costs = metric.CacheCosts(st.col)
-	}
+	st.Costs = metric.CacheCosts(st.col)
 	if st.obj == CenterPP {
-		st.space = st.col
-		if cache {
-			st.space = metric.CacheSpace(st.space)
-		}
+		st.space = metric.CacheSpace(st.col)
 		st.trav = kcenter.GonzalezOpt(st.space, st.cfg.K+st.cfg.T, 0, st.Opts.Options)
 	}
 }
@@ -364,10 +357,6 @@ func (r *reducer) Solve(res *Result) {
 	}
 	copt := cfg.LocalOpts
 	copt.Seed += 555557
-	var costs metric.Costs = &r.col
-	if !copt.NoCache {
-		costs = metric.CacheCosts(costs)
-	}
-	sol := kmedian.Bicriteria(costs, r.wts, cfg.K, float64(cfg.T), cfg.Eps, kmedian.RelaxOutliers, copt)
+	sol := kmedian.Bicriteria(metric.CacheCosts(&r.col), r.wts, cfg.K, float64(cfg.T), cfg.Eps, kmedian.RelaxOutliers, copt)
 	res.Centers, res.CoordinatorCost = protocol.PointsAt(r.col.Y, sol.Centers), sol.Cost
 }

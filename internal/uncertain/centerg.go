@@ -128,17 +128,13 @@ type cgSite struct {
 }
 
 // solver returns the local solves at one truncation grid index. Their
-// rho_tau cost oracle is memoized behind a cost cache (unless NoCache, or
-// the reference engine that implies it, is selected): the truncated expected distances of Definition 5.7
-// are the most expensive oracle in the repository (a support-sized sum per
-// call), and the grid of budget solves at a fixed tau re-reads the same
-// entries many times.
+// rho_tau cost oracle is memoized behind a cost cache (metric.CacheCosts):
+// the truncated expected distances of Definition 5.7 are the most expensive
+// oracle in the repository (a support-sized sum per call), and the grid of
+// budget solves at a fixed tau re-reads the same entries many times.
 func (st *cgSite) solver(tauIdx int) *protocol.BudgetSolver {
 	if st.solvers[tauIdx] == nil {
-		var tc metric.Costs = &TruncCosts{G: st.g, Nodes: st.nodes, Fac: st.fac, Tau: 6 * st.grid[tauIdx]}
-		if !st.cfg.LocalOpts.NoCache {
-			tc = metric.CacheCosts(tc)
-		}
+		tc := metric.CacheCosts(&TruncCosts{G: st.g, Nodes: st.nodes, Fac: st.fac, Tau: 6 * st.grid[tauIdx]})
 		st.solvers[tauIdx] = &protocol.BudgetSolver{Costs: tc, K: 2 * st.cfg.K, Opts: st.cfg.LocalOpts}
 	}
 	return st.solvers[tauIdx]

@@ -51,8 +51,8 @@ func (nd Node) Validate(g *Ground) error {
 	}
 	sum := 0.0
 	for i, p := range nd.Prob {
-		if p <= 0 {
-			return fmt.Errorf("uncertain: non-positive probability %g", p)
+		if !(p > 0) || math.IsInf(p, 1) {
+			return fmt.Errorf("uncertain: probability %g out of range", p)
 		}
 		if nd.Support[i] < 0 || nd.Support[i] >= g.N() {
 			return fmt.Errorf("uncertain: support index %d out of range", nd.Support[i])

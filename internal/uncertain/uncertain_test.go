@@ -32,6 +32,8 @@ func TestNodeValidate(t *testing.T) {
 		{Support: []int{0, 1}, Prob: []float64{0.5, 0.6}},
 		{Support: []int{0, 99}, Prob: []float64{0.5, 0.5}},
 		{Support: []int{0, 1}, Prob: []float64{1.0, 0.0}},
+		{Support: []int{0, 1}, Prob: []float64{math.NaN(), 0.5}},
+		{Support: []int{0, 1}, Prob: []float64{math.Inf(1), 0.5}},
 	}
 	for i, nd := range bad {
 		if err := nd.Validate(g); err == nil {
