@@ -2,9 +2,13 @@ package dpc_test
 
 import (
 	"context"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dpc"
+	"dpc/client"
 )
 
 // The facade tests exercise the public surface end to end, the way a
@@ -116,4 +120,45 @@ func samePoints(a, b []dpc.Point) bool {
 		}
 	}
 	return true
+}
+
+// TestClusterSurvivesMixedDimensionSite: a fleet in which one site daemon
+// holds 3-D points among 2-D ones fails every point job with an error that
+// names that site, where the coordinator used to panic inside the distance
+// kernel; the coordinator keeps serving jobs, and the sites still end
+// cleanly on its close.
+func TestClusterSurvivesMixedDimensionSite(t *testing.T) {
+	flat := dpc.Mixture(dpc.MixtureSpec{N: 160, K: 3, Dim: 2, OutlierFrac: 0.05, Seed: 9}).Pts
+	deep := dpc.Mixture(dpc.MixtureSpec{N: 80, K: 3, Dim: 3, OutlierFrac: 0.05, Seed: 10}).Pts
+	shards := [][]dpc.Point{flat[:80], flat[80:], deep}
+	ln, err := dpc.ListenCluster("127.0.0.1:0", len(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, pts := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = client.ServeSite(ln.Addr(), client.SiteData{Site: i, Points: pts}, 10*time.Second)
+		}()
+	}
+	fleet, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, obj := range []string{"median", "means", "center"} {
+		res, err := fleet.Do(context.Background(), dpc.Request{Objective: obj, K: 3, T: 6})
+		if err == nil || !strings.Contains(err.Error(), "precluster from site 2") {
+			t.Errorf("%s: got %v and error %v; want an error naming site 2", obj, res, err)
+		}
+	}
+	fleet.Close()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("site %d: %v", i, err)
+		}
+	}
 }

@@ -15,6 +15,7 @@ type centerSite struct {
 	cfg     Config
 	pts     []metric.Point
 	space   metric.Space // cached where metric.Memoizes says it pays
+	memo    *kcenter.TraversalMemo
 	trav    kcenter.Traversal
 	started bool
 }
@@ -24,24 +25,32 @@ type centerSite struct {
 // (where metric.Memoizes says it pays), so the traversal, the prefix
 // assignments and the no-ship drop scan all pay for each pairwise distance
 // once. o, when non-nil, is an externally owned (job-server shared) oracle
-// over pts and replaces the private one.
-func newCenterSite(cfg Config, pts []metric.Point, o metric.Oracle) *centerSite {
+// over pts and replaces the private one; memo, when non-nil, is the
+// persistent site's traversal of pts, kept across jobs.
+func newCenterSite(cfg Config, pts []metric.Point, o metric.Oracle, memo *kcenter.TraversalMemo) *centerSite {
 	var space metric.Space = o
 	if o == nil {
 		space = metric.CacheSpace(metric.NewPoints(pts))
 	}
-	return &centerSite{cfg: cfg, pts: pts, space: space}
+	return &centerSite{cfg: cfg, pts: pts, space: space, memo: memo}
 }
 
 // traversal runs the Gonzalez traversal lazily on the site's first round,
 // so the O((k+t) n_i) work executes on the site side of the transport — in
 // parallel with the other sites, and counted as site compute time. One
 // run to k+t points serves both the slope witnesses and every possible
-// preclustering prefix.
+// preclustering prefix. A persistent site reads it from its memo instead
+// (the identical prefix); a Reference-engine job always computes its own,
+// so an engine comparison still compares two traversals.
 func (st *centerSite) traversal() kcenter.Traversal {
 	if !st.started {
 		st.started = true
-		st.trav = kcenter.GonzalezOpt(st.space, st.cfg.K+st.cfg.T, 0, st.cfg.LocalOpts.Options)
+		m, o := st.cfg.K+st.cfg.T, st.cfg.LocalOpts.Options
+		if st.memo != nil && !o.Reference {
+			st.trav = st.memo.Prefix(st.space, m, o)
+		} else {
+			st.trav = kcenter.GonzalezOpt(st.space, m, 0, o)
+		}
 	}
 	return st.trav
 }

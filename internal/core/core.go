@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"dpc/internal/kcenter"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 	"dpc/internal/protocol"
@@ -262,6 +263,15 @@ func RunOverCtx(ctx context.Context, tr transport.Transport, cfg Config) (Result
 // private-oracle run. o may be nil (a private oracle — memoized or raw — is
 // built per metric.Memoizes); otherwise it must be built over exactly pts.
 func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Oracle) (transport.Handler, error) {
+	return NewPersistentSiteHandler(cfg, site, pts, o, nil)
+}
+
+// NewPersistentSiteHandler is NewSiteHandlerOracle for a site that outlives
+// its jobs (jobwire.ServeJobs): memo, when non-nil, is the site's
+// farthest-first traversal of pts, which its center jobs read as a prefix
+// instead of traversing the shard again. Centers and bytes are those of a
+// fresh site.
+func NewPersistentSiteHandler(cfg Config, site int, pts []metric.Point, o metric.Oracle, memo *kcenter.TraversalMemo) (transport.Handler, error) {
 	cfg = cfg.withDefaults()
 	if err := validate(cfg); err != nil {
 		return nil, err
@@ -276,7 +286,7 @@ func NewSiteHandlerOracle(cfg Config, site int, pts []metric.Point, o metric.Ora
 		return nil, fmt.Errorf("core: site %d oracle over %d points, shard has %d", site, o.N(), len(pts))
 	}
 	if cfg.Objective == Center {
-		return protocol.Handler(cfg.params(), site, newCenterSite(cfg, pts, o)), nil
+		return protocol.Handler(cfg.params(), site, newCenterSite(cfg, pts, o, memo)), nil
 	}
 	return protocol.Handler(cfg.params(), site, newMedianSite(cfg, site, pts, o)), nil
 }

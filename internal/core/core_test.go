@@ -466,7 +466,7 @@ func TestMemoPolicyAtTheSite(t *testing.T) {
 	} {
 		cfg := Config{K: 3, T: 15, LocalOpts: kmedian.Options{Options: tc.eng}}.withDefaults()
 		_, medianRaw := newMedianSite(cfg, 0, tc.pts, nil).Costs.(metric.SelfCosts).S.(*metric.Points)
-		_, centerRaw := newCenterSite(cfg, tc.pts, nil).space.(*metric.Points)
+		_, centerRaw := newCenterSite(cfg, tc.pts, nil, nil).space.(*metric.Points)
 		if medianRaw != tc.raw || centerRaw != tc.raw {
 			t.Errorf("%s: the median site's private oracle is raw = %v, the center site's %v; want %v", tc.name, medianRaw, centerRaw, tc.raw)
 		}

@@ -2,6 +2,7 @@ package dataio
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -108,4 +109,48 @@ func TestWriteAssignmentCSV(t *testing.T) {
 	if !strings.Contains(out, "1,-1,5") {
 		t.Fatalf("outlier row missing: %q", out)
 	}
+}
+
+// FuzzReadPointsCSV feeds arbitrary bytes to the loader dpc-site runs on
+// its -in file: any input it accepts must come back non-empty, rectangular
+// (one dimension of at least 1 for every point) and finite, and must
+// survive WritePointsCSV and a second read unchanged.
+//
+//	go test ./internal/dataio -run xxx -fuzz FuzzReadPointsCSV -fuzztime 60s
+func FuzzReadPointsCSV(f *testing.F) {
+	for _, seed := range []string{"1,2\n3,4\n", "x,y\n1,2\n", "1,2\n3\n", "1,NaN\n", "\"1\",2e308\n", "-0,1e-320\r\n"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		pts, err := ReadPointsCSV(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		if len(pts) == 0 || len(pts[0]) == 0 {
+			t.Fatalf("accepted %q as %d points of dimension %d", b, len(pts), len(pts[0]))
+		}
+		for i, p := range pts {
+			if len(p) != len(pts[0]) {
+				t.Fatalf("accepted %q with point %d of dimension %d, want %d", b, i, len(p), len(pts[0]))
+			}
+			for _, x := range p {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("accepted %q with point %d holding %g", b, i, x)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := WritePointsCSV(&buf, pts); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadPointsCSV(&buf)
+		if err != nil || len(again) != len(pts) {
+			t.Fatalf("re-reading %d written points: %d points, %v", len(pts), len(again), err)
+		}
+		for i := range pts {
+			if !again[i].Equal(pts[i]) {
+				t.Fatalf("point %d wrote and re-read as %v, want %v", i, again[i], pts[i])
+			}
+		}
+	})
 }

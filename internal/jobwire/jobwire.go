@@ -32,6 +32,7 @@ import (
 
 	"dpc/internal/core"
 	"dpc/internal/dataio"
+	"dpc/internal/kcenter"
 	"dpc/internal/metric"
 	"dpc/internal/protocol"
 	"dpc/internal/transport"
@@ -136,22 +137,25 @@ func Decode(b []byte) (Job, error) {
 
 // SiteData is the state a persistent site holds across jobs: its point
 // shard (for point jobs), its uncertain node shard plus the shared ground
-// set (for uncertain jobs), and an optional long-lived distance cache over
-// the point shard. Any subset may be nil; a job frame of a kind the site
-// has no data for fails that job loudly instead of computing on garbage.
+// set (for uncertain jobs), and two optional long-lived memos over the
+// point shard: a distance cache and a farthest-first traversal. Any subset
+// may be nil; a job frame of a kind the site has no data for fails that job
+// loudly instead of computing on garbage.
 type SiteData struct {
 	Site  int
 	Pts   []metric.Point
 	Cache *metric.DistCache
+	Trav  *kcenter.TraversalMemo
 	G     *uncertain.Ground
 	Nodes []uncertain.Node
 }
 
 // ServeJobs runs the whole site loop over an established connection: it
 // verifies the coordinator's job-frame hello marker (a site must never be
-// silently paired with something that speaks another protocol), builds one
-// long-lived distance cache over the point shard when none was provided
-// and the shard fits the memoization cap (persistentCache), and serves one handler per job
+// silently paired with something that speaks another protocol), builds the
+// long-lived memos over the point shard that were not provided — a distance
+// cache when the shard fits the memoization cap (persistentCache) and a
+// traversal memo (kcenter.TraversalMemo) — and serves one handler per job
 // frame via Factory until the coordinator closes. wrap, when non-nil,
 // decorates each job's handler (dpc-site -v hangs its logging off it). It
 // is the single implementation behind dpc-site and client.ServeSite.
@@ -163,6 +167,9 @@ func ServeJobs(sc *transport.Site, d SiteData, wrap func(job int, blob []byte, h
 	if d.Cache == nil {
 		d.Cache = persistentCache(d.Pts)
 	}
+	if d.Trav == nil {
+		d.Trav = new(kcenter.TraversalMemo)
+	}
 	factory := Factory(d)
 	return sc.ServeJobs(func(job int, blob []byte) (transport.Handler, error) {
 		h, err := factory(job, blob)
@@ -173,14 +180,15 @@ func ServeJobs(sc *transport.Site, d SiteData, wrap func(job int, blob []byte, h
 	})
 }
 
-// persistentCache is the private memo a persistent site keeps over its shard
-// for as long as its connection lives, or nil when the shard is empty or
-// above metric.MaxCachePoints. Deliberately not metric.Memoizes: that policy
-// prices a memo built per job or shared through a pool, and says no at low
-// dimension; this one is built once over an immutable, unshared shard and
-// read by every job after, and measured faster than recomputing even at
-// dimension 2 (the repo benchmark's fanin-tree, 128-point dim-2 leaves:
-// job_p50_ms 8.5-8.9 with it, 9.8-9.9 without).
+// persistentCache is the private distance memo a persistent site keeps over
+// its shard for as long as its connection lives, or nil when the shard is
+// empty or above metric.MaxCachePoints. Deliberately not metric.Memoizes:
+// that policy prices a memo built per job or shared through a pool, and says
+// no at low dimension; this one is built once over an immutable, unshared
+// shard and read by every job after. Since center jobs read their traversal
+// from the site's TraversalMemo, what it still serves is every other
+// distance a job asks again: round 1's AssignPrefixOpt of the center
+// preclustering, and the local solves of median and means jobs on a fleet.
 func persistentCache(pts []metric.Point) *metric.DistCache {
 	if len(pts) == 0 || len(pts) > metric.MaxCachePoints {
 		return nil
@@ -191,7 +199,7 @@ func persistentCache(pts []metric.Point) *metric.DistCache {
 // Factory returns the transport.Site.ServeJobs factory for a persistent
 // site holding d: each job frame is decoded and turned into its site
 // handler (SiteHandler), closing over the site-held data so the shard and
-// its distance cache stay warm across jobs. It is the single implementation
+// its memos stay warm across jobs. It is the single implementation
 // behind dpc-site, the client.Cluster tests and the dpc-server remote e2e
 // tests.
 func Factory(d SiteData) func(job int, blob []byte) (transport.Handler, error) {
@@ -211,8 +219,10 @@ func Factory(d SiteData) func(job int, blob []byte) (transport.Handler, error) {
 // SiteHandler builds the site half of j for a site holding d. A point job
 // runs over d.Cache when the site holds one (it outlives the job; see
 // core.NewSiteHandlerOracle) and builds a private oracle per the engine
-// policy otherwise, for one-shot runs and long-lived sites alike. A job of
-// a kind the site has no data for is an error.
+// policy otherwise, for one-shot runs and long-lived sites alike; a center
+// job reads its traversal from d.Trav when the site holds one
+// (core.NewPersistentSiteHandler). A job of a kind the site has no data for
+// is an error.
 func (j Job) SiteHandler(d SiteData) (transport.Handler, error) {
 	switch {
 	case j.Kind == KindPoint && len(d.Pts) == 0:
@@ -222,7 +232,7 @@ func (j Job) SiteHandler(d SiteData) (transport.Handler, error) {
 		if d.Cache != nil {
 			o = d.Cache
 		}
-		return core.NewSiteHandlerOracle(j.Core, d.Site, d.Pts, o)
+		return core.NewPersistentSiteHandler(j.Core, d.Site, d.Pts, o, d.Trav)
 	case len(d.Nodes) == 0 || d.G == nil:
 		return nil, fmt.Errorf("site %d holds no uncertain shard", d.Site)
 	case j.Kind == KindUncertain:

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dpc/internal/core"
 	"dpc/internal/engine"
 	"dpc/internal/gen"
 	"dpc/internal/geom"
+	"dpc/internal/kcenter"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
+	"dpc/internal/protocol"
 	"dpc/internal/transport"
 	"dpc/internal/tree"
 	"dpc/internal/uncertain"
@@ -164,4 +167,90 @@ func TestPersistentSiteCachesLowDimensionShard(t *testing.T) {
 	if !reflect.DeepEqual(got.Centers, want.Centers) {
 		t.Fatal("cached persistent sites and a one-shot run disagree")
 	}
+}
+
+// persistentCenterRun runs the center job j over one site handler built by
+// factory as job number id, behind a wireHash, and returns the centers with
+// the per-round fingerprints of everything that crossed the wire.
+func persistentCenterRun(factory func(int, []byte) (transport.Handler, error), id int, j Job) (protocol.Result, *wireHash, error) {
+	blob, err := Encode(j)
+	if err != nil {
+		return protocol.Result{}, nil, err
+	}
+	h, err := factory(id, blob)
+	if err != nil {
+		return protocol.Result{}, nil, err
+	}
+	wire := &wireHash{Transport: transport.NewLoopback([]transport.Handler{h}, true)}
+	defer wire.Close()
+	res, err := j.RunOver(context.Background(), wire, nil)
+	return res, wire, err
+}
+
+// TestPersistentSiteTraversalMemo: one persistent site answers center jobs
+// of every depth — shallower than its traversal memo, equal, deeper, the
+// no-ship variant — and each job's hull bytes (round 0), precluster bytes
+// (round 1) and centers equal those of a fresh site that traverses its
+// shard itself. The memo grows only when a job asks deeper, and a
+// Reference-engine job leaves it untouched. The second half runs the same
+// jobs two at a time on the one site (go test -race covers the memo).
+func TestPersistentSiteTraversalMemo(t *testing.T) {
+	pts := gen.Mixture(gen.MixtureSpec{N: 256, K: 4, Dim: 2, OutlierFrac: 0.1, Seed: 17}).Pts
+	d := SiteData{Pts: pts, Cache: persistentCache(pts), Trav: new(kcenter.TraversalMemo)}
+	factory := Factory(d)
+	fresh := func(id int, blob []byte) (transport.Handler, error) {
+		j, err := Decode(blob)
+		if err != nil {
+			return nil, err
+		}
+		return j.SiteHandler(SiteData{Pts: pts})
+	}
+	center := func(k, t int, v core.Variant, eng engine.Options) Job {
+		return Job{Kind: KindPoint, Core: core.Config{K: k, T: t, Objective: core.Center, Variant: v,
+			LocalOpts: kmedian.Options{Options: eng}}}
+	}
+	jobs := []struct {
+		job   Job
+		depth int // the memo's depth after the job
+	}{
+		{center(4, 128, core.TwoRound, engine.Options{}), 132},
+		{center(4, 6, core.TwoRound, engine.Options{}), 132},
+		{center(4, 56, core.TwoRound, engine.Options{}), 132},
+		{center(4, 128, core.TwoRound, engine.Options{}), 132},
+		{center(4, 196, core.TwoRound, engine.Options{}), 200},
+		{center(4, 40, core.TwoRoundNoOutliers, engine.Options{}), 200},
+		{center(4, 40, core.OneRound, engine.Options{Workers: 2}), 200},
+		{center(4, 240, core.TwoRound, engine.Options{Reference: true}), 200},
+	}
+	check := func(id int, j Job) {
+		got, gotWire, err := persistentCenterRun(factory, id, j)
+		want, wantWire, errFresh := persistentCenterRun(fresh, id, j)
+		if err != nil || errFresh != nil {
+			t.Errorf("job %d (k+t = %d): persistent site: %v; fresh site: %v", id, j.Core.K+j.Core.T, err, errFresh)
+		} else if !reflect.DeepEqual(got.Centers, want.Centers) || !reflect.DeepEqual(gotWire.up, wantWire.up) ||
+			!reflect.DeepEqual(gotWire.down, wantWire.down) {
+			t.Errorf("job %d (k+t = %d, %v): the persistent site's centers or bytes differ from a fresh site's",
+				id, j.Core.K+j.Core.T, j.Core.Variant)
+		}
+	}
+	for id, row := range jobs {
+		check(id, row.job)
+		if got := d.Trav.Depth(); got != row.depth {
+			t.Fatalf("job %d (k+t = %d): memo depth %d, want %d", id, row.job.Core.K+row.job.Core.T, got, row.depth)
+		}
+	}
+
+	d.Trav = new(kcenter.TraversalMemo)
+	factory = Factory(d)
+	var wg sync.WaitGroup
+	for half := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := half; id < len(jobs); id += 2 {
+				check(id, jobs[id].job)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package kcenter
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dpc/internal/metric"
@@ -73,6 +74,40 @@ func TestEvalMaxMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 6} {
 		if got := EvalMaxOpt(sp, nil, centers, 17, Opt{Workers: workers}); got != ref {
 			t.Fatalf("workers=%d: EvalMax %v != %v", workers, got, ref)
+		}
+	}
+}
+
+// TestTraversalMemoPrefixes: every prefix a TraversalMemo hands out is the
+// traversal GonzalezOpt computes fresh to that depth, bit for bit, on a
+// grid full of distance ties; the memo grows only when asked deeper than it
+// holds and never past the shard, and a handed-out prefix has no spare
+// capacity an append could write into the memo through.
+func TestTraversalMemoPrefixes(t *testing.T) {
+	var pts []metric.Point
+	for x := range 12 {
+		for y := range 12 {
+			pts = append(pts, metric.Point{float64(x), float64(y)})
+		}
+	}
+	sp := metric.NewPoints(pts)
+	n := sp.N()
+	var tm TraversalMemo
+	depth := 0
+	for _, m := range []int{0, 10, 60, 132, 10, 140, 7, n + 5, n, 1, -1} {
+		got := tm.Prefix(sp, m, Opt{Workers: 2})
+		want := GonzalezOpt(sp, m, 0, Opt{})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("depth %d: memo prefix %v, fresh traversal %v", m, got, want)
+		}
+		if m > depth && depth < n {
+			depth = min(m, n)
+		}
+		if tm.Depth() != depth {
+			t.Fatalf("after depth %d the memo holds %d points, want %d", m, tm.Depth(), depth)
+		}
+		if cap(got.Order) != len(got.Order) || cap(got.Radii) != len(got.Radii) {
+			t.Fatalf("depth %d: a prefix with spare capacity lets an append write into the memo", m)
 		}
 	}
 }
