@@ -7,9 +7,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"sync"
-	"time"
 
-	"dpc/internal/jobwire"
 	"dpc/internal/serve"
 )
 
@@ -302,52 +300,16 @@ func contains(xs []int, x int) bool {
 
 // Do implements Client: submit to the dataset's primary replica, walk the
 // ring on failure, resubmit in-flight jobs lost to a dying replica.
+// Ephemeral datasets go through the balanced registration path (holder
+// fan-out plus retention), so ephemeral jobs fail over like named ones.
 func (b *Balanced) Do(ctx context.Context, req Request) (*Response, error) {
-	if req.Central {
-		return nil, fmt.Errorf("client: Central (the Section 3.1 solver) runs on the Local backend only")
-	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	spec := req.spec()
-	kind, err := req.kind()
-	if err != nil {
-		return nil, err
-	}
-	if spec.Dataset == "" {
-		name, cleanup, err := b.registerEphemeral(ctx, req, kind)
+	return serverDo(ctx, req, "balanced", b, func(ctx context.Context, spec serve.JobSpec) (serve.Job, string, error) {
+		done, idx, err := b.solve(ctx, spec)
 		if err != nil {
-			return nil, err
+			return serve.Job{}, "", err
 		}
-		defer cleanup()
-		spec.Dataset = name
-	}
-	done, idx, err := b.solve(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	res := done.Result
-	if res == nil {
-		return nil, fmt.Errorf("client: job %s is done but has no result", done.ID)
-	}
-	centers := make([]Point, len(res.Centers))
-	for i, row := range res.Centers {
-		centers[i] = Point(row)
-	}
-	return &Response{
-		Centers:       centers,
-		Cost:          res.Cost,
-		CostKind:      res.CostKind,
-		OutlierBudget: res.OutlierBudget,
-		SiteBudgets:   res.SiteBudgets,
-		Rounds:        res.Rounds,
-		UpBytes:       res.UpBytes,
-		DownBytes:     res.DownBytes,
-		Tau:           res.Tau,
-		Backend:       "balanced",
-		JobID:         done.ID,
-		Replica:       b.urls[idx],
-	}, nil
+		return done, b.urls[idx], nil
+	})
 }
 
 // solve runs one spec to completion somewhere in the fleet, returning the
@@ -466,33 +428,4 @@ func retryableFailover(err error) bool {
 	// Anything else is a transport-level failure: connection refused,
 	// reset mid-poll, EOF from a killed process.
 	return true
-}
-
-// registerEphemeral uploads the request's in-memory data under a
-// throwaway name via the balanced registration path (holder fan-out plus
-// retention), so ephemeral jobs fail over like named ones.
-func (b *Balanced) registerEphemeral(ctx context.Context, req Request, kind jobwire.Kind) (string, func(), error) {
-	name := ephemeralName()
-	var err error
-	if kind == jobwire.KindPoint {
-		if len(req.Points) == 0 {
-			return "", nil, fmt.Errorf("client: balanced %s request needs Dataset or Points", req.Objective)
-		}
-		err = b.RegisterDataset(ctx, name, req.Points)
-	} else {
-		if req.Ground == nil || len(req.Nodes) == 0 {
-			return "", nil, fmt.Errorf("client: balanced %s request needs Dataset or Ground+Nodes", req.Objective)
-		}
-		err = b.RegisterUncertainDataset(ctx, name, req.Ground, req.Nodes)
-	}
-	if err != nil {
-		return "", nil, err
-	}
-	cleanup := func() {
-		//dpc:vet-ok ctxflow cleanup must delete the ephemeral dataset even after the request ctx is cancelled
-		bg, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		b.DeleteDataset(bg, name)
-	}
-	return name, cleanup, nil
 }

@@ -304,6 +304,30 @@ func (r *Remote) cancelOnCtx(ctx context.Context, id string, err error) {
 
 // Do implements Client.
 func (r *Remote) Do(ctx context.Context, req Request) (*Response, error) {
+	return serverDo(ctx, req, "remote", r, func(ctx context.Context, spec serve.JobSpec) (serve.Job, string, error) {
+		job, err := r.Submit(ctx, spec)
+		if err != nil {
+			return serve.Job{}, "", err
+		}
+		done, err := r.Wait(ctx, job.ID)
+		return done, "", err
+	})
+}
+
+// serverDatasets is the dataset surface of a backend that runs requests
+// on dpc-server replicas (Remote, Balanced).
+type serverDatasets interface {
+	RegisterDataset(ctx context.Context, name string, pts []Point) error
+	RegisterUncertainDataset(ctx context.Context, name string, g *Ground, nodes []Node) error
+	DeleteDataset(ctx context.Context, name string) error
+}
+
+// serverDo is Do for the server-backed backends: a request naming no
+// dataset has its in-memory data registered on ds under a throwaway name
+// for the duration of the call; solve runs the job to completion and
+// names the replica that served it (empty for a single server).
+func serverDo(ctx context.Context, req Request, backend string, ds serverDatasets,
+	solve func(context.Context, serve.JobSpec) (serve.Job, string, error)) (*Response, error) {
 	if req.Central {
 		return nil, fmt.Errorf("client: Central (the Section 3.1 solver) runs on the Local backend only")
 	}
@@ -316,24 +340,36 @@ func (r *Remote) Do(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	if spec.Dataset == "" {
-		name, cleanup, err := r.registerEphemeral(ctx, req, kind)
+		name := ephemeralName()
+		if kind == jobwire.KindPoint {
+			if len(req.Points) == 0 {
+				return nil, fmt.Errorf("client: %s %s request needs Dataset or Points", backend, req.Objective)
+			}
+			err = ds.RegisterDataset(ctx, name, req.Points)
+		} else {
+			if req.Ground == nil || len(req.Nodes) == 0 {
+				return nil, fmt.Errorf("client: %s %s request needs Dataset or Ground+Nodes", backend, req.Objective)
+			}
+			err = ds.RegisterUncertainDataset(ctx, name, req.Ground, req.Nodes)
+		}
 		if err != nil {
 			return nil, err
 		}
-		defer cleanup()
+		defer func() {
+			//dpc:vet-ok ctxflow cleanup must delete the ephemeral dataset even after the request ctx is cancelled
+			bg, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			ds.DeleteDataset(bg, name)
+		}()
 		spec.Dataset = name
 	}
-	job, err := r.Submit(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	done, err := r.Wait(ctx, job.ID)
+	done, replica, err := solve(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
 	res := done.Result
 	if res == nil {
-		return nil, fmt.Errorf("client: job %s is done but has no result", job.ID)
+		return nil, fmt.Errorf("client: job %s is done but has no result", done.ID)
 	}
 	centers := make([]Point, len(res.Centers))
 	for i, row := range res.Centers {
@@ -349,37 +385,10 @@ func (r *Remote) Do(ctx context.Context, req Request) (*Response, error) {
 		UpBytes:       res.UpBytes,
 		DownBytes:     res.DownBytes,
 		Tau:           res.Tau,
-		Backend:       "remote",
+		Backend:       backend,
 		JobID:         done.ID,
+		Replica:       replica,
 	}, nil
-}
-
-// registerEphemeral uploads the request's in-memory data as a
-// throwaway-named dataset; the returned cleanup deletes it best-effort.
-func (r *Remote) registerEphemeral(ctx context.Context, req Request, kind jobwire.Kind) (string, func(), error) {
-	name := ephemeralName()
-	var err error
-	if kind == jobwire.KindPoint {
-		if len(req.Points) == 0 {
-			return "", nil, fmt.Errorf("client: remote %s request needs Dataset or Points", req.Objective)
-		}
-		err = r.RegisterDataset(ctx, name, req.Points)
-	} else {
-		if req.Ground == nil || len(req.Nodes) == 0 {
-			return "", nil, fmt.Errorf("client: remote %s request needs Dataset or Ground+Nodes", req.Objective)
-		}
-		err = r.RegisterUncertainDataset(ctx, name, req.Ground, req.Nodes)
-	}
-	if err != nil {
-		return "", nil, err
-	}
-	cleanup := func() {
-		//dpc:vet-ok ctxflow cleanup must delete the ephemeral dataset even after the request ctx is cancelled
-		bg, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		r.DeleteDataset(bg, name)
-	}
-	return name, cleanup, nil
 }
 
 // ephemeralName generates a throwaway dataset name.

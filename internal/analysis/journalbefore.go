@@ -12,24 +12,24 @@ import (
 // it IS the journal-first pattern.
 var journalMethods = map[string]bool{
 	"journalAppend":   true,
-	"journalDataset":  true,
 	"journalFinish":   true,
 	"AppendJournaled": true,
 }
 
 // registryMutators are the Registry methods that change durable in-memory
 // state and therefore must not run before the matching journal record in a
-// function that writes one. Reads (Get/List/All/Count) are exempt, and
-// AppendJournaled is a journal event, not a bare mutation.
+// function that writes one. put registers a dataset from its journal
+// record, the path every API registration and replay takes. Reads
+// (Get/List/All/Count) are exempt, and AppendJournaled is a journal event,
+// not a bare mutation.
 var registryMutators = map[string]bool{
-	"Append":            true,
-	"Delete":            true,
-	"RegisterTable":     true,
-	"RegisterStream":    true,
-	"RegisterUncertain": true,
-	"RegisterRemote":    true,
-	"AddRemoteGroup":    true,
-	"register":          true,
+	"Append":         true,
+	"Delete":         true,
+	"put":            true,
+	"RegisterTable":  true,
+	"RegisterRemote": true,
+	"AddRemoteGroup": true,
+	"register":       true,
 }
 
 // JournalBefore freezes PR 7's durability fix as a rule: inside

@@ -9,6 +9,7 @@ type Registry struct{}
 func (r *Registry) Get(name string) error           { return nil }
 func (r *Registry) Delete(name string) error        { return nil }
 func (r *Registry) RegisterTable(name string) error { return nil }
+func (r *Registry) put(name string) error           { return nil }
 func (r *Registry) AppendJournaled(name string, hook func() error) error {
 	return hook()
 }
@@ -54,6 +55,31 @@ func (s *Server) readThenJournal(name string) error {
 		return err
 	}
 	return s.journalAppend(3, name)
+}
+
+// Registering from a journal record is a mutation like any other.
+func (s *Server) putThenJournal(name string) error {
+	if err := s.reg.put(name); err != nil { // want "registry mutation put precedes putThenJournal's first journal append"
+		return err
+	}
+	return s.journalAppend(1, name)
+}
+
+// The create handler's shape: register, then hand the journaling and the
+// rollback to a helper. The function that registers never journals, and
+// the helper journals before it rolls back.
+func (s *Server) createThenFinish(name string) error {
+	if err := s.reg.put(name); err != nil {
+		return err
+	}
+	return s.finishCreate(name)
+}
+
+func (s *Server) finishCreate(name string) error {
+	if err := s.journalAppend(1, name); err != nil {
+		return s.reg.Delete(name)
+	}
+	return nil
 }
 
 // Raw journal.Log appends count as journal events too.

@@ -1,6 +1,7 @@
 package dataio
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -81,4 +82,44 @@ func TestSplitNodesRoundRobin(t *testing.T) {
 	if got := SplitNodesRoundRobin(nodes[:1], 9); len(got) != 1 {
 		t.Fatal("empty tails should drop")
 	}
+}
+
+// FuzzReadNodesCSV feeds arbitrary bytes to the node loader behind CSV
+// uploads with ?kind=uncertain and dpc-site -uncertain: any input it
+// accepts must hold at least one node over a non-empty ground set of one
+// dimension (at least 1) with finite coordinates, and every node must pass
+// Validate against that ground set.
+//
+//	go test ./internal/dataio -run xxx -fuzz FuzzReadNodesCSV -fuzztime 60s
+func FuzzReadNodesCSV(f *testing.F) {
+	for _, seed := range []string{
+		"a,0.5,0,0\na,0.5,1,0\nb,1,10,10\n", "id,prob,x\na,2,1\na,6,2\n", "a,1,1,2\nb,1,3\n",
+		"a,0,1\n", "a,1e308,1\na,1e308,2\n", "a,1,NaN\n", "a,1e-320,1\r\n", "\"a\",1,-0\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		g, nodes, err := ReadNodesCSV(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		if len(nodes) == 0 || g.N() == 0 || len(g.Pts[0]) == 0 {
+			t.Fatalf("accepted %q as %d nodes over %d ground points", b, len(nodes), g.N())
+		}
+		for i, p := range g.Pts {
+			if len(p) != len(g.Pts[0]) {
+				t.Fatalf("accepted %q with ground point %d of dimension %d, want %d", b, i, len(p), len(g.Pts[0]))
+			}
+			for _, x := range p {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("accepted %q with ground point %d holding %g", b, i, x)
+				}
+			}
+		}
+		for j, nd := range nodes {
+			if err := nd.Validate(g); err != nil {
+				t.Fatalf("accepted %q with node %d failing Validate: %v", b, j, err)
+			}
+		}
+	})
 }

@@ -105,10 +105,8 @@ type Record struct {
 // Ref returns the record's durable address.
 func (r Record) Ref() RecordRef { return RecordRef{Seg: r.Seg, Off: r.Off} }
 
-// Log is the pluggable write-ahead log surface the serving layer journals
-// through. Implementations: DirLog (segmented, compactable — the
-// production store) and MemLog (in-memory, for tests and journal-less
-// embedding).
+// Log is the write-ahead log surface the serving layer journals through.
+// DirLog, the segmented and compactable store, implements it.
 type Log interface {
 	// Append durably adds one record and returns its durable address.
 	// Sequence numbers are assigned by the log, strictly increasing

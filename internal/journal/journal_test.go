@@ -227,20 +227,3 @@ func TestOversizedPayloadRejected(t *testing.T) {
 		t.Fatalf("oversized payload: err = %v, want ErrCorrupt", err)
 	}
 }
-
-func TestMemLog(t *testing.T) {
-	m := NewMemLog()
-	appendN(t, m, 3, 0)
-	if err := m.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Sealed() {
-		t.Error("seal not recorded")
-	}
-	if _, err := m.Append(1, nil); !errors.Is(err, ErrClosed) {
-		t.Errorf("append after seal: %v, want ErrClosed", err)
-	}
-	if got := m.Records(); len(got) != 3 || string(got[1].Payload) != "payload-001" {
-		t.Errorf("records = %v", got)
-	}
-}

@@ -293,12 +293,6 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// streamOpts is the solver option set stream datasets use; seed-threaded so
-// sketch compressions are deterministic per dataset.
-func streamOpts(seed int64) kmedian.Options {
-	return kmedian.Options{Seed: seed}
-}
-
 // run executes spec against the registry and returns the result. It is
 // called on a pool worker; everything it touches is either job-local or
 // concurrency-safe (shared caches, dataset snapshots). Cancelling ctx
@@ -317,70 +311,13 @@ func (r *Registry) run(ctx context.Context, spec JobSpec) (*JobResult, error) {
 			spec.Objective, d.kind, d.name)
 	}
 	t0 := time.Now()
-	var res *JobResult
-	switch d.kind {
-	case KindTable:
-		res, err = r.runTable(ctx, d, spec, job)
-	case KindStream:
-		res, err = r.runStream(ctx, d, spec)
-	case KindRemote:
-		res, err = r.runRemote(ctx, d, job)
-	case KindUncertain:
-		res, err = r.runUncertain(ctx, d, spec, job)
-	default:
-		err = fmt.Errorf("serve: dataset %q has unknown kind %q", d.name, d.kind)
-	}
+	res, err := d.data.run(ctx, r, d, spec, job)
 	if err != nil {
 		return nil, err
 	}
 	res.CacheHits, res.CacheMisses = d.stats.Snapshot()
 	res.DurationMS = float64(time.Since(t0).Microseconds()) / 1000
 	return res, nil
-}
-
-// shardKey is the cache-pool key of one shard of a table dataset at a
-// version and site count — the sharing granularity of warm triangles.
-func shardKey(name string, version, shards, i int) string {
-	return fmt.Sprintf("%ss%d/%d", shardVersionPrefix(name, version), shards, i)
-}
-
-// shardVersionPrefix is the common prefix of every shard key of one
-// dataset version, whatever the site count.
-func shardVersionPrefix(name string, version int) string {
-	return fmt.Sprintf("%s@v%d/", name, version)
-}
-
-// shardCaches returns the shared distance cache for every shard of a table
-// dataset at a given version and site count, building missing ones through
-// the pool. Shards metric.Memoizes declines (too large, or of a dimension
-// that recomputes faster than a memo reads) get nil: the site half builds
-// the same raw oracle a one-shot run does.
-func (r *Registry) shardCaches(d *Dataset, version int, shards [][]metric.Point) []*metric.DistCache {
-	caches := make([]*metric.DistCache, len(shards))
-	for i, shard := range shards {
-		sp := metric.NewPoints(shard)
-		if !metric.Memoizes(sp) {
-			continue
-		}
-		caches[i] = r.pool.Get(shardKey(d.name, version, len(shards), i), func() *metric.DistCache {
-			dc := metric.NewDistCache(sp)
-			dc.Counters = &d.stats
-			return dc
-		})
-	}
-	// The caller snapshotted version some time ago. If an append has
-	// replaced it since (or a delete removed the dataset), that reclaim may
-	// already have run, and what was just pooled would sit under dead keys
-	// until LRU pressure: drop it (the caller keeps its references). If
-	// the bump or removal lands after these reads instead, its own reclaim
-	// runs after it and covers us.
-	d.mu.RLock()
-	stale := d.version != version
-	d.mu.RUnlock()
-	if cur, err := r.Get(d.name); stale || err != nil || cur != d {
-		r.pool.InvalidatePrefix(shardVersionPrefix(d.name, version))
-	}
-	return caches
 }
 
 // jobResult maps a protocol result to the job API's payload. The cost is
@@ -404,130 +341,6 @@ func jobResult(job jobwire.Job, data jobwire.Data, res protocol.Result, wire tra
 		Transport:     string(wire),
 		Tau:           res.Tau,
 	}
-}
-
-// runTable executes the full distributed protocol over in-process loopback
-// shards — the same round-robin sharding and configuration as dpc-cluster,
-// plus shared shard caches drawn from the pool (which is why it stands its
-// fleet up itself instead of through Job.RunLocal).
-func (r *Registry) runTable(ctx context.Context, d *Dataset, spec JobSpec, job jobwire.Job) (*JobResult, error) {
-	// The loopback site handlers below solve outside RunOver's reach; hand
-	// them the job context directly so CancelJob and Shutdown preempt their
-	// solver inner loops, not just the round boundaries.
-	job.Core.LocalOpts.Ctx = ctx
-	view, version := d.snapshotTable()
-	// The same range check the in-process runs apply: a budget covering the
-	// whole dataset would "succeed" with zero centers.
-	if spec.T >= view.Len() {
-		return nil, fmt.Errorf("serve: t = %d out of range [0, %d) for dataset %q", spec.T, view.Len(), d.name)
-	}
-	data := jobwire.Data{Pts: view.Flatten()}
-	sites := spec.Sites
-	if sites <= 0 {
-		sites = DefaultJobSites
-	}
-	shards := data.Split(sites).Pts
-	// A pooled shard hands its site the shared cache; a shard
-	// metric.Memoizes declines gets a nil one and runs raw, exactly as a
-	// one-shot run does.
-	caches := r.shardCaches(d, version, shards)
-	handlers := make([]transport.Handler, len(shards))
-	for i := range shards {
-		h, err := job.SiteHandler(jobwire.SiteData{Site: i, Pts: shards[i], Cache: caches[i]})
-		if err != nil {
-			return nil, err
-		}
-		handlers[i] = h
-	}
-	tr, err := tree.NewLocal(ctx, transport.KindLoopback, handlers, true, spec.Topology)
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Close()
-	res, err := job.RunOver(ctx, tr, nil)
-	if err != nil {
-		return nil, err
-	}
-	return jobResult(job, data, res, transport.KindLoopback), nil
-}
-
-// runStream answers a (k, t) query on the dataset's sketch summary. The
-// sketch's objective is fixed at registration (its compressions already
-// folded the stream under that objective), so a query for the other one is
-// an error, not a silent wrong answer; per-job engine knobs (Engine, Seed,
-// Workers) are likewise registration-time properties of the sketch.
-//
-// Query only reads sketch state, so it takes the read lock: concurrent
-// queries, Info() and /metrics proceed; only appends (the single writer)
-// serialize against it. The query itself is one indivisible summary-sized
-// solve, so cancellation is honored at its boundary (a canceled job never
-// starts the solve) rather than inside it.
-func (r *Registry) runStream(ctx context.Context, d *Dataset, spec JobSpec) (*JobResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	switch spec.Objective {
-	case "", "median":
-		if d.streamMeans {
-			return nil, fmt.Errorf("serve: dataset %q sketches the means objective; this job asks for median", d.name)
-		}
-	case "means":
-		if !d.streamMeans {
-			return nil, fmt.Errorf("serve: dataset %q sketches the median objective; register with \"means\":true to answer means queries", d.name)
-		}
-	default:
-		return nil, fmt.Errorf("serve: stream datasets answer median/means queries, not %q", spec.Objective)
-	}
-	d.mu.RLock()
-	sres := d.sketch.Query(spec.K, spec.T)
-	d.mu.RUnlock()
-	return &JobResult{
-		Centers:       pointsToRows(sres.Centers),
-		OutlierBudget: float64(spec.T),
-		Cost:          sres.SummaryCost,
-		CostKind:      "summary",
-	}, nil
-}
-
-// runRemote fans the protocol out to the dataset's persistent dpc-site
-// connections: a job frame re-arms every site with this job's config, then
-// the standard coordinator drive runs over the live sockets. Jobs against
-// one remote dataset serialize (the transport round contract); jobs against
-// different datasets still run concurrently.
-func (r *Registry) runRemote(ctx context.Context, d *Dataset, job jobwire.Job) (*JobResult, error) {
-	d.jobMu.Lock()
-	defer d.jobMu.Unlock()
-	res, err := job.RunFleet(ctx, d.remote, nil)
-	if err != nil {
-		// A cancellation mid-protocol leaves the persistent connections
-		// desynchronized (site replies for this run are still in flight).
-		// Close them so later jobs fail loudly instead of decoding another
-		// job's frames.
-		if ctx.Err() != nil {
-			d.remote.Close()
-		}
-		return nil, err
-	}
-	return jobResult(job, jobwire.Data{}, res, transport.KindTCP), nil
-}
-
-// runUncertain executes the Section 5 protocols over loopback shards of an
-// uncertain dataset's nodes: Algorithm 3 for u-median/u-means/u-centerpp,
-// Algorithm 4 for u-centerg. The cost reported is the true global objective
-// over all registered nodes (the server holds the ground set, so unlike
-// remote datasets there is no reason to settle for the coordinator's
-// induced cost); u-centerg costs are seeded Monte Carlo estimates.
-func (r *Registry) runUncertain(ctx context.Context, d *Dataset, spec JobSpec, job jobwire.Job) (*JobResult, error) {
-	sites := spec.Sites
-	if sites <= 0 {
-		sites = DefaultJobSites
-	}
-	data := jobwire.Data{G: d.ground, Nodes: d.nodes}
-	res, err := job.RunLocal(ctx, data.Split(sites))
-	if err != nil {
-		return nil, err
-	}
-	return jobResult(job, data, res, transport.KindLoopback), nil
 }
 
 // pointsToRows converts points to JSON-friendly rows.

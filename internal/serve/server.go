@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -16,8 +16,6 @@ import (
 	"dpc/internal/journal"
 	"dpc/internal/metric"
 	"dpc/internal/par"
-	"dpc/internal/transport"
-	"dpc/internal/uncertain"
 )
 
 // Config tunes a Server.
@@ -369,21 +367,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // WarmupStats snapshots the background-warmup progress (metrics/tests).
 func (s *Server) WarmupStats() WarmupStats { return s.warm.snapshot() }
 
-// warmDataset schedules a background prefill of a table dataset's shard
-// caches on the job scheduler. Best effort by design: a full queue skips
-// the warmup (jobs always win the capacity race), and a drain or eviction
-// preempts it mid-fill.
-func (s *Server) warmDataset(name string) {
-	err := s.pool.Submit(func() {
-		s.warm.started.Add(1)
-		defer s.warm.done.Add(1)
-		s.reg.WarmTable(s.warmCtx, name, 0, &s.warm.cellsDone, &s.warm.cellsTotal)
-	})
-	if err != nil {
-		s.warm.skipped.Add(1)
-	}
-}
-
 // wantWarm reports whether a successful table registration should kick a
 // background warmup: the per-request ?warm=true opt-in, or the server-wide
 // WarmOnRegister default (which ?warm=false overrides).
@@ -579,71 +562,6 @@ type createDatasetRequest struct {
 	Seed  int64 `json:"seed,omitempty"`
 }
 
-// NodeWire is one uncertain node on the JSON API: probabilities paired
-// with either inline support Points (coordinates; the ground set becomes
-// their concatenation) or Support indices into the request's shared
-// Ground. Probabilities are normalized server-side like the CSV reader's,
-// except that already-normalized distributions pass through bit-identical.
-type NodeWire struct {
-	Points  [][]float64 `json:"points,omitempty"`
-	Support []int       `json:"support,omitempty"`
-	Probs   []float64   `json:"probs"`
-}
-
-// buildUncertain assembles a ground set and nodes from wire nodes. With
-// an explicit ground, nodes must reference it by Support index and the
-// set is preserved exactly; without one, each node's inline Points are
-// appended in order (the CSV reader's semantics).
-func buildUncertain(ground [][]float64, wire []NodeWire) (*uncertain.Ground, []uncertain.Node, error) {
-	g := &uncertain.Ground{Pts: rowsToPoints(ground)}
-	explicit := len(ground) > 0
-	nodes := make([]uncertain.Node, 0, len(wire))
-	for j, wn := range wire {
-		var nd uncertain.Node
-		switch {
-		case explicit:
-			if len(wn.Points) > 0 {
-				return nil, nil, fmt.Errorf("serve: node %d carries inline points, but the request has an explicit ground set (use support indices)", j)
-			}
-			if len(wn.Support) == 0 || len(wn.Support) != len(wn.Probs) {
-				return nil, nil, fmt.Errorf("serve: node %d has %d support indices and %d probabilities", j, len(wn.Support), len(wn.Probs))
-			}
-			nd.Support = append([]int(nil), wn.Support...)
-			nd.Prob = append([]float64(nil), wn.Probs...)
-		default:
-			if len(wn.Support) > 0 {
-				return nil, nil, fmt.Errorf("serve: node %d uses support indices, but the request has no ground set", j)
-			}
-			if len(wn.Points) == 0 || len(wn.Points) != len(wn.Probs) {
-				return nil, nil, fmt.Errorf("serve: node %d has %d support points and %d probabilities", j, len(wn.Points), len(wn.Probs))
-			}
-			for _, row := range wn.Points {
-				nd.Support = append(nd.Support, len(g.Pts))
-				g.Pts = append(g.Pts, metric.Point(row))
-			}
-			nd.Prob = append([]float64(nil), wn.Probs...)
-		}
-		var tot float64
-		for _, p := range nd.Prob {
-			if !(p > 0) || math.IsInf(p, 1) {
-				return nil, nil, fmt.Errorf("serve: node %d: probability %g out of range", j, p)
-			}
-			tot += p
-		}
-		// Normalize like the CSV reader — but only when actually needed:
-		// probabilities that already sum to 1 pass through bit-identical,
-		// so a client uploading normalized nodes gets byte-identical
-		// results to solving them locally.
-		if math.Abs(tot-1) > 1e-9 {
-			for i := range nd.Prob {
-				nd.Prob[i] /= tot
-			}
-		}
-		nodes = append(nodes, nd)
-	}
-	return g, nodes, nil
-}
-
 func rowsToPoints(rows [][]float64) []metric.Point {
 	pts := make([]metric.Point, len(rows))
 	for i, row := range rows {
@@ -665,80 +583,18 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	defer body.Close()
 
-	// wd accumulates the registration's canonical journal form alongside
-	// the registration itself; seed is a stream dataset's inline first
-	// append (its own record, like any later append).
-	var wd walDataset
-	var seed [][]float64
-
-	// CSV fast path: dataset lifecycle straight from a file upload.
-	// ?kind=uncertain parses the node CSV format instead.
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "text/csv") {
-		name := r.URL.Query().Get("name")
-		var (
-			d   *Dataset
-			err error
-		)
-		switch kind := r.URL.Query().Get("kind"); kind {
-		case "", string(KindTable):
-			var pts []metric.Point
-			if pts, err = dataio.ReadPointsCSV(body); err == nil {
-				wd.Points = walTablePoints(pts)
-				d, err = s.reg.RegisterTable(name, pts)
-			}
-		case string(KindUncertain):
-			var g *uncertain.Ground
-			var nodes []uncertain.Node
-			if g, nodes, err = dataio.ReadNodesCSV(body); err == nil {
-				wd.Ground, wd.Nodes = walUncertain(g, nodes)
-				d, err = s.reg.RegisterUncertain(name, g, nodes)
-			}
-		default:
-			err = fmt.Errorf("serve: CSV upload supports kind table or uncertain, not %q", kind)
-		}
-		if err != nil {
-			registerError(w, err)
-			return
-		}
-		s.finishCreateDataset(w, r, d, wd, nil)
+	wd, seed, err := datasetRecord(r, body)
+	if err != nil {
+		registerError(w, err)
 		return
 	}
-
-	var req createDatasetRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		apiError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("serve: bad dataset body: %w", err))
-		return
-	}
-	var (
-		d   *Dataset
-		err error
-	)
-	switch req.Kind {
-	case "", KindTable:
-		wd.Points = req.Points
-		d, err = s.reg.RegisterTable(req.Name, rowsToPoints(req.Points))
-	case KindStream:
-		wd.K, wd.T, wd.Chunk, wd.Means, wd.Seed = req.K, req.T, req.Chunk, req.Means, req.Seed
-		d, err = s.reg.RegisterStream(req.Name, req.K, req.T, req.Chunk, req.Means, req.Seed)
-		if err == nil && len(req.Points) > 0 {
-			seed = req.Points
-			if _, err = s.reg.Append(req.Name, rowsToPoints(req.Points)); err != nil {
-				// Roll the registration back: a failed inline seed must not
-				// leave an empty dataset squatting on the name.
-				s.reg.Delete(req.Name)
-			}
+	d, err := s.reg.put(wd)
+	if err == nil && len(seed) > 0 {
+		if _, err = s.reg.Append(wd.Name, rowsToPoints(seed)); err != nil {
+			// Roll the registration back: a failed inline seed must not
+			// leave an empty dataset squatting on the name.
+			s.reg.Delete(wd.Name)
 		}
-	case KindUncertain:
-		var g *uncertain.Ground
-		var nodes []uncertain.Node
-		if g, nodes, err = buildUncertain(req.Ground, req.Nodes); err == nil {
-			wd.Ground, wd.Nodes = walUncertain(g, nodes)
-			d, err = s.reg.RegisterUncertain(req.Name, g, nodes)
-		}
-	case KindRemote:
-		err = errors.New("serve: remote datasets are registered by the server process (see dpc-server -sites-listen), not over the API")
-	default:
-		err = fmt.Errorf("serve: unknown dataset kind %q", req.Kind)
 	}
 	if err != nil {
 		registerError(w, err)
@@ -747,24 +603,64 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	s.finishCreateDataset(w, r, d, wd, seed)
 }
 
+// datasetRecord parses a POST /v1/datasets body into the registration
+// record the journal will hold — carrying only the fields of its kind —
+// and, for a stream, the inline first append (journaled as its own
+// record, like any later append).
+func datasetRecord(r *http.Request, body io.Reader) (wd walDataset, seed [][]float64, err error) {
+	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "text/csv") {
+		name := r.URL.Query().Get("name")
+		switch kind := r.URL.Query().Get("kind"); kind {
+		case "", string(KindTable):
+			pts, err := dataio.ReadPointsCSV(body)
+			return walDataset{Name: name, Kind: KindTable, Points: pointsToRows(pts)}, nil, err
+		case string(KindUncertain):
+			g, nodes, err := dataio.ReadNodesCSV(body)
+			if err != nil {
+				return wd, nil, err
+			}
+			return uncertainRecord(name, g, nodes), nil, nil
+		default:
+			return wd, nil, fmt.Errorf("serve: CSV upload supports kind table or uncertain, not %q", kind)
+		}
+	}
+	var req createDatasetRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return wd, nil, fmt.Errorf("serve: bad dataset body: %w", err)
+	}
+	switch req.Kind {
+	case "", KindTable:
+		wd = walDataset{Kind: KindTable, Points: req.Points}
+	case KindStream:
+		wd = walDataset{Kind: KindStream, K: req.K, T: req.T, Chunk: req.Chunk, Means: req.Means, Seed: req.Seed}
+		seed = req.Points
+	case KindUncertain:
+		wd.Kind = KindUncertain
+		wd.Ground, wd.Nodes, err = buildUncertain(req.Ground, req.Nodes)
+	case KindRemote:
+		err = errors.New("serve: remote datasets are registered by the server process (see dpc-server -sites-listen), not over the API")
+	default:
+		err = fmt.Errorf("serve: unknown dataset kind %q", req.Kind)
+	}
+	wd.Name = req.Name
+	return wd, seed, err
+}
+
 // finishCreateDataset journals a successful registration (rolling it back
 // if the journal write fails — an unjournaled dataset would silently
 // vanish on restart, which is worse than a loud 500 now), then kicks the
 // optional warmup and answers 201.
 func (s *Server) finishCreateDataset(w http.ResponseWriter, r *http.Request, d *Dataset, wd walDataset, seed [][]float64) {
-	if err := s.journalDataset(d, wd); err != nil {
+	_, err := s.journalAppend(recDatasetPut, wd)
+	if err == nil && len(seed) > 0 {
+		_, err = s.journalAppend(recDatasetAppend, walAppend{Name: d.Name(), Points: seed})
+	}
+	if err != nil {
 		s.reg.Delete(d.Name())
 		apiError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
-	if len(seed) > 0 {
-		if _, err := s.journalAppend(recDatasetAppend, walAppend{Name: d.Name(), Points: seed}); err != nil {
-			s.reg.Delete(d.Name())
-			apiError(w, http.StatusInternalServerError, CodeInternal, err)
-			return
-		}
-	}
-	if d.Kind() == KindTable && s.wantWarm(r) {
+	if s.wantWarm(r) {
 		s.warmDataset(d.Name())
 	}
 	writeJSON(w, http.StatusCreated, d.Info())
@@ -1380,62 +1276,6 @@ func (s *Server) handleJobCentersCSV(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/csv")
 	dataio.WritePointsCSV(w, rowsToPoints(job.Result.Centers))
-}
-
-// RegisterRemote accepts `sites` persistent dpc-site connections on a TCP
-// listener bound to addr and registers them as a remote dataset. It blocks
-// until every site has joined (dpc-site retries dialing, so start order
-// does not matter). The welcome blob is the job-frame protocol marker
-// (transport.JobsHello) every dpc-site checks for.
-func (s *Server) RegisterRemote(name, addr string, sites int) (*Dataset, string, error) {
-	l, err := transport.Listen(addr, sites)
-	if err != nil {
-		return nil, "", err
-	}
-	defer l.Close()
-	d, err := s.RegisterRemoteListener(name, l, sites)
-	if err != nil {
-		return nil, "", err
-	}
-	return d, l.Addr().String(), nil
-}
-
-// RegisterRemoteListener is RegisterRemote over an already-bound listener
-// (tests bind to an ephemeral port first so the sites know where to dial
-// before the accept loop starts). The caller owns closing l.
-func (s *Server) RegisterRemoteListener(name string, l *transport.Listener, sites int) (*Dataset, error) {
-	coord, err := l.Accept(sites, []byte(transport.JobsHello))
-	if err != nil {
-		return nil, err
-	}
-	d, err := s.reg.RegisterRemote(name, coord)
-	if err != nil {
-		coord.Close()
-		return nil, err
-	}
-	return d, nil
-}
-
-// AddRemoteGroup accepts `sites` more persistent dpc-site connections on a
-// TCP listener bound to addr and attaches them to the named remote dataset
-// as an additional site group, so one dataset's jobs fan out over several
-// independent fleets (see Registry.AddRemoteGroup for the site-numbering
-// contract). Returns the bound listener address.
-func (s *Server) AddRemoteGroup(name, addr string, sites int) (string, error) {
-	l, err := transport.Listen(addr, sites)
-	if err != nil {
-		return "", err
-	}
-	defer l.Close()
-	coord, err := l.Accept(sites, []byte(transport.JobsHello))
-	if err != nil {
-		return "", err
-	}
-	if err := s.reg.AddRemoteGroup(name, coord); err != nil {
-		coord.Close()
-		return "", err
-	}
-	return l.Addr().String(), nil
 }
 
 // uptime reports seconds since start (metrics).

@@ -8,9 +8,6 @@ import (
 	"time"
 
 	"dpc/internal/journal"
-	"dpc/internal/metric"
-	"dpc/internal/stream"
-	"dpc/internal/uncertain"
 )
 
 // The serve layer's journal vocabulary. Every control-plane mutation the
@@ -35,28 +32,20 @@ const (
 	recSnapshot journal.Kind = 7
 )
 
-// walNode is one uncertain node in canonical journal form: support
-// indices into the dataset's journaled ground set plus (already
-// normalized) probabilities. Replaying through RegisterUncertain with
-// these exact slices reproduces the registered instance bit for bit.
-type walNode struct {
-	Support []int     `json:"support"`
-	Probs   []float64 `json:"probs"`
-}
-
 // walDataset is a dataset registration record: the union of the three
 // journalable kinds (table points, stream sketch shape, uncertain
-// ground + nodes). Inside a snapshot the same shape carries the full
-// current state instead of the registration-time one: table Points are
-// the whole grown table, and the stream fields below capture the
-// sketch's exact internal state so a restore skips re-ingesting (and
-// re-compressing) the absorbed appends.
+// ground + nodes), each kind filling only its own fields. Inside a
+// snapshot the same shape carries the full current state instead of the
+// registration-time one: table Points are the whole grown table, and the
+// stream fields below capture the sketch's exact internal state so a
+// restore skips re-ingesting (and re-compressing) the absorbed appends.
+// Registry.put builds a dataset from either form.
 type walDataset struct {
 	Name   string      `json:"name"`
 	Kind   DatasetKind `json:"kind"`
 	Points [][]float64 `json:"points,omitempty"`
 	Ground [][]float64 `json:"ground,omitempty"`
-	Nodes  []walNode   `json:"nodes,omitempty"`
+	Nodes  []NodeWire  `json:"nodes,omitempty"`
 	K      int         `json:"k,omitempty"`
 	T      int         `json:"t,omitempty"`
 	Chunk  int         `json:"chunk,omitempty"`
@@ -152,33 +141,6 @@ func (s *Server) journalAppend(kind journal.Kind, v any) (journal.RecordRef, err
 	return ref, nil
 }
 
-// journalDataset records a successful registration. The canonical forms
-// replay through the same Register* entry points, so a replayed registry
-// is bit-identical to the one that journaled: tables keep point order,
-// uncertain datasets keep their exact ground set and node probabilities
-// (already normalized by the original request path).
-func (s *Server) journalDataset(d *Dataset, wd walDataset) error {
-	wd.Name = d.Name()
-	wd.Kind = d.Kind()
-	_, err := s.journalAppend(recDatasetPut, wd)
-	return err
-}
-
-// walTablePoints converts registered points to journal rows.
-func walTablePoints(pts []metric.Point) [][]float64 {
-	return pointsToRows(pts)
-}
-
-// walUncertain converts a built uncertain instance to canonical journal
-// form.
-func walUncertain(g *uncertain.Ground, nodes []uncertain.Node) ([][]float64, []walNode) {
-	wn := make([]walNode, len(nodes))
-	for i, nd := range nodes {
-		wn[i] = walNode{Support: nd.Support, Probs: nd.Prob}
-	}
-	return pointsToRows(g.Pts), wn
-}
-
 // RecoveryStats summarizes one journal replay.
 type RecoveryStats struct {
 	// Records is how many journal records were applied: the snapshot (if
@@ -221,50 +183,6 @@ type walJob struct {
 	ref    journal.RecordRef // durable address of the finish record (or the snapshot carrying it)
 }
 
-// restoreDataset re-registers one journaled dataset. For a snapshot's
-// walDataset the stream sketch state is restored exactly (summary,
-// weights, compression and ingest counters), so the replayed sketch
-// answers every future Add/Query bit-identically to the one that
-// checkpointed; registration records leave those fields empty and
-// restore the empty sketch the original registration created.
-func (s *Server) restoreDataset(wd walDataset) error {
-	switch wd.Kind {
-	case KindTable:
-		_, err := s.reg.RegisterTable(wd.Name, rowsToPoints(wd.Points))
-		return err
-	case KindStream:
-		d, err := s.reg.RegisterStream(wd.Name, wd.K, wd.T, wd.Chunk, wd.Means, wd.Seed)
-		if err != nil {
-			return err
-		}
-		if wd.Ingested > 0 || len(wd.Summary) > 0 {
-			d.mu.Lock()
-			err = d.sketch.LoadState(stream.State{
-				Points: rowsToPoints(wd.Summary), Weights: wd.Weights, Dim: wd.Dim,
-				Compressions: wd.Compressions, N: wd.Ingested,
-			})
-			d.dim = wd.Dim
-			d.mu.Unlock()
-		}
-		if err != nil {
-			// A dataset that cannot be restored is not served as an
-			// empty one: drop it, as a failed table registration would.
-			s.reg.Delete(wd.Name)
-		}
-		return err
-	case KindUncertain:
-		g := &uncertain.Ground{Pts: rowsToPoints(wd.Ground)}
-		nodes := make([]uncertain.Node, len(wd.Nodes))
-		for i, wn := range wd.Nodes {
-			nodes[i] = uncertain.Node{Support: wn.Support, Prob: wn.Probs}
-		}
-		_, err := s.reg.RegisterUncertain(wd.Name, g, nodes)
-		return err
-	default:
-		return fmt.Errorf("unreplayable kind %q", wd.Kind)
-	}
-}
-
 // applyWAL replays journal records into the registry and job store. It
 // runs before the server is ready (no API traffic, no journaling of the
 // mutations it applies — they are already in the log). When the records
@@ -300,7 +218,7 @@ func (s *Server) applyWAL(records []journal.Record) RecoveryStats {
 		stats.SnapshotSegment = records[i].Seg
 		snapSeq = snap.Seq
 		for _, wd := range snap.Datasets {
-			if err := s.restoreDataset(wd); err != nil {
+			if _, err := s.reg.put(wd); err != nil {
 				oops("snapshot dataset %q: %v", wd.Name, err)
 			}
 		}
@@ -336,7 +254,7 @@ func (s *Server) applyWAL(records []journal.Record) RecoveryStats {
 				oops("dataset record seq %d: %v", rec.Seq, err)
 				continue
 			}
-			if err := s.restoreDataset(wd); err != nil {
+			if _, err := s.reg.put(wd); err != nil {
 				oops("dataset %q: %v", wd.Name, err)
 			}
 		case recDatasetAppend:
@@ -408,14 +326,8 @@ func (s *Server) applyWAL(records []journal.Record) RecoveryStats {
 			s.seq = n
 		}
 		if wj.finish != nil {
-			wf := wj.finish
-			fin := wf.Finished
-			s.jobs[id] = &Job{
-				ID: id, Spec: wf.Spec, Status: wf.Status,
-				Error: wf.Error, ErrorCode: wf.ErrorCode, Result: wf.Result,
-				Submitted: wf.Submitted, Started: wf.Started, Finished: &fin,
-				Replayed: true,
-			}
+			job := wj.finish.job()
+			s.jobs[id] = &job
 			if wj.ref.Seg > 0 {
 				s.finishIdx[id] = wj.ref
 			}
@@ -438,9 +350,7 @@ func (s *Server) applyWAL(records []journal.Record) RecoveryStats {
 		// Behind the resumed jobs, and as best-effort as a registration's
 		// warmup: a full queue skips it, a drain preempts it.
 		for _, d := range s.reg.All() {
-			if d.kind == KindTable {
-				s.warmDataset(d.name)
-			}
+			s.warmDataset(d.name)
 		}
 	}
 	stats.Datasets = s.reg.Count()
@@ -506,15 +416,20 @@ func (s *Server) jobFromJournal(id string) (Job, bool) {
 		if found == nil {
 			return Job{}, false
 		}
-		fin := found.Finished
-		return Job{
-			ID: found.ID, Spec: found.Spec, Status: found.Status,
-			Error: found.Error, ErrorCode: found.ErrorCode, Result: found.Result,
-			Submitted: found.Submitted, Started: found.Started, Finished: &fin,
-			Replayed: true,
-		}, true
+		return found.job(), true
 	}
 	return Job{}, false
+}
+
+// job is the replayed job a finish record describes.
+func (wf *walFinish) job() Job {
+	fin := wf.Finished
+	return Job{
+		ID: wf.ID, Spec: wf.Spec, Status: wf.Status,
+		Error: wf.Error, ErrorCode: wf.ErrorCode, Result: wf.Result,
+		Submitted: wf.Submitted, Started: wf.Started, Finished: &fin,
+		Replayed: true,
+	}
 }
 
 // jobToWalFinish converts a terminal job snapshot to its journal form.
@@ -536,31 +451,9 @@ func jobToWalFinish(j *Job) walFinish {
 func (s *Server) buildSnapshot() walSnapshot {
 	var snap walSnapshot
 	for _, d := range s.reg.All() {
-		wd := walDataset{Name: d.name, Kind: d.kind}
-		switch d.kind {
-		case KindTable:
-			view, _ := d.snapshotTable()
-			d.mu.RLock()
-			wd.Dim = d.dim
-			d.mu.RUnlock()
-			wd.Points = pointsToRows(view.Flatten())
-		case KindStream:
-			d.mu.RLock()
-			cfg := d.sketch.Config()
-			st := d.sketch.State()
-			wd.K, wd.T, wd.Chunk, wd.Means, wd.Seed = cfg.K, cfg.T, cfg.Chunk, d.streamMeans, cfg.Opts.Seed
-			wd.Summary = pointsToRows(st.Points)
-			wd.Weights = st.Weights
-			wd.Compressions = st.Compressions
-			wd.Ingested = st.N
-			wd.Dim = d.dim
-			d.mu.RUnlock()
-		case KindUncertain:
-			wd.Ground, wd.Nodes = walUncertain(d.ground, d.nodes)
-		default:
-			continue
+		if wd, ok := d.record(); ok {
+			snap.Datasets = append(snap.Datasets, wd)
 		}
-		snap.Datasets = append(snap.Datasets, wd)
 	}
 	s.mu.Lock()
 	for _, id := range s.order {

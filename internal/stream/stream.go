@@ -54,15 +54,21 @@ type Sketch struct {
 	n            int // points consumed
 }
 
-// New creates a sketch. K must be positive.
+// New creates a sketch. K must be positive, and 4(2K+T), the default
+// chunk, must fit in an int: past that the chunk arithmetic wraps, and a
+// sketch with a wrapped chunk would keep every point and solve on every
+// Add.
 func New(cfg Config) (*Sketch, error) {
-	cfg = cfg.withDefaults()
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("stream: K = %d", cfg.K)
 	}
 	if cfg.T < 0 {
 		return nil, fmt.Errorf("stream: T = %d", cfg.T)
 	}
+	if cfg.K > math.MaxInt/8 || cfg.T > math.MaxInt/4-2*cfg.K {
+		return nil, fmt.Errorf("stream: K = %d, T = %d: 4(2k+t) overflows", cfg.K, cfg.T)
+	}
+	cfg = cfg.withDefaults()
 	if cfg.Chunk < 2*(2*cfg.K+cfg.T) {
 		return nil, fmt.Errorf("stream: chunk %d too small for 2k+t = %d", cfg.Chunk, 2*cfg.K+cfg.T)
 	}

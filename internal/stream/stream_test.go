@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"math"
+	"math/bits"
 	"testing"
 
 	"dpc/internal/core"
@@ -20,6 +22,40 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{K: 2, T: 4}); err != nil {
 		t.Errorf("defaults rejected: %v", err)
+	}
+}
+
+// TestNewRejectsOverflowingShape: a K or T whose default chunk 4(2K+T)
+// wraps an int used to pass validation with a wrapped chunk, so the
+// sketch kept every point and ran a full solve on every Add. Such shapes
+// are errors, with or without an explicit chunk; the largest shape that
+// fits still builds.
+func TestNewRejectsOverflowingShape(t *testing.T) {
+	// 1<<61 and 1<<62 on 64-bit ints; the same place below MaxInt on 32-bit.
+	const k61, t62 = 1 << (bits.UintSize - 3), 1 << (bits.UintSize - 2)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"K = 1<<61", Config{K: k61}, false},
+		{"T = 1<<62", Config{K: 1, T: t62}, false},
+		{"K = MaxInt", Config{K: math.MaxInt}, false},
+		{"T = MaxInt", Config{K: 1, T: math.MaxInt}, false},
+		{"K = 1<<61 with a chunk", Config{K: k61, Chunk: math.MaxInt}, false},
+		{"largest K", Config{K: math.MaxInt / 8}, true},
+		{"largest T", Config{K: 1, T: math.MaxInt/4 - 2}, true},
+	} {
+		s, err := New(c.cfg)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok = %v", c.name, err, c.ok)
+			continue
+		}
+		if c.ok {
+			if ch := s.Config().Chunk; ch < 2*(2*c.cfg.K+c.cfg.T) {
+				t.Errorf("%s: chunk %d below 2(2k+t)", c.name, ch)
+			}
+		}
 	}
 }
 
