@@ -7,8 +7,8 @@ import (
 )
 
 // GoroutineBound keeps internal/serve's concurrency bounded: the server's
-// whole admission-control story (queue caps, the worker pool, per-client
-// quotas) is void if a handler can spawn goroutines proportional to
+// whole admission-control story (queue caps, the scheduler's slots,
+// per-client quotas) is void if a handler can spawn goroutines proportional to
 // request volume or input size. The analyzer flags a `go` statement that
 // sits inside a loop, or anywhere in a request handler (a function taking
 // net/http's ResponseWriter/*Request), unless a semaphore acquire — a
@@ -21,7 +21,7 @@ import (
 // needs //dpc:vet-ok goroutinebound <reason>.
 var GoroutineBound = &Analyzer{
 	Name:  "goroutinebound",
-	Doc:   "in internal/serve, go statements inside loops or request handlers must be bounded by a semaphore acquire (or the worker pool)",
+	Doc:   "in internal/serve, go statements inside loops or request handlers must be bounded by a semaphore acquire (or the scheduler's slots)",
 	Scope: []string{"serve"},
 	Run:   runGoroutineBound,
 }
@@ -109,11 +109,11 @@ func checkGoStmts(pass *Pass, fnName string, body *ast.BlockStmt, handler bool) 
 		if g, ok := n.(*ast.GoStmt); ok {
 			if loop := innermostLoop(stack); loop != nil {
 				if !boundedBefore(loopBody(loop), g.Pos()) {
-					pass.Reportf(g.Pos(), "go statement inside a loop in %s spawns unbounded goroutines; acquire a semaphore slot first or dispatch on the worker pool", fnName)
+					pass.Reportf(g.Pos(), "go statement inside a loop in %s spawns unbounded goroutines; acquire a semaphore slot first or dispatch through the scheduler", fnName)
 				}
 			} else if handler {
 				if !boundedBefore(body, g.Pos()) {
-					pass.Reportf(g.Pos(), "go statement in request handler %s spawns one goroutine per request; acquire a semaphore slot first or dispatch on the worker pool", fnName)
+					pass.Reportf(g.Pos(), "go statement in request handler %s spawns one goroutine per request; acquire a semaphore slot first or dispatch through the scheduler", fnName)
 				}
 			}
 		}

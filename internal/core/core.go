@@ -245,7 +245,7 @@ func RunOverCtx(ctx context.Context, tr transport.Transport, cfg Config) (Result
 	if err := validate(cfg); err != nil {
 		return Result{}, err
 	}
-	res, err := protocol.Run(ctx, tr, cfg.params(), &reducer{cfg: cfg})
+	res, err := protocol.Run(ctx, tr, cfg.params(), newReducer(cfg))
 	if err != nil {
 		return Result{}, err
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"dpc/internal/comm"
 	"dpc/internal/kcenter"
@@ -84,9 +82,13 @@ type reducer struct {
 	cfg Config
 	pts []metric.Point
 	wts []float64
-	// lo and hi bound the union's coordinates; total is its weight.
-	lo, hi []float64
-	total  float64
+	// union rejects what no honest site ships (protocol.Union.Admit).
+	union protocol.Union
+}
+
+// newReducer is the coordinator half for cfg.
+func newReducer(cfg Config) *reducer {
+	return &reducer{cfg: cfg, union: protocol.Union{Squared: cfg.Objective == Means}}
 }
 
 // Add implements protocol.Reducer. Median/means sites ship their outliers
@@ -114,52 +116,9 @@ func (r *reducer) Add(b []byte) error {
 	for range outs.Pts {
 		w = append(w, 1)
 	}
-	return r.admit(pts, w)
-}
-
-// admit joins one site's shipped points and weights to the union after
-// rejecting what no honest site sends: a point with no coordinates or
-// another dimension than the union's, a coordinate that is not finite, a
-// weight that is NaN, infinite or negative, and a union whose cost bound —
-// total weight times the bounding box's diagonal (squared, for means) —
-// overflows, so that no solve meets an infinite distance or cost sum.
-// Unchecked, a 3-D site among 2-D ones panics the coordinator inside
-// metric.SqL2, and a bad weight yields no centers at cost +Inf or 0.
-func (r *reducer) admit(pts []metric.Point, w []float64) error {
-	lo, hi, total := slices.Clone(r.lo), slices.Clone(r.hi), r.total
-	for i, p := range pts {
-		if len(p) == 0 {
-			return fmt.Errorf("point %d has no coordinates", i)
-		}
-		if lo == nil {
-			lo, hi = slices.Clone(p), slices.Clone(p)
-		}
-		if len(p) != len(lo) {
-			return fmt.Errorf("point %d has dimension %d, want %d", i, len(p), len(lo))
-		}
-		for d, x := range p {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("point %d has coordinate %g", i, x)
-			}
-			lo[d], hi[d] = min(lo[d], x), max(hi[d], x)
-		}
-		if !(w[i] >= 0) || math.IsInf(w[i], 1) {
-			return fmt.Errorf("point %d has weight %g", i, w[i])
-		}
-		total += w[i]
+	if err := r.union.Admit(pts, w, nil); err != nil {
+		return err
 	}
-	var diag2 float64
-	for d := range lo {
-		diag2 += (hi[d] - lo[d]) * (hi[d] - lo[d])
-	}
-	bound := total * math.Sqrt(diag2)
-	if r.cfg.Objective == Means {
-		bound = total * diag2
-	}
-	if !(bound <= math.MaxFloat64) {
-		return fmt.Errorf("total weight %g over a bounding box of squared diagonal %g: the cost overflows", total, diag2)
-	}
-	r.lo, r.hi, r.total = lo, hi, total
 	r.pts = append(r.pts, pts...)
 	r.wts = append(r.wts, w...)
 	return nil

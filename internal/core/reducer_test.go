@@ -119,7 +119,7 @@ func FuzzCoreReducerAdd(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, obj := range []Objective{Median, Means, Center} {
 			for _, v := range []Variant{TwoRound, TwoRoundNoOutliers, OneRound} {
-				r := &reducer{cfg: Config{K: 2, T: 1, Objective: obj, Variant: v}.withDefaults()}
+				r := newReducer(Config{K: 2, T: 1, Objective: obj, Variant: v}.withDefaults())
 				if r.Add(b) != nil {
 					continue
 				}

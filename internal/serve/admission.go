@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -127,51 +126,6 @@ func (q *quotas) take(client string, now time.Time) bool {
 	}
 	b.tokens--
 	return true
-}
-
-// queueEntry is one queued job in the priority heap.
-type queueEntry struct {
-	id   string
-	rank int // priority class rank, higher dequeues first
-	seq  int // submission order, lower first within a class
-}
-
-// jobQueue is the scheduler's dispatch order: a priority heap the pool
-// workers pop from. The pool still bounds concurrency and total queue
-// depth (one pool task per heap entry); the heap only decides which
-// queued job the next free worker runs.
-type jobQueue []queueEntry
-
-func (q jobQueue) Len() int { return len(q) }
-func (q jobQueue) Less(i, j int) bool {
-	if q[i].rank != q[j].rank {
-		return q[i].rank > q[j].rank
-	}
-	return q[i].seq < q[j].seq
-}
-func (q jobQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *jobQueue) Push(x any)        { *q = append(*q, x.(queueEntry)) }
-func (q *jobQueue) Pop() any          { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-func (q *jobQueue) push(e queueEntry) { heap.Push(q, e) }
-
-// pop removes and returns the highest-priority entry, or false when
-// empty.
-func (q *jobQueue) pop() (queueEntry, bool) {
-	if q.Len() == 0 {
-		return queueEntry{}, false
-	}
-	return heap.Pop(q).(queueEntry), true
-}
-
-// remove deletes the entry for id (the rollback when the pool rejects the
-// task that was meant to run it).
-func (q *jobQueue) remove(id string) {
-	for i, e := range *q {
-		if e.id == id {
-			heap.Remove(q, i)
-			return
-		}
-	}
 }
 
 // queueDeadline returns the moment a queued job expires: the tighter of

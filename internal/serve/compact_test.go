@@ -264,6 +264,59 @@ func (failLog) Append(journal.Kind, []byte) (journal.RecordRef, error) {
 	return journal.RecordRef{}, errors.New("injected journal failure")
 }
 
+// holdLog wraps a real journal and holds every job-finish append until
+// release is closed, signalling held as each one arrives.
+type holdLog struct {
+	journal.Log
+	held, release chan struct{}
+}
+
+func (l holdLog) Append(kind journal.Kind, payload []byte) (journal.RecordRef, error) {
+	if kind == recJobFinish {
+		l.held <- struct{}{}
+		<-l.release
+	}
+	return l.Log.Append(kind, payload)
+}
+
+// TestJobFinishJournaledBeforeVisible: a job shows as done only once its
+// finish record is in the journal. While the append is held the job still
+// reads as running, so a crash at that moment cannot rerun a job a client
+// already saw finish.
+func TestJobFinishJournaledBeforeVisible(t *testing.T) {
+	s := New(Config{JournalDir: t.TempDir()})
+	defer s.Close()
+	if _, err := s.Registry().RegisterTable("d", rowsToPoints(testPoints(60, 2, 8))); err != nil {
+		t.Fatal(err)
+	}
+	hl := holdLog{held: make(chan struct{}), release: make(chan struct{})}
+	s.mu.Lock()
+	hl.Log = s.jnl
+	s.jnl = hl
+	s.mu.Unlock()
+
+	j, err := s.Submit(JobSpec{Dataset: "d", K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-hl.held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job never journaled its finish")
+	}
+	got, err := s.GetJob(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(hl.release)
+	if got.Status != StatusRunning {
+		t.Fatalf("job reads %s before its finish record is journaled, want %s", got.Status, StatusRunning)
+	}
+	if done := waitServerJob(t, s, j.ID); done.Status != StatusDone {
+		t.Fatalf("job after the append: %+v", done)
+	}
+}
+
 // TestAppendJournalFailureLeavesMemoryClean pins the append handler's
 // journal-before-apply order: when the journal write fails, the request
 // fails 500 AND the points never become visible — before this ordering, a

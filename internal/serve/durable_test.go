@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"reflect"
@@ -102,6 +103,45 @@ func TestJournalResumesQueuedJobs(t *testing.T) {
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "tbl", K: 2, T: 0}, http.StatusAccepted, &next)
 	if next.ID <= "job-000007" {
 		t.Fatalf("id %s did not advance past the resumed job", next.ID)
+	}
+}
+
+// TestJournalResumesEveryQueuedJob: replay requeues every journaled job,
+// however small the restarted server's QueueDepth — they were all accepted
+// once. Six unfinished submissions replayed into QueueDepth 1 and one slot
+// must all run to completion.
+func TestJournalResumesEveryQueuedJob(t *testing.T) {
+	const jobs = 6
+	dir := t.TempDir()
+	jl, _, err := journal.OpenDir(dir, journal.DirOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, _ := json.Marshal(walDataset{Name: "tbl", Kind: KindTable, Points: testPoints(120, 3, 5)})
+	if _, err := jl.Append(recDatasetPut, put); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 1; i <= jobs; i++ {
+		ws := walSubmit{ID: fmt.Sprintf("job-%06d", i), Spec: JobSpec{Dataset: "tbl", K: 3, T: 2, Seed: int64(i)}, Submitted: time.Now()}
+		sub, _ := json.Marshal(ws)
+		if _, err := jl.Append(recJobSubmit, sub); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, ws.ID)
+	}
+	if err := jl.Close(); err != nil { // crash: no finish records, no seal
+		t.Fatal(err)
+	}
+
+	a, s := newAPI(t, Config{JournalDir: dir, QueueDepth: 1, MaxConcurrentJobs: 1})
+	if rec := s.Recovery(); rec.JobsResumed != jobs {
+		t.Fatalf("recovery stats: %+v", rec)
+	}
+	for _, id := range ids {
+		if j := waitJob(t, a, id); j.Status != StatusDone {
+			t.Fatalf("resumed job %s: %+v", id, j)
+		}
 	}
 }
 
@@ -206,19 +246,10 @@ func TestPriorityClassesOrderDequeue(t *testing.T) {
 	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "small", Points: testPoints(60, 2, 12)},
 		http.StatusCreated, nil)
 
-	// Pin the single worker deterministically (in-package tests may talk
-	// to the pool directly).
-	block := make(chan struct{})
-	if err := s.pool.Submit(func() { <-block }); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		select {
-		case <-block:
-		default:
-			close(block)
-		}
-	}()
+	// Pin the single worker deterministically (in-package tests may hold
+	// a scheduler slot directly).
+	unpin := pinSlot(t, s)
+	defer unpin()
 
 	// Queue low, then normal, then high while the worker is busy.
 	ids := map[string]string{}
@@ -227,7 +258,7 @@ func TestPriorityClassesOrderDequeue(t *testing.T) {
 		a.do("POST", "/v1/jobs", JobSpec{Dataset: "small", K: 2, T: 0, Priority: prio}, http.StatusAccepted, &j)
 		ids[prio] = j.ID
 	}
-	close(block)
+	unpin()
 	var started = map[string]time.Time{}
 	for prio, id := range ids {
 		j := waitJob(t, a, id)
@@ -249,15 +280,12 @@ func TestQueueDeadlineExpires(t *testing.T) {
 	a, s := newAPI(t, Config{MaxConcurrentJobs: 1})
 	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "small", Points: testPoints(60, 2, 22)},
 		http.StatusCreated, nil)
-	block := make(chan struct{})
-	if err := s.pool.Submit(func() { <-block }); err != nil {
-		t.Fatal(err)
-	}
+	unpin := pinSlot(t, s)
 
 	var j Job
 	a.do("POST", "/v1/jobs", JobSpec{Dataset: "small", K: 2, T: 0, QueueTimeoutMS: 1}, http.StatusAccepted, &j)
 	time.Sleep(10 * time.Millisecond) // let the 1ms deadline lapse while queued
-	close(block)
+	unpin()
 	done := waitJob(t, a, j.ID)
 	if done.Status != StatusFailed || done.ErrorCode != CodeQueueDeadline {
 		t.Fatalf("expired job: status %s, code %q, want failed/%s", done.Status, done.ErrorCode, CodeQueueDeadline)

@@ -20,11 +20,15 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// MaxConcurrentJobs bounds how many jobs solve at once (the rest wait
-	// queued, FIFO). 0 means one per CPU.
+	// MaxConcurrentJobs bounds how many jobs (and background warmups)
+	// run at once; the rest wait queued, by priority class and FIFO within
+	// one. 0 means one per CPU.
 	MaxConcurrentJobs int
-	// QueueDepth bounds the waiting queue; a full queue rejects new jobs
-	// with HTTP 503 (backpressure). 0 means 256.
+	// QueueDepth bounds how many submitted jobs may wait; a submission
+	// past it is rejected with HTTP 503 "queue_full" (backpressure). It
+	// counts waiting jobs only: not running ones, not warmups, and not jobs
+	// replayed from the journal, which were accepted once already. 0 means
+	// 256.
 	QueueDepth int
 	// MaxCacheBytes bounds the shared distance-cache pool (LRU eviction).
 	// 0 means 256 MiB.
@@ -100,17 +104,21 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the long-running clustering service: dataset registry, job
-// store, bounded scheduler and HTTP API. Create with New, mount Handler on
+// store, scheduler and HTTP API. Create with New, mount Handler on
 // any http server, Shutdown (or Close) to drain.
 type Server struct {
 	cfg   Config
 	reg   *Registry
-	pool  *par.Pool
 	mux   *http.ServeMux
 	start time.Time
 
+	// slots holds one token per running task (capacity MaxConcurrentJobs);
+	// tasks counts the running tasks, so a drain can wait for them.
+	slots chan struct{}
+	tasks sync.WaitGroup
+
 	// warm is the background-warmup accounting; warmCtx parents every
-	// warmup task so a drain preempts them before the pool closes.
+	// warmup task so a drain preempts them.
 	warm       warmupState
 	warmCtx    context.Context
 	warmCancel context.CancelFunc
@@ -122,6 +130,7 @@ type Server struct {
 	draining bool
 	queue    jobQueue // queued jobs in dispatch (priority) order
 	qseq     int      // FIFO tiebreaker within a priority class
+	warmq    []string // datasets waiting for a warmup, behind every queued job
 	quotas   *quotas  // per-client admission buckets (guarded by mu)
 
 	// jnl is the write-ahead journal (nil when journaling is off);
@@ -168,7 +177,7 @@ func NewChecked(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		reg:       NewRegistry(cfg.MaxCacheBytes),
-		pool:      par.NewPool(cfg.MaxConcurrentJobs, cfg.QueueDepth),
+		slots:     make(chan struct{}, par.Resolve(cfg.MaxConcurrentJobs)),
 		jobs:      make(map[string]*Job),
 		finishIdx: make(map[string]journal.RecordRef),
 		quotas:    newQuotas(cfg.QuotaBurst, cfg.QuotaPerSec),
@@ -284,8 +293,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Readiness drops first so balancers stop routing here before the
 	// drain starts rejecting.
 	s.ready.Store(false)
-	// Preempt background warmups first: they run on the same pool the
-	// drain below waits for.
+	// Preempt background warmups first: they hold slots the drain below
+	// waits for.
 	s.warmCancel()
 	// Whatever else happens, the journal is sealed exactly once — after
 	// the drain, so finishing jobs get their terminal records in before
@@ -294,36 +303,31 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	alreadyDraining := s.draining
 	s.draining = true
-	var failed []*Job
+	var failed []Job
 	if !alreadyDraining {
-		now := time.Now()
 		for _, id := range s.order {
-			j := s.jobs[id]
-			if j.Status == StatusQueued {
-				j.Status = StatusFailed
-				j.Error = "serve: server shutting down before the job started"
-				j.ErrorCode = CodeShuttingDown
-				fin := now
-				j.Finished = &fin
-				s.counters.jobsFailed.Add(1)
-				failed = append(failed, j)
+			if j := s.jobs[id]; j.Status == StatusQueued {
+				s.endLocked(j, StatusFailed, CodeShuttingDown,
+					errors.New("serve: server shutting down before the job started"), &s.counters.jobsFailed)
+				failed = append(failed, *j)
 			}
 		}
-		s.queue = nil // their heap entries are dead; drop them wholesale
+		s.queue = nil
+		s.warm.skipped.Add(int64(len(s.warmq)))
+		s.warmq = nil
 	}
 	s.mu.Unlock()
 	// Journal the drain-failures: the sealed log must replay to the state
 	// clients observed, not resurrect jobs they were told failed.
-	for _, j := range failed {
-		s.journalFinish(j)
+	for i := range failed {
+		s.journalFinish(&failed[i])
 	}
 
-	// The queued pool tasks for the jobs failed above drain instantly
-	// (execute refuses jobs that are no longer queued), so pool.Close
-	// blocks only on genuinely running solves.
+	// Nothing is dispatched once draining is set, so the wait covers only
+	// the tasks already running.
 	drained := make(chan struct{})
 	go func() {
-		s.pool.Close()
+		s.tasks.Wait()
 		close(drained)
 	}()
 	select {
@@ -378,41 +382,6 @@ func (s *Server) wantWarm(r *http.Request) bool {
 		return false
 	}
 	return s.cfg.WarmOnRegister
-}
-
-// CancelJob cancels one job: a queued job fails immediately without
-// running, a running job's context is cancelled so its solve aborts at the
-// next protocol round. Finished jobs are left untouched (no error — cancel
-// is idempotent against races with completion).
-func (s *Server) CancelJob(id string) (Job, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return Job{}, fmt.Errorf("serve: no job %q", id)
-	}
-	var finished bool
-	switch j.Status {
-	case StatusQueued:
-		j.Status = StatusCanceled
-		j.Error = "serve: canceled before the job started"
-		now := time.Now()
-		j.Finished = &now
-		s.counters.jobsCanceled.Add(1)
-		finished = true
-	case StatusRunning:
-		if j.cancel != nil {
-			j.cancel()
-		}
-	}
-	view := *j
-	s.mu.Unlock()
-	if finished {
-		// Terminal without passing through execute: journal it here so a
-		// replay does not resurrect a job the client canceled.
-		s.journalFinish(&view)
-	}
-	return view, nil
 }
 
 // routes wires the API surface.
@@ -765,8 +734,8 @@ func (s *Server) handleAppendPoints(w http.ResponseWriter, r *http.Request) {
 // Submit enqueues a job (the library entry point behind POST /v1/jobs).
 // It validates the spec up front — bad specs and unknown datasets fail
 // synchronously, a not-ready server returns ErrNotReady, an exhausted
-// client quota ErrQuotaExceeded, a full queue par.ErrPoolFull — and
-// returns the queued job's view.
+// client quota ErrQuotaExceeded, a full queue ErrQueueFull, a draining
+// server ErrShuttingDown — and returns the queued job's view.
 func (s *Server) Submit(spec JobSpec) (Job, error) {
 	if !s.ready.Load() {
 		return Job{}, ErrNotReady
@@ -782,7 +751,7 @@ func (s *Server) Submit(spec JobSpec) (Job, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return Job{}, par.ErrPoolClosed
+		return Job{}, ErrShuttingDown
 	}
 	if !s.quotas.take(spec.Client, now) {
 		s.counters.jobsQuotaRejected.Add(1)
@@ -807,176 +776,32 @@ func (s *Server) Submit(spec JobSpec) (Job, error) {
 	// this one, and the log should read submit → start → finish.
 	if _, err := s.journalAppend(recJobSubmit, walSubmit{ID: job.ID, Spec: spec, Submitted: now}); err != nil {
 		s.mu.Lock()
-		job.Status = StatusFailed
-		job.Error = err.Error()
-		job.ErrorCode = CodeInternal
-		fin := time.Now()
-		job.Finished = &fin
-		s.counters.jobsRejected.Add(1)
+		s.endLocked(job, StatusFailed, CodeInternal, err, &s.counters.jobsRejected)
 		view := *job
 		s.mu.Unlock()
 		return view, err
 	}
 
 	s.mu.Lock()
-	err := s.enqueueLocked(job)
-	if err != nil {
-		// A Shutdown racing this submission may have failed the queued job
-		// already; keep that disposition (and its counter) instead of
-		// double-counting it as rejected.
-		if job.Status == StatusQueued {
-			job.Status = StatusFailed
-			job.Error = err.Error()
-			fin := time.Now()
-			job.Finished = &fin
-			s.counters.jobsRejected.Add(1)
-		}
+	if s.draining {
+		// A Shutdown racing this submission has failed the job already.
+		view := *job
+		s.mu.Unlock()
+		return view, ErrShuttingDown
+	}
+	if len(s.queue) >= s.cfg.QueueDepth {
+		s.endLocked(job, StatusFailed, CodeQueueFull, ErrQueueFull, &s.counters.jobsRejected)
 		view := *job
 		s.mu.Unlock()
 		s.journalFinish(&view)
-		return view, err
+		return view, ErrQueueFull
 	}
+	s.enqueueLocked(job)
+	s.dispatchLocked()
 	s.counters.jobsSubmitted.Add(1)
 	view := *job
 	s.mu.Unlock()
 	return view, nil
-}
-
-// enqueueLocked makes a queued job runnable: its entry joins the priority
-// heap and one dispatch task joins the pool (the 1:1 correspondence that
-// keeps the pool's QueueDepth bounding the real queue). Called with s.mu
-// held.
-func (s *Server) enqueueLocked(job *Job) error {
-	rank, _ := priorityRank(job.Spec.Priority) // validated at submit
-	s.qseq++
-	s.queue.push(queueEntry{id: job.ID, rank: rank, seq: s.qseq})
-	if err := s.pool.Submit(s.runNext); err != nil {
-		s.queue.remove(job.ID)
-		return err
-	}
-	return nil
-}
-
-// runNext is the pool task behind every queued job: it pops the
-// highest-priority runnable entry and executes it. Entries whose job was
-// canceled, drained or expired while queued are skipped (some other
-// entry's task already ran, or nothing remains); expired jobs fail here
-// with the stable deadline code.
-func (s *Server) runNext() {
-	for {
-		s.mu.Lock()
-		e, ok := s.queue.pop()
-		if !ok {
-			s.mu.Unlock()
-			return
-		}
-		job := s.jobs[e.id]
-		if job == nil || job.Status != StatusQueued {
-			s.mu.Unlock()
-			continue
-		}
-		if s.expireLocked(job, time.Now()) {
-			view := *job
-			s.mu.Unlock()
-			s.journalFinish(&view)
-			continue
-		}
-		s.mu.Unlock()
-		s.execute(job)
-		return
-	}
-}
-
-// expireLocked fails a queued job whose queue deadline has passed.
-// Returns whether it expired. Called with s.mu held.
-func (s *Server) expireLocked(job *Job, now time.Time) bool {
-	if job.Status != StatusQueued || job.deadline.IsZero() || now.Before(job.deadline) {
-		return false
-	}
-	job.Status = StatusFailed
-	job.Error = fmt.Sprintf("serve: job %s expired after %v in queue", job.ID, now.Sub(job.Submitted).Round(time.Millisecond))
-	job.ErrorCode = CodeQueueDeadline
-	fin := now
-	job.Finished = &fin
-	s.counters.jobsFailed.Add(1)
-	s.counters.jobsExpired.Add(1)
-	return true
-}
-
-// execute runs one job on a pool worker and records the outcome. A panic
-// anywhere in the solve fails that one job; a server absorbing arbitrary
-// client-submitted work must never let one query kill the process. Each
-// job runs under its own cancellable context so CancelJob and Shutdown can
-// abort it between protocol rounds.
-func (s *Server) execute(job *Job) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	s.mu.Lock()
-	if job.Status != StatusQueued {
-		// Failed by a drain or cancelled while still queued; nothing to run.
-		s.mu.Unlock()
-		return
-	}
-	now := time.Now()
-	job.Status = StatusRunning
-	job.Started = &now
-	job.cancel = cancel
-	s.mu.Unlock()
-	s.journalAppend(recJobStart, walStart{ID: job.ID, Started: now})
-
-	res, err := func() (res *JobResult, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				res, err = nil, fmt.Errorf("serve: job panicked: %v", p)
-			}
-		}()
-		return s.reg.run(ctx, job.Spec)
-	}()
-
-	s.mu.Lock()
-	end := time.Now()
-	job.Finished = &end
-	job.cancel = nil
-	canceled := err != nil && ctx.Err() != nil
-	switch {
-	case canceled:
-		job.Status = StatusCanceled
-		job.Error = fmt.Sprintf("serve: job canceled: %v", err)
-	case err != nil:
-		job.Status = StatusFailed
-		job.Error = err.Error()
-	default:
-		job.Status = StatusDone
-		job.Result = res
-	}
-	view := *job
-	s.mu.Unlock()
-	s.journalFinish(&view)
-	switch {
-	case canceled:
-		s.counters.jobsCanceled.Add(1)
-	case err != nil:
-		s.counters.jobsFailed.Add(1)
-	default:
-		s.counters.jobsDone.Add(1)
-	}
-}
-
-// journalFinish records a job's terminal state (no-op without a journal).
-// The spec rides along so the finish record alone reconstructs the job
-// after its in-memory entry is evicted; the record's durable address goes
-// into the finish index so that lookup costs one record read.
-func (s *Server) journalFinish(j *Job) {
-	if j.Finished == nil {
-		return
-	}
-	ref, err := s.journalAppend(recJobFinish, jobToWalFinish(j))
-	if err == nil && ref.Seg > 0 {
-		s.mu.Lock()
-		s.finishIdx[j.ID] = ref
-		s.mu.Unlock()
-	}
 }
 
 // CompactStats summarizes one compaction pass (the POST /v1/admin/compact
@@ -1015,9 +840,11 @@ func (s *Server) Compact() (CompactStats, error) {
 
 	// Exclusive barrier: no {journal, apply} pair is in flight while the
 	// state is captured and the checkpoint written, so snapshot + suffix
-	// replays to exactly the acknowledged state. Job transitions don't
-	// take the barrier — they apply before journaling, so the snapshot's
-	// memory view is always a superset of any job record it supersedes,
+	// replays to exactly the acknowledged state. A job's finish in execute
+	// is such a pair (journal, then publish), so the snapshot never records
+	// as running a job whose finish record it supersedes. The other job
+	// transitions apply before journaling without the barrier: the
+	// snapshot's view is then a superset of any job record it supersedes,
 	// and replay dedupes by job id.
 	s.snapMu.Lock()
 	snap := s.buildSnapshot()
@@ -1112,54 +939,6 @@ func (s *Server) sealJournal() {
 	}
 }
 
-// gcLoop is the store's maintenance sweep: it evicts finished jobs past
-// their TTL (journaled results remain fetchable via jobFromJournal) and
-// expires queued jobs past their deadline, so waiters see the terminal
-// state promptly instead of at dequeue time. It exits with warmCtx on
-// Shutdown.
-func (s *Server) gcLoop() {
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.warmCtx.Done():
-			return
-		case now := <-tick.C:
-			s.sweep(now)
-		}
-	}
-}
-
-// sweep runs one GC pass at time now.
-func (s *Server) sweep(now time.Time) {
-	var expired []*Job
-	s.mu.Lock()
-	if s.cfg.JobTTL > 0 {
-		keep := s.order[:0]
-		for _, id := range s.order {
-			j := s.jobs[id]
-			if j.Finished != nil && now.Sub(*j.Finished) > s.cfg.JobTTL {
-				delete(s.jobs, id)
-				s.counters.jobsEvicted.Add(1)
-				continue
-			}
-			keep = append(keep, id)
-		}
-		s.order = keep
-	}
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.Status == StatusQueued && s.expireLocked(j, now) {
-			view := *j
-			expired = append(expired, &view)
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range expired {
-		s.journalFinish(j)
-	}
-}
-
 // pruneLocked drops the oldest finished jobs above the retention cap.
 func (s *Server) pruneLocked() {
 	for len(s.order) > s.cfg.MaxJobs {
@@ -1225,9 +1004,9 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusServiceUnavailable, CodeNotReady, errors.New("serve: server recovering, retry shortly"))
 	case errors.Is(err, ErrQuotaExceeded):
 		apiError(w, http.StatusTooManyRequests, CodeQuotaExceeded, fmt.Errorf("serve: client %q over its submission quota, retry later", spec.Client))
-	case errors.Is(err, par.ErrPoolFull):
+	case errors.Is(err, ErrQueueFull):
 		apiError(w, http.StatusServiceUnavailable, CodeQueueFull, errors.New("serve: job queue full, retry later"))
-	case errors.Is(err, par.ErrPoolClosed):
+	case errors.Is(err, ErrShuttingDown):
 		apiError(w, http.StatusServiceUnavailable, CodeShuttingDown, errors.New("serve: server shutting down"))
 	case errors.Is(err, ErrDatasetNotFound):
 		apiError(w, http.StatusNotFound, CodeDatasetNotFound, err)

@@ -209,7 +209,7 @@ func (r *Registry) shardCaches(d *Dataset, version int, shards [][]metric.Point)
 }
 
 // Background cache warmup: prefill the pooled shard caches of a table
-// dataset on the scheduler's spare capacity, so the first job against fresh
+// dataset behind the queued jobs, so the first job against fresh
 // data — or against data a restart just replayed from the journal — does
 // not pay the O(n^2/s) metric cost inline. Nothing about a cache is
 // persisted: recomputing a triangle is cheaper than reading one back.
@@ -218,7 +218,7 @@ func (r *Registry) shardCaches(d *Dataset, version int, shards [][]metric.Point)
 type WarmupStats struct {
 	Started    int64 // warmup tasks started
 	Done       int64 // warmup tasks finished (complete or preempted)
-	Skipped    int64 // warmups dropped because the scheduler queue was full
+	Skipped    int64 // warmups dropped by a drain before they started
 	CellsDone  int64 // cells filled by warmups so far
 	CellsTotal int64 // cells targeted by warmups started so far
 }
@@ -239,22 +239,23 @@ func (w *warmupState) snapshot() WarmupStats {
 	}
 }
 
-// warmDataset schedules a background prefill of a table dataset's shard
-// caches on the job scheduler; other kinds have none to warm. Best effort
-// by design: a full queue skips the warmup (jobs always win the capacity
-// race), and a drain or eviction preempts it mid-fill.
+// warmDataset queues a background prefill of a table dataset's shard
+// caches; other kinds have none to warm. Best effort by design: the warmup
+// waits behind every queued job and never counts against QueueDepth, a
+// drain drops it while queued (Skipped) and preempts it mid-fill, as does
+// an eviction.
 func (s *Server) warmDataset(name string) {
 	if d, err := s.reg.Get(name); err != nil || !isTable(d) {
 		return
 	}
-	err := s.pool.Submit(func() {
-		s.warm.started.Add(1)
-		defer s.warm.done.Add(1)
-		s.reg.WarmTable(s.warmCtx, name, 0, &s.warm.cellsDone, &s.warm.cellsTotal)
-	})
-	if err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
 		s.warm.skipped.Add(1)
+		return
 	}
+	s.warmq = append(s.warmq, name)
+	s.dispatchLocked()
 }
 
 // WarmTable prefills the pooled shard caches of a table dataset at the

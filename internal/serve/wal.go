@@ -189,8 +189,8 @@ type walJob struct {
 // contain a snapshot checkpoint, state restores from the latest one and
 // only the records after it apply — restart cost is O(state + suffix),
 // not O(history). Unfinished jobs are requeued through the scheduler
-// exactly as a fresh submission, except that no new submit record is
-// written.
+// like a fresh submission, except that no new submit record is written
+// and QueueDepth does not apply: every journaled job was accepted once.
 func (s *Server) applyWAL(records []journal.Record) RecoveryStats {
 	var stats RecoveryStats
 	jobs := make(map[string]*walJob)
@@ -345,10 +345,11 @@ func (s *Server) applyWAL(records []journal.Record) RecoveryStats {
 		stats.JobsResumed++
 	}
 	s.pruneLocked()
+	s.dispatchLocked()
 	s.mu.Unlock()
 	if s.cfg.WarmOnRegister {
 		// Behind the resumed jobs, and as best-effort as a registration's
-		// warmup: a full queue skips it, a drain preempts it.
+		// warmup: a drain drops or preempts it.
 		for _, d := range s.reg.All() {
 			s.warmDataset(d.name)
 		}

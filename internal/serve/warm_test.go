@@ -129,6 +129,43 @@ func TestWarmupPreemptedByDrain(t *testing.T) {
 	}
 }
 
+// TestWarmupWaitsBehindJobs: a warmup never takes a job's place. With
+// the one slot busy and QueueDepth 1, a queued warmup leaves room for the
+// next submission, and the warmup starts only once that job has run.
+func TestWarmupWaitsBehindJobs(t *testing.T) {
+	s := New(Config{MaxConcurrentJobs: 1, QueueDepth: 1})
+	defer s.Close()
+	if _, err := s.Registry().RegisterTable("w", mixturePoints(t, 240, 19)); err != nil {
+		t.Fatal(err)
+	}
+	unpin := pinSlot(t, s)
+	defer unpin()
+	s.warmDataset("w")
+	j, err := s.Submit(JobSpec{Dataset: "w", K: 3, T: 6, Seed: 1})
+	if err != nil {
+		t.Fatalf("submission behind a queued warmup: %v", err)
+	}
+	unpin()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		ws := s.WarmupStats()
+		job, err := s.GetJob(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ws.Started > 0 && job.Status != StatusDone {
+			t.Fatalf("warmup started while the job was %s", job.Status)
+		}
+		if ws.Done >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("warmup never ran: %+v, job %s", ws, job.Status)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestReplayWarmsTables: with WarmOnRegister set, a server that comes up on
 // a journal warms every replayed table in the background — after a crash
 // (unsealed journal) as after a clean shutdown — so the first job of the

@@ -282,7 +282,7 @@ func RunOverCtx(ctx context.Context, g *Ground, tr transport.Transport, cfg Conf
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	res, err := protocol.Run(ctx, tr, cfg.params(), &reducer{g: g, cfg: cfg, obj: obj, col: Collapsed{Squared: obj == Means}})
+	res, err := protocol.Run(ctx, tr, cfg.params(), newReducer(g, cfg, obj))
 	if err != nil {
 		return Result{}, err
 	}
@@ -294,11 +294,22 @@ func RunOverCtx(ctx context.Context, g *Ground, tr transport.Transport, cfg Conf
 // collapsed preclusterings, solved as in Algorithm 1 (median/means) or
 // Algorithm 2 (center-pp).
 type reducer struct {
-	g   *Ground
-	cfg Config
-	obj Objective
-	col Collapsed
-	wts []float64
+	g     *Ground
+	cfg   Config
+	obj   Objective
+	col   Collapsed
+	wts   []float64
+	union protocol.Union
+}
+
+// newReducer is the coordinator half of objective obj over the ground set
+// g, whose dimension every collapsed node must have.
+func newReducer(g *Ground, cfg Config, obj Objective) *reducer {
+	r := &reducer{g: g, cfg: cfg, obj: obj, col: Collapsed{Squared: obj == Means}, union: protocol.Union{Squared: obj == Means}}
+	if g.N() > 0 {
+		r.union.Dim = len(g.Pts[0])
+	}
+	return r
 }
 
 // Add implements protocol.Reducer. Under the naive variant the outlier
@@ -322,9 +333,6 @@ func (r *reducer) Add(b []byte) error {
 	if err := msg.UnmarshalBinary(b); err != nil {
 		return err
 	}
-	r.col.Y = append(r.col.Y, msg.Y...)
-	r.col.Ell = append(r.col.Ell, msg.Ell...)
-	r.wts = append(r.wts, msg.W...)
 	for _, wire := range outs.Nodes {
 		nd, err := nodeFromWire(r.g, wire)
 		if err != nil {
@@ -339,10 +347,16 @@ func (r *reducer) Add(b []byte) error {
 			// Every candidate's expected distance overflowed (a huge probability).
 			return fmt.Errorf("outlier node has no finite 1-median")
 		}
-		r.col.Y = append(r.col.Y, r.g.Pts[yi])
-		r.col.Ell = append(r.col.Ell, li)
-		r.wts = append(r.wts, 1)
+		msg.Y = append(msg.Y, r.g.Pts[yi])
+		msg.Ell = append(msg.Ell, li)
+		msg.W = append(msg.W, 1)
 	}
+	if err := r.union.Admit(msg.Y, msg.W, msg.Ell); err != nil {
+		return err
+	}
+	r.col.Y = append(r.col.Y, msg.Y...)
+	r.col.Ell = append(r.col.Ell, msg.Ell...)
+	r.wts = append(r.wts, msg.W...)
 	return nil
 }
 

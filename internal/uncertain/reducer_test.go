@@ -23,7 +23,7 @@ var nodeReducers = []string{"naive", "centerg/2round", "centerg/1round"}
 // nodeReducer builds a fresh coordinator half of the named protocol over g.
 func nodeReducer(t testing.TB, name string, g *Ground) protocol.Reducer {
 	if name == "naive" {
-		return &reducer{g: g, cfg: Config{Variant: OneRoundShipDists}.withDefaults(), obj: Median}
+		return newReducer(g, Config{K: 2, T: 1, Variant: OneRoundShipDists}.withDefaults(), Median)
 	}
 	cfg := CenterGConfig{K: 1, T: 1, OneRound: name == "centerg/1round"}.withDefaults()
 	grid, err := cfg.validate(g)
@@ -93,10 +93,76 @@ func TestReducersRejectBadNodes(t *testing.T) {
 	}
 }
 
+// collapsedReducers are the coordinator halves of Algorithm 3's 2-round
+// protocol, whose sites ship one collapsed precluster (comm.CollapsedMsg).
+var collapsedReducers = map[string]Objective{"u-median": Median, "u-means": Means, "u-centerpp": CenterPP}
+
+// collapsedReducer builds a fresh 2-round coordinator half for obj over g.
+func collapsedReducer(g *Ground, obj Objective) *reducer {
+	return newReducer(g, Config{K: 2, T: 1}.withDefaults(), obj)
+}
+
+// TestReducersRejectBadCollapsed: a collapsed precluster whose point has
+// another dimension than the ground set, a coordinate, weight or collapse
+// cost that is not finite and non-negative, or a cost bound that overflows
+// fails the 2-round coordinator's Add with an error. The wrong dimension
+// used to panic Solve; a NaN weight gave no centers at cost +Inf, a -1e9
+// weight no centers at cost 0 (one center at radius 0 for center-pp), and
+// a NaN collapse cost solved silently. A well-formed precluster is
+// accepted and solves at a finite cost.
+func TestReducersRejectBadCollapsed(t *testing.T) {
+	g := reducerGround()
+	valid := func() comm.CollapsedMsg {
+		return comm.CollapsedMsg{Y: []metric.Point{{0, 0}, {1, 0}, {0, 1}}, Ell: []float64{0, 0.5, 0}, W: []float64{3, 1, 2}}
+	}
+	rows := []struct {
+		name string
+		edit func(m *comm.CollapsedMsg)
+		ok   bool
+	}{
+		{"valid", func(*comm.CollapsedMsg) {}, true},
+		{"points of another dimension", func(m *comm.CollapsedMsg) { m.Y = []metric.Point{{0, 0, 0}, {1, 0, 0}, {0, 1, 2}} }, false},
+		{"NaN coordinate", func(m *comm.CollapsedMsg) { m.Y[1] = metric.Point{math.NaN(), 0} }, false},
+		{"NaN weight", func(m *comm.CollapsedMsg) { m.W[0] = math.NaN() }, false},
+		{"+Inf weight", func(m *comm.CollapsedMsg) { m.W[0] = math.Inf(1) }, false},
+		{"-1e9 weight", func(m *comm.CollapsedMsg) { m.W[0] = -1e9 }, false},
+		{"NaN collapse cost", func(m *comm.CollapsedMsg) { m.Ell[1] = math.NaN() }, false},
+		{"negative collapse cost", func(m *comm.CollapsedMsg) { m.Ell[1] = -1 }, false},
+		{"overflowing collapse cost", func(m *comm.CollapsedMsg) { m.Ell[1] = math.MaxFloat64 }, false},
+		{"overflowing weight", func(m *comm.CollapsedMsg) { m.W[0] = math.MaxFloat64 }, false},
+	}
+	for _, row := range rows {
+		msg := valid()
+		row.edit(&msg)
+		b, err := comm.Encode(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, obj := range collapsedReducers {
+			r := collapsedReducer(g, obj)
+			err := r.Add(b)
+			if (err == nil) != row.ok {
+				t.Errorf("%s, %s: Add returned %v, want ok=%v", name, row.name, err, row.ok)
+				continue
+			}
+			if err == nil {
+				var res protocol.Result
+				r.Solve(&res)
+				if len(res.Centers) == 0 || math.IsNaN(res.CoordinatorCost) || math.IsInf(res.CoordinatorCost, 0) {
+					t.Errorf("%s, %s: solved to %d centers at cost %g", name, row.name, len(res.Centers), res.CoordinatorCost)
+				}
+			}
+		}
+	}
+}
+
 // FuzzReducerAdd feeds arbitrary bytes, as one site's precluster payload, to
-// every coordinator half that decodes shipped outlier nodes: Add must return
-// an error or succeed, never panic. Seeded with the empty-support and
-// past-the-ground-set nodes that used to.
+// every coordinator half that decodes shipped outlier nodes and to
+// Algorithm 3's 2-round halves: Add must return an error or succeed, never
+// panic, and a payload an Algorithm 3 half accepts must solve without a
+// panic at a finite cost. Seeded with the empty-support and
+// past-the-ground-set nodes that used to panic, and with a collapsed
+// precluster of the wrong dimension.
 //
 //	go test ./internal/uncertain -run xxx -fuzz FuzzReducerAdd -fuzztime 60s
 func FuzzReducerAdd(f *testing.F) {
@@ -106,9 +172,30 @@ func FuzzReducerAdd(f *testing.F) {
 			f.Add(shippedNode(f, name, g, nd))
 		}
 	}
+	for _, y := range [][]metric.Point{{{0, 0}, {0, 1}}, {{0, 0, 0}, {0, 1, 2}}} {
+		b, err := comm.Encode(comm.CollapsedMsg{Y: y, Ell: []float64{0, 1}, W: []float64{2, math.NaN()}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		for _, name := range nodeReducers {
+		solvable := map[string]*reducer{"naive": nodeReducer(t, "naive", g).(*reducer)}
+		for name, obj := range collapsedReducers {
+			solvable[name] = collapsedReducer(g, obj)
+		}
+		for _, name := range nodeReducers[1:] {
 			_ = nodeReducer(t, name, g).Add(b)
+		}
+		for name, r := range solvable {
+			if r.Add(b) != nil {
+				continue
+			}
+			var res protocol.Result
+			r.Solve(&res)
+			if math.IsNaN(res.CoordinatorCost) || math.IsInf(res.CoordinatorCost, 0) {
+				t.Fatalf("%s: accepted payload solved at cost %g", name, res.CoordinatorCost)
+			}
 		}
 	})
 }
