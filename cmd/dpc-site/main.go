@@ -195,8 +195,6 @@ func describeJob(j jobwire.Job) string {
 		return fmt.Sprintf("%s/%s (k=%d, t=%d)", j.Core.Objective, j.Core.Variant, j.Core.K, j.Core.T)
 	case jobwire.KindUncertain:
 		return fmt.Sprintf("%v (k=%d, t=%d)", j.Obj, j.Unc.K, j.Unc.T)
-	case jobwire.KindCenterG:
-		return fmt.Sprintf("u-centerg (k=%d, t=%d)", j.CenterG.K, j.CenterG.T)
 	}
 	return j.Kind.String()
 }

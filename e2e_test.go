@@ -256,6 +256,17 @@ func TestDaemonsEndToEnd(t *testing.T) {
 			})}},
 		},
 		{
+			// Algorithm 4 rides the same fleet: a u-centerg job is one more
+			// uncertain job frame.
+			name: "u-centerg", sites: 3,
+			run:   []string{"-uncertain", "-objective", "u-centerg"},
+			local: []string{"-in", nodesPath},
+			coord: []string{"-in", nodesPath},
+			fleets: []fleet{{"star", nil, star(3, func(i int) []string {
+				return []string{"-uncertain", "-sites", "3", "-in", nodesPath}
+			})}},
+		},
+		{
 			name: "tree", sites: 8,
 			run:   []string{"-objective", "median"},
 			local: []string{"-in", allPath},

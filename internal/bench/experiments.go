@@ -45,12 +45,6 @@ func (o Options) uncCfg(cfg uncertain.Config) uncertain.Config {
 	return cfg
 }
 
-// cgCfg applies the engine knobs to an Algorithm 4 config.
-func (o Options) cgCfg(cfg uncertain.CenterGConfig) uncertain.CenterGConfig {
-	cfg.LocalOpts = o.solverOpts(cfg.LocalOpts)
-	return cfg
-}
-
 // centralMedianCost is the centralized reference: the same engine on the
 // full data with the unicriterion budget t (the Copt(A,k,t) stand-in of
 // Lemma 3.5).
@@ -270,7 +264,7 @@ func E6CenterG(o Options) Table {
 		})
 		parts := gen.PartitionNodes(in, s, gen.Uniform, o.Seed+2)
 		sites := gen.SiteNodes(in, parts)
-		res, err := uncertain.RunCenterG(in.Ground, sites, o.cgCfg(uncertain.CenterGConfig{K: k, T: tt}))
+		res, err := uncertain.Run(in.Ground, sites, o.uncCfg(uncertain.Config{K: k, T: tt}), uncertain.CenterG)
 		if err != nil {
 			panic(err)
 		}

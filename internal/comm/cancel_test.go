@@ -52,9 +52,6 @@ func TestCancelAtEveryBoundary(t *testing.T) {
 	unc := func(obj uncertain.Objective, vr uncertain.Variant) jobwire.Job {
 		return jobwire.Job{Kind: jobwire.KindUncertain, Obj: obj, Unc: uncertain.Config{K: 3, T: 8, Variant: vr, LocalOpts: opts}}
 	}
-	centerG := func(oneRound bool) jobwire.Job {
-		return jobwire.Job{Kind: jobwire.KindCenterG, CenterG: uncertain.CenterGConfig{K: 3, T: 8, OneRound: oneRound, LocalOpts: opts}}
-	}
 	for _, tc := range []struct {
 		name   string
 		job    jobwire.Job
@@ -66,11 +63,11 @@ func TestCancelAtEveryBoundary(t *testing.T) {
 		{"u-median", unc(uncertain.Median, uncertain.TwoRound), 2},
 		{"u-means", unc(uncertain.Means, uncertain.TwoRound), 2},
 		{"u-centerpp", unc(uncertain.CenterPP, uncertain.TwoRound), 2},
-		{"u-centerg", centerG(false), 2},
+		{"u-centerg", unc(uncertain.CenterG, uncertain.TwoRound), 2},
 		{"median-1round", point(core.Median, core.OneRound), 1},
 		{"center-1round", point(core.Center, core.OneRound), 1},
 		{"u-median-1round", unc(uncertain.Median, uncertain.OneRoundShipDists), 1},
-		{"u-centerg-1round", centerG(true), 1},
+		{"u-centerg-1round", unc(uncertain.CenterG, uncertain.OneRoundShipDists), 1},
 	} {
 		// The boundaries are the gathers: after round 0 (hulls up, or the
 		// 1-round variants' only round) and after round 1, the last.

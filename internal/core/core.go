@@ -191,6 +191,9 @@ func validate(cfg Config) error {
 	if cfg.Eps < 0 || math.IsInf((1+cfg.Eps)*float64(cfg.T), 0) {
 		return fmt.Errorf("core: Eps = %v: want Eps >= 0 and a finite (1+Eps)T (T = %d)", cfg.Eps, cfg.T)
 	}
+	if cfg.Variant < TwoRound || cfg.Variant > OneRound {
+		return fmt.Errorf("core: unknown variant %v", cfg.Variant)
+	}
 	switch cfg.Objective {
 	case Center:
 		if cfg.RelaxCenters {

@@ -64,6 +64,22 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("Eps = %v: err = %v, want one naming the field", bad, err)
 		}
 	}
+	// A variant outside the three, as a job frame can carry it, used to run
+	// as the 2-round protocol; every entry point of both halves refuses it.
+	tr := transport.NewLoopback(nil, true)
+	defer tr.Close()
+	for _, vr := range []Variant{9, -1} {
+		cfg := Config{K: 1, Variant: vr}
+		for name, run := range map[string]func() error{
+			"site":        func() error { _, err := NewSiteHandlerOracle(cfg, 0, pts, nil); return err },
+			"local":       func() error { _, err := Run([][]metric.Point{pts}, cfg); return err },
+			"coordinator": func() error { _, err := RunOverCtx(context.Background(), tr, cfg); return err },
+		} {
+			if err := run(); err == nil || !strings.Contains(err.Error(), "variant") {
+				t.Errorf("Variant = %d, %s: err = %v, want one naming the variant", int(vr), name, err)
+			}
+		}
+	}
 }
 
 func TestMedianTwoRoundEndToEnd(t *testing.T) {

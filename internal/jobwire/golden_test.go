@@ -156,17 +156,12 @@ func goldenJobs() (names []string, jobs []Job) {
 				Core: core.Config{K: 3, T: 40, Objective: obj, Variant: vr, LocalOpts: opts}})
 		}
 	}
-	for i, obj := range []uncertain.Objective{uncertain.Median, uncertain.Means, uncertain.CenterPP} {
+	for i, obj := range []uncertain.Objective{uncertain.Median, uncertain.Means, uncertain.CenterPP, uncertain.CenterG} {
 		for j, vr := range []uncertain.Variant{uncertain.TwoRound, uncertain.OneRoundShipDists} {
-			names = append(names, [...]string{"u-median", "u-means", "u-centerpp"}[i]+[...]string{"/2round", "/1round"}[j])
+			names = append(names, [...]string{"u-median", "u-means", "u-centerpp", "u-centerg"}[i]+[...]string{"/2round", "/1round"}[j])
 			jobs = append(jobs, Job{Kind: KindUncertain, Obj: obj,
 				Unc: uncertain.Config{K: 3, T: 6, Variant: vr, LocalOpts: ls}})
 		}
-	}
-	for i, name := range []string{"u-centerg/2round", "u-centerg/1round"} {
-		names = append(names, name)
-		jobs = append(jobs, Job{Kind: KindCenterG,
-			CenterG: uncertain.CenterGConfig{K: 3, T: 6, OneRound: i == 1, LocalOpts: ls}})
 	}
 	return names, jobs
 }

@@ -3,7 +3,7 @@
 // site daemons before each protocol run — the only multi-process dialect in
 // the repository: a one-shot run is a fleet that is sent one job and then
 // closed — and it is the one place that maps a job kind to code. A Job is
-// the tagged union of the three run configurations; its methods are the
+// the tagged union of the two run configurations; its methods are the
 // four things anyone does with one: build a site's half (SiteHandler, and
 // Factory / ServeJobs for a daemon serving frame after frame), run the
 // coordinator's half over a connected fleet (RunOver), run both halves
@@ -16,9 +16,9 @@
 // round-trip exactly), so one connected site fleet serves every protocol:
 //
 //   - KindPoint: Algorithm 1/2 over the site's point shard (core.Config).
-//   - KindUncertain: Algorithm 3 (uncertain median/means/center-pp) over
-//     the site's node shard (the objective and an uncertain.Config).
-//   - KindCenterG: Algorithm 4 (uncertain center-g) over the node shard.
+//   - KindUncertain: Algorithm 3 (uncertain median/means/center-pp) or
+//     Algorithm 4 (uncertain center-g) over the site's node shard (the
+//     objective and an uncertain.Config).
 //
 // The coordinator-local Transport and Topology stay out of the frame. A site
 // half applies defaults and validation to what it decodes, as a coordinator
@@ -46,10 +46,8 @@ type Kind byte
 const (
 	// KindPoint runs Algorithm 1/2 over point shards.
 	KindPoint Kind = 1
-	// KindUncertain runs Algorithm 3 over uncertain node shards.
+	// KindUncertain runs Algorithm 3 or 4 over uncertain node shards.
 	KindUncertain Kind = 2
-	// KindCenterG runs Algorithm 4 over uncertain node shards.
-	KindCenterG Kind = 3
 )
 
 // String implements fmt.Stringer.
@@ -59,8 +57,6 @@ func (k Kind) String() string {
 		return "point"
 	case KindUncertain:
 		return "uncertain"
-	case KindCenterG:
-		return "centerg"
 	}
 	return fmt.Sprintf("jobwire.Kind(%d)", byte(k))
 }
@@ -68,7 +64,7 @@ func (k Kind) String() string {
 // magic is the first byte of a job frame.
 const magic = 0xDC
 
-// Job is one protocol run: the tagged union of the three run
+// Job is one protocol run: the tagged union of the two run
 // configurations — what a job frame carries, and what every backend builds
 // (serve.JobSpec.Job) and then asks to run itself.
 type Job struct {
@@ -79,8 +75,6 @@ type Job struct {
 	// Obj / Unc parameterize KindUncertain.
 	Obj uncertain.Objective
 	Unc uncertain.Config
-	// CenterG parameterizes KindCenterG.
-	CenterG uncertain.CenterGConfig
 }
 
 // uncertainWire is the JSON payload of a KindUncertain frame.
@@ -97,8 +91,6 @@ func (j *Job) body() (any, error) {
 		return &j.Core, nil
 	case KindUncertain:
 		return &uncertainWire{Obj: &j.Obj, Cfg: &j.Unc}, nil
-	case KindCenterG:
-		return &j.CenterG, nil
 	}
 	return nil, fmt.Errorf("jobwire: unknown job kind %v", j.Kind)
 }
@@ -237,8 +229,6 @@ func (j Job) SiteHandler(d SiteData) (transport.Handler, error) {
 		return nil, fmt.Errorf("site %d holds no uncertain shard", d.Site)
 	case j.Kind == KindUncertain:
 		return uncertain.NewSiteHandler(d.G, d.Nodes, j.Unc, j.Obj, d.Site)
-	case j.Kind == KindCenterG:
-		return uncertain.NewCenterGSiteHandler(d.G, d.Nodes, j.CenterG, d.Site)
 	}
 	return nil, fmt.Errorf("jobwire: unhandled kind %v", j.Kind)
 }
@@ -253,7 +243,7 @@ type Fleet interface {
 }
 
 // RunFleet arms every site of f with j's frame, then runs the coordinator
-// half of j over it (RunOver). A job that cannot run — an uncertain kind
+// half of j over it (RunOver). A job that cannot run — an uncertain job
 // without its ground set — fails before any site has been armed.
 func (j Job) RunFleet(ctx context.Context, f Fleet, g *uncertain.Ground) (protocol.Result, error) {
 	if j.Kind != KindPoint && g == nil {
@@ -270,7 +260,7 @@ func (j Job) RunFleet(ctx context.Context, f Fleet, g *uncertain.Ground) (protoc
 }
 
 // RunOver runs the coordinator half of j over a transport whose sites
-// already serve j's site handlers. g is the ground set the uncertain kinds
+// already serve j's site handlers. g is the ground set uncertain jobs
 // share (the paper's common knowledge); point jobs ignore it. Cancelling
 // ctx aborts the run at its next round boundary with ctx.Err().
 func (j Job) RunOver(ctx context.Context, tr transport.Transport, g *uncertain.Ground) (protocol.Result, error) {
@@ -279,14 +269,12 @@ func (j Job) RunOver(ctx context.Context, tr transport.Transport, g *uncertain.G
 		return core.RunOverCtx(ctx, tr, j.Core)
 	case KindUncertain:
 		return uncertain.RunOverCtx(ctx, g, tr, j.Unc, j.Obj)
-	case KindCenterG:
-		return uncertain.RunCenterGOverCtx(ctx, g, tr, j.CenterG)
 	}
 	return protocol.Result{}, fmt.Errorf("jobwire: unhandled kind %v", j.Kind)
 }
 
 // Data is a whole instance as one process holds it: points for KindPoint
-// jobs, the ground set and nodes for the uncertain kinds. Either half may
+// jobs, the ground set and nodes for uncertain jobs. Either half may
 // be absent.
 type Data struct {
 	Pts   []metric.Point
@@ -323,7 +311,7 @@ func (j Job) Len(d Data) int {
 // backend: the coordinator-local Transport field of the configuration j
 // carries, which RunLocal reads (like Topology, it is not shipped to sites).
 func (j Job) OnTransport(k transport.Kind) Job {
-	j.Core.Transport, j.Unc.Transport, j.CenterG.Transport = k, k, k
+	j.Core.Transport, j.Unc.Transport = k, k
 	return j
 }
 
@@ -335,8 +323,6 @@ func (j Job) RunLocal(ctx context.Context, sh Shards) (protocol.Result, error) {
 		return core.RunCtx(ctx, sh.Pts, j.Core)
 	case KindUncertain:
 		return uncertain.RunCtx(ctx, sh.G, sh.Nodes, j.Unc, j.Obj)
-	case KindCenterG:
-		return uncertain.RunCenterGCtx(ctx, sh.G, sh.Nodes, j.CenterG)
 	}
 	return protocol.Result{}, fmt.Errorf("jobwire: unhandled kind %v", j.Kind)
 }
@@ -357,8 +343,8 @@ func (j Job) Evaluate(d Data, centers []metric.Point, budget float64) (cost floa
 		return 0, ""
 	case j.Kind == KindPoint:
 		return core.Evaluate(d.Pts, centers, budget, j.Core.Objective), "global"
-	case j.Kind == KindCenterG:
-		return uncertain.EvalCenterG(d.G, d.Nodes, centers, budget, CenterGCostSamples, j.CenterG.LocalOpts.Seed), "estimate"
+	case j.Obj == uncertain.CenterG:
+		return uncertain.EvalCenterG(d.G, d.Nodes, centers, budget, CenterGCostSamples, j.Unc.LocalOpts.Seed), "estimate"
 	case j.Obj == uncertain.Means:
 		return uncertain.EvalMeans(d.G, d.Nodes, centers, budget), "global"
 	case j.Obj == uncertain.CenterPP:

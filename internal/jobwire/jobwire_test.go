@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dpc/internal/core"
 	"dpc/internal/engine"
@@ -34,7 +36,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Kind: KindUncertain, Obj: uncertain.CenterPP,
 			Unc: uncertain.Config{K: 2, T: 7, Eps: 0.5, LocalOpts: kmedian.Options{Seed: -4,
 				Options: engine.Options{Algo: engine.LocalSearch, Reference: true}}, Topology: tree4}},
-		{Kind: KindCenterG, CenterG: uncertain.CenterGConfig{K: 3, T: 11, TauBase: 4, OneRound: true, Topology: tree4}},
+		{Kind: KindUncertain, Obj: uncertain.CenterG,
+			Unc: uncertain.Config{K: 3, T: 11, TauBase: 4, Variant: uncertain.OneRoundShipDists, Topology: tree4}},
 	}
 	for _, in := range cases {
 		b, err := Encode(in.OnTransport(transport.KindTCP))
@@ -46,7 +49,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("%v: decode: %v", in.Kind, err)
 		}
 		want := in
-		want.Core.Topology, want.Unc.Topology, want.CenterG.Topology = tree.Spec{}, tree.Spec{}, tree.Spec{}
+		want.Core.Topology, want.Unc.Topology = tree.Spec{}, tree.Spec{}
 		if !reflect.DeepEqual(out, want) {
 			t.Fatalf("%v job round-tripped to\n%+v\nwant\n%+v", in.Kind, out, want)
 		}
@@ -66,6 +69,36 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		if _, err := Decode(b); err == nil {
 			t.Fatalf("decoded garbage %q", b)
 		}
+	}
+}
+
+// TestServeJobsRejectsOtherWelcome: a site refuses a coordinator whose
+// welcome is the marker of the previous job frame layout, with an error
+// naming both markers, instead of decoding frames it may misread.
+func TestServeJobsRejectsOtherWelcome(t *testing.T) {
+	const old = "dpc-jobs/3"
+	l, err := transport.Listen("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	served := make(chan error, 1)
+	go func() {
+		sc, err := transport.Dial(l.Addr().String(), 0, 5*time.Second)
+		if err != nil {
+			served <- err
+			return
+		}
+		defer sc.Close()
+		served <- ServeJobs(sc, fuzzShard, nil)
+	}()
+	coord, err := l.Accept(1, []byte(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Close() // a site that took the welcome sees the connection end instead
+	if err := <-served; err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), transport.JobsHello) {
+		t.Fatalf("ServeJobs under a %q welcome returned %v, want an error naming it and %q", old, err, transport.JobsHello)
 	}
 }
 
@@ -96,8 +129,8 @@ func FuzzDecodeJob(f *testing.F) {
 		`"Eps":1.2301717406954053e+160,"Rho":2.0000000000000533,"Delta":0.2500000000017195,"HullBase":7.880401249703114e+115,"LocalOpts":{"Seed":1}}`...))
 	// Center-g frames that once crashed a site building its tau grid or its
 	// facility candidates.
-	for _, body := range []string{`{"K":3,"T":6,"TauBase":1}`, `{"K":3,"T":6,"TauBase":0.5}`, `{"K":3,"T":6,"MaxFacilities":-1}`} {
-		f.Add(append([]byte{magic, byte(KindCenterG)}, body...))
+	for _, cfg := range []string{`{"K":3,"T":6,"TauBase":1}`, `{"K":3,"T":6,"TauBase":0.5}`, `{"K":3,"T":6,"MaxFacilities":-1}`} {
+		f.Add(append([]byte{magic, byte(KindUncertain)}, `{"obj":3,"cfg":`+cfg+`}`...))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		j, err := Decode(raw)

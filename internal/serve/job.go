@@ -139,18 +139,16 @@ type JobResult struct {
 	DurationMS  float64 `json:"duration_ms"`
 }
 
-// ObjectiveKind maps an API objective string to the protocol family it
-// runs: point (Algorithm 1/2), uncertain (Algorithm 3) or center-g
-// (Algorithm 4). It is the single source of truth shared by the HTTP
-// layer, the client package and the CLI flag surface.
+// ObjectiveKind maps an API objective string to the job kind it runs:
+// point (Algorithm 1/2) or uncertain (Algorithm 3, or Algorithm 4 for
+// u-centerg). It is the single source of truth shared by the HTTP layer,
+// the client package and the CLI flag surface.
 func ObjectiveKind(objective string) (jobwire.Kind, error) {
 	switch objective {
 	case "", "median", "means", "center":
 		return jobwire.KindPoint, nil
-	case "u-median", "u-means", "u-centerpp":
+	case "u-median", "u-means", "u-centerpp", "u-centerg":
 		return jobwire.KindUncertain, nil
-	case "u-centerg":
-		return jobwire.KindCenterG, nil
 	}
 	return 0, fmt.Errorf("serve: unknown objective %q (want median, means, center, u-median, u-means, u-centerpp or u-centerg)", objective)
 }
@@ -177,8 +175,10 @@ func parseUncertainObjective(s string) (uncertain.Objective, error) {
 		return uncertain.Means, nil
 	case "u-centerpp":
 		return uncertain.CenterPP, nil
+	case "u-centerg":
+		return uncertain.CenterG, nil
 	}
-	return 0, fmt.Errorf("serve: unknown uncertain objective %q (want u-median, u-means or u-centerpp)", s)
+	return 0, fmt.Errorf("serve: unknown uncertain objective %q (want u-median, u-means, u-centerpp or u-centerg)", s)
 }
 
 // parseUncertainVariant maps the API variant string to uncertain's enum.
@@ -248,14 +248,9 @@ func (s JobSpec) Job() (jobwire.Job, error) {
 	if err != nil {
 		return jobwire.Job{}, err
 	}
-	opts := kmedian.Options{Seed: s.Seed, Options: s.EngineOptions()}
-	if kind == jobwire.KindCenterG {
-		j.CenterG = uncertain.CenterGConfig{K: s.K, T: s.T, Eps: s.Eps, OneRound: vr == uncertain.OneRoundShipDists,
-			LocalOpts: opts, Topology: s.Topology}
-		return j, nil
-	}
 	j.Obj, err = parseUncertainObjective(s.Objective)
-	j.Unc = uncertain.Config{K: s.K, T: s.T, Variant: vr, Eps: s.Eps, LocalOpts: opts, Topology: s.Topology}
+	j.Unc = uncertain.Config{K: s.K, T: s.T, Variant: vr, Eps: s.Eps,
+		LocalOpts: kmedian.Options{Seed: s.Seed, Options: s.EngineOptions()}, Topology: s.Topology}
 	return j, err
 }
 

@@ -93,7 +93,7 @@ func ParseKind(s string) (Kind, error) {
 // names the job frame and payload encodings (internal/jobwire,
 // internal/comm) too: a fleet of mixed versions fails at this handshake, not
 // at a decoder or at a site that drops a config key it does not know.
-const JobsHello = "dpc-jobs/3"
+const JobsHello = "dpc-jobs/4"
 
 // NewLocal materializes a backend selection for in-process site handlers:
 // loopback directly, or TCP with one localhost site server per handler.

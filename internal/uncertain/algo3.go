@@ -25,6 +25,10 @@ const (
 	// CenterPP is uncertain (k,t)-center-pp: max of expected distances
 	// (Eq. 2, the per-point objective).
 	CenterPP
+	// CenterG is uncertain (k,t)-center-g: the expected maximum distance
+	// (Eq. 3, the global objective), run by Algorithm 4's parametric search
+	// over truncation thresholds, outliers shipped as full distributions.
+	CenterG
 )
 
 // String implements fmt.Stringer.
@@ -36,6 +40,8 @@ func (o Objective) String() string {
 		return "u-means"
 	case CenterPP:
 		return "u-center-pp"
+	case CenterG:
+		return "u-centerg"
 	}
 	return fmt.Sprintf("uncertain.Objective(%d)", int(o))
 }
@@ -54,17 +60,24 @@ const (
 	OneRoundShipDists
 )
 
-// Config parameterizes a distributed uncertain run.
+// Config parameterizes a distributed uncertain run of any objective.
 type Config struct {
 	K int
 	T int
 
-	Variant    Variant
-	Eps        float64         // coordinator bicriteria slack (default 1)
-	Rho        float64         // allocation rank multiplier (default 2)
-	HullBase   float64         // budget grid base (default 2)
-	LocalOpts  kmedian.Options // every solve's options, and the run's one set of engine knobs
-	Candidates CandidateSet    // where 1-medians are searched
+	Variant  Variant
+	Eps      float64 // coordinator bicriteria slack (default 1)
+	Rho      float64 // allocation rank multiplier (default 2)
+	HullBase float64 // budget grid base (default 2)
+	// TauBase (center-g only) is the step of the truncation grid
+	// {TauBase^i * dmin/18}: default 2, the paper's; coarser grids trade
+	// approximation for fewer local solves.
+	TauBase float64
+	// MaxFacilities (center-g only) caps a site's candidate facilities
+	// P(A_i), thinned deterministically (default 256).
+	MaxFacilities int
+	LocalOpts     kmedian.Options // every solve's options, and the run's one set of engine knobs
+	Candidates    CandidateSet    // where 1-medians are searched
 	// Transport selects the wire backend: empty or transport.KindLoopback
 	// keeps sites in-process; transport.KindTCP runs the identical
 	// protocol over real localhost sockets. Coordinator-local, like Topology.
@@ -86,31 +99,50 @@ func (c Config) withDefaults() Config {
 	if c.HullBase == 0 {
 		c.HullBase = 2
 	}
+	if c.TauBase == 0 {
+		c.TauBase = 2
+	}
+	if c.MaxFacilities == 0 {
+		c.MaxFacilities = 256
+	}
 	return c
 }
 
-// validate rejects what no run can use; c must already have defaults
-// applied. Both halves call it, so a site rejects a shipped configuration
-// before any value reaches a solver or a grid.
-func (c Config) validate() error {
+// check rejects what no run of obj can use and returns, for CenterG, Step
+// 2's truncation grid over g (nil for every other objective); c must
+// already have defaults applied. Both halves call it, so a site rejects a
+// shipped configuration before any value reaches a solver or a grid.
+func (c Config) check(g *Ground, obj Objective) ([]float64, error) {
+	if obj < Median || obj > CenterG {
+		return nil, fmt.Errorf("uncertain: unknown objective %d", int(obj))
+	}
+	if c.Variant != TwoRound && c.Variant != OneRoundShipDists {
+		return nil, fmt.Errorf("uncertain: unknown variant %d", int(c.Variant))
+	}
 	if c.K <= 0 || c.T < 0 {
-		return fmt.Errorf("uncertain: bad K=%d T=%d", c.K, c.T)
+		return nil, fmt.Errorf("uncertain: bad K=%d T=%d", c.K, c.T)
 	}
 	for i, v := range []float64{c.Eps, c.Rho, c.HullBase} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("uncertain: %s = %v is not finite", [...]string{"Eps", "Rho", "HullBase"}[i], v)
+			return nil, fmt.Errorf("uncertain: %s = %v is not finite", [...]string{"Eps", "Rho", "HullBase"}[i], v)
 		}
 	}
 	if c.Eps < 0 || math.IsInf((1+c.Eps)*float64(c.T), 0) {
-		return fmt.Errorf("uncertain: Eps = %v: want Eps >= 0 and a finite (1+Eps)T (T = %d)", c.Eps, c.T)
+		return nil, fmt.Errorf("uncertain: Eps = %v: want Eps >= 0 and a finite (1+Eps)T (T = %d)", c.Eps, c.T)
 	}
-	return nil
+	if obj != CenterG {
+		return nil, nil
+	}
+	if c.MaxFacilities < 0 {
+		return nil, fmt.Errorf("uncertain: MaxFacilities = %d", c.MaxFacilities)
+	}
+	return tauGrid(g, c.TauBase)
 }
 
 // params is the part of the (defaults-applied) configuration the shared
-// round skeleton reads.
-func (c Config) params() protocol.Params {
-	return protocol.Params{Name: "uncertain", T: c.T, Rho: c.Rho, HullBase: c.HullBase, OneRound: c.Variant == OneRoundShipDists}
+// round skeleton reads: Algorithm 1's, and for center-g the tau grid.
+func (c Config) params(grid []float64) protocol.Params {
+	return protocol.Params{Name: "uncertain", T: c.T, Rho: c.Rho, HullBase: c.HullBase, OneRound: c.Variant == OneRoundShipDists, TauGrid: grid}
 }
 
 // Result of a distributed uncertain run.
@@ -239,9 +271,9 @@ func nodeFromWire(g *Ground, w comm.NodeWire) (Node, error) {
 	return nd, nil
 }
 
-// Run executes the distributed uncertain (k,t)-median/means/center-pp
-// protocol (Algorithm 3 wrapped around Algorithm 1 or 2) with sites
-// in-process over the backend cfg.Transport selects.
+// Run executes the distributed uncertain protocol for obj — Algorithm 3
+// around Algorithm 1 (median/means) or 2 (center-pp), or Algorithm 4 for
+// CenterG — with sites in-process over the backend cfg.Transport selects.
 func Run(g *Ground, sites [][]Node, cfg Config, obj Objective) (Result, error) {
 	return RunCtx(context.Background(), g, sites, cfg, obj)
 }
@@ -250,25 +282,43 @@ func Run(g *Ground, sites [][]Node, cfg Config, obj Objective) (Result, error) {
 // site computations and returns ctx.Err() promptly.
 func RunCtx(ctx context.Context, g *Ground, sites [][]Node, cfg Config, obj Objective) (Result, error) {
 	cfg = cfg.withDefaults()
-	// Preemption reaches inside the k-median solves behind the collapsed
-	// instances, not just between protocol rounds.
+	// One grid for everyone: check costs center-g an O(|ground|^2) min/max
+	// scan, so in-process runs must not pay it once per site.
+	grid, err := cfg.check(g, obj)
+	if err != nil {
+		return Result{}, err
+	}
+	// Preemption reaches inside the solves behind the sites' instances,
+	// not just between protocol rounds.
 	cfg.LocalOpts.Ctx = ctx
-	return protocol.RunLocal(ctx, cfg.params(), cfg.Transport, cfg.Topology, sites,
-		func(i int) (transport.Handler, error) { return NewSiteHandler(g, sites[i], cfg, obj, i) },
-		func(tr transport.Transport) (Result, error) { return RunOverCtx(ctx, g, tr, cfg, obj) })
+	return protocol.RunLocal(ctx, cfg.params(grid), cfg.Transport, cfg.Topology, sites,
+		func(i int) (transport.Handler, error) { return newSiteHandler(g, sites[i], cfg, obj, grid, i) },
+		func(tr transport.Transport) (Result, error) { return runOver(ctx, g, tr, cfg, obj, grid) })
 }
 
 // NewSiteHandler builds the site half of the uncertain protocol for site i
-// holding nodes over the shared ground set g.
+// holding nodes over the shared ground set g. For CenterG it derives the tau
+// grid from g (a genuinely remote site must compute it itself).
 func NewSiteHandler(g *Ground, nodes []Node, cfg Config, obj Objective, site int) (transport.Handler, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	grid, err := cfg.check(g, obj)
+	if err != nil {
 		return nil, err
 	}
+	return newSiteHandler(g, nodes, cfg, obj, grid, site)
+}
+
+// newSiteHandler is NewSiteHandler once cfg has its defaults and check has
+// returned its grid.
+func newSiteHandler(g *Ground, nodes []Node, cfg Config, obj Objective, grid []float64, site int) (transport.Handler, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("uncertain: site %d empty", site)
 	}
-	return protocol.Handler(cfg.params(), site, newUSite(g, nodes, cfg, obj, site)), nil
+	var st protocol.Site = newUSite(g, nodes, cfg, obj, site)
+	if obj == CenterG {
+		st = newCGSite(g, nodes, cfg, grid, site)
+	}
+	return protocol.Handler(cfg.params(grid), site, st), nil
 }
 
 // RunOverCtx executes the coordinator side of the uncertain protocol over
@@ -278,11 +328,25 @@ func NewSiteHandler(g *Ground, nodes []Node, cfg Config, obj Objective, site int
 // round loop and the coordinator solve promptly with ctx.Err().
 func RunOverCtx(ctx context.Context, g *Ground, tr transport.Transport, cfg Config, obj Objective) (Result, error) {
 	cfg = cfg.withDefaults()
-	cfg.LocalOpts.Ctx = ctx
-	if err := cfg.validate(); err != nil {
+	grid, err := cfg.check(g, obj)
+	if err != nil {
 		return Result{}, err
 	}
-	res, err := protocol.Run(ctx, tr, cfg.params(), newReducer(g, cfg, obj))
+	cfg.LocalOpts.Ctx = ctx
+	return runOver(ctx, g, tr, cfg, obj, grid)
+}
+
+// runOver is RunOverCtx once cfg has its defaults and ctx and check has
+// returned its grid.
+func runOver(ctx context.Context, g *Ground, tr transport.Transport, cfg Config, obj Objective, grid []float64) (Result, error) {
+	var red protocol.Reducer = newReducer(g, cfg, obj)
+	var err error
+	if obj == CenterG {
+		if red, err = newCGReducer(g, cfg, grid); err != nil {
+			return Result{}, err
+		}
+	}
+	res, err := protocol.Run(ctx, tr, cfg.params(grid), red)
 	if err != nil {
 		return Result{}, err
 	}

@@ -130,8 +130,8 @@ func TestUncertainDeterministic(t *testing.T) {
 
 func TestCenterGEndToEnd(t *testing.T) {
 	in, sites := plantedUncertain(t, 90, 3, 3, 3, 0.05, 7)
-	cfg := uncertain.CenterGConfig{K: 3, T: 5}
-	res, err := uncertain.RunCenterG(in.Ground, sites, cfg)
+	cfg := uncertain.Config{K: 3, T: 5}
+	res, err := uncertain.Run(in.Ground, sites, cfg, uncertain.CenterG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,17 +163,17 @@ func TestCenterGEndToEnd(t *testing.T) {
 
 func TestCenterGValidation(t *testing.T) {
 	in, sites := plantedUncertain(t, 40, 2, 2, 3, 0, 8)
-	if _, err := uncertain.RunCenterG(in.Ground, nil, uncertain.CenterGConfig{K: 1}); err == nil {
+	if _, err := uncertain.Run(in.Ground, nil, uncertain.Config{K: 1}, uncertain.CenterG); err == nil {
 		t.Error("no sites accepted")
 	}
-	if _, err := uncertain.RunCenterG(in.Ground, sites, uncertain.CenterGConfig{K: 0}); err == nil {
+	if _, err := uncertain.Run(in.Ground, sites, uncertain.Config{K: 0}, uncertain.CenterG); err == nil {
 		t.Error("K=0 accepted")
 	}
 	// Degenerate ground set (all points identical) is rejected.
 	g := &uncertain.Ground{}
 	g.Pts = append(g.Pts, []float64{0}, []float64{0})
 	nodes := [][]uncertain.Node{{{Support: []int{0}, Prob: []float64{1}}}}
-	if _, err := uncertain.RunCenterG(g, nodes, uncertain.CenterGConfig{K: 1}); err == nil {
+	if _, err := uncertain.Run(g, nodes, uncertain.Config{K: 1}, uncertain.CenterG); err == nil {
 		t.Error("degenerate ground accepted")
 	}
 }
@@ -188,51 +188,43 @@ func TestConfigRejectsHostileKnobs(t *testing.T) {
 	defer tr.Close()
 	ctx := context.Background()
 	for _, tc := range []struct {
-		cfg  uncertain.CenterGConfig
-		want string
-	}{
-		{uncertain.CenterGConfig{K: 3, T: 6, TauBase: 1}, "TauBase"},
-		{uncertain.CenterGConfig{K: 3, T: 6, TauBase: 0.5}, "TauBase"},
-		{uncertain.CenterGConfig{K: 3, T: 6, TauBase: math.Inf(1)}, "TauBase"},
-		{uncertain.CenterGConfig{K: 3, T: 6, TauBase: math.NaN()}, "TauBase"},
-		{uncertain.CenterGConfig{K: 3, T: 6, TauBase: 1 + 1e-12}, "thresholds"},
-		{uncertain.CenterGConfig{K: 3, T: 6, MaxFacilities: -1}, "MaxFacilities"},
-		{uncertain.CenterGConfig{K: 3, T: 6, Eps: math.NaN()}, "Eps"},
-		{uncertain.CenterGConfig{K: 3, T: 6, Eps: -5}, "Eps"},
-		{uncertain.CenterGConfig{K: 3, T: 6, Eps: 1e308}, "Eps"},
-		{uncertain.CenterGConfig{K: 3, T: 6, Rho: math.Inf(1)}, "Rho"},
-		{uncertain.CenterGConfig{K: 3, T: 6, HullBase: math.Inf(-1)}, "HullBase"},
-	} {
-		for name, run := range map[string]func() error{
-			"site":        func() error { _, err := uncertain.NewCenterGSiteHandler(in.Ground, sites[0], tc.cfg, 0); return err },
-			"local":       func() error { _, err := uncertain.RunCenterG(in.Ground, sites, tc.cfg); return err },
-			"coordinator": func() error { _, err := uncertain.RunCenterGOverCtx(ctx, in.Ground, tr, tc.cfg); return err },
-		} {
-			if err := run(); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("center-g %s %+v: error %v, want one naming %s", name, tc.cfg, err, tc.want)
-			}
-		}
-	}
-	for _, tc := range []struct {
+		obj  uncertain.Objective
 		cfg  uncertain.Config
 		want string
 	}{
-		{uncertain.Config{K: 3, T: 6, Eps: math.Inf(1)}, "Eps"},
-		{uncertain.Config{K: 3, T: 6, Eps: -5}, "Eps"},
-		{uncertain.Config{K: 3, T: 6, Eps: 1e308}, "Eps"},
-		{uncertain.Config{K: 3, T: 6, Rho: math.NaN()}, "Rho"},
-		{uncertain.Config{K: 3, T: 6, HullBase: math.NaN()}, "HullBase"},
+		{uncertain.CenterG, uncertain.Config{K: 3, T: 6, TauBase: 1}, "TauBase"},
+		{uncertain.CenterG, uncertain.Config{K: 3, T: 6, TauBase: 0.5}, "TauBase"},
+		{uncertain.CenterG, uncertain.Config{K: 3, T: 6, TauBase: math.Inf(1)}, "TauBase"},
+		{uncertain.CenterG, uncertain.Config{K: 3, T: 6, TauBase: math.NaN()}, "TauBase"},
+		{uncertain.CenterG, uncertain.Config{K: 3, T: 6, TauBase: 1 + 1e-12}, "thresholds"},
+		{uncertain.CenterG, uncertain.Config{K: 3, T: 6, MaxFacilities: -1}, "MaxFacilities"},
+		{uncertain.CenterG, uncertain.Config{K: 3, T: 6, Eps: math.NaN()}, "Eps"},
+		{uncertain.CenterG, uncertain.Config{K: 3, T: 6, Eps: -5}, "Eps"},
+		{uncertain.CenterG, uncertain.Config{K: 3, T: 6, Eps: 1e308}, "Eps"},
+		{uncertain.CenterG, uncertain.Config{K: 3, T: 6, Rho: math.Inf(1)}, "Rho"},
+		{uncertain.CenterG, uncertain.Config{K: 3, T: 6, HullBase: math.Inf(-1)}, "HullBase"},
+		{uncertain.Median, uncertain.Config{K: 3, T: 6, Eps: math.Inf(1)}, "Eps"},
+		{uncertain.Median, uncertain.Config{K: 3, T: 6, Eps: -5}, "Eps"},
+		{uncertain.Median, uncertain.Config{K: 3, T: 6, Eps: 1e308}, "Eps"},
+		{uncertain.Median, uncertain.Config{K: 3, T: 6, Rho: math.NaN()}, "Rho"},
+		{uncertain.Median, uncertain.Config{K: 3, T: 6, HullBase: math.NaN()}, "HullBase"},
+		// A frame's enums: an objective or variant no protocol has used to run
+		// as u-median or as the 2-round variant.
+		{uncertain.Objective(9), uncertain.Config{K: 3, T: 6}, "objective"},
+		{uncertain.Objective(-1), uncertain.Config{K: 3, T: 6}, "objective"},
+		{uncertain.Median, uncertain.Config{K: 3, T: 6, Variant: 7}, "variant"},
+		{uncertain.CenterG, uncertain.Config{K: 3, T: 6, Variant: -1}, "variant"},
 	} {
 		for name, run := range map[string]func() error{
 			"site": func() error {
-				_, err := uncertain.NewSiteHandler(in.Ground, sites[0], tc.cfg, uncertain.Median, 0)
+				_, err := uncertain.NewSiteHandler(in.Ground, sites[0], tc.cfg, tc.obj, 0)
 				return err
 			},
-			"local":       func() error { _, err := uncertain.Run(in.Ground, sites, tc.cfg, uncertain.Median); return err },
-			"coordinator": func() error { _, err := uncertain.RunOverCtx(ctx, in.Ground, tr, tc.cfg, uncertain.Median); return err },
+			"local":       func() error { _, err := uncertain.Run(in.Ground, sites, tc.cfg, tc.obj); return err },
+			"coordinator": func() error { _, err := uncertain.RunOverCtx(ctx, in.Ground, tr, tc.cfg, tc.obj); return err },
 		} {
 			if err := run(); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("uncertain %s %+v: error %v, want one naming %s", name, tc.cfg, err, tc.want)
+				t.Errorf("%v %s %+v: error %v, want one naming %s", tc.obj, name, tc.cfg, err, tc.want)
 			}
 		}
 	}
@@ -243,7 +235,7 @@ func TestConfigRejectsHostileKnobs(t *testing.T) {
 func TestCenterGShipsDistributions(t *testing.T) {
 	bytesFor := func(m int) int64 {
 		in, sites := plantedUncertain(t, 90, 3, 3, m, 0.1, 9)
-		res, err := uncertain.RunCenterG(in.Ground, sites, uncertain.CenterGConfig{K: 3, T: 9})
+		res, err := uncertain.Run(in.Ground, sites, uncertain.Config{K: 3, T: 9}, uncertain.CenterG)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 // variant avoids.
 func TestCenterGOneRound(t *testing.T) {
 	in, sites := plantedUncertain(t, 90, 3, 3, 3, 0.07, 21)
-	one, err := uncertain.RunCenterG(in.Ground, sites, uncertain.CenterGConfig{K: 3, T: 6, OneRound: true})
+	one, err := uncertain.Run(in.Ground, sites, uncertain.Config{K: 3, T: 6, Variant: uncertain.OneRoundShipDists}, uncertain.CenterG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestCenterGOneRound(t *testing.T) {
 	if len(one.Centers) == 0 || len(one.Centers) > 3 {
 		t.Fatalf("centers = %d", len(one.Centers))
 	}
-	two, err := uncertain.RunCenterG(in.Ground, sites, uncertain.CenterGConfig{K: 3, T: 6})
+	two, err := uncertain.Run(in.Ground, sites, uncertain.Config{K: 3, T: 6}, uncertain.CenterG)
 	if err != nil {
 		t.Fatal(err)
 	}

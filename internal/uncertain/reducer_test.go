@@ -25,27 +25,42 @@ func nodeReducer(t testing.TB, name string, g *Ground) protocol.Reducer {
 	if name == "naive" {
 		return newReducer(g, Config{K: 2, T: 1, Variant: OneRoundShipDists}.withDefaults(), Median)
 	}
-	cfg := CenterGConfig{K: 1, T: 1, OneRound: name == "centerg/1round"}.withDefaults()
-	grid, err := cfg.validate(g)
+	cfg := Config{K: 1, T: 1}
+	if name == "centerg/1round" {
+		cfg.Variant = OneRoundShipDists
+	}
+	cfg = cfg.withDefaults()
+	grid, err := cfg.check(g, CenterG)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newCGReducer(g, cfg, grid)
+	r, err := newCGReducer(g, cfg, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // shippedNode is the payload the named reducer expects from one site,
 // carrying nd as its only outlier node and no centers.
 func shippedNode(t testing.TB, name string, g *Ground, nd comm.NodeWire) []byte {
-	outs := comm.NodesMsg{Nodes: []comm.NodeWire{nd}}
-	parts := []comm.Payload{comm.WeightedPointsMsg{}, outs}
-	switch name {
-	case "naive":
-		parts[0] = comm.CollapsedMsg{}
-	case "centerg/1round":
+	var centers comm.Payload = comm.WeightedPointsMsg{}
+	if name == "naive" {
+		centers = comm.CollapsedMsg{}
+	}
+	return shipped(t, name, g, centers, comm.NodesMsg{Nodes: []comm.NodeWire{nd}})
+}
+
+// shipped is the payload the named reducer expects from one site whose
+// preclustering is centers and the outlier nodes outs: in a 1-round
+// center-g run, that pair at every tau behind zero costs.
+func shipped(t testing.TB, name string, g *Ground, centers comm.Payload, outs comm.NodesMsg) []byte {
+	parts := []comm.Payload{centers, outs}
+	if name == "centerg/1round" {
 		taus := len(nodeReducer(t, name, g).(*cgReducer).grid)
 		parts = []comm.Payload{comm.Float64sMsg{Vals: make([]float64, taus)}}
 		for range taus {
-			parts = append(parts, comm.WeightedPointsMsg{}, outs)
+			parts = append(parts, centers, outs)
 		}
 	}
 	b, err := comm.Encode(comm.Multi{Parts: parts})
@@ -156,11 +171,59 @@ func TestReducersRejectBadCollapsed(t *testing.T) {
 	}
 }
 
+// TestCenterGReducerRejectsBadCenters: Algorithm 4's coordinator admits
+// a site's precluster centers as Algorithm 3's does (protocol.Union.Admit,
+// dimension fixed by the ground set, the ground points in the overflow
+// bound), and an outlier node at its probability mass. 3-D or 1-D centers
+// used to panic Solve in metric.L2, a NaN weight gave no centers at cost 0,
+// a -1e9 weight was accepted, a NaN coordinate came back as the center
+// [NaN 0], and a center at 1e200 or a node of overflowing mass was
+// accepted. A well-formed preclustering solves at a finite radius.
+func TestCenterGReducerRejectsBadCenters(t *testing.T) {
+	g := reducerGround()
+	outs := comm.NodesMsg{Nodes: []comm.NodeWire{{Support: []uint32{0, 2}, Prob: []float64{0.5, 0.5}}}}
+	rows := []struct {
+		name string
+		edit func(m *comm.WeightedPointsMsg, outs *comm.NodesMsg)
+		ok   bool
+	}{
+		{"valid", func(*comm.WeightedPointsMsg, *comm.NodesMsg) {}, true},
+		{"3-D centers", func(m *comm.WeightedPointsMsg, _ *comm.NodesMsg) { m.Pts = []metric.Point{{0, 0, 0}, {1, 0, 0}} }, false},
+		{"1-D centers", func(m *comm.WeightedPointsMsg, _ *comm.NodesMsg) { m.Pts = []metric.Point{{0}, {1}} }, false},
+		{"NaN weight", func(m *comm.WeightedPointsMsg, _ *comm.NodesMsg) { m.W[0] = math.NaN() }, false},
+		{"-1e9 weight", func(m *comm.WeightedPointsMsg, _ *comm.NodesMsg) { m.W[0] = -1e9 }, false},
+		{"NaN coordinate", func(m *comm.WeightedPointsMsg, _ *comm.NodesMsg) { m.Pts[1] = metric.Point{math.NaN(), 0} }, false},
+		{"center at 1e200", func(m *comm.WeightedPointsMsg, _ *comm.NodesMsg) { m.Pts[1] = metric.Point{1e200, 0} }, false},
+		{"overflowing node mass", func(_ *comm.WeightedPointsMsg, o *comm.NodesMsg) {
+			o.Nodes = []comm.NodeWire{{Support: []uint32{1, 2}, Prob: []float64{math.MaxFloat64, math.MaxFloat64}}}
+		}, false},
+	}
+	for _, row := range rows {
+		for _, name := range nodeReducers[1:] {
+			msg, o := comm.WeightedPointsMsg{Pts: []metric.Point{{0, 0}, {1, 0}}, W: []float64{3, 2}}, outs
+			row.edit(&msg, &o)
+			r := nodeReducer(t, name, g)
+			err := r.Add(shipped(t, name, g, msg, o))
+			if (err == nil) != row.ok {
+				t.Errorf("%s, %s: Add returned %v, want ok=%v", name, row.name, err, row.ok)
+				continue
+			}
+			if err == nil {
+				var res protocol.Result
+				r.Solve(&res)
+				if len(res.Centers) == 0 || math.IsNaN(res.CoordinatorCost) || math.IsInf(res.CoordinatorCost, 0) {
+					t.Errorf("%s, %s: solved to %d centers at radius %g", name, row.name, len(res.Centers), res.CoordinatorCost)
+				}
+			}
+		}
+	}
+}
+
 // FuzzReducerAdd feeds arbitrary bytes, as one site's precluster payload, to
 // every coordinator half that decodes shipped outlier nodes and to
 // Algorithm 3's 2-round halves: Add must return an error or succeed, never
-// panic, and a payload an Algorithm 3 half accepts must solve without a
-// panic at a finite cost. Seeded with the empty-support and
+// panic, and a payload any half accepts must solve without a panic at a
+// finite cost or radius. Seeded with the empty-support and
 // past-the-ground-set nodes that used to panic, and with a collapsed
 // precluster of the wrong dimension.
 //
@@ -180,12 +243,12 @@ func FuzzReducerAdd(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		solvable := map[string]*reducer{"naive": nodeReducer(t, "naive", g).(*reducer)}
+		solvable := map[string]protocol.Reducer{}
+		for _, name := range nodeReducers {
+			solvable[name] = nodeReducer(t, name, g)
+		}
 		for name, obj := range collapsedReducers {
 			solvable[name] = collapsedReducer(g, obj)
-		}
-		for _, name := range nodeReducers[1:] {
-			_ = nodeReducer(t, name, g).Add(b)
 		}
 		for name, r := range solvable {
 			if r.Add(b) != nil {

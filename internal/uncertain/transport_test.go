@@ -51,13 +51,13 @@ func TestUncertainTCPMatchesLoopback(t *testing.T) {
 // wire.
 func TestCenterGTCPMatchesLoopback(t *testing.T) {
 	in, sites := plantedUncertain(t, 120, 2, 3, 3, 0.05, 13)
-	cfg := uncertain.CenterGConfig{K: 2, T: 6}
-	loop, err := uncertain.RunCenterG(in.Ground, sites, cfg)
+	cfg := uncertain.Config{K: 2, T: 6}
+	loop, err := uncertain.Run(in.Ground, sites, cfg, uncertain.CenterG)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Transport = transport.KindTCP
-	tcp, err := uncertain.RunCenterG(in.Ground, sites, cfg)
+	tcp, err := uncertain.Run(in.Ground, sites, cfg, uncertain.CenterG)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,13 +77,13 @@ func TestUncertainTreeMatchesStar(t *testing.T) {
 // re-groups losslessly.
 func TestCenterGTreeMatchesStar(t *testing.T) {
 	in, sites := plantedUncertain(t, 150, 2, 9, 3, 0.05, 13)
-	cfg := uncertain.CenterGConfig{K: 2, T: 6}
-	star, err := uncertain.RunCenterG(in.Ground, sites, cfg)
+	cfg := uncertain.Config{K: 2, T: 6}
+	star, err := uncertain.Run(in.Ground, sites, cfg, uncertain.CenterG)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Topology = tree.Spec{Tree: true, Branch: 3}
-	treed, err := uncertain.RunCenterG(in.Ground, sites, cfg)
+	treed, err := uncertain.Run(in.Ground, sites, cfg, uncertain.CenterG)
 	if err != nil {
 		t.Fatal(err)
 	}

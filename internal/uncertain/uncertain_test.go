@@ -8,6 +8,7 @@ import (
 	"dpc/internal/comm"
 	"dpc/internal/exact"
 	"dpc/internal/metric"
+	"dpc/internal/protocol"
 )
 
 // twoClusterGround builds a small ground set: cluster A around 0, cluster B
@@ -252,7 +253,7 @@ func TestOraclesDeclareNoTrianglePower(t *testing.T) {
 	}
 	col := Collapse(g, nodes, false, FullGround)
 	cc := &coordTruncCosts{g: g, tau: 1}
-	cc.add(g, comm.WeightedPointsMsg{Pts: g.Pts[:1], W: []float64{1}}, comm.NodesMsg{Nodes: []comm.NodeWire{nodeWire(nodes[1])}})
+	cc.add(g, new(protocol.Union), comm.WeightedPointsMsg{Pts: g.Pts[:1], W: []float64{1}}, comm.NodesMsg{Nodes: []comm.NodeWire{nodeWire(nodes[1])}})
 	for name, c := range map[string]metric.Costs{
 		"collapsed":           col,
 		"collapsed-squared":   Collapse(g, nodes, true, FullGround),
