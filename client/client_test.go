@@ -307,10 +307,10 @@ func TestCancellationAllBackends(t *testing.T) {
 	}
 }
 
-// TestCancelledClusterReconnects pins the lazy-reconnect semantics: a
-// mid-protocol cancellation drops the desynchronized site connections, and
-// the next Do re-binds the original address, waits for the redialing
-// daemons (ServeSiteLoop — dpc-site's loop), and answers with the
+// TestCancelledClusterReconnects pins the reconnect semantics: a
+// mid-protocol cancellation drops the desynchronized site connections, the
+// fleet re-binds the original address, and the next Do waits for the
+// redialing daemons (ServeSiteLoop — dpc-site's loop) and answers with the
 // same centers a never-cancelled run produces.
 func TestCancelledClusterReconnects(t *testing.T) {
 	in := cancelInstance()

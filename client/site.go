@@ -41,7 +41,7 @@ func ServeSite(addr string, d SiteData, timeout time.Duration) error {
 // ServeSiteLoop is dpc-site as a library call — ServeSite plus redial: a
 // connection that drops without the coordinator's clean protocol close —
 // the fate of a fleet whose request was cancelled mid-round — is dialed
-// again, so the site is back for the coordinator's lazy reconnect. It
+// again, so the site is back for the coordinator's reconnect. It
 // returns nil on a clean close, or the dial error once the coordinator
 // stays away for timeout.
 func ServeSiteLoop(addr string, d SiteData, timeout time.Duration) error {

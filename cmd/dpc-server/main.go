@@ -14,6 +14,10 @@
 //	dpc-site -connect 127.0.0.1:9009 -site 0 -in part0.csv
 //	dpc-site -connect 127.0.0.1:9009 -site 1 -in part1.csv
 //
+//	# several site groups; -site ids continue across them:
+//	dpc-server -listen :8080 -sites-listen 127.0.0.1:9009,127.0.0.1:9010 -remote-sites 2,1
+//	dpc-site -connect 127.0.0.1:9010 -site 2 -in part2.csv
+//
 // API sketch (see the README's Serving section for full reference):
 //
 //	POST /v1/datasets                  register a dataset (JSON points/nodes, or text/csv body + ?name= [&kind=uncertain])
@@ -53,6 +57,7 @@ import (
 
 	"dpc/internal/flagbind"
 	"dpc/internal/serve"
+	"dpc/internal/transport"
 )
 
 // options is the server's flag surface; like cmd/dpc-cluster, the flags
@@ -170,21 +175,23 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		base := 0
 		for g, addr := range addrs {
-			fmt.Fprintf(os.Stderr, "dpc-server: waiting for %d dpc-site daemon(s) on %s\n", counts[g], addr)
-			if g == 0 {
-				_, bound, err := srv.RegisterRemote(opt.RemoteName, addr, counts[g])
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "dpc-server: %d site(s) connected on %s as dataset %q\n", counts[g], bound, opt.RemoteName)
-				continue
-			}
-			bound, err := srv.AddRemoteGroup(opt.RemoteName, addr, counts[g])
+			l, err := transport.Listen(addr, counts[g])
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Fprintf(os.Stderr, "dpc-server: %d more site(s) connected on %s joined dataset %q (group %d)\n", counts[g], bound, opt.RemoteName, g+1)
+			fmt.Fprintf(os.Stderr, "dpc-server: waiting for %d dpc-site daemon(s), -site ids [%d,%d), on %s\n", counts[g], base, base+counts[g], l.Addr())
+			if g == 0 {
+				_, err = srv.RegisterRemote(opt.RemoteName, l, counts[g])
+			} else {
+				err = srv.AddRemoteGroup(opt.RemoteName, l, counts[g])
+			}
+			if err != nil {
+				fatal(err)
+			}
+			base += counts[g]
+			fmt.Fprintf(os.Stderr, "dpc-server: %d site(s) connected on %s: dataset %q has %d site(s) in %d group(s)\n", counts[g], l.Addr(), opt.RemoteName, base, g+1)
 		}
 	}
 

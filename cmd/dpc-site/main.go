@@ -52,7 +52,7 @@ import (
 func main() {
 	var (
 		connect   = flag.String("connect", "127.0.0.1:9009", "coordinator address")
-		site      = flag.Int("site", 0, "this site's id (0-based, unique per site)")
+		site      = flag.Int("site", 0, "this site's id (0-based, unique across the fleet; ids continue across dpc-server site groups)")
 		inPath    = flag.String("in", "-", "input CSV ('-' = stdin): this site's points, or the full node set with -uncertain")
 		timeout   = flag.Duration("timeout", 30*time.Second, "how long to retry dialing the coordinator")
 		uncFlag   = flag.Bool("uncertain", false, "input rows are uncertain nodes: node_id,prob,coords...")

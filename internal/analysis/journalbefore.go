@@ -23,13 +23,11 @@ var journalMethods = map[string]bool{
 // (Get/List/All/Count) are exempt, and AppendJournaled is a journal event,
 // not a bare mutation.
 var registryMutators = map[string]bool{
-	"Append":         true,
-	"Delete":         true,
-	"put":            true,
-	"RegisterTable":  true,
-	"RegisterRemote": true,
-	"AddRemoteGroup": true,
-	"register":       true,
+	"Append":        true,
+	"Delete":        true,
+	"put":           true,
+	"RegisterTable": true,
+	"register":      true,
 }
 
 // JournalBefore freezes PR 7's durability fix as a rule: inside

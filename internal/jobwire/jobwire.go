@@ -6,10 +6,11 @@
 // the tagged union of the two run configurations; its methods are the
 // four things anyone does with one: build a site's half (SiteHandler, and
 // Factory / ServeJobs for a daemon serving frame after frame), run the
-// coordinator's half over a connected fleet (RunOver), run both halves
+// coordinator's half over a connected transport (RunOver), run both halves
 // in-process over shards (RunLocal), and measure the true cost of an answer
-// (Evaluate). The backends in dpc/client and internal/serve call these and
-// never name a protocol package.
+// (Evaluate). Fleet is the coordinator's end of persistent site daemons,
+// the one owner of their connections. The backends in dpc/client and
+// internal/serve call these and never name a protocol package.
 //
 // A frame is a two-byte envelope — magic, kind — followed by the kind's
 // configuration as JSON, one codec for every kind (float64 values
@@ -231,32 +232,6 @@ func (j Job) SiteHandler(d SiteData) (transport.Handler, error) {
 		return uncertain.NewSiteHandler(d.G, d.Nodes, j.Unc, j.Obj, d.Site)
 	}
 	return nil, fmt.Errorf("jobwire: unhandled kind %v", j.Kind)
-}
-
-// Fleet is a connected site fleet that can be re-armed job after job: the
-// protocol rounds plus the job-frame broadcast. *transport.Coordinator (one
-// group of daemons), *transport.Multi (several) and *tree.Root (daemons
-// behind aggregators) are fleets.
-type Fleet interface {
-	transport.Transport
-	StartJob(blob []byte) error
-}
-
-// RunFleet arms every site of f with j's frame, then runs the coordinator
-// half of j over it (RunOver). A job that cannot run — an uncertain job
-// without its ground set — fails before any site has been armed.
-func (j Job) RunFleet(ctx context.Context, f Fleet, g *uncertain.Ground) (protocol.Result, error) {
-	if j.Kind != KindPoint && g == nil {
-		return protocol.Result{}, fmt.Errorf("jobwire: %v job needs Ground (the shared ground metric) on the coordinator", j.Kind)
-	}
-	blob, err := Encode(j)
-	if err != nil {
-		return protocol.Result{}, err
-	}
-	if err := f.StartJob(blob); err != nil {
-		return protocol.Result{}, err
-	}
-	return j.RunOver(ctx, f, g)
 }
 
 // RunOver runs the coordinator half of j over a transport whose sites

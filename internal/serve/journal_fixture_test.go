@@ -127,7 +127,7 @@ func fixtureCalls(t *testing.T, a *api, s *Server) []Job {
 	}
 	defer l.Close()
 	join := startPersistentSites(t, l.Addr().String(), dataio.SplitRoundRobin(rowsToPoints(testPoints(40, 2, 12)), sites))
-	rd, err := s.RegisterRemoteListener("rm", l, sites)
+	rd, err := s.RegisterRemote("rm", l, sites)
 	if err != nil {
 		t.Fatal(err)
 	}

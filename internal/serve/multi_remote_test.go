@@ -27,7 +27,7 @@ func startSiteGroup(t *testing.T, addr string, shards [][]metric.Point, idBase i
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sc, err := transport.Dial(addr, i, 10*time.Second)
+			sc, err := transport.Dial(addr, idBase+i, 10*time.Second)
 			if err != nil {
 				errs[i] = err
 				return
@@ -64,8 +64,8 @@ func TestRemoteDatasetSpansSiteGroups(t *testing.T) {
 	}
 	defer lA.Close()
 	joinA := startSiteGroup(t, lA.Addr().String(), groupA, 0)
-	if _, err := s.RegisterRemoteListener("spanning", lA, len(groupA)); err != nil {
-		t.Fatalf("RegisterRemoteListener: %v", err)
+	if _, err := s.RegisterRemote("spanning", lA, len(groupA)); err != nil {
+		t.Fatalf("RegisterRemote: %v", err)
 	}
 
 	lB, err := transport.Listen("127.0.0.1:0", len(groupB))
@@ -74,11 +74,10 @@ func TestRemoteDatasetSpansSiteGroups(t *testing.T) {
 	}
 	defer lB.Close()
 	joinB := startSiteGroup(t, lB.Addr().String(), groupB, len(groupA))
-	coordB, err := lB.Accept(len(groupB), []byte(transport.JobsHello))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Registry().AddRemoteGroup("spanning", coordB); err != nil {
+	// A group whose ids the accept refuses would wait forever: bound it.
+	bound := time.AfterFunc(10*time.Second, func() { lB.Close() })
+	defer bound.Stop()
+	if err := s.AddRemoteGroup("spanning", lB, len(groupB)); err != nil {
 		t.Fatalf("AddRemoteGroup: %v", err)
 	}
 

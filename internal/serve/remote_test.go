@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,8 +65,8 @@ func TestRemoteDatasetJobs(t *testing.T) {
 	}
 	defer l.Close()
 	join := startPersistentSites(t, l.Addr().String(), shards)
-	if _, err := s.RegisterRemoteListener("remote", l, sites); err != nil {
-		t.Fatalf("RegisterRemoteListener: %v", err)
+	if _, err := s.RegisterRemote("remote", l, sites); err != nil {
+		t.Fatalf("RegisterRemote: %v", err)
 	}
 
 	spec := JobSpec{Dataset: "remote", K: 3, T: 15, Objective: "median", Seed: 5}
@@ -134,5 +135,168 @@ func TestRemoteDatasetJobs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("site %d exited with error: %v", i, err)
 		}
+	}
+}
+
+// roundGate blocks every site's round 0 while armed, until released.
+type roundGate struct {
+	armed   atomic.Bool
+	entered chan struct{} // one send per blocked site
+	release chan struct{}
+}
+
+func (g *roundGate) wrap(_ int, _ []byte, h transport.Handler) transport.Handler {
+	return func(round int, in []byte) ([]byte, error) {
+		if round == 0 && g.armed.Load() {
+			g.entered <- struct{}{}
+			<-g.release
+		}
+		return h(round, in)
+	}
+}
+
+// startRedialSites replicates dpc-site's loop in-process for one site
+// group: each site dials with its global id idBase+i, retrying for dial,
+// serves jobs through gate, and dials again when its connection drops
+// without the coordinator's clean close. A clean close ends a site and
+// counts in closes.
+func startRedialSites(t *testing.T, addr string, shards [][]metric.Point, idBase int, dial time.Duration, gate *roundGate, closes *atomic.Int32) func() []error {
+	t.Helper()
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i := range shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			d := jobwire.SiteData{Site: idBase + i, Pts: shards[i], Cache: metric.NewDistCache(metric.NewPoints(shards[i]))}
+			for {
+				sc, err := transport.Dial(addr, d.Site, dial)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				err = jobwire.ServeJobs(sc, d, gate.wrap)
+				sc.Close()
+				if err == nil {
+					closes.Add(1)
+					return
+				}
+			}
+		}(i)
+	}
+	return func() []error { wg.Wait(); return errs }
+}
+
+// TestRemoteDatasetSurvivesCancel cancels a job on a remote dataset while
+// every site is inside round 0: the fleet drops the desynchronized
+// connections without the protocol close, the redialing sites come back,
+// and the next jobs answer exactly as a loopback run over the same shards
+// — over one site group and over two. In the last row the sites give up
+// dialing after 300 ms and the next job comes a second after the cancel:
+// the fleet must have taken them back without waiting for a job.
+func TestRemoteDatasetSurvivesCancel(t *testing.T) {
+	in := gen.Mixture(gen.MixtureSpec{N: 360, K: 3, OutlierFrac: 0.04, Seed: 61})
+	for _, tc := range []struct {
+		name       string
+		groups     []int
+		dial, idle time.Duration // the sites' dial retry; the pause before the next job
+	}{
+		{"one group", []int{3}, 10 * time.Second, 0},
+		{"two groups", []int{2, 2}, 10 * time.Second, 0},
+		{"next job after the dial retry", []int{2, 2}, 300 * time.Millisecond, time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sites := 0
+			for _, n := range tc.groups {
+				sites += n
+			}
+			shards := dataio.SplitRoundRobin(in.Pts, sites)
+			s := New(Config{})
+			defer s.Close()
+
+			gate := &roundGate{entered: make(chan struct{}, sites), release: make(chan struct{})}
+			var closes atomic.Int32
+			var joins []func() []error
+			base := 0
+			for g, n := range tc.groups {
+				l, err := transport.Listen("127.0.0.1:0", n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				joins = append(joins, startRedialSites(t, l.Addr().String(), shards[base:base+n], base, tc.dial, gate, &closes))
+				if g == 0 {
+					_, err = s.RegisterRemote("rm", l, n)
+				} else {
+					err = s.AddRemoteGroup("rm", l, n)
+				}
+				if err != nil {
+					t.Fatalf("group %d: %v", g, err)
+				}
+				base += n
+			}
+
+			spec := JobSpec{Dataset: "rm", K: 3, T: 15, Objective: "median", Seed: 5}
+			want, err := core.Run(shards, core.Config{
+				K: 3, T: 15, Objective: core.Median, LocalOpts: kmedian.Options{Seed: 5},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			gate.armed.Store(true)
+			j, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < sites; i++ {
+				select {
+				case <-gate.entered:
+				case <-time.After(30 * time.Second):
+					t.Fatalf("%d of %d sites reached round 0", i, sites)
+				}
+			}
+			if _, err := s.CancelJob(j.ID); err != nil {
+				t.Fatal(err)
+			}
+			if done := waitServerJob(t, s, j.ID); done.Status != StatusCanceled {
+				t.Fatalf("cancelled job ended %s: %s", done.Status, done.Error)
+			}
+			gate.armed.Store(false)
+			close(gate.release)
+			time.Sleep(tc.idle)
+
+			for n := 0; n < 2; n++ {
+				j, err := s.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				done := waitServerJob(t, s, j.ID)
+				if done.Status != StatusDone {
+					t.Fatalf("job %d after the cancel failed: %s", n, done.Error)
+				}
+				assertCentersEqual(t, done.Result.Centers, want.Centers, fmt.Sprintf("job %d after the cancel", n))
+			}
+			if c := closes.Load(); c != 0 {
+				t.Fatalf("%d sites took the protocol close before the dataset was closed", c)
+			}
+
+			d, err := s.Registry().Get("rm")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.CloseRemote(); err != nil {
+				t.Fatal(err)
+			}
+			for g, join := range joins {
+				for i, err := range join() {
+					if err != nil {
+						t.Fatalf("group %d site %d exited with error: %v", g, i, err)
+					}
+				}
+			}
+			if c := closes.Load(); int(c) != sites {
+				t.Fatalf("%d of %d sites ended on the protocol close", c, sites)
+			}
+		})
 	}
 }

@@ -265,8 +265,8 @@ func (s *Server) Recovery() RecoveryStats {
 	return s.recovery
 }
 
-// Registry exposes the dataset registry (cmd/dpc-server registers remote
-// datasets through it; tests inspect cache stats).
+// Registry exposes the dataset registry (tests inspect datasets and cache
+// stats through it).
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Handler returns the HTTP handler serving the API.

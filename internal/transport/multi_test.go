@@ -55,18 +55,15 @@ func tag(group, site int) Handler {
 	}
 }
 
-// TestMultiGroupOrder pins Multi's flat-site contract: replies concatenate
+// TestJoinGroupOrder pins Join's flat-site contract: replies concatenate
 // in group order on every round, Send routes by global index, and
 // out-of-range sites are rejected.
-func TestMultiGroupOrder(t *testing.T) {
+func TestJoinGroupOrder(t *testing.T) {
 	g0, join0 := newGroup(t, tag(0, 0), tag(0, 1))
 	g1, join1 := newGroup(t, tag(1, 0), tag(1, 1), tag(1, 2))
-	m, err := NewMulti(g0, g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Sites() != 5 || m.Groups() != 2 {
-		t.Fatalf("Sites() = %d, Groups() = %d, want 5 and 2", m.Sites(), m.Groups())
+	m := Join(g0, g1)
+	if m.Sites() != 5 {
+		t.Fatalf("Sites() = %d, want 5", m.Sites())
 	}
 
 	// Per-site sends route by global index (one downstream message per
@@ -111,35 +108,32 @@ func TestMultiGroupOrder(t *testing.T) {
 	join1()
 }
 
-// TestMultiDeadMember: one dead member in one group fails the whole
-// logical gather loudly — attributed to its group — instead of returning a
-// short or reordered payload set.
-func TestMultiDeadMember(t *testing.T) {
+// TestJoinDeadMember: one dead member in one group fails the whole
+// logical gather loudly — attributed to its global site — instead of
+// returning a short or reordered payload set.
+func TestJoinDeadMember(t *testing.T) {
 	g0, join0 := newGroup(t, tag(0, 0), tag(0, 1))
 	g1, join1 := newGroup(t, tag(1, 0), nil) // member 1 of group 1 is dead
-	m, err := NewMulti(g0, g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = m.Broadcast(0, []byte("b"))
+	m := Join(g0, g1)
+	err := m.Broadcast(0, []byte("b"))
 	if err == nil {
 		_, err = m.Gather(context.Background(), 0)
 	}
 	if err == nil {
 		t.Fatalf("round over a dead member succeeded")
 	}
-	if !strings.Contains(err.Error(), "group 1") {
-		t.Fatalf("error %q does not attribute the failure to group 1", err)
+	if !strings.Contains(err.Error(), "site 3") {
+		t.Fatalf("error %q does not attribute the failure to site 3", err)
 	}
 	m.Close()
 	join0()
 	join1()
 }
 
-// TestMultiHungMember: a member that never replies must not hang the
-// caller past its context — the concurrent group gathers all honor
+// TestJoinHungMember: a member that never replies must not hang the
+// caller past its context — the parallel site reads all honor
 // cancellation, healthy groups included.
-func TestMultiHungMember(t *testing.T) {
+func TestJoinHungMember(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	hung := func(round int, in []byte) ([]byte, error) {
@@ -148,10 +142,7 @@ func TestMultiHungMember(t *testing.T) {
 	}
 	g0, _ := newGroup(t, tag(0, 0))
 	g1, _ := newGroup(t, tag(1, 0), hung)
-	m, err := NewMulti(g0, g1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := Join(g0, g1)
 	defer m.Close()
 	if err := m.Broadcast(0, []byte("b")); err != nil {
 		t.Fatal(err)
@@ -159,7 +150,7 @@ func TestMultiHungMember(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(20 * time.Millisecond); cancel() }()
 	start := time.Now()
-	_, err = m.Gather(ctx, 0)
+	_, err := m.Gather(ctx, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Gather returned %v, want context.Canceled", err)
 	}

@@ -195,6 +195,22 @@ type Coordinator struct {
 // Sites implements Transport.
 func (c *Coordinator) Sites() int { return len(c.conns) }
 
+// Join concatenates connected coordinators into one: its sites are the
+// arguments' sites in argument order, so groups accepted with AcceptBase at
+// consecutive bases answer in global site order. Its Gather reads every
+// site in parallel, whichever group it came from. The arguments must not
+// be used afterwards.
+func Join(cs ...*Coordinator) *Coordinator {
+	j := &Coordinator{}
+	for _, c := range cs {
+		j.conns = append(j.conns, c.conns...)
+		j.rd = append(j.rd, c.rd...)
+		j.wr = append(j.wr, c.wr...)
+		j.sent = append(j.sent, c.sent...)
+	}
+	return j
+}
+
 func (c *Coordinator) writeDown(round, site int, b []byte) error {
 	if site < 0 || site >= len(c.conns) {
 		return fmt.Errorf("transport: no such site %d", site)
@@ -383,9 +399,9 @@ func (c *Coordinator) Close() error {
 // Abort shuts the site sockets without the protocol close frame: the
 // sites observe a connection loss, not a clean end — what a persistent
 // daemon's redial loop (dpc-site, client.ServeSiteLoop) treats as
-// "the coordinator will be back". Used when the connections are
-// desynchronized mid-protocol (a cancelled request) and will be
-// re-established rather than ended.
+// "the coordinator will be back". jobwire.Fleet uses it when the
+// connections are desynchronized mid-protocol (a cancelled job) and will
+// be re-established rather than ended.
 func (c *Coordinator) Abort() error {
 	var first error
 	for i, conn := range c.conns {

@@ -11,9 +11,8 @@ import (
 )
 
 // jobStarter is the optional job-frame surface of a child transport
-// (transport.Coordinator, transport.Multi, Root). An aggregator forwards
-// job frames downward through it so site fleets work under a tree exactly
-// as under a star.
+// (transport.Coordinator, Root). An aggregator forwards job frames downward
+// through it so site fleets work under a tree exactly as under a star.
 type jobStarter interface {
 	StartJob(blob []byte) error
 }
@@ -218,26 +217,6 @@ func (r *Root) StartJob(blob []byte) error {
 // child transport, top level down.
 func (r *Root) Close() error {
 	first := r.inner.Close()
-	for _, a := range r.aggs {
-		if err := a.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Abort drops the inner transport's connections without the protocol
-// close frame when the inner transport supports it (transport.Coordinator
-// does), so persistent daemons behind them redial instead of exiting;
-// in-process aggregators are closed normally. Mirrors Coordinator.Abort
-// for tree-topology cluster backends.
-func (r *Root) Abort() error {
-	var first error
-	if ab, ok := r.inner.(interface{ Abort() error }); ok {
-		first = ab.Abort()
-	} else {
-		first = r.inner.Close()
-	}
 	for _, a := range r.aggs {
 		if err := a.Close(); err != nil && first == nil {
 			first = err
