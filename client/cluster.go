@@ -20,16 +20,20 @@ import (
 //
 // One Cluster serves one request at a time (the transport round contract);
 // concurrent Do calls queue. A request cancelled mid-protocol leaves the
-// site connections desynchronized, so the fleet drops them without the
-// protocol close and at once re-binds the original address for the site
-// daemons to redial (dpc-site and ServeSiteLoop retry exactly for this);
-// the next Do waits for them, bounded by its context, so one cancelled
-// request costs one reconnect, not the backend. Close is terminal.
+// site connections desynchronized, and one that failed at a site (a job
+// the site rejected, a lost connection) has a site out of its job loop, so
+// the fleet drops the connections without the protocol close and at once
+// re-binds the original address for the site daemons to redial (dpc-site
+// and ServeSiteLoop retry exactly for this); the next Do waits for them,
+// bounded by its context, so a cancelled request or one that failed at a
+// site costs one reconnect, not the backend. Close is terminal.
 //
 // With ListenClusterTree the connected daemons are the top tier of an
-// aggregation tree (dpc-site -aggregate) instead of the leaf sites; job
-// frames and rounds route through the aggregators and results stay
-// byte-identical to the flat cluster.
+// aggregation tree (dpc-site -aggregate, or tree.ServeLoop in-process)
+// instead of the leaf sites; job frames and rounds route through the
+// aggregators, results stay byte-identical to the flat cluster, and a
+// reconnect reaches the leaves: each aggregator aborts its children and
+// redials.
 type Cluster struct {
 	fleet *jobwire.Fleet
 }

@@ -2,61 +2,86 @@ package client
 
 import (
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dpc/internal/dataio"
 	"dpc/internal/gen"
+	"dpc/internal/jobwire"
 	"dpc/internal/transport"
 	"dpc/internal/tree"
 )
 
-// startAggregatorFleet replicates a tier of `dpc-site -aggregate` daemons
-// in-process: each aggregator listens for its children, dials the parent,
-// forwards the handshake blob down, and runs tree.Serve — the daemon's
-// exact code path. It returns the child listen addresses (index =
-// aggregator id) and a join for the serve loops.
-func startAggregatorFleet(t *testing.T, parent string, children, branch int) ([]string, func() []error) {
+// loops runs daemon loops in goroutines and keeps what each returns.
+type loops struct {
+	wg    sync.WaitGroup
+	errs  []*error
+	ended atomic.Int32 // loops that have returned
+}
+
+func (l *loops) start(loop func() error) {
+	err := new(error)
+	l.errs = append(l.errs, err)
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		*err = loop()
+		l.ended.Add(1)
+	}()
+}
+
+// join waits for every loop and returns their errors in start order.
+func (l *loops) join() []error {
+	l.wg.Wait()
+	errs := make([]error, len(l.errs))
+	for i, err := range l.errs {
+		errs[i] = *err
+	}
+	return errs
+}
+
+// startAggregatorTree runs the aggregator tiers of a ListenClusterTree
+// fleet of `sites` leaves in-process, each aggregator on tree.ServeLoop —
+// dpc-site -aggregate's loop — with its own child listener, ids and child
+// bases as tree.Tiers and tree.Groups plan them. It returns the bottom
+// tier's listen addresses (leaf i dials the one at i/branch) and the
+// aggregators' loops.
+func startAggregatorTree(t *testing.T, parent string, sites, branch int) ([]string, *loops) {
 	t.Helper()
-	addrs := make([]string, children)
-	listeners := make([]*transport.Listener, children)
-	for a := 0; a < children; a++ {
-		l, err := transport.Listen("127.0.0.1:0", branch)
-		if err != nil {
-			t.Fatal(err)
+	aggs := &loops{}
+	tiers := tree.Tiers(sites, branch)
+	var up []string // the addresses of the tier above: the root's first
+	for k := len(tiers) - 1; k >= 0; k-- {
+		below := sites
+		if k > 0 {
+			below = tiers[k-1]
 		}
-		addrs[a] = l.Addr().String()
-		listeners[a] = l
-	}
-	errs := make([]error, children)
-	var wg sync.WaitGroup
-	for a := 0; a < children; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			l := listeners[a]
-			defer l.Close()
-			sc, err := transport.Dial(parent, a, 10*time.Second)
+		addrs := make([]string, tiers[k])
+		for j, children := range tree.Groups(below, branch) {
+			l, err := transport.Listen("127.0.0.1:0", children)
 			if err != nil {
-				errs[a] = err
-				return
+				t.Fatal(err)
 			}
-			defer sc.Close()
-			child, err := l.AcceptBase(branch, a*branch, sc.Hello())
-			if err != nil {
-				errs[a] = err
-				return
+			t.Cleanup(func() { l.Close() })
+			addrs[j] = l.Addr().String()
+			dial := parent
+			if up != nil {
+				dial = up[j/branch]
 			}
-			l.Close()
-			errs[a] = tree.Serve(sc, child, false)
-		}(a)
+			aggs.start(func() error {
+				return tree.ServeLoop(l, dial, j, children, j*branch, k > 0, 10*time.Second)
+			})
+		}
+		up = addrs
 	}
-	return addrs, func() []error { wg.Wait(); return errs }
+	return up, aggs
 }
 
 // TestListenClusterTree runs a real depth-2 aggregation-tree cluster —
-// leaf ServeSite fleets dialing in-process dpc-site -aggregate equivalents
+// leaf ServeSite fleets dialing in-process dpc-site -aggregate loops
 // dialing a ListenClusterTree backend — and asserts the answers are
 // byte-identical to the flat ListenCluster star over the same shards, with
 // the tree's physical root inbox attributed per level.
@@ -92,7 +117,7 @@ func TestListenClusterTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggAddrs, aggJoin := startAggregatorFleet(t, cl.Addr(), sites/branch, branch)
+	aggAddrs, aggs := startAggregatorTree(t, cl.Addr(), sites, branch)
 	var leafWG sync.WaitGroup
 	leafErrs := make([]error, sites)
 	for i := 0; i < sites; i++ {
@@ -132,7 +157,7 @@ func TestListenClusterTree(t *testing.T) {
 			t.Errorf("leaf site %d: %v", i, err)
 		}
 	}
-	for a, err := range aggJoin() {
+	for a, err := range aggs.join() {
 		if err != nil {
 			t.Errorf("aggregator %d: %v", a, err)
 		}
@@ -179,5 +204,130 @@ func TestListenClusterTreeDegenerate(t *testing.T) {
 		if err != nil {
 			t.Errorf("site %d: %v", i, err)
 		}
+	}
+}
+
+// roundGate blocks every leaf's round 0 while armed, until released.
+type roundGate struct {
+	armed   atomic.Bool
+	entered chan struct{} // one send per blocked leaf
+	release chan struct{}
+}
+
+func (g *roundGate) wrap(_ int, _ []byte, h transport.Handler) transport.Handler {
+	return func(round int, in []byte) ([]byte, error) {
+		if round == 0 && g.armed.Load() {
+			g.entered <- struct{}{}
+			<-g.release
+		}
+		return h(round, in)
+	}
+}
+
+// TestClusterTreeSurvivesCancel runs a tree fleet of library daemons over
+// TCP — leaves on dpc-site's redial loop, aggregators on tree.ServeLoop —
+// through the two ways a job fails: cancelled while every leaf is inside
+// round 0, and rejected by every leaf at its job frame. Each costs the
+// fleet one reconnect: the next two jobs answer with centers, cost and
+// logical bytes byte-identical to a star over the same shards, no daemon
+// takes the protocol close before Close, and after it every loop returns
+// nil.
+func TestClusterTreeSurvivesCancel(t *testing.T) {
+	in := gen.Mixture(gen.MixtureSpec{N: 240, K: 3, OutlierFrac: 0.05, Seed: 21})
+	reqs := []Request{
+		{Objective: Median, K: 3, T: 12, Seed: 5, Points: in.Pts},
+		{Objective: Center, K: 3, T: 12, Seed: 5, Points: in.Pts},
+	}
+	rejected := Request{Objective: UncertainMedian, K: 1, T: 1, Ground: &Ground{Pts: []Point{{0, 0}, {1, 0}, {0, 1}}}}
+	for _, tc := range []struct {
+		name          string
+		sites, branch int
+	}{
+		{"depth 2", 4, 2},
+		{"depth 3", 8, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shards := dataio.SplitRoundRobin(in.Pts, tc.sites)
+			star, starJoin := newCluster(t, shards, nil, nil)
+			want := make([]*Response, len(reqs))
+			for i, req := range reqs {
+				r, err := star.Do(context.Background(), req)
+				if err != nil {
+					t.Fatalf("star %s: %v", req.Objective, err)
+				}
+				want[i] = r
+			}
+			star.Close()
+			starJoin()
+
+			cl, err := ListenClusterTree("127.0.0.1:0", tc.sites, tc.branch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aggAddrs, daemons := startAggregatorTree(t, cl.Addr(), tc.sites, tc.branch)
+			gate := &roundGate{entered: make(chan struct{}), release: make(chan struct{})}
+			for i, shard := range shards {
+				addr, d := aggAddrs[i/tc.branch], jobwire.SiteData{Site: i, Pts: shard}
+				daemons.start(func() error {
+					return transport.Redial(addr, i, 10*time.Second, func(sc *transport.Site) error {
+						return jobwire.ServeJobs(sc, d, gate.wrap)
+					})
+				})
+			}
+			cluster, err := cl.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			gate.armed.Store(true)
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := cluster.Do(ctx, reqs[0])
+				done <- err
+			}()
+			for i := 0; i < tc.sites; i++ {
+				select {
+				case <-gate.entered:
+				case <-time.After(30 * time.Second):
+					t.Fatalf("%d of %d leaves reached round 0", i, tc.sites)
+				}
+			}
+			cancel()
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled Do: %v, want context.Canceled", err)
+			}
+			gate.armed.Store(false)
+			close(gate.release)
+
+			bounded, stop := context.WithTimeout(context.Background(), 30*time.Second)
+			defer stop()
+			if _, err := cluster.Do(bounded, rejected); err == nil {
+				t.Fatal("an uncertain job on point-only leaves succeeded")
+			}
+			for i, req := range reqs {
+				r, err := cluster.Do(bounded, req)
+				if err != nil {
+					t.Fatalf("%s after the cancel and the rejected job: %v", req.Objective, err)
+				}
+				assertSameCenters(t, r.Centers, want[i].Centers, "tree vs star "+req.Objective)
+				if r.Cost != want[i].Cost || r.UpBytes != want[i].UpBytes || r.DownBytes != want[i].DownBytes {
+					t.Fatalf("%s: tree cost %g, bytes %d up %d down; star %g, %d up %d down", req.Objective,
+						r.Cost, r.UpBytes, r.DownBytes, want[i].Cost, want[i].UpBytes, want[i].DownBytes)
+				}
+			}
+			if n := daemons.ended.Load(); n != 0 {
+				t.Fatalf("%d daemon loops ended before Close", n)
+			}
+
+			if err := cluster.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, err := range daemons.join() {
+				if err != nil {
+					t.Errorf("daemon loop %d: %v", i, err)
+				}
+			}
+		})
 	}
 }

@@ -33,29 +33,22 @@ func ServeSite(addr string, d SiteData, timeout time.Duration) error {
 		return err
 	}
 	defer sc.Close()
+	return d.serve(sc)
+}
+
+// ServeSiteLoop is dpc-site as a library call — ServeSite plus redial
+// (transport.Redial): a connection that drops without the coordinator's
+// clean protocol close — the fate of a fleet whose request was cancelled
+// or failed at a site — is dialed again, so the site is back for the
+// coordinator's reconnect. It returns nil on a clean close, or the dial
+// error once the coordinator stays away for timeout.
+func ServeSiteLoop(addr string, d SiteData, timeout time.Duration) error {
+	return transport.Redial(addr, d.Site, timeout, d.serve)
+}
+
+// serve runs one connection's job loop over d.
+func (d SiteData) serve(sc *transport.Site) error {
 	return jobwire.ServeJobs(sc, jobwire.SiteData{
 		Site: d.Site, Pts: d.Points, G: d.Ground, Nodes: d.Nodes,
 	}, nil)
-}
-
-// ServeSiteLoop is dpc-site as a library call — ServeSite plus redial: a
-// connection that drops without the coordinator's clean protocol close —
-// the fate of a fleet whose request was cancelled mid-round — is dialed
-// again, so the site is back for the coordinator's reconnect. It
-// returns nil on a clean close, or the dial error once the coordinator
-// stays away for timeout.
-func ServeSiteLoop(addr string, d SiteData, timeout time.Duration) error {
-	for {
-		sc, err := transport.Dial(addr, d.Site, timeout)
-		if err != nil {
-			return err
-		}
-		err = jobwire.ServeJobs(sc, jobwire.SiteData{
-			Site: d.Site, Pts: d.Points, G: d.Ground, Nodes: d.Nodes,
-		}, nil)
-		sc.Close()
-		if err == nil {
-			return nil
-		}
-	}
 }

@@ -30,7 +30,11 @@
 // connections (leaf sites dialing with their global ids, starting at
 // -child-base, or deeper aggregators with -inner), forwards the
 // coordinator's welcome and job frames down, and merges each round's child
-// replies into one batch for its parent (see internal/tree):
+// replies into one batch for its parent (see internal/tree). It redials
+// its parent as a leaf does: the parent's close frame closes the children
+// and ends the daemon, while a lost parent or a failed job aborts the
+// children without it, so they redial the aggregator, which keeps
+// listening for them:
 //
 //	dpc-site -aggregate -connect 127.0.0.1:9009 -site 0 \
 //	    -children-listen 127.0.0.1:9101 -children 4 -child-base 0
@@ -114,34 +118,29 @@ func main() {
 	// The redial loop is what lets a coordinator recover a fleet: a request
 	// cancelled mid-protocol drops the connections, the coordinator
 	// re-listens, and every daemon lands back here and dials again. Only a
-	// clean protocol close (the coordinator's close frame, err == nil) ends
-	// the daemon; a dial that exhausts -timeout means the coordinator is
-	// really gone.
-	for {
-		sc, err := transport.Dial(*connect, *site, *timeout)
+	// clean protocol close (the coordinator's close frame) ends the daemon;
+	// a dial that exhausts -timeout means the coordinator is really gone.
+	err = transport.Redial(*connect, *site, *timeout, func(sc *transport.Site) error {
+		err := serveJobs(sc, data, *verbose)
 		if err != nil {
-			fatal(err)
+			fmt.Fprintf(os.Stderr, "dpc-site %d: connection lost (%v), redialing %s\n", *site, err, *connect)
 		}
-		err = serveJobs(sc, data, *verbose)
-		sc.Close()
-		if err == nil {
-			if *verbose {
-				fmt.Fprintf(os.Stderr, "dpc-site %d: coordinator closed, exiting\n", *site)
-			}
-			return
-		}
-		fmt.Fprintf(os.Stderr, "dpc-site %d: connection lost (%v), redialing %s\n", *site, err, *connect)
+		return err
+	})
+	if err != nil {
+		fatal(err)
+	}
+	if *verbose {
+		fmt.Fprintf(os.Stderr, "dpc-site %d: coordinator closed, exiting\n", *site)
 	}
 }
 
-// runAggregate serves one interior tree node: listen for the children
-// first (so their dial retries have somewhere to land), join the parent,
-// forward the parent's welcome blob down verbatim — leaf sites check the
-// job-frame marker in it exactly as they would the coordinator's own — and
-// then run the merge role, job frames included, until the parent closes the
-// protocol. The children's site ids are the global range
-// [base, base+children), which keeps their seeds and pivot comparisons
-// fleet-wide correct.
+// runAggregate serves one interior tree node (tree.ServeLoop): listen for
+// the children first, so their dial retries have somewhere to land, and
+// keep listening for as long as the daemon lives, so children it aborted
+// after a lost parent or a failed job redial into it. The children's site
+// ids are the global range [base, base+children), which keeps their seeds
+// and pivot comparisons fleet-wide correct.
 func runAggregate(connect string, site int, timeout time.Duration, listen string, children, base int, inner, verbose bool) error {
 	if children <= 0 {
 		return fmt.Errorf("-aggregate requires -children > 0 (got %d)", children)
@@ -155,20 +154,7 @@ func runAggregate(connect string, site int, timeout time.Duration, listen string
 		fmt.Fprintf(os.Stderr, "dpc-site aggregator %d: accepting %d children (ids %d..%d) on %s, dialing %s\n",
 			site, children, base, base+children-1, l.Addr(), connect)
 	}
-	sc, err := transport.Dial(connect, site, timeout)
-	if err != nil {
-		return err
-	}
-	defer sc.Close()
-	child, err := l.AcceptBase(children, base, sc.Hello())
-	if err != nil {
-		return err
-	}
-	l.Close()
-	if verbose {
-		fmt.Fprintf(os.Stderr, "dpc-site aggregator %d: subtree connected, serving\n", site)
-	}
-	return tree.Serve(sc, child, inner)
+	return tree.ServeLoop(l, connect, site, children, base, inner, timeout)
 }
 
 // serveJobs serves one connection's job loop (jobwire.ServeJobs: hello

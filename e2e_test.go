@@ -3,18 +3,23 @@ package dpc_test
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dpc"
+	"dpc/client"
 	"dpc/internal/dataio"
 )
 
@@ -355,4 +360,103 @@ type fleet struct {
 	name  string
 	coord []string
 	start func(t *testing.T, coord string) func() error
+}
+
+// TestTreeDaemonsSurviveCancel is the tree fleet's cancel path at the
+// process level: 4 dpc-site leaf processes under 2 `dpc-site -aggregate`
+// processes under an in-process client.ListenClusterTree. A Do cancelled
+// while the leaves solve costs one reconnect — each aggregator aborts its
+// leaves, which redial it, and redials the coordinator — so the next Do
+// answers with the star's centers, every process is still running, and
+// after Close every process exits 0.
+func TestTreeDaemonsSurviveCancel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns real processes")
+	}
+	const sites, branch = 4, 2
+	tmp := t.TempDir()
+	siteBin := buildCommands(t, "dpc-site")["dpc-site"]
+	in := dpc.Mixture(dpc.MixtureSpec{N: 8000, K: 4, OutlierFrac: 0.05, Seed: 11})
+	req := dpc.Request{Objective: "median", K: 4, T: 60, Seed: 1, Points: in.Pts}
+
+	cl, err := client.ListenClusterTree("127.0.0.1:0", sites, branch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var daemons []*daemon
+	for j := 0; j < sites/branch; j++ {
+		daemons = append(daemons, startDaemon(t, aggAccepting, siteBin, "-aggregate", "-v", "-connect", cl.Addr(),
+			"-site", strconv.Itoa(j), "-children-listen", "127.0.0.1:0", "-children", "2", "-child-base", strconv.Itoa(branch*j)))
+	}
+	leafJob := regexp.MustCompile(`dpc-site \d+: job (\d+):`)
+	for i, shard := range dataio.SplitRoundRobin(in.Pts, sites) {
+		path := filepath.Join(tmp, fmt.Sprintf("part%d.csv", i))
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dataio.WritePointsCSV(f, shard); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		daemons = append(daemons, startDaemon(t, leafJob, siteBin, "-v", "-connect", daemons[i/branch].awaited(t),
+			"-site", strconv.Itoa(i), "-in", path))
+	}
+	cluster, err := cl.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := cluster.Do(ctx, req)
+		done <- err
+	}()
+	for _, leaf := range daemons[sites/branch:] {
+		leaf.awaited(t) // the leaf has its job frame and is solving round 0
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Do: %v, want context.Canceled", err)
+	}
+
+	bounded, stop := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer stop()
+	got, err := cluster.Do(bounded, req)
+	if err != nil {
+		t.Fatalf("Do after the cancel: %v", err)
+	}
+	star := req
+	star.Sites = sites
+	want, err := dpc.NewLocalClient().Do(bounded, star)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Centers, want.Centers) {
+		t.Fatalf("centers after the cancel %v, star %v", got.Centers, want.Centers)
+	}
+	for _, d := range daemons {
+		select {
+		case <-d.scanned:
+			log, err := d.wait()
+			t.Fatalf("%v exited before Close (%v); stderr:\n%s", d.cmd.Args, err, log)
+		default:
+		}
+	}
+
+	if err := cluster.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range daemons {
+		log, err := d.wait()
+		if err != nil {
+			t.Errorf("%v: %v; stderr:\n%s", d.cmd.Args, err, log)
+		}
+		if i >= sites/branch && !strings.Contains(log, "redialing") {
+			t.Errorf("leaf never redialed: the cancel did not reach it; stderr:\n%s", log)
+		}
+	}
 }

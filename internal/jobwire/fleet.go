@@ -23,16 +23,14 @@ import (
 //
 // A Fleet runs one job at a time; concurrent Runs queue, each bounded by
 // its context. A job cancelled mid-protocol leaves the connections
-// desynchronized (site replies for it are still in flight), so the fleet
-// aborts them without the protocol close — the daemons redial instead of
-// exiting — and at once re-binds every group's address to accept them in
-// the background; the next Run waits for them, bounded by its context.
-// Close is the clean, terminal end: every daemon gets the protocol close.
-//
-// A tree fleet of real dpc-site -aggregate daemons does not survive a
-// cancel yet: when its parent link drops, tree.Serve closes the
-// aggregator's children cleanly, so its leaves exit, and the aggregator
-// daemon exits too.
+// desynchronized (site replies for it are still in flight), and a job that
+// failed on the wire (a site's error frame, a lost connection) has a site
+// out of its job loop; either way the fleet aborts the connections without
+// the protocol close — the daemons redial instead of exiting — and at once
+// re-binds every group's address to accept them in the background; the
+// next Run waits for them, bounded by its context. A job the coordinator
+// rejects after a complete gather keeps the connections. Close is the
+// clean, terminal end: every daemon gets the protocol close.
 type Fleet struct {
 	run     chan struct{}          // one token, held by Run, Close and AddGroup's join
 	add     sync.Mutex             // serializes AddGroup, which accepts without the token
@@ -173,11 +171,12 @@ func (f *Fleet) Run(ctx context.Context, j Job, g *uncertain.Ground) (protocol.R
 			return protocol.Result{}, fmt.Errorf("jobwire: fleet reconnect: %w", err)
 		}
 	}
-	if err := f.coord.StartJob(blob); err != nil {
-		return protocol.Result{}, err
+	var res protocol.Result
+	err = f.coord.StartJob(blob)
+	if err == nil {
+		res, err = j.RunOver(ctx, f.tr, g)
 	}
-	res, err := j.RunOver(ctx, f.tr, g)
-	if err != nil && ctx.Err() != nil {
+	if err != nil && (ctx.Err() != nil || f.coord.Broken()) {
 		f.drop(f.coord)
 	}
 	return res, err

@@ -15,11 +15,13 @@ import (
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 	"dpc/internal/transport"
+	"dpc/internal/uncertain"
 )
 
-// siteLoops runs dpc-site's loop in-process, one goroutine per shard: site
-// base+i dials addr, serves jobs, and after a connection drop dials again
-// while again(i) says so (nil: always). A clean protocol close ends a site.
+// siteLoops runs dpc-site's loop (transport.Redial) in-process, one
+// goroutine per shard: site base+i dials addr, serves jobs, and after a
+// connection drop dials again while again(i) says so (nil: always). A
+// clean protocol close ends a site.
 type siteLoops struct {
 	dials []atomic.Int32
 	errs  []error // each site's dial error, or nil
@@ -32,19 +34,14 @@ func startSites(addr string, shards [][]metric.Point, base int, again func(i int
 		s.wg.Add(1)
 		go func(i int) {
 			defer s.wg.Done()
-			for {
-				sc, err := transport.Dial(addr, base+i, 10*time.Second)
-				if err != nil {
-					s.errs[i] = err
-					return
-				}
+			s.errs[i] = transport.Redial(addr, base+i, 10*time.Second, func(sc *transport.Site) error {
 				s.dials[i].Add(1)
-				err = ServeJobs(sc, SiteData{Site: base + i, Pts: shards[i]}, nil)
-				sc.Close()
-				if err == nil || (again != nil && !again(i)) {
-					return
+				err := ServeJobs(sc, SiteData{Site: base + i, Pts: shards[i]}, nil)
+				if err != nil && again != nil && !again(i) {
+					return nil // done redialing
 				}
-			}
+				return err
+			})
 		}(i)
 	}
 	return s
@@ -233,4 +230,24 @@ func TestFleetAddGroupKeepsRunning(t *testing.T) {
 	}
 	groupA.wait(t)
 	groupB.wait(t)
+}
+
+// TestFleetRejectedJobReconnects: a job every site rejects — an uncertain
+// job on point-only sites, refused at its job frame — ends each site's job
+// loop with an error frame. The fleet drops the connections as it does
+// after a cancel, the redialing sites come back, and the next jobs run.
+func TestFleetRejectedJobReconnects(t *testing.T) {
+	shards := fleetShards(3)
+	f, sites := acceptFleet(t, shards, nil)
+	g := &uncertain.Ground{Pts: []metric.Point{{0, 0}, {1, 0}, {0, 1}}}
+	rejected := Job{Kind: KindUncertain, Obj: uncertain.Median, Unc: uncertain.Config{K: 1, T: 1}}
+	if _, err := f.Run(context.Background(), rejected, g); err == nil {
+		t.Fatal("uncertain job on point-only sites succeeded")
+	}
+	assertRun(t, f, shards)
+	assertRun(t, f, shards)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sites.wait(t)
 }

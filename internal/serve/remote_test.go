@@ -155,11 +155,11 @@ func (g *roundGate) wrap(_ int, _ []byte, h transport.Handler) transport.Handler
 	}
 }
 
-// startRedialSites replicates dpc-site's loop in-process for one site
-// group: each site dials with its global id idBase+i, retrying for dial,
-// serves jobs through gate, and dials again when its connection drops
-// without the coordinator's clean close. A clean close ends a site and
-// counts in closes.
+// startRedialSites runs dpc-site's loop (transport.Redial) in-process for
+// one site group: each site dials with its global id idBase+i, retrying
+// for dial, serves jobs through gate, and dials again when its connection
+// drops without the coordinator's clean close. A clean close ends a site
+// and counts in closes.
 func startRedialSites(t *testing.T, addr string, shards [][]metric.Point, idBase int, dial time.Duration, gate *roundGate, closes *atomic.Int32) func() []error {
 	t.Helper()
 	errs := make([]error, len(shards))
@@ -169,19 +169,13 @@ func startRedialSites(t *testing.T, addr string, shards [][]metric.Point, idBase
 		go func(i int) {
 			defer wg.Done()
 			d := jobwire.SiteData{Site: idBase + i, Pts: shards[i], Cache: metric.NewDistCache(metric.NewPoints(shards[i]))}
-			for {
-				sc, err := transport.Dial(addr, d.Site, dial)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				err = jobwire.ServeJobs(sc, d, gate.wrap)
-				sc.Close()
+			errs[i] = transport.Redial(addr, d.Site, dial, func(sc *transport.Site) error {
+				err := jobwire.ServeJobs(sc, d, gate.wrap)
 				if err == nil {
 					closes.Add(1)
-					return
 				}
-			}
+				return err
+			})
 		}(i)
 	}
 	return func() []error { wg.Wait(); return errs }

@@ -23,8 +23,7 @@ import (
 // The welcome frame's payload is a blob chosen by the coordinator: the
 // JobsHello protocol marker, after which each run's configuration arrives
 // in a job frame (StartJob / ServeJobs), so all processes provably run the
-// same protocol parameters. Serve without job frames is the in-process
-// site loop of NewLocalTCP.
+// same protocol parameters.
 
 // Listener accepts site connections for one coordinator run.
 type Listener struct {
@@ -81,56 +80,19 @@ func (l *Listener) AcceptBase(sites, base int, hello []byte) (*Coordinator, erro
 	if base < 0 {
 		return nil, fmt.Errorf("transport: negative site id base %d", base)
 	}
-	c := &Coordinator{
-		conns: make([]net.Conn, sites),
-		rd:    make([]*bufio.Reader, sites),
-		wr:    make([]*bufio.Writer, sites),
-		sent:  make([]bool, sites),
-	}
-	joined := 0
-	for joined < sites {
+	c := newCoordinator(sites)
+	for joined := 0; joined < sites; {
 		conn, err := l.ln.Accept()
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		rd := bufio.NewReader(conn)
-		wr := bufio.NewWriter(conn)
-		reject := func(msg string) {
-			writeFrame(wr, header{kind: kindError}, []byte(msg))
-			wr.Flush()
-			conn.Close()
-		}
 		conn.SetDeadline(time.Now().Add(handshakeTimeout))
-		h, _, err := readFrame(rd)
-		if err != nil {
-			reject(fmt.Sprintf("bad handshake: %v", err))
-			continue
-		}
-		if h.kind != kindHello {
-			reject(fmt.Sprintf("unexpected frame kind %d, want hello", h.kind))
-			continue
-		}
-		id := int(h.site)
-		if id < base || id >= base+sites {
-			reject(fmt.Sprintf("site id %d out of range [%d,%d)", id, base, base+sites))
-			continue
-		}
-		slot := id - base
-		if c.conns[slot] != nil {
-			reject(fmt.Sprintf("duplicate site id %d", id))
-			continue
-		}
-		if err := writeFrame(wr, header{kind: kindWelcome}, hello); err != nil {
-			conn.Close()
-			continue
-		}
-		if err := wr.Flush(); err != nil {
+		if err := c.admit(conn, base, hello); err != nil {
 			conn.Close()
 			continue
 		}
 		conn.SetDeadline(time.Time{}) // rounds have no transport deadline
-		c.conns[slot], c.rd[slot], c.wr[slot] = conn, rd, wr
 		joined++
 	}
 	return c, nil
@@ -142,54 +104,70 @@ func (l *Listener) AcceptBase(sites, base int, hello []byte) (*Coordinator, erro
 // a hello frame announcing a distinct site id in [0, len(conns)); hello is
 // shipped back verbatim in every welcome frame.
 func NewCoordinator(conns []net.Conn, hello []byte) (*Coordinator, error) {
-	s := len(conns)
-	c := &Coordinator{
-		conns: make([]net.Conn, s),
-		rd:    make([]*bufio.Reader, s),
-		wr:    make([]*bufio.Writer, s),
-		sent:  make([]bool, s),
-	}
-	fail := func(err error) (*Coordinator, error) {
-		for _, conn := range conns {
-			conn.Close()
-		}
-		return nil, err
-	}
+	c := newCoordinator(len(conns))
 	for _, conn := range conns {
-		rd := bufio.NewReader(conn)
-		wr := bufio.NewWriter(conn)
-		h, _, err := readFrame(rd)
-		if err != nil {
-			return fail(fmt.Errorf("transport: handshake: %w", err))
+		if err := c.admit(conn, 0, hello); err != nil {
+			for _, conn := range conns {
+				conn.Close()
+			}
+			return nil, fmt.Errorf("transport: handshake: %w", err)
 		}
-		if h.kind != kindHello {
-			return fail(fmt.Errorf("transport: handshake: unexpected frame kind %d", h.kind))
-		}
-		id := int(h.site)
-		if id < 0 || id >= s {
-			return fail(fmt.Errorf("transport: site id %d out of range [0,%d)", id, s))
-		}
-		if c.conns[id] != nil {
-			return fail(fmt.Errorf("transport: duplicate site id %d", id))
-		}
-		if err := writeFrame(wr, header{kind: kindWelcome}, hello); err != nil {
-			return fail(fmt.Errorf("transport: welcome site %d: %w", id, err))
-		}
-		if err := wr.Flush(); err != nil {
-			return fail(fmt.Errorf("transport: welcome site %d: %w", id, err))
-		}
-		c.conns[id], c.rd[id], c.wr[id] = conn, rd, wr
 	}
 	return c, nil
+}
+
+func newCoordinator(sites int) *Coordinator {
+	return &Coordinator{
+		conns: make([]net.Conn, sites),
+		rd:    make([]*bufio.Reader, sites),
+		wr:    make([]*bufio.Writer, sites),
+		sent:  make([]bool, sites),
+	}
+}
+
+// admit is the coordinator's half of one site's handshake: it reads the
+// site's hello, checks that its id is in [base, base+Sites()) and not yet
+// taken, welcomes it with hello and slots its connection. A refused site
+// gets an error frame saying why, best effort; the caller closes conn on
+// any error.
+func (c *Coordinator) admit(conn net.Conn, base int, hello []byte) error {
+	rd, wr := bufio.NewReader(conn), bufio.NewWriter(conn)
+	h, _, err := readFrame(rd)
+	id := int(h.site)
+	slot := id - base
+	switch {
+	case err != nil:
+		err = fmt.Errorf("bad handshake: %v", err)
+	case h.kind != kindHello:
+		err = fmt.Errorf("unexpected frame kind %d, want hello", h.kind)
+	case slot < 0 || slot >= len(c.conns):
+		err = fmt.Errorf("site id %d out of range [%d,%d)", id, base, base+len(c.conns))
+	case c.conns[slot] != nil:
+		err = fmt.Errorf("duplicate site id %d", id)
+	}
+	if err != nil {
+		writeFrame(wr, header{kind: kindError}, []byte(err.Error()))
+		wr.Flush()
+		return err
+	}
+	if err := writeFrame(wr, header{kind: kindWelcome}, hello); err != nil {
+		return err
+	}
+	if err := wr.Flush(); err != nil {
+		return err
+	}
+	c.conns[slot], c.rd[slot], c.wr[slot] = conn, rd, wr
+	return nil
 }
 
 // Coordinator is the coordinator end of a TCP star network; it implements
 // Transport over one socket per site.
 type Coordinator struct {
-	conns []net.Conn
-	rd    []*bufio.Reader
-	wr    []*bufio.Writer
-	sent  []bool // downstream message already written this round
+	conns  []net.Conn
+	rd     []*bufio.Reader
+	wr     []*bufio.Writer
+	sent   []bool // downstream message already written this round
+	broken bool   // a frame failed on the wire; see Broken
 }
 
 // Sites implements Transport.
@@ -220,9 +198,11 @@ func (c *Coordinator) writeDown(round, site int, b []byte) error {
 	}
 	h := header{kind: kindData, round: uint32(round)}
 	if err := writeFrame(c.wr[site], h, b); err != nil {
+		c.broken = true
 		return fmt.Errorf("transport: send to site %d: %w", site, err)
 	}
 	if err := c.wr[site].Flush(); err != nil {
+		c.broken = true
 		return fmt.Errorf("transport: send to site %d: %w", site, err)
 	}
 	c.sent[site] = true
@@ -341,6 +321,7 @@ func (c *Coordinator) Gather(ctx context.Context, round int) (RoundResult, error
 	}
 	for _, err := range errs {
 		if err != nil {
+			c.broken = true
 			return RoundResult{}, err
 		}
 	}
@@ -363,15 +344,25 @@ func (c *Coordinator) StartJob(blob []byte) error {
 			return fmt.Errorf("transport: site %d is closed", i)
 		}
 		if err := writeFrame(c.wr[i], header{kind: kindJob}, blob); err != nil {
+			c.broken = true
 			return fmt.Errorf("transport: start job on site %d: %w", i, err)
 		}
 		if err := c.wr[i].Flush(); err != nil {
+			c.broken = true
 			return fmt.Errorf("transport: start job on site %d: %w", i, err)
 		}
 		c.sent[i] = false
 	}
 	return nil
 }
+
+// Broken reports whether a frame has failed on the wire since the
+// connections were made: a write or a read that failed, or a site's error
+// frame. Such a site has left its job loop, or its reply is lost, so the
+// connections cannot carry another job; a failure the coordinator raised
+// itself, after a complete gather, leaves them in step. A Gather ended by
+// its context is not counted: its caller already knows.
+func (c *Coordinator) Broken() bool { return c.broken }
 
 // Close implements Transport: every connected site receives a close frame
 // (ending its Serve loop) and the sockets are shut.
@@ -398,10 +389,10 @@ func (c *Coordinator) Close() error {
 
 // Abort shuts the site sockets without the protocol close frame: the
 // sites observe a connection loss, not a clean end — what a persistent
-// daemon's redial loop (dpc-site, client.ServeSiteLoop) treats as
-// "the coordinator will be back". jobwire.Fleet uses it when the
-// connections are desynchronized mid-protocol (a cancelled job) and will
-// be re-established rather than ended.
+// daemon's redial loop (Redial) treats as "the coordinator will be back".
+// jobwire.Fleet and tree.Serve use it when the connections are out of step
+// (a cancelled or failed job, a lost parent) and will be re-established
+// rather than ended.
 func (c *Coordinator) Abort() error {
 	var first error
 	for i, conn := range c.conns {
@@ -414,6 +405,27 @@ func (c *Coordinator) Abort() error {
 		c.conns[i] = nil
 	}
 	return first
+}
+
+// Redial is a persistent daemon's connection loop (dpc-site, leaf or
+// aggregator): dial addr as site id, retrying for timeout, serve the
+// connection, close it, and dial again. A serve that returns nil — the
+// coordinator's clean protocol close — ends the loop with nil; any other
+// error means the coordinator dropped the connection and will re-accept
+// (a cancelled or failed job), so the loop redials. A dial that runs out of timeout
+// means the coordinator is gone: Redial returns that error.
+func Redial(addr string, id int, timeout time.Duration, serve func(*Site) error) error {
+	for {
+		sc, err := Dial(addr, id, timeout)
+		if err != nil {
+			return err
+		}
+		err = serve(sc)
+		sc.Close()
+		if err == nil {
+			return nil
+		}
+	}
 }
 
 // Site is the site end of a TCP star network.
@@ -484,25 +496,9 @@ func (s *Site) Hello() []byte { return s.hello }
 // reply, which is sent back with the measured compute duration in the
 // frame header. Serve returns nil when the coordinator closes the
 // protocol, or the first transport/handler error otherwise (handler errors
-// are also reported to the coordinator as error frames).
-func (s *Site) Serve(h Handler) error {
-	for {
-		fh, payload, err := readFrame(s.rd)
-		if err != nil {
-			return fmt.Errorf("transport: site %d: %w", s.id, err)
-		}
-		switch fh.kind {
-		case kindClose:
-			return nil
-		case kindData:
-			if err := s.serveData(fh, payload, h); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("transport: site %d: unexpected frame kind %d", s.id, fh.kind)
-		}
-	}
-}
+// are also reported to the coordinator as error frames). A job frame is
+// an error: Serve is the in-process site loop of NewLocalTCP.
+func (s *Site) Serve(h Handler) error { return s.serve(h, nil) }
 
 // ServeJobs runs the site's job loop for the life of a connection
 // (dpc-site under any coordinator): each job frame rebuilds the
@@ -516,17 +512,22 @@ func (s *Site) Serve(h Handler) error {
 // error (factory and handler errors are also reported to the coordinator as
 // error frames).
 func (s *Site) ServeJobs(factory func(job int, blob []byte) (Handler, error)) error {
-	var h Handler
+	return s.serve(nil, factory)
+}
+
+// serve is the loop behind Serve (factory nil) and ServeJobs (h nil until
+// the first job frame).
+func (s *Site) serve(h Handler, factory func(job int, blob []byte) (Handler, error)) error {
 	job := 0
 	for {
 		fh, payload, err := readFrame(s.rd)
 		if err != nil {
 			return fmt.Errorf("transport: site %d: %w", s.id, err)
 		}
-		switch fh.kind {
-		case kindClose:
+		switch {
+		case fh.kind == kindClose:
 			return nil
-		case kindJob:
+		case fh.kind == kindJob && factory != nil:
 			nh, err := factory(job, payload)
 			if err != nil {
 				// The coordinator sees the error frame in its next Gather.
@@ -536,13 +537,12 @@ func (s *Site) ServeJobs(factory func(job int, blob []byte) (Handler, error)) er
 			}
 			h = nh
 			job++
-		case kindData:
-			if h == nil {
-				err := fmt.Errorf("transport: site %d: data frame before any job frame", s.id)
-				writeFrame(s.wr, header{kind: kindError, site: uint32(s.id)}, []byte(err.Error()))
-				s.wr.Flush()
-				return err
-			}
+		case fh.kind == kindData && h == nil:
+			err := fmt.Errorf("transport: site %d: data frame before any job frame", s.id)
+			writeFrame(s.wr, header{kind: kindError, site: uint32(s.id)}, []byte(err.Error()))
+			s.wr.Flush()
+			return err
+		case fh.kind == kindData:
 			if err := s.serveData(fh, payload, h); err != nil {
 				return err
 			}

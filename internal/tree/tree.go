@@ -10,13 +10,6 @@ import (
 	"dpc/internal/transport"
 )
 
-// jobStarter is the optional job-frame surface of a child transport
-// (transport.Coordinator, Root). An aggregator forwards job frames downward
-// through it so site fleets work under a tree exactly as under a star.
-type jobStarter interface {
-	StartJob(blob []byte) error
-}
-
 // Aggregator is the merge role of one interior tree node: it receives each
 // round's downstream bytes from its parent, forwards them verbatim to its
 // child transport, gathers the children's replies and merges them into one
@@ -72,39 +65,60 @@ func (a *Aggregator) Handle(round int, in []byte) ([]byte, error) {
 	return encodeBatch(batch{levels: append([]comm.TreeLevel{own}, deeper...), secs: secs}), nil
 }
 
-// StartJob forwards a job frame to the subtree, re-arming every persistent
-// leaf site below this node.
-func (a *Aggregator) StartJob(blob []byte) error {
-	js, ok := a.child.(jobStarter)
-	if !ok {
-		return fmt.Errorf("tree: child transport %T cannot start jobs", a.child)
-	}
-	return js.StartJob(blob)
-}
-
 // Close closes the child transport (ending the subtree's protocol).
 func (a *Aggregator) Close() error { return a.child.Close() }
 
-// Serve drives an aggregator daemon: sc is the connection to the parent
-// (coordinator or a higher aggregator), child the already-accepted
-// transport to this node's children. Each job frame from the parent is
-// forwarded down before that job's rounds, so leaf fleets stay warm under
-// the tree exactly as under a star. The child transport is closed when the
-// parent ends the protocol. inner declares whether the children are
-// aggregators themselves (a tree deeper than two levels).
-func Serve(sc *transport.Site, child transport.Transport, inner bool) error {
-	defer child.Close()
+// Serve drives an aggregator daemon over one parent connection: sc is the
+// connection to the parent (coordinator or a higher aggregator), child the
+// already-accepted connections to this node's children. Each job frame
+// from the parent is forwarded down before that job's rounds, so leaf
+// fleets stay warm under the tree exactly as under a star. When the parent
+// closes the protocol, so does Serve, for the children; when the parent is
+// lost or a job fails, Serve aborts the children without the close frame,
+// so they redial (ServeLoop takes them back). inner declares whether the
+// children are aggregators themselves (a tree deeper than two levels).
+func Serve(sc *transport.Site, child *transport.Coordinator, inner bool) (err error) {
+	defer func() {
+		if err == nil {
+			child.Close()
+		} else {
+			child.Abort()
+		}
+	}()
 	if string(sc.Hello()) != transport.JobsHello {
 		return fmt.Errorf("tree: parent does not speak job frames (welcome %q, want %q)",
 			sc.Hello(), transport.JobsHello)
 	}
 	return sc.ServeJobs(func(job int, blob []byte) (transport.Handler, error) {
-		a := NewAggregator(context.Background(), child, inner)
-		if err := a.StartJob(blob); err != nil {
+		if err := child.StartJob(blob); err != nil {
 			return nil, fmt.Errorf("tree: forward job %d: %w", job, err)
 		}
-		return a.Handle, nil
+		return NewAggregator(context.Background(), child, inner).Handle, nil
 	})
+}
+
+// ServeLoop is an aggregator daemon (dpc-site -aggregate) as a library
+// call: it dials parent as site id and serves it through transport.Redial,
+// and for each parent connection accepts its `children` children (global
+// ids [base, base+children)) on l, forwards them the parent's welcome
+// blob, and runs Serve. l stays open for the loop's whole life, so
+// children that Serve aborted redial into it. ServeLoop returns nil once
+// the parent closes the protocol, the parent's dial error once it stays
+// away for timeout, or l's error once l fails. The caller closes l.
+func ServeLoop(l *transport.Listener, parent string, id, children, base int, inner bool, timeout time.Duration) error {
+	var lerr error
+	err := transport.Redial(parent, id, timeout, func(sc *transport.Site) error {
+		child, err := l.AcceptBase(children, base, sc.Hello())
+		if err != nil {
+			lerr = err
+			return nil // l is gone: no child can come back
+		}
+		return Serve(sc, child, inner)
+	})
+	if lerr != nil {
+		return lerr
+	}
+	return err
 }
 
 // Root is the coordinator end of an aggregation tree. It implements
@@ -205,7 +219,7 @@ func (r *Root) Gather(ctx context.Context, round int) (transport.RoundResult, er
 
 // StartJob forwards a job frame into the tree (persistent-site fleets).
 func (r *Root) StartJob(blob []byte) error {
-	js, ok := r.inner.(jobStarter)
+	js, ok := r.inner.(interface{ StartJob(blob []byte) error })
 	if !ok {
 		return fmt.Errorf("tree: inner transport %T cannot start jobs", r.inner)
 	}

@@ -293,7 +293,8 @@ func TestServeRejectsOtherWelcome(t *testing.T) {
 				return
 			}
 			defer sc.Close()
-			served <- Serve(sc, transport.NewLoopback(echoHandlers(2), false), false)
+			child, _ := transport.NewCoordinator(nil, nil) // no children
+			served <- Serve(sc, child, false)
 		}()
 		coord, err := l.Accept(1, []byte(welcome))
 		if err != nil {
