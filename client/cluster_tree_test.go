@@ -72,7 +72,7 @@ func startAggregatorTree(t *testing.T, parent string, sites, branch int) ([]stri
 				dial = up[j/branch]
 			}
 			aggs.start(func() error {
-				return tree.ServeLoop(l, dial, j, children, j*branch, k > 0, 10*time.Second)
+				return tree.ServeLoop(l, dial, j, children, j*branch, k > 0, 10*time.Second, nil)
 			})
 		}
 		up = addrs

@@ -296,7 +296,7 @@ func (r *Remote) cancelOnCtx(ctx context.Context, id string, err error) {
 	if ctx.Err() == nil {
 		return
 	}
-	//dpc:vet-ok ctxflow the caller's ctx is already dead here; the cancel RPC needs its own bounded lifetime
+	// The caller's ctx is already dead here; the cancel RPC needs its own bounded lifetime.
 	bg, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	r.CancelJob(bg, id)
@@ -356,7 +356,7 @@ func serverDo(ctx context.Context, req Request, backend string, ds serverDataset
 			return nil, err
 		}
 		defer func() {
-			//dpc:vet-ok ctxflow cleanup must delete the ephemeral dataset even after the request ctx is cancelled
+			// Cleanup must delete the ephemeral dataset even after the request ctx is cancelled.
 			bg, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
 			ds.DeleteDataset(bg, name)

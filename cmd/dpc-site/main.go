@@ -120,10 +120,11 @@ func main() {
 	// re-listens, and every daemon lands back here and dials again. Only a
 	// clean protocol close (the coordinator's close frame) ends the daemon;
 	// a dial that exhausts -timeout means the coordinator is really gone.
+	lost := redialing(fmt.Sprintf("dpc-site %d", *site), *connect)
 	err = transport.Redial(*connect, *site, *timeout, func(sc *transport.Site) error {
 		err := serveJobs(sc, data, *verbose)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpc-site %d: connection lost (%v), redialing %s\n", *site, err, *connect)
+			lost(err)
 		}
 		return err
 	})
@@ -150,11 +151,20 @@ func runAggregate(connect string, site int, timeout time.Duration, listen string
 		return err
 	}
 	defer l.Close()
+	who := fmt.Sprintf("dpc-site aggregator %d", site)
 	if verbose {
-		fmt.Fprintf(os.Stderr, "dpc-site aggregator %d: accepting %d children (ids %d..%d) on %s, dialing %s\n",
-			site, children, base, base+children-1, l.Addr(), connect)
+		fmt.Fprintf(os.Stderr, "%s: accepting %d children (ids %d..%d) on %s, dialing %s\n",
+			who, children, base, base+children-1, l.Addr(), connect)
 	}
-	return tree.ServeLoop(l, connect, site, children, base, inner, timeout)
+	return tree.ServeLoop(l, connect, site, children, base, inner, timeout, redialing(who, connect))
+}
+
+// redialing logs a lost coordinator (or parent) connection, leaf or
+// aggregator alike, before the daemon's loop dials addr again.
+func redialing(who, addr string) func(error) {
+	return func(err error) {
+		fmt.Fprintf(os.Stderr, "%s: connection lost (%v), redialing %s\n", who, err, addr)
+	}
 }
 
 // serveJobs serves one connection's job loop (jobwire.ServeJobs: hello

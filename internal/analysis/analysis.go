@@ -1,9 +1,9 @@
 // Package analysis is dpc's static-analysis suite: a small, self-contained
-// framework in the shape of golang.org/x/tools/go/analysis plus the five
-// dpc-vet analyzers that freeze this repo's cross-cutting invariants —
-// determinism of solver results, context cancellation flow, journal-before-
-// apply durability, stable wire error codes, and oracle-typed solver entry
-// points — as compile-time rules.
+// framework in the shape of golang.org/x/tools/go/analysis plus the two
+// analyzers that freeze this repo's cross-cutting invariants as rules —
+// determinism of solver results and journal-before-apply durability. Each
+// has caught a real defect. TestRepoClean runs them over the whole module,
+// test files included, inside `go test ./...`; that test is the gate.
 //
 // The framework mirrors the x/tools Analyzer/Pass/Diagnostic vocabulary but
 // is built purely on the standard library (go/ast, go/types, go/importer
@@ -26,6 +26,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -33,11 +34,9 @@ import (
 // An Analyzer describes one static check. Run reports findings through the
 // Pass; it must not retain the Pass after returning.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, -analyzers filters and
-	// //dpc:vet-ok directives. Lower-case, no spaces.
+	// Name identifies the analyzer in diagnostics and //dpc:vet-ok
+	// directives. Lower-case, no spaces.
 	Name string
-	// Doc is the one-paragraph description shown by dpc-vet -help.
-	Doc string
 	// Scope restricts the analyzer to packages whose final import-path
 	// segment (with any "_test" suffix stripped, so external test packages
 	// inherit their package's scope) matches an entry. Nil means every
@@ -47,31 +46,21 @@ type Analyzer struct {
 	Run func(pass *Pass)
 }
 
+// All returns the suite: the analyzers Vet (and so TestRepoClean) runs.
+func All() []*Analyzer { return []*Analyzer{Determinism, JournalBefore} }
+
 // Applies reports whether the analyzer's Scope admits the package path.
 func (a *Analyzer) Applies(pkgPath string) bool {
-	if len(a.Scope) == 0 {
-		return true
-	}
-	seg := pkgPath
-	if i := strings.LastIndexByte(seg, '/'); i >= 0 {
-		seg = seg[i+1:]
-	}
-	seg = strings.TrimSuffix(seg, "_test")
-	for _, s := range a.Scope {
-		if s == seg {
-			return true
-		}
-	}
-	return false
+	return len(a.Scope) == 0 || slices.Contains(a.Scope, strings.TrimSuffix(pkgSegment(pkgPath), "_test"))
 }
 
 // A Diagnostic is one finding, positioned and attributed to its analyzer.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String renders the conventional file:line:col: analyzer: message form.
@@ -105,7 +94,7 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	// Files are the package's parsed sources (with comments), test files
-	// included when the loader was asked for them.
+	// included.
 	Files []*ast.File
 	// Pkg and Info are the go/types results for Files.
 	Pkg  *types.Package
@@ -230,12 +219,6 @@ func pkgSegment(path string) string {
 	return path
 }
 
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	path, name := namedType(t)
-	return path == "context" && name == "Context"
-}
-
 // calleeFunc resolves the static *types.Func a call dispatches to, or nil
 // for calls through function values, builtins and type conversions.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -252,25 +235,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// calleeSignature resolves the signature a call invokes, through named
-// function types and method values too; nil for builtins and conversions.
-func calleeSignature(info *types.Info, call *ast.CallExpr) *types.Signature {
-	t := info.TypeOf(call.Fun)
-	if t == nil {
-		return nil
-	}
-	sig, _ := t.Underlying().(*types.Signature)
-	return sig
-}
-
-// isPkgFuncCall reports whether call statically invokes the package-level
-// function pkgPath.name.
-func isPkgFuncCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
 }

@@ -27,7 +27,7 @@ func TestDirectiveRegistersSuppression(t *testing.T) {
 //dpc:nondeterministic-ok timing only
 var a = 1
 
-//dpc:vet-ok ctxflow detached lifecycle
+//dpc:vet-ok journalbefore rollback after a failed append
 var b = 2
 `)
 	if len(diags) != 0 {
@@ -36,15 +36,15 @@ var b = 2
 	if !suppress[suppressKey{"x.go", 3, "determinism"}] {
 		t.Error("nondeterministic-ok directive not registered for determinism at line 3")
 	}
-	if !suppress[suppressKey{"x.go", 6, "ctxflow"}] {
-		t.Error("vet-ok directive not registered for ctxflow at line 6")
+	if !suppress[suppressKey{"x.go", 6, "journalbefore"}] {
+		t.Error("vet-ok directive not registered for journalbefore at line 6")
 	}
 }
 
 func TestDirectiveWithoutReasonIsDiagnosed(t *testing.T) {
 	for _, src := range []string{
 		"package p\n\n//dpc:nondeterministic-ok\nvar a = 1\n",
-		"package p\n\n//dpc:vet-ok ctxflow\nvar a = 1\n",
+		"package p\n\n//dpc:vet-ok journalbefore\nvar a = 1\n",
 		"package p\n\n//dpc:vet-ok\nvar a = 1\n",
 	} {
 		_, suppress, diags := parseOne(t, src)
@@ -106,5 +106,18 @@ func TestDedupe(t *testing.T) {
 	sortDiagnostics(ds)
 	if got := dedupe(ds); len(got) != 2 {
 		t.Fatalf("dedupe kept %d diagnostics, want 2", len(got))
+	}
+}
+
+// TestRepoClean is the repo-invariant gate: every analyzer over every
+// package of the module, test files included. A finding names its file and
+// line; fix the code, or allowlist the line with a directive that says why.
+func TestRepoClean(t *testing.T) {
+	diags, err := Vet("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Error(d)
 	}
 }

@@ -1,4 +1,4 @@
-// Package atest is the test harness for the dpc-vet analyzers, in the
+// Package atest is the test harness for the internal/analysis analyzers, in the
 // shape of golang.org/x/tools/go/analysis/analysistest: testdata packages
 // live in a GOPATH-style tree (testdata/src/<importpath>/*.go), lines that
 // should trigger a diagnostic carry a trailing
@@ -7,7 +7,7 @@
 //
 // comment, and Run fails the test on any missing or unexpected diagnostic.
 // Imports inside the tree resolve against the tree first (so fixtures can
-// model dpc's own package shapes — a fake metric or journal package — under
+// model dpc's own package shapes — a fake journal package — under
 // stable import paths) and fall back to the compiler's source importer for
 // the standard library, keeping the harness hermetic.
 package atest

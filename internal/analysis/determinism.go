@@ -23,7 +23,6 @@ var solverScope = []string{"kmedian", "kcenter", "core", "uncertain", "protocol"
 // //dpc:nondeterministic-ok <reason>.
 var Determinism = &Analyzer{
 	Name:  "determinism",
-	Doc:   "flags map-iteration-order, wall-clock, global-rand and scheduling dependence in solver packages",
 	Scope: solverScope,
 	Run:   runDeterminism,
 }

@@ -39,7 +39,6 @@ var registryMutators = map[string]bool{
 // needs //dpc:vet-ok journalbefore <reason>.
 var JournalBefore = &Analyzer{
 	Name:  "journalbefore",
-	Doc:   "in internal/serve, registry mutations must not precede the function's first journal append",
 	Scope: []string{"serve"},
 	Run:   runJournalBefore,
 }

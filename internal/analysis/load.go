@@ -2,7 +2,7 @@
 // that parses target packages from source and type-checks them against the
 // build cache's export data for dependencies. This is the same architecture
 // as x/tools go/packages LoadAllSyntax for the roots / export data for deps,
-// reimplemented on the standard library so dpc-vet works with no module
+// reimplemented on the standard library so the suite works with no module
 // downloads. The gc importer reads dependency export data straight out of
 // the artifacts `go list -export` compiled.
 package analysis
@@ -64,33 +64,13 @@ type Package struct {
 	Info  *types.Info
 }
 
-// LoadOptions configure Load.
-type LoadOptions struct {
-	// Dir is the directory go list runs in (its module is analyzed).
-	// Empty means the current directory.
-	Dir string
-	// Patterns are go package patterns ("./...", "./internal/serve").
-	// Empty defaults to "./...".
-	Patterns []string
-	// Tests includes each package's test files (in-package and external
-	// test packages) among the targets.
-	Tests bool
-}
-
-// Load lists, parses and type-checks the packages matching the patterns.
-// It returns one Package per analysis target; a package that fails to list
-// or type-check yields an error instead (analysis needs sound types).
-func Load(opts LoadOptions) ([]*Package, error) {
-	if len(opts.Patterns) == 0 {
-		opts.Patterns = []string{"./..."}
-	}
-	args := []string{"list", "-e", "-deps", "-export", "-json"}
-	if opts.Tests {
-		args = append(args, "-test")
-	}
-	args = append(args, opts.Patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = opts.Dir
+// load lists, parses and type-checks every package of the module rooted at
+// dir, test files included (in-package and external test packages). It
+// returns one Package per analysis target; a package that fails to list or
+// type-check yields an error instead (analysis needs sound types).
+func load(dir string) ([]*Package, error) {
+	cmd := exec.Command("go", "list", "-e", "-deps", "-export", "-json", "-test", "./...")
+	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
@@ -203,14 +183,16 @@ func typecheck(p *listPackage, byPath map[string]*listPackage) (*Package, error)
 	}, nil
 }
 
-// Vet loads the packages and runs every applicable analyzer, returning the
-// surviving (non-allowlisted) diagnostics sorted by position. The returned
-// error covers load/type-check failures only; diagnostics are data.
-func Vet(opts LoadOptions, analyzers []*Analyzer) ([]Diagnostic, error) {
-	pkgs, err := Load(opts)
+// Vet loads every package of the module rooted at dir, test files
+// included, and runs every applicable analyzer of the suite (All),
+// returning the surviving (non-allowlisted) diagnostics sorted by position.
+// The returned error covers load/type-check failures only; diagnostics are
+// data.
+func Vet(dir string) ([]Diagnostic, error) {
+	pkgs, err := load(dir)
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		out = append(out, run(pkg, analyzers)...)
+		out = append(out, run(pkg, All())...)
 	}
 	sortDiagnostics(out)
 	return dedupe(out), err

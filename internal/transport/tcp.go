@@ -413,12 +413,19 @@ func (c *Coordinator) Abort() error {
 // coordinator's clean protocol close — ends the loop with nil; any other
 // error means the coordinator dropped the connection and will re-accept
 // (a cancelled or failed job), so the loop redials. A dial that runs out of timeout
-// means the coordinator is gone: Redial returns that error.
+// means the coordinator is gone: Redial returns that error. So does a
+// welcome other than JobsHello: a coordinator of another protocol version
+// would refuse every redial the same way.
 func Redial(addr string, id int, timeout time.Duration, serve func(*Site) error) error {
 	for {
 		sc, err := Dial(addr, id, timeout)
 		if err != nil {
 			return err
+		}
+		if hello := string(sc.Hello()); hello != JobsHello {
+			sc.Close()
+			return fmt.Errorf("transport: coordinator at %s does not speak job frames (welcome %q, want %q)",
+				addr, hello, JobsHello)
 		}
 		err = serve(sc)
 		sc.Close()

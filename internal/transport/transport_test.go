@@ -303,6 +303,53 @@ func TestListenerAccept(t *testing.T) {
 	wg.Wait()
 }
 
+// TestRedialStopsOnForeignWelcome: a coordinator that welcomes another
+// job-frame version refuses every connection the same way, so Redial
+// returns after one accept, naming both markers, instead of redialing in a
+// tight loop for as long as the coordinator keeps accepting.
+func TestRedialStopsOnForeignWelcome(t *testing.T) {
+	const foreign = "dpc-jobs/3"
+	l, err := Listen("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepts, accepting := 0, make(chan struct{})
+	go func() {
+		defer close(accepting)
+		for {
+			c, err := l.Accept(1, []byte(foreign))
+			if err != nil {
+				return
+			}
+			accepts++
+			defer c.Abort()
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		done <- Redial(l.Addr().String(), 0, 0, func(sc *Site) error {
+			return fmt.Errorf("welcome %q refused", sc.Hello())
+		})
+	}()
+	var rerr error
+	select {
+	case rerr = <-done:
+	case <-time.After(5 * time.Second):
+	}
+	l.Close()
+	<-accepting
+	if rerr == nil {
+		<-done
+		t.Fatalf("Redial still redialing after 5s (%d accepts)", accepts)
+	}
+	if accepts != 1 {
+		t.Errorf("%d accepts, want 1", accepts)
+	}
+	if msg := rerr.Error(); !strings.Contains(msg, foreign) || !strings.Contains(msg, JobsHello) {
+		t.Errorf("Redial error %q does not name both %q and %q", msg, foreign, JobsHello)
+	}
+}
+
 // TestListenerRejectsRogues: garbage connections, out-of-range ids and
 // duplicate ids are rejected individually — the legitimate sites still
 // complete the handshake and the protocol runs.

@@ -102,10 +102,12 @@ func Serve(sc *transport.Site, child *transport.Coordinator, inner bool) (err er
 // and for each parent connection accepts its `children` children (global
 // ids [base, base+children)) on l, forwards them the parent's welcome
 // blob, and runs Serve. l stays open for the loop's whole life, so
-// children that Serve aborted redial into it. ServeLoop returns nil once
+// children that Serve aborted redial into it. lost, when non-nil, hears
+// each error that ends a parent connection before the loop redials
+// (dpc-site logs it, as it does for a leaf). ServeLoop returns nil once
 // the parent closes the protocol, the parent's dial error once it stays
 // away for timeout, or l's error once l fails. The caller closes l.
-func ServeLoop(l *transport.Listener, parent string, id, children, base int, inner bool, timeout time.Duration) error {
+func ServeLoop(l *transport.Listener, parent string, id, children, base int, inner bool, timeout time.Duration, lost func(error)) error {
 	var lerr error
 	err := transport.Redial(parent, id, timeout, func(sc *transport.Site) error {
 		child, err := l.AcceptBase(children, base, sc.Hello())
@@ -113,7 +115,11 @@ func ServeLoop(l *transport.Listener, parent string, id, children, base int, inn
 			lerr = err
 			return nil // l is gone: no child can come back
 		}
-		return Serve(sc, child, inner)
+		err = Serve(sc, child, inner)
+		if err != nil && lost != nil {
+			lost(err)
+		}
+		return err
 	})
 	if lerr != nil {
 		return lerr
