@@ -3,6 +3,8 @@ package client
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,7 +51,7 @@ func (l *loops) join() []error {
 // bases as tree.Tiers and tree.Groups plan them. It returns the bottom
 // tier's listen addresses (leaf i dials the one at i/branch) and the
 // aggregators' loops.
-func startAggregatorTree(t *testing.T, parent string, sites, branch int) ([]string, *loops) {
+func startAggregatorTree(t testing.TB, parent string, sites, branch int) ([]string, *loops) {
 	t.Helper()
 	aggs := &loops{}
 	tiers := tree.Tiers(sites, branch)
@@ -329,5 +331,173 @@ func TestClusterTreeSurvivesCancel(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestClusterTreeReusesCenterScratch runs (k,t)-center jobs of several
+// coordinator sizes back to back on one tree fleet, whose coordinator solves
+// every one of them in the fleet's one kcenter.Scratch: the instance grows,
+// shrinks and grows again, and between the jobs one is cancelled while
+// every leaf is inside round 0 and one is rejected by every leaf at its job
+// frame; at the end two goroutines submit jobs of different sizes at once.
+// Every job that completes answers with centers, cost and logical bytes
+// byte-identical to client.Local over the same shards.
+func TestClusterTreeReusesCenterScratch(t *testing.T) {
+	const sites, branch = 8, 2
+	in := gen.Mixture(gen.MixtureSpec{N: 640, K: 4, OutlierFrac: 0.05, Seed: 33})
+	reqs := map[string]Request{ // about 128, 28 and 64 coordinator clients
+		"big":   {Objective: Center, K: 4, T: 48, Seed: 5, Points: in.Pts},
+		"small": {Objective: Center, K: 2, T: 6, Seed: 5, Points: in.Pts},
+		"mid":   {Objective: Center, K: 3, T: 20, Seed: 5, Points: in.Pts},
+	}
+	want := map[string]*Response{}
+	for name, req := range reqs {
+		req.Sites = sites
+		r, err := NewLocal().Do(context.Background(), req)
+		if err != nil {
+			t.Fatalf("local %s: %v", name, err)
+		}
+		want[name] = r
+	}
+	rejected := Request{Objective: UncertainMedian, K: 1, T: 1, Ground: &Ground{Pts: []Point{{0, 0}, {1, 0}, {0, 1}}}}
+
+	cl, err := ListenClusterTree("127.0.0.1:0", sites, branch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggAddrs, daemons := startAggregatorTree(t, cl.Addr(), sites, branch)
+	gate := &roundGate{entered: make(chan struct{}), release: make(chan struct{})}
+	for i, shard := range dataio.SplitRoundRobin(in.Pts, sites) {
+		addr, d := aggAddrs[i/branch], jobwire.SiteData{Site: i, Pts: shard}
+		daemons.start(func() error {
+			return transport.Redial(addr, i, 10*time.Second, func(sc *transport.Site) error {
+				return jobwire.ServeJobs(sc, d, gate.wrap)
+			})
+		})
+	}
+	cluster, err := cl.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounded, stop := context.WithTimeout(context.Background(), 60*time.Second)
+	defer stop()
+	// check runs reqs[name] on the tree and reports any difference from
+	// Local with t.Error, so that it may run off the test's goroutine.
+	check := func(name, when string) {
+		got, err := cluster.Do(bounded, reqs[name])
+		if err != nil {
+			t.Errorf("%s job %s: %v", name, when, err)
+			return
+		}
+		w := want[name]
+		if !reflect.DeepEqual(got.Centers, w.Centers) || got.Cost != w.Cost || got.UpBytes != w.UpBytes || got.DownBytes != w.DownBytes {
+			t.Errorf("%s job %s: tree centers %v, cost %g, bytes %d up %d down; local %v, %g, %d up %d down", name, when,
+				got.Centers, got.Cost, got.UpBytes, got.DownBytes, w.Centers, w.Cost, w.UpBytes, w.DownBytes)
+		}
+	}
+
+	check("big", "first")
+	check("small", "after the big one")
+
+	gate.armed.Store(true)
+	ctx, cancel := context.WithCancel(bounded)
+	done := make(chan error, 1)
+	go func() {
+		_, err := cluster.Do(ctx, reqs["mid"])
+		done <- err
+	}()
+	for i := 0; i < sites; i++ {
+		select {
+		case <-gate.entered:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d of %d leaves reached round 0", i, sites)
+		}
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Do: %v, want context.Canceled", err)
+	}
+	gate.armed.Store(false)
+	close(gate.release)
+
+	check("big", "after the cancel")
+	if _, err := cluster.Do(bounded, rejected); err == nil {
+		t.Fatal("an uncertain job on point-only leaves succeeded")
+	}
+	check("mid", "after the rejected job")
+	var wg sync.WaitGroup
+	for _, name := range []string{"small", "big"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				check(name, "submitted beside another")
+			}
+		}()
+	}
+	wg.Wait()
+	if n := daemons.ended.Load(); n != 0 {
+		t.Fatalf("%d daemon loops ended before Close", n)
+	}
+	if err := cluster.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range daemons.join() {
+		if err != nil {
+			t.Errorf("daemon loop %d: %v", i, err)
+		}
+	}
+}
+
+// BenchmarkClusterTreeCenter runs (k,t)-center jobs back to back on a tree
+// fleet shaped like the repo benchmark's fanin-tree: 32 leaves of 128
+// points under 4 aggregators, k = 4, t = 128, so the coordinator solves
+// about 384 weighted preclusters a job. Besides time and bytes a job it
+// reports the garbage collections per 1,000 jobs of the whole process,
+// leaves and aggregators included.
+//
+//	go test ./client -run '^$' -bench ClusterTreeCenter -benchtime 1000x
+func BenchmarkClusterTreeCenter(b *testing.B) {
+	const sites, branch = 32, 8
+	in := gen.Mixture(gen.MixtureSpec{N: 4096, K: 4, Dim: 2, OutlierFrac: 128.0 / 4096, Seed: 1})
+	cl, err := ListenClusterTree("127.0.0.1:0", sites, branch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	aggAddrs, daemons := startAggregatorTree(b, cl.Addr(), sites, branch)
+	for i, shard := range dataio.SplitRoundRobin(in.Pts, sites) {
+		addr := aggAddrs[i/branch]
+		daemons.start(func() error { return ServeSite(addr, SiteData{Site: i, Points: shard}, 10*time.Second) })
+	}
+	cluster, err := cl.Accept()
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := Request{Objective: Center, K: 4, T: 128, Seed: 1}
+	do := func() {
+		if _, err := cluster.Do(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for range 20 {
+		do()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		do()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.NumGC-before.NumGC)*1000/float64(b.N), "gcs/1000jobs")
+	if err := cluster.Close(); err != nil {
+		b.Fatal(err)
+	}
+	for i, err := range daemons.join() {
+		if err != nil {
+			b.Errorf("daemon loop %d: %v", i, err)
+		}
 	}
 }

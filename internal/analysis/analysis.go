@@ -144,8 +144,8 @@ const directivePrefix = "//dpc:"
 
 // collectDirectives scans a file's comments for suppression directives,
 // filling the pass-independent suppression index. Malformed directives
-// (unknown verb, missing reason) are reported as "directive" diagnostics —
-// those are never suppressible.
+// (unknown verb, a vet-ok analyzer not in All, missing reason) are reported
+// as "directive" diagnostics — those are never suppressible.
 func collectDirectives(fset *token.FileSet, files []*ast.File, suppress map[suppressKey]bool, out *[]Diagnostic) {
 	report := func(pos token.Pos, msg string) {
 		position := fset.Position(pos)
@@ -178,6 +178,10 @@ func collectDirectives(fset *token.FileSet, files []*ast.File, suppress map[supp
 					name, reason, _ := strings.Cut(rest, " ")
 					if name == "" || strings.TrimSpace(reason) == "" {
 						report(c.Pos(), "//dpc:vet-ok needs an analyzer name and a reason")
+						continue
+					}
+					if !slices.ContainsFunc(All(), func(a *Analyzer) bool { return a.Name == name }) {
+						report(c.Pos(), fmt.Sprintf("//dpc:vet-ok names unknown analyzer %q", name))
 						continue
 					}
 					suppress[suppressKey{position.Filename, position.Line, name}] = true

@@ -62,9 +62,17 @@ func TestDirectiveWithoutReasonIsDiagnosed(t *testing.T) {
 }
 
 func TestUnknownDirectiveIsDiagnosed(t *testing.T) {
-	_, _, diags := parseOne(t, "package p\n\n//dpc:frobnicate because\nvar a = 1\n")
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "unknown directive") {
-		t.Fatalf("got %v, want one unknown-directive diagnostic", diags)
+	for src, want := range map[string]string{
+		"package p\n\n//dpc:frobnicate because\nvar a = 1\n":                                 "unknown directive",
+		"package p\n\n//dpc:vet-ok journalbefor rollback after a failed append\nvar a = 1\n": "unknown analyzer",
+	} {
+		_, suppress, diags := parseOne(t, src)
+		if len(diags) != 1 || !strings.Contains(diags[0].Message, want) {
+			t.Errorf("src %q: got %v, want one %q diagnostic", src, diags, want)
+		}
+		if len(suppress) != 0 {
+			t.Errorf("src %q: malformed directive still registered a suppression", src)
+		}
 	}
 }
 

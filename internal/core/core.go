@@ -136,6 +136,15 @@ type Config struct {
 	// per-level traffic lands in Result.Report.Tree. Like Transport, this
 	// is coordinator-local and not shipped to sites.
 	Topology tree.Spec `json:"-"`
+	// CenterScratch, when non-nil, is the working memory of the center
+	// objective's coordinator solve (kcenter.Scratch.Partial), kept by the
+	// caller across its jobs; nil allocates it per solve. A persistent
+	// coordinator that runs one job at a time sets it to one scratch of its
+	// own (jobwire.Fleet does), so its cost matrix, sort buffers and ball
+	// index are not allocated and zeroed again every job. Results do not
+	// depend on it. Coordinator-local, like Transport and Topology; a
+	// scratch must not serve two runs at once.
+	CenterScratch *kcenter.Scratch `json:"-"`
 }
 
 func (c Config) withDefaults() Config {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dpc/internal/comm"
-	"dpc/internal/kcenter"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
 	"dpc/internal/protocol"
@@ -131,10 +130,10 @@ func (r *reducer) Solve(res *Result) {
 	cfg := r.cfg
 	res.CoordinatorClients = len(r.pts)
 	if cfg.Objective == Center {
-		// No distance cache here: PartialOpt's fast engine asks for every
-		// distance once (the upper triangle, for a *metric.Points) and
-		// works from its own sorted copy.
-		sol := kcenter.PartialOpt(metric.NewPoints(r.pts), r.wts, cfg.K, float64(cfg.T), cfg.LocalOpts.Options)
+		// No distance cache here: the fast engine asks for every distance
+		// once (the upper triangle, for a *metric.Points) and works from
+		// its own sorted copy, in the caller's scratch when there is one.
+		sol := cfg.CenterScratch.Partial(metric.NewPoints(r.pts), r.wts, cfg.K, float64(cfg.T), cfg.LocalOpts.Options)
 		res.Centers, res.CoordinatorCost = protocol.PointsAt(r.pts, sol.Centers), sol.Radius
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dpc/internal/kcenter"
 	"dpc/internal/protocol"
 	"dpc/internal/transport"
 	"dpc/internal/tree"
@@ -22,15 +23,17 @@ import (
 // the top aggregator tier of a tree (tree.NewRootOver).
 //
 // A Fleet runs one job at a time; concurrent Runs queue, each bounded by
-// its context. A job cancelled mid-protocol leaves the connections
-// desynchronized (site replies for it are still in flight), and a job that
-// failed on the wire (a site's error frame, a lost connection) has a site
-// out of its job loop; either way the fleet aborts the connections without
-// the protocol close — the daemons redial instead of exiting — and at once
-// re-binds every group's address to accept them in the background; the
-// next Run waits for them, bounded by its context. A job the coordinator
-// rejects after a complete gather keeps the connections. Close is the
-// clean, terminal end: every daemon gets the protocol close.
+// its context. So one kcenter.Scratch, kept for the fleet's life, serves
+// the coordinator solve of every (k,t)-center job it runs. A job cancelled
+// mid-protocol leaves the connections desynchronized (site replies for it
+// are still in flight), and a job that failed on the wire (a site's error
+// frame, a lost connection) has a site out of its job loop; either way the
+// fleet aborts the connections without the protocol close — the daemons
+// redial instead of exiting — and at once re-binds every group's address
+// to accept them in the background; the next Run waits for them, bounded
+// by its context. A job the coordinator rejects after a complete gather
+// keeps the connections. Close is the clean, terminal end: every daemon
+// gets the protocol close.
 type Fleet struct {
 	run     chan struct{}          // one token, held by Run, Close and AddGroup's join
 	add     sync.Mutex             // serializes AddGroup, which accepts without the token
@@ -40,7 +43,8 @@ type Fleet struct {
 	coord   *transport.Coordinator // the joined groups; nil after an abort
 	tr      transport.Transport    // coord, or the tree root over it
 	groups  []group
-	rejoins []*rejoin // after an abort: each group's background re-accept
+	rejoins []*rejoin       // after an abort: each group's background re-accept
+	scratch kcenter.Scratch // lent to every point job under the run token (core.Config.CenterScratch)
 
 	// leaf sites the protocol runs over, and len(groups): Sites and Groups
 	// read them without waiting for a job.
@@ -172,6 +176,7 @@ func (f *Fleet) Run(ctx context.Context, j Job, g *uncertain.Ground) (protocol.R
 		}
 	}
 	var res protocol.Result
+	j.Core.CenterScratch = &f.scratch
 	err = f.coord.StartJob(blob)
 	if err == nil {
 		res, err = j.RunOver(ctx, f.tr, g)
@@ -254,11 +259,13 @@ func finished(coord *transport.Coordinator, err error) *rejoin {
 
 // Close sends every connected daemon the protocol close, those a re-accept
 // has taken included, and shuts the sockets, after any job in flight; a Run
-// waiting for redialing daemons gives up. Closed is terminal.
+// waiting for redialing daemons gives up. It drops the (k,t)-center scratch.
+// Closed is terminal.
 func (f *Fleet) Close() error {
 	f.end()
 	f.run <- struct{}{}
 	defer func() { <-f.run }()
+	f.scratch = kcenter.Scratch{}
 	var errs error
 	for _, r := range f.rejoins {
 		if r.l != nil {

@@ -84,21 +84,34 @@ var partialSink Solution
 // the three sizes the repo benchmark and the experiment tables run it:
 // fanin-tree's 384 weighted preclusters (32 sites x (k + t_i), k=4, t=128),
 // serve-mixed's 60-client center jobs, and a 1000-point unit-weight central
-// solve as in internal/bench's E-tables.
+// solve as in internal/bench's E-tables. Each size runs twice: through
+// PartialOpt, which allocates its working memory every call, and under
+// warm/, in one Scratch reused across calls as a fleet's coordinator reuses
+// its own (one Scratch serves all three sizes, the way a coordinator's
+// instances vary).
 func BenchmarkPartialCoordinator(b *testing.B) {
-	run := func(c metric.Costs, w []float64, k int, t float64) func(*testing.B) {
+	run := func(c metric.Costs, w []float64, k int, t float64, sc *Scratch) func(*testing.B) {
 		return func(b *testing.B) {
+			sc.Partial(c, w, k, t, Opt{})
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				partialSink = PartialOpt(c, w, k, t, Opt{})
+				partialSink = sc.Partial(c, w, k, t, Opt{})
 			}
 		}
 	}
 	sp, w := coordinatorInstance(1, 32, 128, 12)
-	b.Run("clients=384", run(sp, w, 4, 128))
-	sp, w = coordinatorInstance(2, 4, 160, 15)
-	b.Run("clients=60", run(sp, w, 3, 20))
-	b.Run("points=1000", run(benchPoints(1000), nil, 5, 50))
+	small, sw := coordinatorInstance(2, 4, 160, 15)
+	central := benchPoints(1000)
+	for _, sc := range []*Scratch{nil, new(Scratch)} {
+		prefix := ""
+		if sc != nil {
+			prefix = "warm/"
+		}
+		b.Run(prefix+"clients=384", run(sp, w, 4, 128, sc))
+		b.Run(prefix+"clients=60", run(small, sw, 3, 20, sc))
+		b.Run(prefix+"points=1000", run(central, nil, 5, 50, sc))
+	}
 }
 
 func BenchmarkEvalMax(b *testing.B) {

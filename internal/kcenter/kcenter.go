@@ -324,12 +324,16 @@ func Partial(c metric.Costs, w []float64, k int, t float64) Solution {
 }
 
 // maxPartialMatrix bounds the dense cost matrix the fast engine
-// materializes, in cells. The transient peak is 28 bytes a cell — the
-// matrix (8), the radix sort's two buffers of packed cells (16; the spent
-// one then holds the candidate radii) and the per-client facility orders
-// (4) — about 448 MiB at this cap; it also keeps a cell index inside the 32
-// bits a packed cell has for it. Larger instances fall back to the
-// oracle-scanning reference engine.
+// materializes, in cells. The peak is 28 bytes a cell — the matrix (8), the
+// radix sort's two buffers of packed cells (16; the spent one then holds
+// the candidate radii; a *metric.Points instance packs only its upper
+// triangle, about half of this) and the per-client facility orders (4) —
+// about 448 MiB at this cap; it also keeps a cell index inside the 32 bits
+// a packed cell has for it. Those bytes are a Scratch's: a solve without
+// one allocates them afresh, while a fleet's coordinator (jobwire.Fleet,
+// through core.Config.CenterScratch) keeps one set, the size of the largest
+// instance it has solved, across all its jobs. Larger instances fall back
+// to the oracle-scanning reference engine.
 const maxPartialMatrix = 16 << 20
 
 // PartialOpt is Partial with an engine selection. The fast engine asks the
@@ -343,7 +347,46 @@ const maxPartialMatrix = 16 << 20
 // bit-identical to partialReference for any weights. o.Workers spreads only
 // the matrix fill: the sort and the scatter-adds are sequential by design
 // (per-worker gain arrays would reorder the sums).
+//
+// PartialOpt allocates its working memory, up to 28 bytes a client-facility
+// pair, on every call; Scratch.Partial is the same solve in reused memory.
 func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
+	return (*Scratch)(nil).Partial(c, w, k, t, o)
+}
+
+// Scratch is the reusable working memory of the fast engine's solve: every
+// buffer it sizes by nc·nf — the cost matrix, the packed cells and the
+// radix sort's second buffer, the per-client facility orders — and the
+// probes' arrays. The zero value is ready. Buffers grow to the largest
+// instance solved and are never shrunk, and every one is overwritten before
+// it is read, so nothing an earlier solve left can reach a result. A
+// Scratch serves one solve at a time; the Solution a solve returns never
+// aliases it.
+type Scratch struct {
+	cost         []float64
+	cells, radix []uint64 // the radix sort's two buffers; either may end sorted
+	near         []uint32
+	column       []int32 // 0, 1, ..., nf-1: the clients of a triangle row's cost column
+	fill         []int   // per client: how much of its near row the scatter has written
+	// The probes' arrays.
+	gains          []float64
+	reach, unc     []int
+	centers, bestC []int
+}
+
+// grow returns buf resliced to n, reallocated when its capacity is short.
+// The contents are whatever the last solve left.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// Partial is PartialOpt in s's memory; a nil s allocates per call, as
+// PartialOpt does. Its result is PartialOpt's, bit for bit, whatever s
+// solved before.
+func (s *Scratch) Partial(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 	nc, nf := c.Clients(), c.Facilities()
 	if o.Reference || nc*nf > maxPartialMatrix {
 		return partialReference(c, w, k, t)
@@ -364,18 +407,23 @@ func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 	if totalW <= t {
 		return Solution{Centers: []int{0}, Radius: 0}
 	}
-	ix, ok := newBallIndex(c, o.Workers)
+	if s == nil {
+		s = new(Scratch)
+	}
+	ix, ok := s.newBallIndex(c, o.Workers)
 	if !ok {
 		return partialReference(c, w, k, t)
 	}
 	cost, near := ix.cost, ix.near
 
-	// Everything a probe touches is allocated here, once a solve.
-	gains := make([]float64, nf)
-	reach := make([]int, nc) // reach[j]: how many of near's row j lie within r
-	uncBuf := make([]int, nc)
-	centers := make([]int, 0, min(k, nf))
-	bestCenters := make([]int, 0, min(k, nf))
+	// Everything a probe touches is sized here, once a solve.
+	s.gains, s.reach, s.unc = grow(s.gains, nf), grow(s.reach, nc), grow(s.unc, nc)
+	gains, uncBuf := s.gains, s.unc
+	reach := s.reach // reach[j]: how many of near's row j lie within r
+	if m := min(k, nf); cap(s.centers) < m {
+		s.centers, s.bestC = make([]int, 0, m), make([]int, 0, m)
+	}
+	centers, bestCenters := s.centers[:0], s.bestC[:0]
 	feasible := func(r float64) bool {
 		// unc is the uncovered-client list, kept in ascending order so
 		// every weight sum visits clients exactly as the reference
@@ -431,7 +479,8 @@ func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 	if !feasible(ix.radius(hi)) {
 		// Even the largest candidate fails (can happen only with k <
 		// effective clusters); fall back to greedy top-k facilities.
-		return Solution{Centers: centers, Radius: EvalMaxOpt(c, w, centers, t, o)}
+		out := slices.Clone(centers)
+		return Solution{Centers: out, Radius: EvalMaxOpt(c, w, out, t, o)}
 	}
 	bestCenters = append(bestCenters[:0], centers...)
 	for lo < hi {
@@ -443,11 +492,13 @@ func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 			lo = mid + 1
 		}
 	}
-	return Solution{Centers: bestCenters, Radius: EvalMaxOpt(c, w, bestCenters, t, o)}
+	out := slices.Clone(bestCenters)
+	return Solution{Centers: out, Radius: EvalMaxOpt(c, w, out, t, o)}
 }
 
 // ballIndex is the fast engine's one-time view of a cost oracle: what a
-// feasibility probe needs to read balls off as prefixes.
+// feasibility probe needs to read balls off as prefixes. Its slices are a
+// Scratch's.
 type ballIndex struct {
 	cost  []float64 // row-major client x facility matrix: cost[j*nf+f]
 	near  []uint32  // near[j*nf:(j+1)*nf]: the facilities by ascending cost to client j
@@ -458,23 +509,29 @@ type ballIndex struct {
 func (ix *ballIndex) radius(m int) float64 { return ix.cost[uint32(ix.radii[m])] }
 
 // newBallIndex fills the cost matrix (rows spread over workers) and sorts
-// its cells once. A cell is packed into 8 bytes — the top 32 bits of its
-// cost's IEEE-754 pattern, which for non-negative non-NaN floats orders
-// like the value, over its 32-bit matrix index — so one pass over the
-// sorted cells yields both products: scattering each cell to its client's
-// row gives every row in ascending cost order, and the first cell of every
-// distinct cost is a candidate radius, the set partialReference sorts and
-// dedups. Which of several equal costs comes first is immaterial: a ball
-// holds all of them or none. ok is false when a cost is negative or NaN,
-// whose bits do not order like values.
+// its cells once, all in s's buffers. A cell is packed into 8 bytes — the
+// top 32 bits of its cost's IEEE-754 pattern, which for non-negative
+// non-NaN floats orders like the value, over its 32-bit matrix index — so
+// one pass over the sorted cells yields both products: scattering each cell
+// to its client's row gives every row in ascending cost order, and the
+// first cell of every distinct cost is a candidate radius, the set
+// partialReference sorts and dedups. Which of several equal costs comes
+// first is immaterial: a ball holds all of them or none. The scatter
+// recovers a cell's (j, f) from its 32-bit index with one 32-bit division,
+// which older x86 cores run several times faster than a 64-bit one. ok is
+// false when a cost is negative or NaN, whose bits do not order like values.
 //
 // A *metric.Points oracle is bitwise symmetric by construction — (a-b)^2
 // == (b-a)^2 and |a-b| == |b-a| in IEEE arithmetic, summed in the same
-// coordinate order — so only the cells f >= j are asked for and sorted, and
-// each is scattered to both rows. The shortcut is keyed on that concrete
-// type, never on nc == nf or metric.Space: a Matrix may differ in the last
-// bit, and uncertain.Collapsed (l_j + d(y_j, y_f)) is asymmetric outright.
-func newBallIndex(c metric.Costs, workers int) (ix ballIndex, ok bool) {
+// coordinate order — so only the upper triangle f >= j is asked for and
+// sorted, and each cell is scattered to both rows. Row j of the triangle is
+// facility j's cost column over clients j..nf-1 (metric.CostColumn: the
+// metric resolved once a row, exactly the Cost(j, f) floats by that
+// symmetry), and the lower triangle is then mirrored from it in cache-sized
+// tiles (mirror). The shortcut is keyed on that concrete type, never on nc
+// == nf or metric.Space: a Matrix may differ in the last bit, and
+// uncertain.Collapsed (l_j + d(y_j, y_f)) is asymmetric outright.
+func (s *Scratch) newBallIndex(c metric.Costs, workers int) (ix ballIndex, ok bool) {
 	nc, nf := c.Clients(), c.Facilities()
 	_, sym := c.(*metric.Points)
 	// Row j owns the cells [first(j), nf) of the matrix, stored from
@@ -486,17 +543,29 @@ func newBallIndex(c metric.Costs, workers int) (ix ballIndex, ok bool) {
 		return 0
 	}
 	start := func(j int) int { return j*nf - first(j)*(first(j)-1)/2 }
-	cost := make([]float64, nc*nf)
-	cells := make([]uint64, start(nc))
+	s.cost = grow(s.cost, nc*nf)
+	s.cells, s.radix = grow(s.cells, start(nc)), grow(s.radix, start(nc))
+	cost, cells := s.cost, s.cells
+	if sym {
+		s.column = grow(s.column, nf)
+		for f := range s.column {
+			s.column[f] = int32(f)
+		}
+	}
+	column := s.column
 	var unordered atomic.Bool
 	par.For(workers, nc, func(j int) {
-		row := cells[start(j):start(j+1)]
-		for f := first(j); f < nf; f++ {
-			d := c.Cost(j, f)
-			cost[j*nf+f] = d
-			if sym {
-				cost[f*nf+j] = d
+		lo := first(j)
+		row := cost[j*nf+lo : (j+1)*nf]
+		if sym {
+			metric.CostColumn(c, j, column[lo:], row)
+		} else {
+			for f := range row {
+				row[f] = c.Cost(j, f)
 			}
+		}
+		packed := cells[start(j):start(j+1)]
+		for i, d := range row {
 			// -0.0 is the same radius as +0.0 (sort.Float64s and
 			// dedupFloats treat them alike) but has the sign bit set.
 			var key uint64
@@ -506,20 +575,25 @@ func newBallIndex(c metric.Costs, workers int) (ix ballIndex, ok bool) {
 			if key > math.Float64bits(math.Inf(1)) {
 				unordered.Store(true)
 			}
-			row[f-first(j)] = key&^math.MaxUint32 | uint64(j*nf+f)
+			packed[i] = key&^math.MaxUint32 | uint64(j*nf+lo+i)
 		}
 	})
 	if unordered.Load() {
 		return ballIndex{}, false
 	}
-	sorted, spent := sortCells(cells, make([]uint64, len(cells)), cost)
+	if sym {
+		mirror(cost, nf)
+	}
+	sorted, spent := sortCells(cells, s.radix, cost)
 
-	near := make([]uint32, nc*nf)
-	fill := make([]int, nc)
+	s.near, s.fill = grow(s.near, nc*nf), grow(s.fill, nc)
+	near, fill := s.near, s.fill
+	clear(fill)
 	radii := spent[:0] // never longer than the cells already read
 	for i, cell := range sorted {
-		idx := int(uint32(cell))
-		j, f := idx/nf, idx%nf
+		idx := uint32(cell)
+		j := int(idx / uint32(nf))
+		f := int(idx) - j*nf
 		near[j*nf+fill[j]] = uint32(f)
 		fill[j]++
 		if sym && f != j {
@@ -533,6 +607,30 @@ func newBallIndex(c metric.Costs, workers int) (ix ballIndex, ok bool) {
 		}
 	}
 	return ballIndex{cost: cost, near: near, radii: radii}, true
+}
+
+// mirrorTile is mirror's tile edge: the tile read and the tile written, 2 x
+// 32 x 32 floats, take 16 KiB of L1.
+const mirrorTile = 32
+
+// mirror copies the upper triangle of the n x n row-major matrix m onto its
+// lower triangle, m[i*n+j] = m[j*n+i] for j < i, one tile pair at a time:
+// the source tile is read down its columns and the mirrored tile written
+// along its rows, both inside L1, where a per-cell copy would write down a
+// column of the whole matrix, one cache line per cell.
+func mirror(m []float64, n int) {
+	for ib := 0; ib < n; ib += mirrorTile {
+		ie := min(ib+mirrorTile, n)
+		for jb := 0; jb < ie; jb += mirrorTile {
+			je := min(jb+mirrorTile, n)
+			for i := ib; i < ie; i++ {
+				dst := m[i*n : i*n+min(je, i)]
+				for j := jb; j < len(dst); j++ {
+					dst[j] = m[j*n+i]
+				}
+			}
+		}
+	}
 }
 
 // sortCells orders packed cells by cost[index] ascending and returns the

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"dpc/internal/metric"
 )
@@ -31,20 +34,86 @@ type partialCase struct {
 	t    float64
 }
 
-// samePartial fails unless the fast engine (at two worker counts) returns
-// partialReference's answer bit for bit: Radius by Float64bits, Centers
-// index by index.
+// samePartial fails unless the fast engine (at two worker counts, and in a
+// Scratch that has just solved an instance of another size and been
+// poisoned) returns partialReference's answer bit for bit: Radius by
+// Float64bits, Centers index by index.
 func samePartial(t *testing.T, pc partialCase) {
 	t.Helper()
 	ref := PartialOpt(pc.c, pc.w, pc.k, pc.t, Opt{Reference: true})
 	for _, workers := range []int{1, 4} {
 		got := PartialOpt(pc.c, pc.w, pc.k, pc.t, Opt{Workers: workers})
-		if math.Float64bits(got.Radius) != math.Float64bits(ref.Radius) {
-			t.Fatalf("workers=%d: radius %v (%#x) != reference %v (%#x)", workers,
-				got.Radius, math.Float64bits(got.Radius), ref.Radius, math.Float64bits(ref.Radius))
+		sameSolution(t, fmt.Sprintf("workers=%d", workers), got, ref)
+	}
+	sc := new(Scratch)
+	sc.Partial(otherSize, nil, 3, 6, Opt{})
+	poisonScratch(sc)
+	sameSolution(t, "reused scratch", sc.Partial(pc.c, pc.w, pc.k, pc.t, Opt{}), ref)
+}
+
+// otherSize is what samePartial's scratch solves first: 61 points, a size
+// no table row and no fuzz input (at most 12 x 12) has.
+var otherSize = metric.NewPoints(parityPoints(61, 61))
+
+// sameSolution fails unless got is want bit for bit.
+func sameSolution(t *testing.T, label string, got, want Solution) {
+	t.Helper()
+	if math.Float64bits(got.Radius) != math.Float64bits(want.Radius) {
+		t.Fatalf("%s: radius %v (%#x) != reference %v (%#x)", label,
+			got.Radius, math.Float64bits(got.Radius), want.Radius, math.Float64bits(want.Radius))
+	}
+	if !slices.Equal(got.Centers, want.Centers) {
+		t.Fatalf("%s: centers %v != reference %v", label, got.Centers, want.Centers)
+	}
+}
+
+// poisonScratch overwrites every buffer of s to its capacity with values no
+// solve writes there: NaN floats, all-ones unsigned and -1 signed integers
+// (a NaN cost or an all-ones cell read as data changes an answer or
+// panics). It walks the fields by reflection, so a buffer added to Scratch
+// is poisoned without this helper knowing its name.
+func poisonScratch(s *Scratch) {
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		buf := reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		buf = buf.Slice(0, buf.Cap())
+		for e := 0; e < buf.Len(); e++ {
+			switch x := buf.Index(e); x.Kind() {
+			case reflect.Float64:
+				x.SetFloat(math.NaN())
+			case reflect.Uint32, reflect.Uint64:
+				x.SetUint(math.MaxUint64 >> (64 - 8*x.Type().Size()))
+			case reflect.Int, reflect.Int32:
+				x.SetInt(-1)
+			default:
+				panic("poisonScratch: unhandled kind " + x.Kind().String())
+			}
 		}
-		if !slices.Equal(got.Centers, ref.Centers) {
-			t.Fatalf("workers=%d: centers %v != reference %v", workers, got.Centers, ref.Centers)
+	}
+}
+
+// TestPartialScratchReuse runs every partialCases row through one Scratch,
+// forward and then backward, so the instance grows and shrinks between
+// point sets, full matrices, a facility subset and the NaN and negative
+// rows that fall back to partialReference; the scratch is poisoned after
+// every solve. Each answer must be a fresh PartialOpt's bit for bit, and
+// must not change when the scratch is poisoned after it: a Solution never
+// aliases its scratch. The all-equal and one-point rows are the instances
+// whose radix sort skips every pass, so the candidate radii are written
+// into the poisoned second buffer.
+func TestPartialScratchReuse(t *testing.T) {
+	cases := partialCases()
+	backward := slices.Clone(cases)
+	slices.Reverse(backward)
+	sc := new(Scratch)
+	for _, order := range [][]partialCase{cases, backward} {
+		for _, pc := range order {
+			want := PartialOpt(pc.c, pc.w, pc.k, pc.t, Opt{})
+			got := sc.Partial(pc.c, pc.w, pc.k, pc.t, Opt{})
+			sameSolution(t, pc.name, got, want)
+			poisonScratch(sc)
+			sameSolution(t, pc.name+" after poisoning", got, want)
 		}
 	}
 }
@@ -338,5 +407,26 @@ func TestPartialAllocsIndependentOfProbes(t *testing.T) {
 	}
 	if many > 24 {
 		t.Fatalf("%v allocations a solve, want <= 24", many)
+	}
+}
+
+// TestPartialWarmScratchAllocs is TestPartialAllocsIndependentOfProbes'
+// sibling for reused memory: once a Scratch has solved the 384-client
+// coordinator instance, solving it again allocates at most 64 KiB (the
+// Solution and EvalMaxOpt's sort), where a solve without one allocates
+// about 2.9 MB — nothing sized by nc·nf is allocated again.
+func TestPartialWarmScratchAllocs(t *testing.T) {
+	sp, w := coordinatorInstance(1, 32, 128, 12)
+	sc := new(Scratch)
+	partialSink = sc.Partial(sp, w, 4, 128, Opt{})
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		partialSink = sc.Partial(sp, w, 4, 128, Opt{})
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 64<<10 {
+		t.Fatalf("a warm-scratch solve allocates %d B, want <= 64 KiB", per)
 	}
 }
