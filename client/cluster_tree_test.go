@@ -336,12 +336,14 @@ func TestClusterTreeSurvivesCancel(t *testing.T) {
 
 // TestClusterTreeReusesCenterScratch runs (k,t)-center jobs of several
 // coordinator sizes back to back on one tree fleet, whose coordinator solves
-// every one of them in the fleet's one kcenter.Scratch: the instance grows,
-// shrinks and grows again, and between the jobs one is cancelled while
-// every leaf is inside round 0 and one is rejected by every leaf at its job
-// frame; at the end two goroutines submit jobs of different sizes at once.
-// Every job that completes answers with centers, cost and logical bytes
-// byte-identical to client.Local over the same shards.
+// every one of them in the fleet's one kcenter.Scratch. The big job runs
+// twice in a row, so the second solve reuses the ball index of the first;
+// then one job is cancelled while every leaf is inside round 0 and one is
+// rejected by every leaf at its job frame, and the big job runs right
+// after each, over the index it left; then the instance shrinks and grows
+// again, and at the end two goroutines submit jobs of different sizes at
+// once. Every job that completes answers with centers, cost and logical
+// bytes byte-identical to client.Local over the same shards.
 func TestClusterTreeReusesCenterScratch(t *testing.T) {
 	const sites, branch = 8, 2
 	in := gen.Mixture(gen.MixtureSpec{N: 640, K: 4, OutlierFrac: 0.05, Seed: 33})
@@ -397,7 +399,7 @@ func TestClusterTreeReusesCenterScratch(t *testing.T) {
 	}
 
 	check("big", "first")
-	check("small", "after the big one")
+	check("big", "again")
 
 	gate.armed.Store(true)
 	ctx, cancel := context.WithCancel(bounded)
@@ -424,7 +426,9 @@ func TestClusterTreeReusesCenterScratch(t *testing.T) {
 	if _, err := cluster.Do(bounded, rejected); err == nil {
 		t.Fatal("an uncertain job on point-only leaves succeeded")
 	}
-	check("mid", "after the rejected job")
+	check("big", "after the rejected job")
+	check("small", "after the big one")
+	check("mid", "after the small one")
 	var wg sync.WaitGroup
 	for _, name := range []string{"small", "big"} {
 		wg.Add(1)

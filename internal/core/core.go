@@ -141,9 +141,10 @@ type Config struct {
 	// caller across its jobs; nil allocates it per solve. A persistent
 	// coordinator that runs one job at a time sets it to one scratch of its
 	// own (jobwire.Fleet does), so its cost matrix, sort buffers and ball
-	// index are not allocated and zeroed again every job. Results do not
-	// depend on it. Coordinator-local, like Transport and Topology; a
-	// scratch must not serve two runs at once.
+	// index are not allocated and zeroed again every job, and a job whose
+	// preclusters repeat the last job's bit for bit does not build the
+	// index again. Results do not depend on it. Coordinator-local, like
+	// Transport and Topology; a scratch must not serve two runs at once.
 	CenterScratch *kcenter.Scratch `json:"-"`
 }
 

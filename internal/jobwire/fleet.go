@@ -24,7 +24,9 @@ import (
 //
 // A Fleet runs one job at a time; concurrent Runs queue, each bounded by
 // its context. So one kcenter.Scratch, kept for the fleet's life, serves
-// the coordinator solve of every (k,t)-center job it runs. A job cancelled
+// the coordinator solve of every (k,t)-center job it runs; its sites being
+// deterministic, a repeated job's preclusters repeat too, and the scratch
+// reuses the ball index it built for them. A job cancelled
 // mid-protocol leaves the connections desynchronized (site replies for it
 // are still in flight), and a job that failed on the wire (a site's error
 // frame, a lost connection) has a site out of its job loop; either way the

@@ -88,7 +88,10 @@ var partialSink Solution
 // PartialOpt, which allocates its working memory every call, and under
 // warm/, in one Scratch reused across calls as a fleet's coordinator reuses
 // its own (one Scratch serves all three sizes, the way a coordinator's
-// instances vary).
+// instances vary). A warm/ row solves one instance again and again, so it
+// times the probes over a reused ball index; warm/clients=384-alternating
+// solves two 384-client instances in turn, so every solve rebuilds the
+// index in reused memory.
 func BenchmarkPartialCoordinator(b *testing.B) {
 	run := func(c metric.Costs, w []float64, k int, t float64, sc *Scratch) func(*testing.B) {
 		return func(b *testing.B) {
@@ -112,6 +115,20 @@ func BenchmarkPartialCoordinator(b *testing.B) {
 		b.Run(prefix+"clients=60", run(small, sw, 3, 20, sc))
 		b.Run(prefix+"points=1000", run(central, nil, 5, 50, sc))
 	}
+	other, ow := coordinatorInstance(3, 32, 128, 12)
+	b.Run("warm/clients=384-alternating", func(b *testing.B) {
+		sc := new(Scratch)
+		sc.Partial(other, ow, 4, 128, Opt{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%2 == 0 {
+				partialSink = sc.Partial(sp, w, 4, 128, Opt{})
+			} else {
+				partialSink = sc.Partial(other, ow, 4, 128, Opt{})
+			}
+		}
+	})
 }
 
 func BenchmarkEvalMax(b *testing.B) {

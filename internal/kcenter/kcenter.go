@@ -128,8 +128,10 @@ func GonzalezOpt(sp metric.Space, m, first int, o Opt) Traversal {
 // its other three workloads, which run no persistent site. A one-shot site
 // has nothing to reuse and calls GonzalezOpt itself. Round 1's
 // AssignPrefixOpt, the job server's in-process datasets and the
-// coordinator's PartialOpt are not served from it. It holds O(n) values,
-// is safe for concurrent jobs, and the zero value is an empty memo.
+// coordinator's PartialOpt are not served from it; its coordinator-side
+// twin is the ball index a Scratch keys on its instance (Scratch.Partial).
+// It holds O(n) values, is safe for concurrent jobs, and the zero value is
+// an empty memo.
 type TraversalMemo struct {
 	mu sync.Mutex
 	tr Traversal
@@ -331,9 +333,10 @@ func Partial(c metric.Costs, w []float64, k int, t float64) Solution {
 // about 448 MiB at this cap; it also keeps a cell index inside the 32 bits
 // a packed cell has for it. Those bytes are a Scratch's: a solve without
 // one allocates them afresh, while a fleet's coordinator (jobwire.Fleet,
-// through core.Config.CenterScratch) keeps one set, the size of the largest
-// instance it has solved, across all its jobs. Larger instances fall back
-// to the oracle-scanning reference engine.
+// through core.Config.CenterScratch) keeps one set across all its jobs, up
+// to maxScratchBytes, and with it the ball index of its last *metric.Points
+// instance. Larger instances fall back to the oracle-scanning reference
+// engine, which neither uses nor keys a Scratch.
 const maxPartialMatrix = 16 << 20
 
 // PartialOpt is Partial with an engine selection. The fast engine asks the
@@ -349,7 +352,9 @@ const maxPartialMatrix = 16 << 20
 // (per-worker gain arrays would reorder the sums).
 //
 // PartialOpt allocates its working memory, up to 28 bytes a client-facility
-// pair, on every call; Scratch.Partial is the same solve in reused memory.
+// pair, and builds the ball index on every call; Scratch.Partial is the same
+// solve in reused memory, which also reuses the index of a repeated
+// *metric.Points instance.
 func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 	return (*Scratch)(nil).Partial(c, w, k, t, o)
 }
@@ -358,20 +363,90 @@ func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 // buffer it sizes by nc·nf — the cost matrix, the packed cells and the
 // radix sort's second buffer, the per-client facility orders — and the
 // probes' arrays. The zero value is ready. Buffers grow to the largest
-// instance solved and are never shrunk, and every one is overwritten before
-// it is read, so nothing an earlier solve left can reach a result. A
-// Scratch serves one solve at a time; the Solution a solve returns never
-// aliases it.
+// instance solved, up to maxScratchBytes: a solve that leaves more drops
+// them all. A Scratch serves one solve at a time; the Solution a solve
+// returns never aliases it.
+//
+// The probes' arrays are overwritten before they are read. The ball index
+// (cost matrix, facility orders, candidate radii) is kept with a key, a copy
+// of the *metric.Points instance it was built from: metric, point count,
+// and every point's dimension and coordinates. The next solve reads the
+// index again only when its instance matches the key bit for bit (weights,
+// k and t may differ, and only the probes read them); any other instance
+// clears the key before it writes the first index buffer, so nothing an
+// earlier solve left can reach a result. This is the coordinator-side twin
+// of a site's TraversalMemo: Algorithm 2's sites are deterministic, so a
+// fleet's coordinator solves the same preclusters job after job.
 type Scratch struct {
 	cost         []float64
 	cells, radix []uint64 // the radix sort's two buffers; either may end sorted
 	near         []uint32
 	column       []int32 // 0, 1, ..., nf-1: the clients of a triangle row's cost column
 	fill         []int   // per client: how much of its near row the scatter has written
+	// The index's key (empty: none) and its candidate radii, a prefix of
+	// the spent radix buffer.
+	key   []float64
+	radii []uint64
 	// The probes' arrays.
 	gains          []float64
 	reach, unc     []int
 	centers, bestC []int
+}
+
+// maxScratchBytes bounds what a Scratch keeps between solves: about ten
+// times a fanin-tree coordinator's instance (384 clients, about 3 MB) and
+// above a 1,000-point central solve's (about 20 MB). A larger instance,
+// 2,500 clients say, solves in buffers of about 120 MiB that are dropped,
+// key and all, as soon as its Solution is built.
+const maxScratchBytes = 32 << 20
+
+// bytes is the capacity of s's buffers in bytes; radii aliases a radix
+// buffer and is not counted again.
+func (s *Scratch) bytes() int {
+	return 8*(cap(s.cost)+cap(s.cells)+cap(s.radix)+cap(s.fill)+cap(s.key)+
+		cap(s.gains)+cap(s.reach)+cap(s.unc)+cap(s.centers)+cap(s.bestC)) +
+		4*(cap(s.near)+cap(s.column))
+}
+
+// trim drops every buffer of s, and so its key, when they exceed
+// maxScratchBytes.
+func (s *Scratch) trim() {
+	if s.bytes() > maxScratchBytes {
+		*s = Scratch{}
+	}
+}
+
+// keyed reports whether the index in s was built from an instance
+// bit-identical to p.
+func (s *Scratch) keyed(p *metric.Points) bool {
+	key := s.key
+	if len(key) < 2 || math.Float64bits(key[0]) != math.Float64bits(float64(p.M)) ||
+		math.Float64bits(key[1]) != math.Float64bits(float64(len(p.Pts))) {
+		return false
+	}
+	key = key[2:]
+	for _, pt := range p.Pts {
+		if len(key) <= len(pt) || math.Float64bits(key[0]) != math.Float64bits(float64(len(pt))) {
+			return false
+		}
+		for i, x := range pt {
+			if math.Float64bits(key[1+i]) != math.Float64bits(x) {
+				return false
+			}
+		}
+		key = key[1+len(pt):]
+	}
+	return len(key) == 0
+}
+
+// setKey records p as the instance s's index describes.
+func (s *Scratch) setKey(p *metric.Points) {
+	key := append(s.key[:0], float64(p.M), float64(len(p.Pts)))
+	for _, pt := range p.Pts {
+		key = append(key, float64(len(pt)))
+		key = append(key, pt...)
+	}
+	s.key = key
 }
 
 // grow returns buf resliced to n, reallocated when its capacity is short.
@@ -384,8 +459,11 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // Partial is PartialOpt in s's memory; a nil s allocates per call, as
-// PartialOpt does. Its result is PartialOpt's, bit for bit, whatever s
-// solved before.
+// PartialOpt does, and keeps no key. When c is a *metric.Points
+// bit-identical to the instance s last indexed, the solve skips the index
+// build (the matrix fill, the sort and the scatter: about 70% of a
+// fanin-tree coordinator's solve) and runs only the probes. Its result is
+// PartialOpt's, bit for bit, whatever s solved before.
 func (s *Scratch) Partial(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 	nc, nf := c.Clients(), c.Facilities()
 	if o.Reference || nc*nf > maxPartialMatrix {
@@ -407,10 +485,13 @@ func (s *Scratch) Partial(c metric.Costs, w []float64, k int, t float64, o Opt) 
 	if totalW <= t {
 		return Solution{Centers: []int{0}, Radius: 0}
 	}
-	if s == nil {
+	keep := s != nil
+	if keep {
+		defer s.trim()
+	} else {
 		s = new(Scratch)
 	}
-	ix, ok := s.newBallIndex(c, o.Workers)
+	ix, ok := s.index(c, o.Workers, keep)
 	if !ok {
 		return partialReference(c, w, k, t)
 	}
@@ -507,6 +588,25 @@ type ballIndex struct {
 
 // radius returns candidate m as a float.
 func (ix *ballIndex) radius(m int) float64 { return ix.cost[uint32(ix.radii[m])] }
+
+// index returns the ball index of c: the one s holds when c is a
+// *metric.Points matching s's key, else a new build, which s keys when
+// keep is set and c is a *metric.Points. The key is cleared before the
+// build writes anything, so a failed build is never reused.
+func (s *Scratch) index(c metric.Costs, workers int, keep bool) (ballIndex, bool) {
+	p, _ := c.(*metric.Points)
+	if p != nil && s.keyed(p) {
+		n := len(p.Pts)
+		return ballIndex{cost: s.cost[:n*n], near: s.near[:n*n], radii: s.radii}, true
+	}
+	s.key, s.radii = s.key[:0], nil
+	ix, ok := s.newBallIndex(c, workers)
+	if ok && keep && p != nil {
+		s.setKey(p)
+		s.radii = ix.radii
+	}
+	return ix, ok
+}
 
 // newBallIndex fills the cost matrix (rows spread over workers) and sorts
 // its cells once, all in s's buffers. A cell is packed into 8 bytes — the

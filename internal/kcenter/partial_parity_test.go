@@ -34,10 +34,11 @@ type partialCase struct {
 	t    float64
 }
 
-// samePartial fails unless the fast engine (at two worker counts, and in a
+// samePartial fails unless the fast engine (at two worker counts, in a
 // Scratch that has just solved an instance of another size and been
-// poisoned) returns partialReference's answer bit for bit: Radius by
-// Float64bits, Centers index by index.
+// poisoned, and in that Scratch again, which reuses a *metric.Points
+// instance's index) returns partialReference's answer bit for bit: Radius
+// by Float64bits, Centers index by index.
 func samePartial(t *testing.T, pc partialCase) {
 	t.Helper()
 	ref := PartialOpt(pc.c, pc.w, pc.k, pc.t, Opt{Reference: true})
@@ -49,6 +50,7 @@ func samePartial(t *testing.T, pc partialCase) {
 	sc.Partial(otherSize, nil, 3, 6, Opt{})
 	poisonScratch(sc)
 	sameSolution(t, "reused scratch", sc.Partial(pc.c, pc.w, pc.k, pc.t, Opt{}), ref)
+	sameSolution(t, "solved again", sc.Partial(pc.c, pc.w, pc.k, pc.t, Opt{}), ref)
 }
 
 // otherSize is what samePartial's scratch solves first: 61 points, a size
@@ -428,5 +430,98 @@ func TestPartialWarmScratchAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 64<<10 {
 		t.Fatalf("a warm-scratch solve allocates %d B, want <= 64 KiB", per)
+	}
+}
+
+// clonePoints returns a deep copy of p: fresh slices with the same bits, as
+// the center reducer builds every job.
+func clonePoints(p *metric.Points) *metric.Points {
+	pts := make([]metric.Point, len(p.Pts))
+	for i, pt := range p.Pts {
+		pts[i] = pt.Clone()
+	}
+	return &metric.Points{Pts: pts, M: p.M}
+}
+
+// TestPartialIndexReuse runs one Scratch through a sequence of instances
+// and checks both the answers and which solves reused the ball index. Every
+// answer must be a fresh PartialOpt's bit for bit. Only a *metric.Points
+// bit-identical to the last one indexed reuses: A again (fresh slices, the
+// same bits), and A under other weights, k and t. A′ (one coordinate one
+// ulp away) rebuilds and replaces the key, so A rebuilds after it; so do A
+// under another metric, a NaN-cost instance (which falls back to the
+// reference and keeps no key), and A after that. A rebuild is seen in the
+// triangle row's client list, which only a build writes: it is set to -1
+// before every solve.
+func TestPartialIndexReuse(t *testing.T) {
+	a, counts := coordinatorInstance(1, 32, 128, 12)
+	weights := make([]float64, a.N())
+	for i := range weights {
+		weights[i] = 0.25 + float64(i%7)*0.3
+	}
+	nudged := clonePoints(a)
+	nudged.Pts[100][1] = math.Nextafter(nudged.Pts[100][1], math.Inf(1))
+	l1 := clonePoints(a)
+	l1.M = metric.ManhattanL1
+	withNaN := clonePoints(a)
+	withNaN.Pts[7][0] = math.NaN()
+	steps := []struct {
+		name   string
+		c      *metric.Points
+		w      []float64
+		k      int
+		t      float64
+		reused bool
+	}{
+		{"A", a, counts, 4, 128, false},
+		{"A again", clonePoints(a), counts, 4, 128, true},
+		{"A, other weights, k and t", clonePoints(a), weights, 3, 40.5, true},
+		{"A′", nudged, counts, 4, 128, false},
+		{"A after A′", clonePoints(a), counts, 4, 128, false},
+		{"A under L1", l1, counts, 4, 128, false},
+		{"NaN cost", withNaN, counts, 4, 128, false},
+		{"A after NaN", clonePoints(a), counts, 4, 128, false},
+	}
+	sc := new(Scratch)
+	for _, st := range steps {
+		for i := range sc.column {
+			sc.column[i] = -1
+		}
+		got := sc.Partial(st.c, st.w, st.k, st.t, Opt{})
+		sameSolution(t, st.name, got, PartialOpt(st.c, st.w, st.k, st.t, Opt{}))
+		if rebuilt := len(sc.column) > 0 && sc.column[0] != -1; rebuilt == st.reused {
+			t.Errorf("%s: rebuilt = %v, want %v", st.name, rebuilt, !st.reused)
+		}
+		if keyed := len(sc.key) > 0; keyed != (st.name != "NaN cost") {
+			t.Errorf("%s: scratch keyed = %v", st.name, keyed)
+		}
+	}
+}
+
+// TestPartialScratchRetentionCap pins what a Scratch keeps between solves:
+// after one 2,500-client solve, whose buffers take about 120 MiB, the heap
+// it retains is at most maxScratchBytes, and it keeps no key; the
+// 384-client coordinator instance, well under the cap, keeps both.
+func TestPartialScratchRetentionCap(t *testing.T) {
+	large := benchPoints(2500)
+	sc := new(Scratch)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	partialSink = sc.Partial(large, nil, 5, 50, Opt{})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if held := int64(after.HeapAlloc) - int64(before.HeapAlloc); held > maxScratchBytes {
+		t.Errorf("after a 2500-client solve the heap holds %d B more, want <= %d", held, maxScratchBytes)
+	}
+	if sc.bytes() > maxScratchBytes || len(sc.key) > 0 {
+		t.Errorf("after a 2500-client solve the scratch keeps %d B and a key of %d values", sc.bytes(), len(sc.key))
+	}
+	runtime.KeepAlive(sc)
+
+	sp, w := coordinatorInstance(1, 32, 128, 12)
+	partialSink = sc.Partial(sp, w, 4, 128, Opt{})
+	if n := sc.bytes(); n == 0 || n > maxScratchBytes || !sc.keyed(sp) {
+		t.Errorf("after the 384-client solve the scratch keeps %d B, keyed %v", n, sc.keyed(sp))
 	}
 }
