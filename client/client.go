@@ -108,8 +108,8 @@ type Request struct {
 	// dataset for the duration of the call.
 	Dataset string `json:"dataset,omitempty" usage:"named dpc-server dataset (remote backend)"`
 
-	// Admission-control knobs for the server backends (Remote, Balanced);
-	// Local and Cluster ignore them. Client names the caller for the
+	// Admission-control knobs for the server backend (Remote); Local and
+	// Cluster ignore them. Client names the caller for the
 	// server's per-client token quotas; Priority is high | normal | low
 	// (default normal); QueueTimeoutMS bounds how long the job may wait in
 	// the queue before the server fails it with queue_deadline_exceeded
@@ -230,12 +230,9 @@ type Response struct {
 	// witness; zero otherwise).
 	Tau float64 `json:"tau,omitempty"`
 	// Backend records which backend produced the response ("local",
-	// "cluster", "remote", "balanced"); JobID is the server job for remote
-	// runs. Replica is the base URL of the dpc-server replica that served
-	// a balanced run (empty elsewhere).
+	// "cluster", "remote"); JobID is the server job for remote runs.
 	Backend string `json:"backend,omitempty"`
 	JobID   string `json:"job_id,omitempty"`
-	Replica string `json:"replica,omitempty"`
 }
 
 // Client executes Requests. Implementations: Local (in-process), Cluster

@@ -446,11 +446,7 @@ func TestRequestValidatesData(t *testing.T) {
 	defer join()
 	defer cluster.Close()
 	remote, _ := newRemote(t, serve.Config{})
-	balanced, err := NewBalanced([]string{"http://127.0.0.1:1"}, BalancedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backends := map[string]Client{"local": NewLocal(), "cluster": cluster, "remote": remote, "balanced": balanced}
+	backends := map[string]Client{"local": NewLocal(), "cluster": cluster, "remote": remote}
 	for name, req := range rows {
 		req.K, req.T, req.Sites = 2, 2, 2
 		if req.Validate() == nil {

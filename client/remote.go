@@ -302,32 +302,11 @@ func (r *Remote) cancelOnCtx(ctx context.Context, id string, err error) {
 	r.CancelJob(bg, id)
 }
 
-// Do implements Client.
+// Do implements Client: a request naming no dataset has its in-memory data
+// registered under a throwaway name for the duration of the call; the job
+// is then submitted (with Submit's queue_full retries) and polled to
+// completion.
 func (r *Remote) Do(ctx context.Context, req Request) (*Response, error) {
-	return serverDo(ctx, req, "remote", r, func(ctx context.Context, spec serve.JobSpec) (serve.Job, string, error) {
-		job, err := r.Submit(ctx, spec)
-		if err != nil {
-			return serve.Job{}, "", err
-		}
-		done, err := r.Wait(ctx, job.ID)
-		return done, "", err
-	})
-}
-
-// serverDatasets is the dataset surface of a backend that runs requests
-// on dpc-server replicas (Remote, Balanced).
-type serverDatasets interface {
-	RegisterDataset(ctx context.Context, name string, pts []Point) error
-	RegisterUncertainDataset(ctx context.Context, name string, g *Ground, nodes []Node) error
-	DeleteDataset(ctx context.Context, name string) error
-}
-
-// serverDo is Do for the server-backed backends: a request naming no
-// dataset has its in-memory data registered on ds under a throwaway name
-// for the duration of the call; solve runs the job to completion and
-// names the replica that served it (empty for a single server).
-func serverDo(ctx context.Context, req Request, backend string, ds serverDatasets,
-	solve func(context.Context, serve.JobSpec) (serve.Job, string, error)) (*Response, error) {
 	if req.Central {
 		return nil, fmt.Errorf("client: Central (the Section 3.1 solver) runs on the Local backend only")
 	}
@@ -343,14 +322,14 @@ func serverDo(ctx context.Context, req Request, backend string, ds serverDataset
 		name := ephemeralName()
 		if kind == jobwire.KindPoint {
 			if len(req.Points) == 0 {
-				return nil, fmt.Errorf("client: %s %s request needs Dataset or Points", backend, req.Objective)
+				return nil, fmt.Errorf("client: remote %s request needs Dataset or Points", req.Objective)
 			}
-			err = ds.RegisterDataset(ctx, name, req.Points)
+			err = r.RegisterDataset(ctx, name, req.Points)
 		} else {
 			if req.Ground == nil || len(req.Nodes) == 0 {
-				return nil, fmt.Errorf("client: %s %s request needs Dataset or Ground+Nodes", backend, req.Objective)
+				return nil, fmt.Errorf("client: remote %s request needs Dataset or Ground+Nodes", req.Objective)
 			}
-			err = ds.RegisterUncertainDataset(ctx, name, req.Ground, req.Nodes)
+			err = r.RegisterUncertainDataset(ctx, name, req.Ground, req.Nodes)
 		}
 		if err != nil {
 			return nil, err
@@ -359,11 +338,15 @@ func serverDo(ctx context.Context, req Request, backend string, ds serverDataset
 			// Cleanup must delete the ephemeral dataset even after the request ctx is cancelled.
 			bg, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			ds.DeleteDataset(bg, name)
+			r.DeleteDataset(bg, name)
 		}()
 		spec.Dataset = name
 	}
-	done, replica, err := solve(ctx, spec)
+	job, err := r.Submit(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	done, err := r.Wait(ctx, job.ID)
 	if err != nil {
 		return nil, err
 	}
@@ -385,9 +368,8 @@ func serverDo(ctx context.Context, req Request, backend string, ds serverDataset
 		UpBytes:       res.UpBytes,
 		DownBytes:     res.DownBytes,
 		Tau:           res.Tau,
-		Backend:       backend,
+		Backend:       "remote",
 		JobID:         done.ID,
-		Replica:       replica,
 	}, nil
 }
 

@@ -75,8 +75,9 @@ func namedReq() Request {
 
 // TestRemoteFailurePaths is the table-driven httptest matrix of the
 // client's wire-level behavior: 503 retry-with-backoff, retry exhaustion,
-// server restart between submit and poll (job vanishes), job failure, and
-// malformed JSON replies.
+// no retry on shutting_down or a 429 quota rejection, server restart
+// between submit and poll (job vanishes), job failure, and malformed JSON
+// replies.
 func TestRemoteFailurePaths(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -132,6 +133,22 @@ func TestRemoteFailurePaths(t *testing.T) {
 				var apiErr *APIError
 				if !errors.As(err, &apiErr) || apiErr.Code != serve.CodeShuttingDown {
 					t.Fatalf("Do: %v, want shutting_down APIError", err)
+				}
+				if got := f.submits.Load(); got != 1 {
+					t.Fatalf("submitted %d times, want no retries", got)
+				}
+			},
+		},
+		{
+			name: "429 quota_exceeded is not retried",
+			onSubmit: func(n int64, w http.ResponseWriter) {
+				writeCode(w, http.StatusTooManyRequests, serve.CodeQuotaExceeded)
+			},
+			onPoll: func(n int64, w http.ResponseWriter) { writeBody(w, http.StatusOK, doneJob) },
+			check: func(t *testing.T, f *fakeServer, res *Response, err error) {
+				var apiErr *APIError
+				if !errors.As(err, &apiErr) || apiErr.Code != serve.CodeQuotaExceeded {
+					t.Fatalf("Do: %v, want quota_exceeded APIError", err)
 				}
 				if got := f.submits.Load(); got != 1 {
 					t.Fatalf("submitted %d times, want no retries", got)

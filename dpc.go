@@ -49,8 +49,7 @@
 // # Package map
 //
 //   - Request / Response / Client    — the unified context-aware API
-//   - NewLocalClient / NewRemoteClient / NewBalancedClient / ListenCluster
-//     — its backends
+//   - NewLocalClient / NewRemoteClient / ListenCluster — its backends
 //   - Evaluate, EvalUncertainMedian  — true global costs of an answer
 //   - NewServer / ServeConfig        — the embeddable job server
 //   - Mixture, UncertainMixture, ... — planted workload generators
@@ -82,10 +81,6 @@ type Client = client.Client
 // RemoteOptions tunes the remote backend (retries, backoff, polling).
 type RemoteOptions = client.RemoteOptions
 
-// BalancedOptions tunes the balanced backend (per-replica RemoteOptions
-// plus the dataset replication factor).
-type BalancedOptions = client.BalancedOptions
-
 // ClusterListener is a bound-but-not-yet-connected cluster backend.
 type ClusterListener = client.ClusterListener
 
@@ -99,16 +94,6 @@ func NewLocalClient() Client { return client.NewLocal() }
 // completion.
 func NewRemoteClient(baseURL string, opt RemoteOptions) Client {
 	return client.NewRemote(baseURL, opt)
-}
-
-// NewBalancedClient returns the multi-replica dpc-server backend: each
-// dataset hashes to a primary replica and replicates to the next
-// Replication-1 in ring order; job submissions prefer the primary and
-// fail over across replicas on connection errors and 503s, resubmitting
-// jobs lost to a dying replica. Determinism makes the fleet a unit: the
-// same request returns byte-identical centers from every replica.
-func NewBalancedClient(urls []string, opt BalancedOptions) (*client.Balanced, error) {
-	return client.NewBalanced(urls, opt)
 }
 
 // ListenCluster binds addr for `sites` dpc-site daemons; Accept

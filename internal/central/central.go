@@ -148,7 +148,8 @@ func solveLevel(pts []metric.Point, k, q, level int, cfg Config) ([]metric.Point
 			}, nil
 		},
 		func(tr transport.Transport) (protocol.Result, error) {
-			return protocol.Run(ctx, tr, p, &union{k: k, q: q, level: level, cfg: cfg})
+			return protocol.Run(ctx, tr, p, &union{k: k, q: q, level: level, cfg: cfg,
+				admit: protocol.Union{Squared: cfg.Objective == core.Means}})
 		})
 	if err == nil {
 		err = errors.Join(errs...)
@@ -221,6 +222,7 @@ func (c *chunk) Precluster(b protocol.Budget) comm.Payload { return c.at(b.T).ms
 type union struct {
 	k, q, level int
 	cfg         Config
+	admit       protocol.Union
 	pts         []metric.Point
 	w           []float64
 }
@@ -229,6 +231,9 @@ type union struct {
 func (u *union) Add(b []byte) error {
 	var m comm.WeightedPointsMsg
 	if err := m.UnmarshalBinary(b); err != nil {
+		return err
+	}
+	if err := u.admit.Admit(m.Pts, m.W, nil); err != nil {
 		return err
 	}
 	u.pts, u.w = append(u.pts, m.Pts...), append(u.w, m.W...)

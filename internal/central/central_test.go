@@ -3,14 +3,17 @@ package central
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
+	"dpc/internal/comm"
 	"dpc/internal/core"
 	"dpc/internal/engine"
 	"dpc/internal/exact"
 	"dpc/internal/gen"
 	"dpc/internal/kmedian"
 	"dpc/internal/metric"
+	"dpc/internal/protocol"
 )
 
 // solveOK is PartialMedian under a live context, failing t on an error.
@@ -74,6 +77,41 @@ func TestDirectSolveQuality(t *testing.T) {
 	}
 	if sol.TopChunks != 0 {
 		t.Fatalf("direct solve reported %d chunks", sol.TopChunks)
+	}
+}
+
+// TestUnionRejectsBadSummaries: a level's coordinator admits each chunk's
+// summary through protocol.Union, as every other reducer does, so a NaN
+// coordinate or a point of another dimension is an error and leaves the
+// union as it was.
+func TestUnionRejectsBadSummaries(t *testing.T) {
+	enc := func(pts ...metric.Point) []byte {
+		w := make([]float64, len(pts))
+		for i := range w {
+			w[i] = 1
+		}
+		b, err := comm.WeightedPointsMsg{Pts: pts, W: w}.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, obj := range []core.Objective{core.Median, core.Means} {
+		u := &union{k: 1, cfg: Config{Objective: obj}, admit: protocol.Union{Squared: obj == core.Means}}
+		if err := u.Add(enc(metric.Point{0, 0}, metric.Point{1, 1})); err != nil {
+			t.Fatalf("%v: a good summary: %v", obj, err)
+		}
+		for name, b := range map[string][]byte{
+			"NaN coordinate": enc(metric.Point{math.NaN(), 0}),
+			"3-D point":      enc(metric.Point{0, 0, 0}),
+		} {
+			if err := u.Add(b); err == nil {
+				t.Errorf("%v, %s: admitted", obj, name)
+			}
+		}
+		if len(u.pts) != 2 || len(u.w) != 2 {
+			t.Errorf("%v: union holds %d points and %d weights after rejections, want 2", obj, len(u.pts), len(u.w))
+		}
 	}
 }
 

@@ -25,14 +25,14 @@ import (
 
 // ErrNotReady is returned by mutating calls while the server is still
 // recovering (journal replay, cache staging) or draining. The HTTP layer
-// maps it to 503 with the stable code "not_ready"; balancers retry
-// another replica.
+// maps it to 503 with the stable code "not_ready"; a caller retries once
+// /readyz reports ready.
 var ErrNotReady = errors.New("serve: server not ready")
 
 // ErrQuotaExceeded is returned by Submit when the client's token bucket
 // is empty. HTTP 429 with the stable code "quota_exceeded"; unlike
-// queue_full this is a per-client verdict, so balancers do not retry it
-// elsewhere.
+// queue_full this is a per-client verdict, so client.Remote does not
+// retry it.
 var ErrQuotaExceeded = errors.New("serve: client submission quota exceeded")
 
 // Priority classes of JobSpec.Priority. The zero value is PriorityNormal.

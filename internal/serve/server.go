@@ -58,7 +58,7 @@ type Config struct {
 	JournalSync bool
 	// SegmentBytes is the journal's segment-rotation threshold (0 = the
 	// journal package's 64 MiB default). Smaller segments mean finer-
-	// grained GC after a snapshot; TestReplicaFailoverAndCompaction uses
+	// grained GC after a snapshot; TestServerKillReplayAndCompaction uses
 	// tiny ones to force multi-segment logs quickly.
 	SegmentBytes int64
 	// CompactEvery, when positive (and JournalDir is set), writes a
@@ -414,11 +414,11 @@ const (
 	CodeQueueFull       = "queue_full"
 	CodeShuttingDown    = "shutting_down"
 	// CodeNotReady marks a mutation rejected while the server is still
-	// recovering (journal replay, cache staging); balancers retry another
-	// replica, then this one once /readyz flips.
+	// recovering (journal replay, cache staging); a caller retries once
+	// /readyz flips.
 	CodeNotReady = "not_ready"
 	// CodeQuotaExceeded marks a submission rejected by the per-client
-	// admission quota (HTTP 429). Per-client, so not retried elsewhere.
+	// admission quota (HTTP 429). A per-client verdict, so not retried.
 	CodeQuotaExceeded = "quota_exceeded"
 	// CodeQueueDeadline marks a job that expired in the queue before a
 	// worker picked it up.

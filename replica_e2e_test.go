@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"os"
@@ -146,20 +145,20 @@ func (p *serverProc) metric(t *testing.T, name string) int {
 	return 0
 }
 
-// TestReplicaFailoverAndCompaction is the durable control plane's proof at
-// the process level. Three dpc-server replicas with private journals serve
-// clustering jobs through client.Balanced while one of them is SIGKILLed
-// with a job running: every job must still complete with centers
-// byte-identical to a Local solve, at least one in-flight job must have
-// been resubmitted, and at least two replicas must have served. The victim
-// then restarts from its journal: it must replay records and re-serve a
-// job it finished in its previous life, marked replayed, with the same
-// centers. Phase 2 proves compaction on that replica: its journal is
-// driven across >= 3 segments, POST /v1/admin/compact must delete >= 3 of
-// them, more records land behind the snapshot, the replica is SIGKILLed
-// again, and the second restart must restore from the snapshot, replay
-// fewer records than the journal ever held, and still serve the same job.
-func TestReplicaFailoverAndCompaction(t *testing.T) {
+// TestServerKillReplayAndCompaction is the durable control plane's proof
+// at the process level. One dpc-server with a private journal serves
+// clustering jobs through client.Remote, each with centers byte-identical
+// to a Local solve, and is SIGKILLed with a job running. The restart must
+// replay records and re-serve a job it finished in its previous life,
+// marked replayed, with the same centers; and it must requeue the job the
+// kill interrupted on its own, which then reaches done under its old id,
+// started after the restart, with centers equal to Local's. Phase 2 proves
+// compaction on that server: its journal is driven across >= 3 segments,
+// POST /v1/admin/compact must delete >= 3 of them, more records land
+// behind the snapshot, the server is SIGKILLed again, and the second
+// restart must restore from the snapshot, replay fewer records than the
+// journal ever held, and still serve the same job.
+func TestServerKillReplayAndCompaction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns real processes")
 	}
@@ -167,125 +166,71 @@ func TestReplicaFailoverAndCompaction(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	tmp := t.TempDir()
-	replicas := make([]*serverProc, 3)
-	urls := make([]string, len(replicas))
-	for i := range replicas {
-		replicas[i] = startServer(t, bin, "127.0.0.1:0", fmt.Sprintf("%s/journal-%d", tmp, i))
-		urls[i] = replicas[i].url
-	}
-	bc, err := client.NewBalanced(urls, client.BalancedOptions{
-		RemoteOptions: client.RemoteOptions{PollInterval: 2 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bc.Close()
+	victim := startServer(t, bin, "127.0.0.1:0", t.TempDir())
+	rc := client.NewRemote(victim.url, client.RemoteOptions{PollInterval: 2 * time.Millisecond})
+	defer rc.Close()
 
-	// Three datasets of identical points whose names hash to three distinct
-	// primaries on a 3-replica ring, so every replica serves jobs.
-	pts := dpc.Mixture(dpc.MixtureSpec{N: 1200, K: 3, Dim: 2, OutlierFrac: 0.05, Seed: 42}).Pts
-	dataset := func(i int) string { return fmt.Sprintf("replica-e2e-%d", i%3) }
-	for i := 0; i < 3; i++ {
-		if err := bc.RegisterDataset(ctx, dataset(i), pts); err != nil {
-			t.Fatalf("register %s: %v", dataset(i), err)
-		}
-	}
-	// The fleet's answers must equal a Local solve of the same request: the
-	// determinism that makes independent replicas one logical server. A few
-	// seeds, so the run is not one memoized solve.
-	request := func(i int) client.Request {
-		return client.Request{Objective: client.Median, K: 3, T: 12, Sites: 4, Seed: int64(11 + i%4)}
-	}
-	want := make([][]client.Point, 4)
-	for i := range want {
-		req := request(i)
+	// The server's answers must equal a Local solve of the same request. A
+	// few seeds, so the run is not one memoized solve.
+	local := func(req client.Request, pts []client.Point) []client.Point {
+		t.Helper()
 		req.Points = pts
 		res, err := client.NewLocal().Do(ctx, req)
 		if err != nil {
-			t.Fatalf("local reference %d: %v", i, err)
+			t.Fatalf("local reference: %v", err)
 		}
-		want[i] = res.Centers
+		return res.Centers
 	}
-
-	// Workers cycle jobs until the victim is dead, then four more each.
-	var (
-		mu     sync.Mutex
-		served = map[string]*client.Response{} // replica URL -> a job it finished
-		next   int
-		killed = make(chan struct{})
-		wg     sync.WaitGroup
-	)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for after := 0; after < 4; {
-				select {
-				case <-killed:
-					after++
-				default:
-				}
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				req := request(i)
-				req.Dataset = dataset(i)
-				res, err := bc.Do(ctx, req)
-				if err != nil {
-					t.Errorf("job %d: %v (a lost replica must never lose a job)", i, err)
-					return
-				}
-				if !reflect.DeepEqual(res.Centers, want[i%4]) {
-					t.Errorf("job %d on %s: centers differ from the Local solve", i, res.Replica)
-				}
-				mu.Lock()
-				if served[res.Replica] == nil {
-					served[res.Replica] = res
-				}
-				mu.Unlock()
-			}
-		}()
+	pts := dpc.Mixture(dpc.MixtureSpec{N: 1200, K: 3, Dim: 2, OutlierFrac: 0.05, Seed: 42}).Pts
+	if err := rc.RegisterDataset(ctx, "kill-e2e", pts); err != nil {
+		t.Fatal(err)
 	}
-
-	// A t.Fatal below must not leave workers logging into a finished test.
-	defer func() { cancel(); wg.Wait() }()
-
-	// The victim is the first replica seen running a job after the client
-	// has a finished job from it: polled, not slept for, so the kill lands
-	// on accepted work and leaves a result to re-serve.
-	var victim *serverProc
-	var kept *client.Response
-	for deadline := time.Now().Add(time.Minute); victim == nil && time.Now().Before(deadline) && !t.Failed(); {
-		for _, p := range replicas {
-			mu.Lock()
-			res := served[p.url]
-			mu.Unlock()
-			if res != nil && p.metric(t, "dpc_jobs_running") > 0 {
-				victim, kept = p, res
-				p.kill()
-				break
-			}
+	var kept *client.Response // the finished job the restarts must re-serve
+	for seed := int64(11); seed < 14; seed++ {
+		req := client.Request{Objective: client.Median, K: 3, T: 12, Sites: 4, Seed: seed}
+		want := local(req, pts)
+		req.Dataset = "kill-e2e"
+		res, err := rc.Do(ctx, req)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		time.Sleep(time.Millisecond) // pace the sweep, not the kill
+		if !reflect.DeepEqual(res.Centers, want) {
+			t.Fatalf("job %s: centers differ from the Local solve", res.JobID)
+		}
+		if kept == nil {
+			kept = res
+		}
 	}
-	close(killed)
-	wg.Wait()
-	if victim == nil {
-		t.Fatal("no replica was caught running a job")
+
+	// The job the kill interrupts solves a ten times larger instance, so it
+	// runs for far longer than the poll below takes to see it running and
+	// kill the process.
+	big := dpc.Mixture(dpc.MixtureSpec{N: 12000, K: 3, Dim: 2, OutlierFrac: 0.05, Seed: 43}).Pts
+	if err := rc.RegisterDataset(ctx, "kill-e2e-big", big); err != nil {
+		t.Fatal(err)
 	}
-	if t.Failed() {
-		t.FailNow()
+	long := client.Request{Objective: client.Median, K: 4, T: 120, Sites: 2, Seed: 1}
+	wantLong := local(long, big)
+	running, err := rc.Submit(ctx, serve.JobSpec{Dataset: "kill-e2e-big", Objective: long.Objective,
+		K: long.K, T: long.T, Sites: long.Sites, Seed: long.Seed})
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := bc.Stats()
-	t.Logf("%d jobs, %d retries, %d resubmissions, per replica %v", next, st.Retries, st.Resubmissions, st.PerReplica)
-	if st.Resubmissions < 1 {
-		t.Errorf("no resubmissions: the kill missed every in-flight job")
+	for {
+		job, err := rc.Job(ctx, running.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Status == serve.StatusRunning {
+			break
+		}
+		if job.Status != serve.StatusQueued {
+			t.Fatalf("job %s reached %q before the kill", running.ID, job.Status)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if len(st.PerReplica) < 2 {
-		t.Errorf("only %d replica(s) served jobs: %v", len(st.PerReplica), st.PerReplica)
-	}
+	victim.kill()
+	killed := time.Now()
 
 	// reserved checks that p still serves the job the victim finished before
 	// the first kill: restored from the journal, not solved again.
@@ -322,10 +267,24 @@ func TestReplicaFailoverAndCompaction(t *testing.T) {
 	}
 	reserved(victim)
 
+	// The server requeued the interrupted job itself: same id, a new run.
+	done, err := rc.Wait(ctx, running.ID)
+	if err != nil {
+		t.Fatalf("interrupted job %s after restart: %v", running.ID, err)
+	}
+	if done.Result == nil || done.Started == nil || done.Started.Before(killed) {
+		t.Fatalf("job %s started %v, not after the kill at %v, result %v: it was not rerun", running.ID, done.Started, killed, done.Result)
+	}
+	got := make([]client.Point, len(done.Result.Centers))
+	for i, c := range done.Result.Centers {
+		got[i] = c
+	}
+	if !reflect.DeepEqual(got, wantLong) {
+		t.Fatalf("interrupted job %s: centers %v, want the Local solve's %v", running.ID, got, wantLong)
+	}
+
 	// Phase 2. Appends of 200 points are ~8 KiB records, so each rotates
 	// the 8 KiB segments whatever phase 1 left behind.
-	rc := client.NewRemote(victim.url, client.RemoteOptions{})
-	defer rc.Close()
 	rng := rand.New(rand.NewSource(7))
 	chunk := make([]client.Point, 200)
 	for i := range chunk {
