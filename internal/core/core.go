@@ -143,7 +143,8 @@ type Config struct {
 	// own (jobwire.Fleet does), so its cost matrix, sort buffers and ball
 	// index are not allocated and zeroed again every job, and a job whose
 	// preclusters repeat the last job's bit for bit does not build the
-	// index again. Results do not depend on it. Coordinator-local, like
+	// index again (nor, under the same counts, the probes' prefix-count
+	// table). Results do not depend on it. Coordinator-local, like
 	// Transport and Topology; a scratch must not serve two runs at once.
 	CenterScratch *kcenter.Scratch `json:"-"`
 }

@@ -28,8 +28,9 @@ func (p *pivotTap) Broadcast(round int, b []byte) error {
 // (round 0's hull, round 1's preclustering) at one leaf shaped like the
 // repo benchmark's fanin-tree leaves: 128 dim-2 points, k = 4, t = 128.
 // "first" is a job on a site that has just connected, which traverses its
-// shard and fills its distance cache; "later" is every job after, which
-// reads both memos.
+// shard (filling its distance cache on the way); "later" is every job
+// after, which reads the traversal, and round 1's preclustering off its
+// record, from the traversal memo, and asks for no distance.
 //
 //	go test ./internal/jobwire -run '^$' -bench PersistentSiteCenter
 func BenchmarkPersistentSiteCenter(b *testing.B) {

@@ -179,9 +179,10 @@ func ServeJobs(sc *transport.Site, d SiteData, wrap func(job int, blob []byte, h
 // that policy prices a memo built per job or shared through a pool, and says
 // no at low dimension; this one is built once over an immutable, unshared
 // shard and read by every job after. Since center jobs read their traversal
-// from the site's TraversalMemo, what it still serves is every other
-// distance a job asks again: round 1's AssignPrefixOpt of the center
-// preclustering, and the local solves of median and means jobs on a fleet.
+// from the site's TraversalMemo, and round 1's preclustering off that
+// traversal's record (AssignPrefixOpt), what it still serves is every other
+// distance a job asks again: the drop scan of a center job's no-outlier
+// variant, and the local solves of median and means jobs on a fleet.
 func persistentCache(pts []metric.Point) *metric.DistCache {
 	if len(pts) == 0 || len(pts) > metric.MaxCachePoints {
 		return nil

@@ -89,9 +89,11 @@ var partialSink Solution
 // warm/, in one Scratch reused across calls as a fleet's coordinator reuses
 // its own (one Scratch serves all three sizes, the way a coordinator's
 // instances vary). A warm/ row solves one instance again and again, so it
-// times the probes over a reused ball index; warm/clients=384-alternating
-// solves two 384-client instances in turn, so every solve rebuilds the
-// index in reused memory.
+// times the probes over a reused ball index, and reports the bytes its
+// Scratch holds; warm/clients=384-fractional is the same instance with
+// every weight + 0.5, so its probes take the float push loop instead of the
+// prefix-count table; warm/clients=384-alternating solves two 384-client
+// instances in turn, so every solve rebuilds the index in reused memory.
 func BenchmarkPartialCoordinator(b *testing.B) {
 	run := func(c metric.Costs, w []float64, k int, t float64, sc *Scratch) func(*testing.B) {
 		return func(b *testing.B) {
@@ -100,6 +102,9 @@ func BenchmarkPartialCoordinator(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				partialSink = sc.Partial(c, w, k, t, Opt{})
+			}
+			if sc != nil {
+				b.ReportMetric(float64(sc.bytes()), "scratch-bytes")
 			}
 		}
 	}
@@ -115,6 +120,11 @@ func BenchmarkPartialCoordinator(b *testing.B) {
 		b.Run(prefix+"clients=60", run(small, sw, 3, 20, sc))
 		b.Run(prefix+"points=1000", run(central, nil, 5, 50, sc))
 	}
+	half := make([]float64, len(w))
+	for i, x := range w {
+		half[i] = x + 0.5
+	}
+	b.Run("warm/clients=384-fractional", run(sp, half, 4, 128, new(Scratch)))
 	other, ow := coordinatorInstance(3, 32, 128, 12)
 	b.Run("warm/clients=384-alternating", func(b *testing.B) {
 		sc := new(Scratch)
@@ -128,6 +138,7 @@ func BenchmarkPartialCoordinator(b *testing.B) {
 				partialSink = sc.Partial(other, ow, 4, 128, Opt{})
 			}
 		}
+		b.ReportMetric(float64(sc.bytes()), "scratch-bytes")
 	})
 }
 

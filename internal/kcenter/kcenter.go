@@ -54,6 +54,25 @@ type Traversal struct {
 	// sequence is non-increasing from index 1 on, and Radii[r] is a lower
 	// bound witness: any (r-1)-center solution has radius >= Radii[r]/2.
 	Radii []float64
+	// steps is the fast engine's record of the traversal's nearest-center
+	// updates, from which AssignPrefixOpt reads every prefix's assignment;
+	// nil for a reference-engine traversal. It may record more steps than
+	// Order holds (a TraversalMemo prefix shares its memo's record).
+	steps *steps
+}
+
+// steps records what each step of a farthest-first traversal changed: step
+// s (selecting Order[s]) strictly lowered the nearest-selected distance of
+// the points pt[end[s-1]:end[s]] (end[-1] = 0), in ascending point order,
+// to dist[end[s-1]:end[s]]. Replaying steps 0..r-1 therefore leaves every
+// point's nearest center among the first r and its distance to it, exactly
+// as a scan over those r centers with strict comparisons finds them. It
+// holds one entry per lowering: n for the first step and, on typical data,
+// O(n log m) over m steps (at most n·m).
+type steps struct {
+	end  []int
+	pt   []int32
+	dist []float64
 }
 
 // Gonzalez runs farthest-first traversal on sp, selecting up to m points
@@ -62,7 +81,11 @@ func Gonzalez(sp metric.Space, m, first int) Traversal {
 	return GonzalezOpt(sp, m, first, Opt{})
 }
 
-// GonzalezOpt is Gonzalez with an engine selection.
+// GonzalezOpt is Gonzalez with an engine selection. The fast engine spreads
+// each step's distance updates over o.Workers goroutines and records them
+// (Traversal.steps): the same strict comparisons write the record, so it
+// is exact, and AssignPrefixOpt answers every prefix from it without asking
+// sp again. The reference engine records nothing.
 func GonzalezOpt(sp metric.Space, m, first int, o Opt) Traversal {
 	if o.Reference {
 		return gonzalezReference(sp, m, first)
@@ -81,10 +104,14 @@ func GonzalezOpt(sp metric.Space, m, first int, o Opt) Traversal {
 		dmin[j] = math.Inf(1)
 	}
 	// Per-block farthest candidates, folded in block order with strict
-	// comparisons — exactly the sequential first-max scan.
+	// comparisons — exactly the sequential first-max scan — and per-block
+	// lowerings, appended to the record in block order, so in point order.
 	nb := (n + par.BlockSize - 1) / par.BlockSize
 	blockFar := make([]float64, nb)
 	blockNext := make([]int, nb)
+	blockPt := make([][]int32, nb)
+	blockDist := make([][]float64, nb)
+	rec := &steps{end: make([]int, 0, m)}
 	cur := first
 	curR := math.Inf(1)
 	for len(order) < m {
@@ -92,46 +119,55 @@ func GonzalezOpt(sp metric.Space, m, first int, o Opt) Traversal {
 		radii = append(radii, curR)
 		c := cur
 		par.ForBlocks(o.Workers, n, func(lo, hi int) {
+			b := lo / par.BlockSize
 			far, next := -1.0, -1
+			pt, dist := blockPt[b][:0], blockDist[b][:0]
 			for j := lo; j < hi; j++ {
 				if d := sp.Dist(j, c); d < dmin[j] {
 					dmin[j] = d
+					pt = append(pt, int32(j))
+					dist = append(dist, d)
 				}
 				if dmin[j] > far {
 					far = dmin[j]
 					next = j
 				}
 			}
-			b := lo / par.BlockSize
 			blockFar[b], blockNext[b] = far, next
+			blockPt[b], blockDist[b] = pt, dist
 		})
 		far, next := -1.0, -1
 		for b := 0; b < nb; b++ {
 			if blockFar[b] > far {
 				far, next = blockFar[b], blockNext[b]
 			}
+			rec.pt = append(rec.pt, blockPt[b]...)
+			rec.dist = append(rec.dist, blockDist[b]...)
 		}
+		rec.end = append(rec.end, len(rec.pt))
 		cur, curR = next, far
 	}
-	return Traversal{Order: order, Radii: radii}
+	return Traversal{Order: order, Radii: radii, steps: rec}
 }
 
 // TraversalMemo is a persistent site's memo of the fast engine's
-// farthest-first traversal of its shard from point 0. A traversal to depth
-// m is exactly the first m steps of any deeper one (the selection is
-// deterministic, ties to the first index), so one stored traversal serves
-// every job that asks no deeper as a prefix, bit for bit; a deeper request
-// recomputes with GonzalezOpt, and once the memo holds the whole shard
-// nothing recomputes again. It pays on repeated (k,t)-center jobs to one
-// long-lived site (dpc-site, client.ServeSite) with k+t no deeper than the
-// memo: every measured job of the repo benchmark's fanin-tree, and none of
-// its other three workloads, which run no persistent site. A one-shot site
-// has nothing to reuse and calls GonzalezOpt itself. Round 1's
-// AssignPrefixOpt, the job server's in-process datasets and the
+// farthest-first traversal of its shard from point 0, record included. A
+// traversal to depth m is exactly the first m steps of any deeper one (the
+// selection is deterministic, ties to the first index), so one stored
+// traversal serves every job that asks no deeper as a prefix, bit for bit;
+// a deeper request recomputes with GonzalezOpt, and once the memo holds the
+// whole shard nothing recomputes again. Each prefix carries the memo's
+// record, so round 1's AssignPrefixOpt reads its preclustering off it too:
+// a job that asks no deeper asks its space for no distance at all. It pays
+// on repeated (k,t)-center jobs to one long-lived site (dpc-site,
+// client.ServeSite) with k+t no deeper than the memo: every measured job of
+// the repo benchmark's fanin-tree, and none of its other three workloads,
+// which run no persistent site. A one-shot site has nothing to reuse and
+// calls GonzalezOpt itself. The job server's in-process datasets and the
 // coordinator's PartialOpt are not served from it; its coordinator-side
 // twin is the ball index a Scratch keys on its instance (Scratch.Partial).
-// It holds O(n) values, is safe for concurrent jobs, and the zero value is
-// an empty memo.
+// It holds O(n) values plus the record, is safe for concurrent jobs, and
+// the zero value is an empty memo.
 type TraversalMemo struct {
 	mu sync.Mutex
 	tr Traversal
@@ -140,7 +176,8 @@ type TraversalMemo struct {
 // Prefix returns GonzalezOpt(sp, m, 0, o) from the memo, recomputing only
 // when m is deeper than the memo and the memo is shorter than the shard.
 // Every call must pass a space over the same points. The returned slices
-// are shared with the memo and capped at m: read them, never write them.
+// and record are shared with the memo and capped at m: read them, never
+// write them.
 func (tm *TraversalMemo) Prefix(sp metric.Space, m int, o Opt) Traversal {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
@@ -151,7 +188,7 @@ func (tm *TraversalMemo) Prefix(sp metric.Space, m int, o Opt) Traversal {
 	if m <= 0 {
 		return Traversal{}
 	}
-	return Traversal{Order: tm.tr.Order[:m:m], Radii: tm.tr.Radii[:m:m]}
+	return Traversal{Order: tm.tr.Order[:m:m], Radii: tm.tr.Radii[:m:m], steps: tm.tr.steps}
 }
 
 // Depth is the number of traversal points the memo holds.
@@ -205,10 +242,14 @@ func (tr Traversal) AssignPrefix(sp metric.Space, r int, w []float64) (assign []
 	return tr.AssignPrefixOpt(sp, r, w, Opt{})
 }
 
-// AssignPrefixOpt is AssignPrefix with an engine selection: the per-point
-// nearest-center scans run on o.Workers goroutines, while the weight
-// accumulation folds sequentially in point order so weighted counts sum in
-// exactly the reference order.
+// AssignPrefixOpt is AssignPrefix with an engine selection. On a traversal
+// that carries a record (every fast-engine one) the fast engine replays
+// steps 0..r-1 of it and asks sp for no distance: the record holds each
+// strict improvement the scan below would find, in the same order. A
+// record-less traversal, or o.Reference, runs the scan, which asks sp for
+// r distances a point. Either way the weights fold in point order, so
+// weighted counts sum in exactly the reference order; sp must be a space
+// over the traversal's points.
 func (tr Traversal) AssignPrefixOpt(sp metric.Space, r int, w []float64, o Opt) (assign []int, counts []float64, maxDist float64) {
 	if r > len(tr.Order) {
 		r = len(tr.Order)
@@ -217,17 +258,29 @@ func (tr Traversal) AssignPrefixOpt(sp metric.Space, r int, w []float64, o Opt) 
 	assign = make([]int, n)
 	counts = make([]float64, r)
 	dist := make([]float64, n)
-	par.For(workers(o), n, func(j int) {
-		best, bd := -1, math.Inf(1)
-		for c := 0; c < r; c++ {
-			if d := sp.Dist(j, tr.Order[c]); d < bd {
-				bd = d
-				best = c
-			}
+	if rec := tr.steps; rec != nil && !o.Reference {
+		for j := range assign {
+			assign[j], dist[j] = -1, math.Inf(1)
 		}
-		assign[j] = best
-		dist[j] = bd
-	})
+		lo := 0
+		for s, hi := range rec.end[:r] {
+			for i, j := range rec.pt[lo:hi] {
+				assign[j], dist[j] = s, rec.dist[lo+i]
+			}
+			lo = hi
+		}
+	} else {
+		for j := 0; j < n; j++ {
+			best, bd := -1, math.Inf(1)
+			for c := 0; c < r; c++ {
+				if d := sp.Dist(j, tr.Order[c]); d < bd {
+					bd = d
+					best = c
+				}
+			}
+			assign[j], dist[j] = best, bd
+		}
+	}
 	for j := 0; j < n; j++ {
 		wj := 1.0
 		if w != nil {
@@ -328,10 +381,11 @@ func Partial(c metric.Costs, w []float64, k int, t float64) Solution {
 // maxPartialMatrix bounds the dense cost matrix the fast engine
 // materializes, in cells. The peak is 28 bytes a cell — the matrix (8), the
 // radix sort's two buffers of packed cells (16; the spent one then holds
-// the candidate radii; a *metric.Points instance packs only its upper
-// triangle, about half of this) and the per-client facility orders (4) —
-// about 448 MiB at this cap; it also keeps a cell index inside the 32 bits
-// a packed cell has for it. Those bytes are a Scratch's: a solve without
+// the candidate radii and the other the probes' prefix-count table, 4 bytes
+// a cell; a *metric.Points instance packs only its upper triangle, about
+// half of this) and the per-client facility orders (4) — about 448 MiB at
+// this cap; it also keeps a cell index inside the 32 bits a packed cell has
+// for it. Those bytes are a Scratch's: a solve without
 // one allocates them afresh, while a fleet's coordinator (jobwire.Fleet,
 // through core.Config.CenterScratch) keeps one set across all its jobs, up
 // to maxScratchBytes, and with it the ball index of its last *metric.Points
@@ -342,27 +396,35 @@ const maxPartialMatrix = 16 << 20
 // PartialOpt is Partial with an engine selection. The fast engine asks the
 // oracle for every cost once (see ballIndex), after which a probe at radius
 // r never scans: each client's r-ball is a prefix of its cost-sorted
-// facility list, and a greedy round's gains are pushed from the uncovered
+// facility list, found by a binary search inside the bracket the earlier
+// probes left (probe). A greedy round's gains are pushed from the uncovered
 // clients, in ascending client order, into the facilities of those
-// prefixes. Every facility's gain is therefore the sum of exactly the
-// weights the reference scan adds, in the reference's order, so gains,
-// picks (ties toward the lowest facility index) and the probe sequence are
-// bit-identical to partialReference for any weights. o.Workers spreads only
-// the matrix fill: the sort and the scatter-adds are sequential by design
-// (per-worker gain arrays would reorder the sums).
+// prefixes, so every facility's gain is the sum of exactly the weights the
+// reference scan adds, in the reference's order. Counted weights (counted:
+// non-negative integers, unit weights included, with a total a uint32
+// holds) on a *metric.Points instance take an integer path instead: every
+// sum is then exact in any order, so round 1's gains are lookups in a
+// per-row prefix-count table, and a later round subtracts only the balls of
+// the clients the last one covered. Either way gains, picks (ties toward
+// the lowest facility index) and the probe sequence are bit-identical to
+// partialReference. o.Workers spreads only the matrix fill: the sort and
+// the scatter-adds are sequential by design (per-worker gain arrays would
+// reorder the sums).
 //
 // PartialOpt allocates its working memory, up to 28 bytes a client-facility
 // pair, and builds the ball index on every call; Scratch.Partial is the same
 // solve in reused memory, which also reuses the index of a repeated
-// *metric.Points instance.
+// *metric.Points instance, and its prefix-count table under repeated
+// weights.
 func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 	return (*Scratch)(nil).Partial(c, w, k, t, o)
 }
 
 // Scratch is the reusable working memory of the fast engine's solve: every
 // buffer it sizes by nc·nf — the cost matrix, the packed cells and the
-// radix sort's second buffer, the per-client facility orders — and the
-// probes' arrays. The zero value is ready. Buffers grow to the largest
+// radix sort's second buffer (one of which then holds the probes'
+// prefix-count table), the per-client facility orders — and the probes'
+// other arrays. The zero value is ready. Buffers grow to the largest
 // instance solved, up to maxScratchBytes: a solve that leaves more drops
 // them all. A Scratch serves one solve at a time; the Solution a solve
 // returns never aliases it.
@@ -374,23 +436,31 @@ func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 // index again only when its instance matches the key bit for bit (weights,
 // k and t may differ, and only the probes read them); any other instance
 // clears the key before it writes the first index buffer, so nothing an
-// earlier solve left can reach a result. This is the coordinator-side twin
-// of a site's TraversalMemo: Algorithm 2's sites are deterministic, so a
-// fleet's coordinator solves the same preclusters job after job.
+// earlier solve left can reach a result. The prefix-count table is kept
+// the same way, keyed on the weights it was built with, and only over the
+// index it was built on: an index build clears its key. This is the
+// coordinator-side twin of a site's TraversalMemo: Algorithm 2's sites are
+// deterministic, so a fleet's coordinator solves the same preclusters, with
+// the same counts, job after job.
 type Scratch struct {
 	cost         []float64
 	cells, radix []uint64 // the radix sort's two buffers; either may end sorted
 	near         []uint32
 	column       []int32 // 0, 1, ..., nf-1: the clients of a triangle row's cost column
 	fill         []int   // per client: how much of its near row the scatter has written
-	// The index's key (empty: none) and its candidate radii, a prefix of
-	// the spent radix buffer.
-	key   []float64
-	radii []uint64
-	// The probes' arrays.
+	// The index's key (empty: none), its candidate radii, a prefix of the
+	// spent radix buffer, and the other radix buffer, which the index no
+	// longer reads (ballIndex.spare).
+	key          []float64
+	radii, spare []uint64
+	// The probes' arrays: reach holds the reach and its bracket (probe),
+	// unc the uncovered and the newly covered clients.
 	gains          []float64
 	reach, unc     []int
 	centers, bestC []int
+	// The weights the prefix-count table in spare was built with (empty:
+	// none).
+	countsKey []float64
 }
 
 // maxScratchBytes bounds what a Scratch keeps between solves: about ten
@@ -400,10 +470,10 @@ type Scratch struct {
 // key and all, as soon as its Solution is built.
 const maxScratchBytes = 32 << 20
 
-// bytes is the capacity of s's buffers in bytes; radii aliases a radix
-// buffer and is not counted again.
+// bytes is the capacity of s's buffers in bytes; radii and spare alias the
+// radix buffers and are not counted again.
 func (s *Scratch) bytes() int {
-	return 8*(cap(s.cost)+cap(s.cells)+cap(s.radix)+cap(s.fill)+cap(s.key)+
+	return 8*(cap(s.cost)+cap(s.cells)+cap(s.radix)+cap(s.fill)+cap(s.key)+cap(s.countsKey)+
 		cap(s.gains)+cap(s.reach)+cap(s.unc)+cap(s.centers)+cap(s.bestC)) +
 		4*(cap(s.near)+cap(s.column))
 }
@@ -472,15 +542,9 @@ func (s *Scratch) Partial(c metric.Costs, w []float64, k int, t float64, o Opt) 
 	if nc == 0 || k <= 0 || nf == 0 {
 		return Solution{}
 	}
-	weight := func(j int) float64 {
-		if w == nil {
-			return 1
-		}
-		return w[j]
-	}
 	var totalW float64
 	for j := 0; j < nc; j++ {
-		totalW += weight(j)
+		totalW += weightAt(w, j)
 	}
 	if totalW <= t {
 		return Solution{Centers: []int{0}, Radius: 0}
@@ -495,86 +559,245 @@ func (s *Scratch) Partial(c metric.Costs, w []float64, k int, t float64, o Opt) 
 	if !ok {
 		return partialReference(c, w, k, t)
 	}
-	cost, near := ix.cost, ix.near
 
 	// Everything a probe touches is sized here, once a solve.
-	s.gains, s.reach, s.unc = grow(s.gains, nf), grow(s.reach, nc), grow(s.unc, nc)
-	gains, uncBuf := s.gains, s.unc
-	reach := s.reach // reach[j]: how many of near's row j lie within r
+	_, sym := c.(*metric.Points)
+	s.gains, s.reach, s.unc = grow(s.gains, nf), grow(s.reach, 3*nc), grow(s.unc, 2*nc)
 	if m := min(k, nf); cap(s.centers) < m {
 		s.centers, s.bestC = make([]int, 0, m), make([]int, 0, m)
 	}
-	centers, bestCenters := s.centers[:0], s.bestC[:0]
-	feasible := func(r float64) bool {
-		// unc is the uncovered-client list, kept in ascending order so
-		// every weight sum visits clients exactly as the reference
-		// covered[]-flag scan does.
-		unc := uncBuf
-		for j := range unc {
-			unc[j] = j
-			row, costs := near[j*nf:(j+1)*nf], cost[j*nf:(j+1)*nf]
-			lo, hi := 0, nf
-			for lo < hi {
-				if mid := (lo + hi) / 2; costs[row[mid]] <= r {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			reach[j] = lo
-		}
-		remaining := totalW
-		centers = centers[:0]
-		for it := 0; it < k && remaining > t+1e-12; it++ {
-			clear(gains)
-			for _, j := range unc {
-				wj := weight(j)
-				for _, f := range near[j*nf : j*nf+reach[j]] {
-					gains[f] += wj
-				}
-			}
-			bestF, bestGain := -1, -1.0
-			for f, gain := range gains {
-				if gain > bestGain {
-					bestGain, bestF = gain, f
-				}
-			}
-			if bestF < 0 {
-				break
-			}
-			centers = append(centers, bestF)
-			kept := unc[:0]
-			for _, j := range unc {
-				if cost[j*nf+bestF] <= 3*r {
-					remaining -= weight(j)
-				} else {
-					kept = append(kept, j)
-				}
-			}
-			unc = kept
-		}
-		return remaining <= t+1e-12
+	p := probe{ballIndex: ix, nf: nf, w: w, k: k, t: t, total: totalW, sym: sym,
+		reach: s.reach[:nc], lo: s.reach[nc : 2*nc], hi: s.reach[2*nc:],
+		gains: s.gains, unc: s.unc[:nc], covered: s.unc[nc:], centers: s.centers[:0]}
+	for j := range p.lo {
+		p.lo[j], p.hi[j] = 0, nf
+	}
+	if sym && counted(w, nc) {
+		p.counts = s.countTable(ix, w, nc, keep)
 	}
 
 	lo, hi := 0, len(ix.radii)-1
-	if !feasible(ix.radius(hi)) {
+	if !p.feasible(ix.radius(hi)) {
 		// Even the largest candidate fails (can happen only with k <
 		// effective clusters); fall back to greedy top-k facilities.
-		out := slices.Clone(centers)
+		out := slices.Clone(p.centers)
 		return Solution{Centers: out, Radius: EvalMaxOpt(c, w, out, t, o)}
 	}
-	bestCenters = append(bestCenters[:0], centers...)
+	best := append(s.bestC[:0], p.centers...)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if feasible(ix.radius(mid)) {
-			bestCenters = append(bestCenters[:0], centers...)
+		if p.feasible(ix.radius(mid)) {
+			best = append(best[:0], p.centers...)
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	out := slices.Clone(bestCenters)
+	out := slices.Clone(best)
 	return Solution{Centers: out, Radius: EvalMaxOpt(c, w, out, t, o)}
+}
+
+// weightAt is client j's weight; nil weights are unit weights.
+func weightAt(w []float64, j int) float64 {
+	if w == nil {
+		return 1
+	}
+	return w[j]
+}
+
+// maxCountedTotal is the largest total weight the probes' integer path
+// takes: a prefix-count cell (uint32) holds every partial sum of it, and a
+// float64 holds each one exactly.
+const maxCountedTotal = math.MaxUint32
+
+// counted reports whether the nc weights w (nil: unit weights) are
+// non-negative integers totalling at most maxCountedTotal. Then every sum of
+// them that Partial forms is exact, whatever the order of its additions:
+// integer gains equal the reference's float gains bit for bit.
+func counted(w []float64, nc int) bool {
+	if w == nil {
+		return uint64(nc) <= maxCountedTotal
+	}
+	var sum float64
+	for _, x := range w {
+		if !(x >= 0 && x == math.Trunc(x)) {
+			return false
+		}
+		if sum += x; sum > maxCountedTotal {
+			return false
+		}
+	}
+	return true
+}
+
+// countTable fills the prefix-count table of the index ix under the
+// counted weights w: cell f*n+q (countAt) is the total weight of
+// near[f*n : f*n+q+1], facility f's q+1 nearest clients. The table takes
+// no memory of its own: its n*n cells of 32 bits are packed two to a word
+// into ix.spare, the radix sort's buffer the index no longer reads, which
+// holds n(n+1)/2 words for a *metric.Points instance. With keep set it
+// records w as the table's key (countsKey) and refills only when w differs
+// from it, bit for bit; an index build clears that key.
+func (s *Scratch) countTable(ix ballIndex, w []float64, n int, keep bool) []uint64 {
+	tab := ix.spare[:(n*n+1)/2]
+	same := len(s.countsKey) == n
+	for j := 0; same && j < n; j++ {
+		same = math.Float64bits(s.countsKey[j]) == math.Float64bits(weightAt(w, j))
+	}
+	if same {
+		return tab
+	}
+	if keep {
+		s.countsKey = grow(s.countsKey, n)
+		for j := range s.countsKey {
+			s.countsKey[j] = weightAt(w, j)
+		}
+	}
+	for f := 0; f < n; f++ {
+		var sum uint64
+		for q, j := range ix.near[f*n : (f+1)*n] {
+			sum += uint64(weightAt(w, int(j)))
+			if i := f*n + q; i%2 == 0 {
+				tab[i/2] = sum
+			} else {
+				tab[i/2] |= sum << 32
+			}
+		}
+	}
+	return tab
+}
+
+// countAt returns cell i of a prefix-count table packed by countTable.
+func countAt(tab []uint64, i int) uint32 { return uint32(tab[i/2] >> (i % 2 * 32)) }
+
+// probe is one solve's greedy disk cover over a ball index; feasible(r)
+// runs Charikar et al.'s k greedy rounds at radius r. All its slices are a
+// Scratch's.
+type probe struct {
+	ballIndex
+	nf    int
+	w     []float64 // nil: unit weights
+	k     int
+	t     float64
+	total float64
+	sym   bool // the index is a *metric.Points': cost[j*nf+f] == cost[f*nf+j]
+	// reach[j]: how many of near's row j lie within the probed radius. It
+	// lies in [lo[j], hi[j]], the reach at the largest radius found
+	// infeasible and at the smallest found feasible so far (0 and nf before
+	// the first probe), and is searched only there.
+	reach, lo, hi []int
+	gains         []float64
+	unc, covered  []int
+	centers       []int
+	// counts, set for counted weights on a *metric.Points instance, is
+	// every row's prefix-count table (countTable).
+	counts []uint64
+}
+
+// feasible runs the greedy rounds at radius r into p.centers and reports
+// whether they leave at most t weight uncovered, then narrows every
+// client's reach bracket to r's side.
+func (p *probe) feasible(r float64) bool {
+	nf := p.nf
+	for j, lo := range p.lo {
+		row, costs := p.near[j*nf:(j+1)*nf], p.cost[j*nf:(j+1)*nf]
+		hi := p.hi[j]
+		for lo < hi {
+			if mid := (lo + hi) / 2; costs[row[mid]] <= r {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		p.reach[j] = lo
+	}
+	ok := p.cover(r)
+	if ok {
+		p.hi, p.reach = p.reach, p.hi
+	} else {
+		p.lo, p.reach = p.reach, p.lo
+	}
+	return ok
+}
+
+// cover is the greedy rounds of feasible. A round's gains are pushed from
+// the uncovered clients, in ascending client order, into the facilities of
+// their r-balls: every gain is the sum of exactly the weights the
+// reference scan adds, in its order, so gains, picks (ties toward the
+// lowest facility index) and the probe sequence are partialReference's for
+// any weights. With a prefix-count table every sum is an exact integer, so
+// order no longer matters: round 1's gains are read off the table (the
+// instance is symmetric, so facility f's r-ball is its own near row's
+// prefix), and a later round's are the last round's less the balls of the
+// clients it covered, or pushed afresh from the uncovered ones when their
+// balls are the fewer cells. The 3r cover test reads down the picked
+// facility's cost column, or along its row where the two are the same bits.
+func (p *probe) cover(r float64) bool {
+	nf, near, gains := p.nf, p.near, p.gains
+	unc, covered := p.unc, p.covered[:0]
+	for j := range unc {
+		unc[j] = j
+	}
+	if p.counts != nil {
+		for f, m := range p.reach {
+			gains[f] = 0
+			if m > 0 {
+				gains[f] = float64(countAt(p.counts, f*nf+m-1))
+			}
+		}
+	}
+	// The cells of the uncovered and of the last round's covered clients'
+	// balls.
+	uncCells, coveredCells := 0, 0
+	remaining := p.total
+	p.centers = p.centers[:0]
+	for it := 0; it < p.k && remaining > p.t+1e-12; it++ {
+		if p.counts != nil && it > 0 && coveredCells <= uncCells {
+			for _, j := range covered {
+				wj := weightAt(p.w, j)
+				for _, f := range near[j*nf : j*nf+p.reach[j]] {
+					gains[f] -= wj
+				}
+			}
+		} else if p.counts == nil || it > 0 {
+			clear(gains)
+			for _, j := range unc {
+				wj := weightAt(p.w, j)
+				for _, f := range near[j*nf : j*nf+p.reach[j]] {
+					gains[f] += wj
+				}
+			}
+		}
+		bestF, bestGain := -1, -1.0
+		for f, gain := range gains {
+			if gain > bestGain {
+				bestGain, bestF = gain, f
+			}
+		}
+		if bestF < 0 {
+			break
+		}
+		p.centers = append(p.centers, bestF)
+		at, stride := bestF, nf
+		if p.sym {
+			at, stride = bestF*nf, 1
+		}
+		kept := unc[:0]
+		covered = covered[:0]
+		uncCells, coveredCells = 0, 0
+		for _, j := range unc {
+			if p.cost[at+j*stride] > 3*r {
+				kept = append(kept, j)
+				uncCells += p.reach[j]
+				continue
+			}
+			remaining -= weightAt(p.w, j)
+			covered = append(covered, j)
+			coveredCells += p.reach[j]
+		}
+		unc = kept
+	}
+	return remaining <= p.t+1e-12
 }
 
 // ballIndex is the fast engine's one-time view of a cost oracle: what a
@@ -584,6 +807,9 @@ type ballIndex struct {
 	cost  []float64 // row-major client x facility matrix: cost[j*nf+f]
 	near  []uint32  // near[j*nf:(j+1)*nf]: the facilities by ascending cost to client j
 	radii []uint64  // one packed cell per distinct cost, ascending: the candidate radii
+	// spare is the radix sort's other buffer, which the index does not
+	// read once built; the probes keep their prefix-count table there.
+	spare []uint64
 }
 
 // radius returns candidate m as a float.
@@ -597,13 +823,13 @@ func (s *Scratch) index(c metric.Costs, workers int, keep bool) (ballIndex, bool
 	p, _ := c.(*metric.Points)
 	if p != nil && s.keyed(p) {
 		n := len(p.Pts)
-		return ballIndex{cost: s.cost[:n*n], near: s.near[:n*n], radii: s.radii}, true
+		return ballIndex{cost: s.cost[:n*n], near: s.near[:n*n], radii: s.radii, spare: s.spare}, true
 	}
-	s.key, s.radii = s.key[:0], nil
+	s.key, s.radii, s.spare, s.countsKey = s.key[:0], nil, nil, s.countsKey[:0]
 	ix, ok := s.newBallIndex(c, workers)
 	if ok && keep && p != nil {
 		s.setKey(p)
-		s.radii = ix.radii
+		s.radii, s.spare = ix.radii, ix.spare
 	}
 	return ix, ok
 }
@@ -706,7 +932,7 @@ func (s *Scratch) newBallIndex(c metric.Costs, workers int) (ix ballIndex, ok bo
 			radii = append(radii, cell)
 		}
 	}
-	return ballIndex{cost: cost, near: near, radii: radii}, true
+	return ballIndex{cost: cost, near: near, radii: radii, spare: sorted}, true
 }
 
 // mirrorTile is mirror's tile edge: the tile read and the tile written, 2 x

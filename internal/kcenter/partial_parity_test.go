@@ -230,7 +230,56 @@ func partialCases() []partialCase {
 	add("t-just-below-total", small, w, 3, total-0.1)
 	add("k=0", small, w, 0, 1)
 	add("one-point", metric.NewPoints([]metric.Point{{1, 2}}), nil, 1, 0)
+
+	// Counted weights totalling exactly maxCountedTotal take the
+	// prefix-count path; one more unit of weight falls back to the float
+	// push loop (TestCountedGuard).
+	atGuard, pastGuard := guardWeights(small.N())
+	add("counts-at-guard", small, atGuard, 3, maxCountedTotal/10)
+	add("counts-past-guard", small, pastGuard, 3, maxCountedTotal/10)
 	return cases
+}
+
+// guardWeights returns n integer weights totalling maxCountedTotal, and
+// the same weights with one unit more on the first.
+func guardWeights(n int) (at, past []float64) {
+	at = make([]float64, n)
+	for i := range at {
+		at[i] = float64(maxCountedTotal / uint64(n))
+	}
+	at[0] += float64(maxCountedTotal % uint64(n))
+	past = slices.Clone(at)
+	past[0]++
+	return at, past
+}
+
+// TestCountedGuard pins which weights take the probes' prefix-count path:
+// non-negative integers (nil means unit) totalling at most
+// maxCountedTotal, and nothing else.
+func TestCountedGuard(t *testing.T) {
+	at, past := guardWeights(90)
+	for _, tc := range []struct {
+		name string
+		w    []float64
+		want bool
+	}{
+		{"unit", nil, true},
+		{"counts", []float64{3, 0, 7, math.Copysign(0, -1)}, true},
+		{"at the guard", at, true},
+		{"past the guard", past, false},
+		{"fractional", []float64{1, 2.5}, false},
+		{"negative", []float64{1, -1}, false},
+		{"NaN", []float64{1, math.NaN()}, false},
+		{"+Inf", []float64{1, math.Inf(1)}, false},
+	} {
+		n := 90
+		if tc.w != nil {
+			n = len(tc.w)
+		}
+		if got := counted(tc.w, n); got != tc.want {
+			t.Errorf("%s: counted = %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }
 
 // TestPartialMatchesReference pins the fast greedy disk cover (one keyed
@@ -274,16 +323,22 @@ func TestPartialMatchesReference(t *testing.T) {
 }
 
 // fuzzPartialInput encodes an instance as FuzzPartialMatchesReference
-// reads it: a header (nc, nf, k, t, symmetric?) and then one byte a cell /
-// weight. Costs are quantised to eight levels (plus four of dust) to force
-// ties and near-ties; weights are u*0.1 so that their sums depend on the
-// order of addition.
+// reads it: a header (nc, nf, k, t, and a flags byte: bit 0 symmetric, bit
+// 1 integer counts) and then one byte a cell / weight. Costs are quantised
+// to eight levels (plus four of dust) to force ties and near-ties; weights
+// are u*0.1, so that their sums depend on the order of addition, or, with
+// bit 1, the counts u themselves, which a symmetric instance solves on the
+// prefix-count path.
 func fuzzPartialInput(pc partialCase) []byte {
 	nc, nf := min(pc.c.Clients(), 12), min(pc.c.Facilities(), 12)
 	_, sym := pc.c.(*metric.Points)
 	b := []byte{byte(nc), byte(nf), byte(pc.k), byte(pc.t * 4), 0}
 	if sym {
 		b[4] = 1
+	}
+	integer := pc.w == nil || !slices.ContainsFunc(pc.w, func(x float64) bool { return x != math.Trunc(x) })
+	if integer {
+		b[4] |= 2
 	}
 	for j := 0; j < nc; j++ {
 		for f := 0; f < nf; f++ {
@@ -295,11 +350,14 @@ func fuzzPartialInput(pc partialCase) []byte {
 		}
 	}
 	for j := 0; j < nc; j++ {
-		u := 10.0
+		u := 1.0
 		if pc.w != nil {
-			u = pc.w[j] * 10
+			u = pc.w[j]
 		}
-		b = append(b, byte(u))
+		if !integer {
+			u *= 10
+		}
+		b = append(b, byte(min(u, 255)))
 	}
 	return b
 }
@@ -313,7 +371,7 @@ func FuzzPartialMatchesReference(f *testing.F) {
 			return
 		}
 		nc, nf := 1+int(data[0])%12, 1+int(data[1])%12
-		k, budget, sym := int(data[2])%14, float64(data[3]%64)/4, data[4]%2 == 1
+		k, budget, sym, integer := int(data[2])%14, float64(data[3]%64)/4, data[4]&1 == 1, data[4]&2 == 2
 		data = data[5:]
 		next := func() byte {
 			if len(data) == 0 {
@@ -349,7 +407,10 @@ func FuzzPartialMatchesReference(f *testing.F) {
 		}
 		w := make([]float64, c.Clients())
 		for j := range w {
-			w[j] = float64(next()%32) * 0.1
+			w[j] = float64(next() % 32)
+			if !integer {
+				w[j] *= 0.1
+			}
 		}
 		samePartial(t, partialCase{c: c, w: w, k: k, t: budget})
 	})
@@ -523,5 +584,36 @@ func TestPartialScratchRetentionCap(t *testing.T) {
 	partialSink = sc.Partial(sp, w, 4, 128, Opt{})
 	if n := sc.bytes(); n == 0 || n > maxScratchBytes || !sc.keyed(sp) {
 		t.Errorf("after the 384-client solve the scratch keeps %d B, keyed %v", n, sc.keyed(sp))
+	}
+}
+
+// TestPartialCountTableReuse runs one Scratch over one *metric.Points
+// instance A under a sequence of counted weights, so the probes' prefix-count
+// table is reused when the weights repeat and refilled when they change,
+// around a rebuilt index: every answer must be a fresh PartialOpt's bit for
+// bit.
+func TestPartialCountTableReuse(t *testing.T) {
+	a, counts := coordinatorInstance(1, 32, 128, 12)
+	other := make([]float64, len(counts))
+	for i := range other {
+		other[i] = float64(1 + i%5)
+	}
+	b, bCounts := coordinatorInstance(3, 32, 128, 12)
+	steps := []struct {
+		name string
+		c    *metric.Points
+		w    []float64
+	}{
+		{"A, counts", a, counts},
+		{"A, counts again", clonePoints(a), counts},
+		{"A, other counts", clonePoints(a), other},
+		{"A, unit", clonePoints(a), nil},
+		{"A, counts after unit", clonePoints(a), counts},
+		{"B, its counts", b, bCounts},
+		{"A, counts after B", clonePoints(a), counts},
+	}
+	sc := new(Scratch)
+	for _, st := range steps {
+		sameSolution(t, st.name, sc.Partial(st.c, st.w, 4, 128, Opt{}), PartialOpt(st.c, st.w, 4, 128, Opt{}))
 	}
 }
