@@ -217,8 +217,8 @@ type Response struct {
 	// SiteBudgets are the allocated per-site budgets t_i (nil for 1-round
 	// variants and non-distributed solves).
 	SiteBudgets []int `json:"site_budgets,omitempty"`
-	// Measured communication of the distributed run (zero for central and
-	// stream answers; Remote reports the server-measured values).
+	// Measured communication of the distributed run (zero for central
+	// answers; Remote reports the server-measured values).
 	Rounds    int   `json:"rounds,omitempty"`
 	UpBytes   int64 `json:"up_bytes,omitempty"`
 	DownBytes int64 `json:"down_bytes,omitempty"`

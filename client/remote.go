@@ -184,8 +184,8 @@ func (r *Remote) RegisterDatasetWarm(ctx context.Context, name string, pts []Poi
 	return r.do(ctx, "POST", fmt.Sprintf("/v1/datasets?warm=%t", warm), body, nil)
 }
 
-// AppendPoints appends points to a table dataset (or feeds a stream
-// sketch), returning the dataset's post-append summary.
+// AppendPoints appends points to a table dataset, returning the
+// dataset's post-append summary (its grown point count and new version).
 func (r *Remote) AppendPoints(ctx context.Context, name string, pts []Point) (serve.DatasetInfo, error) {
 	body := struct {
 		Points [][]float64 `json:"points"`

@@ -21,7 +21,7 @@
 // API sketch (see the README's Serving section for full reference):
 //
 //	POST /v1/datasets                  register a dataset (JSON points/nodes, or text/csv body + ?name= [&kind=uncertain])
-//	POST /v1/datasets/{name}/points    append points (table extend / stream ingest)
+//	POST /v1/datasets/{name}/points    append points to a table
 //	GET  /v1/datasets[/{name}]         inspect datasets and cache stats
 //	POST /v1/jobs                      submit a clustering job (JSON JobSpec)
 //	GET  /v1/jobs/{id}                 job status + result

@@ -14,11 +14,9 @@ import (
 // The facade tests exercise the public surface end to end, the way a
 // downstream user would: generators, a Request answered by the local
 // client, and the evaluators. Solvers the public package does not export
-// are checked with the packages that own them: the stream sketch's chunk
-// bound and batch-quality ratio in internal/stream (TestSketchMemoryBound,
-// TestSketchQualityVsBatch), the centralized solver's chunk count in
-// internal/central (TestSimulatedLevelsStayReasonable), and the
-// graph-oracle solvers in the kmedian and kcenter examples.
+// are checked with the packages that own them: the centralized solver's
+// chunk count in internal/central (TestSimulatedLevelsStayReasonable), and
+// the graph-oracle solvers in the kmedian and kcenter examples.
 
 // do answers req on the local client, failing the test on error.
 func do(t *testing.T, req dpc.Request) *dpc.Response {

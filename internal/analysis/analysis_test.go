@@ -4,6 +4,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -128,4 +132,95 @@ func TestRepoClean(t *testing.T) {
 	for _, d := range diags {
 		t.Error(d)
 	}
+}
+
+// TestFuzzSmokeAndScopesMatchTheTree is the repo invariant that keeps CI's
+// fuzz smoke steps and the analyzers' scopes in step with the code: every
+// fuzz target of the module (benchmark/, its own module, aside) has a
+// `go test <pkg> ... -fuzz <Target>` step in .github/workflows/ci.yml, every
+// such step names a target that exists in that package, and every
+// analyzer's Scope entry names a package of the module. A deleted package
+// otherwise leaves a CI step that fails on its first run and a scope entry
+// that silently checks nothing.
+func TestFuzzSmokeAndScopesMatchTheTree(t *testing.T) {
+	const root = "../.."
+	targets, segments := moduleFuzzTargets(t, root)
+	ci, err := os.ReadFile(filepath.Join(root, ".github/workflows/ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	smoked := map[string]bool{}
+	for _, m := range fuzzStep.FindAllStringSubmatch(string(ci), -1) {
+		step := m[1] + " " + m[2]
+		smoked[step] = true
+		if !targets[step] {
+			t.Errorf("ci.yml smokes %s, which is not a fuzz target of the module", step)
+		}
+	}
+	for step := range targets {
+		if !smoked[step] {
+			t.Errorf("fuzz target %s has no -fuzz smoke step in ci.yml", step)
+		}
+	}
+	for _, a := range All() {
+		for _, entry := range a.Scope {
+			if !segments[entry] {
+				t.Errorf("analyzer %s: Scope entry %q matches no package of the module", a.Name, entry)
+			}
+		}
+	}
+}
+
+// fuzzStep matches a CI fuzz smoke command: its package and its target.
+var fuzzStep = regexp.MustCompile(`go test (\S+) .*-fuzz (\S+)`)
+
+// moduleFuzzTargets walks the module at root, outside benchmark/ and
+// testdata, and returns its fuzz targets as "<./pkg> <FuzzName>" and the
+// final path segment of every package directory below the root.
+func moduleFuzzTargets(t *testing.T, root string) (targets, segments map[string]bool) {
+	t.Helper()
+	targets, segments = map[string]bool{}, map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || rel == "benchmark") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") {
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		pkg := "./" + dir
+		if dir == "." {
+			pkg = "."
+		}
+		segments[pkgSegment(dir)] = true
+		if !strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				targets[pkg+" "+fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(targets) == 0 || !segments["analysis"] {
+		t.Fatalf("walked %s: %d fuzz targets, %d packages", root, len(targets), len(segments))
+	}
+	return targets, segments
 }

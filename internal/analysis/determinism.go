@@ -12,7 +12,7 @@ import (
 // the solvers, and the round skeleton that builds hulls and replays budgets
 // from their costs. Order-sensitive constructs inside them are determinism
 // bugs by default.
-var solverScope = []string{"kmedian", "kcenter", "core", "uncertain", "protocol", "central", "metric", "par", "stream"}
+var solverScope = []string{"kmedian", "kcenter", "core", "uncertain", "protocol", "central", "metric", "par"}
 
 // Determinism flags constructs whose result depends on map iteration order,
 // wall-clock time, the global rand source, or goroutine scheduling inside

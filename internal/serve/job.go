@@ -30,10 +30,9 @@ type JobSpec struct {
 	// u-centerpp, u-centerg — for uncertain datasets.
 	Objective string `json:"objective,omitempty"`
 	Variant   string `json:"variant,omitempty"` // 2round (default) | 1round | noship
-	// Sites is the loopback shard count for table datasets (default 8,
-	// matching dpc-cluster; capped at MaxJobSites). Ignored for stream
-	// (no sharding) and remote (the connected daemons are the sharding)
-	// datasets.
+	// Sites is the loopback shard count for table and uncertain datasets
+	// (default 8, matching dpc-cluster; capped at MaxJobSites). Ignored for
+	// remote datasets: the connected daemons are the sharding.
 	Sites int     `json:"sites,omitempty"`
 	Eps   float64 `json:"eps,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
@@ -117,9 +116,9 @@ type JobResult struct {
 	// OutlierBudget is how many (weighted) points the solution may ignore.
 	OutlierBudget float64 `json:"outlier_budget"`
 	// Cost is the solution's objective value; CostKind says against what:
-	// "global" (the full table, the measuring stick of core.Evaluate),
-	// "summary" (the stream sketch's weighted summary), or "coordinator"
-	// (the coordinator's induced instance — remote data never reaches the
+	// "global" (the full dataset, the measuring stick of core.Evaluate),
+	// "estimate" (u-centerg's seeded Monte Carlo) or "coordinator" (the
+	// coordinator's induced instance — remote data never reaches the
 	// server, so the true global cost is evaluated site-side if at all).
 	Cost     float64 `json:"cost"`
 	CostKind string  `json:"cost_kind"`

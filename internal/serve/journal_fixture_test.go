@@ -26,10 +26,18 @@ import (
 // calls must keep writing byte-identical dataset records. A deliberate
 // change of the record format adds a new fixture beside this one; this
 // one stays, written by the old code.
+//
+// The fixture also holds two datasets of the retired stream kind, st and
+// s2, made by calls this server rejects: replay reports their records as
+// errors naming the kind, their finished jobs are still re-served, and the
+// record comparison leaves their records out.
 const (
 	journalFixtureDir  = "testdata/journal-v1"
 	journalFixtureWant = "testdata/journal-v1.want.json"
 )
+
+// retiredFixtureDatasets are the fixture's stream datasets.
+var retiredFixtureDatasets = map[string]bool{"st": true, "s2": true}
 
 // fixtureWant is what the fixture's server reported before it shut down.
 type fixtureWant struct {
@@ -54,14 +62,14 @@ func csvRows(rows [][]float64, prefix func(i int) string) string {
 	return b.String()
 }
 
-// fixtureCalls makes the API calls behind the fixture against a fresh
-// journaled server: every dataset kind through every registration path
-// (JSON and CSV tables, a table body carrying stream fields, streams with
-// inline seeds that compress, uncertain data with and without an explicit
-// ground set, by JSON and by CSV), appends before and after a snapshot, a
-// delete, and one finished job per kind, remote included. No dataset
-// changes after a job against it ran. It returns the finished jobs in
-// submission order.
+// fixtureCalls makes the API calls behind the fixture, less those of its
+// stream datasets, against a fresh journaled server: every dataset kind
+// through every registration path (JSON and CSV tables, a table body
+// carrying fields the table ignores, uncertain data with and without an
+// explicit ground set, by JSON and by CSV), appends before and after a
+// snapshot, a delete, and one finished job per kind, remote included. No
+// dataset changes after a job against it ran. It returns the finished jobs
+// in submission order.
 func fixtureCalls(t *testing.T, a *api, s *Server) []Job {
 	t.Helper()
 	var ids []string
@@ -75,12 +83,6 @@ func fixtureCalls(t *testing.T, a *api, s *Server) []Job {
 	// Before the snapshot.
 	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "tj", Points: testPoints(40, 2, 1)}, http.StatusCreated, nil)
 	a.do("POST", "/v1/datasets/tj/points", appendPointsRequest{Points: testPoints(10, 2, 2)}, http.StatusOK, nil)
-	a.do("POST", "/v1/datasets", createDatasetRequest{
-		Name: "st", Kind: KindStream, K: 2, T: 2, Chunk: 16, Seed: 3, Points: testPoints(10, 2, 3),
-	}, http.StatusCreated, nil)
-	for i := 0; i < 2; i++ {
-		a.do("POST", "/v1/datasets/st/points", appendPointsRequest{Points: testPoints(12, 2, int64(4+i))}, http.StatusOK, nil)
-	}
 	in := gen.UncertainMixture(gen.UncertainSpec{N: 12, K: 2, Support: 3, OutlierFrac: 0.1, Seed: 5})
 	ground := make([][]float64, len(in.Ground.Pts))
 	for i, p := range in.Ground.Pts {
@@ -99,14 +101,15 @@ func fixtureCalls(t *testing.T, a *api, s *Server) []Job {
 	a.do("POST", "/v1/datasets?name=tc", csvRows(testPoints(30, 2, 5), nil), http.StatusCreated, nil)
 	a.do("POST", "/v1/datasets/tc/points", appendPointsRequest{Points: testPoints(6, 2, 6)}, http.StatusOK, nil)
 	a.do("POST", "/v1/datasets/tj/points", appendPointsRequest{Points: testPoints(5, 2, 7)}, http.StatusOK, nil)
-	a.do("POST", "/v1/datasets/st/points", appendPointsRequest{Points: testPoints(12, 2, 8)}, http.StatusOK, nil)
-	// A table body that also sends stream fields journals only the table's.
-	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "tk", Points: testPoints(20, 2, 9), K: 5, T: 1, Chunk: 64, Seed: 4},
+	// A table body that also sends the retired stream fields journals only
+	// the table's: unknown fields are ignored.
+	tk, err := json.Marshal(testPoints(20, 2, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.do("POST", "/v1/datasets", json.RawMessage(`{"name":"tk","points":`+string(tk)+`,"k":5,"t":1,"chunk":64,"seed":4}`),
 		http.StatusCreated, nil)
 	a.do("DELETE", "/v1/datasets/tk", nil, http.StatusNoContent, nil)
-	a.do("POST", "/v1/datasets", createDatasetRequest{
-		Name: "s2", Kind: KindStream, K: 2, T: 1, Chunk: 12, Means: true, Seed: 5, Points: testPoints(30, 2, 10),
-	}, http.StatusCreated, nil)
 	nodes := csvRows(testPoints(18, 2, 11), func(i int) string {
 		return fmt.Sprintf("n%d,%d,", i/3, 1+i%3) // probabilities 1:2:3, normalized on read
 	})
@@ -134,8 +137,6 @@ func fixtureCalls(t *testing.T, a *api, s *Server) []Job {
 
 	submit(JobSpec{Dataset: "tj", K: 2, T: 3, Seed: 2, Sites: 3})
 	submit(JobSpec{Dataset: "tc", K: 2, T: 2, Objective: "means", Seed: 3})
-	submit(JobSpec{Dataset: "st", K: 2, T: 2})
-	submit(JobSpec{Dataset: "s2", K: 2, T: 1, Objective: "means"})
 	submit(JobSpec{Dataset: "uj", K: 2, T: 1, Objective: "u-median", Seed: 4, Sites: 2})
 	submit(JobSpec{Dataset: "uc", K: 2, T: 1, Objective: "u-means", Seed: 5, Sites: 2})
 	submit(JobSpec{Dataset: "ui", K: 2, T: 1, Objective: "u-centerpp", Seed: 6, Sites: 2})
@@ -182,27 +183,44 @@ func copyJournal(t *testing.T, from string) string {
 
 // datasetRecords returns a journal's dataset records in log order as
 // "kind payload" lines: puts, appends and deletes whole, and of a
-// snapshot only its datasets (its jobs carry timestamps).
-func datasetRecords(t *testing.T, dir string) []string {
+// snapshot only its datasets (its jobs carry timestamps). Records of the
+// datasets named in skip are left out, and so are their entries in a
+// snapshot's datasets array; every other byte is kept.
+func datasetRecords(t *testing.T, dir string, skip map[string]bool) []string {
 	t.Helper()
 	jl, res, err := journal.OpenDir(copyJournal(t, dir), journal.DirOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	jl.Close()
+	skipped := func(raw []byte) bool {
+		var named struct{ Name string }
+		if err := json.Unmarshal(raw, &named); err != nil {
+			t.Fatal(err)
+		}
+		return skip[named.Name]
+	}
 	var out []string
 	for _, rec := range res.Records {
 		switch rec.Kind {
 		case recDatasetPut, recDatasetAppend, recDatasetDelete:
-			out = append(out, fmt.Sprintf("%d %s", rec.Kind, rec.Payload))
+			if !skipped(rec.Payload) {
+				out = append(out, fmt.Sprintf("%d %s", rec.Kind, rec.Payload))
+			}
 		case recSnapshot:
 			var snap struct {
-				Datasets json.RawMessage `json:"datasets"`
+				Datasets []json.RawMessage `json:"datasets"`
 			}
 			if err := json.Unmarshal(rec.Payload, &snap); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, fmt.Sprintf("%d %s", rec.Kind, snap.Datasets))
+			var kept []string
+			for _, wd := range snap.Datasets {
+				if !skipped(wd) {
+					kept = append(kept, string(wd))
+				}
+			}
+			out = append(out, fmt.Sprintf("%d [%s]", rec.Kind, strings.Join(kept, ",")))
 		}
 	}
 	return out
@@ -224,9 +242,10 @@ func replayable(infos []DatasetInfo) []DatasetInfo {
 }
 
 // TestJournalFixtureReplays replays the checked-in journal: every dataset
-// comes back with the summary the old server reported, every finished job
-// with its centers, and resubmitting a job against the replayed data
-// reproduces those centers bit for bit.
+// of a kind this server builds comes back with the summary the old server
+// reported, every finished job with its centers, and resubmitting a job
+// against the replayed data reproduces those centers bit for bit. The
+// stream datasets' records are replay errors that name the kind.
 func TestJournalFixtureReplays(t *testing.T) {
 	raw, err := os.ReadFile(journalFixtureWant)
 	if err != nil {
@@ -236,11 +255,39 @@ func TestJournalFixtureReplays(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
+	kept := want.Datasets[:0]
+	for _, info := range want.Datasets {
+		if !retiredFixtureDatasets[info.Name] {
+			kept = append(kept, info)
+		}
+	}
+	want.Datasets = kept
 
 	a, s := newAPI(t, Config{JournalDir: copyJournal(t, journalFixtureDir)})
 	rec := s.Recovery()
-	if !rec.FromSnapshot || len(rec.Errors) > 0 || rec.JobsReplayed != len(want.Jobs) || rec.JobsResumed != 0 {
+	if !rec.FromSnapshot || rec.JobsReplayed != len(want.Jobs) || rec.JobsResumed != 0 {
 		t.Fatalf("recovery: %+v", rec)
+	}
+	// Every replay error is a record of a stream dataset, and the first one
+	// for each names the kind.
+	named := map[string]bool{}
+	for _, e := range rec.Errors {
+		var of string
+		for name := range retiredFixtureDatasets {
+			if strings.Contains(e, strconv.Quote(name)) {
+				of = name
+			}
+		}
+		if of == "" {
+			t.Fatalf("replay error %q is not about a stream dataset", e)
+		}
+		if !named[of] && !strings.Contains(e, `kind "stream"`) {
+			t.Fatalf("first replay error for %q does not name the kind: %q", of, e)
+		}
+		named[of] = true
+	}
+	if len(named) != len(retiredFixtureDatasets) {
+		t.Fatalf("replay errors %q: want records of each of %v reported", rec.Errors, retiredFixtureDatasets)
 	}
 	var list struct {
 		Datasets []DatasetInfo `json:"datasets"`
@@ -255,8 +302,8 @@ func TestJournalFixtureReplays(t *testing.T) {
 		if got.Status != StatusDone || !got.Replayed || !reflect.DeepEqual(got.Result.Centers, wj.Result.Centers) {
 			t.Fatalf("replayed job %s: %+v, want centers %v", wj.ID, got, wj.Result.Centers)
 		}
-		if wj.Spec.Dataset == "rm" {
-			continue // remote data lives at the sites, not in the journal
+		if wj.Spec.Dataset == "rm" || retiredFixtureDatasets[wj.Spec.Dataset] {
+			continue // remote data lives at the sites; stream data is gone
 		}
 		var again Job
 		a.do("POST", "/v1/jobs", wj.Spec, http.StatusAccepted, &again)
@@ -271,13 +318,13 @@ func TestJournalFixtureReplays(t *testing.T) {
 // TestJournalFixtureRecordBytes makes the fixture's API calls against
 // the current server and compares the dataset records it journals —
 // puts, appends, deletes and the snapshot's datasets — byte for byte with
-// the fixture's.
+// the fixture's, less the stream datasets' records.
 func TestJournalFixtureRecordBytes(t *testing.T) {
 	dir := t.TempDir()
 	a, s := newAPI(t, Config{JournalDir: dir})
 	fixtureCalls(t, a, s)
 	s.Close()
-	got, want := datasetRecords(t, dir), datasetRecords(t, journalFixtureDir)
+	got, want := datasetRecords(t, dir, nil), datasetRecords(t, journalFixtureDir, retiredFixtureDatasets)
 	if len(got) != len(want) {
 		t.Fatalf("%d dataset records, fixture has %d", len(got), len(want))
 	}

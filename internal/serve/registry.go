@@ -6,13 +6,11 @@
 // distance oracles, site connections) stays warm across queries instead of
 // being rebuilt per CLI invocation.
 //
-// Four dataset kinds cover the paper's deployment modes, each in its own
+// Three dataset kinds cover the paper's deployment modes, each in its own
 // file implementing kindData behind the shared Dataset header:
 //
 //   - table.go: points in server memory; jobs run the distributed protocol
 //     over loopback shards that share pooled distance caches.
-//   - stream.go: an internal/stream sketch of incremental ingest; jobs
-//     query its summary.
 //   - remote.go: persistent connections to dpc-site daemons holding the
 //     data; jobs run the protocol over TCP.
 //   - uncertain.go: Section 5 nodes over a shared ground set; jobs run
@@ -56,7 +54,6 @@ type DatasetKind string
 // Dataset kinds, each implemented in the file of its name.
 const (
 	KindTable     DatasetKind = "table"
-	KindStream    DatasetKind = "stream"
 	KindRemote    DatasetKind = "remote"
 	KindUncertain DatasetKind = "uncertain"
 )
@@ -89,10 +86,9 @@ type kindData interface {
 	info(*DatasetInfo)
 	// check validates an append without changing anything; apply adds the
 	// checked points once the journal has accepted their record (never
-	// for a kind whose check refuses every append), reporting whether
-	// they make a new dataset version.
+	// for a kind whose check refuses every append).
 	check(name string, pts []metric.Point) error
-	apply(pts []metric.Point) (newVersion bool)
+	apply(pts []metric.Point)
 	run(ctx context.Context, r *Registry, d *Dataset, spec JobSpec, job jobwire.Job) (*JobResult, error)
 	// record is the kind's full current state as a snapshot record (the
 	// header fills Name and Kind), or false for a kind the journal does
@@ -118,10 +114,6 @@ type DatasetInfo struct {
 	Points  int         `json:"points"`
 	Dim     int         `json:"dim,omitempty"`
 	Version int         `json:"version"`
-	// Stream-only: points consumed and summary size after compression.
-	Ingested     int `json:"ingested,omitempty"`
-	SummarySize  int `json:"summary_size,omitempty"`
-	Compressions int `json:"compressions,omitempty"`
 	// Remote-only: connected site daemons and independent site groups.
 	Sites  int `json:"sites,omitempty"`
 	Groups int `json:"groups,omitempty"`
@@ -277,8 +269,10 @@ func (r *Registry) register(name string, kind DatasetKind, data kindData) (*Data
 // record it journals and registers it here, and replay does the same with
 // the records it reads, so the journal holds exactly what was registered.
 // A registration record rebuilds what the API call created; a snapshot
-// record restores the kind's full state (a grown table, a sketch
-// mid-stream).
+// record restores the kind's full state (a grown table). A record of a
+// kind this server does not build (a retired one, such as an old
+// journal's "stream") is an error naming the kind, which replay reports
+// and skips.
 func (r *Registry) put(wd walDataset) (*Dataset, error) {
 	if err := validateName(wd.Name); err != nil {
 		return nil, err
@@ -288,12 +282,10 @@ func (r *Registry) put(wd walDataset) (*Dataset, error) {
 	switch wd.Kind {
 	case KindTable:
 		data, err = newTable(wd.Name, rowsToPoints(wd.Points))
-	case KindStream:
-		data, err = newStream(wd)
 	case KindUncertain:
 		data, err = newUncertain(wd)
 	default:
-		err = fmt.Errorf("serve: dataset %q: kind %q has no journal record", wd.Name, wd.Kind)
+		err = fmt.Errorf("serve: unknown dataset kind %q", wd.Kind)
 	}
 	if err != nil {
 		return nil, err
@@ -301,8 +293,8 @@ func (r *Registry) put(wd walDataset) (*Dataset, error) {
 	return r.register(wd.Name, wd.Kind, data)
 }
 
-// Append adds points to a dataset that takes appends (a table or a
-// stream) without journaling them: AppendJournaled with no hook.
+// Append adds points to a dataset that takes appends (a table) without
+// journaling them: AppendJournaled with no hook.
 func (r *Registry) Append(name string, pts []metric.Point) (DatasetInfo, error) {
 	return r.AppendJournaled(name, pts, nil)
 }
@@ -312,9 +304,8 @@ func (r *Registry) Append(name string, pts []metric.Point) (DatasetInfo, error) 
 // lock. If it fails, nothing is applied — the journaled log and the
 // in-memory state never diverge in either direction. Holding the dataset
 // lock across the hook also pins journal order to apply order: two
-// concurrent appends to one stream sketch journal in exactly the order
-// their points entered the sketch, so replay reproduces the summary bit
-// for bit.
+// concurrent appends to one table journal in exactly the order their
+// chunks were sealed, so replay rebuilds the same point order.
 func (r *Registry) AppendJournaled(name string, pts []metric.Point, journal func() error) (DatasetInfo, error) {
 	d, err := r.Get(name)
 	if err != nil {
@@ -327,23 +318,20 @@ func (r *Registry) AppendJournaled(name string, pts []metric.Point, journal func
 	if err != nil {
 		return DatasetInfo{}, err
 	}
-	if replaced != 0 {
-		// Jobs take the current version when they start, so the replaced
-		// one's pooled caches are dead weight that would otherwise sit in
-		// the pool until LRU pressure (jobs still running on them keep
-		// their own references). A job that snapshotted before this append
-		// and pools its caches after this reclaim drops them itself
-		// (shardCaches).
-		r.pool.InvalidatePrefix(shardVersionPrefix(name, replaced))
-	}
+	// Jobs take the current version when they start, so the replaced one's
+	// pooled caches are dead weight that would otherwise sit in the pool
+	// until LRU pressure (jobs still running on them keep their own
+	// references). A job that snapshotted before this append and pools its
+	// caches after this reclaim drops them itself (shardCaches).
+	r.pool.InvalidatePrefix(shardVersionPrefix(name, replaced))
 	return d.Info(), nil
 }
 
 // appendLocked performs the append under the dataset lock (deferred, so a
 // panicking solver path can never wedge the mutex): check, journal, then
 // apply — a record is never written for points that fail validation, and
-// points are never applied that the journal did not accept. It returns
-// the version the append replaced (0 when the version stays).
+// points are never applied that the journal did not accept. Every applied
+// append is a new version; it returns the version the append replaced.
 func (r *Registry) appendLocked(d *Dataset, pts []metric.Point, journal func() error) (replaced int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -355,9 +343,8 @@ func (r *Registry) appendLocked(d *Dataset, pts []metric.Point, journal func() e
 			return 0, err
 		}
 	}
-	if d.data.apply(pts) {
-		replaced, d.version = d.version, r.nextVersion()
-	}
+	d.data.apply(pts)
+	replaced, d.version = d.version, r.nextVersion()
 	return replaced, nil
 }
 

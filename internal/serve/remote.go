@@ -90,7 +90,7 @@ func (rm *remoteData) check(name string, _ []metric.Point) error {
 	return fmt.Errorf("serve: dataset %q is %s; append its data at the sites", name, KindRemote)
 }
 
-func (rm *remoteData) apply([]metric.Point) bool { return false }
+func (rm *remoteData) apply([]metric.Point) {}
 
 func (rm *remoteData) record() (walDataset, bool) { return walDataset{}, false }
 

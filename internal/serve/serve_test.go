@@ -143,43 +143,20 @@ func TestDatasetLifecycleHTTP(t *testing.T) {
 	// Hostile names rejected.
 	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "../etc", Points: testPoints(5, 1, 1)},
 		http.StatusBadRequest, nil)
-}
 
-func TestStreamDatasetHTTP(t *testing.T) {
-	a, _ := newAPI(t, Config{})
-	var info DatasetInfo
-	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "st", Kind: KindStream, K: 3, T: 10, Chunk: 128},
-		http.StatusCreated, &info)
-	// Incremental ingest in batches; the sketch keeps memory bounded.
-	pts := testPoints(1000, 3, 4)
-	for i := 0; i < len(pts); i += 250 {
-		a.do("POST", "/v1/datasets/st/points", appendPointsRequest{Points: pts[i : i+250]},
-			http.StatusOK, &info)
+	// A retired kind and a server-only kind are rejected by name, and
+	// register nothing.
+	for kind, body := range map[string]string{
+		"stream": `{"name":"s","kind":"stream","k":8,"t":64}`,
+		"remote": `{"name":"s","kind":"remote"}`,
+	} {
+		var e APIErrorBody
+		a.do("POST", "/v1/datasets", json.RawMessage(body), http.StatusBadRequest, &e)
+		if e.Code != CodeBadRequest || !strings.Contains(e.Error, kind) {
+			t.Errorf("%s: %+v, want %s naming %q", body, e, CodeBadRequest, kind)
+		}
 	}
-	if info.Ingested != 1000 {
-		t.Fatalf("ingested %d, want 1000", info.Ingested)
-	}
-	if info.SummarySize > 128 {
-		t.Fatalf("summary size %d exceeds chunk", info.SummarySize)
-	}
-	if info.Compressions == 0 {
-		t.Fatalf("no compressions after 1000 points with chunk 128")
-	}
-	// Query the live sketch.
-	var job Job
-	a.do("POST", "/v1/jobs", JobSpec{Dataset: "st", K: 3, T: 10}, http.StatusAccepted, &job)
-	j := waitJob(t, a, job.ID)
-	if j.Status != StatusDone {
-		t.Fatalf("stream job failed: %s", j.Error)
-	}
-	if len(j.Result.Centers) != 3 || j.Result.CostKind != "summary" {
-		t.Fatalf("stream result: %d centers, kind %q", len(j.Result.Centers), j.Result.CostKind)
-	}
-	// Center objective is not answerable from a median sketch.
-	a.do("POST", "/v1/jobs", JobSpec{Dataset: "st", K: 3, T: 10, Objective: "center"}, http.StatusAccepted, &job)
-	if j := waitJob(t, a, job.ID); j.Status != StatusFailed {
-		t.Fatalf("center query on a stream dataset succeeded")
-	}
+	a.do("GET", "/v1/datasets/s", nil, http.StatusNotFound, nil)
 }
 
 func TestJobValidationHTTP(t *testing.T) {
@@ -273,22 +250,28 @@ func TestSubmitAfterCloseRejected(t *testing.T) {
 	}
 }
 
+// TestStreamAppendRejectsDimensionMismatch: an append batch whose points
+// do not all match the dataset's dimension is rejected whole (no point of
+// it lands, the version stays), and the rejection leaves no lock held, so
+// the next valid append lands.
 func TestStreamAppendRejectsDimensionMismatch(t *testing.T) {
 	a, _ := newAPI(t, Config{})
-	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "sd", Kind: KindStream, K: 2, T: 4},
-		http.StatusCreated, nil)
-	a.do("POST", "/v1/datasets/sd/points", appendPointsRequest{Points: [][]float64{{1, 2}, {3, 4}}},
-		http.StatusOK, nil)
-	// A 3-dim point into a 2-dim sketch must fail cleanly — and the
-	// dataset must stay fully usable afterwards (no wedged lock).
+	var info DatasetInfo
+	a.do("POST", "/v1/datasets", createDatasetRequest{Name: "sd", Points: [][]float64{{1, 2}, {3, 4}}},
+		http.StatusCreated, &info)
+	versionBefore := info.Version
 	a.do("POST", "/v1/datasets/sd/points", appendPointsRequest{Points: [][]float64{{1, 2, 3}}},
 		http.StatusBadRequest, nil)
-	a.do("POST", "/v1/datasets/sd/points", appendPointsRequest{Points: [][]float64{{5, 6}}},
-		http.StatusOK, nil)
-	var info DatasetInfo
+	a.do("POST", "/v1/datasets/sd/points", appendPointsRequest{Points: [][]float64{{1, 2}, {1, 2, 3}}},
+		http.StatusBadRequest, nil)
 	a.do("GET", "/v1/datasets/sd", nil, http.StatusOK, &info)
-	if info.Ingested != 3 {
-		t.Fatalf("ingested %d, want 3 (mismatched batch rejected whole)", info.Ingested)
+	if info.Points != 2 || info.Version != versionBefore {
+		t.Fatalf("after rejected batches: %+v, want 2 points at version %d", info, versionBefore)
+	}
+	a.do("POST", "/v1/datasets/sd/points", appendPointsRequest{Points: [][]float64{{5, 6}}},
+		http.StatusOK, &info)
+	if info.Points != 3 || info.Version <= versionBefore {
+		t.Fatalf("append after a rejected batch: %+v", info)
 	}
 }
 
@@ -345,47 +328,6 @@ func TestTableJobRejectsBudgetCoveringDataset(t *testing.T) {
 	if !strings.Contains(j.Error, "out of range") {
 		t.Fatalf("unhelpful error: %q", j.Error)
 	}
-}
-
-func TestStreamObjectiveMustMatchSketch(t *testing.T) {
-	a, _ := newAPI(t, Config{})
-	a.do("POST", "/v1/datasets", createDatasetRequest{
-		Name: "med", Kind: KindStream, K: 2, T: 4, Points: testPoints(100, 2, 13)},
-		http.StatusCreated, nil)
-	a.do("POST", "/v1/datasets", createDatasetRequest{
-		Name: "sq", Kind: KindStream, K: 2, T: 4, Means: true, Points: testPoints(100, 2, 13)},
-		http.StatusCreated, nil)
-	var job Job
-	// Matching objectives answer; mismatches fail loudly instead of
-	// answering with the other objective's costs.
-	a.do("POST", "/v1/jobs", JobSpec{Dataset: "med", K: 2, T: 4}, http.StatusAccepted, &job)
-	if j := waitJob(t, a, job.ID); j.Status != StatusDone {
-		t.Fatalf("median query on median sketch failed: %s", j.Error)
-	}
-	a.do("POST", "/v1/jobs", JobSpec{Dataset: "sq", K: 2, T: 4, Objective: "means"}, http.StatusAccepted, &job)
-	if j := waitJob(t, a, job.ID); j.Status != StatusDone {
-		t.Fatalf("means query on means sketch failed: %s", j.Error)
-	}
-	a.do("POST", "/v1/jobs", JobSpec{Dataset: "med", K: 2, T: 4, Objective: "means"}, http.StatusAccepted, &job)
-	if j := waitJob(t, a, job.ID); j.Status != StatusFailed {
-		t.Fatalf("means query on a median sketch succeeded")
-	}
-	a.do("POST", "/v1/jobs", JobSpec{Dataset: "sq", K: 2, T: 4}, http.StatusAccepted, &job)
-	if j := waitJob(t, a, job.ID); j.Status != StatusFailed {
-		t.Fatalf("median query on a means sketch succeeded")
-	}
-}
-
-func TestStreamRegistrationRollsBackOnBadSeedPoints(t *testing.T) {
-	a, _ := newAPI(t, Config{})
-	// Inline seed points with a dimension mismatch: registration must fail
-	// AND free the name for the corrected retry.
-	a.do("POST", "/v1/datasets", createDatasetRequest{
-		Name: "retry", Kind: KindStream, K: 2, T: 4, Points: [][]float64{{1, 2}, {3}}},
-		http.StatusBadRequest, nil)
-	a.do("POST", "/v1/datasets", createDatasetRequest{
-		Name: "retry", Kind: KindStream, K: 2, T: 4, Points: [][]float64{{1, 2}, {3, 4}}},
-		http.StatusCreated, nil)
 }
 
 // TestAppendReclaimsReplacedVersionCaches: an append bumps the table's

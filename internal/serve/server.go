@@ -345,10 +345,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	// Cancelled solves abort at their next protocol round; a solve inside
-	// a non-preemptible section (one coordinator-side solve, a stream
-	// query) can overstay. Give the cancellations a bounded grace instead
-	// of holding the shutdown hostage — the caller asked to be out by the
-	// deadline, and the worker goroutines die with the process anyway.
+	// a non-preemptible section (one coordinator-side solve) can overstay.
+	// Give the cancellations a bounded grace instead of holding the
+	// shutdown hostage — the caller asked to be out by the deadline, and
+	// the worker goroutines die with the process anyway.
 	select {
 	case <-drained:
 	case <-time.After(shutdownGrace):
@@ -509,10 +509,10 @@ func (s *Server) notReady(w http.ResponseWriter) bool {
 // createDatasetRequest is the JSON body of POST /v1/datasets. A text/csv
 // body registers a table dataset instead (or, with ?kind=uncertain, an
 // uncertain dataset in dataio.ReadNodesCSV's row format), with the name
-// taken from the ?name= query parameter.
+// taken from the ?name= query parameter. Unknown fields are ignored.
 type createDatasetRequest struct {
 	Name   string      `json:"name"`
-	Kind   DatasetKind `json:"kind,omitempty"` // table (default) | stream | uncertain
+	Kind   DatasetKind `json:"kind,omitempty"` // table (default) | uncertain
 	Points [][]float64 `json:"points,omitempty"`
 	// Uncertain-only: the distribution-valued nodes. Without Ground, each
 	// node carries its own support Points and the ground set is their
@@ -523,12 +523,6 @@ type createDatasetRequest struct {
 	// to local ones on any instance.
 	Ground [][]float64 `json:"ground,omitempty"`
 	Nodes  []NodeWire  `json:"nodes,omitempty"`
-	// Stream-only sketch shape.
-	K     int   `json:"k,omitempty"`
-	T     int   `json:"t,omitempty"`
-	Chunk int   `json:"chunk,omitempty"`
-	Means bool  `json:"means,omitempty"`
-	Seed  int64 `json:"seed,omitempty"`
 }
 
 func rowsToPoints(rows [][]float64) []metric.Point {
@@ -552,57 +546,45 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	defer body.Close()
 
-	wd, seed, err := datasetRecord(r, body)
+	wd, err := datasetRecord(r, body)
 	if err != nil {
 		registerError(w, err)
 		return
 	}
 	d, err := s.reg.put(wd)
-	if err == nil && len(seed) > 0 {
-		if _, err = s.reg.Append(wd.Name, rowsToPoints(seed)); err != nil {
-			// Roll the registration back: a failed inline seed must not
-			// leave an empty dataset squatting on the name.
-			s.reg.Delete(wd.Name)
-		}
-	}
 	if err != nil {
 		registerError(w, err)
 		return
 	}
-	s.finishCreateDataset(w, r, d, wd, seed)
+	s.finishCreateDataset(w, r, d, wd)
 }
 
 // datasetRecord parses a POST /v1/datasets body into the registration
-// record the journal will hold — carrying only the fields of its kind —
-// and, for a stream, the inline first append (journaled as its own
-// record, like any later append).
-func datasetRecord(r *http.Request, body io.Reader) (wd walDataset, seed [][]float64, err error) {
+// record the journal will hold, carrying only the fields of its kind.
+func datasetRecord(r *http.Request, body io.Reader) (wd walDataset, err error) {
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "text/csv") {
 		name := r.URL.Query().Get("name")
 		switch kind := r.URL.Query().Get("kind"); kind {
 		case "", string(KindTable):
 			pts, err := dataio.ReadPointsCSV(body)
-			return walDataset{Name: name, Kind: KindTable, Points: pointsToRows(pts)}, nil, err
+			return walDataset{Name: name, Kind: KindTable, Points: pointsToRows(pts)}, err
 		case string(KindUncertain):
 			g, nodes, err := dataio.ReadNodesCSV(body)
 			if err != nil {
-				return wd, nil, err
+				return wd, err
 			}
-			return uncertainRecord(name, g, nodes), nil, nil
+			return uncertainRecord(name, g, nodes), nil
 		default:
-			return wd, nil, fmt.Errorf("serve: CSV upload supports kind table or uncertain, not %q", kind)
+			return wd, fmt.Errorf("serve: CSV upload supports kind table or uncertain, not %q", kind)
 		}
 	}
 	var req createDatasetRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return wd, nil, fmt.Errorf("serve: bad dataset body: %w", err)
+		return wd, fmt.Errorf("serve: bad dataset body: %w", err)
 	}
 	switch req.Kind {
 	case "", KindTable:
 		wd = walDataset{Kind: KindTable, Points: req.Points}
-	case KindStream:
-		wd = walDataset{Kind: KindStream, K: req.K, T: req.T, Chunk: req.Chunk, Means: req.Means, Seed: req.Seed}
-		seed = req.Points
 	case KindUncertain:
 		wd.Kind = KindUncertain
 		wd.Ground, wd.Nodes, err = buildUncertain(req.Ground, req.Nodes)
@@ -612,19 +594,15 @@ func datasetRecord(r *http.Request, body io.Reader) (wd walDataset, seed [][]flo
 		err = fmt.Errorf("serve: unknown dataset kind %q", req.Kind)
 	}
 	wd.Name = req.Name
-	return wd, seed, err
+	return wd, err
 }
 
 // finishCreateDataset journals a successful registration (rolling it back
 // if the journal write fails — an unjournaled dataset would silently
 // vanish on restart, which is worse than a loud 500 now), then kicks the
 // optional warmup and answers 201.
-func (s *Server) finishCreateDataset(w http.ResponseWriter, r *http.Request, d *Dataset, wd walDataset, seed [][]float64) {
-	_, err := s.journalAppend(recDatasetPut, wd)
-	if err == nil && len(seed) > 0 {
-		_, err = s.journalAppend(recDatasetAppend, walAppend{Name: d.Name(), Points: seed})
-	}
-	if err != nil {
+func (s *Server) finishCreateDataset(w http.ResponseWriter, r *http.Request, d *Dataset, wd walDataset) {
+	if _, err := s.journalAppend(recDatasetPut, wd); err != nil {
 		s.reg.Delete(d.Name())
 		apiError(w, http.StatusInternalServerError, CodeInternal, err)
 		return

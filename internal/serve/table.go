@@ -65,10 +65,9 @@ func (t *tableData) check(name string, pts []metric.Point) error {
 // immutable, running jobs hold chunk-list snapshots capped at their
 // length, and nothing is ever copied — append cost is O(appended), not
 // O(table). The grown table is a new version.
-func (t *tableData) apply(pts []metric.Point) bool {
+func (t *tableData) apply(pts []metric.Point) {
 	t.chunks = append(t.chunks, pts[:len(pts):len(pts)])
 	t.n += len(pts)
-	return true
 }
 
 // record is the whole grown table.

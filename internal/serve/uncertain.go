@@ -134,7 +134,7 @@ func (u *uncertainData) check(name string, _ []metric.Point) error {
 	return fmt.Errorf("serve: dataset %q is uncertain; nodes are fixed at registration (register a new dataset to change them)", name)
 }
 
-func (u *uncertainData) apply([]metric.Point) bool { return false }
+func (u *uncertainData) apply([]metric.Point) {}
 
 func (u *uncertainData) record() (walDataset, bool) {
 	return uncertainRecord("", u.ground, u.nodes), true

@@ -32,34 +32,21 @@ const (
 	recSnapshot journal.Kind = 7
 )
 
-// walDataset is a dataset registration record: the union of the three
-// journalable kinds (table points, stream sketch shape, uncertain
-// ground + nodes), each kind filling only its own fields. Inside a
-// snapshot the same shape carries the full current state instead of the
-// registration-time one: table Points are the whole grown table, and the
-// stream fields below capture the sketch's exact internal state so a
-// restore skips re-ingesting (and re-compressing) the absorbed appends.
-// Registry.put builds a dataset from either form.
+// walDataset is a dataset registration record: the union of the two
+// journalable kinds (table points, uncertain ground + nodes), each kind
+// filling only its own fields. Inside a snapshot the same shape carries the
+// full current state instead of the registration-time one: a table's
+// Points are the whole grown table, with its Dim. Registry.put builds a
+// dataset from either form. Fields of a retired kind in an old journal's
+// records (a stream's k, t, chunk, summary, ...) are ignored when decoded;
+// put rejects the kind itself.
 type walDataset struct {
 	Name   string      `json:"name"`
 	Kind   DatasetKind `json:"kind"`
 	Points [][]float64 `json:"points,omitempty"`
 	Ground [][]float64 `json:"ground,omitempty"`
 	Nodes  []NodeWire  `json:"nodes,omitempty"`
-	K      int         `json:"k,omitempty"`
-	T      int         `json:"t,omitempty"`
-	Chunk  int         `json:"chunk,omitempty"`
-	Means  bool        `json:"means,omitempty"`
-	Seed   int64       `json:"seed,omitempty"`
-
-	// Snapshot-only stream sketch state: the weighted summary buffer plus
-	// the counters that keep future compressions deterministic
-	// (stream.State). A registration record leaves them empty.
-	Summary      [][]float64 `json:"summary,omitempty"`
-	Weights      []float64   `json:"weights,omitempty"`
-	Compressions int         `json:"compressions,omitempty"`
-	Ingested     int         `json:"ingested,omitempty"`
-	Dim          int         `json:"dim,omitempty"`
+	Dim    int         `json:"dim,omitempty"`
 }
 
 // walSnapshot is a checkpoint record's payload: every dataset's full
