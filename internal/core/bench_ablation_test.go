@@ -80,27 +80,36 @@ func BenchmarkAblationRho(b *testing.B) {
 
 // BenchmarkMemoCrossover is the measurement behind metric.Memoizes' dimension
 // rule: the repo benchmark's median-shards job (8 sites of 250 points, k = 5,
-// t = 20) at each dimension, with every site on the raw points and with every
-// site on a fresh per-job DistCache (forced through the explicit-oracle entry
-// point, which no policy overrides). The crossover is the dimension where
-// memo/ stops losing to raw/.
+// t = 20) at each dimension, with every site on the raw points (raw/), on a
+// fresh per-job DistCache (memo/), and on one prefilled DistCache per site
+// that every job reuses (warm/), the pooled shard cache a repeated dpc-server
+// job finds. Both cache arms go through the explicit-oracle entry point,
+// which no policy overrides. The crossover is the dimension where the cache
+// arms stop losing to raw/.
 func BenchmarkMemoCrossover(b *testing.B) {
 	cfg := Config{K: 5, T: 20, Objective: Median}
 	for _, dim := range []int{2, 3, 4, 5, 6, 7, 8, 16} {
 		in := gen.Mixture(gen.MixtureSpec{N: 2000, K: 5, Dim: dim, OutlierFrac: 0.01, Seed: 31})
 		sites := dataio.SplitRoundRobin(in.Pts, 8)
-		for _, memo := range []bool{false, true} {
-			name := "raw"
-			if memo {
-				name = "memo"
+		for _, mode := range []string{"raw", "memo", "warm"} {
+			var warm []*metric.DistCache
+			if mode == "warm" {
+				for _, pts := range sites {
+					dc := metric.NewDistCache(metric.NewPoints(pts))
+					dc.Prefill(1)
+					warm = append(warm, dc)
+				}
 			}
-			b.Run(fmt.Sprintf("dim=%d/%s", dim, name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("dim=%d/%s", dim, mode), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					handlers := make([]transport.Handler, len(sites))
 					for s, pts := range sites {
 						var o metric.Oracle = metric.NewPoints(pts)
-						if memo {
+						switch mode {
+						case "memo":
 							o = metric.NewDistCache(metric.NewPoints(pts))
+						case "warm":
+							o = warm[s]
 						}
 						h, err := NewSiteHandlerOracle(cfg, s, pts, o)
 						if err != nil {

@@ -114,6 +114,57 @@ func TestAssignPrefixCounts(t *testing.T) {
 	_ = assign
 }
 
+// slopeSuffixArray is SlopeSuffix as it was written with a t+2 suffix
+// array: the formula the running-sum version must match bit for bit.
+func slopeSuffixArray(tr Traversal, k int, grid []int) []float64 {
+	tmax := grid[len(grid)-1]
+	suffix := make([]float64, tmax+2)
+	for q := tmax; q >= 1; q-- {
+		suffix[q] = suffix[q+1]
+		if idx := k + q - 1; idx < len(tr.Order) {
+			suffix[q] += tr.Radii[idx]
+		}
+	}
+	out := make([]float64, len(grid))
+	for i, q := range grid {
+		out[i] = suffix[q+1]
+	}
+	return out
+}
+
+// TestSlopeSuffixMatchesSuffixArray pins SlopeSuffix against the suffix-array
+// formula on random radii of mixed magnitudes (so the sums round) and random
+// ascending grids: duplicates, grid[0] = 0 or not, a single entry, and
+// budgets past the end of the traversal.
+func TestSlopeSuffixMatchesSuffixArray(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		n := r.Intn(30)
+		tr := Traversal{Order: make([]int, n), Radii: make([]float64, n)}
+		for i := range tr.Radii {
+			tr.Radii[i] = r.Float64() * math.Pow(10, float64(r.Intn(12)-6))
+		}
+		if n > 0 {
+			tr.Radii[0] = math.Inf(1)
+		}
+		k := r.Intn(6)
+		grid := make([]int, 1+r.Intn(8))
+		q := r.Intn(2) * r.Intn(4)
+		for i := range grid {
+			grid[i] = q
+			if r.Intn(3) > 0 {
+				q += r.Intn(9)
+			}
+		}
+		got, want := tr.SlopeSuffix(k, grid), slopeSuffixArray(tr, k, grid)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: n=%d k=%d grid=%v: SlopeSuffix = %v, want %v", trial, n, k, grid, got, want)
+			}
+		}
+	}
+}
+
 func TestPartialDropsOutliers(t *testing.T) {
 	// Two tight clusters plus two far outliers; k=2, t=2 should give a tiny
 	// radius.

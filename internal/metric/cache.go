@@ -69,27 +69,30 @@ func NewDistCache(s Space) *DistCache {
 }
 
 // rawMaxDim is the largest dimension at which a point set under a built-in
-// metric is served raw: the column kernel and the switch-dispatched pair path
-// recompute a low-dimensional distance faster than a memo finds it (index
-// arithmetic, an atomic load, the triangle's cache misses, and the fill).
-// Measured with BenchmarkMemoCrossover (internal/core) — the repo benchmark's
-// median-shards job, 8 sites of 250 points, every site raw against every site
-// on a fresh DistCache; ms per job, range of 3 runs of 100 jobs, 2 vCPUs:
+// metric is served raw: the four-row column kernel and the switch-dispatched
+// pair path recompute a low-dimensional distance faster than a memo finds it
+// (index arithmetic, an atomic load, the triangle's cache misses, and the
+// fill). Measured with BenchmarkMemoCrossover (internal/core) — the repo
+// benchmark's median-shards job, 8 sites of 250 points, every site raw,
+// on a fresh per-job DistCache (memo), and on a prefilled DistCache per site
+// that every job reuses (warm, what a pooled dpc-server shard gives a
+// repeated job); ms per job, range of 3 runs of 100 jobs, 2 vCPUs:
 //
-//	dim    raw          memo
-//	 2     36.8-39.8    41.4-42.1
-//	 3     42.7-44.2    46.1-47.7
-//	 4     43.5-44.6    46.6-46.7
-//	 5     49.0-49.7    48.2-50.7
-//	 6     44.6-45.1    45.9-46.5
-//	 7     43.8-44.6    44.9-45.5
-//	 8     46.7-47.7    46.7-47.2
-//	16     56.6-56.8    47.5-47.8
+//	dim    raw          memo         warm
+//	 2     17.9-19.6    23.2-26.0    19.5-22.6
+//	 3     21.4-25.0    27.4-29.1    23.3-25.8
+//	 4     21.8-24.9    25.2-30.8    23.8-25.2
+//	 5     26.8-28.3    31.2-32.1    24.9-26.5
+//	 6     24.7-26.8    28.8-31.4    25.4-26.4
+//	 7     24.0-25.6    27.6-30.2    24.2-25.6
+//	 8     23.0-30.1    26.6-33.8    25.0-28.4
+//	16     30.8-33.2    27.3-30.2    22.3-25.1
 //
-// Raw wins by 6-10% through dimension 4, the two are within 3% of each other
-// from 5 to 8, and the memo wins from there (19% at 16). The constant is the
-// last dimension where raw wins outside the noise: in the tie band a pooled
-// memo that later jobs reuse is the better side.
+// Raw beats a fresh memo through dimension 7 and is level with or ahead of
+// the warm cache through 4, but from 5 it no longer beats the warm cache:
+// warm is ahead at 5, the two tie from 6 to 8, and warm wins by a quarter at
+// 16. The constant is the last dimension where raw loses to neither: past it
+// a pooled memo that later jobs reuse is the better side.
 const rawMaxDim = 4
 
 // Memoizes reports whether a DistCache over s pays for itself — with

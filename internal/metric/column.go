@@ -1,5 +1,7 @@
 package metric
 
+import "math"
+
 // columnCoster is the optional bulk form of Costs.Cost behind CostColumn;
 // the contract is CostColumn's.
 type columnCoster interface {
@@ -32,6 +34,14 @@ func CostColumn(c Costs, f int, idx []int32, out []float64) {
 
 // costColumn is the native kernel. Each arm is the per-pair function's own
 // expression on (client, facility), so the floats match Cost's bit for bit.
+// The L2 arm, the one every workload runs, advances four clients per pass
+// over the facility's coordinates: four independent accumulators, each in
+// dimension order, so the CPU overlaps four dependency chains instead of
+// waiting on one add at a time. Its spelling is SqL2's: s += d * d, which
+// arm64 fuses into one FMADDD in both places; s += float64(d*d) would round
+// the product and give other bits than Cost there. Fewer than four clients
+// left, or a client row whose length is not the facility's, run the one-row
+// expression.
 func (p *Points) costColumn(f int, idx []int32, out []float64) {
 	pf := p.Pts[f]
 	switch p.M {
@@ -44,7 +54,28 @@ func (p *Points) costColumn(f int, idx []int32, out []float64) {
 			out[i] = Linf(p.row(idx, i), pf)
 		}
 	default:
-		for i := range out {
+		i := 0
+		for ; i+4 <= len(out); i += 4 {
+			a0, a1, a2, a3 := p.row(idx, i), p.row(idx, i+1), p.row(idx, i+2), p.row(idx, i+3)
+			if len(a0) != len(pf) || len(a1) != len(pf) || len(a2) != len(pf) || len(a3) != len(pf) {
+				break
+			}
+			a0, a1, a2, a3 = a0[:len(pf)], a1[:len(pf)], a2[:len(pf)], a3[:len(pf)]
+			var s0, s1, s2, s3 float64
+			for k, b := range pf {
+				d0 := a0[k] - b
+				s0 += d0 * d0
+				d1 := a1[k] - b
+				s1 += d1 * d1
+				d2 := a2[k] - b
+				s2 += d2 * d2
+				d3 := a3[k] - b
+				s3 += d3 * d3
+			}
+			o := out[i : i+4 : i+4]
+			o[0], o[1], o[2], o[3] = math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)
+		}
+		for ; i < len(out); i++ {
 			out[i] = L2(p.row(idx, i), pf)
 		}
 	}
