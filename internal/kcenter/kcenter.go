@@ -19,7 +19,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"dpc/internal/engine"
@@ -63,7 +62,6 @@ func EvalMax(c metric.Costs, w []float64, centers []int, t float64) float64 {
 // on purpose: its 1e-12 slack is the Charikar greedy's feasibility rule.
 func EvalMaxOpt(c metric.Costs, w []float64, centers []int, t float64, o Opt) float64 {
 	n := c.Clients()
-	type cd struct{ d, w float64 }
 	ds := make([]cd, n)
 	par.For(workers(o), n, func(j int) {
 		dmin := math.Inf(1)
@@ -72,13 +70,35 @@ func EvalMaxOpt(c metric.Costs, w []float64, centers []int, t float64, o Opt) fl
 				dmin = d
 			}
 		}
-		wj := 1.0
-		if w != nil {
-			wj = w[j]
-		}
-		ds[j] = cd{d: dmin, w: wj}
+		ds[j] = cd{d: dmin, w: weightAt(w, j)}
 	})
-	sort.Slice(ds, func(a, b int) bool { return ds[a].d > ds[b].d })
+	return keptMax(ds, t)
+}
+
+// cd is a client's (connection cost, weight) pair in EvalMax's budget walk.
+type cd struct{ d, w float64 }
+
+// farthestFirst is the slices.SortFunc comparator of EvalMax's pair sort,
+// whose reference is sort.Slice with less ds[a].d > ds[b].d. The two sorts
+// are one pdqsort template that consults the comparison only as less(a, b),
+// i.e. cmp(a, b) < 0, and farthestFirst returns -1 exactly where that less
+// holds, so both make the same permutation, ties, ±0 and NaN included
+// (TestPairSortMatchesSortSlice).
+func farthestFirst(a, b cd) int {
+	switch {
+	case a.d > b.d:
+		return -1
+	case a.d < b.d:
+		return 1
+	}
+	return 0
+}
+
+// keptMax sorts ds farthest first and spends the budget t down it: the
+// first pair whose weight the remaining budget cannot discard (up to the
+// greedy's 1e-12 slack) is the objective; 0 when t discards them all.
+func keptMax(ds []cd, t float64) float64 {
+	slices.SortFunc(ds, farthestFirst)
 	budget := t
 	for _, x := range ds {
 		if x.w > budget+1e-12 {
@@ -105,13 +125,14 @@ func Partial(c metric.Costs, w []float64, k int, t float64) Solution {
 }
 
 // maxPartialMatrix bounds the dense cost matrix the fast engine
-// materializes, in cells. The peak is 28 bytes a cell — the matrix (8), the
+// materializes, in cells. The peak is 32 bytes a cell — the matrix (8), the
 // radix sort's two buffers of packed cells (16; the spent one then holds
 // the candidate radii and the other the probes' prefix-count table, 4 bytes
 // a cell; a *metric.Points instance packs only its upper triangle, about
-// half of this) and the per-client facility orders (4) — about 448 MiB at
-// this cap; it also keeps a cell index inside the 32 bits a packed cell has
-// for it. Those bytes are a Scratch's: a solve without
+// half of this) and the per-client facility orders, each entry tagged with
+// its cost's rank among the candidate radii (8) — 512 MiB at this cap; it
+// also keeps a cell index, and so a rank, inside the 32 bits a packed cell
+// and a tagged entry have for it. Those bytes are a Scratch's: a solve without
 // one allocates them afresh, while a fleet's coordinator (jobwire.Fleet,
 // through core.Config.CenterScratch) keeps one set across all its jobs, up
 // to maxScratchBytes, and with it the ball index of its last *metric.Points
@@ -120,10 +141,11 @@ func Partial(c metric.Costs, w []float64, k int, t float64) Solution {
 const maxPartialMatrix = 16 << 20
 
 // PartialOpt is Partial with an engine selection. The fast engine asks the
-// oracle for every cost once (see ballIndex), after which a probe at radius
-// r never scans: each client's r-ball is a prefix of its cost-sorted
-// facility list, found by a binary search inside the bracket the earlier
-// probes left (probe). A greedy round's gains are pushed from the uncovered
+// oracle for every cost once (see ballIndex), after which a probe at the
+// m-th candidate radius never scans: each client's r-ball is the prefix of
+// its cost-sorted facility list whose ranks are at most m, found by a
+// binary search on the rank tags inside the bracket the earlier probes left
+// (probe). A greedy round's gains are pushed from the uncovered
 // clients, in ascending client order, into the facilities of those
 // prefixes, so every facility's gain is the sum of exactly the weights the
 // reference scan adds, in the reference's order. Counted weights (counted:
@@ -137,7 +159,7 @@ const maxPartialMatrix = 16 << 20
 // the scatter-adds are sequential by design (per-worker gain arrays would
 // reorder the sums).
 //
-// PartialOpt allocates its working memory, up to 28 bytes a client-facility
+// PartialOpt allocates its working memory, up to 32 bytes a client-facility
 // pair, and builds the ball index on every call; Scratch.Partial is the same
 // solve in reused memory, which also reuses the index of a repeated
 // *metric.Points instance, and its prefix-count table under repeated
@@ -147,10 +169,11 @@ func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 }
 
 // Scratch is the reusable working memory of the fast engine's solve: every
-// buffer it sizes by nc·nf — the cost matrix, the packed cells and the
-// radix sort's second buffer (one of which then holds the probes'
-// prefix-count table), the per-client facility orders — and the probes'
-// other arrays. The zero value is ready. Buffers grow to the largest
+// buffer it sizes by nc·nf — the cost matrix (8 bytes a cell), the packed
+// cells and the radix sort's second buffer (8 each, over the upper triangle
+// only for a *metric.Points instance; one of them then holds the probes'
+// prefix-count table), the rank-tagged per-client facility orders (8) — and
+// the probes' other arrays. The zero value is ready. Buffers grow to the largest
 // instance solved, up to maxScratchBytes: a solve that leaves more drops
 // them all. A Scratch serves one solve at a time; the Solution a solve
 // returns never aliases it.
@@ -171,7 +194,7 @@ func PartialOpt(c metric.Costs, w []float64, k int, t float64, o Opt) Solution {
 type Scratch struct {
 	cost         []float64
 	cells, radix []uint64 // the radix sort's two buffers; either may end sorted
-	near         []uint32
+	near         []uint64
 	column       []int32 // 0, 1, ..., nf-1: the clients of a triangle row's cost column
 	fill         []int   // per client: how much of its near row the scatter has written
 	// The index's key (empty: none), its candidate radii, a prefix of the
@@ -189,19 +212,19 @@ type Scratch struct {
 	countsKey []float64
 }
 
-// maxScratchBytes bounds what a Scratch keeps between solves: about ten
-// times a fanin-tree coordinator's instance (384 clients, about 3 MB) and
-// above a 1,000-point central solve's (about 20 MB). A larger instance,
-// 2,500 clients say, solves in buffers of about 120 MiB that are dropped,
+// maxScratchBytes bounds what a Scratch keeps between solves: about nine
+// times a fanin-tree coordinator's instance (384 clients, about 3.6 MB) and
+// above a 1,000-point central solve's (about 24 MB). A larger instance,
+// 2,500 clients say, solves in buffers of about 145 MiB that are dropped,
 // key and all, as soon as its Solution is built.
 const maxScratchBytes = 32 << 20
 
 // bytes is the capacity of s's buffers in bytes; radii and spare alias the
 // radix buffers and are not counted again.
 func (s *Scratch) bytes() int {
-	return 8*(cap(s.cost)+cap(s.cells)+cap(s.radix)+cap(s.fill)+cap(s.key)+cap(s.countsKey)+
+	return 8*(cap(s.cost)+cap(s.cells)+cap(s.radix)+cap(s.near)+cap(s.fill)+cap(s.key)+cap(s.countsKey)+
 		cap(s.gains)+cap(s.reach)+cap(s.unc)+cap(s.centers)+cap(s.bestC)) +
-		4*(cap(s.near)+cap(s.column))
+		4*cap(s.column)
 }
 
 // trim drops every buffer of s, and so its key, when they exceed
@@ -303,16 +326,16 @@ func (s *Scratch) Partial(c metric.Costs, w []float64, k int, t float64, o Opt) 
 	}
 
 	lo, hi := 0, len(ix.radii)-1
-	if !p.feasible(ix.radius(hi)) {
+	if !p.feasible(hi) {
 		// Even the largest candidate fails (can happen only with k <
 		// effective clusters); fall back to greedy top-k facilities.
 		out := slices.Clone(p.centers)
-		return Solution{Centers: out, Radius: EvalMaxOpt(c, w, out, t, o)}
+		return Solution{Centers: out, Radius: ix.evalMax(nf, w, out, t)}
 	}
 	best := append(s.bestC[:0], p.centers...)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if p.feasible(ix.radius(mid)) {
+		if p.feasible(mid) {
 			best = append(best[:0], p.centers...)
 			hi = mid
 		} else {
@@ -320,7 +343,26 @@ func (s *Scratch) Partial(c metric.Costs, w []float64, k int, t float64, o Opt) 
 		}
 	}
 	out := slices.Clone(best)
-	return Solution{Centers: out, Radius: EvalMaxOpt(c, w, out, t, o)}
+	return Solution{Centers: out, Radius: ix.evalMax(nf, w, out, t)}
+}
+
+// evalMax is EvalMaxOpt(c, w, centers, t) read off the index's cost matrix,
+// whose cells are c's Cost(j, f) floats bit for bit: the same strict
+// comparisons in center order, the same pair sort and budget walk, without
+// a call through the oracle.
+func (ix *ballIndex) evalMax(nf int, w []float64, centers []int, t float64) float64 {
+	ds := make([]cd, len(ix.cost)/nf)
+	for j := range ds {
+		row := ix.cost[j*nf : (j+1)*nf]
+		dmin := math.Inf(1)
+		for _, f := range centers {
+			if d := row[f]; d < dmin {
+				dmin = d
+			}
+		}
+		ds[j] = cd{d: dmin, w: weightAt(w, j)}
+	}
+	return keptMax(ds, t)
 }
 
 // weightAt is client j's weight; nil weights are unit weights.
@@ -381,8 +423,8 @@ func (s *Scratch) countTable(ix ballIndex, w []float64, n int, keep bool) []uint
 	}
 	for f := 0; f < n; f++ {
 		var sum uint64
-		for q, j := range ix.near[f*n : (f+1)*n] {
-			sum += uint64(weightAt(w, int(j)))
+		for q, x := range ix.near[f*n : (f+1)*n] {
+			sum += uint64(weightAt(w, int(uint32(x))))
 			if i := f*n + q; i%2 == 0 {
 				tab[i/2] = sum
 			} else {
@@ -396,9 +438,9 @@ func (s *Scratch) countTable(ix ballIndex, w []float64, n int, keep bool) []uint
 // countAt returns cell i of a prefix-count table packed by countTable.
 func countAt(tab []uint64, i int) uint32 { return uint32(tab[i/2] >> (i % 2 * 32)) }
 
-// probe is one solve's greedy disk cover over a ball index; feasible(r)
-// runs Charikar et al.'s k greedy rounds at radius r. All its slices are a
-// Scratch's.
+// probe is one solve's greedy disk cover over a ball index; feasible(m)
+// runs Charikar et al.'s k greedy rounds at the m-th candidate radius. All
+// its slices are a Scratch's.
 type probe struct {
 	ballIndex
 	nf    int
@@ -420,16 +462,19 @@ type probe struct {
 	counts []uint64
 }
 
-// feasible runs the greedy rounds at radius r into p.centers and reports
-// whether they leave at most t weight uncovered, then narrows every
-// client's reach bracket to r's side.
-func (p *probe) feasible(r float64) bool {
-	nf := p.nf
+// feasible runs the greedy rounds at candidate radius m into p.centers and
+// reports whether they leave at most t weight uncovered, then narrows every
+// client's reach bracket to m's side. A facility lies within the radius
+// exactly when its rank is at most m, i.e. when its tagged entry is below
+// (m+1)<<32, so each reach is one contiguous binary search over the
+// client's own row, one integer compare a step.
+func (p *probe) feasible(m int) bool {
+	nf, above := p.nf, uint64(m+1)<<32
 	for j, lo := range p.lo {
-		row, costs := p.near[j*nf:(j+1)*nf], p.cost[j*nf:(j+1)*nf]
+		row := p.near[j*nf : (j+1)*nf]
 		hi := p.hi[j]
 		for lo < hi {
-			if mid := (lo + hi) / 2; costs[row[mid]] <= r {
+			if mid := (lo + hi) / 2; row[mid] < above {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -437,7 +482,7 @@ func (p *probe) feasible(r float64) bool {
 		}
 		p.reach[j] = lo
 	}
-	ok := p.cover(r)
+	ok := p.cover(p.radius(m))
 	if ok {
 		p.hi, p.reach = p.reach, p.hi
 	} else {
@@ -481,16 +526,16 @@ func (p *probe) cover(r float64) bool {
 		if p.counts != nil && it > 0 && coveredCells <= uncCells {
 			for _, j := range covered {
 				wj := weightAt(p.w, j)
-				for _, f := range near[j*nf : j*nf+p.reach[j]] {
-					gains[f] -= wj
+				for _, x := range near[j*nf : j*nf+p.reach[j]] {
+					gains[uint32(x)] -= wj
 				}
 			}
 		} else if p.counts == nil || it > 0 {
 			clear(gains)
 			for _, j := range unc {
 				wj := weightAt(p.w, j)
-				for _, f := range near[j*nf : j*nf+p.reach[j]] {
-					gains[f] += wj
+				for _, x := range near[j*nf : j*nf+p.reach[j]] {
+					gains[uint32(x)] += wj
 				}
 			}
 		}
@@ -528,11 +573,16 @@ func (p *probe) cover(r float64) bool {
 
 // ballIndex is the fast engine's one-time view of a cost oracle: what a
 // feasibility probe needs to read balls off as prefixes. Its slices are a
-// Scratch's.
+// Scratch's; near is 8 bytes a cell, the facility in the low 32 bits so
+// that the rank tag above it orders each row as its costs do. The cost
+// matrix stays for radius(m), the 3r cover test and the chosen centers'
+// objective (ballIndex.evalMax).
 type ballIndex struct {
-	cost  []float64 // row-major client x facility matrix: cost[j*nf+f]
-	near  []uint32  // near[j*nf:(j+1)*nf]: the facilities by ascending cost to client j
-	radii []uint64  // one packed cell per distinct cost, ascending: the candidate radii
+	cost []float64 // row-major client x facility matrix: cost[j*nf+f]
+	// near[j*nf:(j+1)*nf] holds the facilities by ascending cost to client
+	// j, each as rank<<32 | facility, rank being its cost's index in radii.
+	near  []uint64
+	radii []uint64 // one packed cell per distinct cost, ascending: the candidate radii
 	// spare is the radix sort's other buffer, which the index does not
 	// read once built; the probes keep their prefix-count table there.
 	spare []uint64
@@ -564,11 +614,12 @@ func (s *Scratch) index(c metric.Costs, workers int, keep bool) (ballIndex, bool
 // its cells once, all in s's buffers. A cell is packed into 8 bytes — the
 // top 32 bits of its cost's IEEE-754 pattern, which for non-negative
 // non-NaN floats orders like the value, over its 32-bit matrix index — so
-// one pass over the sorted cells yields both products: scattering each cell
-// to its client's row gives every row in ascending cost order, and the
-// first cell of every distinct cost is a candidate radius, the set
-// partialReference sorts and dedups. Which of several equal costs comes
-// first is immaterial: a ball holds all of them or none. The scatter
+// one pass over the sorted cells yields both products: the first cell of
+// every distinct cost is a candidate radius, the set partialReference sorts
+// and dedups, and scattering each cell to its client's row, tagged with the
+// index of its radius, gives every row in ascending cost, and so ascending
+// tag, order. Which of several equal costs comes first is immaterial: they
+// share a rank, and a ball holds all of them or none. The scatter
 // recovers a cell's (j, f) from its 32-bit index with one 32-bit division,
 // which older x86 cores run several times faster than a 64-bit one. ok is
 // false when a cost is negative or NaN, whose bits do not order like values.
@@ -644,18 +695,19 @@ func (s *Scratch) newBallIndex(c metric.Costs, workers int) (ix ballIndex, ok bo
 	radii := spent[:0] // never longer than the cells already read
 	for i, cell := range sorted {
 		idx := uint32(cell)
-		j := int(idx / uint32(nf))
-		f := int(idx) - j*nf
-		near[j*nf+fill[j]] = uint32(f)
-		fill[j]++
-		if sym && f != j {
-			near[f*nf+fill[f]] = uint32(j)
-			fill[f]++
-		}
 		// Cells that differ in their high halves differ in cost; only
 		// the others need the matrix to tell.
 		if i == 0 || cell>>32 != sorted[i-1]>>32 || cost[idx] != cost[uint32(sorted[i-1])] {
 			radii = append(radii, cell)
+		}
+		rank := uint64(len(radii)-1) << 32
+		j := int(idx / uint32(nf))
+		f := int(idx) - j*nf
+		near[j*nf+fill[j]] = rank | uint64(f)
+		fill[j]++
+		if sym && f != j {
+			near[f*nf+fill[f]] = rank | uint64(j)
+			fill[f]++
 		}
 	}
 	return ballIndex{cost: cost, near: near, radii: radii, spare: sorted}, true

@@ -3,6 +3,8 @@ package kcenter
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"dpc/internal/exact"
@@ -245,5 +247,42 @@ func TestEvalMax(t *testing.T) {
 	// Weighted: client of weight 2 at distance 7 survives t=1.
 	if got := EvalMax(sp, []float64{1, 1, 2}, []int{0}, 1); got != 7 {
 		t.Fatalf("weighted EvalMax = %g", got)
+	}
+}
+
+// TestPairSortMatchesSortSlice pins EvalMaxOpt's sort swap, which
+// ballIndex.evalMax shares: slices.SortFunc under farthestFirst makes
+// exactly the permutation sort.Slice made with less ds[a].d > ds[b].d, on
+// pairs whose costs are heavy ties, ±0, +Inf and NaN (one or several), at
+// sizes on both sides of pdqsort's insertion-sort cutoff. Each pair's
+// weight is its starting index, so the whole permutation, not just the cost
+// sequence, is compared.
+func TestPairSortMatchesSortSlice(t *testing.T) {
+	r := rand.New(rand.NewSource(51))
+	pool := []float64{0, math.Copysign(0, -1), 1, 2, 0.25, math.Inf(1), math.NaN()}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + r.Intn(300)
+		want := make([]cd, n)
+		for i := range want {
+			d := pool[r.Intn(len(pool)-1)] // no NaN
+			switch {
+			case trial%4 == 0:
+				d = float64(r.Intn(n/8 + 1)) // wide ties, no specials
+			case trial%5 == 1:
+				d = pool[r.Intn(len(pool))] // NaN among them
+			}
+			want[i] = cd{d: d, w: float64(i)}
+		}
+		if trial%10 == 3 {
+			want[r.Intn(n)].d = math.NaN()
+		}
+		got := slices.Clone(want)
+		sort.Slice(want, func(a, b int) bool { return want[a].d > want[b].d })
+		slices.SortFunc(got, farthestFirst)
+		for i := range got {
+			if math.Float64bits(got[i].d) != math.Float64bits(want[i].d) || got[i].w != want[i].w {
+				t.Fatalf("trial %d: farthestFirst puts pair %v at %d, sort.Slice pair %v", trial, got[i], i, want[i])
+			}
+		}
 	}
 }

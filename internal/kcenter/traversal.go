@@ -170,13 +170,16 @@ func (tr Traversal) AssignPrefix(sp metric.Space, r int, w []float64) (assign []
 }
 
 // AssignPrefixOpt is AssignPrefix with an engine selection. On a traversal
-// that carries a record (every fast-engine one) the fast engine replays
-// steps 0..r-1 of it and asks sp for no distance: the record holds each
-// strict improvement the scan below would find, in the same order. A
+// that carries a record (every fast-engine one) the fast engine reads steps
+// r-1 down to 0 of it and asks sp for no distance: the record holds each
+// strict improvement the scan below would find, so a point's newest entry
+// is its nearest center and its distance, and the first one met, newest
+// first, is the one kept (assign marks the points already met). A
 // record-less traversal, or o.Reference, runs the scan, which asks sp for
-// r distances a point. Either way the weights fold in point order, so
-// weighted counts sum in exactly the reference order; sp must be a space
-// over the traversal's points.
+// r distances a point. A point that no step reached has distance +Inf.
+// maxDist is a max, the same in any order; the weights fold in point
+// order, so weighted counts sum in exactly the reference order. sp must be
+// a space over the traversal's points.
 func (tr Traversal) AssignPrefixOpt(sp metric.Space, r int, w []float64, o Opt) (assign []int, counts []float64, maxDist float64) {
 	if r > len(tr.Order) {
 		r = len(tr.Order)
@@ -184,17 +187,21 @@ func (tr Traversal) AssignPrefixOpt(sp metric.Space, r int, w []float64, o Opt) 
 	n := sp.N()
 	assign = make([]int, n)
 	counts = make([]float64, r)
-	dist := make([]float64, n)
 	if rec := tr.steps; rec != nil && !o.Reference {
 		for j := range assign {
-			assign[j], dist[j] = -1, math.Inf(1)
+			assign[j] = -1
 		}
-		lo := 0
-		for s, hi := range rec.end[:r] {
-			for i, j := range rec.pt[lo:hi] {
-				assign[j], dist[j] = s, rec.dist[lo+i]
+		for s := r - 1; s >= 0; s-- {
+			lo := 0
+			if s > 0 {
+				lo = rec.end[s-1]
 			}
-			lo = hi
+			for i, j := range rec.pt[lo:rec.end[s]] {
+				if assign[j] < 0 {
+					assign[j] = s
+					maxDist = max(maxDist, rec.dist[lo+i])
+				}
+			}
 		}
 	} else {
 		for j := 0; j < n; j++ {
@@ -205,19 +212,15 @@ func (tr Traversal) AssignPrefixOpt(sp metric.Space, r int, w []float64, o Opt) 
 					best = c
 				}
 			}
-			assign[j], dist[j] = best, bd
+			assign[j] = best
+			maxDist = max(maxDist, bd)
 		}
 	}
-	for j := 0; j < n; j++ {
-		wj := 1.0
-		if w != nil {
-			wj = w[j]
-		}
-		if assign[j] >= 0 {
-			counts[assign[j]] += wj
-		}
-		if dist[j] > maxDist {
-			maxDist = dist[j]
+	for j, a := range assign {
+		if a >= 0 {
+			counts[a] += weightAt(w, j)
+		} else {
+			maxDist = math.Inf(1)
 		}
 	}
 	return assign, counts, maxDist

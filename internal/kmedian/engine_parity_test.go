@@ -241,9 +241,11 @@ func FuzzJVMatchesReference(f *testing.F) {
 
 // TestSortFuncMatchesSortSlice pins the sort swap the fast engine rests on:
 // slices.SortFunc under descBy (Scratch.eval), under edgeCmp over (cost,
-// client) pairs (newJVGraph) and under byPotDesc (descend's candidate
-// ranking) make exactly the permutations the reference's sort.Slice makes, on keys full of ties — small integers, duplicates, ±0,
-// +Inf and NaN — at sizes on both sides of pdqsort's insertion-sort cutoff.
+// client) pairs (newJVGraph), under byPotDesc (descend's candidate
+// ranking) and under byCostDesc (partialCostPairs' []cd) make exactly the
+// permutations the reference's sort.Slice makes, on keys full of ties —
+// small integers, duplicates, ±0, +Inf and one or many NaNs — at sizes on
+// both sides of pdqsort's insertion-sort cutoff.
 // A Go release that lets the two sorts diverge fails here instead of
 // silently moving DroppedWeight.
 func TestSortFuncMatchesSortSlice(t *testing.T) {
@@ -258,8 +260,15 @@ func TestSortFuncMatchesSortSlice(t *testing.T) {
 				key[i] = float64(r.Intn(n/4 + 1)) // wide ties, no specials
 			}
 		}
-		if trial%10 == 1 {
+		switch trial % 10 {
+		case 1:
 			key[r.Intn(n)] = math.NaN()
+		case 3:
+			for i := range key {
+				if r.Intn(4) == 0 {
+					key[i] = math.NaN() // NaNs among the ties
+				}
+			}
 		}
 		identity := func() []int {
 			idx := make([]int, n)
@@ -297,6 +306,19 @@ func TestSortFuncMatchesSortSlice(t *testing.T) {
 		for i := range top {
 			if top[i].f != ref[i].f {
 				t.Fatalf("trial %d: byPotDesc puts facility %d at %d, sort.Slice facility %d (keys %v)", trial, top[i].f, i, ref[i].f, key)
+			}
+		}
+		// partialCostPairs' (cost, weight) pairs, each weight its client.
+		pairs := make([]cd, n)
+		for j, x := range key {
+			pairs[j] = cd{d: x, w: float64(j)}
+		}
+		refPairs := slices.Clone(pairs)
+		sort.Slice(refPairs, func(a, b int) bool { return refPairs[a].d > refPairs[b].d })
+		slices.SortFunc(pairs, byCostDesc)
+		for i := range pairs {
+			if pairs[i].w != refPairs[i].w {
+				t.Fatalf("trial %d: byCostDesc puts client %v at %d, sort.Slice client %v (keys %v)", trial, pairs[i].w, i, refPairs[i].w, key)
 			}
 		}
 	}

@@ -22,7 +22,6 @@ package kmedian
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"dpc/internal/metric"
 	"dpc/internal/par"
@@ -270,6 +269,20 @@ func EvalSum(c metric.Costs, w []float64, centers []int, t float64) float64 {
 // cd is a (connection cost, client weight) pair of the partial-cost walk.
 type cd struct{ d, w float64 }
 
+// byCostDesc is the slices.SortFunc comparator of partialCostPairs, whose
+// reference is sort.Slice with less ds[a].d > ds[b].d: it returns -1
+// exactly where that less holds, as descBy does, so both sorts make one
+// permutation, ties, ±0 and NaN included (TestSortFuncMatchesSortSlice).
+func byCostDesc(a, b cd) int {
+	switch {
+	case a.d > b.d:
+		return -1
+	case a.d < b.d:
+		return 1
+	}
+	return 0
+}
+
 // partialCostPairs stays apart from Eval on purpose: EvalSum's pair sort is
 // the reference whose bits the weighted swap evaluation follows.
 //
@@ -279,7 +292,7 @@ type cd struct{ d, w float64 }
 // summation order (unit weights go through swapEval, whose exact walk adds the
 // same value sequence from merged pieces).
 func partialCostPairs(ds []cd, t float64) float64 {
-	sort.Slice(ds, func(a, b int) bool { return ds[a].d > ds[b].d })
+	slices.SortFunc(ds, byCostDesc)
 	budget := t
 	var cost float64
 	for _, x := range ds {

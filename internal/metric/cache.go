@@ -93,6 +93,15 @@ func NewDistCache(s Space) *DistCache {
 // warm is ahead at 5, the two tie from 6 to 8, and warm wins by a quarter at
 // 16. The constant is the last dimension where raw loses to neither: past it
 // a pooled memo that later jobs reuse is the better side.
+//
+// The one rule serves two owners that want different answers at dims 5–7:
+// the job server's pooled shard caches, which later jobs reuse (the warm
+// column), and the caches built for a single run (core.CostsOver and
+// CacheSpace's other callers: the memo column), which are 10–15% slower
+// than raw there (dim 5: 31.2–32.1 against 26.8–28.3 ms).
+// No benchmark workload runs dims 5–7, so both keep this constant; a
+// workload that does would split it by owner: raw through 7 for a
+// one-run cache, through 4 for a pooled one.
 const rawMaxDim = 4
 
 // Memoizes reports whether a DistCache over s pays for itself — with

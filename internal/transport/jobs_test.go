@@ -3,7 +3,9 @@ package transport
 import (
 	"context"
 	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -177,6 +179,13 @@ func TestServeRejectsJobFrames(t *testing.T) {
 	if err := coord.StartJob([]byte("cfg")); err != nil {
 		t.Fatalf("StartJob: %v", err)
 	}
+	// The job frame leaves with round 0's data frame, as under every
+	// caller; the site drops the connection instead of replying.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := coord.Gather(ctx, 0); err == nil {
+		t.Fatalf("gather succeeded after a job frame to a Serve loop")
+	}
 	select {
 	case err := <-serveErr:
 		if err == nil {
@@ -205,4 +214,106 @@ func TestServeJobsDataBeforeJobFails(t *testing.T) {
 	if errs[0] == nil {
 		t.Fatalf("site accepted data before any job")
 	}
+}
+
+// countingConn counts the Write calls made on a connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// pipeJobSites connects n ServeJobs sites to a coordinator over net.Pipe,
+// the coordinator's ends counting their writes. Each site records the job
+// blobs its factory saw; join waits for the sites and returns what each
+// ServeJobs returned.
+func pipeJobSites(t *testing.T, n int) (coord *Coordinator, ends []*countingConn, blobs [][]string, join func() []error) {
+	t.Helper()
+	conns := make([]net.Conn, n)
+	ends = make([]*countingConn, n)
+	blobs = make([][]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range conns {
+		cEnd, sEnd := net.Pipe()
+		ends[i] = &countingConn{Conn: cEnd}
+		conns[i] = ends[i]
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			site, err := NewSite(sEnd, i)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer site.Close()
+			errs[i] = site.ServeJobs(func(job int, blob []byte) (Handler, error) {
+				blobs[i] = append(blobs[i], string(blob))
+				return func(round int, in []byte) ([]byte, error) { return []byte("ok"), nil }, nil
+			})
+		}(i)
+	}
+	coord, err := NewCoordinator(conns, []byte(JobsHello))
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	for _, e := range ends {
+		e.writes.Store(0) // the welcome frame's write
+	}
+	return coord, ends, blobs, func() []error { wg.Wait(); return errs }
+}
+
+// TestStartJobLeavesWithRoundZero pins where StartJob's job frame goes on
+// the wire: into the write that carries round 0's data frame, one Write a
+// connection for both, and, when no round follows, into Close's write,
+// ahead of the close frame.
+func TestStartJobLeavesWithRoundZero(t *testing.T) {
+	const sites = 3
+	t.Run("round0", func(t *testing.T) {
+		coord, ends, blobs, join := pipeJobSites(t, sites)
+		if err := coord.StartJob([]byte("cfg")); err != nil {
+			t.Fatalf("StartJob: %v", err)
+		}
+		res, err := coord.Gather(context.Background(), 0)
+		if err != nil {
+			t.Fatalf("gather: %v", err)
+		}
+		for i, e := range ends {
+			if n := e.writes.Load(); n != 1 {
+				t.Errorf("site %d: StartJob and round 0 made %d writes, want 1", i, n)
+			}
+			if string(res.Payloads[i]) != "ok" {
+				t.Errorf("site %d replied %q", i, res.Payloads[i])
+			}
+		}
+		coord.Close()
+		for i, err := range join() {
+			if err != nil || len(blobs[i]) != 1 || blobs[i][0] != "cfg" {
+				t.Errorf("site %d: ServeJobs %v, job blobs %q", i, err, blobs[i])
+			}
+		}
+	})
+	t.Run("close", func(t *testing.T) {
+		coord, ends, blobs, join := pipeJobSites(t, sites)
+		if err := coord.StartJob([]byte("cfg")); err != nil {
+			t.Fatalf("StartJob: %v", err)
+		}
+		if err := coord.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		// ServeJobs returns nil only on the close frame, and the factory
+		// saw the job frame before it.
+		for i, err := range join() {
+			if err != nil || len(blobs[i]) != 1 || blobs[i][0] != "cfg" {
+				t.Errorf("site %d: ServeJobs %v, job blobs %q", i, err, blobs[i])
+			}
+			if n := ends[i].writes.Load(); n != 1 {
+				t.Errorf("site %d: StartJob and Close made %d writes, want 1", i, n)
+			}
+		}
+	})
 }

@@ -16,9 +16,13 @@ import (
 //	Listen(addr, s)
 //	                                  Dial(addr, i)   -> hello{site: i}
 //	Accept(hello) -> welcome{hello}   ServeJobs(factory)
-//	StartJob(blob) -> job frame       handler = factory(job, blob)
+//	StartJob(blob) -> job frame,      handler = factory(job, blob)
+//	                  buffered
 //	Broadcast/Send/Gather  <-data->   handler(round, in)
 //	Close          -> close frame     ServeJobs returns nil
+//
+// A job frame leaves with the next frame written to its site, round 0's
+// first data frame or the close frame, in one write.
 //
 // The welcome frame's payload is a blob chosen by the coordinator: the
 // JobsHello protocol marker, after which each run's configuration arrives
@@ -338,16 +342,19 @@ func (c *Coordinator) Gather(ctx context.Context, round int) (RoundResult, error
 // One Coordinator still serves one protocol run at a time — StartJob gives
 // connection persistence across sequential jobs (the site processes keep
 // their datasets and distance caches warm), not concurrent multiplexing.
+//
+// The job frame is buffered, not flushed: it leaves with the next frame
+// written to the site — round 0's first data frame, which every run
+// writes to every site (Gather sends the empty ones), or the close frame
+// — in one write, so a site wakes once for both. A job frame that does not
+// fit the buffer goes out in part at once. A write error may therefore
+// surface at the next send, not here.
 func (c *Coordinator) StartJob(blob []byte) error {
 	for i := range c.conns {
 		if c.conns[i] == nil {
 			return fmt.Errorf("transport: site %d is closed", i)
 		}
 		if err := writeFrame(c.wr[i], header{kind: kindJob}, blob); err != nil {
-			c.broken = true
-			return fmt.Errorf("transport: start job on site %d: %w", i, err)
-		}
-		if err := c.wr[i].Flush(); err != nil {
 			c.broken = true
 			return fmt.Errorf("transport: start job on site %d: %w", i, err)
 		}
