@@ -229,9 +229,9 @@ func (c *Coordinator) Send(round, site int, b []byte) error {
 }
 
 // Gather implements Transport: sites that received no downstream message
-// this round get an empty one, then one reply frame is read per site (in
-// parallel — replies arrive in arbitrary relative order). Cancelling ctx
-// aborts the blocking reads by expiring the sockets' read deadlines; Gather
+// this round get an empty one, then one reply frame is read per site, in
+// site order, whatever order they arrive in. Cancelling ctx aborts the
+// blocking reads by expiring the sockets' read deadlines; Gather
 // then returns ctx.Err() and the connections are no longer usable for
 // further rounds (Close still delivers the close frame best-effort).
 func (c *Coordinator) Gather(ctx context.Context, round int) (RoundResult, error) {
@@ -254,80 +254,66 @@ func (c *Coordinator) Gather(ctx context.Context, round int) (RoundResult, error
 		Payloads: make([][]byte, s),
 		Work:     make([]time.Duration, s),
 	}
-	// A previous round's cancellation watchdog may have expired the read
-	// deadlines after its Gather already returned (the cancel raced the
-	// round finishing); clear them so this round starts clean.
+	// A cancellation that raced an earlier round's finish may have expired
+	// the read deadlines after that round's reads (its Gather succeeded);
+	// clear them so this round starts clean.
 	for _, conn := range c.conns {
 		if conn != nil {
 			conn.SetReadDeadline(time.Time{})
 		}
 	}
-	// The watchdog turns a ctx cancellation into immediate read-deadline
-	// expiry on every site socket, unblocking the reader goroutines. When
-	// both the cancellation and the round's completion are ready it
-	// prefers completion, so a cancel that lands just after a successful
-	// round leaves the sockets untouched; Gather joins the watchdog before
-	// returning, so no deadline write can outlive the round and poison a
-	// later one (the entry-time reset above is belt on top).
-	watchdogDone := make(chan struct{})
-	watchdogExited := make(chan struct{})
+	// Cancelling ctx expires every site socket's read deadline, unblocking
+	// the reads below. The expiry runs, in a goroutine of its own, only once
+	// ctx is done, so a round whose context is not cancelled starts no
+	// goroutine for it. Gather stops it before returning and, if it had
+	// already started, waits for it to finish, so no deadline write
+	// outlives the round.
+	var expiring sync.WaitGroup
+	expiring.Add(1)
+	stop := context.AfterFunc(ctx, func() {
+		defer expiring.Done()
+		now := time.Now()
+		for _, conn := range c.conns {
+			if conn != nil {
+				conn.SetReadDeadline(now)
+			}
+		}
+	})
 	defer func() {
-		close(watchdogDone)
-		<-watchdogExited
-	}()
-	go func() {
-		defer close(watchdogExited)
-		select {
-		case <-ctx.Done():
-			select {
-			case <-watchdogDone:
-				return // round already over; don't poison the sockets
-			default:
-			}
-			now := time.Now()
-			for _, conn := range c.conns {
-				if conn != nil {
-					conn.SetReadDeadline(now)
-				}
-			}
-		case <-watchdogDone:
+		if !stop() {
+			expiring.Wait()
 		}
 	}()
-	errs := make([]error, s)
-	var wg sync.WaitGroup
+	// One reader takes the replies in site order: they arrive in any
+	// order, but each waits in its socket until read, and the round needs
+	// them all, so reading the first that has not arrived yet costs no more
+	// than waiting for it in parallel, and takes fewer wake-ups.
+	var failed error
 	for i := 0; i < s; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h, payload, err := readFrame(c.rd[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("transport: reply from site %d: %w", i, err)
-				return
-			}
-			switch h.kind {
-			case kindData:
-				if int(h.round) != round {
-					errs[i] = fmt.Errorf("transport: site %d replied for round %d, want %d", i, h.round, round)
-					return
-				}
-				res.Payloads[i] = payload
-				res.Work[i] = time.Duration(h.work)
-			case kindError:
-				errs[i] = fmt.Errorf("transport: site %d round %d: %s", i, round, payload)
-			default:
-				errs[i] = fmt.Errorf("transport: site %d sent unexpected frame kind %d", i, h.kind)
-			}
-		}(i)
+		h, payload, err := readFrame(c.rd[i])
+		switch {
+		case err != nil:
+			err = fmt.Errorf("transport: reply from site %d: %w", i, err)
+		case h.kind == kindData && int(h.round) != round:
+			err = fmt.Errorf("transport: site %d replied for round %d, want %d", i, h.round, round)
+		case h.kind == kindData:
+			res.Payloads[i] = payload
+			res.Work[i] = time.Duration(h.work)
+		case h.kind == kindError:
+			err = fmt.Errorf("transport: site %d round %d: %s", i, round, payload)
+		default:
+			err = fmt.Errorf("transport: site %d sent unexpected frame kind %d", i, h.kind)
+		}
+		if failed == nil {
+			failed = err
+		}
 	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return RoundResult{}, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			c.broken = true
-			return RoundResult{}, err
-		}
+	if failed != nil {
+		c.broken = true
+		return RoundResult{}, failed
 	}
 	return res, nil
 }
