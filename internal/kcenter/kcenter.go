@@ -439,8 +439,10 @@ func (s *Scratch) countTable(ix ballIndex, w []float64, n int, keep bool) []uint
 func countAt(tab []uint64, i int) uint32 { return uint32(tab[i/2] >> (i % 2 * 32)) }
 
 // probe is one solve's greedy disk cover over a ball index; feasible(m)
-// runs Charikar et al.'s k greedy rounds at the m-th candidate radius. All
-// its slices are a Scratch's.
+// runs Charikar et al.'s k greedy rounds at the m-th candidate radius. It
+// reads balls off the index's rank-tagged rows (8 bytes a cell) and the
+// cost matrix only for the probed radius and the 3r test. All its slices
+// are a Scratch's.
 type probe struct {
 	ballIndex
 	nf    int
